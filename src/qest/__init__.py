@@ -44,6 +44,7 @@ from .identification import (
     estimate_lambda,
     identify_hamiltonian,
     natural_state_basis,
+    raw_process_matrix,
     solve_process_matrix,
 )
 from .linalg import (

@@ -19,6 +19,7 @@ from .errors import SingularDesignError
 from .linalg import HermitianBasis, gell_mann_basis
 from .states import (
     Povm,
+    as_rng,
     bloch_basis_povm,
     cube_povms,
     element_gammas,
@@ -242,7 +243,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     truth = np.asarray(truth, dtype=complex)
     d = truth.shape[0]
     basis = basis or gell_mann_basis(d)
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = as_rng(seed)
     if isinstance(candidates, str):
         if candidates != "continuum":
             raise ValueError(f"unknown candidate mode {candidates!r}")

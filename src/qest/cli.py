@@ -30,7 +30,6 @@ from .control import (
 )
 from .errors import ConfigError, ContractViolationError
 from .identification import (
-    build_b_matrix,
     estimate_lambda,
     identify_hamiltonian,
     random_traceless_hermitian,
@@ -95,16 +94,19 @@ def _load_hamiltonian(args):
 
 
 def _cmd_hamid(args) -> int:
+    if args.dim < 2:
+        raise ConfigError("--dim must be at least 2")
+    if not (np.isfinite(args.time) and args.time > 0):
+        raise ConfigError("--time must be positive and finite")
     h_true = _load_hamiltonian(args)
     kraus = [herm_expm(h_true, args.time)]
-    b = build_b_matrix(args.dim)
     if args.shots == "noiseless":
         lam = estimate_lambda(kraus, args.dim, mode="noiseless")
     else:
         lam = estimate_lambda(kraus, args.dim, mode="sampled",
                               shots_per_output=int(args.shots),
                               seed=harness.trial_rng(args.seed, 1))
-    h_hat, diagnostics = identify_hamiltonian(lam, b, args.time)
+    h_hat, diagnostics = identify_hamiltonian(lam, args.time)
     _write_json(args.out, {
         "dim": args.dim,
         "time": args.time,
@@ -194,6 +196,8 @@ def _samples_from_config(scheme, system):
 
 
 def _cmd_smc_demo(args) -> int:
+    if args.periods < 1:
+        raise ConfigError("--periods must be at least 1")
     config = SlidingConfig(p0=args.p0, period=args.tau)
     result = periodic_measurement_demo(args.eps * PAULI_X, config, args.periods, args.seed)
     leak = float(np.sin(args.eps * args.tau) ** 2)

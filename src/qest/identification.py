@@ -5,29 +5,31 @@ over a fixed operator basis {F_j}; with the natural matrix units as both the
 operator basis and the state-expansion basis, the linear map B in
 B vec(X) = vec(Lambda) is a permutation (hence unitary), and a unitary channel
 gives a rank-one X whose vectorized factor G satisfies exp(-i H t) = G^T.
+
+Identification never forms B: X is an O(d^4) index reshuffle of Lambda
+(``raw_process_matrix``), so noiseless identification runs at d = 16 in well
+under a second.  ``build_b_matrix`` builds the dense d^4 x d^4 B from the same
+index map, for checks only.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .adaptive import split_evenly
 from .errors import ContractViolationError
 from .linalg import (
     gell_mann_basis,
-    herm_expm,
     nearest_unitary,
     unitary_log,
     vec,
     vec_inv,
 )
-from .states import cube_povms, simulate_measurements
-from .tomography import build_regression, solve_weighted_ls, tomography_pipeline
+from .states import as_rng, cube_povms, simulate_measurements
+from .tomography import tomography_pipeline
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,30 +72,33 @@ def natural_state_basis(d: int) -> ProcessBases:
     return ProcessBases(dim=d, units=units, probes=probes, probe_coeffs=coeffs)
 
 
-def build_b_matrix(d: int, f_basis=None, rho_basis=None) -> np.ndarray:
-    """B with B[(m,n),(j,k)] the coefficient of rho_n in F_j rho_m F_k^dag.
+def raw_process_matrix(lam: np.ndarray) -> np.ndarray:
+    """Exact solution X of B vec(X) = vec(Lambda), i.e. vec^-1(B^dag vec(Lambda)).
+
+    With natural units F_j = |a><b|, j = (a, b), and rho_m = |b><e|, m = (b, e),
+    F_j rho_m F_k^dag = |a><c| for k = (c, e), so B is the permutation
+    X[(a, b), (c, e)] = Lambda[(b, e), (a, c)]: an O(d^4) reshuffle of Lambda
+    (the chi <-> Lambda relation of Nielsen & Chuang, section 8.4.2).
+    """
+    lam = np.asarray(lam)
+    d = int(round(np.sqrt(lam.shape[0])))
+    return lam.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def build_b_matrix(d: int) -> np.ndarray:
+    """Dense B with B[(m,n),(j,k)] the coefficient of rho_n in F_j rho_m F_k^dag.
 
     Row (m, n) maps to index n*d^2 + m and column (j, k) to k*d^2 + j,
-    matching the column-stacked ``vec``.  Defaults to natural bases on both
-    sides, in which case B is a permutation matrix.
+    matching the column-stacked ``vec``.  B is the permutation applied by
+    ``raw_process_matrix``; the dense form costs O(d^8) memory and serves
+    only checks of that map.
     """
-    bases = natural_state_basis(d)
-    f = np.asarray(f_basis if f_basis is not None else bases.units, dtype=complex)
-    r = np.asarray(rho_basis if rho_basis is not None else bases.units, dtype=complex)
-    d2 = d * d
-    if f.shape != (d2, d, d) or r.shape != (d2, d, d):
-        raise ValueError("both bases must contain d^2 matrices of size d x d")
-    rmat = r.reshape(d2, d2).T  # columns are the coordinates of each rho_n
-    s = np.linalg.svd(rmat, compute_uv=False)
-    if s[-1] <= s[0] * 1e-12:
-        raise ValueError("rho basis is rank deficient")
-    lu = scipy.linalg.lu_factor(rmat)
-    b = np.empty((d2 * d2, d2 * d2), dtype=complex)
-    for j in range(d2):
-        for k in range(d2):
-            prods = np.einsum("ab,mbc,dc->mad", f[j], r, f[k].conj())
-            coef = scipy.linalg.lu_solve(lu, prods.reshape(d2, d2).T)
-            b[:, k * d2 + j] = coef.ravel()
+    if d < 2:
+        raise ValueError("need d >= 2")
+    d4 = d**4
+    rows = vec(raw_process_matrix(vec_inv(np.arange(d4), d * d, d * d)))
+    b = np.zeros((d4, d4), dtype=complex)
+    b[rows, np.arange(d4)] = 1.0
     return b
 
 
@@ -134,7 +139,7 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
         raise ValueError(f"unknown mode {mode!r}")
     if not shots_per_output or shots_per_output < 1:
         raise ValueError("sampled mode needs shots_per_output >= 1")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = as_rng(seed)
     povms = cube_povms(d)
     theta_basis = gell_mann_basis(d)
     alloc = split_evenly(int(shots_per_output), len(povms))
@@ -159,15 +164,18 @@ class ProcessMatrix:
     completeness_residual: float
 
 
-def completeness_residual(x: np.ndarray, f_basis: np.ndarray) -> float:
-    """|| sum_jk x_jk F_k^dag F_j - I ||_F, zero for trace-preserving channels."""
-    d = f_basis.shape[1]
-    total = np.einsum("jk,kca,jcb->ab", x, f_basis.conj(), f_basis)
+def completeness_residual(x: np.ndarray) -> float:
+    """|| sum_jk x_jk F_k^dag F_j - I ||_F over the natural units, zero for TP channels.
+
+    F_k^dag F_j = delta(a_j, a_k) |b_k><b_j| for F_j = |a_j><b_j|, so the sum
+    is the partial trace sum_c x[(c, b), (c, a)] at entry (a, b).
+    """
+    d = int(round(np.sqrt(x.shape[0])))
+    total = np.einsum("cbca->ab", x.reshape(d, d, d, d))
     return float(np.linalg.norm(total - np.eye(d)))
 
 
-def solve_process_matrix(b: np.ndarray, lam: np.ndarray, f_basis=None,
-                         unitary_b: bool = True) -> ProcessMatrix:
+def solve_process_matrix(lam: np.ndarray) -> ProcessMatrix:
     """Invert B vec(X) = vec(Lambda) and restore physicality.
 
     The raw solution is Hermitized and its negative eigenvalues are zeroed;
@@ -175,19 +183,13 @@ def solve_process_matrix(b: np.ndarray, lam: np.ndarray, f_basis=None,
     as a residual rather than enforced.
     """
     lam = np.asarray(lam, dtype=complex)
-    d2 = lam.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if f_basis is None:
-        f_basis = natural_state_basis(d).units
-    if unitary_b:
-        x_raw = vec_inv(b.conj().T @ vec(lam), d2, d2)
-    else:
-        x_raw = vec_inv(np.linalg.solve(b, vec(lam)), d2, d2)
+    x_raw = raw_process_matrix(lam)
     x = (x_raw + x_raw.conj().T) / 2
     w, v = np.linalg.eigh(x)
     x = (v * np.clip(w, 0.0, None)) @ v.conj().T
     x = (x + x.conj().T) / 2
-    return ProcessMatrix(dim=d, matrix=x, completeness_residual=completeness_residual(x, f_basis))
+    return ProcessMatrix(dim=int(round(np.sqrt(lam.shape[0]))), matrix=x,
+                         completeness_residual=completeness_residual(x))
 
 
 def _phase_normalized(g: np.ndarray) -> np.ndarray:
@@ -195,12 +197,13 @@ def _phase_normalized(g: np.ndarray) -> np.ndarray:
     return g * np.exp(-1j * np.angle(det) / g.shape[0])
 
 
-def identify_hamiltonian(lam: np.ndarray, b: np.ndarray, t: float):
+def identify_hamiltonian(lam: np.ndarray, t: float):
     """Two-step unitary fit followed by a branch-aware matrix logarithm.
 
-    Steps: Hermitize D = vec^-1(B^dag vec(Lambda)); take its top eigenpair as
-    the rank-one factor S; project S to the nearest unitary G; return the
-    traceless H with exp(-i H t) = G^T up to a global phase.
+    Steps: Hermitize D = vec^-1(B^dag vec(Lambda)), an index reshuffle of
+    Lambda (``raw_process_matrix``); take its top eigenpair as the rank-one
+    factor S; project S to the nearest unitary G; return the traceless H with
+    exp(-i H t) = G^T up to a global phase.
 
     The global phase of G is unobservable, so the log is taken over all d
     determinant-compatible phase rotations and the candidate with the smallest
@@ -212,9 +215,8 @@ def identify_hamiltonian(lam: np.ndarray, b: np.ndarray, t: float):
     if t <= 0:
         raise ValueError("t must be positive")
     lam = np.asarray(lam, dtype=complex)
-    d2 = lam.shape[0]
-    d = int(round(np.sqrt(d2)))
-    dmat = vec_inv(b.conj().T @ vec(lam), d2, d2)
+    d = int(round(np.sqrt(lam.shape[0])))
+    dmat = raw_process_matrix(lam)
     dmat = (dmat + dmat.conj().T) / 2
     w, v = np.linalg.eigh(dmat)
     lam1 = float(w[-1])
@@ -254,47 +256,3 @@ def random_traceless_hermitian(d: int, rng, spectral_norm: float = 1.0) -> np.nd
     h = (g + g.conj().T) / 2
     h -= (np.trace(h) / d) * np.eye(d)
     return h * (spectral_norm / np.linalg.norm(h, 2))
-
-
-def complexity_probe(task: str, d_values, repetitions: int = 3, seed: int = 0):
-    """Wall-time scaling probe; returns dims, per-dim best times and the log-log slope.
-
-    ``lre_solve`` times the weighted least-squares solve on complete cube
-    data; ``identify`` times the Hamiltonian identification step with B and
-    Lambda prebuilt.
-    """
-    rng = np.random.default_rng(seed)
-    times = []
-    for d in d_values:
-        if task == "lre_solve":
-            from .states import expected_records, random_density_matrix
-
-            basis = gell_mann_basis(d)
-            truth = random_density_matrix(d, rng)
-            records = []
-            for povm in cube_povms(d):
-                records.extend(expected_records(truth, povm, 1000, basis))
-            problem = build_regression(records, d, basis)
-            best = min(_timed(solve_weighted_ls, problem) for _ in range(repetitions))
-        elif task == "identify":
-            t_evolve = 0.5
-            h = random_traceless_hermitian(d, rng, spectral_norm=0.3 * np.pi / t_evolve)
-            kraus = [herm_expm(h, t_evolve)]
-            b = build_b_matrix(d)
-            lam = estimate_lambda(kraus, d, mode="noiseless")
-            best = min(_timed(identify_hamiltonian, lam, b, t_evolve) for _ in range(repetitions))
-        else:
-            raise ValueError(f"unknown task {task!r}")
-        times.append(best)
-    ds = np.asarray(list(d_values), dtype=float)
-    if ds.size >= 2:
-        slope = float(np.polyfit(np.log(ds), np.log(times), 1)[0])
-    else:
-        slope = float("nan")
-    return {"d": list(d_values), "seconds": times, "slope": slope}
-
-
-def _timed(fn, *args):
-    start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start

@@ -28,7 +28,6 @@ from qest.harness import (
 )
 from qest.identification import (
     build_b_matrix,
-    complexity_probe,
     estimate_lambda,
     identify_hamiltonian,
     random_traceless_hermitian,
@@ -49,6 +48,7 @@ from qest.tomography import (
     solve_weighted_ls,
     tomography_pipeline,
 )
+from tests.complexity import complexity_probe
 from tests.test_identification import is_identifiable, random_unitary
 from tests.test_tomography import haar_basis_povm, simplex_projection_oracle
 
@@ -122,7 +122,6 @@ def test_criterion_02_noiseless_exactness():
     worst_h = 0.0
     draws = 0
     for d in (2, 3):
-        b = build_b_matrix(d)
         rng = np.random.default_rng([102, d])
         done = 0
         attempts = 0
@@ -132,7 +131,7 @@ def test_criterion_02_noiseless_exactness():
             if not is_identifiable(h, 1.0):
                 continue
             lam = estimate_lambda([herm_expm(h, 1.0)], d)
-            h_hat, _ = identify_hamiltonian(lam, b, 1.0)
+            h_hat, _ = identify_hamiltonian(lam, 1.0)
             err = np.linalg.norm(h_hat - h)
             worst_h = max(worst_h, err)
             assert err <= 1e-6

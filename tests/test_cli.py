@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,12 @@ class TestHamidCommand:
         payload = json.loads(out.read_text())
         assert payload["recovery_error"] < 0.2
 
+    def test_four_qubit_noiseless_round_trip(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["hamid", "--dim", "16", "--time", "0.5", "--shots", "noiseless",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["recovery_error"] <= 1e-8
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         h_path = tmp_path / "h.json"
         h_path.write_text(json.dumps(matrix_to_json(np.eye(3))))
@@ -166,6 +173,26 @@ class TestSmcDemoCommand:
         main(["smc-demo", "--p0", "0.2", "--eps", "0.05", "--tau", "2.0",
               "--periods", "300", "--seed", "8"])
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["hamid", "--dim", "2", "--time", "0"],
+    ["hamid", "--dim", "0", "--time", "0.5"],
+    ["hamid", "--dim", "1", "--time", "0.5"],
+    ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0", "--periods", "0"],
+    ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0", "--periods", "-1"],
+], ids=["hamid-time-0", "hamid-dim-0", "hamid-dim-1", "smc-periods-0", "smc-periods-neg"])
+def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
+    if argv[0] == "hamid":
+        argv = argv + ["--out", str(tmp_path / "o.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qest: error: config:") and captured.err.count("\n") == 1
 
 
 class TestSweepAndCompare:
