@@ -10,7 +10,6 @@ from .adaptive import (
     AdaptiveSchedule,
     RecursiveState,
     continuum_qubit_basis,
-    optimal_qubit_basis,
     rls_init_from_batch,
     rls_update,
     run_adaptive_protocol,
@@ -59,10 +58,11 @@ from .linalg import (
     vec_inv,
 )
 from .states import (
-    MeasurementRecord,
     Povm,
+    Records,
     born_probabilities,
     cube_povms,
+    cube_records,
     expected_records,
     mse,
     povm_from_json,

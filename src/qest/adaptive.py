@@ -11,18 +11,19 @@ and candidate measurements are scored by the closed-form decrease of Tr(Q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularDesignError
-from .linalg import HermitianBasis, gell_mann_basis
+from .linalg import gell_mann_basis
 from .states import (
     Povm,
     as_rng,
     bloch_basis_povm,
     cube_povms,
-    element_gammas,
+    cube_records,
     mse,
     rho_from_theta,
     simulate_measurements,
@@ -38,17 +39,14 @@ from .tomography import (
 
 @dataclass(frozen=True, eq=False)
 class RecursiveState:
-    """Covariance-like matrix Q, running estimate theta, and copy counters."""
+    """Covariance-like matrix Q and running estimate theta over gell_mann_basis(dim)."""
 
     q: np.ndarray
     theta: np.ndarray
-    basis: HermitianBasis
-    step: int = 0
-    copies_used: int = 0
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return math.isqrt(self.theta.size + 1)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class AdaptiveSchedule:
             )
 
 
-def rls_init_from_batch(problem: RegressionProblem, theta: np.ndarray, copies_used: int = 0) -> RecursiveState:
+def rls_init_from_batch(problem: RegressionProblem, theta: np.ndarray) -> RecursiveState:
     """Seed the recursion with Q0 = (sum_k W_k Gamma_k Gamma_k^T)^-1 and the batch theta."""
     info = (problem.x * problem.w[:, None]).T @ problem.x
     s = np.linalg.svd(info, compute_uv=False)
@@ -80,52 +78,40 @@ def rls_init_from_batch(problem: RegressionProblem, theta: np.ndarray, copies_us
         raise SingularDesignError(n_par - rank)
     q = np.linalg.inv(info)
     q = (q + q.T) / 2
-    return RecursiveState(q=q, theta=np.asarray(theta, float), basis=problem.basis,
-                          step=0, copies_used=int(copies_used))
+    return RecursiveState(q=q, theta=np.asarray(theta, float))
 
 
-def rls_update(state: RecursiveState, record, weight: float, new_copies=None) -> RecursiveState:
-    """Fold one measurement record into the running estimate.
+def rls_update(state: RecursiveState, problem: RegressionProblem) -> RecursiveState:
+    """Fold every row of ``problem`` into the running estimate, in row order."""
+    if np.any(problem.w <= 0):
+        raise ValueError("weights must be positive")
+    q, theta = state.q, state.theta
+    for gamma, y, w in zip(problem.x, problem.y, problem.w):
+        qg = q @ gamma
+        a = 1.0 / (1.0 / w + gamma @ qg)
+        q = q - a * np.outer(qg, qg)
+        q = (q + q.T) / 2
+        theta = theta + a * qg * (y - gamma @ theta)
+    return RecursiveState(q=q, theta=theta)
 
-    ``new_copies`` counts the fresh copies this record consumed; it defaults
-    to ``record.shots``.  Pass 0 for all but one element when several records
-    share the same measurement run.
+
+def trace_gain(state: RecursiveState, gamma: np.ndarray, weight) -> np.ndarray:
+    """Closed form of Tr(Q_n-1) - Tr(Q_n) for each candidate row, without updating.
+
+    ``gamma`` stacks rows along its last axis; ``weight`` broadcasts against
+    the row shape ``gamma.shape[:-1]``.
     """
-    if weight <= 0:
-        raise ValueError("weight must be positive")
-    gamma = record.gamma
-    qg = state.q @ gamma
-    a = 1.0 / (1.0 / weight + gamma @ qg)
-    q = state.q - a * np.outer(qg, qg)
-    q = (q + q.T) / 2
-    residual = record.p_hat - record.gamma0 / state.dim - gamma @ state.theta
-    theta = state.theta + a * qg * residual
-    used = record.shots if new_copies is None else new_copies
-    return replace(state, q=q, theta=theta, step=state.step + 1,
-                   copies_used=state.copies_used + int(used))
+    gamma = np.asarray(gamma, float)
+    qg = gamma @ state.q  # Q is symmetric
+    return (qg * qg).sum(-1) / (1.0 / weight + (gamma * qg).sum(-1))
 
 
-def trace_gain(state: RecursiveState, gamma: np.ndarray, weight: float) -> float:
-    """Closed form of Tr(Q_n-1) - Tr(Q_n) for a candidate row, without updating."""
-    qg = state.q @ np.asarray(gamma, float)
-    a = 1.0 / (1.0 / weight + gamma @ qg)
-    return float(a * (qg @ qg))
-
-
-def povm_trace_gain(state: RecursiveState, povm: Povm, planned_shots: int,
-                    weighting: str = "shots") -> float:
-    """Summed element-wise trace gain of measuring ``planned_shots`` copies with a POVM.
-
-    Under inverse-variance weighting the planned weights use outcome
-    probabilities predicted from the current estimate.
-    """
-    g0, gam = element_gammas(povm, state.basis)
-    p_pred = np.clip(g0 / state.dim + gam @ state.theta, 0.0, 1.0)
-    total = 0.0
-    for j in range(len(povm)):
-        w = record_weight(planned_shots, p_pred[j], weighting)
-        total += trace_gain(state, gam[j], w)
-    return total
+def _basis_gains(state, gamma0, gamma, planned_shots, weighting):
+    # Summed trace gain of measuring planned_shots copies with each basis
+    # (element rows along axis -2); planned weights use outcome probabilities
+    # predicted by the current estimate.
+    p_pred = np.clip(gamma0 / state.dim + gamma @ state.theta, 0.0, 1.0)
+    return trace_gain(state, gamma, record_weight(planned_shots, p_pred, weighting)).sum(-1)
 
 
 def select_next_povm(state: RecursiveState, candidates, planned_shots: int,
@@ -133,36 +119,8 @@ def select_next_povm(state: RecursiveState, candidates, planned_shots: int,
     """Candidate with the largest summed trace gain; ties break to the lowest index."""
     if not candidates:
         raise ValueError("candidate set must be non-empty")
-    gains = np.array([povm_trace_gain(state, c, planned_shots, weighting) for c in candidates])
+    gains = [_basis_gains(state, c.gamma0, c.gamma, planned_shots, weighting) for c in candidates]
     return candidates[int(np.argmax(gains))]
-
-
-def optimal_qubit_basis(state: RecursiveState) -> Povm:
-    """Best projective qubit basis over the whole Bloch sphere, constant weights.
-
-    For a basis along the unit direction u the summed gain is
-    ||Q u||^2 / (1/w + u^T Q u / 2), whose maximizer over the sphere is the
-    top eigendirection of Q for any constant weight w.  Cube axes that tie
-    the continuum optimum are preferred (lowest axis index first), so the
-    returned basis always beats or ties every cube basis.
-    """
-    if state.dim != 2:
-        raise ValueError("the analytic optimal basis is only available for qubits")
-    _, v = np.linalg.eigh(state.q)
-    top = v[:, -1]
-    top = top * np.sign(top[np.argmax(np.abs(top))])  # deterministic sign
-
-    def direction_gain(u):
-        qu = state.q @ u
-        return (qu @ qu) / (1.0 + u @ qu / 2.0)
-
-    axes = [np.eye(3)[i] for i in range(3)]
-    candidates = axes + [top]
-    gains = np.array([direction_gain(u) for u in candidates])
-    best = int(np.argmax(gains))
-    if best < 3:
-        return cube_povms(2)[best]
-    return bloch_basis_povm(top)
 
 
 def _fibonacci_sphere(count: int = 128) -> np.ndarray:
@@ -179,55 +137,40 @@ def _fibonacci_sphere(count: int = 128) -> np.ndarray:
 _SPHERE_GRID = _fibonacci_sphere()
 
 
-def _direction_gain(state, u, planned_shots, weighting):
-    # Summed gain of the projective basis along u, with planned weights taken
-    # from outcome probabilities predicted by the current estimate.
-    total = 0.0
-    for sign in (+1.0, -1.0):
-        gamma = sign * u / np.sqrt(2.0)
-        p_pred = min(max(0.5 + gamma @ state.theta, 0.0), 1.0)
-        w = record_weight(planned_shots, p_pred, weighting)
-        qg = state.q @ gamma
-        total += (qg @ qg) / (1.0 / w + gamma @ qg)
-    return total
-
-
 def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
                           weighting: str = "shots") -> Povm:
     """Approximate trace-gain optimum over all Bloch directions.
 
     Scores the cube axes, the eigendirections of Q, the current Bloch
     direction and a fixed Fibonacci sphere grid under the active weighting
-    policy's planned weights, and returns the best basis.  Under constant
-    (shot) weights this agrees with :func:`optimal_qubit_basis`; under
-    inverse-variance weights aligned measurements become cheap and the search
-    leaves the cube frame.
+    policy's planned weights, and returns the best basis; cube axes win
+    ties.  Under constant (shot) weights the basis along u gains
+    ||Q u||^2 / (1/w + u^T Q u / 2), maximized by the top eigendirection of
+    Q; under inverse-variance weights aligned measurements become cheap and
+    the search leaves the cube frame.
     """
     if state.dim != 2:
         raise ValueError("continuum basis search is qubit-only")
     _, v = np.linalg.eigh(state.q)
-    candidates = [np.eye(3)[i] for i in range(3)]
-    candidates += [v[:, i] for i in range(3)]
+    candidates = [np.eye(3), v.T]
     bloch = state.theta * np.sqrt(2.0)
     norm = np.linalg.norm(bloch)
     if norm > 1e-9:
-        candidates.append(bloch / norm)
-    candidates.extend(_SPHERE_GRID)
-    gains = [_direction_gain(state, u, planned_shots, weighting) for u in candidates]
-    best = int(np.argmax(gains))
+        candidates.append([bloch / norm])
+    candidates.append(_SPHERE_GRID)
+    u = np.concatenate(candidates)
+    gamma = np.stack([u, -u], axis=1) / np.sqrt(2.0)
+    gains = _basis_gains(state, np.ones(gamma.shape[:2]), gamma, planned_shots, weighting)
+    # grid and eigen directions are unit vectors only to rounding, so gains
+    # within 1e-12 (relative) of the best tie, and the lowest index wins
+    best = int(np.argmax(gains >= gains.max() * (1.0 - 1e-12)))
     if best < 3:
         return cube_povms(2)[best]
-    return bloch_basis_povm(candidates[best])
-
-
-def split_evenly(total: int, parts: int):
-    """Deterministic near-even integer split; early parts take the remainder."""
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
+    return bloch_basis_povm(u[best])
 
 
 def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
-                          basis=None, weighting: str = "invvar"):
+                          weighting: str = "invvar"):
     """Two-stage adaptive tomography of ``truth``.
 
     Stage 1 spends ``schedule.stage1`` copies on the cube bases and solves the
@@ -242,7 +185,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     """
     truth = np.asarray(truth, dtype=complex)
     d = truth.shape[0]
-    basis = basis or gell_mann_basis(d)
+    basis = gell_mann_basis(d)
     rng = as_rng(seed)
     if isinstance(candidates, str):
         if candidates != "continuum":
@@ -252,20 +195,14 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     elif not candidates:
         raise ValueError("candidate set must be non-empty")
 
-    cubes = cube_povms(d)
-    records = []
-    for povm, n in zip(cubes, split_evenly(schedule.stage1, len(cubes))):
-        if n > 0:
-            records.extend(simulate_measurements(truth, povm, n, rng, basis))
-    problem = build_regression(records, d, basis, weighting)
-    theta = solve_weighted_ls(problem)
-    state = rls_init_from_batch(problem, theta, copies_used=schedule.stage1)
+    problem = build_regression(cube_records(truth, schedule.stage1, rng), d, weighting)
+    state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
 
     def snapshot(step):
         rho_step = project_physical(rho_from_theta(state.theta, basis))
         return {
             "step": step,
-            "copies_used": state.copies_used,
+            "copies_used": schedule.stage1 + step * schedule.per_step,
             "trace_q": float(np.trace(state.q)),
             "mse": mse(rho_step, truth),
         }
@@ -276,10 +213,8 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
             povm = continuum_qubit_basis(state, schedule.per_step, weighting)
         else:
             povm = select_next_povm(state, candidates, schedule.per_step, weighting)
-        step_records = simulate_measurements(truth, povm, schedule.per_step, rng, basis)
-        for j, record in enumerate(step_records):
-            w = record_weight(record.shots, record.p_hat, weighting)
-            state = rls_update(state, record, w, new_copies=record.shots if j == 0 else 0)
+        step_records = simulate_measurements(truth, povm, schedule.per_step, rng)
+        state = rls_update(state, build_regression(step_records, d, weighting))
         diagnostics.append(snapshot(k))
 
     rho_hat = project_physical(rho_from_theta(state.theta, basis))

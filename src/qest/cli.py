@@ -34,8 +34,8 @@ from .identification import (
     identify_hamiltonian,
     random_traceless_hermitian,
 )
-from .linalg import gell_mann_basis, herm_expm, matrix_from_json, matrix_to_json
-from .states import PAULI_X, records_from_csv
+from .linalg import herm_expm, matrix_from_json, matrix_to_json
+from .states import PAULI_X, cube_povms, records_from_csv
 from .tomography import tomography_pipeline
 
 
@@ -57,23 +57,19 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    if args.trials < 1:
+        raise ConfigError("--trials must be at least 1")
     if args.N2 is None:
         if args.K > 0 and (args.N - args.N1) % args.K:
             raise ConfigError("N - N1 must be divisible by K when --N2 is omitted")
         args.N2 = (args.N - args.N1) // args.K if args.K > 0 else 1
     schedule = AdaptiveSchedule(total=args.N, stage1=args.N1, per_step=args.N2, steps=args.K)
-    candidates = "continuum" if args.candidates == "continuum" else None
-    if candidates is None:
-        from .states import cube_povms
-
-        candidates = cube_povms(args.dim)
+    candidates = "continuum" if args.candidates == "continuum" else cube_povms(args.dim)
     rows = []
-    basis = gell_mann_basis(args.dim)
     for t in range(args.trials):
         truth = harness._sample_truth(args.dim, harness.trial_rng(args.seed, t, 0), args.ensemble)
         _, diag = run_adaptive_protocol(
-            truth, schedule, candidates, harness.trial_rng(args.seed, t, 1),
-            basis, args.weights,
+            truth, schedule, candidates, harness.trial_rng(args.seed, t, 1), args.weights,
         )
         for entry in diag:
             rows.append((t, entry["step"], entry["copies_used"],
@@ -89,6 +85,8 @@ def _load_hamiltonian(args):
         if h.shape != (args.dim, args.dim):
             raise ConfigError("--true-h dimension does not match --dim")
         return h
+    if args.time < 1e-100:
+        raise ConfigError("--time below 1e-100 overflows the random Hamiltonian's norm 0.4*pi/time")
     rng = harness.trial_rng(args.seed, 0)
     return random_traceless_hermitian(args.dim, rng, spectral_norm=0.4 * np.pi / args.time)
 
@@ -198,6 +196,8 @@ def _samples_from_config(scheme, system):
 def _cmd_smc_demo(args) -> int:
     if args.periods < 1:
         raise ConfigError("--periods must be at least 1")
+    if not np.all(np.isfinite([args.eps, args.tau, args.eps * args.tau])):
+        raise ConfigError("--eps, --tau and their product must be finite")
     config = SlidingConfig(p0=args.p0, period=args.tau)
     result = periodic_measurement_demo(args.eps * PAULI_X, config, args.periods, args.seed)
     leak = float(np.sin(args.eps * args.tau) ** 2)

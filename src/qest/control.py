@@ -266,8 +266,8 @@ class SlidingConfig:
     def __post_init__(self):
         if not 0 < self.p0 < 1:
             raise ValueError("p0 must lie in (0, 1)")
-        if self.period <= 0:
-            raise ValueError("measurement period must be positive")
+        if not (np.isfinite(self.period) and self.period > 0):
+            raise ValueError("measurement period must be positive and finite")
 
 
 def in_sliding_domain(psi: np.ndarray, config: SlidingConfig) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveSchedule, run_adaptive_protocol, split_evenly
+from .adaptive import AdaptiveSchedule, run_adaptive_protocol
 from .control import (
     ControlField,
     UncertainSystem,
@@ -20,16 +20,14 @@ from .control import (
     slc_train,
 )
 from .errors import ConfigError
-from .linalg import gell_mann_basis
 from .states import (
     PAULI_X,
     PAULI_Z,
-    cube_povms,
+    cube_records,
     mse,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
-    simulate_measurements,
 )
 from .tomography import tomography_pipeline
 
@@ -61,13 +59,8 @@ def _sample_truth(dim, rng, ensemble):
     raise ConfigError(f"unknown state ensemble {ensemble!r}")
 
 
-def _static_cube_mse(truth, dim, total_shots, rng, basis, weighting):
-    povms = cube_povms(dim)
-    records = []
-    for povm, n in zip(povms, split_evenly(total_shots, len(povms))):
-        if n > 0:
-            records.extend(simulate_measurements(truth, povm, n, rng, basis))
-    rho, _, _ = tomography_pipeline(records, dim, basis, weighting)
+def _static_cube_mse(truth, dim, total_shots, rng, weighting):
+    rho, _, _ = tomography_pipeline(cube_records(truth, total_shots, rng), dim, weighting)
     return mse(rho, truth)
 
 
@@ -81,7 +74,6 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
     shot_grid = [int(n) for n in shot_grid]
     if not shot_grid or trials < 1:
         raise ConfigError("need a non-empty shot grid and trials >= 1")
-    basis = gell_mann_basis(dim)
     rows = []
     means = []
     for ni, n in enumerate(shot_grid):
@@ -89,7 +81,7 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
         for t in range(trials):
             rng = trial_rng(seed, ni, t)
             truth = _sample_truth(dim, rng, ensemble)
-            errs.append(_static_cube_mse(truth, dim, n, rng, basis, weighting))
+            errs.append(_static_cube_mse(truth, dim, n, rng, weighting))
             rows.append((n, t, errs[-1]))
         means.append(float(np.mean(errs)))
     aggregates = {
@@ -111,7 +103,6 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
     """
     if trials < 1 or repetitions < 1:
         raise ConfigError("trials and repetitions must be >= 1")
-    basis = gell_mann_basis(dim)
     rows = []
     for t in range(trials):
         truth = _sample_truth(dim, trial_rng(seed, t, 0), ensemble)
@@ -119,11 +110,11 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
         errs_s = []
         for rep in range(repetitions):
             rho_adaptive, _ = run_adaptive_protocol(
-                truth, schedule, candidates, trial_rng(seed, t, 1, rep), basis, weighting
+                truth, schedule, candidates, trial_rng(seed, t, 1, rep), weighting
             )
             errs_a.append(mse(rho_adaptive, truth))
             errs_s.append(_static_cube_mse(
-                truth, dim, schedule.total, trial_rng(seed, t, 2, rep), basis, weighting
+                truth, dim, schedule.total, trial_rng(seed, t, 2, rep), weighting
             ))
         rows.append((t, float(np.mean(errs_a)), float(np.mean(errs_s))))
     adaptive = np.array([r[1] for r in rows])

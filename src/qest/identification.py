@@ -19,16 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import split_evenly
 from .errors import ContractViolationError
 from .linalg import (
-    gell_mann_basis,
     nearest_unitary,
     unitary_log,
     vec,
     vec_inv,
 )
-from .states import as_rng, cube_povms, simulate_measurements
+from .states import as_rng, cube_records
 from .tomography import tomography_pipeline
 
 
@@ -140,17 +138,10 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
     if not shots_per_output or shots_per_output < 1:
         raise ValueError("sampled mode needs shots_per_output >= 1")
     rng = as_rng(seed)
-    povms = cube_povms(d)
-    theta_basis = gell_mann_basis(d)
-    alloc = split_evenly(int(shots_per_output), len(povms))
     lam_probe = np.empty((d2, d2), dtype=complex)
     for k in range(d2):
-        out_true = apply_channel(kraus, bases.probes[k])
-        records = []
-        for povm, n in zip(povms, alloc):
-            if n > 0:
-                records.extend(simulate_measurements(out_true, povm, n, rng, theta_basis))
-        rho_hat, _, _ = tomography_pipeline(records, d, theta_basis, weighting)
+        records = cube_records(apply_channel(kraus, bases.probes[k]), int(shots_per_output), rng)
+        rho_hat, _, _ = tomography_pipeline(records, d, weighting)
         lam_probe[k] = rho_hat.ravel()
     return np.linalg.solve(bases.probe_coeffs, lam_probe)
 

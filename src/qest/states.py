@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,7 +85,12 @@ def theta_from_rho(rho: np.ndarray, basis: HermitianBasis) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive operator-valued measurement: elements sum to the identity."""
+    """Positive operator-valued measurement: elements sum to the identity.
+
+    ``gamma0[j] = Tr(E_j)`` and ``gamma[j, i] = Tr(E_j O_i)`` over
+    ``gell_mann_basis(d)`` are element j's regression coordinates, computed
+    once per object on first use.
+    """
 
     label: str
     elements: np.ndarray  # (n_outcomes, d, d)
@@ -95,6 +101,22 @@ class Povm:
 
     def __len__(self) -> int:
         return self.elements.shape[0]
+
+    @cached_property
+    def gamma0(self) -> np.ndarray:
+        return _read_only(np.einsum("eii->e", self.elements).real)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _read_only(
+            np.einsum("eij,kji->ek", self.elements, gell_mann_basis(self.dim).elements).real
+        )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # cached arrays are shared by every caller and every record table built from them
+    a.flags.writeable = False
+    return a
 
 
 def validate_povm(povm: Povm, tol: float = 1e-9) -> None:
@@ -108,33 +130,51 @@ def validate_povm(povm: Povm, tol: float = 1e-9) -> None:
         raise ContractViolationError(f"POVM {povm.label}: elements do not sum to identity")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One POVM-element count from a measurement run.
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Columnar table of POVM-element counts, one row per element of a measurement run.
 
-    ``successes`` counts how often this element fired among ``shots`` draws of
-    the full POVM; it is integer-valued for sampled data and may be fractional
-    for exact expected-count records.  ``gamma0 = Tr(E)`` and
-    ``gamma_i = Tr(E O_i)`` are the element's regression coordinates.
+    ``successes[r]`` counts how often element ``element[r]`` of POVM
+    ``label[r]`` fired among ``shots[r]`` draws of the full POVM; it is
+    integer-valued for sampled data and may be fractional for exact
+    expected counts.  ``gamma0`` and ``gamma`` are the rows' regression
+    coordinates (see :class:`Povm`).  Slicing selects rows.
     """
 
-    povm_label: str
-    element: int
-    shots: int
-    successes: float
-    gamma0: float
-    gamma: np.ndarray
+    label: np.ndarray      # (n,) str
+    element: np.ndarray    # (n,) int
+    shots: np.ndarray      # (n,) int
+    successes: np.ndarray  # (n,) float
+    gamma0: np.ndarray     # (n,)
+    gamma: np.ndarray      # (n, d^2 - 1)
+
+    def __post_init__(self):
+        if np.any(self.shots < 1):
+            raise ValueError("every record needs shots >= 1")
+        if not np.all((self.successes >= 0) & (self.successes <= self.shots)):
+            raise ValueError("every record needs finite successes within [0, shots]")
+
+    @classmethod
+    def of_povm(cls, povm: Povm, shots: int, successes) -> Records:
+        """One row per element of ``povm`` measured ``shots`` times."""
+        n = len(povm)
+        return cls(np.full(n, povm.label), np.arange(n), np.full(n, int(shots)),
+                   np.asarray(successes, dtype=float), povm.gamma0, povm.gamma)
+
+    @classmethod
+    def concat(cls, parts) -> Records:
+        parts = list(parts)
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return self.shots.size
+
+    def __getitem__(self, rows) -> Records:
+        return Records(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @property
-    def p_hat(self) -> float:
+    def p_hat(self) -> np.ndarray:
         return self.successes / self.shots
-
-
-def element_gammas(povm: Povm, basis: HermitianBasis):
-    """(gamma0, Gamma) rows for every element of the POVM."""
-    g0 = np.einsum("eii->e", povm.elements).real
-    gam = np.einsum("eij,kji->ek", povm.elements, basis.elements).real
-    return g0, gam
 
 
 def born_probabilities(rho: np.ndarray, povm: Povm) -> np.ndarray:
@@ -146,37 +186,38 @@ def born_probabilities(rho: np.ndarray, povm: Povm) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def _records(povm, shots, successes, g0, gam):
-    return [
-        MeasurementRecord(povm.label, j, int(shots), successes[j], g0[j], gam[j])
-        for j in range(len(povm))
-    ]
-
-
-def simulate_measurements(rho, povm, shots: int, rng, basis=None):
+def simulate_measurements(rho, povm: Povm, shots: int, rng) -> Records:
     """Draw one multinomial sample of size ``shots`` over the Born probabilities.
 
-    Returns one MeasurementRecord per POVM element; deterministic for a fixed
-    seed.
+    Returns one row per POVM element; deterministic for a fixed seed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = as_rng(rng)
-    basis = basis or gell_mann_basis(povm.dim)
     p = born_probabilities(rho, povm)
-    counts = rng.multinomial(shots, p / p.sum())
-    g0, gam = element_gammas(povm, basis)
-    return _records(povm, shots, counts.astype(float), g0, gam)
+    return Records.of_povm(povm, shots, rng.multinomial(shots, p / p.sum()))
 
 
-def expected_records(rho, povm, shots: int, basis=None):
+def expected_records(rho, povm: Povm, shots: int) -> Records:
     """Noiseless records with successes equal to the exact expected counts."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    basis = basis or gell_mann_basis(povm.dim)
-    p = born_probabilities(rho, povm)
-    g0, gam = element_gammas(povm, basis)
-    return _records(povm, shots, p * shots, g0, gam)
+    return Records.of_povm(povm, shots, born_probabilities(rho, povm) * shots)
+
+
+def split_evenly(total: int, parts: int):
+    """Deterministic near-even integer split; early parts take the remainder."""
+    base, rem = divmod(total, parts)
+    return [base + (1 if i < rem else 0) for i in range(parts)]
+
+
+def cube_records(rho, total: int, rng) -> Records:
+    """``total`` copies of rho split evenly over the cube bases, one run per basis."""
+    if total < 1:
+        raise ValueError("need at least one copy to measure")
+    povms = cube_povms(rho.shape[0])
+    return Records.concat(simulate_measurements(rho, povm, n, rng)
+                          for povm, n in zip(povms, split_evenly(total, len(povms))) if n > 0)
 
 
 def _qubit_axis_povm(axis: str) -> np.ndarray:
@@ -184,8 +225,12 @@ def _qubit_axis_povm(axis: str) -> np.ndarray:
     return np.stack([pure_to_density(k) for k in kets])
 
 
-def cube_povms(d: int) -> list:
-    """The 3^q Pauli-eigenbasis product measurements for q qubits (d = 2^q)."""
+@lru_cache(maxsize=None)
+def cube_povms(d: int) -> tuple:
+    """The 3^q Pauli-eigenbasis product measurements for q qubits (d = 2^q).
+
+    Cached, so every caller shares the same POVMs and their gamma rows.
+    """
     q = int(round(np.log2(d)))
     if d < 2 or 2**q != d:
         raise ValueError(f"cube bases need a power-of-two dimension, got d={d}")
@@ -198,8 +243,8 @@ def cube_povms(d: int) -> list:
             for qi in range(1, q):
                 m = np.kron(m, single[qi][outcomes[qi]])
             elements.append(m)
-        povms.append(Povm("cube:" + "".join(axes), np.stack(elements)))
-    return povms
+        povms.append(Povm("cube:" + "".join(axes), _read_only(np.stack(elements))))
+    return tuple(povms)
 
 
 def bloch_basis_povm(n: np.ndarray) -> Povm:
@@ -263,20 +308,19 @@ def mse(est: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm(est - truth) ** 2)
 
 
-def records_to_csv(records, path) -> None:
+def records_to_csv(records: Records, path) -> None:
     """Write records as CSV with columns povm,element,shots,successes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["povm", "element", "shots", "successes"])
-        for r in records:
-            writer.writerow([r.povm_label, r.element, r.shots, f"{r.successes:.17g}"])
+        writer.writerows(zip(records.label, records.element, records.shots,
+                             (f"{s:.17g}" for s in records.successes)))
 
 
-def records_from_csv(path, d: int, basis=None):
+def records_from_csv(path, d: int) -> Records:
     """Read a records CSV, rebuilding each POVM (and its gammas) from its label."""
-    basis = basis or gell_mann_basis(d)
-    gamma_cache = {}
-    records = []
+    povms = {}
+    labels, elements, shots, successes = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"povm", "element", "shots", "successes"}
@@ -284,15 +328,17 @@ def records_from_csv(path, d: int, basis=None):
             raise ConfigError(f"records file {path} must have columns {sorted(required)}")
         for row in reader:
             label = row["povm"]
-            if label not in gamma_cache:
-                gamma_cache[label] = element_gammas(resolve_povm_label(label, d), basis)
-            g0, gam = gamma_cache[label]
+            if label not in povms:
+                povms[label] = resolve_povm_label(label, d)
             j = int(row["element"])
-            if not 0 <= j < len(g0):
+            if not 0 <= j < len(povms[label]):
                 raise ConfigError(f"element index {j} out of range for POVM {label!r}")
-            records.append(
-                MeasurementRecord(
-                    label, j, int(row["shots"]), float(row["successes"]), g0[j], gam[j]
-                )
-            )
-    return records
+            labels.append(label)
+            elements.append(j)
+            shots.append(int(row["shots"]))
+            successes.append(float(row["successes"]))
+    rows = [(povms[label], j) for label, j in zip(labels, elements)]
+    return Records(np.array(labels, dtype=str), np.array(elements, dtype=int),
+                   np.array(shots, dtype=int), np.array(successes, dtype=float),
+                   np.array([povm.gamma0[j] for povm, j in rows]),
+                   np.array([povm.gamma[j] for povm, j in rows]).reshape(len(rows), d * d - 1))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, SingularDesignError
-from .linalg import HermitianBasis, gell_mann_basis, is_hermitian
-from .states import rho_from_theta
+from .linalg import gell_mann_basis, is_hermitian
+from .states import Records, rho_from_theta
 
 WEIGHTINGS = ("shots", "invvar")
 
@@ -27,52 +27,35 @@ class RegressionProblem:
     y: np.ndarray
     x: np.ndarray
     w: np.ndarray
-    basis: HermitianBasis
 
 
-def record_weight(shots: int, p_hat: float, weighting: str) -> float:
-    """Per-row regression weight.
+def record_weight(shots, p_hat, weighting: str):
+    """Per-row regression weights, elementwise over arrays of rows.
 
     ``shots`` weights rows by copy count; ``invvar`` by the inverse binomial
     variance shots / (p(1-p)) with p clipped to [1/(2n), 1 - 1/(2n)] so that
     empirical frequencies of exactly 0 or 1 stay finite.
     """
     if weighting == "shots":
-        return float(shots)
+        return np.asarray(shots, dtype=float)
     if weighting == "invvar":
         lo = 1.0 / (2.0 * shots)
-        p = min(max(p_hat, lo), 1.0 - lo)
+        p = np.clip(p_hat, lo, 1.0 - lo)
         return shots / (p * (1.0 - p))
     raise ValueError(f"unknown weighting {weighting!r}; choose from {WEIGHTINGS}")
 
 
-def build_regression(records, d: int, basis=None, weighting: str = "shots") -> RegressionProblem:
+def build_regression(records: Records, d: int, weighting: str = "shots") -> RegressionProblem:
     """Assemble the regression rows y_j = p_hat_j - gamma0_j / d from records."""
-    if not records:
-        raise ValueError("cannot build a regression from an empty record list")
-    basis = basis or gell_mann_basis(d)
-    y = np.empty(len(records))
-    x = np.empty((len(records), basis.size))
-    w = np.empty(len(records))
-    for i, r in enumerate(records):
-        if r.shots < 1:
-            raise ValueError("every record needs shots >= 1")
-        y[i] = r.p_hat - r.gamma0 / d
-        x[i] = r.gamma
-        w[i] = record_weight(r.shots, r.p_hat, weighting)
-    return RegressionProblem(y=y, x=x, w=w, basis=basis)
+    if len(records) == 0:
+        raise ValueError("cannot build a regression from an empty record table")
+    p_hat = records.p_hat
+    return RegressionProblem(y=p_hat - records.gamma0 / d, x=records.gamma,
+                             w=record_weight(records.shots, p_hat, weighting))
 
 
-def design_condition(problem: RegressionProblem) -> float:
-    """Condition number of the weighted design sqrt(W) X."""
-    s = np.linalg.svd(problem.x * np.sqrt(problem.w)[:, None], compute_uv=False)
-    if s[-1] == 0:
-        return np.inf
-    return float(s[0] / s[-1])
-
-
-def solve_weighted_ls(problem: RegressionProblem) -> np.ndarray:
-    """Weighted least-squares solution via an orthogonal factorization.
+def solve_weighted_ls(problem: RegressionProblem):
+    """Weighted least-squares solution and the condition number of sqrt(W) X.
 
     Raises :class:`SingularDesignError` when the design is rank deficient or
     conditioned worse than 1e12, naming the null-space dimension.
@@ -85,10 +68,11 @@ def solve_weighted_ls(problem: RegressionProblem) -> np.ndarray:
     rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
     if rank < n_par:
         raise SingularDesignError(n_par - rank)
-    if s[0] / s[-1] > _COND_LIMIT:
-        raise SingularDesignError(0, f"design condition number {s[0] / s[-1]:.2e} exceeds {_COND_LIMIT:.0e}")
+    cond = float(s[0] / s[-1])
+    if cond > _COND_LIMIT:
+        raise SingularDesignError(0, f"design condition number {cond:.2e} exceeds {_COND_LIMIT:.0e}")
     theta, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return theta
+    return theta, cond
 
 
 def project_physical(rho_tilde: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -120,22 +104,21 @@ def project_physical(rho_tilde: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def tomography_pipeline(records, d: int, basis=None, weighting: str = "shots"):
+def tomography_pipeline(records: Records, d: int, weighting: str = "shots"):
     """records -> (physical state, theta, diagnostics).
 
     Diagnostics report the weighted residual norm, the design condition
     number, and whether the physical projection changed the estimate.
     """
-    basis = basis or gell_mann_basis(d)
-    problem = build_regression(records, d, basis, weighting)
-    theta = solve_weighted_ls(problem)
-    rho_tilde = rho_from_theta(theta, basis)
+    problem = build_regression(records, d, weighting)
+    theta, cond = solve_weighted_ls(problem)
+    rho_tilde = rho_from_theta(theta, gell_mann_basis(d))
     rho = project_physical(rho_tilde)
     distance = float(np.linalg.norm(rho - rho_tilde))
     residual = float(np.linalg.norm(np.sqrt(problem.w) * (problem.y - problem.x @ theta)))
     diagnostics = {
         "residual_norm": residual,
-        "condition_number": design_condition(problem),
+        "condition_number": cond,
         "projection_changed": distance > 1e-12,
         "projection_distance": distance,
     }

@@ -9,8 +9,8 @@ from qest.identification import (
     identify_hamiltonian,
     random_traceless_hermitian,
 )
-from qest.linalg import gell_mann_basis, herm_expm
-from qest.states import cube_povms, expected_records, random_density_matrix
+from qest.linalg import herm_expm
+from qest.states import Records, cube_povms, expected_records, random_density_matrix
 from qest.tomography import build_regression, solve_weighted_ls
 
 
@@ -25,12 +25,9 @@ def complexity_probe(task: str, d_values, repetitions: int = 3, seed: int = 0):
     times = []
     for d in d_values:
         if task == "lre_solve":
-            basis = gell_mann_basis(d)
             truth = random_density_matrix(d, rng)
-            records = []
-            for povm in cube_povms(d):
-                records.extend(expected_records(truth, povm, 1000, basis))
-            problem = build_regression(records, d, basis)
+            records = Records.concat(expected_records(truth, povm, 1000) for povm in cube_povms(d))
+            problem = build_regression(records, d)
             best = min(_timed(solve_weighted_ls, problem) for _ in range(repetitions))
         elif task == "identify":
             t_evolve = 0.5

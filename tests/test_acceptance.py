@@ -4,14 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see per-criterion
 timings and measured values.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
 
 from qest.adaptive import AdaptiveSchedule, rls_init_from_batch, rls_update
-from qest.cli import main as cli_main
 from qest.control import (
     ControlField,
     SampleSet,
@@ -32,9 +30,10 @@ from qest.identification import (
     identify_hamiltonian,
     random_traceless_hermitian,
 )
-from qest.linalg import gell_mann_basis, herm_expm
+from qest.linalg import herm_expm
 from qest.states import (
     PAULI_X,
+    Records,
     cube_povms,
     expected_records,
     mse,
@@ -44,11 +43,11 @@ from qest.states import (
 from qest.tomography import (
     build_regression,
     project_physical,
-    record_weight,
     solve_weighted_ls,
     tomography_pipeline,
 )
 from tests.complexity import complexity_probe
+from tests.test_golden import run_command, write_inputs
 from tests.test_identification import is_identifiable, random_unitary
 from tests.test_tomography import haar_basis_povm, simplex_projection_oracle
 
@@ -58,7 +57,6 @@ def report(num, detail):
 
 
 def mixed_povm_dataset(d, rng, n_basis_extra):
-    basis = gell_mann_basis(d)
     rho = random_density_matrix(d, rng)
     povms = []
     if d == 2:
@@ -66,10 +64,9 @@ def mixed_povm_dataset(d, rng, n_basis_extra):
     else:
         povms += [haar_basis_povm(d, rng, f"init{k}") for k in range(d + 1)]
     povms += [haar_basis_povm(d, rng, f"extra{k}") for k in range(n_basis_extra)]
-    records = []
-    for povm in povms:
-        records += simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng, basis)
-    return basis, records
+    return Records.concat(
+        simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng) for povm in povms
+    )
 
 
 def test_criterion_01_recursive_equals_batch():
@@ -81,19 +78,13 @@ def test_criterion_01_recursive_equals_batch():
         for i in range(n_sets):
             rng = np.random.default_rng([101, d, i])
             weighting = "shots" if i % 2 == 0 else "invvar"
-            basis, records = mixed_povm_dataset(d, rng, n_basis_extra=6)
-            weights = [record_weight(r.shots, r.p_hat, weighting) for r in records]
+            records = mixed_povm_dataset(d, rng, n_basis_extra=6)
 
-            problem = build_regression(records[:init_rows], d, basis)
-            problem = problem.__class__(y=problem.y, x=problem.x,
-                                        w=np.asarray(weights[:init_rows]), basis=basis)
-            state = rls_init_from_batch(problem, solve_weighted_ls(problem))
-            for record, w in zip(records[init_rows:], weights[init_rows:]):
-                state = rls_update(state, record, w)
+            problem = build_regression(records[:init_rows], d, weighting)
+            state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
+            state = rls_update(state, build_regression(records[init_rows:], d, weighting))
 
-            full = build_regression(records, d, basis)
-            full = full.__class__(y=full.y, x=full.x, w=np.asarray(weights), basis=basis)
-            theta_batch = solve_weighted_ls(full)
+            theta_batch, _ = solve_weighted_ls(build_regression(records, d, weighting))
             rel = np.linalg.norm(state.theta - theta_batch) / np.linalg.norm(theta_batch)
             worst = max(worst, rel)
             assert rel <= 1e-10
@@ -106,16 +97,13 @@ def test_criterion_02_noiseless_exactness():
     start = time.perf_counter()
     worst_mse = 0.0
     for d in (2, 3, 4):
-        basis = gell_mann_basis(d)
         povms = cube_povms(d) if d in (2, 4) else None
         for i in range(20):
             rng = np.random.default_rng([102, d, i])
             rho = random_density_matrix(d, rng)
             use = povms or [haar_basis_povm(d, rng, f"b{k}") for k in range(d + 2)]
-            records = []
-            for povm in use:
-                records += expected_records(rho, povm, 1000, basis)
-            rho_hat, _, _ = tomography_pipeline(records, d, basis)
+            records = Records.concat(expected_records(rho, povm, 1000) for povm in use)
+            rho_hat, _, _ = tomography_pipeline(records, d)
             worst_mse = max(worst_mse, mse(rho_hat, rho))
             assert mse(rho_hat, rho) <= 1e-9
 
@@ -266,60 +254,10 @@ def test_criterion_10_smc_demo_statistics():
 
 def test_criterion_11_cli_byte_reproducibility(tmp_path):
     start = time.perf_counter()
-    sz = np.diag([1.0, -1.0])
-    from qest.linalg import matrix_to_json
-
-    h_path = tmp_path / "h.json"
-    h_path.write_text(json.dumps(matrix_to_json(sz)))
-    slc_cfg = tmp_path / "slc.json"
-    slc_cfg.write_text(json.dumps({
-        "dim": 2,
-        "H0": matrix_to_json(np.diag([1.0, -1.0])),
-        "Hm": [matrix_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))],
-        "T": 2.0, "L": 10,
-        "omega_halfwidth": 0.2, "theta_halfwidth": 0.2,
-        "samples": {"grid": [2, 2]}, "iterations": 30,
-        "test": {"random": [20, 5]},
-    }))
-    records_csv = tmp_path / "records.csv"
-    rng = np.random.default_rng(11)
-    truth = random_density_matrix(2, rng)
-    records = []
-    for povm in cube_povms(2):
-        records += simulate_measurements(truth, povm, 2000, rng)
-    from qest.states import records_to_csv
-
-    records_to_csv(records, records_csv)
-    commands = {
-        "tomo": ["tomo", "--records", str(records_csv), "--dim", "2"],
-        "sweep": ["sweep", "--dim", "2", "--shots", "100,1000", "--trials", "3",
-                  "--seed", "11"],
-        "adapt": ["adapt", "--dim", "2", "--N", "2000", "--N1", "1000", "--K", "2",
-                  "--candidates", "continuum", "--trials", "2", "--seed", "11"],
-        "hamid": ["hamid", "--dim", "2", "--time", "0.3", "--true-h", str(h_path),
-                  "--shots", "5000", "--seed", "11"],
-        "smc": ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0",
-                "--periods", "500", "--seed", "11"],
-        "slc": ["slc", "--config", str(slc_cfg), "--seed", "11"],
-        "compare": ["compare", "--kind", "tomography", "--N", "2000", "--N1", "1000",
-                    "--N2", "500", "--K", "2", "--trials", "2", "--repetitions", "2",
-                    "--seed", "11"],
-    }
-    for name, args in commands.items():
-        outputs = []
-        for run in ("a", "b"):
-            target = tmp_path / f"{name}_{run}"
-            if name in ("sweep", "compare", "slc"):
-                argv = args + ["--out", str(target)]
-            elif name == "smc":
-                argv = args + ["--out", str(target.with_suffix(".csv"))]
-            else:
-                argv = args + ["--out", str(target.with_suffix(".json"))]
-            assert cli_main(argv) == 0
-            if name in ("sweep", "compare", "slc"):
-                blob = b"".join(p.read_bytes() for p in sorted(target.iterdir()))
-            else:
-                blob = target.with_suffix(".csv" if name == "smc" else ".json").read_bytes()
-            outputs.append(blob)
+    for name, args in write_inputs(tmp_path).items():
+        outputs = [
+            b"".join(p.read_bytes() for p in run_command(name, args, tmp_path / f"{name}_{run}"))
+            for run in ("a", "b")
+        ]
         assert outputs[0] == outputs[1], f"{name} output not byte-reproducible"
     report(11, f"7 commands byte-identical across reruns, {time.perf_counter()-start:.1f}s")

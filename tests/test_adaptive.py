@@ -2,55 +2,59 @@ import numpy as np
 import pytest
 
 from qest.adaptive import (
+    _SPHERE_GRID,
     AdaptiveSchedule,
     RecursiveState,
     continuum_qubit_basis,
-    optimal_qubit_basis,
     rls_init_from_batch,
     rls_update,
     run_adaptive_protocol,
     select_next_povm,
-    split_evenly,
     trace_gain,
 )
 from qest.errors import SingularDesignError
-from qest.linalg import gell_mann_basis
 from qest.states import (
+    Records,
+    bloch_basis_povm,
     cube_povms,
+    cube_records,
+    expected_records,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
     simulate_measurements,
+    split_evenly,
 )
-from qest.tomography import build_regression, record_weight, solve_weighted_ls, tomography_pipeline
+from qest.tomography import (
+    RegressionProblem,
+    build_regression,
+    record_weight,
+    solve_weighted_ls,
+    tomography_pipeline,
+)
 
 
 def qubit_dataset(rng, n_extra=12, weighting="shots"):
-    """Cube records plus random-basis records with varied shot counts."""
+    """Regression rows of cube plus random-basis records with varied shot counts."""
     from tests.test_tomography import haar_basis_povm
 
-    basis = gell_mann_basis(2)
     rho = random_density_matrix(2, rng)
-    records = []
-    for povm in cube_povms(2):
-        records += simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng, basis)
+    records = [simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng)
+               for povm in cube_povms(2)]
     for k in range(n_extra):
         povm = haar_basis_povm(2, rng, f"haar{k}")
-        records += simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng, basis)
-    weights = [record_weight(r.shots, r.p_hat, weighting) for r in records]
-    return basis, records, weights
+        records.append(simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng))
+    return build_regression(Records.concat(records), 2, weighting)
 
 
-def recursive_solve(basis, records, weights, init_count):
-    problem = build_regression(records[:init_count], basis.dim, basis)
-    problem = problem.__class__(
-        y=problem.y, x=problem.x, w=np.asarray(weights[:init_count]), basis=basis
-    )
-    theta = solve_weighted_ls(problem)
-    state = rls_init_from_batch(problem, theta)
-    for record, w in zip(records[init_count:], weights[init_count:]):
-        state = rls_update(state, record, w)
-    return state
+def rows(problem, index):
+    return RegressionProblem(y=problem.y[index], x=problem.x[index], w=problem.w[index])
+
+
+def recursive_solve(problem, init_count):
+    head = rows(problem, slice(None, init_count))
+    state = rls_init_from_batch(head, solve_weighted_ls(head)[0])
+    return rls_update(state, rows(problem, slice(init_count, None)))
 
 
 class TestSchedule:
@@ -72,15 +76,10 @@ class TestSchedule:
 
 class TestRlsInit:
     def test_cube_information_matrix_is_diagonal(self):
-        basis = gell_mann_basis(2)
         rho = np.eye(2) / 2
-        from qest.states import expected_records
-
-        records = []
-        for povm in cube_povms(2):
-            records += expected_records(rho, povm, 100, basis)
-        problem = build_regression(records, 2, basis)
-        theta = solve_weighted_ls(problem)
+        records = Records.concat(expected_records(rho, povm, 100) for povm in cube_povms(2))
+        problem = build_regression(records, 2)
+        theta, _ = solve_weighted_ls(problem)
         state = rls_init_from_batch(problem, theta)
         # direct 3x3 inversion oracle
         info = sum(w * np.outer(g, g) for w, g in zip(problem.w, problem.x))
@@ -91,20 +90,16 @@ class TestRlsInit:
     def test_ridge_limit_oracle(self):
         # recursion started from c*I converges to the batch Q0 as c grows
         rng = np.random.default_rng(1)
-        basis, records, weights = qubit_dataset(rng, n_extra=6)
-        problem = build_regression(records, 2, basis)
-        state_batch = rls_init_from_batch(problem, solve_weighted_ls(problem))
+        problem = qubit_dataset(rng, n_extra=6)
+        state_batch = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
         c = 1e8
-        ridge = RecursiveState(q=c * np.eye(3), theta=np.zeros(3), basis=basis)
-        for record, w in zip(records, weights):
-            ridge = rls_update(ridge, record, w)
+        ridge = rls_update(RecursiveState(q=c * np.eye(3), theta=np.zeros(3)), problem)
         assert np.abs(ridge.q - state_batch.q).max() <= 1e-6
 
     def test_single_row_is_singular(self):
         rng = np.random.default_rng(2)
-        basis = gell_mann_basis(2)
-        records = simulate_measurements(np.eye(2) / 2, cube_povms(2)[0], 50, rng, basis)[:1]
-        problem = build_regression(records, 2, basis)
+        records = simulate_measurements(np.eye(2) / 2, cube_povms(2)[0], 50, rng)[:1]
+        problem = build_regression(records, 2)
         with pytest.raises(SingularDesignError):
             rls_init_from_batch(problem, np.zeros(3))
 
@@ -113,43 +108,35 @@ class TestRlsUpdate:
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
     def test_recursion_equals_batch(self, weighting):
         rng = np.random.default_rng(3)
-        basis, records, weights = qubit_dataset(rng, weighting=weighting)
-        state = recursive_solve(basis, records, weights, init_count=6)
-        full = build_regression(records, 2, basis)
-        full = full.__class__(y=full.y, x=full.x, w=np.asarray(weights), basis=basis)
-        theta_batch = solve_weighted_ls(full)
+        full = qubit_dataset(rng, weighting=weighting)
+        state = recursive_solve(full, init_count=6)
+        theta_batch, _ = solve_weighted_ls(full)
         rel = np.linalg.norm(state.theta - theta_batch) / np.linalg.norm(theta_batch)
         assert rel <= 1e-10
 
     def test_order_independence(self):
         rng = np.random.default_rng(4)
-        basis, records, weights = qubit_dataset(rng, n_extra=8)
-        state_a = recursive_solve(basis, records, weights, 6)
-        tail = list(zip(records[6:], weights[6:]))
-        rng.shuffle(tail)
-        shuffled = records[:6] + [r for r, _ in tail]
-        w_shuffled = weights[:6] + [w for _, w in tail]
-        state_b = recursive_solve(basis, shuffled, w_shuffled, 6)
+        problem = qubit_dataset(rng, n_extra=8)
+        state_a = recursive_solve(problem, 6)
+        order = np.concatenate([np.arange(6), 6 + rng.permutation(problem.y.size - 6)])
+        state_b = recursive_solve(rows(problem, order), 6)
         assert np.abs(state_a.theta - state_b.theta).max() <= 1e-9
 
     def test_null_space_row_is_noop(self):
-        basis = gell_mann_basis(2)
         q = np.diag([0.5, 0.2, 0.0])
-        state = RecursiveState(q=q, theta=np.array([0.1, 0.0, 0.3]), basis=basis)
-        from qest.states import MeasurementRecord
-
-        record = MeasurementRecord("z", 0, 100, 80, 1.0, np.array([0.0, 0.0, 1.0]))
-        updated = rls_update(state, record, 100.0)
+        state = RecursiveState(q=q, theta=np.array([0.1, 0.0, 0.3]))
+        row = RegressionProblem(y=np.array([0.3]), x=np.array([[0.0, 0.0, 1.0]]), w=np.array([100.0]))
+        updated = rls_update(state, row)
         assert np.allclose(updated.q, q)
         assert np.allclose(updated.theta, state.theta)
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(5)
-        basis, records, weights = qubit_dataset(rng)
-        state = recursive_solve(basis, records[:6], weights[:6], 6)
+        problem = qubit_dataset(rng)
+        state = recursive_solve(rows(problem, slice(None, 6)), 6)
         trace = np.trace(state.q)
-        for record, w in zip(records[6:], weights[6:]):
-            state = rls_update(state, record, w)
+        for i in range(6, problem.y.size):
+            state = rls_update(state, rows(problem, [i]))
             new_trace = np.trace(state.q)
             assert new_trace <= trace + 1e-12
             trace = new_trace
@@ -157,12 +144,10 @@ class TestRlsUpdate:
 
 class TestTraceGain:
     def state(self):
-        basis = gell_mann_basis(2)
-        return RecursiveState(q=np.diag([1.0, 0.1, 0.01]), theta=np.zeros(3), basis=basis)
+        return RecursiveState(q=np.diag([1.0, 0.1, 0.01]), theta=np.zeros(3))
 
     def test_null_direction_gain_is_zero(self):
-        basis = gell_mann_basis(2)
-        state = RecursiveState(q=np.diag([0.5, 0.2, 0.0]), theta=np.zeros(3), basis=basis)
+        state = RecursiveState(q=np.diag([0.5, 0.2, 0.0]), theta=np.zeros(3))
         assert trace_gain(state, np.array([0.0, 0.0, 1.0]), 10.0) == 0.0
 
     def test_top_eigendirection_gains_most(self):
@@ -173,62 +158,65 @@ class TestTraceGain:
 
     def test_closed_form_equals_actual_decrease(self):
         rng = np.random.default_rng(6)
-        basis, records, weights = qubit_dataset(rng, n_extra=4)
-        state = recursive_solve(basis, records[:6], weights[:6], 6)
-        for record, w in zip(records[6:], weights[6:]):
-            predicted = trace_gain(state, record.gamma, w)
-            updated = rls_update(state, record, w)
+        problem = qubit_dataset(rng, n_extra=4)
+        state = recursive_solve(rows(problem, slice(None, 6)), 6)
+        for i in range(6, problem.y.size):
+            predicted = trace_gain(state, problem.x[i], problem.w[i])
+            updated = rls_update(state, rows(problem, [i]))
             actual = np.trace(state.q) - np.trace(updated.q)
             assert abs(predicted - actual) <= 1e-12
             state = updated
 
+    def test_stacked_rows_score_like_single_rows(self):
+        problem = qubit_dataset(np.random.default_rng(6), n_extra=4)
+        state = recursive_solve(rows(problem, slice(None, 6)), 6)
+        single = [trace_gain(state, g, w) for g, w in zip(problem.x, problem.w)]
+        assert np.allclose(trace_gain(state, problem.x, problem.w), single, rtol=1e-14, atol=0)
+
 
 class TestSelectNextPovm:
     def test_single_candidate(self):
-        basis = gell_mann_basis(2)
-        state = RecursiveState(q=np.eye(3), theta=np.zeros(3), basis=basis)
+        state = RecursiveState(q=np.eye(3), theta=np.zeros(3))
         povm = cube_povms(2)[1]
         assert select_next_povm(state, [povm], 100) is povm
 
     def test_starved_axis_is_selected(self):
         # after many sigma_z measurements the x basis carries more gain
         rng = np.random.default_rng(7)
-        basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
         x_basis, y_basis, z_basis = cube_povms(2)
-        records = simulate_measurements(rho, z_basis, 1000, rng, basis)
-        records += simulate_measurements(rho, x_basis, 10, rng, basis)
-        records += simulate_measurements(rho, y_basis, 10, rng, basis)
-        problem = build_regression(records, 2, basis)
-        state = rls_init_from_batch(problem, solve_weighted_ls(problem))
+        records = Records.concat([
+            simulate_measurements(rho, z_basis, 1000, rng),
+            simulate_measurements(rho, x_basis, 10, rng),
+            simulate_measurements(rho, y_basis, 10, rng),
+        ])
+        problem = build_regression(records, 2)
+        state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
         assert select_next_povm(state, [x_basis, z_basis], 100).label == "cube:x"
 
     def test_unique_argmax_is_permutation_invariant(self):
-        rng = np.random.default_rng(8)
-        basis = gell_mann_basis(2)
-        state = RecursiveState(q=np.diag([1.0, 0.5, 0.2]), theta=np.zeros(3), basis=basis)
+        state = RecursiveState(q=np.diag([1.0, 0.5, 0.2]), theta=np.zeros(3))
         candidates = cube_povms(2)
         chosen = select_next_povm(state, candidates, 100)
         reversed_choice = select_next_povm(state, candidates[::-1], 100)
         assert chosen.label == reversed_choice.label == "cube:x"
 
     def test_empty_candidates(self):
-        basis = gell_mann_basis(2)
-        state = RecursiveState(q=np.eye(3), theta=np.zeros(3), basis=basis)
+        state = RecursiveState(q=np.eye(3), theta=np.zeros(3))
         with pytest.raises(ValueError):
             select_next_povm(state, [], 100)
 
 
 class TestOptimalQubitBasis:
+    """The continuum search under shot weights: one planned copy gives weight 1."""
+
     def test_isotropic_ties_to_x(self):
-        basis = gell_mann_basis(2)
-        state = RecursiveState(q=0.3 * np.eye(3), theta=np.zeros(3), basis=basis)
-        assert optimal_qubit_basis(state).label == "cube:x"
+        state = RecursiveState(q=0.3 * np.eye(3), theta=np.zeros(3))
+        assert continuum_qubit_basis(state, 1, "shots").label == "cube:x"
 
     def test_matches_dense_grid_oracle(self):
-        basis = gell_mann_basis(2)
-        state = RecursiveState(q=np.diag([1.0, 0.1, 0.01]), theta=np.zeros(3), basis=basis)
-        povm = optimal_qubit_basis(state)
+        state = RecursiveState(q=np.diag([1.0, 0.1, 0.01]), theta=np.zeros(3))
+        povm = continuum_qubit_basis(state, 1, "shots")
         # dense grid oracle over 10^4 Bloch directions
         rng = np.random.default_rng(9)
         dirs = rng.normal(size=(10000, 3))
@@ -247,53 +235,82 @@ class TestOptimalQubitBasis:
 
     def test_beats_or_ties_every_cube_basis(self):
         rng = np.random.default_rng(10)
-        basis = gell_mann_basis(2)
-        from qest.states import element_gammas
-
         for _ in range(20):
             a = rng.normal(size=(3, 3))
-            state = RecursiveState(q=a @ a.T, theta=np.zeros(3), basis=basis)
-            chosen = optimal_qubit_basis(state)
+            state = RecursiveState(q=a @ a.T, theta=np.zeros(3))
+            chosen = continuum_qubit_basis(state, 1, "shots")
 
             def summed_gain(povm):
-                _, gammas = element_gammas(povm, basis)
-                return sum(trace_gain(state, g, 1.0) for g in gammas)
+                return trace_gain(state, povm.gamma, 1.0).sum()
 
             best_cube = max(summed_gain(p) for p in cube_povms(2))
             assert summed_gain(chosen) >= best_cube - 1e-12
 
     def test_rejects_non_qubit(self):
-        basis = gell_mann_basis(3)
-        state = RecursiveState(q=np.eye(8), theta=np.zeros(8), basis=basis)
+        state = RecursiveState(q=np.eye(8), theta=np.zeros(8))
         with pytest.raises(ValueError):
-            optimal_qubit_basis(state)
+            continuum_qubit_basis(state, 1, "shots")
 
 
 class TestContinuumBasis:
     def test_shot_weighting_matches_constant_weight_optimum(self):
-        basis = gell_mann_basis(2)
-        state = RecursiveState(q=np.diag([0.8, 0.3, 0.1]), theta=np.zeros(3), basis=basis)
-        assert continuum_qubit_basis(state, 100, "shots").label == optimal_qubit_basis(state).label
+        # under constant weights the optimum is the top eigendirection of Q
+        state = RecursiveState(q=np.diag([0.8, 0.3, 0.1]), theta=np.zeros(3))
+        assert continuum_qubit_basis(state, 100, "shots").label == "cube:x"
+        rot, _ = np.linalg.qr(np.random.default_rng(14).normal(size=(3, 3)))
+        state = RecursiveState(q=rot @ np.diag([0.8, 0.3, 0.1]) @ rot.T, theta=np.zeros(3))
+        label = continuum_qubit_basis(state, 100, "shots").label
+        direction = np.array([float(c) for c in label.split(":")[1].split(",")])
+        assert abs(direction @ rot[:, 0]) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    def test_matches_row_by_row_reference(self, weighting):
+        # the per-direction loop the vectorized scorer replaced, kept as the reference
+        def reference_label(state, planned_shots):
+            _, v = np.linalg.eigh(state.q)
+            candidates = [np.eye(3)[i] for i in range(3)] + [v[:, i] for i in range(3)]
+            bloch = state.theta * np.sqrt(2.0)
+            if np.linalg.norm(bloch) > 1e-9:
+                candidates.append(bloch / np.linalg.norm(bloch))
+            candidates.extend(_SPHERE_GRID)
+            gains = []
+            for u in candidates:
+                total = 0.0
+                for gamma in (u / np.sqrt(2.0), -u / np.sqrt(2.0)):
+                    p_pred = min(max(0.5 + gamma @ state.theta, 0.0), 1.0)
+                    w = record_weight(planned_shots, p_pred, weighting)
+                    qg = state.q @ gamma
+                    total += (qg @ qg) / (1.0 / w + gamma @ qg)
+                gains.append(total)
+            best = int(np.argmax(gains))
+            return cube_povms(2)[best].label if best < 3 else bloch_basis_povm(candidates[best]).label
+
+        for t in range(20):
+            rng = np.random.default_rng([15, t])
+            truth = pure_to_density(random_pure_state(2, rng))
+            problem = build_regression(cube_records(truth, 2000, rng), 2, weighting)
+            state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
+            for _ in range(4):
+                povm = continuum_qubit_basis(state, 1000, weighting)
+                assert povm.label == reference_label(state, 1000)
+                recs = simulate_measurements(truth, povm, 1000, rng)
+                state = rls_update(state, build_regression(recs, 2, weighting))
 
     def test_invvar_leaves_cube_frame_for_oblique_states(self):
         rng = np.random.default_rng(11)
-        basis = gell_mann_basis(2)
         truth = pure_to_density(
             (np.array([1.0, 0.0]) + np.array([0.6, 0.8])) / np.linalg.norm([1.6, 0.8])
         )
-        records = []
-        for povm in cube_povms(2):
-            records += simulate_measurements(truth, povm, 2000, rng, basis)
-        problem = build_regression(records, 2, basis, "invvar")
-        state = rls_init_from_batch(problem, solve_weighted_ls(problem))
+        records = Records.concat(simulate_measurements(truth, povm, 2000, rng)
+                                 for povm in cube_povms(2))
+        problem = build_regression(records, 2, "invvar")
+        state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
         labels = set()
         for _ in range(4):
             povm = continuum_qubit_basis(state, 1000, "invvar")
             labels.add(povm.label.split(":")[0])
-            recs = simulate_measurements(truth, povm, 1000, rng, basis)
-            for j, r in enumerate(recs):
-                state = rls_update(state, r, record_weight(r.shots, r.p_hat, "invvar"),
-                                   new_copies=r.shots if j == 0 else 0)
+            recs = simulate_measurements(truth, povm, 1000, rng)
+            state = rls_update(state, build_regression(recs, 2, "invvar"))
         assert "bloch" in labels
 
 
@@ -306,25 +323,22 @@ class TestSplitEvenly:
 
 class TestProtocol:
     def test_degenerate_schedule_equals_batch_pipeline(self):
-        basis = gell_mann_basis(2)
         truth = pure_to_density(random_pure_state(2, np.random.default_rng(12)))
         schedule = AdaptiveSchedule(total=3000, stage1=3000, per_step=1, steps=0)
-        rho_hat, diag = run_adaptive_protocol(truth, schedule, cube_povms(2), 99, basis)
+        rho_hat, diag = run_adaptive_protocol(truth, schedule, cube_povms(2), 99)
         rng = np.random.default_rng(99)
-        records = []
-        for povm, n in zip(cube_povms(2), split_evenly(3000, 3)):
-            records += simulate_measurements(truth, povm, n, rng, basis)
-        rho_ref, _, _ = tomography_pipeline(records, 2, basis, "invvar")
+        records = Records.concat(simulate_measurements(truth, povm, n, rng)
+                                 for povm, n in zip(cube_povms(2), split_evenly(3000, 3)))
+        rho_ref, _, _ = tomography_pipeline(records, 2, "invvar")
         assert np.linalg.norm(rho_hat - rho_ref) <= 1e-12
         assert len(diag) == 1
 
     @pytest.mark.parametrize("candidates", ["cube-list", "continuum"])
     def test_trace_q_non_increasing_and_copies_counted(self, candidates):
-        basis = gell_mann_basis(2)
         truth = random_density_matrix(2, np.random.default_rng(13))
         schedule = AdaptiveSchedule(total=4000, stage1=2000, per_step=500, steps=4)
         cands = cube_povms(2) if candidates == "cube-list" else "continuum"
-        _, diag = run_adaptive_protocol(truth, schedule, cands, 5, basis)
+        _, diag = run_adaptive_protocol(truth, schedule, cands, 5)
         traces = [entry["trace_q"] for entry in diag]
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
         assert diag[-1]["copies_used"] == 4000

@@ -1,12 +1,20 @@
+import io
 import json
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from qest.cli import main
-from qest.linalg import gell_mann_basis, matrix_from_json, matrix_to_json
+from qest.linalg import matrix_from_json, matrix_to_json
 from qest.states import (
+    Records,
     cube_povms,
     mse,
     pure_to_density,
@@ -20,9 +28,7 @@ from qest.tomography import tomography_pipeline
 def make_records_csv(path, seed=0, shots=4000):
     rng = np.random.default_rng(seed)
     truth = pure_to_density(random_pure_state(2, rng))
-    records = []
-    for povm in cube_povms(2):
-        records += simulate_measurements(truth, povm, shots, rng)
+    records = Records.concat(simulate_measurements(truth, povm, shots, rng) for povm in cube_povms(2))
     records_to_csv(records, path)
     return truth, records
 
@@ -39,6 +45,18 @@ class TestTomoCommand:
         rho_lib, _, _ = tomography_pipeline(records, 2)
         assert np.linalg.norm(rho_cli - rho_lib) <= 1e-12
         assert mse(rho_cli, truth) < 0.05
+
+    @pytest.mark.parametrize("successes", ["nan", "inf", "-5", "500"])
+    def test_bad_counts_are_one_config_error(self, successes, tmp_path, capsys):
+        rows = [f"cube:{axis},{j},100,50" for axis in "xyz" for j in (0, 1)]
+        rows[0] = f"cube:x,0,100,{successes}"
+        csv_path = tmp_path / "records.csv"
+        csv_path.write_text("\n".join(["povm,element,shots,successes"] + rows) + "\n")
+        code = main(["tomo", "--records", str(csv_path), "--dim", "2",
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qest: error: config:") and err.count("\n") == 1
 
     def test_missing_file_is_config_error(self, tmp_path):
         code = main(["tomo", "--records", str(tmp_path / "nope.csv"), "--dim", "2",
@@ -181,10 +199,15 @@ class TestSmcDemoCommand:
     ["hamid", "--dim", "1", "--time", "0.5"],
     ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0", "--periods", "0"],
     ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0", "--periods", "-1"],
-], ids=["hamid-time-0", "hamid-dim-0", "hamid-dim-1", "smc-periods-0", "smc-periods-neg"])
+    ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "inf", "--periods", "3"],
+    ["smc-demo", "--p0", "0.1", "--eps", "nan", "--tau", "3.0", "--periods", "3"],
+    ["smc-demo", "--p0", "0.1", "--eps", "1e200", "--tau", "1e200", "--periods", "3"],
+    ["adapt", "--N", "2000", "--N1", "1000", "--K", "2", "--trials", "0"],
+], ids=["hamid-time-0", "hamid-dim-0", "hamid-dim-1", "smc-periods-0", "smc-periods-neg",
+        "smc-tau-inf", "smc-eps-nan", "smc-eps-tau-overflow", "adapt-trials-0"])
 def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
-    if argv[0] == "hamid":
-        argv = argv + ["--out", str(tmp_path / "o.json")]
+    if argv[0] in ("hamid", "adapt"):
+        argv = argv + ["--out", str(tmp_path / "o.out")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
@@ -220,3 +243,64 @@ class TestSweepAndCompare:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "compare_slc.manifest.json").read_text())
         assert "worst_case_win_rate" in manifest["aggregates"]
+
+
+# Numeric CLI arguments: edge values (0, negatives, nan, inf, overflow) or a typical range.
+_EDGES = st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf"), 1e300])
+
+
+def _floats(lo, hi):
+    return st.one_of(_EDGES, st.floats(min_value=lo, max_value=hi))
+
+
+def _contract_holds(argv):
+    """Run one CLI call in process and check the exit-code and stderr contract.
+
+    A warning counts as a stderr line, since the installed CLI prints it there.
+    """
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv + ["--out", str(Path(tmp) / "out")])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert len(lines) <= 1
+    assert all(line.startswith("qest: error:") for line in lines)
+
+
+_PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+# Hypothesis also caches source constants on disk, database or not; keep that
+# cache in the system temp directory rather than a .hypothesis/ in the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "qest-hypothesis")
+
+
+@_PROPERTY
+@given(p0=_floats(0.0, 1.0), eps=_floats(-10.0, 10.0), tau=_floats(-10.0, 10.0),
+       periods=st.integers(-2, 20))
+@example(p0=0.1, eps=0.1, tau=float("inf"), periods=3)
+def test_smc_demo_contract_property(p0, eps, tau, periods):
+    _contract_holds(["smc-demo", f"--p0={p0!r}", f"--eps={eps!r}", f"--tau={tau!r}",
+                     f"--periods={periods}"])
+
+
+@_PROPERTY
+@given(dim=st.integers(2, 3), time=_floats(-10.0, 10.0), seed=st.integers(0, 3))
+@example(dim=2, time=2.225073858507203e-309, seed=0)
+def test_hamid_contract_property(dim, time, seed):
+    _contract_holds(["hamid", f"--dim={dim}", f"--time={time!r}", f"--seed={seed}"])
+
+
+@_PROPERTY
+@given(n1=st.integers(-10, 2000), k=st.integers(-2, 4), n2=st.integers(-5, 500),
+       budget_gap=st.one_of(st.just(0), st.integers(-5, 5)), pass_n2=st.booleans(),
+       trials=st.integers(-1, 2), candidates=st.sampled_from(["cube", "continuum"]),
+       weights=st.sampled_from(["shots", "invvar"]))
+@example(n1=1000, k=2, n2=500, budget_gap=0, pass_n2=False, trials=0, candidates="cube",
+         weights="invvar")
+def test_adapt_contract_property(n1, k, n2, budget_gap, pass_n2, trials, candidates, weights):
+    # N = N1 + K * N2 (+ a gap that breaks the budget) so that valid schedules occur often
+    argv = ["adapt", f"--N={n1 + k * n2 + budget_gap}", f"--N1={n1}", f"--K={k}",
+            f"--trials={trials}", f"--candidates={candidates}", f"--weights={weights}"]
+    _contract_holds(argv + ([f"--N2={n2}"] if pass_n2 else []))

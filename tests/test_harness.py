@@ -69,12 +69,10 @@ class TestPairedTomography:
     def test_identical_strategy_ties(self):
         # same stream + same strategy must reproduce the identical metric
         from qest.harness import _sample_truth, _static_cube_mse
-        from qest.linalg import gell_mann_basis
 
         truth = _sample_truth(2, trial_rng(3, 0, 0), "pure")
-        basis = gell_mann_basis(2)
-        a = _static_cube_mse(truth, 2, 2000, trial_rng(3, 0, 2), basis, "shots")
-        b = _static_cube_mse(truth, 2, 2000, trial_rng(3, 0, 2), basis, "shots")
+        a = _static_cube_mse(truth, 2, 2000, trial_rng(3, 0, 2), "shots")
+        b = _static_cube_mse(truth, 2, 2000, trial_rng(3, 0, 2), "shots")
         assert a == b
 
 

@@ -5,6 +5,7 @@ from qest.errors import ConfigError
 from qest.linalg import gell_mann_basis
 from qest.states import (
     Povm,
+    Records,
     bloch_basis_povm,
     born_probabilities,
     check_density_matrix,
@@ -88,18 +89,16 @@ class TestBornProbabilities:
 class TestSimulateMeasurements:
     def test_zero_probability_outcome_never_drawn(self):
         recs = simulate_measurements(pure_to_density(KET0), z_basis(), 5000, 123)
-        assert recs[0].successes == 5000
-        assert recs[1].successes == 0
+        assert list(recs.successes) == [5000, 0]
 
     def test_large_sample_frequencies(self):
         recs = simulate_measurements(np.eye(2) / 2, z_basis(), 10**6, 7)
-        for r in recs:
-            assert abs(r.p_hat - 0.5) <= 0.005
+        assert np.abs(recs.p_hat - 0.5).max() <= 0.005
 
     def test_seed_determinism(self):
         a = simulate_measurements(np.eye(2) / 2, z_basis(), 1000, 42)
         b = simulate_measurements(np.eye(2) / 2, z_basis(), 1000, 42)
-        assert [r.successes for r in a] == [r.successes for r in b]
+        assert np.array_equal(a.successes, b.successes)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
@@ -116,29 +115,46 @@ class TestSimulateMeasurements:
             povm = cube_povms(2)[t % 3]
             p = born_probabilities(rho, povm)
             recs = simulate_measurements(rho, povm, shots, rng)
-            for r, pj in zip(recs, p):
-                bound = 5 * np.sqrt(pj * (1 - pj) / shots) + 1e-6
-                if abs(r.p_hat - pj) > bound:
-                    violations += 1
-                    break
+            bound = 5 * np.sqrt(p * (1 - p) / shots) + 1e-6
+            violations += bool(np.any(np.abs(recs.p_hat - p) > bound))
         assert violations <= trials * 0.01
 
     def test_record_gammas(self):
         basis = gell_mann_basis(2)
-        recs = simulate_measurements(np.eye(2) / 2, z_basis(), 100, 5, basis)
-        for r in recs:
-            elem = z_basis().elements[r.element]
-            assert r.gamma0 == pytest.approx(np.trace(elem).real, abs=1e-12)
+        recs = simulate_measurements(np.eye(2) / 2, z_basis(), 100, 5)
+        for j, g0, gamma in zip(recs.element, recs.gamma0, recs.gamma):
+            elem = z_basis().elements[j]
+            assert g0 == pytest.approx(np.trace(elem).real, abs=1e-12)
             expected = [np.trace(elem @ om).real for om in basis.elements]
-            assert np.allclose(r.gamma, expected, atol=1e-12)
+            assert np.allclose(gamma, expected, atol=1e-12)
+
+
+class TestRecords:
+    def test_slicing_and_concatenation_keep_rows(self):
+        a = simulate_measurements(np.eye(2) / 2, z_basis(), 100, 1)
+        b = expected_records(np.eye(2) / 2, cube_povms(2)[0], 50)
+        both = Records.concat([a, b])
+        assert len(both) == 4 and both.gamma.shape == (4, 3)
+        assert list(both[2:].label) == ["cube:x", "cube:x"]
+        assert np.array_equal(both[:2].successes, a.successes)
+        assert np.array_equal(both[2:].p_hat, b.p_hat)
+
+    @pytest.mark.parametrize("successes", [np.nan, np.inf, -5.0, 100.5])
+    def test_rejects_counts_outside_shots(self, successes):
+        with pytest.raises(ValueError):
+            Records.of_povm(z_basis(), 100, [successes, 0.0])
+
+    def test_povm_gammas_are_computed_once(self):
+        povm = z_basis()
+        assert povm.gamma is povm.gamma and povm.gamma0 is povm.gamma0
 
 
 class TestExpectedRecords:
     def test_successes_are_exact_expected_counts(self):
         rho = pure_to_density(PLUS)
         recs = expected_records(rho, z_basis(), 1000)
-        assert recs[0].successes == pytest.approx(500.0, abs=1e-9)
-        assert recs[0].p_hat == pytest.approx(0.5, abs=1e-12)
+        assert recs.successes[0] == pytest.approx(500.0, abs=1e-9)
+        assert recs.p_hat[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCubePovms:
@@ -210,19 +226,18 @@ class TestRecordsCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         rho = random_density_matrix(2, rng)
-        recs = []
-        for povm in cube_povms(2):
-            recs += simulate_measurements(rho, povm, 500, rng)
-        recs += simulate_measurements(rho, bloch_basis_povm([1.0, 1.0, 0.0]), 500, rng)
+        povms = list(cube_povms(2)) + [bloch_basis_povm([1.0, 1.0, 0.0])]
+        recs = Records.concat(simulate_measurements(rho, povm, 500, rng) for povm in povms)
         path = tmp_path / "records.csv"
         records_to_csv(recs, path)
         loaded = records_from_csv(path, 2)
         assert len(loaded) == len(recs)
-        for a, b in zip(recs, loaded):
-            assert a.povm_label == b.povm_label
-            assert a.successes == b.successes
-            assert a.gamma0 == pytest.approx(b.gamma0, abs=1e-9)
-            assert np.allclose(a.gamma, b.gamma, atol=1e-9)
+        assert list(loaded.label) == list(recs.label)
+        assert np.array_equal(loaded.element, recs.element)
+        assert np.array_equal(loaded.shots, recs.shots)
+        assert np.array_equal(loaded.successes, recs.successes)
+        assert np.allclose(loaded.gamma0, recs.gamma0, atol=1e-9)
+        assert np.allclose(loaded.gamma, recs.gamma, atol=1e-9)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ConfigError):

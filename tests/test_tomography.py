@@ -6,6 +6,7 @@ import pytest
 from qest.errors import ContractViolationError, SingularDesignError
 from qest.linalg import gell_mann_basis
 from qest.states import (
+    Records,
     cube_povms,
     expected_records,
     mse,
@@ -34,11 +35,8 @@ def haar_basis_povm(d, rng, label="haar"):
     return Povm(label, np.stack([np.outer(q[:, k], q[:, k].conj()) for k in range(d)]))
 
 
-def exact_records(rho, povms, shots, basis):
-    records = []
-    for povm in povms:
-        records.extend(expected_records(rho, povm, shots, basis))
-    return records
+def exact_records(rho, povms, shots):
+    return Records.concat(expected_records(rho, povm, shots) for povm in povms)
 
 
 def simplex_projection_oracle(eigvals):
@@ -85,7 +83,7 @@ class TestBuildRegression:
         basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
         theta = theta_from_rho(rho, basis)
-        problem = build_regression(exact_records(rho, cube_povms(2), 1000, basis), 2, basis)
+        problem = build_regression(exact_records(rho, cube_povms(2), 1000), 2)
         assert np.abs(problem.y - problem.x @ theta).max() <= 1e-12
 
     def test_noiseless_residual_random_basis_qutrit(self):
@@ -94,26 +92,20 @@ class TestBuildRegression:
         rho = random_density_matrix(3, rng)
         theta = theta_from_rho(rho, basis)
         povms = [haar_basis_povm(3, rng, f"haar{k}") for k in range(4)]
-        problem = build_regression(exact_records(rho, povms, 100, basis), 3, basis)
+        problem = build_regression(exact_records(rho, povms, 100), 3)
         assert np.abs(problem.y - problem.x @ theta).max() <= 1e-12
 
     def test_maximally_mixed_rows_vanish(self):
-        basis = gell_mann_basis(2)
-        problem = build_regression(
-            exact_records(np.eye(2) / 2, cube_povms(2), 100, basis), 2, basis
-        )
+        problem = build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 100), 2)
         assert np.abs(problem.y).max() <= 1e-12
 
     def test_row_count(self):
-        basis = gell_mann_basis(2)
-        problem = build_regression(
-            exact_records(np.eye(2) / 2, cube_povms(2), 10, basis), 2, basis
-        )
+        problem = build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 10), 2)
         assert problem.x.shape == (6, 3)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            build_regression([], 2, gell_mann_basis(2))
+            build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 10)[:0], 2)
 
 
 class TestSolveWeightedLs:
@@ -121,20 +113,17 @@ class TestSolveWeightedLs:
         rng = np.random.default_rng(2)
         basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
-        problem = build_regression(exact_records(rho, cube_povms(2), 1000, basis), 2, basis)
-        theta = solve_weighted_ls(problem)
+        problem = build_regression(exact_records(rho, cube_povms(2), 1000), 2)
+        theta, _ = solve_weighted_ls(problem)
         assert np.abs(theta - theta_from_rho(rho, basis)).max() <= 1e-10
 
     def test_row_duplication_invariance(self):
         rng = np.random.default_rng(3)
-        basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
-        records = []
-        for povm in cube_povms(2):
-            records += simulate_measurements(rho, povm, 300, rng, basis)
-        problem = build_regression(records, 2, basis)
-        doubled = build_regression(records + records, 2, basis)
-        assert np.allclose(solve_weighted_ls(problem), solve_weighted_ls(doubled), atol=1e-12)
+        records = Records.concat(simulate_measurements(rho, povm, 300, rng) for povm in cube_povms(2))
+        problem = build_regression(records, 2)
+        doubled = build_regression(Records.concat([records, records]), 2)
+        assert np.allclose(solve_weighted_ls(problem)[0], solve_weighted_ls(doubled)[0], atol=1e-12)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(4)
@@ -143,23 +132,24 @@ class TestSolveWeightedLs:
             x = rng.normal(size=(m, n))
             y = rng.normal(size=m)
             w = rng.uniform(0.5, 3.0, size=m)
-            problem = RegressionProblem(y=y, x=x, w=w, basis=gell_mann_basis(3))
+            problem = RegressionProblem(y=y, x=x, w=w)
             oracle = np.linalg.inv(x.T @ np.diag(w) @ x) @ x.T @ np.diag(w) @ y
-            assert np.abs(solve_weighted_ls(problem) - oracle).max() <= 1e-9
+            theta, cond = solve_weighted_ls(problem)
+            assert np.abs(theta - oracle).max() <= 1e-9
+            assert cond == pytest.approx(np.linalg.cond(x * np.sqrt(w)[:, None]), rel=1e-12)
 
     def test_singular_design_reports_null_dimension(self):
         rng = np.random.default_rng(5)
-        basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
-        records = simulate_measurements(rho, cube_povms(2)[2], 100, rng, basis)[:1]
-        problem = build_regression(records, 2, basis)
+        records = simulate_measurements(rho, cube_povms(2)[2], 100, rng)[:1]
+        problem = build_regression(records, 2)
         with pytest.raises(SingularDesignError) as err:
             solve_weighted_ls(problem)
         assert err.value.null_dim == 2
 
     def test_condition_limit(self):
         x = np.array([[1.0, 0.0], [1.0, 1e-14]])
-        problem = RegressionProblem(y=np.ones(2), x=x, w=np.ones(2), basis=gell_mann_basis(2))
+        problem = RegressionProblem(y=np.ones(2), x=x, w=np.ones(2))
         with pytest.raises(SingularDesignError):
             solve_weighted_ls(problem)
 
@@ -204,40 +194,35 @@ class TestProjectPhysical:
 class TestPipeline:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(20)
-        basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
-        records = exact_records(rho, cube_povms(2), 500, basis)
-        rho_hat, theta, diag = tomography_pipeline(records, 2, basis)
+        records = exact_records(rho, cube_povms(2), 500)
+        rho_hat, theta, diag = tomography_pipeline(records, 2)
         assert mse(rho_hat, rho) <= 1e-9
         assert diag["residual_norm"] <= 1e-9
         assert not diag["projection_changed"]
 
     def test_projection_engages_for_pure_states(self):
         rng = np.random.default_rng(21)
-        basis = gell_mann_basis(2)
         engaged = 0
         trials = 100
         for _ in range(trials):
             rho = pure_to_density(random_pure_state(2, rng))
-            records = []
-            for povm in cube_povms(2):
-                records += simulate_measurements(rho, povm, 1000, rng, basis)
-            _, _, diag = tomography_pipeline(records, 2, basis)
+            records = Records.concat(simulate_measurements(rho, povm, 1000, rng)
+                                     for povm in cube_povms(2))
+            _, _, diag = tomography_pipeline(records, 2)
             engaged += diag["projection_changed"]
         assert engaged > trials * 0.5
 
     def test_mse_improves_with_shots(self):
         rng = np.random.default_rng(22)
-        basis = gell_mann_basis(2)
         means = []
         for shots in (100, 10000):
             errs = []
             for t in range(20):
                 rho = random_density_matrix(2, np.random.default_rng([22, t]))
-                records = []
-                for povm in cube_povms(2):
-                    records += simulate_measurements(rho, povm, shots // 3 + 1, rng, basis)
-                rho_hat, _, _ = tomography_pipeline(records, 2, basis)
+                records = Records.concat(simulate_measurements(rho, povm, shots // 3 + 1, rng)
+                                         for povm in cube_povms(2))
+                rho_hat, _, _ = tomography_pipeline(records, 2)
                 errs.append(mse(rho_hat, rho))
             means.append(np.mean(errs))
         assert means[1] < means[0]
