@@ -26,7 +26,6 @@ from .control import (
     slc_test,
     slc_train,
     UncertainSystem,
-    augmented_j,
 )
 from .errors import ConfigError, ContractViolationError
 from .identification import (
@@ -128,7 +127,10 @@ def _state_from_config(cfg, key, d, default):
     v = np.array([complex(re, im) for re, im in cfg[key]])
     if v.size != d:
         raise ConfigError(f"{key} must have {d} amplitudes")
-    return v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0):
+        raise ConfigError(f"{key} must be a finite, nonzero state")
+    return v / norm
 
 
 def _cmd_slc(args) -> int:
@@ -170,7 +172,7 @@ def _cmd_slc(args) -> int:
     _write_json(out / "pulse.json", {
         "horizon": field.horizon,
         "amplitudes": [[float(a) for a in row] for row in field.amplitudes],
-        "J_train": augmented_j(system, samples, field, psi0, psi_target),
+        "J_train": log[-1],
         "test_mean": stats["mean"],
         "test_min": stats["min"],
     })

@@ -49,15 +49,12 @@ class ControlField:
 
     horizon: float
     amplitudes: np.ndarray
-    bounds: tuple | None = None
 
     def __post_init__(self):
         amps = np.atleast_2d(np.asarray(self.amplitudes, dtype=float))
         object.__setattr__(self, "amplitudes", amps)
-        if self.horizon <= 0 or amps.shape[0] < 1:
-            raise ValueError("need a positive horizon and at least one interval")
-        if self.bounds is not None and self.bounds[0] >= self.bounds[1]:
-            raise ValueError("bounds must satisfy lo < hi")
+        if not (np.isfinite(self.horizon) and self.horizon > 0) or amps.shape[0] < 1:
+            raise ValueError("need a positive finite horizon and at least one interval")
 
     @property
     def intervals(self) -> int:
@@ -71,18 +68,12 @@ class ControlField:
     def dt(self) -> float:
         return self.horizon / self.intervals
 
-    def clipped(self, amplitudes: np.ndarray) -> "ControlField":
-        if self.bounds is not None:
-            amplitudes = np.clip(amplitudes, self.bounds[0], self.bounds[1])
-        return replace(self, amplitudes=amplitudes)
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Sampled (omega, theta) uncertainty pairs."""
 
     pairs: np.ndarray  # (N, 2)
-    scheme: str = "grid"
 
     def __post_init__(self):
         pairs = np.atleast_2d(np.asarray(self.pairs, dtype=float))
@@ -106,106 +97,98 @@ def grid_samples(omega_halfwidth: float, theta_halfwidth: float,
     """Uniform grid over the uncertainty rectangle."""
     om = _axis(omega_halfwidth, n_omega)
     th = _axis(theta_halfwidth, n_theta)
-    pairs = np.array([(o, t) for o in om for t in th])
-    return SampleSet(pairs, "grid")
+    return SampleSet(np.array([(o, t) for o in om for t in th]))
 
 
 def random_samples(omega_halfwidth: float, theta_halfwidth: float, n: int, rng) -> SampleSet:
     rng = as_rng(rng)
     om = rng.uniform(1.0 - omega_halfwidth, 1.0 + omega_halfwidth, size=n)
     th = rng.uniform(1.0 - theta_halfwidth, 1.0 + theta_halfwidth, size=n)
-    return SampleSet(np.column_stack([om, th]), "random")
+    return SampleSet(np.column_stack([om, th]))
 
 
 def corner_center_samples(omega_halfwidth: float, theta_halfwidth: float) -> SampleSet:
     """Five-point training set: the four rectangle corners plus the center."""
     o, t = omega_halfwidth, theta_halfwidth
-    pairs = np.array([
+    return SampleSet(np.array([
         (1 - o, 1 - t), (1 - o, 1 + t), (1 + o, 1 - t), (1 + o, 1 + t), (1.0, 1.0),
-    ])
-    return SampleSet(pairs, "grid")
+    ]))
 
 
-def _interval_props(system, sample, field):
-    omega, theta = sample
-    dt = field.dt
-    props = []
+@dataclass(frozen=True)
+class _Evaluation:
+    """One pulse on every sample: propagators and states of all (sample, interval) pairs."""
+
+    pairs: np.ndarray  # (N, 2) rows (omega, theta)
+    props: np.ndarray  # (N, K, d, d) interval propagators
+    fwd: np.ndarray  # (N, K + 1, d); fwd[:, k] is the state before interval k
+    target: np.ndarray  # (d,)
+    overlap: np.ndarray  # (N,) <psi_target|psi_n(T)>
+
+    @property
+    def fidelities(self) -> np.ndarray:
+        z = self.overlap
+        return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
+def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
+    """Propagate psi0 under the pulse for every (omega, theta) row of pairs at once.
+
+    The generators omega*H0 + theta*sum_m u_km H_m of all samples and
+    intervals form one (N, K, d, d) stack, exponentiated by one batched
+    ``herm_expm``; the states then advance one interval at a time for all
+    samples together.
+    """
+    pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
+    psi = np.asarray(psi0, dtype=complex).ravel()
+    if psi.size != system.dim or field.channels != len(system.controls):
+        raise ValueError("initial state or pulse channels do not match the system")
+    drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
+                np.zeros((field.intervals, 1, 1)))
+    omega, theta = pairs[:, 0, None, None, None], pairs[:, 1, None, None, None]
+    props = herm_expm(omega * system.h0 + theta * drive, field.dt)
+    fwd = np.empty((pairs.shape[0], field.intervals + 1, system.dim), dtype=complex)
+    fwd[:, 0] = psi
     for k in range(field.intervals):
-        h = omega * system.h0 + theta * sum(
-            field.amplitudes[k, m] * system.controls[m] for m in range(field.channels)
-        )
-        props.append(herm_expm(h, dt))
-    return props
+        fwd[:, k + 1] = (props[:, k] @ fwd[:, k, :, None])[..., 0]
+    target = np.asarray(psi_target, complex).ravel()
+    return _Evaluation(pairs, props, fwd, target, np.vecdot(target, fwd[:, -1]))
 
 
 def propagate(system: UncertainSystem, sample, field: ControlField, psi0: np.ndarray) -> np.ndarray:
     """Final state after the piecewise-constant evolution."""
-    psi = np.asarray(psi0, dtype=complex).ravel()
-    if psi.size != system.dim:
-        raise ValueError("initial state dimension does not match the system")
-    for u in _interval_props(system, sample, field):
-        psi = u @ psi
-    return psi
+    return _evaluate(system, sample, field, psi0, psi0).fwd[0, -1]
 
 
 def fidelity_j(system, sample, field, psi0, psi_target) -> float:
     """|<psi(T)|psi_target>|^2."""
-    psi = propagate(system, sample, field, psi0)
-    return float(abs(np.vdot(np.asarray(psi_target, complex).ravel(), psi)) ** 2)
+    return float(_evaluate(system, sample, field, psi0, psi_target).fidelities[0])
 
 
 def augmented_j(system, samples: SampleSet, field, psi0, psi_target) -> float:
     """Mean fidelity over the uncertainty samples."""
-    if samples.n < 1:
-        raise ValueError("sample set must be non-empty")
-    return float(np.mean([
-        fidelity_j(system, pair, field, psi0, psi_target) for pair in samples.pairs
-    ]))
+    return float(np.mean(_evaluate(system, samples.pairs, field, psi0, psi_target).fidelities))
 
 
-def _sample_gradient(system, sample, field, psi0, psi_target):
-    # First-order propagator derivative dU_k/du_m ~ -i dt theta H_m U_k,
-    # assembled from forward states and backward costates.
-    omega, theta = sample
-    dt = field.dt
-    props = _interval_props(system, sample, field)
-    psi_target = np.asarray(psi_target, complex).ravel()
-    fwd = [np.asarray(psi0, complex).ravel()]
-    for u in props:
-        fwd.append(u @ fwd[-1])
-    z = np.vdot(psi_target, fwd[-1])
-    grad = np.zeros_like(field.amplitudes)
-    chi = psi_target
-    for k in range(field.intervals, 0, -1):
-        for m in range(field.channels):
-            dz = np.vdot(chi, (-1j * dt * theta) * (system.controls[m] @ fwd[k]))
-            grad[k - 1, m] = 2.0 * (np.conj(z) * dz).real
-        chi = props[k - 1].conj().T @ chi
-    return grad
-
-
-def gradient_j(system, samples: SampleSet, field, psi0, psi_target,
-               mode: str = "analytic", fd_step: float = 1e-6) -> np.ndarray:
+def gradient_j(system, samples: SampleSet, field, psi0, psi_target) -> np.ndarray:
     """Gradient of the mean fidelity with respect to every pulse amplitude.
 
-    ``analytic`` uses the first-order propagator derivative; ``fd`` central
-    differences with step ``fd_step``.  The gradient of the mean is the mean
-    of the per-sample gradients.
+    Uses the first-order propagator derivative dU_k/du_m ~ -i dt theta H_m U_k,
+    assembled from forward states and backward costates; the gradient of the
+    mean is the mean of the per-sample gradients.
     """
-    if mode == "analytic":
-        grads = [_sample_gradient(system, pair, field, psi0, psi_target) for pair in samples.pairs]
-        return np.mean(grads, axis=0)
-    if mode != "fd":
-        raise ValueError(f"unknown gradient mode {mode!r}")
-    grad = np.zeros_like(field.amplitudes)
-    for k in range(field.intervals):
-        for m in range(field.channels):
-            for sign in (+1.0, -1.0):
-                amps = field.amplitudes.copy()
-                amps[k, m] += sign * fd_step
-                val = augmented_j(system, samples, replace(field, amplitudes=amps), psi0, psi_target)
-                grad[k, m] += sign * val
-    return grad / (2.0 * fd_step)
+    ev = _evaluate(system, samples.pairs, field, psi0, psi_target)
+    bwd = np.empty_like(ev.fwd)  # bwd[:, k]: the target carried back to the end of interval k - 1
+    bwd[:, -1] = ev.target
+    for k in range(field.intervals, 0, -1):
+        bwd[:, k - 1] = (np.swapaxes(ev.props[:, k - 1].conj(), -1, -2) @ bwd[:, k, :, None])[..., 0]
+    coef = (-1j * field.dt * ev.pairs[:, 1])[:, None, None]
+    zc = np.conj(ev.overlap)[:, None]
+    grad = np.empty((samples.n, field.intervals, field.channels))
+    for m, c in enumerate(system.controls):
+        dz = np.vecdot(bwd[:, 1:], coef * (c @ ev.fwd[:, 1:, :, None])[..., 0])
+        grad[:, :, m] = 2.0 * (zc.real * dz.real - zc.imag * dz.imag)
+    return np.mean(grad, axis=0)
 
 
 def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target,
@@ -216,6 +199,8 @@ def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target
     is monotone non-decreasing by construction.  Non-convergence within the
     iteration cap is an outcome, not an error.
     """
+    if not (np.isfinite(step_size) and step_size > 0 and iterations >= 0 and tolerance >= 0):
+        raise ValueError("need a positive finite step, iterations >= 0 and tolerance >= 0")
     field = field0
     j_cur = augmented_j(system, samples, field, psi0, psi_target)
     log = [j_cur]
@@ -224,7 +209,7 @@ def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target
         step = step_size
         improved = None
         while step > step_size * 2.0**-30:
-            cand = field.clipped(field.amplitudes + step * grad)
+            cand = replace(field, amplitudes=field.amplitudes + step * grad)
             j_cand = augmented_j(system, samples, cand, psi0, psi_target)
             if j_cand >= j_cur:
                 improved = (cand, j_cand)
@@ -243,11 +228,7 @@ def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target
 
 def slc_test(system, field: ControlField, samples: SampleSet, psi0, psi_target) -> dict:
     """Evaluate a fixed pulse on fresh samples; no adaptation."""
-    if samples.n < 1:
-        raise ValueError("test sample set must be non-empty")
-    fids = np.array([
-        fidelity_j(system, pair, field, psi0, psi_target) for pair in samples.pairs
-    ])
+    fids = _evaluate(system, samples.pairs, field, psi0, psi_target).fidelities
     return {
         "mean": float(fids.mean()),
         "min": float(fids.min()),
@@ -279,10 +260,10 @@ def in_sliding_domain(psi: np.ndarray, config: SlidingConfig) -> bool:
 
 
 def periodic_measurement_demo(h_delta: np.ndarray, config: SlidingConfig,
-                              periods: int, seed, h0: np.ndarray | None = None) -> dict:
+                              periods: int, seed) -> dict:
     """Repeated evolve-then-measure cycles of a perturbed two-level system.
 
-    Starting from |0>, the state evolves under h0 + h_delta for one period,
+    Starting from |0>, the state evolves under h_delta for one period,
     its survival probability |<0|psi>|^2 is logged, and a projective sigma_z
     measurement collapses it.  A collapse out of the domain is counted and the
     state is reset to |0> (standing in for the corrective control the full
@@ -293,8 +274,7 @@ def periodic_measurement_demo(h_delta: np.ndarray, config: SlidingConfig,
         raise ValueError("the demo is two-level only")
     if not is_hermitian(h_delta, 1e-10):
         raise ContractViolationError("uncertainty Hamiltonian must be Hermitian")
-    h = h_delta if h0 is None else np.asarray(h0, complex) + h_delta
-    u = herm_expm(h, config.period)
+    u = herm_expm(h_delta, config.period)
     rng = as_rng(seed)
     ket0 = np.array([1.0, 0.0], dtype=complex)
     rows = []
@@ -303,12 +283,11 @@ def periodic_measurement_demo(h_delta: np.ndarray, config: SlidingConfig,
     for k in range(periods):
         psi = u @ psi
         prob0 = float(min(max(abs(psi[0]) ** 2, 0.0), 1.0))
-        in_dom = prob0 >= 1.0 - config.p0
         outcome = 0 if rng.random() < prob0 else 1
         if outcome == 1:
             out_count += 1
         rows.append({"period": k, "prob0": prob0, "outcome": outcome,
-                     "in_domain": in_dom})
+                     "in_domain": in_sliding_domain(psi, config)})
         # outcome 0 collapses onto |0>; an escape to |1> is reset to |0>
         psi = ket0
     return {

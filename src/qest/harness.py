@@ -13,7 +13,6 @@ from .adaptive import AdaptiveSchedule, run_adaptive_protocol
 from .control import (
     ControlField,
     UncertainSystem,
-    augmented_j,
     corner_center_samples,
     random_samples,
     slc_test,
@@ -161,11 +160,11 @@ def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
     for t in range(trials):
         rng = trial_rng(seed, t, 0)
         field0 = ControlField(horizon, rng.uniform(-0.5, 0.5, size=(intervals, 1)))
-        robust, _ = slc_train(system, train_robust, field0, psi0, psi_target,
+        robust, log = slc_train(system, train_robust, field0, psi0, psi_target,
                               step_size=step_size, iterations=iterations, tolerance=tolerance)
         nominal, _ = slc_train(system, train_nominal, field0, psi0, psi_target,
                                step_size=step_size, iterations=iterations, tolerance=tolerance)
-        j_train = augmented_j(system, train_robust, robust, psi0, psi_target)
+        j_train = log[-1]
         test_set = random_samples(omega_halfwidth, theta_halfwidth, test_n, trial_rng(seed, t, 1))
         stats_r = slc_test(system, robust, test_set, psi0, psi_target)
         stats_n = slc_test(system, nominal, test_set, psi0, psi_target)

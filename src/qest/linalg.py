@@ -119,12 +119,18 @@ def vec_inv(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """exp(-i s H) for Hermitian H, via spectral decomposition."""
+    """exp(-i s H) for Hermitian H, via spectral decomposition.
+
+    H is one Hermitian matrix or a stack (..., d, d) of them; every member
+    must pass the Hermitian check, and all are decomposed by one batched
+    ``eigh``.
+    """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, 1e-10):
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or not np.all(
+            np.linalg.norm(h - np.swapaxes(h.conj(), -1, -2), axis=(-2, -1)) <= 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * s * w)) @ v.conj().T
+    return (v * np.exp(-1j * s * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def nearest_unitary(s: np.ndarray) -> np.ndarray:

@@ -1,0 +1,37 @@
+"""Independent references for `qest.control`: per-sample fidelities and FD gradients."""
+
+from dataclasses import replace
+
+import numpy as np
+
+from qest.control import augmented_j
+from qest.linalg import herm_expm
+
+
+def reference_fidelities(system, pairs, field, psi0, psi_target) -> np.ndarray:
+    """|<psi_target|psi(T)>|^2 per sample, one sample, interval and 2-D exponential at a time."""
+    target = np.asarray(psi_target, complex).ravel()
+    fids = []
+    for omega, theta in np.atleast_2d(pairs):
+        psi = np.asarray(psi0, complex).ravel()
+        for k in range(field.intervals):
+            h = omega * system.h0 + theta * sum(
+                field.amplitudes[k, m] * system.controls[m] for m in range(field.channels)
+            )
+            psi = herm_expm(h, field.dt) @ psi
+        fids.append(float(abs(np.vdot(target, psi)) ** 2))
+    return np.array(fids)
+
+
+def central_difference_gradient(system, samples, field, psi0, psi_target,
+                                step: float = 1e-6) -> np.ndarray:
+    """Central differences of the mean fidelity in every pulse amplitude."""
+    grad = np.zeros_like(field.amplitudes)
+    for k in range(field.intervals):
+        for m in range(field.channels):
+            for sign in (+1.0, -1.0):
+                amps = field.amplitudes.copy()
+                amps[k, m] += sign * step
+                val = augmented_j(system, samples, replace(field, amplitudes=amps), psi0, psi_target)
+                grad[k, m] += sign * val
+    return grad / (2.0 * step)

@@ -208,6 +208,26 @@ class TestSmcDemoCommand:
 def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
     if argv[0] in ("hamid", "adapt"):
         argv = argv + ["--out", str(tmp_path / "o.out")]
+    assert_one_config_error(argv, capsys)
+
+
+_ZERO_STATE = [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"T": float("inf")}, {"T": float("nan")}, {"psi0": _ZERO_STATE}, {"psi_target": _ZERO_STATE},
+    {"psi0": [[float("nan"), 0.0], [1.0, 0.0]]}, {"psi_target": [[float("inf"), 0.0], [1.0, 0.0]]},
+    {"step": 0.0}, {"step": float("nan")}, {"step": float("inf")}, {"iterations": -5},
+    {"tolerance": float("nan")},
+], ids=["T-inf", "T-nan", "psi0-zero", "target-zero", "psi0-nan", "target-inf", "step-0",
+        "step-nan", "step-inf", "iterations-neg", "tolerance-nan"])
+def test_out_of_range_slc_config_is_one_config_error(overrides, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TestSlcCommand().config(**overrides)))
+    assert_one_config_error(["slc", "--config", str(cfg_path), "--out", str(tmp_path / "o")], capsys)
+
+
+def assert_one_config_error(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
@@ -304,3 +324,28 @@ def test_adapt_contract_property(n1, k, n2, budget_gap, pass_n2, trials, candida
     argv = ["adapt", f"--N={n1 + k * n2 + budget_gap}", f"--N1={n1}", f"--K={k}",
             f"--trials={trials}", f"--candidates={candidates}", f"--weights={weights}"]
     _contract_holds(argv + ([f"--N2={n2}"] if pass_n2 else []))
+
+
+_AMPLITUDE = _floats(-2.0, 2.0)
+
+
+@_PROPERTY
+@given(horizon=_floats(0.0, 5.0), intervals=st.integers(-1, 4), iterations=st.integers(-2, 3),
+       step=_floats(-1.0, 20.0), tolerance=_floats(-1.0, 1.0), halfwidth=_floats(0.0, 1.0),
+       grid=st.integers(-1, 3), test_n=st.integers(-1, 5), psi0=_AMPLITUDE, target=_AMPLITUDE)
+@example(horizon=float("inf"), intervals=2, iterations=1, step=10.0, tolerance=1e-9,
+         halfwidth=0.2, grid=2, test_n=3, psi0=1.0, target=1.0)
+@example(horizon=2.0, intervals=2, iterations=1, step=10.0, tolerance=1e-9,
+         halfwidth=0.2, grid=2, test_n=3, psi0=0.0, target=1.0)
+def test_slc_contract_property(horizon, intervals, iterations, step, tolerance, halfwidth,
+                               grid, test_n, psi0, target):
+    cfg = TestSlcCommand().config(
+        T=horizon, L=intervals, iterations=iterations, step=step, tolerance=tolerance,
+        omega_halfwidth=halfwidth, theta_halfwidth=halfwidth, samples={"grid": [grid, grid]},
+        test={"random": [test_n, 0]}, psi0=[[psi0, 0.0], [0.0, 0.0]],
+        psi_target=[[0.0, 0.0], [target, 0.0]],
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        _contract_holds(["slc", "--config", str(cfg_path)])

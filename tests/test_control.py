@@ -20,6 +20,7 @@ from qest.control import (
 )
 from qest.errors import ContractViolationError
 from qest.states import PAULI_X, PAULI_Y, PAULI_Z
+from tests.control_reference import central_difference_gradient, reference_fidelities
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -45,11 +46,9 @@ class TestTypes:
             UncertainSystem(PAULI_Z, (PAULI_X,), omega_halfwidth=1.0)
 
     def test_field_validation(self):
-        with pytest.raises(ValueError):
-            ControlField(0.0, np.ones((4, 1)))
-        field = ControlField(2.0, np.ones((4, 1)), bounds=(-1.0, 1.0))
-        clipped = field.clipped(field.amplitudes * 5)
-        assert clipped.amplitudes.max() == 1.0
+        for horizon in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                ControlField(horizon, np.ones((4, 1)))
 
     def test_sample_grid(self):
         samples = grid_samples(0.2, 0.2, 3, 2)
@@ -142,6 +141,20 @@ class TestAugmented:
             fidelity_j(system, (1.0, 1.0), field, psi0, target), abs=1e-14
         )
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fidelities_equal_per_sample_reference(self, d):
+        # the batched evaluation keeps the bits of one 2-D exponential per (sample, interval)
+        rng = np.random.default_rng(d)
+        system = UncertainSystem(random_hermitian(d, rng), (random_hermitian(d, rng),
+                                                            random_hermitian(d, rng)), 0.2, 0.2)
+        field = ControlField(2.0, rng.uniform(-1, 1, size=(20, 2)))
+        samples = random_samples(0.2, 0.2, 7, rng)
+        psi0, target = np.eye(d, dtype=complex)[0], np.eye(d, dtype=complex)[d - 1]
+        expected = reference_fidelities(system, samples.pairs, field, psi0, target)
+        stats = slc_test(system, field, samples, psi0, target)
+        assert stats["fidelities"].tobytes() == expected.tobytes()
+        assert augmented_j(system, samples, field, psi0, target) == float(np.mean(expected))
+
 
 class TestGradient:
     @pytest.mark.parametrize("d", [2, 3])
@@ -157,8 +170,8 @@ class TestGradient:
         psi0 /= np.linalg.norm(psi0)
         target = rng.normal(size=d) + 1j * rng.normal(size=d)
         target /= np.linalg.norm(target)
-        g_an = gradient_j(system, samples, field, psi0, target, mode="analytic")
-        g_fd = gradient_j(system, samples, field, psi0, target, mode="fd")
+        g_an = gradient_j(system, samples, field, psi0, target)
+        g_fd = central_difference_gradient(system, samples, field, psi0, target, step=1e-6)
         assert np.abs(g_an - g_fd).max() <= 1e-4
 
     def test_gradient_vanishes_at_exact_optimum(self):
@@ -180,12 +193,6 @@ class TestGradient:
         ]
         assert np.abs(total - np.mean(parts, axis=0)).max() <= 1e-12
 
-    def test_unknown_mode(self):
-        system, psi0, target = transfer_task()
-        field = ControlField(1.0, np.full((5, 1), 0.4))
-        with pytest.raises(ValueError):
-            gradient_j(system, SampleSet(np.array([[1.0, 1.0]])), field, psi0, target, mode="spsa")
-
 
 class TestTraining:
     def test_nominal_transfer_baseline(self):
@@ -206,6 +213,17 @@ class TestTraining:
         _, log = slc_train(system, samples, field0, psi0, target, iterations=60)
         assert all(b >= a for a, b in zip(log, log[1:]))
         assert all(0.0 <= j <= 1.0 + 1e-9 for j in log)
+
+    @pytest.mark.parametrize("option", [
+        {"step_size": 0.0}, {"step_size": -1.0}, {"step_size": float("nan")},
+        {"step_size": float("inf")}, {"iterations": -5}, {"tolerance": float("nan")},
+        {"tolerance": -1.0},
+    ])
+    def test_bad_options_rejected(self, option):
+        system, psi0, target = transfer_task()
+        field0 = ControlField(2.0, np.full((4, 1), 0.1))
+        with pytest.raises(ValueError):
+            slc_train(system, grid_samples(0.0, 0.0, 1, 1), field0, psi0, target, **option)
 
     def test_training_improves_on_initial_field(self):
         system, psi0, target = transfer_task(0.2, 0.2)

@@ -107,6 +107,22 @@ class TestHermExpm:
         with pytest.raises(ContractViolationError):
             herm_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_equals_per_matrix_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        stack = np.array([[random_hermitian(d, rng) for _ in range(5)] for _ in range(4)])
+        u = herm_expm(stack, 0.1)
+        assert u.shape == (4, 5, d, d)
+        expected = np.array([[herm_expm(h, 0.1) for h in row] for row in stack])
+        assert u.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)])
+    def test_stack_rejects_any_non_hermitian_member(self, bad):
+        stack = np.array([[SX, SZ], [SY, SX]])
+        stack[1, 0] = bad
+        with pytest.raises(ContractViolationError):
+            herm_expm(stack, 1.0)
+
 
 class TestNearestUnitary:
     def test_unitary_fixed_point(self):
