@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import herm_expm, is_hermitian
+from .linalg import herm_expm, herm_expm_eigh, is_hermitian
 from .states import as_rng
 
 
@@ -121,6 +121,8 @@ class _Evaluation:
 
     pairs: np.ndarray  # (N, 2) rows (omega, theta)
     props: np.ndarray  # (N, K, d, d) interval propagators
+    eigvals: np.ndarray  # (N, K, d) and
+    eigvecs: np.ndarray  # (N, K, d, d): the eigenpairs of the interval generators
     fwd: np.ndarray  # (N, K + 1, d); fwd[:, k] is the state before interval k
     target: np.ndarray  # (d,)
     overlap: np.ndarray  # (N,) <psi_target|psi_n(T)>
@@ -136,7 +138,7 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
 
     The generators omega*H0 + theta*sum_m u_km H_m of all samples and
     intervals form one (N, K, d, d) stack, exponentiated by one batched
-    ``herm_expm``; the states then advance one interval at a time for all
+    eigendecomposition; the states then advance one interval at a time for all
     samples together.
     """
     pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
@@ -146,13 +148,13 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
     drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
                 np.zeros((field.intervals, 1, 1)))
     omega, theta = pairs[:, 0, None, None, None], pairs[:, 1, None, None, None]
-    props = herm_expm(omega * system.h0 + theta * drive, field.dt)
+    props, eigvals, eigvecs = herm_expm_eigh(omega * system.h0 + theta * drive, field.dt)
     fwd = np.empty((pairs.shape[0], field.intervals + 1, system.dim), dtype=complex)
     fwd[:, 0] = psi
     for k in range(field.intervals):
         fwd[:, k + 1] = (props[:, k] @ fwd[:, k, :, None])[..., 0]
     target = np.asarray(psi_target, complex).ravel()
-    return _Evaluation(pairs, props, fwd, target, np.vecdot(target, fwd[:, -1]))
+    return _Evaluation(pairs, props, eigvals, eigvecs, fwd, target, np.vecdot(target, fwd[:, -1]))
 
 
 def propagate(system: UncertainSystem, sample, field: ControlField, psi0: np.ndarray) -> np.ndarray:
@@ -171,23 +173,33 @@ def augmented_j(system, samples: SampleSet, field, psi0, psi_target) -> float:
 
 
 def gradient_j(system, samples: SampleSet, field, psi0, psi_target) -> np.ndarray:
-    """Gradient of the mean fidelity with respect to every pulse amplitude.
+    """Exact gradient of the mean fidelity with respect to every pulse amplitude.
 
-    Uses the first-order propagator derivative dU_k/du_m ~ -i dt theta H_m U_k,
-    assembled from forward states and backward costates; the gradient of the
-    mean is the mean of the per-sample gradients.
+    The derivative of U_k = V exp(-i dt Lambda) V^dag in u_km is
+    V (Gamma o V^dag theta H_m V) V^dag with the divided differences
+    Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), which tend to
+    -i dt e^{-i dt l_a} as l_b -> l_a (de Fouquieres, Schirmer, Glaser and
+    Kuprov, JMR 212, 2011).  It is taken between the backward costates and
+    the forward states, with the eigenpairs of the propagators themselves.
     """
     ev = _evaluate(system, samples.pairs, field, psi0, psi_target)
     bwd = np.empty_like(ev.fwd)  # bwd[:, k]: the target carried back to the end of interval k - 1
     bwd[:, -1] = ev.target
     for k in range(field.intervals, 0, -1):
         bwd[:, k - 1] = (np.swapaxes(ev.props[:, k - 1].conj(), -1, -2) @ bwd[:, k, :, None])[..., 0]
-    coef = (-1j * field.dt * ev.pairs[:, 1])[:, None, None]
-    zc = np.conj(ev.overlap)[:, None]
-    grad = np.empty((samples.n, field.intervals, field.channels))
-    for m, c in enumerate(system.controls):
-        dz = np.vecdot(bwd[:, 1:], coef * (c @ ev.fwd[:, 1:, :, None])[..., 0])
-        grad[:, :, m] = 2.0 * (zc.real * dz.real - zc.imag * dz.imag)
+    # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b) with x = dt (l_a - l_b), in sinc form
+    dt, w, v = field.dt, ev.eigvals, ev.eigvecs
+    x = dt * (w[..., :, None] - w[..., None, :])
+    gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
+             * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
+    vh = np.swapaxes(v.conj(), -1, -2)
+    a = (vh @ bwd[:, 1:, :, None])[..., 0]
+    b = (vh @ ev.fwd[:, :-1, :, None])[..., 0]
+    # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
+    t = gamma * a.conj()[..., :, None] * b[..., None, :]
+    s = v.conj() @ t @ np.swapaxes(v, -1, -2)
+    dz = ev.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, np.reshape(system.controls, (-1, system.dim, system.dim)))
+    grad = 2.0 * (np.conj(ev.overlap)[:, None, None] * dz).real
     return np.mean(grad, axis=0)
 
 

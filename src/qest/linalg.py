@@ -119,7 +119,12 @@ def vec_inv(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """exp(-i s H) for Hermitian H, via spectral decomposition.
+    """exp(-i s H) for Hermitian H, or for each matrix of a stack (..., d, d)."""
+    return herm_expm_eigh(h, s)[0]
+
+
+def herm_expm_eigh(h: np.ndarray, s: float = 1.0):
+    """exp(-i s H) together with the eigenpairs (w, v) of H it is built from.
 
     H is one Hermitian matrix or a stack (..., d, d) of them; every member
     must pass the Hermitian check, and all are decomposed by one batched
@@ -130,7 +135,7 @@ def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:
             np.linalg.norm(h - np.swapaxes(h.conj(), -1, -2), axis=(-2, -1)) <= 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * s * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * np.exp(-1j * s * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2), w, v
 
 
 def nearest_unitary(s: np.ndarray) -> np.ndarray:

@@ -174,6 +174,18 @@ class TestGradient:
         g_fd = central_difference_gradient(system, samples, field, psi0, target, step=1e-6)
         assert np.abs(g_an - g_fd).max() <= 1e-4
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_at_the_default_step(self, d):
+        # T = 2, L = 20 (dt = 0.1); a first-order derivative is 10% off here
+        rng = np.random.default_rng(d)
+        system = UncertainSystem(random_hermitian(d, rng), (random_hermitian(d, rng),), 0.2, 0.2)
+        field = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
+        samples = corner_center_samples(0.2, 0.2)
+        psi0, target = np.eye(d, dtype=complex)[0], np.eye(d, dtype=complex)[d - 1]
+        g_an = gradient_j(system, samples, field, psi0, target)
+        g_fd = central_difference_gradient(system, samples, field, psi0, target, step=1e-6)
+        assert np.abs(g_an - g_fd).max() <= 1e-6 * np.abs(g_fd).max()
+
     def test_gradient_vanishes_at_exact_optimum(self):
         system = UncertainSystem(ZERO2, (PAULI_X,))
         field = ControlField(2.0, np.full((20, 1), np.pi / 4))

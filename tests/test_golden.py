@@ -79,9 +79,9 @@ GOLDEN = {
     "hamid/hamid.json": "d5ad340c48809a914fd24323947d699193c17b0da0579e6c06975b35097fbef5",
     "smc/smc.csv": "585f9bf55181e7b5ab262c4c4f2b7aaeecdd9b5c25d1ac58d3c029186ec2f033",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
-    "slc/pulse.json": "c1baed1c2db0dc31258bf76941b1f9957328dc0263dd5146261a99e1d32698ca",
-    "slc/test.csv": "e1a75cc40350cd04b8c281104e16973a4532ebe04b1c13f07fdd01cc347375eb",
-    "slc/training_log.csv": "604b3ef96f5318bbf1c63324fc16ef23d08e360426efab24f623e947c43f9723",
+    "slc/pulse.json": "10b6dc25e9b232726adbf482ebf3109cdcad28ea4dc9e9c628cfcaa5ce4698e8",
+    "slc/test.csv": "88f634c8fe14eeada5096e6757ab6f13687221d440317f1d1a8ebdc2c0099ec1",
+    "slc/training_log.csv": "00a1a323e237f1361a5534c5bf53d141d758ef13ac6186628b1a894c34a3dd4d",
     "compare/compare_tomography.csv": "e969640d8cb6ab8c197e1f90a82d24c245d3070222e20d7aff18bfab278df35a",
     "compare/compare_tomography.manifest.json": "e194ac36f32c705de46bfdbc58b9463310dc7fdda3135d594e8e56d7c7e43ed4",
 }
