@@ -198,7 +198,8 @@ def gradient_j(system, samples: SampleSet, field, psi0, psi_target) -> np.ndarra
     # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
     t = gamma * a.conj()[..., :, None] * b[..., None, :]
     s = v.conj() @ t @ np.swapaxes(v, -1, -2)
-    dz = ev.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, np.reshape(system.controls, (-1, system.dim, system.dim)))
+    controls = np.reshape(system.controls, (-1, system.dim, system.dim))
+    dz = ev.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
     grad = 2.0 * (np.conj(ev.overlap)[:, None, None] * dz).real
     return np.mean(grad, axis=0)
 
