@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(_error("config", exc), file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(_error("config", exc), file=sys.stderr)
         return 2
 

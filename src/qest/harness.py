@@ -161,7 +161,7 @@ def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
         rng = trial_rng(seed, t, 0)
         field0 = ControlField(horizon, rng.uniform(-0.5, 0.5, size=(intervals, 1)))
         robust, log = slc_train(system, train_robust, field0, psi0, psi_target,
-                              step_size=step_size, iterations=iterations, tolerance=tolerance)
+                                step_size=step_size, iterations=iterations, tolerance=tolerance)
         nominal, _ = slc_train(system, train_nominal, field0, psi0, psi_target,
                                step_size=step_size, iterations=iterations, tolerance=tolerance)
         j_train = log[-1]

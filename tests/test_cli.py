@@ -218,9 +218,11 @@ _ZERO_STATE = [[0.0, 0.0], [0.0, 0.0]]
     {"T": float("inf")}, {"T": float("nan")}, {"psi0": _ZERO_STATE}, {"psi_target": _ZERO_STATE},
     {"psi0": [[float("nan"), 0.0], [1.0, 0.0]]}, {"psi_target": [[float("inf"), 0.0], [1.0, 0.0]]},
     {"step": 0.0}, {"step": float("nan")}, {"step": float("inf")}, {"iterations": -5},
-    {"tolerance": float("nan")},
+    {"tolerance": float("nan")}, {"iterations": float("inf")}, {"L": float("inf")},
+    {"samples": {"grid": [float("inf"), 2]}},
 ], ids=["T-inf", "T-nan", "psi0-zero", "target-zero", "psi0-nan", "target-inf", "step-0",
-        "step-nan", "step-inf", "iterations-neg", "tolerance-nan"])
+        "step-nan", "step-inf", "iterations-neg", "tolerance-nan", "iterations-inf", "L-inf",
+        "grid-inf"])
 def test_out_of_range_slc_config_is_one_config_error(overrides, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TestSlcCommand().config(**overrides)))
