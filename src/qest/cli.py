@@ -124,7 +124,10 @@ _SLC_KEYS = {
 def _state_from_config(cfg, key, d, default):
     if key not in cfg:
         return default
-    v = np.array([complex(re, im) for re, im in cfg[key]])
+    try:
+        v = np.array([complex(re, im) for re, im in cfg[key]])
+    except TypeError as exc:
+        raise ConfigError(f"{key} must be a list of [re, im] pairs") from exc
     if v.size != d:
         raise ConfigError(f"{key} must have {d} amplitudes")
     norm = np.linalg.norm(v)

@@ -119,7 +119,6 @@ def corner_center_samples(omega_halfwidth: float, theta_halfwidth: float) -> Sam
 class _Evaluation:
     """One pulse on every sample: propagators and states of all (sample, interval) pairs."""
 
-    pairs: np.ndarray  # (N, 2) rows (omega, theta)
     props: np.ndarray  # (N, K, d, d) interval propagators
     eigvals: np.ndarray  # (N, K, d) and
     eigvecs: np.ndarray  # (N, K, d, d): the eigenpairs of the interval generators
@@ -154,7 +153,7 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
     for k in range(field.intervals):
         fwd[:, k + 1] = (props[:, k] @ fwd[:, k, :, None])[..., 0]
     target = np.asarray(psi_target, complex).ravel()
-    return _Evaluation(pairs, props, eigvals, eigvecs, fwd, target, np.vecdot(target, fwd[:, -1]))
+    return _Evaluation(props, eigvals, eigvecs, fwd, target, np.vecdot(target, fwd[:, -1]))
 
 
 def propagate(system: UncertainSystem, sample, field: ControlField, psi0: np.ndarray) -> np.ndarray:
@@ -199,7 +198,7 @@ def gradient_j(system, samples: SampleSet, field, psi0, psi_target) -> np.ndarra
     t = gamma * a.conj()[..., :, None] * b[..., None, :]
     s = v.conj() @ t @ np.swapaxes(v, -1, -2)
     controls = np.reshape(system.controls, (-1, system.dim, system.dim))
-    dz = ev.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
+    dz = samples.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
     grad = 2.0 * (np.conj(ev.overlap)[:, None, None] * dz).real
     return np.mean(grad, axis=0)
 

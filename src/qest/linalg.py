@@ -200,8 +200,8 @@ def matrix_to_json(a: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`."""
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        flat = np.array([complex(re, im) for re, im in obj["data"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    flat = np.array([complex(re, im) for re, im in data])
     return vec_inv(flat, rows, cols)

@@ -219,10 +219,11 @@ _ZERO_STATE = [[0.0, 0.0], [0.0, 0.0]]
     {"psi0": [[float("nan"), 0.0], [1.0, 0.0]]}, {"psi_target": [[float("inf"), 0.0], [1.0, 0.0]]},
     {"step": 0.0}, {"step": float("nan")}, {"step": float("inf")}, {"iterations": -5},
     {"tolerance": float("nan")}, {"iterations": float("inf")}, {"L": float("inf")},
-    {"samples": {"grid": [float("inf"), 2]}},
+    {"samples": {"grid": [float("inf"), 2]}}, {"psi0": [["a", 0.0], [1.0, 0.0]]},
+    {"H0": {"rows": 2, "cols": 2, "data": [["a", 0.0], [0, 0], [0, 0], [-1, 0]]}},
 ], ids=["T-inf", "T-nan", "psi0-zero", "target-zero", "psi0-nan", "target-inf", "step-0",
         "step-nan", "step-inf", "iterations-neg", "tolerance-nan", "iterations-inf", "L-inf",
-        "grid-inf"])
+        "grid-inf", "psi0-string", "H0-string"])
 def test_out_of_range_slc_config_is_one_config_error(overrides, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TestSlcCommand().config(**overrides)))
