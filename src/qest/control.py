@@ -128,7 +128,7 @@ class _Evaluation:
 
     @property
     def fidelities(self) -> np.ndarray:
-        z = self.overlap
+        z = self.overlap  # hypot and pow keep the bits of the scalar abs(z) ** 2
         return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
@@ -144,6 +144,7 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
     psi = np.asarray(psi0, dtype=complex).ravel()
     if psi.size != system.dim or field.channels != len(system.controls):
         raise ValueError("initial state or pulse channels do not match the system")
+    # the zero start keeps one generator per interval for a system without controls
     drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
                 np.zeros((field.intervals, 1, 1)))
     omega, theta = pairs[:, 0, None, None, None], pairs[:, 1, None, None, None]

@@ -186,6 +186,13 @@ class TestGradient:
         g_fd = central_difference_gradient(system, samples, field, psi0, target, step=1e-6)
         assert np.abs(g_an - g_fd).max() <= 1e-6 * np.abs(g_fd).max()
 
+    def test_drift_only_system(self):
+        system = UncertainSystem(PAULI_Z, ())
+        field = ControlField(1.0, np.zeros((5, 0)))
+        samples = grid_samples(0.0, 0.0, 1, 1)
+        assert augmented_j(system, samples, field, KET0, KET0) == pytest.approx(1.0, abs=1e-14)
+        assert gradient_j(system, samples, field, KET0, KET0).shape == (5, 0)
+
     def test_gradient_vanishes_at_exact_optimum(self):
         system = UncertainSystem(ZERO2, (PAULI_X,))
         field = ControlField(2.0, np.full((20, 1), np.pi / 4))
