@@ -121,6 +121,11 @@ _SLC_KEYS = {
 }
 
 
+# Near 1e15 rad the spacing of doubles is already 0.125 rad: larger interval phases
+# carry no usable digits, and near 1e308 they overflow.
+_PHASE_LIMIT = 1e15
+
+
 def _state_from_config(cfg, key, d, default):
     if key not in cfg:
         return default
@@ -157,6 +162,12 @@ def _cmd_slc(args) -> int:
     intervals = int(cfg["L"])
     rng = harness.trial_rng(args.seed, 0)
     field0 = ControlField(float(cfg["T"]), rng.uniform(-0.5, 0.5, size=(intervals, len(system.controls))))
+    # omega and theta stay below 2 and the initial amplitudes below 1, so this bounds the
+    # eigenvalues of every interval generator in Frobenius norm
+    scale = 2.0 * float(np.linalg.norm(system.h0) + sum(np.linalg.norm(c) for c in system.controls))
+    if not field0.dt * scale <= _PHASE_LIMIT:
+        raise ConfigError(f"T / L = {field0.dt:.3g} times the generator bound {scale:.3g} "
+                          f"exceeds {_PHASE_LIMIT:.0e} rad per interval")
     field, log = slc_train(
         system, samples, field0, psi0, psi_target,
         step_size=float(cfg.get("step", 10.0)),

@@ -21,13 +21,14 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import (
+    gell_mann_basis,
     nearest_unitary,
     unitary_log,
     vec,
     vec_inv,
 )
-from .states import as_rng, cube_records
-from .tomography import tomography_pipeline
+from .states import as_rng, cube_records, rho_from_theta
+from .tomography import RegressionProblem, build_regression, project_physical, solve_weighted_ls
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +118,17 @@ def apply_channel(kraus, rho: np.ndarray) -> np.ndarray:
 
 
 def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=None,
-                    seed=None, bases: ProcessBases | None = None,
-                    weighting: str = "shots") -> np.ndarray:
+                    seed=None) -> np.ndarray:
     """Transfer matrix Lambda with eps(unit_m) = sum_n Lambda[m, n] unit_n.
 
     ``noiseless`` applies the channel to the matrix units directly.  ``sampled``
-    pushes the physical probes through the channel, reconstructs every output
-    by cube-basis tomography with ``shots_per_output`` copies, and converts the
-    probe expansion back to the units through the exact linear map.
+    pushes the physical probes through the channel, measures every output on
+    the cube bases with ``shots_per_output`` copies (probe by probe, in probe
+    order), reconstructs all outputs by one shot-weighted least-squares solve
+    over their shared design, projects each onto the physical states, and
+    converts the probe expansion back to the units through the exact linear map.
     """
-    bases = bases or natural_state_basis(d)
+    bases = natural_state_basis(d)
     d2 = d * d
     if mode == "noiseless":
         lam = np.empty((d2, d2), dtype=complex)
@@ -137,12 +139,16 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
         raise ValueError(f"unknown mode {mode!r}")
     if not shots_per_output or shots_per_output < 1:
         raise ValueError("sampled mode needs shots_per_output >= 1")
-    rng = as_rng(seed)
-    lam_probe = np.empty((d2, d2), dtype=complex)
-    for k in range(d2):
-        records = cube_records(apply_channel(kraus, bases.probes[k]), int(shots_per_output), rng)
-        rho_hat, _, _ = tomography_pipeline(records, d, weighting)
-        lam_probe[k] = rho_hat.ravel()
+    rng, shots = as_rng(seed), int(shots_per_output)
+    columns = []
+    for probe in bases.probes:
+        problem = build_regression(cube_records(apply_channel(kraus, probe), shots, rng), d)
+        columns.append(problem.y)
+    # the copy split, hence x and the shot weights, is the same for every probe
+    theta, _ = solve_weighted_ls(RegressionProblem(np.stack(columns, axis=1), problem.x, problem.w))
+    basis = gell_mann_basis(d)
+    lam_probe = np.stack([project_physical(rho_from_theta(t, basis)).ravel()
+                          for t in np.ascontiguousarray(theta.T)])
     return np.linalg.solve(bases.probe_coeffs, lam_probe)
 
 

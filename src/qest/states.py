@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -212,12 +212,24 @@ def split_evenly(total: int, parts: int):
 
 
 def cube_records(rho, total: int, rng) -> Records:
-    """``total`` copies of rho split evenly over the cube bases, one run per basis."""
+    """``total`` copies of rho split evenly over the cube bases, one run per basis.
+
+    All bases are scored by one Born-rule contraction and drawn by one
+    multinomial call, in basis order, so the draws equal a per-basis loop of
+    :func:`simulate_measurements` over the bases that get copies.  The label,
+    element and gamma columns are the cached cube table's own read-only arrays
+    whenever every basis gets a copy.
+    """
     if total < 1:
         raise ValueError("need at least one copy to measure")
-    povms = cube_povms(rho.shape[0])
-    return Records.concat(simulate_measurements(rho, povm, n, rng)
-                          for povm, n in zip(povms, split_evenly(total, len(povms))) if n > 0)
+    elements, table = _cube_table(rho.shape[0])
+    counts = np.array(split_evenly(total, len(elements)))
+    p = np.clip(np.einsum("ij,beji->be", np.asarray(rho, dtype=complex), elements).real, 0.0, 1.0)
+    draws = as_rng(rng).multinomial(counts, p / p.sum(axis=1, keepdims=True))
+    shots = np.repeat(counts, elements.shape[1])
+    measured = shots > 0
+    rows = table if measured.all() else table[measured]
+    return replace(rows, shots=shots[measured], successes=draws.ravel()[measured].astype(float))
 
 
 def _qubit_axis_povm(axis: str) -> np.ndarray:
@@ -229,12 +241,25 @@ def _qubit_axis_povm(axis: str) -> np.ndarray:
 def cube_povms(d: int) -> tuple:
     """The 3^q Pauli-eigenbasis product measurements for q qubits (d = 2^q).
 
-    Cached, so every caller shares the same POVMs and their gamma rows.
+    Cached, so every caller shares the same POVMs and their gamma rows.  Their
+    elements are read-only views of the cube table of :func:`cube_records`.
+    """
+    elements, rows = _cube_table(d)
+    return tuple(Povm(str(label), e) for label, e in zip(rows.label[::elements.shape[1]], elements))
+
+
+@lru_cache(maxsize=None)
+def _cube_table(d: int):
+    """The cube bases' elements as one (bases, outcomes, d, d) array, and their rows.
+
+    The rows are a ``Records`` with one shot and no successes per element:
+    its read-only label, element and gamma columns serve every
+    :func:`cube_records` call.
     """
     q = int(round(np.log2(d)))
     if d < 2 or 2**q != d:
         raise ValueError(f"cube bases need a power-of-two dimension, got d={d}")
-    povms = []
+    labels, bases = [], []
     for axes in itertools.product("xyz", repeat=q):
         single = [_qubit_axis_povm(a) for a in axes]
         elements = []
@@ -243,8 +268,19 @@ def cube_povms(d: int) -> tuple:
             for qi in range(1, q):
                 m = np.kron(m, single[qi][outcomes[qi]])
             elements.append(m)
-        povms.append(Povm("cube:" + "".join(axes), _read_only(np.stack(elements))))
-    return tuple(povms)
+        labels.append("cube:" + "".join(axes))
+        bases.append(np.stack(elements))
+    elements = _read_only(np.stack(bases))
+    n_bases, n_out = elements.shape[:2]
+    # the same contractions as Povm.gamma0 and Povm.gamma, over all bases at once
+    gamma = np.einsum("beij,kji->bek", elements, gell_mann_basis(d).elements).real
+    rows = Records(np.repeat(labels, n_out), np.tile(np.arange(n_out), n_bases),
+                   np.ones(n_bases * n_out, dtype=int), np.zeros(n_bases * n_out),
+                   np.einsum("beii->be", elements).real.ravel(),
+                   np.ascontiguousarray(gamma).reshape(n_bases * n_out, d * d - 1))
+    for column in (rows.label, rows.element, rows.gamma0, rows.gamma):
+        _read_only(column)
+    return elements, rows
 
 
 def bloch_basis_povm(n: np.ndarray) -> Povm:

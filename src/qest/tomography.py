@@ -22,7 +22,11 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class RegressionProblem:
-    """Weighted linear model y = x @ theta + e with positive per-row weights."""
+    """Weighted linear model y = x @ theta + e with positive per-row weights.
+
+    ``y`` is one response column (n,) or k columns (n, k) that share the
+    design ``x`` (n, p) and the weights ``w`` (n,).
+    """
 
     y: np.ndarray
     x: np.ndarray
@@ -57,12 +61,14 @@ def build_regression(records: Records, d: int, weighting: str = "shots") -> Regr
 def solve_weighted_ls(problem: RegressionProblem):
     """Weighted least-squares solution and the condition number of sqrt(W) X.
 
-    Raises :class:`SingularDesignError` when the design is rank deficient or
+    theta is (p,) for a single response column and (p, k) for k columns,
+    all solved against the one shared design.  Raises
+    :class:`SingularDesignError` when the design is rank deficient or
     conditioned worse than 1e12, naming the null-space dimension.
     """
     sw = np.sqrt(problem.w)
     a = problem.x * sw[:, None]
-    b = problem.y * sw
+    b = (problem.y.T * sw).T
     n_par = problem.x.shape[1]
     s = np.linalg.svd(a, compute_uv=False)
     rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0

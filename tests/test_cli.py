@@ -221,9 +221,10 @@ _ZERO_STATE = [[0.0, 0.0], [0.0, 0.0]]
     {"tolerance": float("nan")}, {"iterations": float("inf")}, {"L": float("inf")},
     {"samples": {"grid": [float("inf"), 2]}}, {"psi0": [["a", 0.0], [1.0, 0.0]]},
     {"H0": {"rows": 2, "cols": 2, "data": [["a", 0.0], [0, 0], [0, 0], [-1, 0]]}},
+    {"T": 1e308, "L": 1},
 ], ids=["T-inf", "T-nan", "psi0-zero", "target-zero", "psi0-nan", "target-inf", "step-0",
         "step-nan", "step-inf", "iterations-neg", "tolerance-nan", "iterations-inf", "L-inf",
-        "grid-inf", "psi0-string", "H0-string"])
+        "grid-inf", "psi0-string", "H0-string", "T-huge"])
 def test_out_of_range_slc_config_is_one_config_error(overrides, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TestSlcCommand().config(**overrides)))
@@ -313,6 +314,14 @@ def test_smc_demo_contract_property(p0, eps, tau, periods):
 @example(dim=2, time=2.225073858507203e-309, seed=0)
 def test_hamid_contract_property(dim, time, seed):
     _contract_holds(["hamid", f"--dim={dim}", f"--time={time!r}", f"--seed={seed}"])
+
+
+@_PROPERTY
+@given(dim=st.sampled_from([2, 4]),
+       shots=st.sampled_from([0, 1, 2, 3, 27, 10**9, "1e3", "nan", "abc"]),
+       seed=st.integers(0, 3))
+def test_sampled_hamid_contract_property(dim, shots, seed):
+    _contract_holds(["hamid", f"--dim={dim}", "--time=0.5", f"--shots={shots}", f"--seed={seed}"])
 
 
 @_PROPERTY

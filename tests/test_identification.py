@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qest.errors import ContractViolationError
+from qest.errors import ContractViolationError, SingularDesignError
 from qest.identification import (
     apply_channel,
     build_b_matrix,
@@ -16,12 +16,24 @@ from qest.identification import (
     solve_process_matrix,
 )
 from qest.linalg import herm_expm, vec, vec_inv
-from qest.states import check_density_matrix, pure_to_density
+from qest.states import check_density_matrix, cube_records, pure_to_density
+from qest.tomography import tomography_pipeline
 from tests.complexity import complexity_probe
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
+
+
+def per_probe_lambda(kraus, d, shots, seed):
+    """Reference: one full tomography pipeline per probe output, solved one at a time."""
+    bases = natural_state_basis(d)
+    rng = np.random.default_rng(seed)
+    lam_probe = np.stack([
+        tomography_pipeline(cube_records(apply_channel(kraus, probe), shots, rng), d)[0].ravel()
+        for probe in bases.probes
+    ])
+    return np.linalg.solve(bases.probe_coeffs, lam_probe)
 
 
 def random_unitary(d, rng):
@@ -162,6 +174,16 @@ class TestEstimateLambda:
         exact = estimate_lambda(kraus, 2)
         sampled = estimate_lambda(kraus, 2, mode="sampled", shots_per_output=10**6, seed=8)
         assert np.abs(sampled - exact).max() <= 0.01
+
+    @pytest.mark.parametrize("d, shots", [(2, 3), (2, 5000), (4, 9), (4, 20), (4, 20000)])
+    def test_sampled_equals_per_probe_tomographies(self, d, shots):
+        kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
+        lam = estimate_lambda(kraus, d, mode="sampled", shots_per_output=shots, seed=4)
+        assert np.abs(lam - per_probe_lambda(kraus, d, shots, 4)).max() <= 1e-12
+
+    def test_sampled_with_too_few_copies_is_singular(self):
+        with pytest.raises(SingularDesignError):
+            estimate_lambda([np.eye(2, dtype=complex)], 2, mode="sampled", shots_per_output=2, seed=1)
 
     def test_sampled_needs_shots(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qest.states import (
     born_probabilities,
     check_density_matrix,
     cube_povms,
+    cube_records,
     expected_records,
     mse,
     pure_to_density,
@@ -20,6 +23,7 @@ from qest.states import (
     resolve_povm_label,
     rho_from_theta,
     simulate_measurements,
+    split_evenly,
     theta_from_rho,
     validate_povm,
 )
@@ -177,6 +181,42 @@ class TestCubePovms:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             cube_povms(3)
+
+
+def per_basis_cube_records(rho, total, rng):
+    """Reference: one simulate_measurements run per cube basis that gets copies."""
+    povms = cube_povms(rho.shape[0])
+    return Records.concat(simulate_measurements(rho, povm, n, rng)
+                          for povm, n in zip(povms, split_evenly(total, len(povms))) if n > 0)
+
+
+class TestCubeRecords:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("total", [1, 2, 26, 27, 28, 20000])
+    def test_equals_per_basis_loop_bit_for_bit(self, d, total):
+        rho = random_density_matrix(d, np.random.default_rng(d))
+        rng, ref_rng = np.random.default_rng(total), np.random.default_rng(total)
+        got, ref = cube_records(rho, total, rng), per_basis_cube_records(rho, total, ref_rng)
+        for field in fields(Records):
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert rng.random() == ref_rng.random()
+
+    def test_pure_state_with_zero_probabilities(self):
+        rho = pure_to_density(np.eye(4)[0])
+        got, ref = cube_records(rho, 900, 3), per_basis_cube_records(rho, 900, np.random.default_rng(3))
+        assert np.array_equal(got.successes, ref.successes)
+
+    def test_columns_are_the_cached_table_when_every_basis_is_measured(self):
+        a = cube_records(np.eye(4) / 4, 90, 1)
+        b = cube_records(random_density_matrix(4, np.random.default_rng(2)), 9, 2)
+        for name in ("label", "element", "gamma0", "gamma"):
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+
+    def test_rejects_no_copies(self):
+        with pytest.raises(ValueError):
+            cube_records(np.eye(2) / 2, 0, 1)
 
 
 class TestMse:

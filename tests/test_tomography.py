@@ -147,6 +147,33 @@ class TestSolveWeightedLs:
             solve_weighted_ls(problem)
         assert err.value.null_dim == 2
 
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    def test_stacked_columns_equal_one_at_a_time(self, weighting):
+        rng = np.random.default_rng(12)
+        problems = [build_regression(exact_records(random_density_matrix(4, rng), cube_povms(4), 300), 4)
+                    for _ in range(5)]
+        x = problems[0].x
+        w = record_weight(np.full(len(x), 300), rng.uniform(0.01, 0.99, len(x)), weighting)
+        y = np.stack([p.y for p in problems], axis=1) + rng.normal(scale=1e-2, size=(len(x), 5))
+        theta, cond = solve_weighted_ls(RegressionProblem(y, x, w))
+        assert theta.shape == (15, 5)
+        for k in range(5):
+            theta_k, cond_k = solve_weighted_ls(RegressionProblem(y[:, k], x, w))
+            assert np.abs(theta[:, k] - theta_k).max() <= 1e-12
+            assert cond == cond_k
+
+    def test_stacked_singular_design_raises_the_same_error(self):
+        rng = np.random.default_rng(5)
+        problem = build_regression(
+            simulate_measurements(random_density_matrix(2, rng), cube_povms(2)[2], 100, rng), 2)
+        stacked = RegressionProblem(np.stack([problem.y] * 3, axis=1), problem.x, problem.w)
+        with pytest.raises(SingularDesignError) as single:
+            solve_weighted_ls(problem)
+        with pytest.raises(SingularDesignError) as batch:
+            solve_weighted_ls(stacked)
+        assert batch.value.null_dim == single.value.null_dim == 2
+        assert str(batch.value) == str(single.value)
+
     def test_condition_limit(self):
         x = np.array([[1.0, 0.0], [1.0, 1e-14]])
         problem = RegressionProblem(y=np.ones(2), x=x, w=np.ones(2))
