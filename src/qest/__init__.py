@@ -22,11 +22,9 @@ from .control import (
     SlidingConfig,
     UncertainSystem,
     augmented_j,
-    fidelity_j,
     gradient_j,
     in_sliding_domain,
     periodic_measurement_demo,
-    propagate,
     slc_test,
     slc_train,
 )
@@ -37,14 +35,12 @@ from .errors import (
     SingularDesignError,
 )
 from .identification import (
-    ProcessMatrix,
     apply_channel,
     build_b_matrix,
     estimate_lambda,
     identify_hamiltonian,
     natural_state_basis,
     raw_process_matrix,
-    solve_process_matrix,
 )
 from .linalg import (
     HermitianBasis,
@@ -65,8 +61,6 @@ from .states import (
     cube_records,
     expected_records,
     mse,
-    povm_from_json,
-    povm_to_json,
     rho_from_theta,
     simulate_measurements,
     theta_from_rho,

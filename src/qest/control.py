@@ -157,16 +157,6 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
     return _Evaluation(props, eigvals, eigvecs, fwd, target, np.vecdot(target, fwd[:, -1]))
 
 
-def propagate(system: UncertainSystem, sample, field: ControlField, psi0: np.ndarray) -> np.ndarray:
-    """Final state after the piecewise-constant evolution."""
-    return _evaluate(system, sample, field, psi0, psi0).fwd[0, -1]
-
-
-def fidelity_j(system, sample, field, psi0, psi_target) -> float:
-    """|<psi(T)|psi_target>|^2."""
-    return float(_evaluate(system, sample, field, psi0, psi_target).fidelities[0])
-
-
 def augmented_j(system, samples: SampleSet, field, psi0, psi_target) -> float:
     """Mean fidelity over the uncertainty samples."""
     return float(np.mean(_evaluate(system, samples.pairs, field, psi0, psi_target).fidelities))

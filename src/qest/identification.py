@@ -101,11 +101,6 @@ def build_b_matrix(d: int) -> np.ndarray:
     return b
 
 
-def is_trace_preserving(kraus, tol: float = 1e-9) -> bool:
-    total = sum(a.conj().T @ a for a in kraus)
-    return float(np.linalg.norm(total - np.eye(total.shape[0]))) <= tol
-
-
 def apply_channel(kraus, rho: np.ndarray) -> np.ndarray:
     """eps(rho) = sum_i A_i rho A_i^dag (also valid on non-Hermitian inputs)."""
     rho = np.asarray(rho, dtype=complex)
@@ -152,43 +147,6 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
     return np.linalg.solve(bases.probe_coeffs, lam_probe)
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessMatrix:
-    """Hermitian PSD process matrix with its completeness residual."""
-
-    dim: int
-    matrix: np.ndarray
-    completeness_residual: float
-
-
-def completeness_residual(x: np.ndarray) -> float:
-    """|| sum_jk x_jk F_k^dag F_j - I ||_F over the natural units, zero for TP channels.
-
-    F_k^dag F_j = delta(a_j, a_k) |b_k><b_j| for F_j = |a_j><b_j|, so the sum
-    is the partial trace sum_c x[(c, b), (c, a)] at entry (a, b).
-    """
-    d = int(round(np.sqrt(x.shape[0])))
-    total = np.einsum("cbca->ab", x.reshape(d, d, d, d))
-    return float(np.linalg.norm(total - np.eye(d)))
-
-
-def solve_process_matrix(lam: np.ndarray) -> ProcessMatrix:
-    """Invert B vec(X) = vec(Lambda) and restore physicality.
-
-    The raw solution is Hermitized and its negative eigenvalues are zeroed;
-    the trace is left alone because the completeness constraint is reported
-    as a residual rather than enforced.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    x_raw = raw_process_matrix(lam)
-    x = (x_raw + x_raw.conj().T) / 2
-    w, v = np.linalg.eigh(x)
-    x = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    x = (x + x.conj().T) / 2
-    return ProcessMatrix(dim=int(round(np.sqrt(lam.shape[0]))), matrix=x,
-                         completeness_residual=completeness_residual(x))
-
-
 def _phase_normalized(g: np.ndarray) -> np.ndarray:
     det = np.linalg.det(g)
     return g * np.exp(-1j * np.angle(det) / g.shape[0])
@@ -209,8 +167,8 @@ def identify_hamiltonian(lam: np.ndarray, t: float):
     (guaranteed for ||H||_2 t < pi/2; larger generators can alias onto a
     smaller-norm branch and are then unrecoverable from channel data alone).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     lam = np.asarray(lam, dtype=complex)
     d = int(round(np.sqrt(lam.shape[0])))
     dmat = raw_process_matrix(lam)

@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchAmbiguityWarning, ContractViolationError
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
@@ -43,14 +37,6 @@ def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
         return False
     eye = np.eye(a.shape[0])
     return float(np.linalg.norm(a.conj().T @ a - eye)) <= tol
-
-
-def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a)
-    if not is_hermitian(a, max(tol, 1e-10)):
-        return False
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    return float(w.min()) >= -tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,15 +149,26 @@ def unitary_log(u: np.ndarray, t: float) -> np.ndarray:
     generator H is faithful only when no eigenphase of U wraps, i.e. when the
     caller guarantees ||H||_2 * t < pi.  Eigenphases within 1e-6 of the cut
     raise a :class:`BranchAmbiguityWarning`.
+
+    The eigenvectors come from one ``eigh`` of the Cayley transform
+    i (I - W)(I + W)^-1, a Hermitian matrix with U's eigenvectors, where
+    W = e^{ia} U puts -1 in the middle of U's widest eigenphase gap, so that
+    I + W stays well conditioned.
     """
     u = np.asarray(u, dtype=complex)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     if not is_unitary(u, 1e-8):
         raise ContractViolationError("unitary_log requires a unitary input")
     d = u.shape[0]
-    tmat, z = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diag(tmat))
+    rough = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(rough, append=rough[0] + 2 * np.pi)
+    k = int(np.argmax(gaps))
+    w = u * np.exp(1j * (np.pi - rough[k] - gaps[k] / 2))
+    eye = np.eye(d)
+    cayley = 1j * np.linalg.solve(eye + w, eye - w)
+    _, z = np.linalg.eigh((cayley + cayley.conj().T) / 2)
+    phases = np.angle(np.einsum("ji,jk,ki->i", z.conj(), u, z))
     gap = np.minimum(np.abs(phases - np.pi), np.abs(phases + np.pi))
     if float(gap.min()) <= 1e-6:
         warnings.warn(
@@ -181,7 +178,7 @@ def unitary_log(u: np.ndarray, t: float) -> np.ndarray:
             stacklevel=2,
         )
     h = (z * (-phases / t)) @ z.conj().T
-    h = h - (np.trace(h) / d) * np.eye(d)
+    h = h - (np.trace(h) / d) * eye
     return (h + h.conj().T) / 2
 
 

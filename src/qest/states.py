@@ -9,8 +9,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError
-from .linalg import HermitianBasis, gell_mann_basis, is_hermitian
+from .errors import ConfigError
+from .linalg import HermitianBasis, gell_mann_basis
 
 _SQ2 = np.sqrt(2.0)
 
@@ -51,17 +51,6 @@ def random_density_matrix(d: int, rng) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise unless rho is Hermitian, unit-trace and PSD within tol."""
-    rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
-        raise ContractViolationError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ContractViolationError("density matrix trace differs from 1")
-    if float(np.linalg.eigvalsh(rho).min()) < -tol:
-        raise ContractViolationError("density matrix has a negative eigenvalue")
 
 
 def rho_from_theta(theta: np.ndarray, basis: HermitianBasis) -> np.ndarray:
@@ -117,17 +106,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     # cached arrays are shared by every caller and every record table built from them
     a.flags.writeable = False
     return a
-
-
-def validate_povm(povm: Povm, tol: float = 1e-9) -> None:
-    d = povm.dim
-    for p in povm.elements:
-        if not is_hermitian(p, 1e-10):
-            raise ContractViolationError(f"POVM {povm.label}: non-Hermitian element")
-        if float(np.linalg.eigvalsh(p).min()) < -1e-10:
-            raise ContractViolationError(f"POVM {povm.label}: element not PSD")
-    if np.linalg.norm(povm.elements.sum(axis=0) - np.eye(d)) > tol:
-        raise ContractViolationError(f"POVM {povm.label}: elements do not sum to identity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,25 +294,6 @@ def resolve_povm_label(label: str, d: int) -> Povm:
     raise ConfigError(f"unknown POVM label {label!r}")
 
 
-def povm_to_json(povm: Povm) -> dict:
-    """Serialize a POVM with its label and per-element matrix objects."""
-    from .linalg import matrix_to_json
-
-    return {"label": povm.label, "elements": [matrix_to_json(e) for e in povm.elements]}
-
-
-def povm_from_json(obj: dict) -> Povm:
-    from .linalg import matrix_from_json
-
-    try:
-        elements = np.stack([matrix_from_json(e) for e in obj["elements"]])
-        povm = Povm(str(obj["label"]), elements)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed POVM object: {exc}") from exc
-    validate_povm(povm)
-    return povm
-
-
 def mse(est: np.ndarray, truth: np.ndarray) -> float:
     """Squared Hilbert-Schmidt distance Tr((est - truth)^2) for one trial."""
     est = np.asarray(est)
@@ -363,6 +322,10 @@ def records_from_csv(path, d: int) -> Records:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ConfigError(f"records file {path} must have columns {sorted(required)}")
         for row in reader:
+            # DictReader files extra fields under the key None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ConfigError(f"records file {path} line {reader.line_num}: "
+                                  f"expected {len(reader.fieldnames)} fields")
             label = row["povm"]
             if label not in povms:
                 povms[label] = resolve_povm_label(label, d)

@@ -1,4 +1,4 @@
-"""Independent references for `qest.control`: per-sample fidelities and FD gradients."""
+"""Independent references for `qest.control`: per-sample states, fidelities and FD gradients."""
 
 from dataclasses import replace
 
@@ -8,19 +8,23 @@ from qest.control import augmented_j
 from qest.linalg import herm_expm
 
 
+def reference_final_state(system, pair, field, psi0) -> np.ndarray:
+    """psi(T) for one (omega, theta) sample, one interval and 2-D exponential at a time."""
+    omega, theta = pair
+    psi = np.asarray(psi0, complex).ravel()
+    for k in range(field.intervals):
+        h = omega * system.h0 + theta * sum(
+            field.amplitudes[k, m] * system.controls[m] for m in range(field.channels)
+        )
+        psi = herm_expm(h, field.dt) @ psi
+    return psi
+
+
 def reference_fidelities(system, pairs, field, psi0, psi_target) -> np.ndarray:
-    """|<psi_target|psi(T)>|^2 per sample, one sample, interval and 2-D exponential at a time."""
+    """|<psi_target|psi(T)>|^2 per sample, from :func:`reference_final_state`."""
     target = np.asarray(psi_target, complex).ravel()
-    fids = []
-    for omega, theta in np.atleast_2d(pairs):
-        psi = np.asarray(psi0, complex).ravel()
-        for k in range(field.intervals):
-            h = omega * system.h0 + theta * sum(
-                field.amplitudes[k, m] * system.controls[m] for m in range(field.channels)
-            )
-            psi = herm_expm(h, field.dt) @ psi
-        fids.append(float(abs(np.vdot(target, psi)) ** 2))
-    return np.array(fids)
+    return np.array([float(abs(np.vdot(target, reference_final_state(system, pair, field, psi0))) ** 2)
+                     for pair in np.atleast_2d(pairs)])
 
 
 def central_difference_gradient(system, samples, field, psi0, psi_target,

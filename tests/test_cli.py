@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import qest
 from qest.cli import main
 from qest.linalg import matrix_from_json, matrix_to_json
 from qest.states import (
@@ -46,10 +50,14 @@ class TestTomoCommand:
         assert np.linalg.norm(rho_cli - rho_lib) <= 1e-12
         assert mse(rho_cli, truth) < 0.05
 
-    @pytest.mark.parametrize("successes", ["nan", "inf", "-5", "500"])
-    def test_bad_counts_are_one_config_error(self, successes, tmp_path, capsys):
+    @pytest.mark.parametrize("row, message", [
+        ("cube:x,0,100,nan", "successes"), ("cube:x,0,100,inf", "successes"),
+        ("cube:x,0,100,-5", "successes"), ("cube:x,0,100,500", "successes"),
+        ("cube:x,0", "line 2"), ("cube:x,0,100,50,7", "line 2"),
+    ], ids=["nan", "inf", "-5", "500", "missing-fields", "extra-field"])
+    def test_bad_counts_are_one_config_error(self, row, message, tmp_path, capsys):
         rows = [f"cube:{axis},{j},100,50" for axis in "xyz" for j in (0, 1)]
-        rows[0] = f"cube:x,0,100,{successes}"
+        rows[0] = row
         csv_path = tmp_path / "records.csv"
         csv_path.write_text("\n".join(["povm,element,shots,successes"] + rows) + "\n")
         code = main(["tomo", "--records", str(csv_path), "--dim", "2",
@@ -57,6 +65,7 @@ class TestTomoCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("qest: error: config:") and err.count("\n") == 1
+        assert message in err
 
     def test_missing_file_is_config_error(self, tmp_path):
         code = main(["tomo", "--records", str(tmp_path / "nope.csv"), "--dim", "2",
@@ -271,6 +280,37 @@ class TestSweepAndCompare:
 
 # Numeric CLI arguments: edge values (0, negatives, nan, inf, overflow) or a typical range.
 _EDGES = st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf"), 1e300])
+
+
+# Runs in a fresh interpreter in which every scipy import fails.
+_SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+import qest
+from qest.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(n for n, m in sys.modules.items() if n.partition(".")[0] == "scipy" and m)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    make_records_csv(tmp_path / "records.csv")
+    cfg_path = tmp_path / "slc.json"
+    cfg_path.write_text(json.dumps(TestSlcCommand().config(iterations=5)))
+    runs = [
+        ["hamid", "--dim", "4", "--time", "0.5", "--out", str(tmp_path / "h.json")],
+        ["hamid", "--dim", "4", "--time", "0.5", "--shots", "2000", "--out", str(tmp_path / "hs.json")],
+        ["tomo", "--records", str(tmp_path / "records.csv"), "--dim", "2",
+         "--out", str(tmp_path / "t.json")],
+        ["slc", "--config", str(cfg_path), "--out", str(tmp_path / "slc")],
+    ]
+    src = str(Path(qest.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 def _floats(lo, hi):

@@ -76,7 +76,7 @@ GOLDEN = {
     "sweep/mse_sweep.csv": "4ea8bbf95ddfa9c81fcc7c40d0957e5d12a8f64a3bb5d4f74eed0f9c2dc4906a",
     "sweep/mse_sweep.manifest.json": "a6142d3f2d422e851f435a22435c3bdfe1c1b8ffebb77b8fe2b5ff0f0ef5d9ae",
     "adapt/adapt.csv": "488b8ffd2c377865767dcb31c2f9f0d1626b7395b83876e171b0082e180039de",
-    "hamid/hamid.json": "d5ad340c48809a914fd24323947d699193c17b0da0579e6c06975b35097fbef5",
+    "hamid/hamid.json": "c9c3144f8e973890210f1357907cf0685e3b708f76b2f5a0187ebb3ca59fdd26",
     "smc/smc.csv": "585f9bf55181e7b5ab262c4c4f2b7aaeecdd9b5c25d1ac58d3c029186ec2f033",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
     "slc/pulse.json": "10b6dc25e9b232726adbf482ebf3109cdcad28ea4dc9e9c628cfcaa5ce4698e8",

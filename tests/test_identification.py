@@ -9,16 +9,15 @@ from qest.identification import (
     build_b_matrix,
     estimate_lambda,
     identify_hamiltonian,
-    is_trace_preserving,
     natural_state_basis,
     random_traceless_hermitian,
     raw_process_matrix,
-    solve_process_matrix,
 )
 from qest.linalg import herm_expm, vec, vec_inv
-from qest.states import check_density_matrix, cube_records, pure_to_density
+from qest.states import cube_records, pure_to_density
 from qest.tomography import tomography_pipeline
 from tests.complexity import complexity_probe
+from tests.oracles import check_density_matrix, is_trace_preserving, schur_eigenphases
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -49,11 +48,7 @@ def minimal_norm_generators(u, t):
     eigenphase wraps; serves as the identifiability oracle.
     """
     d = u.shape[0]
-    import scipy.linalg
-
-    tmat, z = scipy.linalg.schur(u * np.exp(-1j * np.angle(np.linalg.det(u)) / d),
-                                 output="complex")
-    phases = np.angle(np.diag(tmat))
+    phases, z = schur_eigenphases(u * np.exp(-1j * np.angle(np.linalg.det(u)) / d))
     out = []
     for r in range(d):
         shifted = phases + 2 * np.pi * r / d
@@ -134,6 +129,20 @@ class TestBuildB:
         lam_direct = np.stack([apply_channel([u], unit).ravel() for unit in bases.units])
         assert np.linalg.norm(b @ vec(x) - vec(lam_direct)) <= 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_reshuffle_matches_dense_b(self, d):
+        # oracles: the adjoint and the linear solve of the dense B
+        rng = np.random.default_rng(77 + d)
+        b = build_b_matrix(d)
+        d2 = d * d
+        lams = [rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2)),
+                estimate_lambda([random_unitary(d, rng)], d),
+                np.eye(d2, dtype=complex)]
+        for lam in lams:
+            x = raw_process_matrix(lam)
+            assert np.array_equal(x, vec_inv(b.conj().T @ vec(lam), d2, d2))
+            assert np.array_equal(x, vec_inv(np.linalg.solve(b, vec(lam)), d2, d2))
+
 
 class TestApplyChannel:
     def test_identity_channel(self):
@@ -190,56 +199,37 @@ class TestEstimateLambda:
             estimate_lambda([np.eye(2, dtype=complex)], 2, mode="sampled")
 
 
-class TestSolveProcessMatrix:
+class TestProcessMatrix:
     def test_identity_channel_rank_one(self):
         d = 2
-        lam = estimate_lambda([np.eye(d, dtype=complex)], d)
-        result = solve_process_matrix(lam)
-        w, v = np.linalg.eigh(result.matrix)
+        x = raw_process_matrix(estimate_lambda([np.eye(d, dtype=complex)], d))
+        w, v = np.linalg.eigh(x)
         assert np.sum(w > 1e-9) == 1
         top = v[:, -1] * np.sqrt(w[-1])
         overlap = abs(np.vdot(vec(np.eye(d)), top)) / np.linalg.norm(vec(np.eye(d))) / np.linalg.norm(top)
         assert overlap == pytest.approx(1.0, abs=1e-9)
-        assert result.completeness_residual <= 1e-8
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_unitary_channel_matches_transpose_convention(self, d):
         rng = np.random.default_rng(20 + d)
         u = random_unitary(d, rng)
-        lam = estimate_lambda([u], d)
-        result = solve_process_matrix(lam)
+        x = raw_process_matrix(estimate_lambda([u], d))
         g = u.T
         expected = np.outer(vec(g), vec(g).conj())
-        assert np.linalg.norm(result.matrix - expected) <= 1e-9
-        w, v = np.linalg.eigh(result.matrix)
+        assert np.linalg.norm(x - expected) <= 1e-9
+        w, v = np.linalg.eigh(x)
         g_hat = vec_inv(np.sqrt(w[-1]) * v[:, -1], d, d)
         fidelity = abs(np.trace(g_hat.conj().T @ g)) / d
         assert fidelity == pytest.approx(1.0, abs=1e-8)
-        assert result.completeness_residual <= 1e-8
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_reshuffle_matches_dense_b(self, d):
-        # oracles: the adjoint and the linear solve of the dense B
-        rng = np.random.default_rng(77 + d)
-        b = build_b_matrix(d)
-        d2 = d * d
-        lams = [rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2)),
-                estimate_lambda([random_unitary(d, rng)], d),
-                np.eye(d2, dtype=complex)]
-        for lam in lams:
-            x = raw_process_matrix(lam)
-            assert np.array_equal(x, vec_inv(b.conj().T @ vec(lam), d2, d2))
-            assert np.array_equal(x, vec_inv(np.linalg.solve(b, vec(lam)), d2, d2))
 
     def test_bit_flip_mixture_eigenvalues(self):
         kraus = [np.sqrt(0.5) * np.eye(2, dtype=complex), np.sqrt(0.5) * SX]
-        lam = estimate_lambda(kraus, 2)
-        result = solve_process_matrix(lam)
+        x = raw_process_matrix(estimate_lambda(kraus, 2))
         # direct construction oracle: X = sum_i c_i c_i^dag with c_i the
         # coefficients of A_i over the natural units (A_i.ravel() row-major)
         expected = sum(np.outer(a.ravel(), a.ravel().conj()) for a in kraus)
-        assert np.linalg.norm(result.matrix - expected) <= 1e-9
-        w = np.linalg.eigvalsh(result.matrix)
+        assert np.linalg.norm(x - expected) <= 1e-9
+        w = np.linalg.eigvalsh(x)
         # mixture weights appear scaled by d under unit-normalized units
         assert np.allclose(sorted(w)[-2:], [1.0, 1.0], atol=1e-9)
         assert np.sum(np.abs(w) > 1e-9) == 2
@@ -273,6 +263,11 @@ class TestIdentifyHamiltonian:
             assert np.linalg.norm(h_hat - h) <= 1e-6
             done += 1
         assert done == 30
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_time(self, t):
+        with pytest.raises(ValueError):
+            identify_hamiltonian(estimate_lambda([np.eye(2, dtype=complex)], 2), t)
 
     def test_degenerate_data_rejected(self):
         lam = -estimate_lambda([np.eye(2, dtype=complex)], 2)

@@ -6,7 +6,6 @@ from qest.linalg import (
     gell_mann_basis,
     herm_expm,
     is_hermitian,
-    is_psd,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
@@ -15,6 +14,7 @@ from qest.linalg import (
     vec,
     vec_inv,
 )
+from tests import oracles
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -33,6 +33,23 @@ def random_unitary(d, rng):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def log_inputs(count=100, seed=7):
+    """(h, t) pairs with d = 2..16, ||h||_2 = 1 and ||h||_2 t < pi.
+
+    Every third h with d >= 3 has a degenerate spectrum: its d eigenvalues
+    take only max(2, d // 2) distinct values.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = int(rng.integers(2, 17))
+        distinct = max(2, d // 2) if i % 3 == 0 and d >= 3 else d
+        w = rng.normal(size=distinct)[np.arange(d) % distinct]
+        w -= w.mean()
+        q = random_unitary(d, rng)
+        h = (q * (w / np.abs(w).max())) @ q.conj().T
+        yield h, rng.uniform(0.05, 0.9) * np.pi
 
 
 class TestGellMannBasis:
@@ -157,22 +174,25 @@ class TestUnitaryLog:
         assert np.linalg.norm(h - SZ) <= 1e-9
 
     def test_random_round_trips_inside_branch(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            d = int(rng.integers(2, 5))
-            h = random_hermitian(d, rng, norm=1.0)
-            h -= (np.trace(h) / d) * np.eye(d)
-            t = rng.uniform(0.05, 0.9) * np.pi / np.linalg.norm(h, 2)
+        for h, t in log_inputs():
             recovered = unitary_log(herm_expm(h, t), t)
             assert np.linalg.norm(recovered - h) <= 1e-8
+
+    def test_matches_schur_reference(self):
+        rng = np.random.default_rng(8)
+        for h, t in log_inputs():
+            u = np.exp(1j * rng.uniform(-np.pi, np.pi)) * herm_expm(h, t)
+            expected = oracles.unitary_log(u, t)
+            assert np.linalg.norm(unitary_log(u, t) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ContractViolationError):
             unitary_log(np.diag([1.0, 2.0]).astype(complex), 1.0)
 
-    def test_rejects_nonpositive_time(self):
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_time(self, t):
         with pytest.raises(ValueError):
-            unitary_log(np.eye(2, dtype=complex), 0.0)
+            unitary_log(np.eye(2, dtype=complex), t)
 
     def test_branch_cut_warning(self):
         u = herm_expm(SZ, np.pi - 1e-7)
@@ -189,8 +209,6 @@ class TestPredicates:
         u = random_unitary(3, rng)
         assert is_unitary(u)
         assert not is_unitary(1.01 * u)
-        assert is_psd(h @ h.conj().T)
-        assert not is_psd(-np.eye(2))
 
 
 class TestMatrixJson:

@@ -10,7 +10,6 @@ from qest.states import (
     Records,
     bloch_basis_povm,
     born_probabilities,
-    check_density_matrix,
     cube_povms,
     cube_records,
     expected_records,
@@ -25,8 +24,8 @@ from qest.states import (
     simulate_measurements,
     split_evenly,
     theta_from_rho,
-    validate_povm,
 )
+from tests.oracles import check_density_matrix, validate_povm
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -242,24 +241,6 @@ class TestRandomStates:
         rng = np.random.default_rng(4)
         for d in (2, 3, 4):
             check_density_matrix(random_density_matrix(d, rng))
-
-
-class TestPovmJson:
-    def test_round_trip_with_label(self):
-        from qest.states import povm_from_json, povm_to_json
-
-        povm = cube_povms(2)[1]
-        obj = povm_to_json(povm)
-        assert obj["label"] == "cube:y"
-        loaded = povm_from_json(obj)
-        assert loaded.label == povm.label
-        assert np.allclose(loaded.elements, povm.elements)
-
-    def test_malformed_rejected(self):
-        from qest.states import povm_from_json
-
-        with pytest.raises(ValueError):
-            povm_from_json({"elements": []})
 
 
 class TestRecordsCsv:
