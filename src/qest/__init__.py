@@ -10,7 +10,6 @@ from .adaptive import (
     AdaptiveSchedule,
     RecursiveState,
     continuum_qubit_basis,
-    rls_init_from_batch,
     rls_update,
     run_adaptive_protocol,
     select_next_povm,

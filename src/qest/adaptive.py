@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularDesignError
 from .linalg import gell_mann_basis
 from .states import (
     Povm,
@@ -66,19 +65,6 @@ class AdaptiveSchedule:
                 f"schedule must satisfy N = N1 + K*N2 exactly; got "
                 f"{self.total} != {self.stage1} + {self.steps}*{self.per_step}"
             )
-
-
-def rls_init_from_batch(problem: RegressionProblem, theta: np.ndarray) -> RecursiveState:
-    """Seed the recursion with Q0 = (sum_k W_k Gamma_k Gamma_k^T)^-1 and the batch theta."""
-    info = (problem.x * problem.w[:, None]).T @ problem.x
-    s = np.linalg.svd(info, compute_uv=False)
-    n_par = info.shape[0]
-    rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
-    if rank < n_par:
-        raise SingularDesignError(n_par - rank)
-    q = np.linalg.inv(info)
-    q = (q + q.T) / 2
-    return RecursiveState(q=q, theta=np.asarray(theta, float))
 
 
 def rls_update(state: RecursiveState, problem: RegressionProblem) -> RecursiveState:
@@ -174,10 +160,11 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     """Two-stage adaptive tomography of ``truth``.
 
     Stage 1 spends ``schedule.stage1`` copies on the cube bases and solves the
-    batch problem; stage 2 runs ``schedule.steps`` rounds in which the next
-    basis is chosen by trace gain (``candidates`` is a POVM list, or the
-    string ``"continuum"`` for the analytic qubit optimum), ``per_step``
-    copies are measured and folded in recursively.  Inverse-variance weights
+    batch problem, whose theta and Q0 = (X^T W X)^-1 seed the recursion;
+    stage 2 runs ``schedule.steps`` rounds in which the next basis is chosen
+    by trace gain (``candidates`` is a POVM list, or the string
+    ``"continuum"`` for the analytic qubit optimum), ``per_step`` copies are
+    measured and folded in recursively.  Inverse-variance weights
     are the default because the covariance reading of Q assumes them.
 
     Returns the projected final state and a per-step diagnostics list with
@@ -196,7 +183,8 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
         raise ValueError("candidate set must be non-empty")
 
     problem = build_regression(cube_records(truth, schedule.stage1, rng), d, weighting)
-    state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
+    theta, _, q = solve_weighted_ls(problem)
+    state = RecursiveState(q=q, theta=theta)
 
     def snapshot(step):
         rho_step = project_physical(rho_from_theta(state.theta, basis))

@@ -126,6 +126,14 @@ _SLC_KEYS = {
 _PHASE_LIMIT = 1e15
 
 
+def _number(value, kind, name):
+    """kind(value); a JSON null, list or object in place of a number is a config error."""
+    try:
+        return kind(value)
+    except TypeError as exc:
+        raise ConfigError(f"{name} must be a number, not {json.dumps(value)}") from exc
+
+
 def _state_from_config(cfg, key, d, default):
     if key not in cfg:
         return default
@@ -143,25 +151,32 @@ def _state_from_config(cfg, key, d, default):
 
 def _cmd_slc(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        raise ConfigError("the config must be a JSON object")
     unknown = set(cfg) - _SLC_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     missing = {"dim", "H0", "Hm", "T", "L", "samples"} - set(cfg)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    d = int(cfg["dim"])
+    if not isinstance(cfg["Hm"], list):
+        raise ConfigError("Hm must be a list of matrices")
+    d = _number(cfg["dim"], int, "dim")
     system = UncertainSystem(
         matrix_from_json(cfg["H0"]),
         tuple(matrix_from_json(m) for m in cfg["Hm"]),
-        float(cfg.get("omega_halfwidth", 0.0)),
-        float(cfg.get("theta_halfwidth", 0.0)),
+        _number(cfg.get("omega_halfwidth", 0.0), float, "omega_halfwidth"),
+        _number(cfg.get("theta_halfwidth", 0.0), float, "theta_halfwidth"),
     )
+    if d != system.dim:
+        raise ConfigError(f"dim {d} does not match the {system.dim} rows of H0")
     psi0 = _state_from_config(cfg, "psi0", d, np.eye(d, dtype=complex)[0])
     psi_target = _state_from_config(cfg, "psi_target", d, np.eye(d, dtype=complex)[d - 1])
     samples = _samples_from_config(cfg["samples"], system)
-    intervals = int(cfg["L"])
+    intervals = _number(cfg["L"], int, "L")
     rng = harness.trial_rng(args.seed, 0)
-    field0 = ControlField(float(cfg["T"]), rng.uniform(-0.5, 0.5, size=(intervals, len(system.controls))))
+    field0 = ControlField(_number(cfg["T"], float, "T"),
+                          rng.uniform(-0.5, 0.5, size=(intervals, len(system.controls))))
     # omega and theta stay below 2 and the initial amplitudes below 1, so this bounds the
     # eigenvalues of every interval generator in Frobenius norm
     scale = 2.0 * float(np.linalg.norm(system.h0) + sum(np.linalg.norm(c) for c in system.controls))
@@ -170,9 +185,9 @@ def _cmd_slc(args) -> int:
                           f"exceeds {_PHASE_LIMIT:.0e} rad per interval")
     field, log = slc_train(
         system, samples, field0, psi0, psi_target,
-        step_size=float(cfg.get("step", 10.0)),
-        iterations=int(cfg.get("iterations", 200)),
-        tolerance=float(cfg.get("tolerance", 1e-9)),
+        step_size=_number(cfg.get("step", 10.0), float, "step"),
+        iterations=_number(cfg.get("iterations", 200), int, "iterations"),
+        tolerance=_number(cfg.get("tolerance", 1e-9), float, "tolerance"),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,16 +212,17 @@ def _cmd_slc(args) -> int:
 
 
 def _samples_from_config(scheme, system):
+    form = 'samples must be {"grid": [n_omega, n_theta]} or {"random": [N, seed]}'
     if not isinstance(scheme, dict) or len(scheme) != 1:
-        raise ConfigError('samples must be {"grid": [n_omega, n_theta]} or {"random": [N, seed]}')
-    if "grid" in scheme:
-        n_om, n_th = (int(v) for v in scheme["grid"])
-        return grid_samples(system.omega_halfwidth, system.theta_halfwidth, n_om, n_th)
-    if "random" in scheme:
-        n, seed = (int(v) for v in scheme["random"])
-        return random_samples(system.omega_halfwidth, system.theta_halfwidth, n,
-                              harness.trial_rng(seed, 99))
-    raise ConfigError(f"unknown sample scheme {sorted(scheme)}")
+        raise ConfigError(form)
+    (kind, values), = scheme.items()
+    if kind not in ("grid", "random") or not isinstance(values, list) or len(values) != 2:
+        raise ConfigError(form)
+    a, b = (_number(v, int, f"{kind} entries") for v in values)
+    if kind == "grid":
+        return grid_samples(system.omega_halfwidth, system.theta_halfwidth, a, b)
+    return random_samples(system.omega_halfwidth, system.theta_halfwidth, a,
+                          harness.trial_rng(b, 99))
 
 
 def _cmd_smc_demo(args) -> int:

@@ -14,7 +14,6 @@ index map, for checks only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,16 +139,11 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
         problem = build_regression(cube_records(apply_channel(kraus, probe), shots, rng), d)
         columns.append(problem.y)
     # the copy split, hence x and the shot weights, is the same for every probe
-    theta, _ = solve_weighted_ls(RegressionProblem(np.stack(columns, axis=1), problem.x, problem.w))
+    theta, _, _ = solve_weighted_ls(RegressionProblem(np.stack(columns, axis=1), problem.x, problem.w))
     basis = gell_mann_basis(d)
     lam_probe = np.stack([project_physical(rho_from_theta(t, basis)).ravel()
                           for t in np.ascontiguousarray(theta.T)])
     return np.linalg.solve(bases.probe_coeffs, lam_probe)
-
-
-def _phase_normalized(g: np.ndarray) -> np.ndarray:
-    det = np.linalg.det(g)
-    return g * np.exp(-1j * np.angle(det) / g.shape[0])
 
 
 def identify_hamiltonian(lam: np.ndarray, t: float):
@@ -160,12 +154,13 @@ def identify_hamiltonian(lam: np.ndarray, t: float):
     factor S; project S to the nearest unitary G; return the traceless H with
     exp(-i H t) = G^T up to a global phase.
 
-    The global phase of G is unobservable, so the log is taken over all d
-    determinant-compatible phase rotations and the candidate with the smallest
-    spectral norm is returned.  This recovers the generator exactly whenever
-    the true H is the minimal-norm traceless generator of its own propagator
-    (guaranteed for ||H||_2 t < pi/2; larger generators can alias onto a
-    smaller-norm branch and are then unrecoverable from channel data alone).
+    The global phase of G is unobservable: of its d determinant-compatible
+    phase rotations, the one whose log has the smallest spectral norm, read
+    off one ``eigvals``, goes to one matrix log.  This recovers the generator
+    exactly whenever the true H is the minimal-norm traceless generator of
+    its own propagator (guaranteed for ||H||_2 t < pi/2; larger generators
+    can alias onto a smaller-norm branch and are then unrecoverable from
+    channel data alone).
     """
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
@@ -181,22 +176,20 @@ def identify_hamiltonian(lam: np.ndarray, t: float):
         )
     s_hat = vec_inv(np.sqrt(lam1) * v[:, -1], d, d)
     g_hat = nearest_unitary(s_hat)
-    base = _phase_normalized(g_hat.T)
-    best = None
-    for r in range(d):
-        candidate = base * np.exp(2j * np.pi * r / d)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            h_r = unitary_log(candidate, t)
-        norm = float(np.linalg.norm(h_r, 2))
+    base = g_hat.T * np.exp(-1j * np.angle(np.linalg.det(g_hat.T)) / d)
+    # base * e^{2 pi i r/d} has base's eigenphases shifted by 2 pi r/d: one eigvals
+    # gives every candidate's log norm and whether it is within 1e-6 of the cut
+    phases = np.angle(np.exp(2j * np.pi * np.arange(d) / d)[:, None] * np.linalg.eigvals(base))
+    norms = np.abs(phases - phases.mean(axis=1, keepdims=True)).max(axis=1) / t
+    on_cut = np.pi - np.abs(phases).max(axis=1) <= 1e-6
+    best = 0
+    for r in range(1, d):
         # equal-norm branches are the same generator up to phase bookkeeping;
         # prefer the one that stayed clear of the cut
-        if (best is None or norm < best[0] - 1e-9
-                or (abs(norm - best[0]) <= 1e-9 and best[2] and not caught)):
-            best = (norm, h_r, list(caught))
-    _, h_hat, caught = best
-    for item in caught:
-        warnings.warn(str(item.message), item.category, stacklevel=2)
+        if (norms[r] < norms[best] - 1e-9
+                or (abs(norms[r] - norms[best]) <= 1e-9 and on_cut[best] and not on_cut[r])):
+            best = r
+    h_hat = unitary_log(base * np.exp(2j * np.pi * best / d), t)
     diagnostics = {
         "rank1_dominance": lam1 / float(np.sum(np.abs(w))),
         "unitary_fit_distance": float(np.linalg.norm(g_hat - s_hat)),

@@ -59,26 +59,28 @@ def build_regression(records: Records, d: int, weighting: str = "shots") -> Regr
 
 
 def solve_weighted_ls(problem: RegressionProblem):
-    """Weighted least-squares solution and the condition number of sqrt(W) X.
+    """Weighted least squares from one thin SVD of sqrt(W) X: (theta, cond, q).
 
-    theta is (p,) for a single response column and (p, k) for k columns,
-    all solved against the one shared design.  Raises
-    :class:`SingularDesignError` when the design is rank deficient or
-    conditioned worse than 1e12, naming the null-space dimension.
+    theta is (p,) for one response column or (p, k) for k columns sharing the
+    design; cond is the condition number of sqrt(W) X; q = (X^T W X)^-1 is
+    the Q0 that seeds recursive updates.  Raises :class:`SingularDesignError`
+    when the design is rank deficient or conditioned worse than 1e12, naming
+    the null-space dimension.
     """
     sw = np.sqrt(problem.w)
     a = problem.x * sw[:, None]
     b = (problem.y.T * sw).T
     n_par = problem.x.shape[1]
-    s = np.linalg.svd(a, compute_uv=False)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
     if rank < n_par:
         raise SingularDesignError(n_par - rank)
     cond = float(s[0] / s[-1])
     if cond > _COND_LIMIT:
         raise SingularDesignError(0, f"design condition number {cond:.2e} exceeds {_COND_LIMIT:.0e}")
-    theta, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return theta, cond
+    theta = vt.T @ ((u.T @ b).T / s).T
+    q = (vt.T / s**2) @ vt
+    return theta, cond, (q + q.T) / 2
 
 
 def project_physical(rho_tilde: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -117,7 +119,7 @@ def tomography_pipeline(records: Records, d: int, weighting: str = "shots"):
     number, and whether the physical projection changed the estimate.
     """
     problem = build_regression(records, d, weighting)
-    theta, cond = solve_weighted_ls(problem)
+    theta, cond, _ = solve_weighted_ls(problem)
     rho_tilde = rho_from_theta(theta, gell_mann_basis(d))
     rho = project_physical(rho_tilde)
     distance = float(np.linalg.norm(rho - rho_tilde))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from qest.adaptive import AdaptiveSchedule, rls_init_from_batch, rls_update
+from qest.adaptive import AdaptiveSchedule, RecursiveState, rls_update
 from qest.control import (
     ControlField,
     SampleSet,
@@ -82,10 +82,11 @@ def test_criterion_01_recursive_equals_batch():
             records = mixed_povm_dataset(d, rng, n_basis_extra=6)
 
             problem = build_regression(records[:init_rows], d, weighting)
-            state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
+            theta, _, q = solve_weighted_ls(problem)
+            state = RecursiveState(q=q, theta=theta)
             state = rls_update(state, build_regression(records[init_rows:], d, weighting))
 
-            theta_batch, _ = solve_weighted_ls(build_regression(records, d, weighting))
+            theta_batch, _, _ = solve_weighted_ls(build_regression(records, d, weighting))
             rel = np.linalg.norm(state.theta - theta_batch) / np.linalg.norm(theta_batch)
             worst = max(worst, rel)
             assert rel <= 1e-10

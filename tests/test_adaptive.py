@@ -6,7 +6,6 @@ from qest.adaptive import (
     AdaptiveSchedule,
     RecursiveState,
     continuum_qubit_basis,
-    rls_init_from_batch,
     rls_update,
     run_adaptive_protocol,
     select_next_povm,
@@ -51,9 +50,14 @@ def rows(problem, index):
     return RegressionProblem(y=problem.y[index], x=problem.x[index], w=problem.w[index])
 
 
+def batch_state(problem):
+    """Recursion seed from the batch solve: its theta and Q0 = (X^T W X)^-1."""
+    theta, _, q = solve_weighted_ls(problem)
+    return RecursiveState(q=q, theta=theta)
+
+
 def recursive_solve(problem, init_count):
-    head = rows(problem, slice(None, init_count))
-    state = rls_init_from_batch(head, solve_weighted_ls(head)[0])
+    state = batch_state(rows(problem, slice(None, init_count)))
     return rls_update(state, rows(problem, slice(init_count, None)))
 
 
@@ -79,8 +83,7 @@ class TestRlsInit:
         rho = np.eye(2) / 2
         records = Records.concat(expected_records(rho, povm, 100) for povm in cube_povms(2))
         problem = build_regression(records, 2)
-        theta, _ = solve_weighted_ls(problem)
-        state = rls_init_from_batch(problem, theta)
+        state = batch_state(problem)
         # direct 3x3 inversion oracle
         info = sum(w * np.outer(g, g) for w, g in zip(problem.w, problem.x))
         assert np.allclose(state.q, np.linalg.inv(info), atol=1e-12)
@@ -91,7 +94,7 @@ class TestRlsInit:
         # recursion started from c*I converges to the batch Q0 as c grows
         rng = np.random.default_rng(1)
         problem = qubit_dataset(rng, n_extra=6)
-        state_batch = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
+        state_batch = batch_state(problem)
         c = 1e8
         ridge = rls_update(RecursiveState(q=c * np.eye(3), theta=np.zeros(3)), problem)
         assert np.abs(ridge.q - state_batch.q).max() <= 1e-6
@@ -101,7 +104,21 @@ class TestRlsInit:
         records = simulate_measurements(np.eye(2) / 2, cube_povms(2)[0], 50, rng)[:1]
         problem = build_regression(records, 2)
         with pytest.raises(SingularDesignError):
-            rls_init_from_batch(problem, np.zeros(3))
+            solve_weighted_ls(problem)
+
+    def test_cond_1e8_design_gives_the_analytic_q0(self):
+        # cube rows weighted 1, 1e8 and 1e16 per Bloch axis: cond(sqrt(W) X) = 1e8,
+        # while X^T W X has condition number 1e16, past what inverting it can resolve
+        rho = np.eye(2) / 2
+        records = Records.concat(expected_records(rho, povm, 100) for povm in cube_povms(2))
+        x = build_regression(records, 2).x
+        w = np.array([1.0, 1e8, 1e16])[np.argmax(np.abs(x), axis=1)]
+        theta, cond, q = solve_weighted_ls(RegressionProblem(y=np.zeros(len(x)), x=x, w=w))
+        assert cond == pytest.approx(1e8, rel=1e-12)
+        expected = 1.0 / (w @ x**2)
+        assert np.abs(np.diag(q) / expected - 1.0).max() <= 1e-12
+        off_diag = q - np.diag(np.diag(q))
+        assert np.abs(off_diag).max() <= 1e-12 * expected.min()
 
 
 class TestRlsUpdate:
@@ -110,7 +127,7 @@ class TestRlsUpdate:
         rng = np.random.default_rng(3)
         full = qubit_dataset(rng, weighting=weighting)
         state = recursive_solve(full, init_count=6)
-        theta_batch, _ = solve_weighted_ls(full)
+        theta_batch, _, _ = solve_weighted_ls(full)
         rel = np.linalg.norm(state.theta - theta_batch) / np.linalg.norm(theta_batch)
         assert rel <= 1e-10
 
@@ -191,7 +208,7 @@ class TestSelectNextPovm:
             simulate_measurements(rho, y_basis, 10, rng),
         ])
         problem = build_regression(records, 2)
-        state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
+        state = batch_state(problem)
         assert select_next_povm(state, [x_basis, z_basis], 100).label == "cube:x"
 
     def test_unique_argmax_is_permutation_invariant(self):
@@ -289,7 +306,7 @@ class TestContinuumBasis:
             rng = np.random.default_rng([15, t])
             truth = pure_to_density(random_pure_state(2, rng))
             problem = build_regression(cube_records(truth, 2000, rng), 2, weighting)
-            state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
+            state = batch_state(problem)
             for _ in range(4):
                 povm = continuum_qubit_basis(state, 1000, weighting)
                 assert povm.label == reference_label(state, 1000)
@@ -304,7 +321,7 @@ class TestContinuumBasis:
         records = Records.concat(simulate_measurements(truth, povm, 2000, rng)
                                  for povm in cube_povms(2))
         problem = build_regression(records, 2, "invvar")
-        state = rls_init_from_batch(problem, solve_weighted_ls(problem)[0])
+        state = batch_state(problem)
         labels = set()
         for _ in range(4):
             povm = continuum_qubit_basis(state, 1000, "invvar")

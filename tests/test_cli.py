@@ -221,6 +221,8 @@ def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
 
 
 _ZERO_STATE = [[0.0, 0.0], [0.0, 0.0]]
+_NUMBER_KEYS = ("T", "L", "dim", "step", "iterations", "tolerance", "omega_halfwidth",
+                "theta_halfwidth")
 
 
 @pytest.mark.parametrize("overrides", [
@@ -231,12 +233,21 @@ _ZERO_STATE = [[0.0, 0.0], [0.0, 0.0]]
     {"samples": {"grid": [float("inf"), 2]}}, {"psi0": [["a", 0.0], [1.0, 0.0]]},
     {"H0": {"rows": 2, "cols": 2, "data": [["a", 0.0], [0, 0], [0, 0], [-1, 0]]}},
     {"T": 1e308, "L": 1},
+    *({key: value} for key in _NUMBER_KEYS for value in (None, [1])),
+    {"samples": {"grid": [None, 2]}}, {"samples": {"grid": [[2], 2]}}, {"samples": {"grid": None}},
+    {"test": {"random": [20, None]}}, {"test": {"random": [[20], 7]}},
+    {"dim": 0}, {"Hm": None}, 5, None,
 ], ids=["T-inf", "T-nan", "psi0-zero", "target-zero", "psi0-nan", "target-inf", "step-0",
         "step-nan", "step-inf", "iterations-neg", "tolerance-nan", "iterations-inf", "L-inf",
-        "grid-inf", "psi0-string", "H0-string", "T-huge"])
+        "grid-inf", "psi0-string", "H0-string", "T-huge",
+        *(f"{key}-{kind}" for key in _NUMBER_KEYS for kind in ("null", "list")),
+        "grid-entry-null", "grid-entry-list", "grid-null", "random-entry-null",
+        "random-entry-list", "dim-0", "Hm-null", "config-number", "config-null"])
 def test_out_of_range_slc_config_is_one_config_error(overrides, tmp_path, capsys):
+    # a dict overrides keys of the valid config; anything else replaces the whole file
+    cfg = TestSlcCommand().config(**overrides) if isinstance(overrides, dict) else overrides
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(TestSlcCommand().config(**overrides)))
+    cfg_path.write_text(json.dumps(cfg))
     assert_one_config_error(["slc", "--config", str(cfg_path), "--out", str(tmp_path / "o")], capsys)
 
 

@@ -72,18 +72,18 @@ def run_command(name, args, target) -> list:
 
 GOLDEN = {
     "records.csv": "9bb7aa22d73745c66824c46e7a21dc58acf9ec23d4521bbcd134dffb16a165b1",
-    "tomo/tomo.json": "a1e99ab13dfdc2078643533d4d3d2ae26326237eba5825e39a5434c99d2ae61b",
-    "sweep/mse_sweep.csv": "4ea8bbf95ddfa9c81fcc7c40d0957e5d12a8f64a3bb5d4f74eed0f9c2dc4906a",
-    "sweep/mse_sweep.manifest.json": "a6142d3f2d422e851f435a22435c3bdfe1c1b8ffebb77b8fe2b5ff0f0ef5d9ae",
-    "adapt/adapt.csv": "488b8ffd2c377865767dcb31c2f9f0d1626b7395b83876e171b0082e180039de",
-    "hamid/hamid.json": "c9c3144f8e973890210f1357907cf0685e3b708f76b2f5a0187ebb3ca59fdd26",
+    "tomo/tomo.json": "53c6dfeebdbf4ebc0cc1e2613677568db98fc0b21146ae1496d11033c3c24b5d",
+    "sweep/mse_sweep.csv": "3825a6b0767101c30b70bb19c6993a928ce5b526800d55fcd8ec53aa3236f3ba",
+    "sweep/mse_sweep.manifest.json": "009147c01eab58c65f59957a3c57182b48aea25156d912c1473e3a8819ea7905",
+    "adapt/adapt.csv": "6cfa9d70351122a7d6741014a6dae985f74c7f904d5ba810e116f03040201f7a",
+    "hamid/hamid.json": "916f56b4b278e6e517703e18f45c6a1184b2dc64248fba51eccfb85ec751d793",
     "smc/smc.csv": "585f9bf55181e7b5ab262c4c4f2b7aaeecdd9b5c25d1ac58d3c029186ec2f033",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
     "slc/pulse.json": "10b6dc25e9b232726adbf482ebf3109cdcad28ea4dc9e9c628cfcaa5ce4698e8",
     "slc/test.csv": "88f634c8fe14eeada5096e6757ab6f13687221d440317f1d1a8ebdc2c0099ec1",
     "slc/training_log.csv": "00a1a323e237f1361a5534c5bf53d141d758ef13ac6186628b1a894c34a3dd4d",
-    "compare/compare_tomography.csv": "e969640d8cb6ab8c197e1f90a82d24c245d3070222e20d7aff18bfab278df35a",
-    "compare/compare_tomography.manifest.json": "e194ac36f32c705de46bfdbc58b9463310dc7fdda3135d594e8e56d7c7e43ed4",
+    "compare/compare_tomography.csv": "8332007d4b97c69c2769f20598f93ee59a66049887051c7959a7075ceb94de80",
+    "compare/compare_tomography.manifest.json": "e9f9ea336d0cd2a23f3c2bbbb64855b84314bf14a3a45e53e3e7117d823ed5f6",
 }
 
 

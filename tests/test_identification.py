@@ -1,8 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from qest import identification
 from qest.errors import ContractViolationError, SingularDesignError
 from qest.identification import (
     apply_channel,
@@ -17,7 +19,12 @@ from qest.linalg import herm_expm, vec, vec_inv
 from qest.states import cube_records, pure_to_density
 from qest.tomography import tomography_pipeline
 from tests.complexity import complexity_probe
-from tests.oracles import check_density_matrix, is_trace_preserving, schur_eigenphases
+from tests.oracles import (
+    check_density_matrix,
+    identify_by_rotations,
+    is_trace_preserving,
+    schur_eigenphases,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -289,6 +296,67 @@ class TestIdentifyHamiltonian:
                 errs.append(np.linalg.norm(h_hat - h))
             medians.append(np.median(errs))
         assert medians[2] < medians[1] < medians[0]
+
+
+@pytest.fixture
+def log_calls(monkeypatch):
+    """Record every input of the unitary_log that identify_hamiltonian calls."""
+    calls = []
+    real = identification.unitary_log
+
+    def counted(u, t):
+        calls.append(u)
+        return real(u, t)
+
+    monkeypatch.setattr(identification, "unitary_log", counted)
+    return calls
+
+
+def identify_with_warnings(lam, t):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        h_hat, _ = identify_hamiltonian(lam, t)
+    return h_hat, [(w.category, str(w.message)) for w in caught]
+
+
+class TestIdentifyMatchesPerRotationLoop:
+    @pytest.mark.parametrize("d, mode", [
+        (2, "noiseless"), (2, "sampled"), (3, "noiseless"), (4, "noiseless"), (4, "sampled"),
+        (5, "noiseless"), (6, "noiseless"), (7, "noiseless"), (8, "noiseless"), (8, "sampled"),
+    ])
+    def test_random_channels_bit_for_bit(self, d, mode, log_calls):
+        # norms up to 3 pi / t make most channels alias, so every rotation gets chosen
+        rng = np.random.default_rng([60, d])
+        for i in range(8):
+            t = rng.uniform(0.2, 2.0)
+            h = random_traceless_hermitian(d, rng, rng.uniform(0.05, 3.0) * np.pi / t)
+            lam = estimate_lambda([herm_expm(h, t)], d, mode=mode,
+                                  shots_per_output=300 if mode == "sampled" else None, seed=i)
+            h_ref, caught_ref, _ = identify_by_rotations(lam, t)
+            log_calls.clear()
+            h_hat, caught = identify_with_warnings(lam, t)
+            assert np.array_equal(h_hat, h_ref)
+            assert caught == [(w.category, str(w.message)) for w in caught_ref]
+            assert len(log_calls) == 1
+
+    def test_tie_with_a_candidate_on_the_cut(self, log_calls):
+        # U has eigenphases pi - delta (twice) and delta (twice): its four phase
+        # rotations have log norms pi/2 -+ delta, tied within 1e-9, and the first
+        # candidate has eigenphases within 1e-6 of the cut; the tie rule passes
+        # over it to a candidate clear of the cut, so no warning is raised
+        delta = 1e-10
+        u = np.diag(np.exp(1j * np.array([np.pi - delta, np.pi - delta, delta, delta])))
+        lam = estimate_lambda([u], 4)
+        h_ref, caught_ref, candidates = identify_by_rotations(lam, 1.0)
+        norms = [norm for norm, _ in candidates]
+        assert max(norms) - min(norms) <= 1e-9
+        assert candidates[0][1] and not all(warned for _, warned in candidates)
+        h_hat, caught = identify_with_warnings(lam, 1.0)
+        assert np.array_equal(h_hat, h_ref)
+        assert caught == caught_ref == []
+        assert len(log_calls) == 1
+        phases = np.angle(np.linalg.eigvals(log_calls[0]))
+        assert np.pi - np.abs(phases).max() > 1e-6
 
 
 class TestComplexityProbe:

@@ -114,7 +114,7 @@ class TestSolveWeightedLs:
         basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
         problem = build_regression(exact_records(rho, cube_povms(2), 1000), 2)
-        theta, _ = solve_weighted_ls(problem)
+        theta, _, _ = solve_weighted_ls(problem)
         assert np.abs(theta - theta_from_rho(rho, basis)).max() <= 1e-10
 
     def test_row_duplication_invariance(self):
@@ -134,8 +134,9 @@ class TestSolveWeightedLs:
             w = rng.uniform(0.5, 3.0, size=m)
             problem = RegressionProblem(y=y, x=x, w=w)
             oracle = np.linalg.inv(x.T @ np.diag(w) @ x) @ x.T @ np.diag(w) @ y
-            theta, cond = solve_weighted_ls(problem)
+            theta, cond, q = solve_weighted_ls(problem)
             assert np.abs(theta - oracle).max() <= 1e-9
+            assert np.abs(q - np.linalg.inv(x.T @ np.diag(w) @ x)).max() <= 1e-9
             assert cond == pytest.approx(np.linalg.cond(x * np.sqrt(w)[:, None]), rel=1e-12)
 
     def test_singular_design_reports_null_dimension(self):
@@ -155,12 +156,13 @@ class TestSolveWeightedLs:
         x = problems[0].x
         w = record_weight(np.full(len(x), 300), rng.uniform(0.01, 0.99, len(x)), weighting)
         y = np.stack([p.y for p in problems], axis=1) + rng.normal(scale=1e-2, size=(len(x), 5))
-        theta, cond = solve_weighted_ls(RegressionProblem(y, x, w))
+        theta, cond, q = solve_weighted_ls(RegressionProblem(y, x, w))
         assert theta.shape == (15, 5)
         for k in range(5):
-            theta_k, cond_k = solve_weighted_ls(RegressionProblem(y[:, k], x, w))
+            theta_k, cond_k, q_k = solve_weighted_ls(RegressionProblem(y[:, k], x, w))
             assert np.abs(theta[:, k] - theta_k).max() <= 1e-12
             assert cond == cond_k
+            assert np.array_equal(q, q_k)
 
     def test_stacked_singular_design_raises_the_same_error(self):
         rng = np.random.default_rng(5)
