@@ -127,11 +127,12 @@ _PHASE_LIMIT = 1e15
 
 
 def _number(value, kind, name):
-    """kind(value); a JSON null, list or object in place of a number is a config error."""
-    try:
-        return kind(value)
-    except TypeError as exc:
-        raise ConfigError(f"{name} must be a number, not {json.dumps(value)}") from exc
+    """kind(value) for a JSON number; any other value, or a fraction for an int, is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, not {json.dumps(value)}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, not {json.dumps(value)}")
+    return kind(value)
 
 
 def _state_from_config(cfg, key, d, default):

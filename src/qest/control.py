@@ -32,7 +32,10 @@ class UncertainSystem:
         object.__setattr__(self, "controls", tuple(np.asarray(c, complex) for c in self.controls))
         if not is_hermitian(self.h0, 1e-10):
             raise ContractViolationError("drift Hamiltonian must be Hermitian")
-        for c in self.controls:
+        for m, c in enumerate(self.controls):
+            if c.shape != np.shape(self.h0):
+                raise ValueError(f"control {m} has shape {c.shape}, but H0 has shape "
+                                 f"{np.shape(self.h0)}")
             if not is_hermitian(c, 1e-10):
                 raise ContractViolationError("control Hamiltonians must be Hermitian")
         if not (0 <= self.omega_halfwidth < 1 and 0 <= self.theta_halfwidth < 1):
@@ -132,18 +135,37 @@ class _Evaluation:
         return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
+def _fingerprint(*arrays) -> tuple:
+    """The dtype, shape and bytes of each array: equal fingerprints mean equal inputs."""
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays))
+
+
+# The last evaluation, as one (fingerprint, _Evaluation) pair: slc_train's gradient
+# evaluates the pulse its line search has just accepted.  One assignment replaces both
+# halves, so a concurrent caller never sees a key paired with another evaluation.
+_last_evaluation = None
+
+
 def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
     """Propagate psi0 under the pulse for every (omega, theta) row of pairs at once.
 
     The generators omega*H0 + theta*sum_m u_km H_m of all samples and
     intervals form one (N, K, d, d) stack, exponentiated by one batched
     eigendecomposition; the states then advance one interval at a time for all
-    samples together.
+    samples together.  A call on the same input values as the previous one
+    returns its (read-only) evaluation.
     """
+    global _last_evaluation
     pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
     psi = np.asarray(psi0, dtype=complex).ravel()
+    target = np.array(psi_target, complex).ravel()
     if psi.size != system.dim or field.channels != len(system.controls):
         raise ValueError("initial state or pulse channels do not match the system")
+    key = _fingerprint(system.h0, pairs, field.horizon, field.amplitudes, psi, target,
+                       *system.controls)
+    memo = _last_evaluation
+    if memo is not None and memo[0] == key:
+        return memo[1]
     # the zero start keeps one generator per interval for a system without controls
     drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
                 np.zeros((field.intervals, 1, 1)))
@@ -153,8 +175,11 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
     fwd[:, 0] = psi
     for k in range(field.intervals):
         fwd[:, k + 1] = (props[:, k] @ fwd[:, k, :, None])[..., 0]
-    target = np.asarray(psi_target, complex).ravel()
-    return _Evaluation(props, eigvals, eigvecs, fwd, target, np.vecdot(target, fwd[:, -1]))
+    ev = _Evaluation(props, eigvals, eigvecs, fwd, target, np.vecdot(target, fwd[:, -1]))
+    for a in (props, eigvals, eigvecs, fwd, target, ev.overlap):
+        a.flags.writeable = False
+    _last_evaluation = (key, ev)
+    return ev
 
 
 def augmented_j(system, samples: SampleSet, field, psi0, psi_target) -> float:
@@ -175,8 +200,9 @@ def gradient_j(system, samples: SampleSet, field, psi0, psi_target) -> np.ndarra
     ev = _evaluate(system, samples.pairs, field, psi0, psi_target)
     bwd = np.empty_like(ev.fwd)  # bwd[:, k]: the target carried back to the end of interval k - 1
     bwd[:, -1] = ev.target
+    props_h = np.swapaxes(ev.props.conj(), -1, -2)
     for k in range(field.intervals, 0, -1):
-        bwd[:, k - 1] = (np.swapaxes(ev.props[:, k - 1].conj(), -1, -2) @ bwd[:, k, :, None])[..., 0]
+        bwd[:, k - 1] = (props_h[:, k - 1] @ bwd[:, k, :, None])[..., 0]
     # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b) with x = dt (l_a - l_b), in sinc form
     dt, w, v = field.dt, ev.eigvals, ev.eigvecs
     x = dt * (w[..., :, None] - w[..., None, :])

@@ -233,16 +233,21 @@ _NUMBER_KEYS = ("T", "L", "dim", "step", "iterations", "tolerance", "omega_halfw
     {"samples": {"grid": [float("inf"), 2]}}, {"psi0": [["a", 0.0], [1.0, 0.0]]},
     {"H0": {"rows": 2, "cols": 2, "data": [["a", 0.0], [0, 0], [0, 0], [-1, 0]]}},
     {"T": 1e308, "L": 1},
-    *({key: value} for key in _NUMBER_KEYS for value in (None, [1])),
+    *({key: value} for key in _NUMBER_KEYS for value in (None, [1], True, "2")),
     {"samples": {"grid": [None, 2]}}, {"samples": {"grid": [[2], 2]}}, {"samples": {"grid": None}},
     {"test": {"random": [20, None]}}, {"test": {"random": [[20], 7]}},
     {"dim": 0}, {"Hm": None}, 5, None,
+    {"Hm": [matrix_to_json(np.eye(1))]}, {"Hm": [matrix_to_json(np.eye(3))]},
+    {"dim": 2.5}, {"L": 20.7}, {"iterations": 1.7}, {"samples": {"grid": [2.5, 2]}},
+    {"test": {"random": [20, 7.5]}},
 ], ids=["T-inf", "T-nan", "psi0-zero", "target-zero", "psi0-nan", "target-inf", "step-0",
         "step-nan", "step-inf", "iterations-neg", "tolerance-nan", "iterations-inf", "L-inf",
         "grid-inf", "psi0-string", "H0-string", "T-huge",
-        *(f"{key}-{kind}" for key in _NUMBER_KEYS for kind in ("null", "list")),
+        *(f"{key}-{kind}" for key in _NUMBER_KEYS for kind in ("null", "list", "bool", "str")),
         "grid-entry-null", "grid-entry-list", "grid-null", "random-entry-null",
-        "random-entry-list", "dim-0", "Hm-null", "config-number", "config-null"])
+        "random-entry-list", "dim-0", "Hm-null", "config-number", "config-null",
+        "Hm-1x1", "Hm-3x3", "dim-fraction", "L-fraction", "iterations-fraction",
+        "grid-entry-fraction", "random-entry-fraction"])
 def test_out_of_range_slc_config_is_one_config_error(overrides, tmp_path, capsys):
     # a dict overrides keys of the valid config; anything else replaces the whole file
     cfg = TestSlcCommand().config(**overrides) if isinstance(overrides, dict) else overrides

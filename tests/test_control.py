@@ -1,6 +1,12 @@
+import re
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import qest.control
 from qest.control import (
     ControlField,
     SampleSet,
@@ -47,6 +53,10 @@ class TestTypes:
             UncertainSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), ())
         with pytest.raises(ValueError):
             UncertainSystem(PAULI_Z, (PAULI_X,), omega_halfwidth=1.0)
+        for control in (np.eye(1), np.eye(3)):
+            message = f"control 1 has shape {control.shape}, but H0 has shape (2, 2)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                UncertainSystem(PAULI_Z, (PAULI_X, control))
 
     def test_field_validation(self):
         for horizon in (0.0, float("inf"), float("nan")):
@@ -255,6 +265,113 @@ class TestTraining:
         assert augmented_j(system, samples, trained, psi0, target) >= augmented_j(
             system, samples, field0, psi0, target
         )
+
+
+def memo_task():
+    """Fresh, writeable inputs of a two-sample, two-channel qubit task."""
+    system = UncertainSystem(PAULI_Z.copy(), (PAULI_X, PAULI_Y), 0.2, 0.2)
+    field = ControlField(2.0, np.linspace(-0.5, 0.5, 16).reshape(8, 2))
+    return system, SampleSet(np.array([[0.9, 1.1], [1.1, 0.9]])), field, KET0.copy(), KET1
+
+
+def mutate_amplitudes(system, samples, field, psi0):
+    field.amplitudes[3, 1] += 0.25
+
+
+def mutate_drift(system, samples, field, psi0):
+    system.h0[:] *= 1.5
+
+
+def mutate_pairs(system, samples, field, psi0):
+    samples.pairs[1, 0] = 0.95
+
+
+def mutate_psi0(system, samples, field, psi0):
+    psi0[:] = [0.6, 0.8]
+
+
+class TestEvaluationMemo:
+    @pytest.mark.parametrize("mutate", [mutate_amplitudes, mutate_drift, mutate_pairs,
+                                        mutate_psi0])
+    def test_in_place_mutation_misses(self, mutate):
+        fresh = memo_task()  # changed before its first evaluation
+        mutate(*fresh[:4])
+        expected = augmented_j(*fresh), gradient_j(*fresh)
+        task = memo_task()
+        augmented_j(*task)
+        mutate(*task[:4])
+        assert augmented_j(*task) == expected[0]
+        assert gradient_j(*task).tobytes() == expected[1].tobytes()
+
+    def test_gradient_does_not_depend_on_the_previous_evaluation(self):
+        system, samples, field, psi0, target = memo_task()
+        other = replace(field, amplitudes=field.amplitudes + 0.1)
+        augmented_j(system, samples, field, psi0, target)
+        after_same = gradient_j(system, samples, field, psi0, target)
+        augmented_j(system, samples, other, psi0, target)
+        after_other = gradient_j(system, samples, field, psi0, target)
+        assert after_same.tobytes() == after_other.tobytes()
+
+    def test_cached_evaluation_is_read_only(self):
+        system, samples, field, psi0, target = memo_task()
+        ev = qest.control._evaluate(system, samples.pairs, field, psi0, target)
+        assert qest.control._evaluate(system, samples.pairs, field, psi0, target) is ev
+        for name in ("props", "eigvals", "eigvecs", "fwd", "target", "overlap"):
+            assert not getattr(ev, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            ev.props[0, 0, 0, 0] = 0.0
+
+    def test_concurrent_callers_get_their_own_evaluation(self):
+        system, samples, field, psi0, target = memo_task()
+        fields = [replace(field, amplitudes=field.amplitudes + 0.05 * i) for i in range(4)]
+        expected = [(augmented_j(system, samples, f, psi0, target),
+                     gradient_j(system, samples, f, psi0, target).tobytes()) for f in fields]
+        wrong = []
+
+        def work(start):
+            for i in range(start, start + 200):
+                f = fields[i % 4]
+                got = (augmented_j(system, samples, f, psi0, target),
+                       gradient_j(system, samples, f, psi0, target).tobytes())
+                if got != expected[i % 4]:
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_training_decomposes_each_candidate_once(self, monkeypatch):
+        # 1 initial J plus one stack per line-search candidate; the gradient of an
+        # accepted candidate reuses the evaluation that accepted it
+        counts = {"eigh": 0, "augmented_j": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(qest.control, "herm_expm_eigh",
+                            counted("eigh", qest.control.herm_expm_eigh))
+        monkeypatch.setattr(qest.control, "augmented_j",
+                            counted("augmented_j", qest.control.augmented_j))
+        system, psi0, target = transfer_task(0.2, 0.2)
+        rng = np.random.default_rng(4)
+        field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
+        _, log = slc_train(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target,
+                           iterations=30)
+        candidates, accepted = counts["augmented_j"] - 1, len(log) - 1
+        assert accepted == 30 and candidates >= accepted
+        assert counts["eigh"] == 1 + candidates
 
 
 class TestSlcTest:
