@@ -186,16 +186,19 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     theta, _, q = solve_weighted_ls(problem)
     state = RecursiveState(q=q, theta=theta)
 
+    diagnostics = []
+
     def snapshot(step):
         rho_step = project_physical(rho_from_theta(state.theta, basis))
-        return {
+        diagnostics.append({
             "step": step,
             "copies_used": schedule.stage1 + step * schedule.per_step,
             "trace_q": float(np.trace(state.q)),
             "mse": mse(rho_step, truth),
-        }
+        })
+        return rho_step
 
-    diagnostics = [snapshot(0)]
+    rho_hat = snapshot(0)
     for k in range(1, schedule.steps + 1):
         if candidates == "continuum":
             povm = continuum_qubit_basis(state, schedule.per_step, weighting)
@@ -203,7 +206,5 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
             povm = select_next_povm(state, candidates, schedule.per_step, weighting)
         step_records = simulate_measurements(truth, povm, schedule.per_step, rng)
         state = rls_update(state, build_regression(step_records, d, weighting))
-        diagnostics.append(snapshot(k))
-
-    rho_hat = project_physical(rho_from_theta(state.theta, basis))
+        rho_hat = snapshot(k)
     return rho_hat, diagnostics

@@ -33,7 +33,7 @@ from .identification import (
     identify_hamiltonian,
     random_traceless_hermitian,
 )
-from .linalg import herm_expm, matrix_from_json, matrix_to_json
+from .linalg import complex_from_json, herm_expm, matrix_from_json, matrix_to_json
 from .states import PAULI_X, cube_povms, records_from_csv
 from .tomography import tomography_pipeline
 
@@ -139,7 +139,7 @@ def _state_from_config(cfg, key, d, default):
     if key not in cfg:
         return default
     try:
-        v = np.array([complex(re, im) for re, im in cfg[key]])
+        v = complex_from_json(cfg[key])
     except TypeError as exc:
         raise ConfigError(f"{key} must be a list of [re, im] pairs") from exc
     if v.size != d:

@@ -15,6 +15,7 @@ index map, for checks only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .linalg import (
     vec_inv,
 )
 from .states import as_rng, cube_records, rho_from_theta
-from .tomography import RegressionProblem, build_regression, project_physical, solve_weighted_ls
+from .tomography import build_regression, project_physical, solve_weighted_ls
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +46,12 @@ class ProcessBases:
     probe_coeffs: np.ndarray  # (d^2, d^2)
 
 
+@lru_cache(maxsize=None)
 def natural_state_basis(d: int) -> ProcessBases:
-    """Matrix units |a><b| and the standard probe projectors that span them."""
+    """Matrix units |a><b| and the standard probe projectors that span them.
+
+    Cached, with read-only arrays, so every caller shares one copy.
+    """
     if d < 2:
         raise ValueError("need d >= 2")
     units = np.zeros((d * d, d, d), dtype=complex)
@@ -66,8 +71,8 @@ def natural_state_basis(d: int) -> ProcessBases:
             plusi = (eye[j] + 1j * eye[k]) / np.sqrt(2)
             probes.append(np.outer(plusi, plusi.conj()))
     probes = np.stack(probes)
-    coeffs = probes.reshape(d * d, d * d)
-    return ProcessBases(dim=d, units=units, probes=probes, probe_coeffs=coeffs)
+    units.flags.writeable = probes.flags.writeable = False
+    return ProcessBases(dim=d, units=units, probes=probes, probe_coeffs=probes.reshape(d * d, d * d))
 
 
 def raw_process_matrix(lam: np.ndarray) -> np.ndarray:
@@ -101,11 +106,14 @@ def build_b_matrix(d: int) -> np.ndarray:
 
 
 def apply_channel(kraus, rho: np.ndarray) -> np.ndarray:
-    """eps(rho) = sum_i A_i rho A_i^dag (also valid on non-Hermitian inputs)."""
+    """eps(rho) = sum_i A_i rho A_i^dag for one matrix or a stack (k, d, d) of them.
+
+    Also valid on non-Hermitian inputs.
+    """
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
     for a in kraus:
-        if a.shape != rho.shape:
+        if a.shape != rho.shape[-2:]:
             raise ValueError("Kraus operator and state dimensions differ")
         out += a @ rho @ a.conj().T
     return out
@@ -116,34 +124,28 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
     """Transfer matrix Lambda with eps(unit_m) = sum_n Lambda[m, n] unit_n.
 
     ``noiseless`` applies the channel to the matrix units directly.  ``sampled``
-    pushes the physical probes through the channel, measures every output on
-    the cube bases with ``shots_per_output`` copies (probe by probe, in probe
-    order), reconstructs all outputs by one shot-weighted least-squares solve
-    over their shared design, projects each onto the physical states, and
-    converts the probe expansion back to the units through the exact linear map.
+    runs all d^2 physical probes as one stack: one channel application, one
+    :func:`cube_records` call that scores every (probe, basis, outcome) by one
+    Born-rule matrix product and draws all of them by one multinomial call (in
+    probe order, each output measured on the cube bases with
+    ``shots_per_output`` copies), one shot-weighted least-squares solve over
+    the outputs' shared design, one reconstruction and one batched physical
+    projection.  The probe expansion goes back to the units through the exact
+    linear map.
     """
     bases = natural_state_basis(d)
     d2 = d * d
     if mode == "noiseless":
-        lam = np.empty((d2, d2), dtype=complex)
-        for m in range(d2):
-            lam[m] = apply_channel(kraus, bases.units[m]).ravel()
-        return lam
+        return apply_channel(kraus, bases.units).reshape(d2, d2)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if not shots_per_output or shots_per_output < 1:
         raise ValueError("sampled mode needs shots_per_output >= 1")
-    rng, shots = as_rng(seed), int(shots_per_output)
-    columns = []
-    for probe in bases.probes:
-        problem = build_regression(cube_records(apply_channel(kraus, probe), shots, rng), d)
-        columns.append(problem.y)
-    # the copy split, hence x and the shot weights, is the same for every probe
-    theta, _, _ = solve_weighted_ls(RegressionProblem(np.stack(columns, axis=1), problem.x, problem.w))
-    basis = gell_mann_basis(d)
-    lam_probe = np.stack([project_physical(rho_from_theta(t, basis)).ravel()
-                          for t in np.ascontiguousarray(theta.T)])
-    return np.linalg.solve(bases.probe_coeffs, lam_probe)
+    outputs = apply_channel(kraus, bases.probes)
+    theta, _, _ = solve_weighted_ls(build_regression(
+        cube_records(outputs, int(shots_per_output), as_rng(seed)), d))
+    rho = project_physical(rho_from_theta(theta.T, gell_mann_basis(d)))
+    return np.linalg.solve(bases.probe_coeffs, rho.reshape(d2, d2))
 
 
 def identify_hamiltonian(lam: np.ndarray, t: float):

@@ -25,10 +25,16 @@ from .errors import BranchAmbiguityWarning, ContractViolationError
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
+    """Whether a matrix, or every matrix of a stack (..., d, d), is within tol of its adjoint.
+
+    The distance is the Frobenius norm of a - a^dag, member by member.
+    """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
-    return float(np.linalg.norm(a - a.conj().T)) <= tol
+    if a.ndim == 2:
+        return float(np.linalg.norm(a - a.conj().T)) <= tol
+    return bool((np.linalg.norm(a - a.conj().mT, axis=(-2, -1)) <= tol).all())
 
 
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
@@ -194,11 +200,28 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def complex_from_json(data) -> np.ndarray:
+    """The complex vector of a JSON list of [re, im] pairs of numbers.
+
+    Raises TypeError on any other entry, JSON ``true`` and ``false`` included.
+    """
+    if any(isinstance(x, bool) for pair in data for x in pair):
+        raise TypeError("true and false are not numbers")
+    return np.array([complex(re, im) for re, im in data])
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        flat = np.array([complex(re, im) for re, im in obj["data"]])
+        rows, cols = (_json_integer(obj[key], key) for key in ("rows", "cols"))
+        flat = complex_from_json(obj["data"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     return vec_inv(flat, rows, cols)
+
+
+def _json_integer(value, name) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return int(value)

@@ -54,14 +54,15 @@ def random_density_matrix(d: int, rng) -> np.ndarray:
 
 
 def rho_from_theta(theta: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """rho = I/d + sum_i theta_i O_i."""
+    """rho = I/d + sum_i theta_i O_i, for one theta (p,) or a stack (k, p) of them."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (basis.size,):
+    if theta.shape[-1:] != (basis.size,):
         raise ValueError(
-            f"theta has length {theta.size}, basis needs {basis.size}"
+            f"theta has shape {theta.shape}, basis needs {basis.size} coordinates"
         )
     d = basis.dim
-    return np.eye(d) / d + np.tensordot(theta, basis.elements, axes=1)
+    return np.eye(d) / d + (theta @ basis.elements.reshape(basis.size, d * d)).reshape(
+        theta.shape[:-1] + (d, d))
 
 
 def theta_from_rho(rho: np.ndarray, basis: HermitianBasis) -> np.ndarray:
@@ -117,19 +118,24 @@ class Records:
     integer-valued for sampled data and may be fractional for exact
     expected counts.  ``gamma0`` and ``gamma`` are the rows' regression
     coordinates (see :class:`Povm`).  Slicing selects rows.
+
+    ``successes`` may also hold k columns, one per state of a stack measured
+    by the same runs (see :func:`cube_records`); every column must pass the
+    row checks, and ``p_hat`` has the same columns.
     """
 
     label: np.ndarray      # (n,) str
     element: np.ndarray    # (n,) int
     shots: np.ndarray      # (n,) int
-    successes: np.ndarray  # (n,) float
+    successes: np.ndarray  # (n,) or (n, k) float
     gamma0: np.ndarray     # (n,)
     gamma: np.ndarray      # (n, d^2 - 1)
 
     def __post_init__(self):
-        if np.any(self.shots < 1):
+        if (self.shots < 1).any():
             raise ValueError("every record needs shots >= 1")
-        if not np.all((self.successes >= 0) & (self.successes <= self.shots)):
+        successes = self.successes.T
+        if not ((successes >= 0) & (successes <= self.shots)).all():
             raise ValueError("every record needs finite successes within [0, shots]")
 
     @classmethod
@@ -152,7 +158,7 @@ class Records:
 
     @property
     def p_hat(self) -> np.ndarray:
-        return self.successes / self.shots
+        return (self.successes.T / self.shots).T
 
 
 def born_probabilities(rho: np.ndarray, povm: Povm) -> np.ndarray:
@@ -169,8 +175,7 @@ def simulate_measurements(rho, povm: Povm, shots: int, rng) -> Records:
 
     Returns one row per POVM element; deterministic for a fixed seed.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_copies(shots, "shots")
     rng = as_rng(rng)
     p = born_probabilities(rho, povm)
     return Records.of_povm(povm, shots, rng.multinomial(shots, p / p.sum()))
@@ -189,25 +194,43 @@ def split_evenly(total: int, parts: int):
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
+# numpy draws multinomial counts as int64
+_MAX_COPIES = int(np.iinfo(np.int64).max)
+
+
+def _check_copies(n, name):
+    if not 1 <= n <= _MAX_COPIES:
+        raise ValueError(f"{name} must be between 1 and 2**63 - 1, got {n}")
+
+
 def cube_records(rho, total: int, rng) -> Records:
     """``total`` copies of rho split evenly over the cube bases, one run per basis.
 
-    All bases are scored by one Born-rule contraction and drawn by one
-    multinomial call, in basis order, so the draws equal a per-basis loop of
-    :func:`simulate_measurements` over the bases that get copies.  The label,
-    element and gamma columns are the cached cube table's own read-only arrays
-    whenever every basis gets a copy.
+    rho is one state (d, d) or a stack (k, d, d).  Every (state, basis,
+    outcome) is scored by one Born-rule matrix product against the cached
+    cube table, and all are drawn by one multinomial call in C order: state by
+    state, basis by basis.  So the draws equal a per-state loop of calls, each
+    equal to a per-basis loop of :func:`simulate_measurements` over the bases
+    that get copies.  A stack's ``successes`` has one column per state.  The
+    label, element and gamma columns are the cached cube table's own
+    read-only arrays whenever every basis gets a copy.
     """
-    if total < 1:
-        raise ValueError("need at least one copy to measure")
-    elements, table = _cube_table(rho.shape[0])
+    _check_copies(total, "total copies")
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d = rho.shape[-1]
+    elements, table = _cube_table(d)
     counts = np.array(split_evenly(total, len(elements)))
-    p = np.clip(np.einsum("ij,beji->be", np.asarray(rho, dtype=complex), elements).real, 0.0, 1.0)
-    draws = as_rng(rng).multinomial(counts, p / p.sum(axis=1, keepdims=True))
+    # Tr(rho E) = sum_ij Re(rho_ij) Re(E_ij) + Im(rho_ij) Im(E_ij) for Hermitian E: one real
+    # product of the float views scores every (state, basis, outcome)
+    p = rho.reshape(-1, d * d).view(float) @ elements.reshape(-1, d * d).view(float).T
+    p = np.clip(p, 0.0, 1.0, out=p).reshape(rho.shape[:-2] + elements.shape[:2])
+    p /= p.sum(axis=-1, keepdims=True)
+    draws = as_rng(rng).multinomial(counts, p)
     shots = np.repeat(counts, elements.shape[1])
     measured = shots > 0
     rows = table if measured.all() else table[measured]
-    return replace(rows, shots=shots[measured], successes=draws.ravel()[measured].astype(float))
+    successes = draws.reshape(rho.shape[:-2] + (-1,)).T[measured]
+    return replace(rows, shots=shots[measured], successes=successes.astype(float))
 
 
 def _qubit_axis_povm(axis: str) -> np.ndarray:

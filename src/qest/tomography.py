@@ -50,11 +50,17 @@ def record_weight(shots, p_hat, weighting: str):
 
 
 def build_regression(records: Records, d: int, weighting: str = "shots") -> RegressionProblem:
-    """Assemble the regression rows y_j = p_hat_j - gamma0_j / d from records."""
+    """Assemble the regression rows y_j = p_hat_j - gamma0_j / d from records.
+
+    Records with k success columns give k response columns; they share the
+    weights only under ``shots`` weighting, the one allowed for them.
+    """
     if len(records) == 0:
         raise ValueError("cannot build a regression from an empty record table")
     p_hat = records.p_hat
-    return RegressionProblem(y=p_hat - records.gamma0 / d, x=records.gamma,
+    if p_hat.ndim > 1 and weighting != "shots":
+        raise ValueError("records with several success columns need shots weighting")
+    return RegressionProblem(y=(p_hat.T - records.gamma0 / d).T, x=records.gamma,
                              w=record_weight(records.shots, p_hat, weighting))
 
 
@@ -84,32 +90,39 @@ def solve_weighted_ls(problem: RegressionProblem):
 
 
 def project_physical(rho_tilde: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Closest density matrix sharing rho_tilde's eigenvectors.
+    """Closest density matrix sharing rho_tilde's eigenvectors, for one matrix or a stack.
 
-    Eigendecomposes the unit-trace Hermitian input and projects the eigenvalue
-    vector onto the probability simplex: negative eigenvalues are zeroed in
-    ascending order while the running deficit is spread uniformly over the
-    remaining ones.
+    Every member must be Hermitian and of unit trace; all are eigendecomposed
+    by one batched ``eigh``.  A member with no negative eigenvalue is returned
+    as it is.  The others have their eigenvalue vectors projected onto the
+    probability simplex, all at once: negative eigenvalues are zeroed in
+    ascending order while the running deficit, spread uniformly over the
+    remaining ones, leaves the next one negative.  The result equals that
+    one-matrix accumulator loop (kept in the tests) up to rounding-level ties
+    between candidate shifts.
     """
     rho_tilde = np.asarray(rho_tilde, dtype=complex)
     if not is_hermitian(rho_tilde, tol):
         raise ContractViolationError("project_physical requires a Hermitian input")
-    if abs(np.trace(rho_tilde).real - 1.0) > tol:
+    if (abs(rho_tilde.trace(axis1=-2, axis2=-1).real - 1.0) > tol).any():
         raise ContractViolationError("project_physical requires unit trace")
     w, v = np.linalg.eigh(rho_tilde)
-    if w[0] >= 0:
+    if w.min() >= 0:
         return rho_tilde
-    lam = w[::-1].copy()  # descending
-    d = lam.size
-    i = d
-    acc = 0.0
-    while lam[i - 1] + acc / i < 0:
-        acc += lam[i - 1]
-        lam[i - 1] = 0.0
-        i -= 1
-    lam[:i] += acc / i
-    out = (v[:, ::-1] * lam) @ v[:, ::-1].conj().T
-    return (out + out.conj().T) / 2
+    neg = w[..., 0] < 0
+    lam, v = w[neg], v[neg, ..., ::-1]  # one row per engaged member; v descending
+    d = lam.shape[1]
+    # Zeroing the m smallest eigenvalues spreads their sum as a shift over the other d - m.
+    # The accumulator loop zeroes exactly while that shift keeps falling, so it stops at
+    # the smallest shift and zeroes just the eigenvalues the shift leaves negative.
+    shift = (lam.cumsum(1)[:, :-1] / np.arange(d - 1.0, 0.0, -1.0)).min(1, keepdims=True)
+    lam = np.maximum(lam + shift, 0.0)
+    out = (v * lam[:, None, ::-1]) @ v.conj().mT
+    out += out.conj().mT
+    out /= 2
+    rho = rho_tilde.copy()
+    rho[neg] = out
+    return rho
 
 
 def tomography_pipeline(records: Records, d: int, weighting: str = "shots"):

@@ -2,9 +2,11 @@
 
 None of these is on a `qest` code path.  The Schur-based matrix logarithm is
 the reference that `qest.linalg.unitary_log` is compared against; it needs
-scipy, which only the tests and the benchmark use.  The per-rotation
-identification loop is the reference for `qest.identify_hamiltonian`'s
-closed-form choice of phase rotation.
+scipy, which only the tests and the benchmark use.  The one-matrix
+accumulator loop is the reference for `qest.tomography.project_physical`'s
+batched simplex step.  The per-rotation identification loop is the
+reference for `qest.identify_hamiltonian`'s closed-form choice of phase
+rotation.
 """
 
 import warnings
@@ -93,3 +95,25 @@ def identify_by_rotations(lam: np.ndarray, t: float):
                 or (abs(norm - best[0]) <= 1e-9 and best[2] and not caught)):
             best = (norm, h_r, list(caught))
     return best[1], best[2], candidates
+
+
+def project_physical_loop(rho_tilde: np.ndarray) -> np.ndarray:
+    """Reference physical projection of one matrix, by the accumulator loop.
+
+    Zeroes the negative eigenvalues in ascending order while the running
+    deficit, spread over the remaining ones, leaves the next one negative.
+    Input checks are left to the caller.
+    """
+    w, v = np.linalg.eigh(rho_tilde)
+    if w[0] >= 0:
+        return rho_tilde
+    lam = w[::-1].copy()  # descending
+    i = lam.size
+    acc = 0.0
+    while lam[i - 1] + acc / i < 0:
+        acc += lam[i - 1]
+        lam[i - 1] = 0.0
+        i -= 1
+    lam[:i] += acc / i
+    out = (v[:, ::-1] * lam) @ v[:, ::-1].conj().T
+    return (out + out.conj().T) / 2

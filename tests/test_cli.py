@@ -134,6 +134,19 @@ class TestHamidCommand:
                      "--out", str(tmp_path / "o.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("matrix", [
+        {"rows": 2, "cols": 2, "data": [[True, 0], [0, 0], [0, 0], [-1, 0]]},
+        {"rows": 2, "cols": 2, "data": [[1, 0], [0, False], [0, 0], [-1, 0]]},
+        {"rows": 2.5, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [-1, 0]]},
+        {"rows": 2, "cols": True, "data": [[1, 0], [0, 0]]},
+        {"rows": False, "cols": 2, "data": []},
+    ], ids=["entry-true", "entry-false", "rows-fraction", "cols-bool", "rows-bool"])
+    def test_malformed_true_h_is_one_config_error(self, matrix, tmp_path, capsys):
+        h_path = tmp_path / "h.json"
+        h_path.write_text(json.dumps(matrix))
+        assert_one_config_error(["hamid", "--dim", "2", "--time", "0.3", "--true-h", str(h_path),
+                                 "--out", str(tmp_path / "o.json")], capsys)
+
 
 class TestSlcCommand:
     def config(self, **overrides):
@@ -212,10 +225,14 @@ class TestSmcDemoCommand:
     ["smc-demo", "--p0", "0.1", "--eps", "nan", "--tau", "3.0", "--periods", "3"],
     ["smc-demo", "--p0", "0.1", "--eps", "1e200", "--tau", "1e200", "--periods", "3"],
     ["adapt", "--N", "2000", "--N1", "1000", "--K", "2", "--trials", "0"],
+    ["hamid", "--dim", "2", "--time", "0.5", "--shots", str(10**22)],
+    ["sweep", "--dim", "2", "--shots", str(10**23), "--trials", "1"],
+    ["adapt", "--dim", "2", "--N", str(10**23), "--N1", str(10**23), "--K", "0"],
 ], ids=["hamid-time-0", "hamid-dim-0", "hamid-dim-1", "smc-periods-0", "smc-periods-neg",
-        "smc-tau-inf", "smc-eps-nan", "smc-eps-tau-overflow", "adapt-trials-0"])
+        "smc-tau-inf", "smc-eps-nan", "smc-eps-tau-overflow", "adapt-trials-0",
+        "hamid-shots-beyond-int64", "sweep-shots-beyond-int64", "adapt-N1-beyond-int64"])
 def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
-    if argv[0] in ("hamid", "adapt"):
+    if argv[0] in ("hamid", "adapt", "sweep"):
         argv = argv + ["--out", str(tmp_path / "o.out")]
     assert_one_config_error(argv, capsys)
 
@@ -232,6 +249,12 @@ _NUMBER_KEYS = ("T", "L", "dim", "step", "iterations", "tolerance", "omega_halfw
     {"tolerance": float("nan")}, {"iterations": float("inf")}, {"L": float("inf")},
     {"samples": {"grid": [float("inf"), 2]}}, {"psi0": [["a", 0.0], [1.0, 0.0]]},
     {"H0": {"rows": 2, "cols": 2, "data": [["a", 0.0], [0, 0], [0, 0], [-1, 0]]}},
+    {"psi0": [[True, 0], [0, False]]}, {"psi_target": [[0, 0], [1, True]]},
+    {"H0": {"rows": 2, "cols": 2, "data": [[True, 0], [0, 0], [0, 0], [-1, 0]]}},
+    {"Hm": [{"rows": 2, "cols": 2, "data": [[0, 0], [1, 0], [1, False], [0, 0]]}]},
+    {"H0": {"rows": 2.5, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [-1, 0]]}},
+    {"H0": {"rows": True, "cols": 4, "data": [[1, 0], [0, 0], [0, 0], [-1, 0]]}},
+    {"Hm": [{"rows": 2, "cols": 2.0001, "data": [[0, 0], [1, 0], [1, 0], [0, 0]]}]},
     {"T": 1e308, "L": 1},
     *({key: value} for key in _NUMBER_KEYS for value in (None, [1], True, "2")),
     {"samples": {"grid": [None, 2]}}, {"samples": {"grid": [[2], 2]}}, {"samples": {"grid": None}},
@@ -242,7 +265,8 @@ _NUMBER_KEYS = ("T", "L", "dim", "step", "iterations", "tolerance", "omega_halfw
     {"test": {"random": [20, 7.5]}},
 ], ids=["T-inf", "T-nan", "psi0-zero", "target-zero", "psi0-nan", "target-inf", "step-0",
         "step-nan", "step-inf", "iterations-neg", "tolerance-nan", "iterations-inf", "L-inf",
-        "grid-inf", "psi0-string", "H0-string", "T-huge",
+        "grid-inf", "psi0-string", "H0-string", "psi0-bool", "target-bool", "H0-bool",
+        "Hm-bool", "H0-rows-fraction", "H0-rows-bool", "Hm-cols-fraction", "T-huge",
         *(f"{key}-{kind}" for key in _NUMBER_KEYS for kind in ("null", "list", "bool", "str")),
         "grid-entry-null", "grid-entry-list", "grid-null", "random-entry-null",
         "random-entry-list", "dim-0", "Hm-null", "config-number", "config-null",
@@ -374,14 +398,15 @@ def test_hamid_contract_property(dim, time, seed):
 
 @_PROPERTY
 @given(dim=st.sampled_from([2, 4]),
-       shots=st.sampled_from([0, 1, 2, 3, 27, 10**9, "1e3", "nan", "abc"]),
+       shots=st.sampled_from([0, 1, 2, 3, 27, 10**9, 2**63, 10**22, "1e3", "nan", "abc"]),
        seed=st.integers(0, 3))
 def test_sampled_hamid_contract_property(dim, shots, seed):
     _contract_holds(["hamid", f"--dim={dim}", "--time=0.5", f"--shots={shots}", f"--seed={seed}"])
 
 
 @_PROPERTY
-@given(n1=st.integers(-10, 2000), k=st.integers(-2, 4), n2=st.integers(-5, 500),
+@given(n1=st.one_of(st.integers(-10, 2000), st.sampled_from([2**63, 10**22])),
+       k=st.integers(-2, 4), n2=st.integers(-5, 500),
        budget_gap=st.one_of(st.just(0), st.integers(-5, 5)), pass_n2=st.booleans(),
        trials=st.integers(-1, 2), candidates=st.sampled_from(["cube", "continuum"]),
        weights=st.sampled_from(["shots", "invvar"]))

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the seven commands below, at their fixed seeds, must keep
+Every output file of the eight commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
 """
@@ -51,6 +51,7 @@ def write_inputs(tmp_path) -> dict:
                   "--candidates", "continuum", "--trials", "2", "--seed", "11"],
         "hamid": ["hamid", "--dim", "2", "--time", "0.3", "--true-h", str(h_path),
                   "--shots", "5000", "--seed", "11"],
+        "hamid4": ["hamid", "--dim", "4", "--time", "0.5", "--shots", "2000", "--seed", "11"],
         "smc": ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0",
                 "--periods", "500", "--seed", "11"],
         "slc": ["slc", "--config", str(slc_cfg), "--seed", "11"],
@@ -77,6 +78,7 @@ GOLDEN = {
     "sweep/mse_sweep.manifest.json": "009147c01eab58c65f59957a3c57182b48aea25156d912c1473e3a8819ea7905",
     "adapt/adapt.csv": "6cfa9d70351122a7d6741014a6dae985f74c7f904d5ba810e116f03040201f7a",
     "hamid/hamid.json": "916f56b4b278e6e517703e18f45c6a1184b2dc64248fba51eccfb85ec751d793",
+    "hamid4/hamid4.json": "f60257fa43064344ee6b43f1d2273c1d9406667cbb2a84833e4523d609c14047",
     "smc/smc.csv": "585f9bf55181e7b5ab262c4c4f2b7aaeecdd9b5c25d1ac58d3c029186ec2f033",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
     "slc/pulse.json": "10b6dc25e9b232726adbf482ebf3109cdcad28ea4dc9e9c628cfcaa5ce4698e8",
@@ -93,7 +95,8 @@ def test_records_csv_digest(tmp_path):
     assert digest == GOLDEN["records.csv"]
 
 
-@pytest.mark.parametrize("name", ["tomo", "sweep", "adapt", "hamid", "smc", "slc", "compare"])
+@pytest.mark.parametrize("name", ["tomo", "sweep", "adapt", "hamid", "hamid4", "smc", "slc",
+                                  "compare"])
 def test_cli_output_digests(name, tmp_path):
     args = write_inputs(tmp_path)[name]
     digests = {

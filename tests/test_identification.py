@@ -102,6 +102,12 @@ class TestNaturalStateBasis:
         rebuilt = np.tensordot(bases.probe_coeffs, bases.units, axes=1)
         assert np.allclose(rebuilt, bases.probes, atol=1e-12)
 
+    def test_cached_and_read_only(self):
+        bases = natural_state_basis(4)
+        assert natural_state_basis(4) is bases
+        for name in ("units", "probes", "probe_coeffs"):
+            assert not getattr(bases, name).flags.writeable
+
 
 class TestBuildB:
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -167,6 +173,13 @@ class TestApplyChannel:
         out = apply_channel(kraus, pure_to_density(KET0))
         assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
+    def test_stack_equals_per_member_calls(self):
+        rng = np.random.default_rng(12)
+        kraus = [np.sqrt(0.7) * random_unitary(3, rng), np.sqrt(0.3) * random_unitary(3, rng)]
+        probes = natural_state_basis(3).probes
+        assert np.array_equal(apply_channel(kraus, probes),
+                              np.stack([apply_channel(kraus, rho) for rho in probes]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_channel([np.eye(3, dtype=complex)], np.eye(2) / 2)
@@ -191,11 +204,40 @@ class TestEstimateLambda:
         sampled = estimate_lambda(kraus, 2, mode="sampled", shots_per_output=10**6, seed=8)
         assert np.abs(sampled - exact).max() <= 0.01
 
-    @pytest.mark.parametrize("d, shots", [(2, 3), (2, 5000), (4, 9), (4, 20), (4, 20000)])
+    @pytest.mark.parametrize("d, shots", [(2, 3), (2, 5000), (4, 9), (4, 20), (4, 20000),
+                                          (8, 20000)])
     def test_sampled_equals_per_probe_tomographies(self, d, shots):
         kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
         lam = estimate_lambda(kraus, d, mode="sampled", shots_per_output=shots, seed=4)
         assert np.abs(lam - per_probe_lambda(kraus, d, shots, 4)).max() <= 1e-12
+
+    def test_noiseless_equals_per_unit_loop_bit_for_bit(self):
+        kraus = [herm_expm(random_traceless_hermitian(4, np.random.default_rng(6), 1.0), 0.5)]
+        units = natural_state_basis(4).units
+        assert np.array_equal(estimate_lambda(kraus, 4),
+                              np.stack([apply_channel(kraus, u).ravel() for u in units]))
+
+    def test_sampled_draws_and_decomposes_all_probes_at_once(self, monkeypatch):
+        calls = {"multinomial": 0, "eigh": 0}
+
+        class CountingGenerator(np.random.Generator):
+            def multinomial(self, *args, **kwargs):
+                calls["multinomial"] += 1
+                return super().multinomial(*args, **kwargs)
+
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(a, *args, **kwargs)
+
+        kraus = [herm_expm(random_traceless_hermitian(4, np.random.default_rng(4), 1.0), 0.5)]
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        lam = estimate_lambda(kraus, 4, mode="sampled", shots_per_output=500,
+                              seed=CountingGenerator(np.random.PCG64(4)))
+        assert calls == {"multinomial": 1, "eigh": 1}
+        assert np.array_equal(lam, estimate_lambda(kraus, 4, mode="sampled", shots_per_output=500,
+                                                   seed=np.random.default_rng(4)))
 
     def test_sampled_with_too_few_copies_is_singular(self):
         with pytest.raises(SingularDesignError):

@@ -210,6 +210,14 @@ class TestPredicates:
         assert is_unitary(u)
         assert not is_unitary(1.01 * u)
 
+    def test_hermitian_stack_needs_every_member(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+        assert is_hermitian(stack)
+        stack[2, 0, 1] += 1e-6
+        assert not is_hermitian(stack)
+        assert not is_hermitian(np.zeros((2, 3, 2)))
+
 
 class TestMatrixJson:
     def test_round_trip(self):
@@ -226,3 +234,17 @@ class TestMatrixJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "data": []})
+
+    @pytest.mark.parametrize("obj", [
+        {"rows": 1, "cols": 1, "data": [[True, 0]]},
+        {"rows": 1, "cols": 1, "data": [[0, False]]},
+        {"rows": 1.5, "cols": 1, "data": [[1, 0]]},
+        {"rows": True, "cols": 1, "data": [[1, 0]]},
+        {"rows": 1, "cols": "1", "data": [[1, 0]]},
+    ], ids=["re-true", "im-false", "rows-fraction", "rows-bool", "cols-string"])
+    def test_booleans_and_non_integral_sizes_rejected(self, obj):
+        with pytest.raises(ValueError, match="malformed matrix object"):
+            matrix_from_json(obj)
+
+    def test_integral_float_sizes_accepted(self):
+        assert matrix_from_json({"rows": 1.0, "cols": 2, "data": [[1, 0], [0, 2]]}).shape == (1, 2)

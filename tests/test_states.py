@@ -55,6 +55,14 @@ class TestThetaParameterization:
         rho = random_density_matrix(d, rng)
         assert np.linalg.norm(rho_from_theta(theta_from_rho(rho, basis), basis) - rho) <= 1e-12
 
+    def test_stack_matches_one_at_a_time(self):
+        basis = gell_mann_basis(4)
+        thetas = np.random.default_rng(3).normal(scale=0.1, size=(6, basis.size))
+        stack = rho_from_theta(thetas, basis)
+        assert stack.shape == (6, 4, 4)
+        for rho, theta in zip(stack, thetas):
+            assert np.abs(rho - rho_from_theta(theta, basis)).max() <= 1e-15
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             rho_from_theta(np.zeros(5), gell_mann_basis(2))
@@ -147,6 +155,14 @@ class TestRecords:
         with pytest.raises(ValueError):
             Records.of_povm(z_basis(), 100, [successes, 0.0])
 
+    @pytest.mark.parametrize("successes", [np.nan, -5.0, 100.5])
+    def test_rejects_one_column_outside_shots(self, successes):
+        columns = np.array([[10.0, 20.0, 30.0], [90.0, 80.0, successes]])
+        with pytest.raises(ValueError):
+            Records.of_povm(z_basis(), 100, columns)
+        assert np.array_equal(Records.of_povm(z_basis(), 100, columns[:, :2]).p_hat,
+                              columns[:, :2] / 100)
+
     def test_povm_gammas_are_computed_once(self):
         povm = z_basis()
         assert povm.gamma is povm.gamma and povm.gamma0 is povm.gamma0
@@ -216,6 +232,30 @@ class TestCubeRecords:
     def test_rejects_no_copies(self):
         with pytest.raises(ValueError):
             cube_records(np.eye(2) / 2, 0, 1)
+
+    @pytest.mark.parametrize("total", [2**63, 10**22])
+    def test_rejects_copies_beyond_int64(self, total):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            cube_records(np.eye(2) / 2, total, 1)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            simulate_measurements(np.eye(2) / 2, z_basis(), total, 1)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("total", [1, 26, 27, 28, 20000])
+    def test_stack_equals_per_state_calls_bit_for_bit(self, d, total):
+        rng = np.random.default_rng(d + 40)
+        stack = np.stack([random_density_matrix(d, rng) for _ in range(4)]
+                         + [pure_to_density(np.eye(d)[0])])
+        got_rng, ref_rng = np.random.default_rng(total), np.random.default_rng(total)
+        got = cube_records(stack, total, got_rng)
+        refs = [cube_records(rho, total, ref_rng) for rho in stack]
+        assert got.successes.shape == (len(refs[0]), len(stack))
+        for k, ref in enumerate(refs):
+            assert np.array_equal(got.successes[:, k], ref.successes)
+            assert np.array_equal(got.p_hat[:, k], ref.p_hat)
+            for name in ("label", "element", "shots", "gamma0", "gamma"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+        assert got_rng.random() == ref_rng.random()
 
 
 class TestMse:

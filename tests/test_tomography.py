@@ -24,6 +24,7 @@ from qest.tomography import (
     solve_weighted_ls,
     tomography_pipeline,
 )
+from tests.oracles import project_physical_loop
 
 
 def haar_basis_povm(d, rng, label="haar"):
@@ -106,6 +107,19 @@ class TestBuildRegression:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 10)[:0], 2)
+
+    def test_success_columns_give_response_columns(self):
+        rng = np.random.default_rng(12)
+        parts = [exact_records(random_density_matrix(2, rng), cube_povms(2), 10) for _ in range(3)]
+        stacked = Records(*(getattr(parts[0], name) for name in ("label", "element", "shots")),
+                          np.stack([p.successes for p in parts], axis=1),
+                          parts[0].gamma0, parts[0].gamma)
+        problem = build_regression(stacked, 2)
+        assert problem.y.shape == (6, 3)
+        for k, part in enumerate(parts):
+            assert np.array_equal(problem.y[:, k], build_regression(part, 2).y)
+        with pytest.raises(ValueError, match="shots weighting"):
+            build_regression(stacked, 2, "invvar")
 
 
 class TestSolveWeightedLs:
@@ -218,6 +232,36 @@ class TestProjectPhysical:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ContractViolationError):
             project_physical(np.eye(2))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_stack_equals_per_member_loop_bit_for_bit(self, d):
+        stack = unit_trace_hermitians(d, 60, np.random.default_rng(d + 30))
+        engaged = np.linalg.eigvalsh(stack)[:, 0] < 0
+        assert 0 < engaged.sum() < len(stack)
+        got = project_physical(stack)
+        assert got.shape == stack.shape
+        assert np.array_equal(got, np.stack([project_physical(rho) for rho in stack]))
+        assert np.array_equal(got, np.stack([project_physical_loop(rho) for rho in stack]))
+        assert np.array_equal(got[~engaged], stack[~engaged])
+
+    @pytest.mark.parametrize("bad", ["non-hermitian", "trace"])
+    def test_stack_with_one_bad_member_is_rejected(self, bad):
+        stack = unit_trace_hermitians(3, 5, np.random.default_rng(31))
+        if bad == "non-hermitian":
+            stack[2, 0, 1] += 1e-3
+        else:
+            stack[2] *= 1.001
+        with pytest.raises(ContractViolationError):
+            project_physical(stack)
+
+
+def unit_trace_hermitians(d, n, rng):
+    """n random unit-trace Hermitian matrices, about half of them with a negative eigenvalue."""
+    v = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+    lam = rng.normal(scale=1.2 / d, size=(n, d)) + 1.0 / d
+    lam += (1.0 - lam.sum(axis=1, keepdims=True)) / d
+    rho = (v * lam[:, None, :]) @ v.conj().mT
+    return (rho + rho.conj().mT) / 2
 
 
 class TestPipeline:
