@@ -30,8 +30,8 @@ class UncertainSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "controls", tuple(np.asarray(c, complex) for c in self.controls))
-        if not is_hermitian(self.h0, 1e-10):
-            raise ContractViolationError("drift Hamiltonian must be Hermitian")
+        if np.ndim(self.h0) != 2 or not is_hermitian(self.h0, 1e-10):
+            raise ContractViolationError("drift Hamiltonian must be a Hermitian matrix")
         for m, c in enumerate(self.controls):
             if c.shape != np.shape(self.h0):
                 raise ValueError(f"control {m} has shape {c.shape}, but H0 has shape "

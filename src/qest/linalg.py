@@ -32,9 +32,9 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
-    if a.ndim == 2:
-        return float(np.linalg.norm(a - a.conj().T)) <= tol
-    return bool((np.linalg.norm(a - a.conj().mT, axis=(-2, -1)) <= tol).all())
+    diff = (a - a.conj().mT).reshape(*a.shape[:-2], a.shape[-1] ** 2)
+    # vecdot conjugates its first argument, so this is each member's squared Frobenius norm
+    return bool((np.sqrt(np.vecdot(diff, diff).real) <= tol).all())
 
 
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:

@@ -109,20 +109,17 @@ def project_physical(rho_tilde: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     w, v = np.linalg.eigh(rho_tilde)
     if w.min() >= 0:
         return rho_tilde
-    neg = w[..., 0] < 0
-    lam, v = w[neg], v[neg, ..., ::-1]  # one row per engaged member; v descending
-    d = lam.shape[1]
+    d = w.shape[-1]
     # Zeroing the m smallest eigenvalues spreads their sum as a shift over the other d - m.
     # The accumulator loop zeroes exactly while that shift keeps falling, so it stops at
     # the smallest shift and zeroes just the eigenvalues the shift leaves negative.
-    shift = (lam.cumsum(1)[:, :-1] / np.arange(d - 1.0, 0.0, -1.0)).min(1, keepdims=True)
-    lam = np.maximum(lam + shift, 0.0)
-    out = (v * lam[:, None, ::-1]) @ v.conj().mT
+    shift = (w.cumsum(-1)[..., :-1] / np.arange(d - 1.0, 0.0, -1.0)).min(-1, keepdims=True)
+    lam = np.maximum(w + shift, 0.0)[..., None, ::-1]
+    v = v[..., ::-1]  # descending, as the loop sums
+    out = (v * lam) @ v.conj().mT
     out += out.conj().mT
     out /= 2
-    rho = rho_tilde.copy()
-    rho[neg] = out
-    return rho
+    return np.where(w[..., :1, None] < 0, out, rho_tilde)
 
 
 def tomography_pipeline(records: Records, d: int, weighting: str = "shots"):

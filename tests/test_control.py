@@ -51,6 +51,8 @@ class TestTypes:
     def test_system_validation(self):
         with pytest.raises(ContractViolationError):
             UncertainSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), ())
+        with pytest.raises(ContractViolationError, match="Hermitian matrix"):
+            UncertainSystem(np.stack([PAULI_Z, PAULI_X, PAULI_Z]), ())
         with pytest.raises(ValueError):
             UncertainSystem(PAULI_Z, (PAULI_X,), omega_halfwidth=1.0)
         for control in (np.eye(1), np.eye(3)):

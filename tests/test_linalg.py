@@ -217,6 +217,15 @@ class TestPredicates:
         stack[2, 0, 1] += 1e-6
         assert not is_hermitian(stack)
         assert not is_hermitian(np.zeros((2, 3, 2)))
+        assert is_hermitian(np.zeros((0, 3, 3)))
+
+    def test_hermitian_distance_is_frobenius(self):
+        # a - a^dag holds +-x at (0, 1) and (1, 0): Frobenius norm sqrt(2) x
+        for x, expected in ((0.7e-10, True), (0.72e-10, False)):
+            a = np.zeros((2, 2, 2))
+            a[1, 0, 1] = x
+            assert is_hermitian(a[1]) is expected
+            assert is_hermitian(a) is expected
 
 
 class TestMatrixJson:
