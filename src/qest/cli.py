@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +282,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `qest` parser, built once per process; every call shares it, so do not change it."""
     parser = argparse.ArgumentParser(prog="qest",
                                      description="quantum estimation and robust-control experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -366,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ContractViolationError as exc:

@@ -68,11 +68,15 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
     """Reconstruction error versus total copy number, over seeded random truths.
 
     Emits one (N, trial, mse) row per reconstruction; aggregates carry the
-    per-N mean MSE and the fitted log-log slope.
+    per-N mean MSE and the fitted log-log slope.  The grid's values must be
+    distinct.
     """
     shot_grid = [int(n) for n in shot_grid]
     if not shot_grid or trials < 1:
         raise ConfigError("need a non-empty shot grid and trials >= 1")
+    if len(set(shot_grid)) < len(shot_grid):
+        # a repeated N adds no point to the log-log fit, and a grid of one value leaves none
+        raise ConfigError(f"the shot grid {shot_grid} repeats a value")
     rows = []
     means = []
     for ni, n in enumerate(shot_grid):

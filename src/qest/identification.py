@@ -20,15 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import (
-    gell_mann_basis,
-    nearest_unitary,
-    unitary_log,
-    vec,
-    vec_inv,
-)
-from .states import as_rng, cube_records, rho_from_theta
-from .tomography import build_regression, project_physical, solve_weighted_ls
+from .linalg import nearest_unitary, unitary_log, vec, vec_inv
+from .states import cube_draws, rho_from_paulis
+from .tomography import project_physical, solve_cube_paulis
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,13 +119,13 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
 
     ``noiseless`` applies the channel to the matrix units directly.  ``sampled``
     runs all d^2 physical probes as one stack: one channel application, one
-    :func:`cube_records` call that scores every (probe, basis, outcome) by one
+    :func:`cube_draws` call that scores every (probe, basis, outcome) by one
     Born-rule matrix product and draws all of them by one multinomial call (in
     probe order, each output measured on the cube bases with
-    ``shots_per_output`` copies), one shot-weighted least-squares solve over
-    the outputs' shared design, one reconstruction and one batched physical
-    projection.  The probe expansion goes back to the units through the exact
-    linear map.
+    ``shots_per_output`` copies), the closed-form shot-weighted solve in Pauli
+    coordinates (:func:`solve_cube_paulis`), one reconstruction by butterfly
+    stages and one batched physical projection.  The probe expansion goes
+    back to the units through the exact linear map.
     """
     bases = natural_state_basis(d)
     d2 = d * d
@@ -141,10 +135,8 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
         raise ValueError(f"unknown mode {mode!r}")
     if not shots_per_output or shots_per_output < 1:
         raise ValueError("sampled mode needs shots_per_output >= 1")
-    outputs = apply_channel(kraus, bases.probes)
-    theta, _, _ = solve_weighted_ls(build_regression(
-        cube_records(outputs, int(shots_per_output), as_rng(seed)), d))
-    rho = project_physical(rho_from_theta(theta.T, gell_mann_basis(d)))
+    copies, draws = cube_draws(apply_channel(kraus, bases.probes), int(shots_per_output), seed)
+    rho = project_physical(rho_from_paulis(solve_cube_paulis(copies, draws)))
     return np.linalg.solve(bases.probe_coeffs, rho.reshape(d2, d2))
 
 

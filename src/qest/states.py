@@ -203,33 +203,44 @@ def _check_copies(n, name):
         raise ValueError(f"{name} must be between 1 and 2**63 - 1, got {n}")
 
 
-def cube_records(rho, total: int, rng) -> Records:
-    """``total`` copies of rho split evenly over the cube bases, one run per basis.
+def cube_draws(rho, total: int, rng):
+    """Draw ``total`` copies of rho split evenly over the cube bases: (copies, draws).
 
-    rho is one state (d, d) or a stack (k, d, d).  Every (state, basis,
-    outcome) is scored by one Born-rule matrix product against the cached
-    cube table, and all are drawn by one multinomial call in C order: state by
-    state, basis by basis.  So the draws equal a per-state loop of calls, each
-    equal to a per-basis loop of :func:`simulate_measurements` over the bases
-    that get copies.  A stack's ``successes`` has one column per state.  The
-    label, element and gamma columns are the cached cube table's own
-    read-only arrays whenever every basis gets a copy.
+    rho is one state (d, d) or a stack (k, d, d).  ``copies[b]`` is the
+    copies of basis b, from :func:`split_evenly`; ``draws`` has shape
+    ``rho.shape[:-2] + (bases, outcomes)``.  Every (state, basis, outcome) is
+    scored by one Born-rule matrix product against the cached cube elements,
+    and all are drawn by one multinomial call in C order: state by state,
+    basis by basis.  So the draws equal a per-state loop of calls, each equal
+    to a per-basis loop of :func:`simulate_measurements` over the bases that
+    get copies; a basis without copies draws zeros.
     """
     _check_copies(total, "total copies")
     rho = np.ascontiguousarray(rho, dtype=complex)
     d = rho.shape[-1]
-    elements, table = _cube_table(d)
-    counts = np.array(split_evenly(total, len(elements)))
+    elements = _cube_elements(d)
+    copies = np.array(split_evenly(total, len(elements)))
     # Tr(rho E) = sum_ij Re(rho_ij) Re(E_ij) + Im(rho_ij) Im(E_ij) for Hermitian E: one real
     # product of the float views scores every (state, basis, outcome)
     p = rho.reshape(-1, d * d).view(float) @ elements.reshape(-1, d * d).view(float).T
     p = np.clip(p, 0.0, 1.0, out=p).reshape(rho.shape[:-2] + elements.shape[:2])
     p /= p.sum(axis=-1, keepdims=True)
-    draws = as_rng(rng).multinomial(counts, p)
-    shots = np.repeat(counts, elements.shape[1])
+    return copies, as_rng(rng).multinomial(copies, p)
+
+
+def cube_records(rho, total: int, rng) -> Records:
+    """The draws of :func:`cube_draws` as records, one run per basis that gets copies.
+
+    A stack's ``successes`` has one column per state.  The label, element
+    and gamma columns are the cached cube table's own read-only arrays
+    whenever every basis gets a copy.
+    """
+    copies, draws = cube_draws(rho, total, rng)
+    d = draws.shape[-1]  # a cube basis has d outcomes
+    shots = np.repeat(copies, d)
     measured = shots > 0
-    rows = table if measured.all() else table[measured]
-    successes = draws.reshape(rho.shape[:-2] + (-1,)).T[measured]
+    rows = _cube_table(d) if measured.all() else _cube_table(d)[measured]
+    successes = draws.reshape(draws.shape[:-2] + (-1,)).T[measured]
     return replace(rows, shots=shots[measured], successes=successes.astype(float))
 
 
@@ -238,50 +249,115 @@ def _qubit_axis_povm(axis: str) -> np.ndarray:
     return np.stack([pure_to_density(k) for k in kets])
 
 
+def _qubits(d: int) -> int:
+    q = int(round(np.log2(d)))
+    if d < 2 or 2**q != d:
+        raise ValueError(f"cube bases need a power-of-two dimension, got d={d}")
+    return q
+
+
+def _cube_labels(d: int) -> list:
+    return ["cube:" + "".join(axes) for axes in itertools.product("xyz", repeat=_qubits(d))]
+
+
 @lru_cache(maxsize=None)
 def cube_povms(d: int) -> tuple:
     """The 3^q Pauli-eigenbasis product measurements for q qubits (d = 2^q).
 
     Cached, so every caller shares the same POVMs and their gamma rows.  Their
-    elements are read-only views of the cube table of :func:`cube_records`.
+    elements are read-only views of the cached cube elements.
     """
-    elements, rows = _cube_table(d)
-    return tuple(Povm(str(label), e) for label, e in zip(rows.label[::elements.shape[1]], elements))
+    return tuple(Povm(label, e) for label, e in zip(_cube_labels(d), _cube_elements(d)))
 
 
 @lru_cache(maxsize=None)
-def _cube_table(d: int):
-    """The cube bases' elements as one (bases, outcomes, d, d) array, and their rows.
+def _cube_elements(d: int) -> np.ndarray:
+    """The cube bases' elements as one read-only (bases, outcomes, d, d) array.
 
-    The rows are a ``Records`` with one shot and no successes per element:
-    its read-only label, element and gamma columns serve every
-    :func:`cube_records` call.
+    Bases run over the qubits' axes in ``itertools.product("xyz")`` order,
+    outcomes over their signs, qubit 0 most significant and the plus
+    eigenvector first.
     """
-    q = int(round(np.log2(d)))
-    if d < 2 or 2**q != d:
-        raise ValueError(f"cube bases need a power-of-two dimension, got d={d}")
-    labels, bases = [], []
-    for axes in itertools.product("xyz", repeat=q):
+    bases = []
+    for axes in itertools.product("xyz", repeat=_qubits(d)):
         single = [_qubit_axis_povm(a) for a in axes]
         elements = []
-        for outcomes in itertools.product(range(2), repeat=q):
+        for outcomes in itertools.product(range(2), repeat=len(axes)):
             m = single[0][outcomes[0]]
-            for qi in range(1, q):
+            for qi in range(1, len(axes)):
                 m = np.kron(m, single[qi][outcomes[qi]])
             elements.append(m)
-        labels.append("cube:" + "".join(axes))
         bases.append(np.stack(elements))
-    elements = _read_only(np.stack(bases))
+    return _read_only(np.stack(bases))
+
+
+@lru_cache(maxsize=None)
+def _cube_table(d: int) -> Records:
+    """The cube elements' regression rows, one shot and no successes per element.
+
+    Their read-only label, element and gamma columns serve every
+    :func:`cube_records` call.
+    """
+    elements = _cube_elements(d)
     n_bases, n_out = elements.shape[:2]
     # the same contractions as Povm.gamma0 and Povm.gamma, over all bases at once
     gamma = np.einsum("beij,kji->bek", elements, gell_mann_basis(d).elements).real
-    rows = Records(np.repeat(labels, n_out), np.tile(np.arange(n_out), n_bases),
+    rows = Records(np.repeat(_cube_labels(d), n_out), np.tile(np.arange(n_out), n_bases),
                    np.ones(n_bases * n_out, dtype=int), np.zeros(n_bases * n_out),
                    np.einsum("beii->be", elements).real.ravel(),
                    np.ascontiguousarray(gamma).reshape(n_bases * n_out, d * d - 1))
     for column in (rows.label, rows.element, rows.gamma0, rows.gamma):
         _read_only(column)
-    return elements, rows
+    return rows
+
+
+@lru_cache(maxsize=None)
+def cube_pauli_tables(d: int):
+    """Read-only Pauli coordinates of the cube bases: (signs, pauli_index).
+
+    A cube element is the product over qubits of (I + s_i sigma_{a_i}) / 2,
+    so basis b's outcome probabilities p give the expectation of the Pauli
+    string with sigma_{a_i} on the qubits of a subset S and I elsewhere as
+    ``(p @ signs)[S]``: ``signs[o, S] = (-1)^popcount(o & S)`` is the q-qubit
+    Walsh-Hadamard sign matrix, with outcome o and subset S as bit masks,
+    qubit 0 most significant.  ``pauli_index[b, S]`` is that string's index
+    among the 4^q Paulis, with the codes I, X, Y, Z = 0, 1, 2, 3 read as base-4
+    digits, qubit 0 most significant (see :func:`rho_from_paulis`).
+    """
+    q = _qubits(d)
+    signs = np.ones((1, 1))
+    for _ in range(q):
+        signs = np.kron(signs, [[1.0, 1.0], [1.0, -1.0]])
+    # subset S keeps qubit i's axis code when bit i (of q, most significant first) is set
+    codes = np.array(list(itertools.product((1, 2, 3), repeat=q)))
+    bits = np.array(list(itertools.product((0, 1), repeat=q)))
+    pauli_index = (codes[:, None, :] * bits[None, :, :]) @ 4 ** np.arange(q - 1, -1, -1)
+    return _read_only(signs), _read_only(pauli_index)
+
+
+# one qubit's (I, X, Y, Z) coefficients -> its 2 x 2 block [[I + Z, X - iY], [X + iY, I - Z]]
+_PAULI_BLOCK = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+
+
+def rho_from_paulis(e: np.ndarray) -> np.ndarray:
+    """rho = sum_P e_P P / d from all 4^q Pauli expectations, for one (4^q,) or a stack.
+
+    The index of P is as in :func:`cube_pauli_tables`.  One butterfly stage
+    per qubit maps that qubit's (I, X, Y, Z) coefficients to its 2 x 2 block.
+    """
+    e = np.asarray(e, dtype=float)
+    lead, n = e.shape[:-1], e.shape[-1]
+    q = (n.bit_length() - 1) // 2
+    if q < 1 or 4**q != n:
+        raise ValueError(f"need 4^q Pauli expectations for some q >= 1, got {n}")
+    x = e.reshape(-1, n)
+    for _ in range(q):
+        # the leading qubit's code becomes a trailing (row, column) pair
+        x = x.reshape(len(x), 4, -1).transpose(0, 2, 1) @ _PAULI_BLOCK.T
+    d = 2**q
+    rows_first = [0, *range(1, 2 * q, 2), *range(2, 2 * q + 1, 2)]
+    x = x.reshape((-1,) + (2,) * (2 * q)).transpose(rows_first)
+    return x.reshape(lead + (d, d)) / d
 
 
 def bloch_basis_povm(n: np.ndarray) -> Povm:

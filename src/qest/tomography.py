@@ -2,7 +2,8 @@
 
 The estimator solves Theta_hat = argmin sum_j W_j (p_hat_j - gamma0_j/d -
 Gamma_j . Theta)^2 and projects the reconstructed Hermitian matrix onto the
-physical (PSD, unit-trace) set.
+physical (PSD, unit-trace) set.  For shot-weighted cube draws the same
+minimum has a closed form in Pauli coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolationError, SingularDesignError
 from .linalg import gell_mann_basis, is_hermitian
-from .states import Records, rho_from_theta
+from .states import Records, cube_pauli_tables, rho_from_theta
 
 WEIGHTINGS = ("shots", "invvar")
 
@@ -67,6 +68,9 @@ def build_regression(records: Records, d: int, weighting: str = "shots") -> Regr
 def solve_weighted_ls(problem: RegressionProblem):
     """Weighted least squares from one thin SVD of sqrt(W) X: (theta, cond, q).
 
+    The general solve, for any records and either weighting.  Shot-weighted
+    cube draws have the closed form :func:`solve_cube_paulis`.
+
     theta is (p,) for one response column or (p, k) for k columns sharing the
     design; cond is the condition number of sqrt(W) X; q = (X^T W X)^-1 is
     the Q0 that seeds recursive updates.  Raises :class:`SingularDesignError`
@@ -87,6 +91,44 @@ def solve_weighted_ls(problem: RegressionProblem):
     theta = vt.T @ ((u.T @ b).T / s).T
     q = (vt.T / s**2) @ vt
     return theta, cond, (q + q.T) / 2
+
+
+def solve_cube_paulis(copies: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Shot-weighted least squares over cube draws, in closed form: all 4^q Pauli expectations.
+
+    ``copies`` and ``draws`` are :func:`qest.states.cube_draws`' output for
+    one state or a stack; the result has shape ``draws.shape[:-2] + (4^q,)``,
+    indexed as in :func:`qest.states.cube_pauli_tables`.  Basis b's draws
+    give its estimate of every Pauli P it measures, e_bP, with
+    ``w_b e_bP = (draws_b @ signs)[S]`` for the shot weight w_b = copies[b].
+    Under shot weights the information matrix of the cube design is diagonal
+    in the Pauli basis, with W_P = sum_{b measures P} w_b on the diagonal, so
+    the solution :func:`solve_weighted_ls` finds over the same records is
+    e_P = sum_b w_b e_bP / W_P for every non-identity P, and e_I = 1.
+
+    Raises :class:`SingularDesignError` naming the number of non-identity
+    Paulis with W_P = 0, which is the null-space dimension of the design.
+    There is no condition-number check: the condition number is
+    sqrt(max W_P / min W_P), and with every measured basis given c or c + 1
+    copies (c >= 1), or one copy when some bases get none, it is at most
+    sqrt(2 * 3^(q-1)), far below the 1e12 limit of :func:`solve_weighted_ls`.
+    """
+    d = draws.shape[-1]
+    n = d * d
+    signs, pauli_index = cube_pauli_tables(d)
+    # integer counts times +-1 signs: the weighted sums are exact
+    weighted = draws.reshape((-1,) + draws.shape[-2:]) @ signs
+    k = len(weighted)
+    # one bincount adds every (state, basis, subset) into its state's slot for its Pauli
+    slots = (np.arange(k)[:, None] * n + pauli_index.ravel()).ravel()
+    sums = np.bincount(slots, weights=weighted.ravel(), minlength=k * n).reshape(k, n)
+    weight = np.bincount(pauli_index.ravel(), weights=np.repeat(copies, d), minlength=n)
+    unmeasured = int(np.count_nonzero(weight[1:] == 0))
+    if unmeasured:
+        raise SingularDesignError(unmeasured)
+    e = sums / weight
+    e[:, 0] = 1.0
+    return e.reshape(draws.shape[:-2] + (n,))
 
 
 def project_physical(rho_tilde: np.ndarray, tol: float = 1e-8) -> np.ndarray:

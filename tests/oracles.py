@@ -6,9 +6,13 @@ scipy, which only the tests and the benchmark use.  The one-matrix
 accumulator loop is the reference for `qest.tomography.project_physical`'s
 batched simplex step.  The per-rotation identification loop is the
 reference for `qest.identify_hamiltonian`'s closed-form choice of phase
-rotation.
+rotation.  The Gell-Mann regression over cube records is the reference for
+`qest.estimate_lambda`'s closed-form solve in Pauli coordinates, and the
+dense Kronecker-product Pauli strings for its Pauli tables and butterfly
+reconstruction.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -16,9 +20,10 @@ import scipy.linalg
 
 from qest import linalg
 from qest.errors import ContractViolationError
-from qest.identification import raw_process_matrix
-from qest.linalg import is_hermitian
-from qest.states import Povm
+from qest.identification import apply_channel, natural_state_basis, raw_process_matrix
+from qest.linalg import gell_mann_basis, is_hermitian
+from qest.states import Povm, cube_records, rho_from_theta
+from qest.tomography import build_regression, project_physical, solve_weighted_ls
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
@@ -117,3 +122,36 @@ def project_physical_loop(rho_tilde: np.ndarray) -> np.ndarray:
     lam[:i] += acc / i
     out = (v[:, ::-1] * lam) @ v[:, ::-1].conj().T
     return (out + out.conj().T) / 2
+
+
+def regression_lambda(kraus, d: int, shots: int, seed) -> np.ndarray:
+    """Reference sampled transfer matrix by the general regression over the Gell-Mann design.
+
+    The same probes and draws as ``qest.estimate_lambda(mode="sampled")``,
+    taken as records and solved by the thin-SVD weighted least squares:
+    records -> build_regression -> solve_weighted_ls -> rho_from_theta ->
+    project_physical -> the probe expansion back to the units.
+    """
+    bases = natural_state_basis(d)
+    records = cube_records(apply_channel(kraus, bases.probes), shots, seed)
+    theta, _, _ = solve_weighted_ls(build_regression(records, d))
+    rho = project_physical(rho_from_theta(theta.T, gell_mann_basis(d)))
+    return np.linalg.solve(bases.probe_coeffs, rho.reshape(d * d, d * d))
+
+
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def pauli_strings(q: int) -> np.ndarray:
+    """All 4^q q-qubit Pauli strings as dense Kronecker products, (4^q, 2^q, 2^q).
+
+    String j has qubit i's code (I, X, Y, Z = 0, 1, 2, 3) as base-4 digit i
+    of j, qubit 0 most significant.
+    """
+    strings = []
+    for codes in itertools.product(range(4), repeat=q):
+        m = np.ones((1, 1), dtype=complex)
+        for c in codes:
+            m = np.kron(m, _PAULIS[c])
+        strings.append(m)
+    return np.stack(strings)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import qest
-from qest.cli import main
+from qest.cli import build_parser, main
 from qest.linalg import matrix_from_json, matrix_to_json
 from qest.states import (
     Records,
@@ -127,6 +127,15 @@ class TestHamidCommand:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["recovery_error"] <= 1e-8
 
+    def test_too_few_copies_is_one_contract_error(self, tmp_path, capsys):
+        # 5 copies reach 5 of the 9 two-qubit cube bases; 5 Paulis stay unmeasured
+        code = main(["hamid", "--dim", "4", "--time", "0.5", "--shots", "5", "--seed", "1",
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qest: error: contract:") and err.count("\n") == 1
+        assert "null-space dimension 5;" in err
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         h_path = tmp_path / "h.json"
         h_path.write_text(json.dumps(matrix_to_json(np.eye(3))))
@@ -228,9 +237,12 @@ class TestSmcDemoCommand:
     ["hamid", "--dim", "2", "--time", "0.5", "--shots", str(10**22)],
     ["sweep", "--dim", "2", "--shots", str(10**23), "--trials", "1"],
     ["adapt", "--dim", "2", "--N", str(10**23), "--N1", str(10**23), "--K", "0"],
+    ["sweep", "--dim", "2", "--shots", "100,100", "--trials", "1"],
+    ["sweep", "--dim", "4", "--shots", "100,1000,100", "--trials", "1"],
 ], ids=["hamid-time-0", "hamid-dim-0", "hamid-dim-1", "smc-periods-0", "smc-periods-neg",
         "smc-tau-inf", "smc-eps-nan", "smc-eps-tau-overflow", "adapt-trials-0",
-        "hamid-shots-beyond-int64", "sweep-shots-beyond-int64", "adapt-N1-beyond-int64"])
+        "hamid-shots-beyond-int64", "sweep-shots-beyond-int64", "adapt-N1-beyond-int64",
+        "sweep-shots-repeated", "sweep-shots-repeated-apart"])
 def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
     if argv[0] in ("hamid", "adapt", "sweep"):
         argv = argv + ["--out", str(tmp_path / "o.out")]
@@ -316,6 +328,43 @@ class TestSweepAndCompare:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "compare_slc.manifest.json").read_text())
         assert "worst_case_win_rate" in manifest["aggregates"]
+
+
+def _run_main(argv, out, capsys):
+    """(exit code, stdout, stderr, output bytes) of one in-process CLI call writing to out."""
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    files = sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []
+    return (code, captured.out, captured.err,
+            [(str(p.relative_to(out)), p.read_bytes()) for p in files])
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
+    runs = [
+        ["hamid", "--dim", "2", "--time", "0.4", "--shots", "500", "--seed", "2"],
+        ["adapt", "--dim", "2", "--N", "2000", "--N1", "1000", "--K", "2", "--trials", "1"],
+        ["hamid", "--dim", "two", "--time", "0.4"],
+        ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0", "--periods", "50"],
+        ["adapt", "--dim", "2", "--N", "2001", "--N1", "1000", "--K", "2", "--trials", "1"],
+        ["sweep", "--dim", "2", "--shots", "100,1000", "--trials", "1", "--seed", "3"],
+        ["adapt", "--dim", "2", "--N", "2000", "--N1", "1000", "--K", "2", "--N2", "500",
+         "--weights", "shots", "--trials", "1"],
+        ["hamid", "--dim", "4", "--time", "0.5", "--shots", "5", "--seed", "1"],
+    ]
+    fresh = []
+    for i, argv in enumerate(runs):
+        build_parser.cache_clear()
+        fresh.append(_run_main(argv, tmp_path / f"fresh{i}", capsys))
+    assert [r[0] for r in fresh] == [0, 0, 2, 0, 2, 0, 0, 3]
+    build_parser.cache_clear()
+    # every subcommand twice, alternating, through the one parser built by the first call
+    cached = [_run_main(argv, tmp_path / f"cached{n}_{i}", capsys)
+              for n in range(2) for i, argv in enumerate(runs)]
+    assert cached == fresh + fresh
+    assert build_parser.cache_info().misses == 1
 
 
 # Numeric CLI arguments: edge values (0, negatives, nan, inf, overflow) or a typical range.
@@ -417,6 +466,19 @@ def test_adapt_contract_property(n1, k, n2, budget_gap, pass_n2, trials, candida
     argv = ["adapt", f"--N={n1 + k * n2 + budget_gap}", f"--N1={n1}", f"--K={k}",
             f"--trials={trials}", f"--candidates={candidates}", f"--weights={weights}"]
     _contract_holds(argv + ([f"--N2={n2}"] if pass_n2 else []))
+
+
+_GRID_VALUE = st.sampled_from(["0", "-5", "1", "9", "100", "1000", str(10**23), "abc", "1e3",
+                               "2.5", ""])
+
+
+@_PROPERTY
+@given(dim=st.sampled_from([2, 4]), grid=st.lists(_GRID_VALUE, min_size=1, max_size=4),
+       trials=st.integers(-1, 2), weights=st.sampled_from(["shots", "invvar"]))
+@example(dim=2, grid=["100", "100"], trials=1, weights="shots")
+def test_sweep_contract_property(dim, grid, trials, weights):
+    _contract_holds(["sweep", f"--dim={dim}", f"--shots={','.join(grid)}",
+                     f"--trials={trials}", f"--weights={weights}"])
 
 
 _AMPLITUDE = _floats(-2.0, 2.0)

@@ -77,8 +77,8 @@ GOLDEN = {
     "sweep/mse_sweep.csv": "3825a6b0767101c30b70bb19c6993a928ce5b526800d55fcd8ec53aa3236f3ba",
     "sweep/mse_sweep.manifest.json": "009147c01eab58c65f59957a3c57182b48aea25156d912c1473e3a8819ea7905",
     "adapt/adapt.csv": "6cfa9d70351122a7d6741014a6dae985f74c7f904d5ba810e116f03040201f7a",
-    "hamid/hamid.json": "916f56b4b278e6e517703e18f45c6a1184b2dc64248fba51eccfb85ec751d793",
-    "hamid4/hamid4.json": "f60257fa43064344ee6b43f1d2273c1d9406667cbb2a84833e4523d609c14047",
+    "hamid/hamid.json": "e07dd2d2c94500c9306ef7892d3f418c4b192a553328f4ecff3f244bf0e339a9",
+    "hamid4/hamid4.json": "5a6309b7dd1576c482846d5a1056691330583bc3f6a3616511a088f8c9db09d1",
     "smc/smc.csv": "585f9bf55181e7b5ab262c4c4f2b7aaeecdd9b5c25d1ac58d3c029186ec2f033",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
     "slc/pulse.json": "10b6dc25e9b232726adbf482ebf3109cdcad28ea4dc9e9c628cfcaa5ce4698e8",

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qest import identification
+from qest import identification, states
 from qest.errors import ContractViolationError, SingularDesignError
 from qest.identification import (
     apply_channel,
@@ -23,6 +23,7 @@ from tests.oracles import (
     check_density_matrix,
     identify_by_rotations,
     is_trace_preserving,
+    regression_lambda,
     schur_eigenphases,
 )
 
@@ -217,8 +218,25 @@ class TestEstimateLambda:
         assert np.array_equal(estimate_lambda(kraus, 4),
                               np.stack([apply_channel(kraus, u).ravel() for u in units]))
 
+    @pytest.mark.parametrize("d, shots", [(2, 3), (2, 5000), (4, 9), (4, 10), (4, 20000),
+                                          (8, 28), (8, 20000), (16, 20000)])
+    def test_sampled_equals_regression_oracle(self, d, shots):
+        kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
+        lam = estimate_lambda(kraus, d, mode="sampled", shots_per_output=shots, seed=7)
+        assert np.abs(lam - regression_lambda(kraus, d, shots, 7)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d, shots", [(2, 1), (2, 2), (4, 5), (4, 8), (8, 26)])
+    def test_singular_null_dimension_equals_the_regression_oracle(self, d, shots):
+        kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
+        with pytest.raises(SingularDesignError) as ours:
+            estimate_lambda(kraus, d, mode="sampled", shots_per_output=shots, seed=1)
+        with pytest.raises(SingularDesignError) as oracle:
+            regression_lambda(kraus, d, shots, 1)
+        assert ours.value.null_dim == oracle.value.null_dim > 0
+        assert str(ours.value) == str(oracle.value)
+
     def test_sampled_draws_and_decomposes_all_probes_at_once(self, monkeypatch):
-        calls = {"multinomial": 0, "eigh": 0}
+        calls = {"multinomial": 0, "eigh": 0, "svd": 0, "cube_table": 0}
 
         class CountingGenerator(np.random.Generator):
             def multinomial(self, *args, **kwargs):
@@ -231,11 +249,25 @@ class TestEstimateLambda:
             calls["eigh"] += 1
             return eigh(a, *args, **kwargs)
 
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls["svd"] += 1
+            return svd(a, *args, **kwargs)
+
+        def counting_cube_table(d):
+            # the Gell-Mann gamma rows of the cube elements
+            calls["cube_table"] += 1
+            return cube_table(d)
+
+        cube_table = states._cube_table
         kraus = [herm_expm(random_traceless_hermitian(4, np.random.default_rng(4), 1.0), 0.5)]
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(states, "_cube_table", counting_cube_table)
         lam = estimate_lambda(kraus, 4, mode="sampled", shots_per_output=500,
                               seed=CountingGenerator(np.random.PCG64(4)))
-        assert calls == {"multinomial": 1, "eigh": 1}
+        assert calls == {"multinomial": 1, "eigh": 1, "svd": 0, "cube_table": 0}
         assert np.array_equal(lam, estimate_lambda(kraus, 4, mode="sampled", shots_per_output=500,
                                                    seed=np.random.default_rng(4)))
 

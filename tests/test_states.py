@@ -10,6 +10,8 @@ from qest.states import (
     Records,
     bloch_basis_povm,
     born_probabilities,
+    cube_draws,
+    cube_pauli_tables,
     cube_povms,
     cube_records,
     expected_records,
@@ -20,12 +22,13 @@ from qest.states import (
     records_from_csv,
     records_to_csv,
     resolve_povm_label,
+    rho_from_paulis,
     rho_from_theta,
     simulate_measurements,
     split_evenly,
     theta_from_rho,
 )
-from tests.oracles import check_density_matrix, validate_povm
+from tests.oracles import check_density_matrix, pauli_strings, validate_povm
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -307,3 +310,63 @@ class TestRecordsCsv:
             resolve_povm_label("cube:xq", 4)
         with pytest.raises(ConfigError):
             resolve_povm_label("bloch:1,0,0", 4)
+
+
+class TestCubeDraws:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("total", [1, 5, 26, 27, 28, 20000])
+    def test_draws_are_the_records_successes_bit_for_bit(self, d, total):
+        rng = np.random.default_rng(d + 50)
+        stack = np.stack([random_density_matrix(d, rng) for _ in range(3)]
+                         + [pure_to_density(np.eye(d)[0])])
+        draws_rng, records_rng = np.random.default_rng(total), np.random.default_rng(total)
+        copies, draws = cube_draws(stack, total, draws_rng)
+        records = cube_records(stack, total, records_rng)
+        assert draws.shape == (len(stack), len(cube_povms(d)), d)
+        assert np.array_equal(copies, split_evenly(total, len(cube_povms(d))))
+        measured = np.repeat(copies, d) > 0
+        assert np.array_equal(records.shots, np.repeat(copies, d)[measured])
+        assert np.array_equal(records.successes, draws.reshape(len(stack), -1).T[measured])
+        assert not draws[:, copies == 0].any()
+        assert draws_rng.random() == records_rng.random()
+
+    def test_single_state_draws_equal_per_basis_loop(self):
+        rho = random_density_matrix(4, np.random.default_rng(9))
+        copies, draws = cube_draws(rho, 30, np.random.default_rng(1))
+        ref = per_basis_cube_records(rho, 30, np.random.default_rng(1))
+        assert np.array_equal(draws.ravel(), ref.successes)
+        assert np.array_equal(np.repeat(copies, 4), ref.shots)
+
+
+class TestPauliCoordinates:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_cube_elements_expand_over_their_paulis(self, d):
+        # E_bo = sum_S signs[o, S] P_(pauli_index[b, S]) / d, against dense Pauli strings
+        signs, pauli_index = cube_pauli_tables(d)
+        paulis = pauli_strings(d.bit_length() - 1)
+        for b, povm in enumerate(cube_povms(d)):
+            expanded = np.einsum("os,sij->oij", signs, paulis[pauli_index[b]]) / d
+            assert np.abs(expanded - povm.elements).max() <= 1e-15
+        assert not signs.flags.writeable and not pauli_index.flags.writeable
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_rho_from_paulis_equals_dense_sum(self, d):
+        q = d.bit_length() - 1
+        paulis = pauli_strings(q)
+        e = np.random.default_rng(d).normal(size=(3, 4**q))
+        e[:, 0] = 1.0
+        stack = rho_from_paulis(e)
+        assert stack.shape == (3, d, d)
+        for row, rho in zip(e, stack):
+            assert np.abs(rho - np.einsum("p,pij->ij", row, paulis) / d).max() <= 1e-14
+        assert np.array_equal(rho_from_paulis(e[0]), stack[0])
+
+    def test_rho_from_paulis_inverts_pauli_expectations(self):
+        rho = random_density_matrix(8, np.random.default_rng(3))
+        e = np.einsum("ij,pji->p", rho, pauli_strings(3)).real
+        assert np.abs(rho_from_paulis(e) - rho).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 8, 15])
+    def test_rho_from_paulis_needs_4_to_the_q(self, n):
+        with pytest.raises(ValueError):
+            rho_from_paulis(np.ones(n))

@@ -7,12 +7,15 @@ from qest.errors import ContractViolationError, SingularDesignError
 from qest.linalg import gell_mann_basis
 from qest.states import (
     Records,
+    cube_draws,
     cube_povms,
+    cube_records,
     expected_records,
     mse,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
+    rho_from_theta,
     simulate_measurements,
     theta_from_rho,
 )
@@ -21,10 +24,11 @@ from qest.tomography import (
     build_regression,
     project_physical,
     record_weight,
+    solve_cube_paulis,
     solve_weighted_ls,
     tomography_pipeline,
 )
-from tests.oracles import project_physical_loop
+from tests.oracles import pauli_strings, project_physical_loop
 
 
 def haar_basis_povm(d, rng, label="haar"):
@@ -299,3 +303,33 @@ class TestPipeline:
                 errs.append(mse(rho_hat, rho))
             means.append(np.mean(errs))
         assert means[1] < means[0]
+
+
+class TestSolveCubePaulis:
+    @pytest.mark.parametrize("d, total", [(2, 3), (2, 7), (4, 9), (4, 10), (4, 9000), (8, 28),
+                                          (8, 1000)])
+    def test_equals_the_svd_solve_in_pauli_coordinates(self, d, total):
+        q = d.bit_length() - 1
+        rng = np.random.default_rng(d + total)
+        stack = np.stack([random_density_matrix(d, rng) for _ in range(3)])
+        e = solve_cube_paulis(*cube_draws(stack, total, np.random.default_rng(1)))
+        problem = build_regression(cube_records(stack, total, np.random.default_rng(1)), d)
+        theta, cond, _ = solve_weighted_ls(problem)
+        rho = rho_from_theta(theta.T, gell_mann_basis(d))
+        assert e.shape == (3, 4**q)
+        assert np.abs(e - np.einsum("kij,pji->kp", rho, pauli_strings(q)).real).max() <= 1e-12
+        # the bound that lets the closed form skip the condition-number check
+        assert cond <= np.sqrt(2 * 3 ** (q - 1)) * (1 + 1e-12)
+
+    def test_one_state_gives_one_row(self):
+        copies, draws = cube_draws(random_density_matrix(4, np.random.default_rng(2)), 90, 3)
+        e = solve_cube_paulis(copies, draws)
+        assert e.shape == (16,) and e[0] == 1.0
+        assert np.array_equal(e, solve_cube_paulis(copies, draws[None])[0])
+
+    @pytest.mark.parametrize("d, total, null_dim", [(2, 1, 2), (2, 2, 1), (4, 5, 5), (4, 8, 1),
+                                                    (8, 26, 1)])
+    def test_unmeasured_paulis_are_the_null_space(self, d, total, null_dim):
+        copies, draws = cube_draws(np.eye(d) / d, total, 0)
+        with pytest.raises(SingularDesignError, match=f"null-space dimension {null_dim};"):
+            solve_cube_paulis(copies, draws)
