@@ -35,14 +35,12 @@ from .errors import (
 )
 from .identification import (
     apply_channel,
-    build_b_matrix,
     estimate_lambda,
     identify_hamiltonian,
-    natural_state_basis,
+    natural_probes,
     raw_process_matrix,
 )
 from .linalg import (
-    HermitianBasis,
     gell_mann_basis,
     herm_expm,
     matrix_from_json,
@@ -58,11 +56,9 @@ from .states import (
     born_probabilities,
     cube_povms,
     cube_records,
-    expected_records,
     mse,
     rho_from_theta,
     simulate_measurements,
-    theta_from_rho,
 )
 from .tomography import (
     RegressionProblem,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gell_mann_basis
 from .states import (
     Povm,
     as_rng,
@@ -172,7 +171,6 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     """
     truth = np.asarray(truth, dtype=complex)
     d = truth.shape[0]
-    basis = gell_mann_basis(d)
     rng = as_rng(seed)
     if isinstance(candidates, str):
         if candidates != "continuum":
@@ -189,7 +187,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     diagnostics = []
 
     def snapshot(step):
-        rho_step = project_physical(rho_from_theta(state.theta, basis))
+        rho_step = project_physical(rho_from_theta(state.theta))
         diagnostics.append({
             "step": step,
             "copies_used": schedule.stage1 + step * schedule.per_step,

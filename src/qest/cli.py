@@ -282,11 +282,20 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose rejections are config errors, not usage text and an exit.
+
+    Subparsers are built with the parser's own class, so they share it.
+    """
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The `qest` parser, built once per process; every call shares it, so do not change it."""
-    parser = argparse.ArgumentParser(prog="qest",
-                                     description="quantum estimation and robust-control experiments")
+    parser = _Parser(prog="qest", description="quantum estimation and robust-control experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_help="output path"):
@@ -369,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ContractViolationError as exc:
         print(_error("contract", exc), file=sys.stderr)

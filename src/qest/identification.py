@@ -8,50 +8,33 @@ gives a rank-one X whose vectorized factor G satisfies exp(-i H t) = G^T.
 
 Identification never forms B: X is an O(d^4) index reshuffle of Lambda
 (``raw_process_matrix``), so noiseless identification runs at d = 16 in well
-under a second.  ``build_b_matrix`` builds the dense d^4 x d^4 B from the same
-index map, for checks only.
+under a second.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import nearest_unitary, unitary_log, vec, vec_inv
+from .linalg import nearest_unitary, unitary_log, vec_inv
 from .states import cube_draws, rho_from_paulis
 from .tomography import project_physical, solve_cube_paulis
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessBases:
-    """Natural matrix units plus a physical probe set spanning the same space.
-
-    ``units[j] = |a><b|`` with j enumerating (a, b) row-major, so the
-    expansion coefficients of a matrix T over the units are ``T.ravel()``.
-    ``probe_coeffs[k]`` expands probe k in the units: probes = probe_coeffs @ units.
-    """
-
-    dim: int
-    units: np.ndarray        # (d^2, d, d)
-    probes: np.ndarray       # (d^2, d, d), physical density matrices
-    probe_coeffs: np.ndarray  # (d^2, d^2)
-
-
 @lru_cache(maxsize=None)
-def natural_state_basis(d: int) -> ProcessBases:
-    """Matrix units |a><b| and the standard probe projectors that span them.
+def natural_probes(d: int) -> np.ndarray:
+    """The d^2 standard probe projectors as one cached, read-only (d^2, d, d) array.
 
-    Cached, with read-only arrays, so every caller shares one copy.
+    The d projectors |k><k| come first, then |+_jk><+_jk| and then
+    |+i_jk><+i_jk| for j < k, with |+_jk> = (|j> + |k>)/sqrt(2) and
+    |+i_jk> = (|j> + i|k>)/sqrt(2).  Row k of ``probes.reshape(d^2, d^2)``
+    expands probe k over the matrix units |a><b|, (a, b) row-major, and is
+    invertible since the probes span every d x d matrix.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    units = np.zeros((d * d, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            units[a * d + b, a, b] = 1.0
     probes = []
     eye = np.eye(d, dtype=complex)
     for k in range(d):
@@ -65,8 +48,8 @@ def natural_state_basis(d: int) -> ProcessBases:
             plusi = (eye[j] + 1j * eye[k]) / np.sqrt(2)
             probes.append(np.outer(plusi, plusi.conj()))
     probes = np.stack(probes)
-    units.flags.writeable = probes.flags.writeable = False
-    return ProcessBases(dim=d, units=units, probes=probes, probe_coeffs=probes.reshape(d * d, d * d))
+    probes.flags.writeable = False
+    return probes
 
 
 def raw_process_matrix(lam: np.ndarray) -> np.ndarray:
@@ -80,23 +63,6 @@ def raw_process_matrix(lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam)
     d = int(round(np.sqrt(lam.shape[0])))
     return lam.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-
-
-def build_b_matrix(d: int) -> np.ndarray:
-    """Dense B with B[(m,n),(j,k)] the coefficient of rho_n in F_j rho_m F_k^dag.
-
-    Row (m, n) maps to index n*d^2 + m and column (j, k) to k*d^2 + j,
-    matching the column-stacked ``vec``.  B is the permutation applied by
-    ``raw_process_matrix``; the dense form costs O(d^8) memory and serves
-    only checks of that map.
-    """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    d4 = d**4
-    rows = vec(raw_process_matrix(vec_inv(np.arange(d4), d * d, d * d)))
-    b = np.zeros((d4, d4), dtype=complex)
-    b[rows, np.arange(d4)] = 1.0
-    return b
 
 
 def apply_channel(kraus, rho: np.ndarray) -> np.ndarray:
@@ -117,7 +83,8 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
                     seed=None) -> np.ndarray:
     """Transfer matrix Lambda with eps(unit_m) = sum_n Lambda[m, n] unit_n.
 
-    ``noiseless`` applies the channel to the matrix units directly.  ``sampled``
+    The units are the matrix units |a><b|, m = (a, b) row-major, as rows of
+    ``np.eye(d^2)``.  ``noiseless`` applies the channel to them directly.  ``sampled``
     runs all d^2 physical probes as one stack: one channel application, one
     :func:`cube_draws` call that scores every (probe, basis, outcome) by one
     Born-rule matrix product and draws all of them by one multinomial call (in
@@ -127,17 +94,17 @@ def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=Non
     stages and one batched physical projection.  The probe expansion goes
     back to the units through the exact linear map.
     """
-    bases = natural_state_basis(d)
     d2 = d * d
     if mode == "noiseless":
-        return apply_channel(kraus, bases.units).reshape(d2, d2)
+        return apply_channel(kraus, np.eye(d2, dtype=complex).reshape(d2, d, d)).reshape(d2, d2)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if not shots_per_output or shots_per_output < 1:
         raise ValueError("sampled mode needs shots_per_output >= 1")
-    copies, draws = cube_draws(apply_channel(kraus, bases.probes), int(shots_per_output), seed)
+    probes = natural_probes(d)
+    copies, draws = cube_draws(apply_channel(kraus, probes), int(shots_per_output), seed)
     rho = project_physical(rho_from_paulis(solve_cube_paulis(copies, draws)))
-    return np.linalg.solve(bases.probe_coeffs, rho.reshape(d2, d2))
+    return np.linalg.solve(probes.reshape(d2, d2), rho.reshape(d2, d2))
 
 
 def identify_hamiltonian(lam: np.ndarray, t: float):

@@ -16,7 +16,6 @@ same column-stacked order as ``vec``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,25 +44,10 @@ def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
     return float(np.linalg.norm(a.conj().T @ a - eye)) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianBasis:
-    """Traceless orthonormal Hermitian operator basis of a d-dimensional space.
-
-    ``elements`` is a stacked array of shape (d**2 - 1, d, d) satisfying
-    Tr(O_i) = 0 and Tr(O_i O_j) = delta_ij.
-    """
-
-    dim: int
-    elements: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.dim * self.dim - 1
-
-
 @lru_cache(maxsize=None)
-def gell_mann_basis(d: int) -> HermitianBasis:
-    """Generalized Gell-Mann basis, normalized to unit Hilbert-Schmidt norm.
+def gell_mann_basis(d: int) -> np.ndarray:
+    """Generalized Gell-Mann basis: a read-only (d^2 - 1, d, d) array of
+    traceless Hermitian elements with Tr(O_i O_j) = delta_ij.
 
     Ordering is fixed: the d(d-1)/2 symmetric elements first, then the
     d(d-1)/2 antisymmetric ones, then the d-1 diagonal ones; off-diagonal
@@ -91,7 +75,7 @@ def gell_mann_basis(d: int) -> HermitianBasis:
         elems.append(m / np.sqrt(l * (l + 1.0)))
     stacked = np.stack(elems)
     stacked.setflags(write=False)
-    return HermitianBasis(dim=d, elements=stacked)
+    return stacked
 
 
 def vec(a: np.ndarray) -> np.ndarray:

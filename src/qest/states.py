@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import HermitianBasis, gell_mann_basis
+from .linalg import gell_mann_basis
 
 _SQ2 = np.sqrt(2.0)
 
@@ -53,24 +54,19 @@ def random_density_matrix(d: int, rng) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def rho_from_theta(theta: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """rho = I/d + sum_i theta_i O_i, for one theta (p,) or a stack (k, p) of them."""
+def rho_from_theta(theta: np.ndarray) -> np.ndarray:
+    """rho = I/d + sum_i theta_i O_i over ``gell_mann_basis(d)``, for one theta or a stack.
+
+    d comes from the coordinate count: theta has shape (d^2 - 1,) or
+    (k, d^2 - 1) for some d >= 2.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (basis.size,):
-        raise ValueError(
-            f"theta has shape {theta.shape}, basis needs {basis.size} coordinates"
-        )
-    d = basis.dim
-    return np.eye(d) / d + (theta @ basis.elements.reshape(basis.size, d * d)).reshape(
+    p = theta.shape[-1] if theta.ndim else 0
+    d = math.isqrt(p + 1)
+    if d < 2 or d * d != p + 1:
+        raise ValueError(f"theta has shape {theta.shape}; need d^2 - 1 coordinates for some d >= 2")
+    return np.eye(d) / d + (theta @ gell_mann_basis(d).reshape(p, d * d)).reshape(
         theta.shape[:-1] + (d, d))
-
-
-def theta_from_rho(rho: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """theta_i = Tr(rho O_i); inverse of :func:`rho_from_theta` on unit-trace Hermitians."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (basis.dim, basis.dim):
-        raise ValueError("state dimension does not match the basis")
-    return np.einsum("ij,kji->k", rho, basis.elements).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +95,7 @@ class Povm:
     @cached_property
     def gamma(self) -> np.ndarray:
         return _read_only(
-            np.einsum("eij,kji->ek", self.elements, gell_mann_basis(self.dim).elements).real
+            np.einsum("eij,kji->ek", self.elements, gell_mann_basis(self.dim)).real
         )
 
 
@@ -181,13 +177,6 @@ def simulate_measurements(rho, povm: Povm, shots: int, rng) -> Records:
     return Records.of_povm(povm, shots, rng.multinomial(shots, p / p.sum()))
 
 
-def expected_records(rho, povm: Povm, shots: int) -> Records:
-    """Noiseless records with successes equal to the exact expected counts."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return Records.of_povm(povm, shots, born_probabilities(rho, povm) * shots)
-
-
 def split_evenly(total: int, parts: int):
     """Deterministic near-even integer split; early parts take the remainder."""
     base, rem = divmod(total, parts)
@@ -244,11 +233,6 @@ def cube_records(rho, total: int, rng) -> Records:
     return replace(rows, shots=shots[measured], successes=successes.astype(float))
 
 
-def _qubit_axis_povm(axis: str) -> np.ndarray:
-    kets = _AXIS_KETS[axis]
-    return np.stack([pure_to_density(k) for k in kets])
-
-
 def _qubits(d: int) -> int:
     q = int(round(np.log2(d)))
     if d < 2 or 2**q != d:
@@ -276,36 +260,28 @@ def _cube_elements(d: int) -> np.ndarray:
 
     Bases run over the qubits' axes in ``itertools.product("xyz")`` order,
     outcomes over their signs, qubit 0 most significant and the plus
-    eigenvector first.
+    eigenvector first.  Each qubit adds its factor by one broadcast outer
+    product on the right, in the left-to-right order of nested ``np.kron``
+    calls, so every entry is multiplied exactly as ``np.kron`` multiplies it.
     """
-    bases = []
-    for axes in itertools.product("xyz", repeat=_qubits(d)):
-        single = [_qubit_axis_povm(a) for a in axes]
-        elements = []
-        for outcomes in itertools.product(range(2), repeat=len(axes)):
-            m = single[0][outcomes[0]]
-            for qi in range(1, len(axes)):
-                m = np.kron(m, single[qi][outcomes[qi]])
-            elements.append(m)
-        bases.append(np.stack(elements))
-    return _read_only(np.stack(bases))
+    single = np.array([[pure_to_density(k) for k in _AXIS_KETS[a]] for a in "xyz"])
+    elements = single
+    for _ in range(_qubits(d) - 1):
+        b, o, n, _ = elements.shape
+        # axes (basis, new axis, outcome, new sign, row, new row, column, new column)
+        elements = (elements[:, None, :, None, :, None, :, None]
+                    * single[None, :, None, :, None, :, None, :]).reshape(3 * b, 2 * o, 2 * n, 2 * n)
+    return _read_only(elements)
 
 
 @lru_cache(maxsize=None)
 def _cube_table(d: int) -> Records:
-    """The cube elements' regression rows, one shot and no successes per element.
+    """The cube POVMs' regression rows, one shot and no successes per element.
 
     Their read-only label, element and gamma columns serve every
     :func:`cube_records` call.
     """
-    elements = _cube_elements(d)
-    n_bases, n_out = elements.shape[:2]
-    # the same contractions as Povm.gamma0 and Povm.gamma, over all bases at once
-    gamma = np.einsum("beij,kji->bek", elements, gell_mann_basis(d).elements).real
-    rows = Records(np.repeat(_cube_labels(d), n_out), np.tile(np.arange(n_out), n_bases),
-                   np.ones(n_bases * n_out, dtype=int), np.zeros(n_bases * n_out),
-                   np.einsum("beii->be", elements).real.ravel(),
-                   np.ascontiguousarray(gamma).reshape(n_bases * n_out, d * d - 1))
+    rows = Records.concat(Records.of_povm(povm, 1, np.zeros(len(povm))) for povm in cube_povms(d))
     for column in (rows.label, rows.element, rows.gamma0, rows.gamma):
         _read_only(column)
     return rows
@@ -400,15 +376,6 @@ def mse(est: np.ndarray, truth: np.ndarray) -> float:
     if est.shape != truth.shape:
         raise ValueError("state dimensions differ")
     return float(np.linalg.norm(est - truth) ** 2)
-
-
-def records_to_csv(records: Records, path) -> None:
-    """Write records as CSV with columns povm,element,shots,successes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["povm", "element", "shots", "successes"])
-        writer.writerows(zip(records.label, records.element, records.shots,
-                             (f"{s:.17g}" for s in records.successes)))
 
 
 def records_from_csv(path, d: int) -> Records:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, SingularDesignError
-from .linalg import gell_mann_basis, is_hermitian
+from .linalg import is_hermitian
 from .states import Records, cube_pauli_tables, rho_from_theta
 
 WEIGHTINGS = ("shots", "invvar")
@@ -172,7 +172,7 @@ def tomography_pipeline(records: Records, d: int, weighting: str = "shots"):
     """
     problem = build_regression(records, d, weighting)
     theta, cond, _ = solve_weighted_ls(problem)
-    rho_tilde = rho_from_theta(theta, gell_mann_basis(d))
+    rho_tilde = rho_from_theta(theta)
     rho = project_physical(rho_tilde)
     distance = float(np.linalg.norm(rho - rho_tilde))
     residual = float(np.linalg.norm(np.sqrt(problem.w) * (problem.y - problem.x @ theta)))

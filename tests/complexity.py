@@ -10,8 +10,9 @@ from qest.identification import (
     random_traceless_hermitian,
 )
 from qest.linalg import herm_expm
-from qest.states import Records, cube_povms, expected_records, random_density_matrix
+from qest.states import Records, cube_povms, random_density_matrix
 from qest.tomography import build_regression, solve_weighted_ls
+from tests.oracles import expected_records
 
 
 def complexity_probe(task: str, d_values, repetitions: int = 3, seed: int = 0):

@@ -9,9 +9,14 @@ reference for `qest.identify_hamiltonian`'s closed-form choice of phase
 rotation.  The Gell-Mann regression over cube records is the reference for
 `qest.estimate_lambda`'s closed-form solve in Pauli coordinates, and the
 dense Kronecker-product Pauli strings for its Pauli tables and butterfly
-reconstruction.
+reconstruction.  The nested ``np.kron`` loop, the all-bases ``einsum`` and
+the per-unit loop are the bit-for-bit references for the cube elements, the
+cube regression table and the matrix units that `qest` builds in one step.
+The Gell-Mann coordinates of a state, exact expected counts, the records CSV
+writer and the dense B are library-style helpers that only tests call.
 """
 
+import csv
 import itertools
 import warnings
 
@@ -20,9 +25,15 @@ import scipy.linalg
 
 from qest import linalg
 from qest.errors import ContractViolationError
-from qest.identification import apply_channel, natural_state_basis, raw_process_matrix
-from qest.linalg import gell_mann_basis, is_hermitian
-from qest.states import Povm, cube_records, rho_from_theta
+from qest.identification import apply_channel, natural_probes, raw_process_matrix
+from qest.linalg import gell_mann_basis, is_hermitian, vec, vec_inv
+from qest.states import (
+    Povm,
+    Records,
+    born_probabilities,
+    cube_records,
+    rho_from_theta,
+)
 from qest.tomography import build_regression, project_physical, solve_weighted_ls
 
 
@@ -132,11 +143,11 @@ def regression_lambda(kraus, d: int, shots: int, seed) -> np.ndarray:
     records -> build_regression -> solve_weighted_ls -> rho_from_theta ->
     project_physical -> the probe expansion back to the units.
     """
-    bases = natural_state_basis(d)
-    records = cube_records(apply_channel(kraus, bases.probes), shots, seed)
+    probes = natural_probes(d)
+    records = cube_records(apply_channel(kraus, probes), shots, seed)
     theta, _, _ = solve_weighted_ls(build_regression(records, d))
-    rho = project_physical(rho_from_theta(theta.T, gell_mann_basis(d)))
-    return np.linalg.solve(bases.probe_coeffs, rho.reshape(d * d, d * d))
+    rho = project_physical(rho_from_theta(theta.T))
+    return np.linalg.solve(probes.reshape(d * d, d * d), rho.reshape(d * d, d * d))
 
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -155,3 +166,95 @@ def pauli_strings(q: int) -> np.ndarray:
             m = np.kron(m, _PAULIS[c])
         strings.append(m)
     return np.stack(strings)
+
+
+def theta_from_rho(rho: np.ndarray) -> np.ndarray:
+    """theta_i = Tr(rho O_i) over ``gell_mann_basis(d)``; inverse of ``rho_from_theta``
+    on unit-trace Hermitians."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.einsum("ij,kji->k", rho, gell_mann_basis(rho.shape[0])).real
+
+
+def expected_records(rho, povm: Povm, shots: int) -> Records:
+    """Noiseless records with successes equal to the exact expected counts."""
+    return Records.of_povm(povm, shots, born_probabilities(rho, povm) * shots)
+
+
+def records_to_csv(records: Records, path) -> None:
+    """Write records as CSV with columns povm,element,shots,successes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["povm", "element", "shots", "successes"])
+        writer.writerows(zip(records.label, records.element, records.shots,
+                             (f"{s:.17g}" for s in records.successes)))
+
+
+def build_b_matrix(d: int) -> np.ndarray:
+    """Dense B with B[(m,n),(j,k)] the coefficient of rho_n in F_j rho_m F_k^dag.
+
+    Row (m, n) maps to index n*d^2 + m and column (j, k) to k*d^2 + j,
+    matching the column-stacked ``vec``.  B is the permutation applied by
+    ``qest.raw_process_matrix``; the dense form costs O(d^8) memory.
+    """
+    d4 = d**4
+    rows = vec(raw_process_matrix(vec_inv(np.arange(d4), d * d, d * d)))
+    b = np.zeros((d4, d4), dtype=complex)
+    b[rows, np.arange(d4)] = 1.0
+    return b
+
+
+def natural_units(d: int) -> np.ndarray:
+    """The matrix units |a><b|, (a, b) row-major, one at a time: (d^2, d, d)."""
+    units = np.zeros((d * d, d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            units[a * d + b, a, b] = 1.0
+    return units
+
+
+# Single-qubit eigenvectors of sigma_x, sigma_y, sigma_z, plus outcome first.
+_AXIS_KETS = {
+    "x": (np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)),
+    "y": (np.array([1.0, 1.0j]) / np.sqrt(2.0), np.array([1.0, -1.0j]) / np.sqrt(2.0)),
+    "z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+}
+
+
+def kron_cube_elements(d: int) -> np.ndarray:
+    """The cube bases' elements by nested ``np.kron`` loops: (bases, outcomes, d, d).
+
+    Bases in ``itertools.product("xyz")`` order and outcomes in sign order,
+    qubit 0 most significant, as in ``qest.cube_povms``.
+    """
+    q = d.bit_length() - 1
+    bases = []
+    for axes in itertools.product("xyz", repeat=q):
+        single = [[np.outer(k, k.conj()) for k in np.asarray(_AXIS_KETS[a], dtype=complex)]
+                  for a in axes]
+        elements = []
+        for outcomes in itertools.product(range(2), repeat=q):
+            m = single[0][outcomes[0]]
+            for qi in range(1, q):
+                m = np.kron(m, single[qi][outcomes[qi]])
+            elements.append(m)
+        bases.append(np.stack(elements))
+    return np.stack(bases)
+
+
+def einsum_cube_table(d: int):
+    """The cube elements' regression coordinates (gamma0, gamma) over all bases at once.
+
+    One ``einsum`` per column over the (bases, outcomes, d, d) elements, one
+    row per (basis, outcome) in C order.
+    """
+    elements = kron_cube_elements(d)
+    gamma = np.einsum("beij,kji->bek", elements, gell_mann_basis(d)).real
+    return (np.einsum("beii->be", elements).real.ravel(),
+            np.ascontiguousarray(gamma).reshape(-1, d * d - 1))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have the same dtype, shape and bytes; tells -0.0 from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))

@@ -25,7 +25,6 @@ from qest.harness import (
     run_paired_tomography,
 )
 from qest.identification import (
-    build_b_matrix,
     estimate_lambda,
     identify_hamiltonian,
     random_traceless_hermitian,
@@ -35,7 +34,6 @@ from qest.states import (
     PAULI_X,
     Records,
     cube_povms,
-    expected_records,
     mse,
     random_density_matrix,
     simulate_measurements,
@@ -48,6 +46,7 @@ from qest.tomography import (
 )
 from tests.complexity import complexity_probe
 from tests.control_reference import central_difference_gradient
+from tests.oracles import build_b_matrix, expected_records
 from tests.test_golden import run_command, write_inputs
 from tests.test_identification import is_identifiable, random_unitary
 from tests.test_tomography import haar_basis_povm, simplex_projection_oracle

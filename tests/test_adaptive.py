@@ -17,7 +17,6 @@ from qest.states import (
     bloch_basis_povm,
     cube_povms,
     cube_records,
-    expected_records,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
@@ -31,6 +30,7 @@ from qest.tomography import (
     solve_weighted_ls,
     tomography_pipeline,
 )
+from tests.oracles import expected_records
 
 
 def qubit_dataset(rng, n_extra=12, weighting="shots"):

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -23,10 +24,10 @@ from qest.states import (
     mse,
     pure_to_density,
     random_pure_state,
-    records_to_csv,
     simulate_measurements,
 )
 from qest.tomography import tomography_pipeline
+from tests.oracles import records_to_csv
 
 
 def make_records_csv(path, seed=0, shots=4000):
@@ -332,10 +333,7 @@ class TestSweepAndCompare:
 
 def _run_main(argv, out, capsys):
     """(exit code, stdout, stderr, output bytes) of one in-process CLI call writing to out."""
-    try:
-        code = main(argv + ["--out", str(out)])
-    except SystemExit as exc:  # argparse rejects the arguments
-        code = exc.code
+    code = main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
     files = sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []
     return (code, captured.out, captured.err,
@@ -504,3 +502,97 @@ def test_slc_contract_property(horizon, intervals, iterations, step, tolerance, 
         cfg_path = Path(tmp) / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         _contract_holds(["slc", "--config", str(cfg_path)])
+
+
+# Full valid argument lists per subcommand; the parser never runs a command below.
+_OUT = "--out=unused.out"
+_VALID_ARGV = {
+    "tomo": ["--records=r.csv", "--dim=2", _OUT],
+    "adapt": ["--N=2000", "--N1=1000", "--K=2", _OUT],
+    "hamid": ["--dim=2", "--time=0.5", _OUT],
+    "slc": ["--config=c.json", _OUT],
+    "smc-demo": ["--p0=0.1", "--eps=0.1", "--tau=3.0"],
+    "sweep": ["--shots=100", _OUT],
+    "compare": ["--kind=slc", _OUT],
+}
+# (subcommand, typed option, its type) for the wrong-typed-value property
+_TYPED_OPTIONS = [("hamid", "--dim", int), ("hamid", "--time", float), ("adapt", "--N", int),
+                  ("sweep", "--trials", int), ("smc-demo", "--periods", int)]
+
+
+def _option_strings(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+
+
+def _rejected_by(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _one_argparse_config_error(argv):
+    """The parser rejects argv: exit 2 and one `qest: error: config:` line, no usage text."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert out.getvalue() == ""
+    assert len(lines) == 1 and lines[0].startswith("qest: error: config:")
+    assert "usage:" not in err.getvalue()
+
+
+@_PROPERTY
+@given(option=st.sampled_from(_TYPED_OPTIONS), data=st.data())
+def test_wrong_typed_value_is_one_config_error(option, data):
+    command, flag, kind = option
+    value = data.draw(
+        st.one_of(st.sampled_from(["two", "1.5", "1e3", "0x10", "", " ", "nan?"]), st.text(max_size=8))
+        .filter(lambda text: _rejected_by(kind, text)))
+    _one_argparse_config_error([command, *_VALID_ARGV[command], f"{flag}={value}"])
+
+
+@_PROPERTY
+@given(command=st.text(max_size=10).filter(
+    lambda text: text not in _VALID_ARGV and not text.startswith("-")))
+@example(command="frob")
+def test_unknown_subcommand_is_one_config_error(command):
+    _one_argparse_config_error([command, "--dim=2"])
+
+
+def test_no_subcommand_is_one_config_error():
+    _one_argparse_config_error([])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hamid", "--help"], ["sweep", "-h"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qest") and captured.err == ""
+
+
+@_PROPERTY
+@given(command=st.sampled_from(sorted(_VALID_ARGV)), data=st.data())
+def test_missing_required_option_is_one_config_error(command, data):
+    argv = _VALID_ARGV[command]
+    dropped = data.draw(st.integers(0, len(argv) - 1))
+    rest = data.draw(st.permutations(argv[:dropped] + argv[dropped + 1:]))
+    _one_argparse_config_error([command, *rest])
+
+
+@_PROPERTY
+@given(command=st.sampled_from(sorted(_VALID_ARGV)),
+       extra=st.text("abcdefghijklmnopqrstuvwxyzKN0123456789-_", min_size=1, max_size=8),
+       dashes=st.sampled_from(["--", ""]))
+@example(command="hamid", extra="bogus", dashes="--")
+def test_unknown_option_is_one_config_error(command, extra, dashes):
+    token = dashes + extra
+    # argparse accepts any unambiguous prefix of a known option, --help included
+    assume(not any(option.startswith(token) for option in _option_strings(command)))
+    _one_argparse_config_error([command, *_VALID_ARGV[command], f"{token}=1"])

@@ -17,9 +17,9 @@ from qest.states import (
     Records,
     cube_povms,
     random_density_matrix,
-    records_to_csv,
     simulate_measurements,
 )
+from tests.oracles import records_to_csv
 
 
 def write_inputs(tmp_path) -> dict:

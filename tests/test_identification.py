@@ -8,10 +8,9 @@ from qest import identification, states
 from qest.errors import ContractViolationError, SingularDesignError
 from qest.identification import (
     apply_channel,
-    build_b_matrix,
     estimate_lambda,
     identify_hamiltonian,
-    natural_state_basis,
+    natural_probes,
     random_traceless_hermitian,
     raw_process_matrix,
 )
@@ -20,10 +19,13 @@ from qest.states import cube_records, pure_to_density
 from qest.tomography import tomography_pipeline
 from tests.complexity import complexity_probe
 from tests.oracles import (
+    build_b_matrix,
     check_density_matrix,
     identify_by_rotations,
     is_trace_preserving,
+    natural_units,
     regression_lambda,
+    same_bits,
     schur_eigenphases,
 )
 
@@ -34,13 +36,13 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 
 def per_probe_lambda(kraus, d, shots, seed):
     """Reference: one full tomography pipeline per probe output, solved one at a time."""
-    bases = natural_state_basis(d)
+    probes = natural_probes(d)
     rng = np.random.default_rng(seed)
     lam_probe = np.stack([
         tomography_pipeline(cube_records(apply_channel(kraus, probe), shots, rng), d)[0].ravel()
-        for probe in bases.probes
+        for probe in probes
     ])
-    return np.linalg.solve(bases.probe_coeffs, lam_probe)
+    return np.linalg.solve(probes.reshape(d * d, d * d), lam_probe)
 
 
 def random_unitary(d, rng):
@@ -82,32 +84,35 @@ def is_identifiable(h_true, t, margin=1e-6):
 
 class TestNaturalStateBasis:
     def test_unit_count_and_independence(self):
-        bases = natural_state_basis(2)
-        assert bases.units.shape == (4, 2, 2)
-        gram = bases.units.reshape(4, 4) @ bases.units.reshape(4, 4).conj().T
-        assert np.linalg.matrix_rank(gram) == 4
+        # estimate_lambda's matrix units are the rows of np.eye(d^2)
+        for d in (2, 3, 4):
+            units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+            assert np.array_equal(units, natural_units(d))
+            assert np.linalg.matrix_rank(units.reshape(d * d, d * d)) == d * d
 
     def test_probe_map_well_conditioned(self):
-        bases = natural_state_basis(2)
-        assert np.linalg.cond(bases.probe_coeffs) < 10
+        assert np.linalg.cond(natural_probes(2).reshape(4, 4)) < 10
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_probes_are_physical_and_span(self, d):
-        bases = natural_state_basis(d)
-        for probe in bases.probes:
+        probes = natural_probes(d)
+        for probe in probes:
             check_density_matrix(probe)
-        assert np.linalg.matrix_rank(bases.probe_coeffs) == d * d
+        assert np.linalg.matrix_rank(probes.reshape(d * d, d * d)) == d * d
 
     def test_probe_coefficients_reconstruct_probes(self):
-        bases = natural_state_basis(3)
-        rebuilt = np.tensordot(bases.probe_coeffs, bases.units, axes=1)
-        assert np.allclose(rebuilt, bases.probes, atol=1e-12)
+        probes = natural_probes(3)
+        rebuilt = np.tensordot(probes.reshape(9, 9), natural_units(3), axes=1)
+        assert np.allclose(rebuilt, probes, atol=1e-12)
 
     def test_cached_and_read_only(self):
-        bases = natural_state_basis(4)
-        assert natural_state_basis(4) is bases
-        for name in ("units", "probes", "probe_coeffs"):
-            assert not getattr(bases, name).flags.writeable
+        for d in (2, 3, 4, 8):
+            probes = natural_probes(d)
+            assert natural_probes(d) is probes
+            assert probes.shape == (d * d, d, d) and not probes.flags.writeable
+            assert np.linalg.matrix_rank(probes.reshape(d * d, d * d)) == d * d
+        with pytest.raises(ValueError):
+            natural_probes(1)
 
 
 class TestBuildB:
@@ -135,12 +140,11 @@ class TestBuildB:
         # B vec(X) must reproduce the directly-computed transfer matrix
         rng = np.random.default_rng(0)
         d = 3
-        bases = natural_state_basis(d)
         b = build_b_matrix(d)
         u = random_unitary(d, rng)
         g = u.T
         x = np.outer(vec(g), vec(g).conj())
-        lam_direct = np.stack([apply_channel([u], unit).ravel() for unit in bases.units])
+        lam_direct = np.stack([apply_channel([u], unit).ravel() for unit in natural_units(d)])
         assert np.linalg.norm(b @ vec(x) - vec(lam_direct)) <= 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -177,7 +181,7 @@ class TestApplyChannel:
     def test_stack_equals_per_member_calls(self):
         rng = np.random.default_rng(12)
         kraus = [np.sqrt(0.7) * random_unitary(3, rng), np.sqrt(0.3) * random_unitary(3, rng)]
-        probes = natural_state_basis(3).probes
+        probes = natural_probes(3)
         assert np.array_equal(apply_channel(kraus, probes),
                               np.stack([apply_channel(kraus, rho) for rho in probes]))
 
@@ -214,9 +218,14 @@ class TestEstimateLambda:
 
     def test_noiseless_equals_per_unit_loop_bit_for_bit(self):
         kraus = [herm_expm(random_traceless_hermitian(4, np.random.default_rng(6), 1.0), 0.5)]
-        units = natural_state_basis(4).units
-        assert np.array_equal(estimate_lambda(kraus, 4),
-                              np.stack([apply_channel(kraus, u).ravel() for u in units]))
+        assert same_bits(estimate_lambda(kraus, 4),
+                         np.stack([apply_channel(kraus, u).ravel() for u in natural_units(4)]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_noiseless_equals_the_units_stack_bit_for_bit(self, d):
+        kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
+        assert same_bits(estimate_lambda(kraus, d),
+                         apply_channel(kraus, natural_units(d)).reshape(d * d, d * d))
 
     @pytest.mark.parametrize("d, shots", [(2, 3), (2, 5000), (4, 9), (4, 10), (4, 20000),
                                           (8, 28), (8, 20000), (16, 20000)])

@@ -1,0 +1,58 @@
+"""Every public library name has a caller in the library itself.
+
+A public function or class of a `qest` module that only tests call belongs in
+the tests (see tests/oracles.py), not in the package.  The scan reads the
+modules' syntax trees: a name counts as called when some module other than
+``__init__.py`` references it as a ``Name`` or an ``Attribute`` outside its
+own definition.  Imports, docstrings and comments do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import qest
+
+SRC = Path(qest.__file__).parent
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _public_definitions(tree):
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def _references(tree):
+    """Names and attributes read anywhere in the module, outside the definition they name."""
+    found = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            name = node.id if isinstance(node, ast.Name) else (
+                node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != own:
+                found.add(name)
+    return found
+
+
+def uncalled_names(modules):
+    referenced = set().union(*(_references(tree) for tree in modules.values()))
+    return sorted(f"{stem}.{name}" for stem, tree in modules.items()
+                  for name in _public_definitions(tree) - referenced)
+
+
+def test_every_public_name_has_a_library_caller():
+    assert uncalled_names(_modules()) == []
+
+
+def test_scan_flags_a_name_only_its_own_body_uses():
+    modules = {
+        "a": ast.parse("def used():\n    return 1\n\n"
+                       "def lonely(n):\n    '''used()'''\n    return lonely(n - 1)\n"),
+        "b": ast.parse("from .a import lonely\n\nclass Thing:\n    pass\n\n"
+                       "def caller():\n    return used() + Thing()\n"),
+    }
+    assert uncalled_names(modules) == ["a.lonely", "b.caller"]

@@ -56,22 +56,23 @@ class TestGellMannBasis:
     def test_qubit_basis_is_scaled_paulis(self):
         b = gell_mann_basis(2)
         expected = np.stack([SX, SY, SZ]) / np.sqrt(2)
-        assert np.allclose(b.elements, expected, atol=1e-15)
+        assert np.allclose(b, expected, atol=1e-15)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_invariants(self, d):
         b = gell_mann_basis(d)
-        assert b.elements.shape == (d * d - 1, d, d)
-        for om in b.elements:
+        assert b.shape == (d * d - 1, d, d)
+        assert gell_mann_basis(d) is b and not b.flags.writeable
+        for om in b:
             assert is_hermitian(om, 1e-12)
             assert abs(np.trace(om)) <= 1e-12
-        gram = np.einsum("aij,bji->ab", b.elements, b.elements).real
+        gram = np.einsum("aij,bji->ab", b, b).real
         assert np.abs(gram - np.eye(d * d - 1)).max() <= 1e-10
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_total_hilbert_schmidt_norm(self, d):
         b = gell_mann_basis(d)
-        total = sum(np.trace(om @ om).real for om in b.elements)
+        total = sum(np.trace(om @ om).real for om in b)
         assert total == pytest.approx(d * d - 1, abs=1e-9)
 
     def test_invalid_dimension(self):

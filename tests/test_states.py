@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from qest import states
 from qest.errors import ConfigError
 from qest.linalg import gell_mann_basis
 from qest.states import (
@@ -14,21 +15,28 @@ from qest.states import (
     cube_pauli_tables,
     cube_povms,
     cube_records,
-    expected_records,
     mse,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
     records_from_csv,
-    records_to_csv,
     resolve_povm_label,
     rho_from_paulis,
     rho_from_theta,
     simulate_measurements,
     split_evenly,
-    theta_from_rho,
 )
-from tests.oracles import check_density_matrix, pauli_strings, validate_povm
+from tests.oracles import (
+    check_density_matrix,
+    einsum_cube_table,
+    expected_records,
+    kron_cube_elements,
+    pauli_strings,
+    records_to_csv,
+    same_bits,
+    theta_from_rho,
+    validate_povm,
+)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -41,36 +49,43 @@ def z_basis():
 
 class TestThetaParameterization:
     def test_zero_theta_is_maximally_mixed(self):
-        basis = gell_mann_basis(3)
-        assert np.allclose(rho_from_theta(np.zeros(8), basis), np.eye(3) / 3)
+        assert np.allclose(rho_from_theta(np.zeros(8)), np.eye(3) / 3)
 
     def test_ground_state_coordinates(self):
-        basis = gell_mann_basis(2)
-        theta = theta_from_rho(pure_to_density(KET0), basis)
+        theta = theta_from_rho(pure_to_density(KET0))
         assert np.allclose(theta, [0.0, 0.0, 1.0 / np.sqrt(2)], atol=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_round_trip(self, d):
         rng = np.random.default_rng(d)
-        basis = gell_mann_basis(d)
         theta = rng.normal(scale=0.2, size=d * d - 1)
-        assert np.abs(theta_from_rho(rho_from_theta(theta, basis), basis) - theta).max() <= 1e-12
+        assert np.abs(theta_from_rho(rho_from_theta(theta)) - theta).max() <= 1e-12
         rho = random_density_matrix(d, rng)
-        assert np.linalg.norm(rho_from_theta(theta_from_rho(rho, basis), basis) - rho) <= 1e-12
+        assert np.linalg.norm(rho_from_theta(theta_from_rho(rho)) - rho) <= 1e-12
 
     def test_stack_matches_one_at_a_time(self):
-        basis = gell_mann_basis(4)
-        thetas = np.random.default_rng(3).normal(scale=0.1, size=(6, basis.size))
-        stack = rho_from_theta(thetas, basis)
+        thetas = np.random.default_rng(3).normal(scale=0.1, size=(6, 15))
+        stack = rho_from_theta(thetas)
         assert stack.shape == (6, 4, 4)
         for rho, theta in zip(stack, thetas):
-            assert np.abs(rho - rho_from_theta(theta, basis)).max() <= 1e-15
+            assert np.abs(rho - rho_from_theta(theta)).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_dimension_comes_from_the_coordinate_count(self, d):
+        thetas = np.random.default_rng(d).normal(scale=0.1, size=(4, d * d - 1))
+        stack = rho_from_theta(thetas)
+        assert stack.shape == (4, d, d)
+        expected = np.eye(d) / d + np.einsum("kp,pij->kij", thetas, gell_mann_basis(d))
+        assert np.abs(stack - expected).max() <= 1e-15
 
     def test_dimension_mismatch(self):
+        for size in (0, 1, 2, 5, 7, 9):
+            with pytest.raises(ValueError, match="d\\^2 - 1 coordinates"):
+                rho_from_theta(np.zeros(size))
+            with pytest.raises(ValueError, match="d\\^2 - 1 coordinates"):
+                rho_from_theta(np.zeros((3, size)))
         with pytest.raises(ValueError):
-            rho_from_theta(np.zeros(5), gell_mann_basis(2))
-        with pytest.raises(ValueError):
-            theta_from_rho(np.eye(3) / 3, gell_mann_basis(2))
+            rho_from_theta(0.0)
 
 
 class TestBornProbabilities:
@@ -134,12 +149,11 @@ class TestSimulateMeasurements:
         assert violations <= trials * 0.01
 
     def test_record_gammas(self):
-        basis = gell_mann_basis(2)
         recs = simulate_measurements(np.eye(2) / 2, z_basis(), 100, 5)
         for j, g0, gamma in zip(recs.element, recs.gamma0, recs.gamma):
             elem = z_basis().elements[j]
             assert g0 == pytest.approx(np.trace(elem).real, abs=1e-12)
-            expected = [np.trace(elem @ om).real for om in basis.elements]
+            expected = [np.trace(elem @ om).real for om in gell_mann_basis(2)]
             assert np.allclose(gamma, expected, atol=1e-12)
 
 
@@ -199,6 +213,23 @@ class TestCubePovms:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             cube_povms(3)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_elements_equal_nested_kron_bit_for_bit(self, d):
+        elements = states._cube_elements(d)
+        assert same_bits(elements.view(float), kron_cube_elements(d).view(float))
+        assert not elements.flags.writeable
+        assert all(np.shares_memory(povm.elements, elements) for povm in cube_povms(d))
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_table_equals_all_bases_einsum_bit_for_bit(self, d):
+        table = states._cube_table(d)
+        gamma0, gamma = einsum_cube_table(d)
+        assert same_bits(table.gamma0, gamma0)
+        assert same_bits(table.gamma, gamma)
+        labels = [p.label for p in cube_povms(d)]
+        assert np.array_equal(table.label, np.repeat(labels, d))
+        assert np.array_equal(table.element, np.tile(np.arange(d), len(labels)))
 
 
 def per_basis_cube_records(rho, total, rng):

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from qest.errors import ContractViolationError, SingularDesignError
-from qest.linalg import gell_mann_basis
 from qest.states import (
     Records,
     cube_draws,
     cube_povms,
     cube_records,
-    expected_records,
     mse,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
     rho_from_theta,
     simulate_measurements,
-    theta_from_rho,
 )
 from qest.tomography import (
     RegressionProblem,
@@ -28,7 +25,7 @@ from qest.tomography import (
     solve_weighted_ls,
     tomography_pipeline,
 )
-from tests.oracles import pauli_strings, project_physical_loop
+from tests.oracles import expected_records, pauli_strings, project_physical_loop, theta_from_rho
 
 
 def haar_basis_povm(d, rng, label="haar"):
@@ -85,17 +82,15 @@ class TestRecordWeight:
 class TestBuildRegression:
     def test_noiseless_residual_is_zero(self):
         rng = np.random.default_rng(0)
-        basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
-        theta = theta_from_rho(rho, basis)
+        theta = theta_from_rho(rho)
         problem = build_regression(exact_records(rho, cube_povms(2), 1000), 2)
         assert np.abs(problem.y - problem.x @ theta).max() <= 1e-12
 
     def test_noiseless_residual_random_basis_qutrit(self):
         rng = np.random.default_rng(1)
-        basis = gell_mann_basis(3)
         rho = random_density_matrix(3, rng)
-        theta = theta_from_rho(rho, basis)
+        theta = theta_from_rho(rho)
         povms = [haar_basis_povm(3, rng, f"haar{k}") for k in range(4)]
         problem = build_regression(exact_records(rho, povms, 100), 3)
         assert np.abs(problem.y - problem.x @ theta).max() <= 1e-12
@@ -129,11 +124,10 @@ class TestBuildRegression:
 class TestSolveWeightedLs:
     def test_noiseless_cube_is_exact(self):
         rng = np.random.default_rng(2)
-        basis = gell_mann_basis(2)
         rho = random_density_matrix(2, rng)
         problem = build_regression(exact_records(rho, cube_povms(2), 1000), 2)
         theta, _, _ = solve_weighted_ls(problem)
-        assert np.abs(theta - theta_from_rho(rho, basis)).max() <= 1e-10
+        assert np.abs(theta - theta_from_rho(rho)).max() <= 1e-10
 
     def test_row_duplication_invariance(self):
         rng = np.random.default_rng(3)
@@ -315,7 +309,7 @@ class TestSolveCubePaulis:
         e = solve_cube_paulis(*cube_draws(stack, total, np.random.default_rng(1)))
         problem = build_regression(cube_records(stack, total, np.random.default_rng(1)), d)
         theta, cond, _ = solve_weighted_ls(problem)
-        rho = rho_from_theta(theta.T, gell_mann_basis(d))
+        rho = rho_from_theta(theta.T)
         assert e.shape == (3, 4**q)
         assert np.abs(e - np.einsum("kij,pji->kp", rho, pauli_strings(q)).real).max() <= 1e-12
         # the bound that lets the closed form skip the condition-number check
