@@ -58,7 +58,6 @@ from .states import (
     cube_records,
     mse,
     rho_from_theta,
-    simulate_measurements,
 )
 from .tomography import (
     RegressionProblem,

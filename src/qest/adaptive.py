@@ -20,15 +20,15 @@ from .states import (
     Povm,
     as_rng,
     bloch_basis_povm,
+    born_probabilities,
     cube_povms,
     cube_records,
     mse,
+    multinomial,
     rho_from_theta,
-    simulate_measurements,
 )
 from .tomography import (
     RegressionProblem,
-    build_regression,
     project_physical,
     record_weight,
     solve_weighted_ls,
@@ -37,14 +37,19 @@ from .tomography import (
 
 @dataclass(frozen=True, eq=False)
 class RecursiveState:
-    """Covariance-like matrix Q and running estimate theta over gell_mann_basis(dim)."""
+    """Covariance-like matrix Q and running estimate theta over gell_mann_basis(dim).
+
+    One state has q (p, p) and theta (p,); a stack of members has q (R, p, p)
+    and theta (R, p), and every function of this module treats each member
+    exactly as it treats one state.
+    """
 
     q: np.ndarray
     theta: np.ndarray
 
     @property
     def dim(self) -> int:
-        return math.isqrt(self.theta.size + 1)
+        return math.isqrt(self.theta.shape[-1] + 1)
 
 
 @dataclass(frozen=True)
@@ -67,45 +72,77 @@ class AdaptiveSchedule:
 
 
 def rls_update(state: RecursiveState, problem: RegressionProblem) -> RecursiveState:
-    """Fold every row of ``problem`` into the running estimate, in row order."""
+    """Fold every row of ``problem`` into the running estimate, in row order.
+
+    For a stack of members the problem's rows are (R, n, p), with responses
+    and weights (R, n): member m folds its own rows.
+    """
     if np.any(problem.w <= 0):
         raise ValueError("weights must be positive")
     q, theta = state.q, state.theta
-    for gamma, y, w in zip(problem.x, problem.y, problem.w):
-        qg = q @ gamma
-        a = 1.0 / (1.0 / w + gamma @ qg)
-        q = q - a * np.outer(qg, qg)
-        q = (q + q.T) / 2
-        theta = theta + a * qg * (y - gamma @ theta)
+    for j in range(problem.y.shape[-1]):
+        gamma, y, w = problem.x[..., j, :], problem.y[..., j], problem.w[..., j]
+        # matvec and vecdot give the bits of q @ gamma and gamma @ theta, member by member
+        qg = np.matvec(q, gamma)
+        a = 1.0 / (1.0 / w + np.vecdot(gamma, qg))
+        q = q - a[..., None, None] * (qg[..., :, None] * qg[..., None, :])
+        q = (q + q.mT) / 2
+        theta = theta + a[..., None] * qg * (y - np.vecdot(gamma, theta))[..., None]
     return RecursiveState(q=q, theta=theta)
+
+
+def _rows_at(gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # every row of gamma times m, by one matrix product per member: m is (p, k) or a stack
+    # (R, p, k), and gamma's leading axes are the members' (or broadcast against them)
+    members = m.ndim - 2
+    rows = gamma.reshape(gamma.shape[:members] + (-1, gamma.shape[-1])) @ m
+    return rows.reshape(rows.shape[:members] + gamma.shape[members:-1] + m.shape[-1:])
 
 
 def trace_gain(state: RecursiveState, gamma: np.ndarray, weight) -> np.ndarray:
     """Closed form of Tr(Q_n-1) - Tr(Q_n) for each candidate row, without updating.
 
-    ``gamma`` stacks rows along its last axis; ``weight`` broadcasts against
-    the row shape ``gamma.shape[:-1]``.
+    ``gamma`` stacks rows along its last axis; for a stack of members its
+    leading axes are the members' (or broadcast against them).  ``weight``
+    broadcasts against the row shape.
     """
     gamma = np.asarray(gamma, float)
-    qg = gamma @ state.q  # Q is symmetric
-    return (qg * qg).sum(-1) / (1.0 / weight + (gamma * qg).sum(-1))
+    qg = _rows_at(gamma, state.q)  # Q is symmetric
+    drop = (gamma * qg).sum(-1)
+    qg *= qg  # in place: a stack of many candidate rows is large
+    return qg.sum(-1) / (1.0 / weight + drop)
 
 
 def _basis_gains(state, gamma0, gamma, planned_shots, weighting):
     # Summed trace gain of measuring planned_shots copies with each basis
     # (element rows along axis -2); planned weights use outcome probabilities
     # predicted by the current estimate.
-    p_pred = np.clip(gamma0 / state.dim + gamma @ state.theta, 0.0, 1.0)
+    p_pred = _rows_at(gamma, state.theta[..., None])[..., 0]
+    p_pred += gamma0 / state.dim
+    np.clip(p_pred, 0.0, 1.0, out=p_pred)
     return trace_gain(state, gamma, record_weight(planned_shots, p_pred, weighting)).sum(-1)
 
 
 def select_next_povm(state: RecursiveState, candidates, planned_shots: int,
                      weighting: str = "shots") -> Povm:
-    """Candidate with the largest summed trace gain; ties break to the lowest index."""
+    """Candidate with the largest summed trace gain; ties break to the lowest index.
+
+    For a stack of members, the stack of each member's choice.  The
+    candidates must then share their number of outcomes.
+    """
     if not candidates:
         raise ValueError("candidate set must be non-empty")
-    gains = [_basis_gains(state, c.gamma0, c.gamma, planned_shots, weighting) for c in candidates]
-    return candidates[int(np.argmax(gains))]
+    members = state.theta.shape[:-1]
+    gains = np.stack([
+        _basis_gains(state, c.gamma0, c.gamma.reshape((1,) * len(members) + c.gamma.shape),
+                     planned_shots, weighting)
+        for c in candidates
+    ], axis=-1)
+    best = np.argmax(gains, axis=-1)
+    if not members:
+        return candidates[best]
+    labels = tuple(candidates[i].label for i in best.ravel())
+    return Povm(labels, np.stack([c.elements for c in candidates])[best])
 
 
 def _fibonacci_sphere(count: int = 128) -> np.ndarray:
@@ -121,37 +158,74 @@ def _fibonacci_sphere(count: int = 128) -> np.ndarray:
 
 _SPHERE_GRID = _fibonacci_sphere()
 
+# candidate directions: the cube axes, the eigendirections of Q, the Bloch direction, the grid
+_BLOCH = 6
+
 
 def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
                           weighting: str = "shots") -> Povm:
     """Approximate trace-gain optimum over all Bloch directions.
 
     Scores the cube axes, the eigendirections of Q, the current Bloch
-    direction and a fixed Fibonacci sphere grid under the active weighting
-    policy's planned weights, and returns the best basis; cube axes win
-    ties.  Under constant (shot) weights the basis along u gains
+    direction (absent while the estimate is within 1e-9 of the maximally
+    mixed state) and a fixed Fibonacci sphere grid under the active
+    weighting policy's planned weights, and returns the best basis; cube
+    axes win ties.  Under constant (shot) weights the basis along u gains
     ||Q u||^2 / (1/w + u^T Q u / 2), maximized by the top eigendirection of
     Q; under inverse-variance weights aligned measurements become cheap and
-    the search leaves the cube frame.
+    the search leaves the cube frame.  For a stack of members, one batched
+    ``eigh`` and one scoring pass give the stack of each member's choice.
     """
     if state.dim != 2:
         raise ValueError("continuum basis search is qubit-only")
+    members = state.theta.shape[:-1]
     _, v = np.linalg.eigh(state.q)
-    candidates = [np.eye(3), v.T]
     bloch = state.theta * np.sqrt(2.0)
-    norm = np.linalg.norm(bloch)
-    if norm > 1e-9:
-        candidates.append([bloch / norm])
-    candidates.append(_SPHERE_GRID)
-    u = np.concatenate(candidates)
-    gamma = np.stack([u, -u], axis=1) / np.sqrt(2.0)
-    gains = _basis_gains(state, np.ones(gamma.shape[:2]), gamma, planned_shots, weighting)
+    norm = np.sqrt(np.vecdot(bloch, bloch))[..., None]  # np.linalg.norm's bits
+    has_bloch = norm > 1e-9
+    u = np.concatenate([
+        np.broadcast_to(np.eye(3), members + (3, 3)),
+        v.mT,
+        (bloch / np.where(has_bloch, norm, 1.0))[..., None, :],
+        np.broadcast_to(_SPHERE_GRID, members + _SPHERE_GRID.shape),
+    ], axis=-2)
+    gamma = np.stack([u, -u], axis=-2)
+    gamma /= np.sqrt(2.0)
+    gains = _basis_gains(state, 1.0, gamma, planned_shots, weighting)
+    gains[..., _BLOCH] = np.where(has_bloch[..., 0], gains[..., _BLOCH], -np.inf)
     # grid and eigen directions are unit vectors only to rounding, so gains
     # within 1e-12 (relative) of the best tie, and the lowest index wins
-    best = int(np.argmax(gains >= gains.max() * (1.0 - 1e-12)))
-    if best < 3:
-        return cube_povms(2)[best]
-    return bloch_basis_povm(u[best])
+    best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
+    cube = cube_povms(2)
+    if not members:
+        return cube[best] if best < 3 else bloch_basis_povm(u[best])
+    chosen = bloch_basis_povm(np.take_along_axis(u, best[..., None, None], axis=-2)[..., 0, :])
+    labels = tuple(cube[b].label if b < 3 else label
+                   for b, label in zip(best.ravel(), chosen.label))
+    elements = np.where((best < 3)[..., None, None, None],
+                        np.stack([p.elements for p in cube])[np.minimum(best, 2)],
+                        chosen.elements)
+    return Povm(labels, elements)
+
+
+def cube_estimate(truth, total: int, rng, weighting: str):
+    """Batch tomography from ``total`` copies on the cube bases: (theta, cond, q).
+
+    ``rng`` is one generator, or a list of them, one per member (see
+    :func:`qest.states.cube_draws`); each member's estimate equals
+    :func:`qest.tomography.tomography_pipeline`'s over its own records.
+    """
+    records = cube_records(truth, total, rng)
+    problem = _problem(records.shots, records.successes.T, records.gamma0, records.gamma,
+                       np.shape(truth)[-1], weighting)
+    return solve_weighted_ls(problem)
+
+
+def _problem(shots, successes, gamma0, gamma, d, weighting):
+    # build_regression's rows, member by member: successes and p_hat are (..., n)
+    p_hat = successes / shots
+    w = record_weight(shots, p_hat, weighting)
+    return RegressionProblem(y=p_hat - gamma0 / d, x=gamma, w=np.broadcast_to(w, p_hat.shape))
 
 
 def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
@@ -161,27 +235,34 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     Stage 1 spends ``schedule.stage1`` copies on the cube bases and solves the
     batch problem, whose theta and Q0 = (X^T W X)^-1 seed the recursion;
     stage 2 runs ``schedule.steps`` rounds in which the next basis is chosen
-    by trace gain (``candidates`` is a POVM list, or the string
-    ``"continuum"`` for the analytic qubit optimum), ``per_step`` copies are
-    measured and folded in recursively.  Inverse-variance weights
+    by trace gain (``candidates`` is a POVM list, the string ``"cube"`` for
+    the cube bases, or ``"continuum"`` for the analytic qubit optimum),
+    ``per_step`` copies are measured and folded in recursively.  Inverse-variance weights
     are the default because the covariance reading of Q assumes them.
 
-    Returns the projected final state and a per-step diagnostics list with
-    keys step, copies_used, trace_q and mse.
+    ``seed`` is one seed or generator for one run, or a list or tuple of
+    them, one per member, for a stack of R runs made at once; ``truth`` is
+    then shared, or an (R, d, d) stack.  Every member draws on its own
+    generator, as its own run would, and its results equal that run's.
+
+    Returns the projected final state, (d, d) or (R, d, d), and a per-step
+    diagnostics list with keys step, copies_used, trace_q and mse; the last
+    two are (R,) arrays for a stack.
     """
     truth = np.asarray(truth, dtype=complex)
-    d = truth.shape[0]
-    rng = as_rng(seed)
+    d = truth.shape[-1]
+    rng = [as_rng(s) for s in seed] if isinstance(seed, (list, tuple)) else as_rng(seed)
     if isinstance(candidates, str):
-        if candidates != "continuum":
+        if candidates == "cube":
+            candidates = cube_povms(d)
+        elif candidates != "continuum":
             raise ValueError(f"unknown candidate mode {candidates!r}")
-        if d != 2:
+        elif d != 2:
             raise ValueError("continuum candidates are qubit-only")
     elif not candidates:
         raise ValueError("candidate set must be non-empty")
 
-    problem = build_regression(cube_records(truth, schedule.stage1, rng), d, weighting)
-    theta, _, q = solve_weighted_ls(problem)
+    theta, _, q = cube_estimate(truth, schedule.stage1, rng, weighting)
     state = RecursiveState(q=q, theta=theta)
 
     diagnostics = []
@@ -191,7 +272,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
         diagnostics.append({
             "step": step,
             "copies_used": schedule.stage1 + step * schedule.per_step,
-            "trace_q": float(np.trace(state.q)),
+            "trace_q": np.trace(state.q, axis1=-2, axis2=-1),
             "mse": mse(rho_step, truth),
         })
         return rho_step
@@ -202,7 +283,9 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
             povm = continuum_qubit_basis(state, schedule.per_step, weighting)
         else:
             povm = select_next_povm(state, candidates, schedule.per_step, weighting)
-        step_records = simulate_measurements(truth, povm, schedule.per_step, rng)
-        state = rls_update(state, build_regression(step_records, d, weighting))
+        p = born_probabilities(truth, povm)
+        counts = multinomial(rng, schedule.per_step, p / p.sum(-1, keepdims=True))
+        state = rls_update(state, _problem(schedule.per_step, counts, povm.gamma0, povm.gamma,
+                                           d, weighting))
         rho_hat = snapshot(k)
     return rho_hat, diagnostics

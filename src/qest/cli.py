@@ -35,7 +35,7 @@ from .identification import (
     random_traceless_hermitian,
 )
 from .linalg import complex_from_json, herm_expm, matrix_from_json, matrix_to_json
-from .states import PAULI_X, cube_povms, records_from_csv
+from .states import PAULI_X, records_from_csv
 from .tomography import tomography_pipeline
 
 
@@ -64,16 +64,15 @@ def _cmd_adapt(args) -> int:
             raise ConfigError("N - N1 must be divisible by K when --N2 is omitted")
         args.N2 = (args.N - args.N1) // args.K if args.K > 0 else 1
     schedule = AdaptiveSchedule(total=args.N, stage1=args.N1, per_step=args.N2, steps=args.K)
-    candidates = "continuum" if args.candidates == "continuum" else cube_povms(args.dim)
-    rows = []
-    for t in range(args.trials):
-        truth = harness._sample_truth(args.dim, harness.trial_rng(args.seed, t, 0), args.ensemble)
-        _, diag = run_adaptive_protocol(
-            truth, schedule, candidates, harness.trial_rng(args.seed, t, 1), args.weights,
-        )
-        for entry in diag:
-            rows.append((t, entry["step"], entry["copies_used"],
-                         entry["trace_q"], entry["mse"]))
+    trials = range(args.trials)
+    # every trial has its own truth and generator; the protocol runs them as one stack
+    truths = np.stack([harness._sample_truth(args.dim, harness.trial_rng(args.seed, t, 0),
+                                             args.ensemble) for t in trials])
+    _, diag = run_adaptive_protocol(truths, schedule, args.candidates,
+                                    [harness.trial_rng(args.seed, t, 1) for t in trials],
+                                    args.weights)
+    rows = [(t, entry["step"], entry["copies_used"], entry["trace_q"][t], entry["mse"][t])
+            for t in trials for entry in diag]
     harness.write_csv(args.out, ("trial", "step", "copies_used", "trace_Q", "mse"), rows)
     return 0
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveSchedule, run_adaptive_protocol
+from .adaptive import AdaptiveSchedule, cube_estimate, run_adaptive_protocol
 from .control import (
     ControlField,
     UncertainSystem,
@@ -22,13 +22,13 @@ from .errors import ConfigError
 from .states import (
     PAULI_X,
     PAULI_Z,
-    cube_records,
     mse,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
+    rho_from_theta,
 )
-from .tomography import tomography_pipeline
+from .tomography import project_physical
 
 
 def trial_rng(seed: int, *indices) -> np.random.Generator:
@@ -58,9 +58,10 @@ def _sample_truth(dim, rng, ensemble):
     raise ConfigError(f"unknown state ensemble {ensemble!r}")
 
 
-def _static_cube_mse(truth, dim, total_shots, rng, weighting):
-    rho, _, _ = tomography_pipeline(cube_records(truth, total_shots, rng), dim, weighting)
-    return mse(rho, truth)
+def _static_cube_mse(truth, total_shots, rng, weighting):
+    # the cube tomography's error, for one generator or per member of a list of them
+    theta, _, _ = cube_estimate(truth, total_shots, rng, weighting)
+    return mse(project_physical(rho_from_theta(theta)), truth)
 
 
 def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
@@ -84,7 +85,7 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
         for t in range(trials):
             rng = trial_rng(seed, ni, t)
             truth = _sample_truth(dim, rng, ensemble)
-            errs.append(_static_cube_mse(truth, dim, n, rng, weighting))
+            errs.append(_static_cube_mse(truth, n, rng, weighting))
             rows.append((n, t, errs[-1]))
         means.append(float(np.mean(errs)))
     aggregates = {
@@ -102,24 +103,21 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
 
     The reported MSE is an expectation over measurement outcomes, so each
     truth is measured ``repetitions`` times per strategy and the per-truth
-    means are compared.
+    means are compared.  Each strategy runs its repetitions as one stack,
+    every repetition on its own generator.
     """
     if trials < 1 or repetitions < 1:
         raise ConfigError("trials and repetitions must be >= 1")
     rows = []
     for t in range(trials):
         truth = _sample_truth(dim, trial_rng(seed, t, 0), ensemble)
-        errs_a = []
-        errs_s = []
-        for rep in range(repetitions):
-            rho_adaptive, _ = run_adaptive_protocol(
-                truth, schedule, candidates, trial_rng(seed, t, 1, rep), weighting
-            )
-            errs_a.append(mse(rho_adaptive, truth))
-            errs_s.append(_static_cube_mse(
-                truth, dim, schedule.total, trial_rng(seed, t, 2, rep), weighting
-            ))
-        rows.append((t, float(np.mean(errs_a)), float(np.mean(errs_s))))
+        rho_adaptive, _ = run_adaptive_protocol(
+            truth, schedule, candidates,
+            [trial_rng(seed, t, 1, rep) for rep in range(repetitions)], weighting)
+        errs_s = _static_cube_mse(truth, schedule.total,
+                                  [trial_rng(seed, t, 2, rep) for rep in range(repetitions)],
+                                  weighting)
+        rows.append((t, float(np.mean(mse(rho_adaptive, truth))), float(np.mean(errs_s))))
     adaptive = np.array([r[1] for r in rows])
     static = np.array([r[2] for r in rows])
     aggregates = {

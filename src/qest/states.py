@@ -58,14 +58,15 @@ def rho_from_theta(theta: np.ndarray) -> np.ndarray:
     """rho = I/d + sum_i theta_i O_i over ``gell_mann_basis(d)``, for one theta or a stack.
 
     d comes from the coordinate count: theta has shape (d^2 - 1,) or
-    (k, d^2 - 1) for some d >= 2.
+    (k, d^2 - 1) for some d >= 2.  Each member of a stack is expanded by its
+    own vector-matrix product, so it equals its own call bit for bit.
     """
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[-1] if theta.ndim else 0
     d = math.isqrt(p + 1)
     if d < 2 or d * d != p + 1:
         raise ValueError(f"theta has shape {theta.shape}; need d^2 - 1 coordinates for some d >= 2")
-    return np.eye(d) / d + (theta @ gell_mann_basis(d).reshape(p, d * d)).reshape(
+    return np.eye(d) / d + (theta[..., None, :] @ gell_mann_basis(d).reshape(p, d * d)).reshape(
         theta.shape[:-1] + (d, d))
 
 
@@ -75,28 +76,33 @@ class Povm:
 
     ``gamma0[j] = Tr(E_j)`` and ``gamma[j, i] = Tr(E_j O_i)`` over
     ``gell_mann_basis(d)`` are element j's regression coordinates, computed
-    once per object on first use.
+    once per object on first use.  Both are strided ``.real`` views of the
+    complex contraction: BLAS sums contiguous rows in another order, which
+    moves the recursive updates' last bits at d >= 4.
+
+    A stack of measurements, one per member of a stack of states, has
+    elements (..., n_outcomes, d, d), a tuple of labels, and gammas with the
+    same leading axes.
     """
 
-    label: str
-    elements: np.ndarray  # (n_outcomes, d, d)
+    label: str | tuple
+    elements: np.ndarray  # (n_outcomes, d, d), or (..., n_outcomes, d, d) for a stack
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[1]
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return self.elements.shape[-3]
 
     @cached_property
     def gamma0(self) -> np.ndarray:
-        return _read_only(np.einsum("eii->e", self.elements).real)
+        return _read_only(np.einsum("...eii->...e", self.elements).real)
 
     @cached_property
     def gamma(self) -> np.ndarray:
         return _read_only(
-            np.einsum("eij,kji->ek", self.elements, gell_mann_basis(self.dim)).real
-        )
+            np.einsum("...eij,kji->...ek", self.elements, gell_mann_basis(self.dim)).real)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -158,23 +164,30 @@ class Records:
 
 
 def born_probabilities(rho: np.ndarray, povm: Povm) -> np.ndarray:
-    """Outcome probabilities Tr(rho P_i), clamped to [0, 1]."""
+    """Outcome probabilities Tr(rho P_i), clamped to [0, 1].
+
+    rho may be one state or a stack, and povm one measurement or a stack;
+    their leading axes broadcast.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (povm.dim, povm.dim):
+    if rho.shape[-2:] != (povm.dim, povm.dim):
         raise ValueError("state and POVM dimensions differ")
-    p = np.einsum("ij,eji->e", rho, povm.elements).real
+    p = np.einsum("...ij,...eji->...e", rho, povm.elements).real
     return np.clip(p, 0.0, 1.0)
 
 
-def simulate_measurements(rho, povm: Povm, shots: int, rng) -> Records:
-    """Draw one multinomial sample of size ``shots`` over the Born probabilities.
+def multinomial(rng, n, p):
+    """Multinomial counts of n draws over the last axis of p.
 
-    Returns one row per POVM element; deterministic for a fixed seed.
+    ``rng`` is one seed or generator, which draws all of p in one call, or a
+    list or tuple of them, one per member.  Member m then draws ``p[m]`` (p
+    is broadcast to the members) on its own generator, so each stream
+    advances exactly as a call of its own would advance it.
     """
-    _check_copies(shots, "shots")
-    rng = as_rng(rng)
-    p = born_probabilities(rho, povm)
-    return Records.of_povm(povm, shots, rng.multinomial(shots, p / p.sum()))
+    if isinstance(rng, (list, tuple)):
+        p = np.broadcast_to(p, (len(rng),) + p.shape[p.ndim - np.ndim(n) - 1:])
+        return np.stack([as_rng(g).multinomial(n, pm) for g, pm in zip(rng, p)])
+    return as_rng(rng).multinomial(n, p)
 
 
 def split_evenly(total: int, parts: int):
@@ -201,8 +214,12 @@ def cube_draws(rho, total: int, rng):
     scored by one Born-rule matrix product against the cached cube elements,
     and all are drawn by one multinomial call in C order: state by state,
     basis by basis.  So the draws equal a per-state loop of calls, each equal
-    to a per-basis loop of :func:`simulate_measurements` over the bases that
+    to a per-basis loop of one-basis multinomial calls over the bases that
     get copies; a basis without copies draws zeros.
+
+    With a list or tuple of R generators (see :func:`multinomial`) each
+    member draws on its own generator, from the one state rho or from its
+    own state of an (R, d, d) stack, and ``draws`` is (R, bases, outcomes).
     """
     _check_copies(total, "total copies")
     rho = np.ascontiguousarray(rho, dtype=complex)
@@ -214,13 +231,14 @@ def cube_draws(rho, total: int, rng):
     p = rho.reshape(-1, d * d).view(float) @ elements.reshape(-1, d * d).view(float).T
     p = np.clip(p, 0.0, 1.0, out=p).reshape(rho.shape[:-2] + elements.shape[:2])
     p /= p.sum(axis=-1, keepdims=True)
-    return copies, as_rng(rng).multinomial(copies, p)
+    return copies, multinomial(rng, copies, p)
 
 
 def cube_records(rho, total: int, rng) -> Records:
     """The draws of :func:`cube_draws` as records, one run per basis that gets copies.
 
-    A stack's ``successes`` has one column per state.  The label, element
+    A stack's ``successes`` has one column per state, or per member when
+    ``rng`` is a list of generators.  The label, element
     and gamma columns are the cached cube table's own read-only arrays
     whenever every basis gets a copy.
     """
@@ -337,15 +355,26 @@ def rho_from_paulis(e: np.ndarray) -> np.ndarray:
 
 
 def bloch_basis_povm(n: np.ndarray) -> Povm:
-    """Projective qubit basis along the Bloch direction n (normalized)."""
-    n = np.asarray(n, dtype=float).ravel()
-    if n.shape != (3,) or np.linalg.norm(n) == 0:
-        raise ValueError("need a nonzero 3-vector Bloch direction")
-    n = n / np.linalg.norm(n)
-    ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+    """Projective qubit basis along the Bloch direction n (normalized).
+
+    n is one direction (3,), or a stack (..., 3) that gives a stack of bases.
+    """
+    n = np.asarray(n, dtype=float)
+    if n.ndim == 0 or n.shape[-1] != 3:
+        raise ValueError("need nonzero 3-vector Bloch directions")
+    norm = np.sqrt(np.vecdot(n, n))[..., None]
+    if (norm == 0).any():
+        raise ValueError("need nonzero 3-vector Bloch directions")
+    n = n / norm
+    ns = (n[..., 0, None, None] * PAULI_X + n[..., 1, None, None] * PAULI_Y
+          + n[..., 2, None, None] * PAULI_Z)
     eye = np.eye(2)
-    label = "bloch:" + ",".join(f"{c:.12f}" for c in n)
-    return Povm(label, np.stack([(eye + ns) / 2, (eye - ns) / 2]))
+    label = _bloch_label(n) if n.ndim == 1 else tuple(map(_bloch_label, n.reshape(-1, 3)))
+    return Povm(label, np.stack([(eye + ns) / 2, (eye - ns) / 2], axis=-3))
+
+
+def _bloch_label(n) -> str:
+    return "bloch:{:.12f},{:.12f},{:.12f}".format(*n.tolist())
 
 
 def resolve_povm_label(label: str, d: int) -> Povm:
@@ -369,13 +398,23 @@ def resolve_povm_label(label: str, d: int) -> Povm:
     raise ConfigError(f"unknown POVM label {label!r}")
 
 
-def mse(est: np.ndarray, truth: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt distance Tr((est - truth)^2) for one trial."""
+def mse(est: np.ndarray, truth: np.ndarray):
+    """Squared Hilbert-Schmidt distance Tr((est - truth)^2), for one state or a stack.
+
+    Stacks of estimates and truths broadcast; each member's distance is
+    computed exactly as for one state.
+    """
     est = np.asarray(est)
     truth = np.asarray(truth)
-    if est.shape != truth.shape:
+    if est.shape[-2:] != truth.shape[-2:]:
         raise ValueError("state dimensions differ")
-    return float(np.linalg.norm(est - truth) ** 2)
+    diff = est - truth
+    flat = diff.reshape(diff.shape[:-2] + (-1,))
+    # np.linalg.norm's real and imaginary dot products, member by member; float_power squares
+    # by C pow, as a float64 scalar's ** 2 does (an array's ** 2 multiplies, and for some
+    # values the two differ in the last bit)
+    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return np.float_power(norm, 2)
 
 
 def records_from_csv(path, d: int) -> Records:

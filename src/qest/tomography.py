@@ -76,21 +76,30 @@ def solve_weighted_ls(problem: RegressionProblem):
     the Q0 that seeds recursive updates.  Raises :class:`SingularDesignError`
     when the design is rank deficient or conditioned worse than 1e12, naming
     the null-space dimension.
+
+    A stack of problems has weights (R, n), rows (R, n, p) or one shared
+    (n, p), and responses (R, n): one batched SVD solves them all, each
+    exactly as it would be solved alone, and theta, cond and q gain the
+    leading member axis.  The errors name the worst member.
     """
     sw = np.sqrt(problem.w)
-    a = problem.x * sw[:, None]
-    b = (problem.y.T * sw).T
-    n_par = problem.x.shape[1]
+    columns = problem.y.ndim > sw.ndim
+    a = problem.x * sw[..., None]
+    # responses as (..., n, k) columns, contiguous so that BLAS reads each member's as it
+    # reads one problem's
+    b = np.ascontiguousarray((problem.y if columns else problem.y[..., None]) * sw[..., None])
+    n_par = problem.x.shape[-1]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
-    if rank < n_par:
-        raise SingularDesignError(n_par - rank)
-    cond = float(s[0] / s[-1])
-    if cond > _COND_LIMIT:
-        raise SingularDesignError(0, f"design condition number {cond:.2e} exceeds {_COND_LIMIT:.0e}")
-    theta = vt.T @ ((u.T @ b).T / s).T
-    q = (vt.T / s**2) @ vt
-    return theta, cond, (q + q.T) / 2
+    rank = np.count_nonzero(s > s[..., :1] * 1e-12, axis=-1)
+    if rank.min() < n_par:
+        raise SingularDesignError(int(n_par - rank.min()))
+    cond = s[..., 0] / s[..., -1]
+    if cond.max() > _COND_LIMIT:
+        raise SingularDesignError(
+            0, f"design condition number {cond.max():.2e} exceeds {_COND_LIMIT:.0e}")
+    theta = vt.mT @ ((u.mT @ b) / s[..., None])
+    q = (vt.mT / s[..., None, :]**2) @ vt
+    return theta if columns else theta[..., 0], cond, (q + q.mT) / 2
 
 
 def solve_cube_paulis(copies: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -178,7 +187,7 @@ def tomography_pipeline(records: Records, d: int, weighting: str = "shots"):
     residual = float(np.linalg.norm(np.sqrt(problem.w) * (problem.y - problem.x @ theta)))
     diagnostics = {
         "residual_norm": residual,
-        "condition_number": cond,
+        "condition_number": float(cond),
         "projection_changed": distance > 1e-12,
         "projection_distance": distance,
     }

@@ -12,8 +12,12 @@ dense Kronecker-product Pauli strings for its Pauli tables and butterfly
 reconstruction.  The nested ``np.kron`` loop, the all-bases ``einsum`` and
 the per-unit loop are the bit-for-bit references for the cube elements, the
 cube regression table and the matrix units that `qest` builds in one step.
-The Gell-Mann coordinates of a state, exact expected counts, the records CSV
-writer and the dense B are library-style helpers that only tests call.
+The per-run loop of records, one step and one state at a time, with plain
+matrix products, is the reference for `qest.run_adaptive_protocol` and
+`qest.harness.run_paired_tomography`, which run every repetition or trial as
+one stack.  The Gell-Mann coordinates of a state, exact expected counts, the
+one-POVM measurement simulation, the records CSV writer and the dense B are
+library-style helpers that only tests call.
 """
 
 import csv
@@ -27,14 +31,25 @@ from qest import linalg
 from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
 from qest.linalg import gell_mann_basis, is_hermitian, vec, vec_inv
+from qest.adaptive import _SPHERE_GRID, RecursiveState
 from qest.states import (
     Povm,
+    _check_copies,
     Records,
+    as_rng,
+    bloch_basis_povm,
     born_probabilities,
+    cube_povms,
     cube_records,
     rho_from_theta,
 )
-from qest.tomography import build_regression, project_physical, solve_weighted_ls
+from qest.tomography import (
+    build_regression,
+    project_physical,
+    record_weight,
+    solve_weighted_ls,
+    tomography_pipeline,
+)
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
@@ -258,3 +273,93 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
         a.view(np.uint8), b.view(np.uint8))
+
+
+def simulate_measurements(rho, povm: Povm, shots: int, rng) -> Records:
+    """One multinomial sample of ``shots`` copies over one POVM's Born probabilities, as records."""
+    _check_copies(shots, "shots")
+    p = born_probabilities(rho, povm)
+    return Records.of_povm(povm, shots, as_rng(rng).multinomial(shots, p / p.sum()))
+
+
+def rls_update_loop(state: RecursiveState, problem) -> RecursiveState:
+    """Reference recursive fold of one state, row by row, with plain matrix products."""
+    q, theta = state.q, state.theta
+    for gamma, y, w in zip(problem.x, problem.y, problem.w):
+        qg = q @ gamma
+        a = 1.0 / (1.0 / w + gamma @ qg)
+        q = q - a * np.outer(qg, qg)
+        q = (q + q.T) / 2
+        theta = theta + a * qg * (y - gamma @ theta)
+    return RecursiveState(q=q, theta=theta)
+
+
+def _basis_gains_loop(state, gamma0, gamma, planned_shots, weighting):
+    p_pred = np.clip(gamma0 / state.dim + gamma @ state.theta, 0.0, 1.0)
+    weight = record_weight(planned_shots, p_pred, weighting)
+    qg = gamma @ state.q
+    return ((qg * qg).sum(-1) / (1.0 / weight + (gamma * qg).sum(-1))).sum(-1)
+
+
+def select_next_povm_loop(state, candidates, planned_shots, weighting):
+    """Reference finite selection for one state: one score per candidate."""
+    gains = [_basis_gains_loop(state, c.gamma0, c.gamma, planned_shots, weighting)
+             for c in candidates]
+    return candidates[int(np.argmax(gains))]
+
+
+def continuum_qubit_basis_loop(state, planned_shots, weighting):
+    """Reference continuum search for one state, whose candidate list has no
+    Bloch direction while the estimate is within 1e-9 of the maximally mixed state."""
+    _, v = np.linalg.eigh(state.q)
+    candidates = [np.eye(3), v.T]
+    bloch = state.theta * np.sqrt(2.0)
+    norm = np.linalg.norm(bloch)
+    if norm > 1e-9:
+        candidates.append([bloch / norm])
+    candidates.append(_SPHERE_GRID)
+    u = np.concatenate(candidates)
+    gamma = np.stack([u, -u], axis=1) / np.sqrt(2.0)
+    gains = _basis_gains_loop(state, np.ones(gamma.shape[:2]), gamma, planned_shots, weighting)
+    best = int(np.argmax(gains >= gains.max() * (1.0 - 1e-12)))
+    return cube_povms(2)[best] if best < 3 else bloch_basis_povm(u[best])
+
+
+def adaptive_protocol_loop(truth, schedule, candidates, rng, weighting):
+    """Reference two-stage protocol of one run: records, one step and one state at a time.
+
+    ``candidates`` is a POVM list or ``"continuum"``; ``rng`` is the run's
+    generator.  Returns what ``qest.run_adaptive_protocol`` returns for one run.
+    """
+    d = truth.shape[0]
+    problem = build_regression(cube_records(truth, schedule.stage1, rng), d, weighting)
+    theta, _, q = solve_weighted_ls(problem)
+    state = RecursiveState(q=q, theta=theta)
+    diagnostics = []
+
+    def snapshot(step):
+        rho_step = project_physical(rho_from_theta(state.theta))
+        diagnostics.append({
+            "step": step,
+            "copies_used": schedule.stage1 + step * schedule.per_step,
+            "trace_q": float(np.trace(state.q)),
+            "mse": float(np.linalg.norm(rho_step - truth) ** 2),
+        })
+        return rho_step
+
+    rho_hat = snapshot(0)
+    for k in range(1, schedule.steps + 1):
+        if isinstance(candidates, str):
+            povm = continuum_qubit_basis_loop(state, schedule.per_step, weighting)
+        else:
+            povm = select_next_povm_loop(state, candidates, schedule.per_step, weighting)
+        records = simulate_measurements(truth, povm, schedule.per_step, rng)
+        state = rls_update_loop(state, build_regression(records, d, weighting))
+        rho_hat = snapshot(k)
+    return rho_hat, diagnostics
+
+
+def static_cube_mse_loop(truth, total, rng, weighting):
+    """Reference static arm of one repetition: the cube records' pipeline estimate's MSE."""
+    rho, _, _ = tomography_pipeline(cube_records(truth, total, rng), truth.shape[0], weighting)
+    return float(np.linalg.norm(rho - truth) ** 2)

@@ -36,7 +36,6 @@ from qest.states import (
     cube_povms,
     mse,
     random_density_matrix,
-    simulate_measurements,
 )
 from qest.tomography import (
     build_regression,
@@ -46,7 +45,7 @@ from qest.tomography import (
 )
 from tests.complexity import complexity_probe
 from tests.control_reference import central_difference_gradient
-from tests.oracles import build_b_matrix, expected_records
+from tests.oracles import build_b_matrix, expected_records, simulate_measurements
 from tests.test_golden import run_command, write_inputs
 from tests.test_identification import is_identifiable, random_unitary
 from tests.test_tomography import haar_basis_povm, simplex_projection_oracle

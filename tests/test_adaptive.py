@@ -20,7 +20,6 @@ from qest.states import (
     pure_to_density,
     random_density_matrix,
     random_pure_state,
-    simulate_measurements,
     split_evenly,
 )
 from qest.tomography import (
@@ -30,7 +29,13 @@ from qest.tomography import (
     solve_weighted_ls,
     tomography_pipeline,
 )
-from tests.oracles import expected_records
+from tests.oracles import (
+    adaptive_protocol_loop,
+    continuum_qubit_basis_loop,
+    expected_records,
+    select_next_povm_loop,
+    simulate_measurements,
+)
 
 
 def qubit_dataset(rng, n_extra=12, weighting="shots"):
@@ -366,3 +371,141 @@ class TestProtocol:
         schedule = AdaptiveSchedule(total=2000, stage1=1000, per_step=500, steps=2)
         with pytest.raises(ValueError):
             run_adaptive_protocol(truth, schedule, [], 1)
+
+
+def member_truths(d, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([pure_to_density(random_pure_state(d, rng)) for _ in range(count)])
+
+
+def assert_equal_to_rounding(got, want):
+    """Bit for bit, or at most 1e-15 apart."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-15
+
+
+class TestStackedProtocol:
+    """One stacked run of R members against R runs of the per-run loop oracle."""
+
+    SCHEDULES = {2: AdaptiveSchedule(total=2600, stage1=1000, per_step=400, steps=4),
+                 4: AdaptiveSchedule(total=2700, stage1=900, per_step=600, steps=3)}
+
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    @pytest.mark.parametrize("candidates, d", [("continuum", 2), ("cube", 2), ("cube", 4)])
+    @pytest.mark.parametrize("members", [1, 20])
+    @pytest.mark.parametrize("shared_truth", [True, False], ids=["shared", "per-member"])
+    def test_equals_the_per_run_loop(self, weighting, candidates, d, members, shared_truth):
+        schedule = self.SCHEDULES[d]
+        truths = member_truths(d, members, seed=[d, members])
+        truth = truths[0] if shared_truth else truths
+        seeds = [[31, d, m] for m in range(members)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        rho, diag = run_adaptive_protocol(truth, schedule, candidates, rngs, weighting)
+        assert rho.shape == (members, d, d)
+        oracle_candidates = "continuum" if candidates == "continuum" else cube_povms(d)
+        for m in range(members):
+            ref_rng = np.random.default_rng(seeds[m])
+            ref_rho, ref_diag = adaptive_protocol_loop(
+                truths[0] if shared_truth else truths[m], schedule, oracle_candidates,
+                ref_rng, weighting)
+            assert_equal_to_rounding(rho[m], ref_rho)
+            for entry, ref in zip(diag, ref_diag, strict=True):
+                assert (entry["step"], entry["copies_used"]) == (ref["step"], ref["copies_used"])
+                assert_equal_to_rounding(entry["trace_q"][m], ref["trace_q"])
+                assert_equal_to_rounding(entry["mse"][m], ref["mse"])
+            # every member's stream advanced exactly as its own run's did
+            assert rngs[m].random() == ref_rng.random()
+
+    @pytest.mark.parametrize("candidates", ["continuum", "cube"])
+    def test_one_seed_is_one_unstacked_run(self, candidates):
+        truth = member_truths(2, 1, seed=3)[0]
+        schedule = self.SCHEDULES[2]
+        rho, diag = run_adaptive_protocol(truth, schedule, candidates, 17, "invvar")
+        stacked, stacked_diag = run_adaptive_protocol(truth, schedule, candidates, [17], "invvar")
+        assert rho.shape == (2, 2) and np.array_equal(rho, stacked[0])
+        for entry, ref in zip(diag, stacked_diag, strict=True):
+            assert np.ndim(entry["mse"]) == 0 and entry["mse"] == ref["mse"][0]
+            assert np.ndim(entry["trace_q"]) == 0 and entry["trace_q"] == ref["trace_q"][0]
+
+    def test_cube_mode_equals_the_cube_list(self):
+        truth = member_truths(2, 1, seed=4)[0]
+        schedule = self.SCHEDULES[2]
+        a, _ = run_adaptive_protocol(truth, schedule, "cube", 5)
+        b, _ = run_adaptive_protocol(truth, schedule, cube_povms(2), 5)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("candidates", ["grid", "continuum"])
+    def test_rejects_unknown_or_non_qubit_modes(self, candidates):
+        schedule = AdaptiveSchedule(total=1000, stage1=1000, per_step=1, steps=0)
+        with pytest.raises(ValueError, match="candidate mode|qubit-only"):
+            run_adaptive_protocol(np.eye(4) / 4, schedule, candidates, 1)
+
+
+class TestStackedSelection:
+    """Each member of a stacked state chooses what the one-state reference chooses."""
+
+    def stacked_state(self, members, seed, weighting):
+        rng = np.random.default_rng(seed)
+        qs, thetas = [], []
+        for _ in range(members):
+            problem = build_regression(cube_records(member_truths(2, 1, rng)[0], 600, rng),
+                                       2, weighting)
+            theta, _, q = solve_weighted_ls(problem)
+            qs.append(q)
+            thetas.append(theta)
+        return np.stack(qs), np.stack(thetas)
+
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    def test_continuum_with_a_member_at_the_centre(self, weighting):
+        # member 0 sits at theta = 0, so its Bloch candidate is masked out of the
+        # stacked scores; the reference drops that candidate from its list
+        q, theta = self.stacked_state(6, 21, weighting)
+        theta[0] = 0.0
+        stacked = continuum_qubit_basis(RecursiveState(q=q, theta=theta), 500, weighting)
+        assert len(stacked.label) == 6 and stacked.elements.shape == (6, 2, 2, 2)
+        for m in range(6):
+            ref = continuum_qubit_basis_loop(RecursiveState(q=q[m], theta=theta[m]), 500,
+                                             weighting)
+            assert stacked.label[m] == ref.label
+            assert np.array_equal(stacked.elements[m], ref.elements)
+            assert np.array_equal(stacked.gamma[m], ref.gamma)
+            assert np.array_equal(stacked.gamma0[m], ref.gamma0)
+
+    def test_centre_member_never_measures_along_a_bloch_direction_of_zero(self):
+        q, theta = self.stacked_state(3, 22, "invvar")
+        theta[:] = 0.0
+        stacked = continuum_qubit_basis(RecursiveState(q=q, theta=theta), 500, "invvar")
+        assert np.isfinite(stacked.gamma).all()
+
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    def test_finite_candidates(self, weighting):
+        q, theta = self.stacked_state(8, 23, weighting)
+        candidates = cube_povms(2)
+        stacked = select_next_povm(RecursiveState(q=q, theta=theta), candidates, 500, weighting)
+        for m in range(8):
+            ref = select_next_povm_loop(RecursiveState(q=q[m], theta=theta[m]), candidates, 500,
+                                        weighting)
+            assert stacked.label[m] == ref.label
+            assert np.array_equal(stacked.gamma[m], ref.gamma)
+
+
+class TestStackedRlsUpdate:
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    def test_members_fold_as_single_states(self, weighting):
+        from tests.oracles import rls_update_loop
+
+        problems = [qubit_dataset(np.random.default_rng([7, m]), n_extra=4, weighting=weighting)
+                    for m in range(5)]
+        n = min(len(p.y) for p in problems)
+        starts = [batch_state(rows(p, slice(None, 6))) for p in problems]
+        stacked = rls_update(
+            RecursiveState(q=np.stack([s.q for s in starts]),
+                           theta=np.stack([s.theta for s in starts])),
+            RegressionProblem(y=np.stack([p.y[6:n] for p in problems]),
+                              x=np.stack([p.x[6:n] for p in problems]),
+                              w=np.stack([p.w[6:n] for p in problems])))
+        for m, (p, s) in enumerate(zip(problems, starts)):
+            ref = rls_update_loop(s, rows(p, slice(6, n)))
+            assert np.array_equal(stacked.q[m], ref.q)
+            assert np.array_equal(stacked.theta[m], ref.theta)

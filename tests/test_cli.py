@@ -24,10 +24,9 @@ from qest.states import (
     mse,
     pure_to_density,
     random_pure_state,
-    simulate_measurements,
 )
 from qest.tomography import tomography_pipeline
-from tests.oracles import records_to_csv
+from tests.oracles import records_to_csv, simulate_measurements
 
 
 def make_records_csv(path, seed=0, shots=4000):
@@ -323,6 +322,22 @@ class TestSweepAndCompare:
         manifest = json.loads((out / "compare_tomography.manifest.json").read_text())
         assert "win_rate" in manifest["aggregates"]
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_compare_tomography_cube_candidates(self, dim, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--kind", "tomography", "--candidates", "cube", f"--dim={dim}",
+                     "--N", "2700", "--N1", "900", "--N2", "600", "--K", "3", "--trials", "2",
+                     "--repetitions", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "compare_tomography.manifest.json").read_text())
+        assert manifest["rows"] == 2 and manifest["config"]["candidates"] == "cube"
+
+    def test_compare_tomography_cube_candidates_need_qubits(self, tmp_path, capsys):
+        code = main(["compare", "--kind", "tomography", "--candidates", "cube", "--dim", "3",
+                     "--out", str(tmp_path / "cmp")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("qest: error: config:")
+
     def test_compare_slc(self, tmp_path):
         out = tmp_path / "cmps"
         assert main(["compare", "--kind", "slc", "--trials", "1", "--seed", "3",
@@ -464,6 +479,25 @@ def test_adapt_contract_property(n1, k, n2, budget_gap, pass_n2, trials, candida
     argv = ["adapt", f"--N={n1 + k * n2 + budget_gap}", f"--N1={n1}", f"--K={k}",
             f"--trials={trials}", f"--candidates={candidates}", f"--weights={weights}"]
     _contract_holds(argv + ([f"--N2={n2}"] if pass_n2 else []))
+
+
+@_PROPERTY
+@given(dim=st.sampled_from([2, 3, 4]), n1=st.integers(-1, 60), k=st.integers(-1, 3),
+       n2=st.integers(-1, 40), budget_gap=st.one_of(st.just(0), st.integers(-3, 3)),
+       trials=st.integers(0, 2), repetitions=st.integers(0, 3),
+       candidates=st.sampled_from(["cube", "continuum"]),
+       weights=st.sampled_from(["shots", "invvar"]))
+@example(dim=2, n1=30, k=2, n2=10, budget_gap=0, trials=1, repetitions=2, candidates="cube",
+         weights="invvar")
+@example(dim=4, n1=60, k=1, n2=40, budget_gap=0, trials=1, repetitions=2, candidates="cube",
+         weights="shots")
+def test_compare_tomography_contract_property(dim, n1, k, n2, budget_gap, trials, repetitions,
+                                              candidates, weights):
+    # N = N1 + K * N2 (+ a gap that breaks the budget) so that valid schedules occur often
+    _contract_holds(["compare", "--kind=tomography", f"--dim={dim}", f"--N={n1 + k * n2 + budget_gap}",
+                     f"--N1={n1}", f"--N2={n2}", f"--K={k}", f"--trials={trials}",
+                     f"--repetitions={repetitions}", f"--candidates={candidates}",
+                     f"--weights={weights}"])
 
 
 _GRID_VALUE = st.sampled_from(["0", "-5", "1", "9", "100", "1000", str(10**23), "abc", "1e3",

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the eight commands below, at their fixed seeds, must keep
+Every output file of the nine commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
 """
@@ -17,9 +17,8 @@ from qest.states import (
     Records,
     cube_povms,
     random_density_matrix,
-    simulate_measurements,
 )
-from tests.oracles import records_to_csv
+from tests.oracles import records_to_csv, simulate_measurements
 
 
 def write_inputs(tmp_path) -> dict:
@@ -58,12 +57,15 @@ def write_inputs(tmp_path) -> dict:
         "compare": ["compare", "--kind", "tomography", "--N", "2000", "--N1", "1000",
                     "--N2", "500", "--K", "2", "--trials", "2", "--repetitions", "2",
                     "--seed", "11"],
+        "compare-cube": ["compare", "--kind", "tomography", "--dim", "4", "--candidates", "cube",
+                         "--N", "2100", "--N1", "900", "--N2", "600", "--K", "2", "--trials", "2",
+                         "--repetitions", "2", "--seed", "11"],
     }
 
 
 def run_command(name, args, target) -> list:
     """Run one command with its output at target; return its output files, sorted."""
-    if name in ("sweep", "compare", "slc"):
+    if name in ("sweep", "compare", "compare-cube", "slc"):
         assert main(args + ["--out", str(target)]) == 0
         return sorted(target.iterdir())
     out = target.with_suffix(".csv" if name in ("adapt", "smc") else ".json")
@@ -86,6 +88,10 @@ GOLDEN = {
     "slc/training_log.csv": "00a1a323e237f1361a5534c5bf53d141d758ef13ac6186628b1a894c34a3dd4d",
     "compare/compare_tomography.csv": "8332007d4b97c69c2769f20598f93ee59a66049887051c7959a7075ceb94de80",
     "compare/compare_tomography.manifest.json": "e9f9ea336d0cd2a23f3c2bbbb64855b84314bf14a3a45e53e3e7117d823ed5f6",
+    # recorded once `compare` accepted --candidates cube; its rows equal
+    # run_paired_tomography with candidates=cube_povms(4) before the stacked protocol
+    "compare-cube/compare_tomography.csv": "1db3ddad09535bc410b5d4620dcfefef536e5d78c553940fb075da71b90bccce",
+    "compare-cube/compare_tomography.manifest.json": "e800d3516e6d365f7faa019e36e5c6f7e85e7979752396902222b5d0261d698b",
 }
 
 
@@ -96,7 +102,7 @@ def test_records_csv_digest(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["tomo", "sweep", "adapt", "hamid", "hamid4", "smc", "slc",
-                                  "compare"])
+                                  "compare", "compare-cube"])
 def test_cli_output_digests(name, tmp_path):
     args = write_inputs(tmp_path)[name]
     digests = {

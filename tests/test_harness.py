@@ -71,9 +71,44 @@ class TestPairedTomography:
         from qest.harness import _sample_truth, _static_cube_mse
 
         truth = _sample_truth(2, trial_rng(3, 0, 0), "pure")
-        a = _static_cube_mse(truth, 2, 2000, trial_rng(3, 0, 2), "shots")
-        b = _static_cube_mse(truth, 2, 2000, trial_rng(3, 0, 2), "shots")
+        a = _static_cube_mse(truth, 2000, trial_rng(3, 0, 2), "shots")
+        b = _static_cube_mse(truth, 2000, trial_rng(3, 0, 2), "shots")
         assert a == b
+
+
+class TestStackedStaticArm:
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    @pytest.mark.parametrize("members", [1, 20])
+    def test_equals_the_per_repetition_loop(self, weighting, members):
+        from qest.harness import _sample_truth, _static_cube_mse
+        from tests.oracles import static_cube_mse_loop
+
+        truth = _sample_truth(2, trial_rng(4, 0, 0), "pure")
+        rngs = [trial_rng(4, 0, 2, rep) for rep in range(members)]
+        stacked = _static_cube_mse(truth, 3000, rngs, weighting)
+        for rep in range(members):
+            ref_rng = trial_rng(4, 0, 2, rep)
+            assert stacked[rep] == static_cube_mse_loop(truth, 3000, ref_rng, weighting)
+            assert rngs[rep].random() == ref_rng.random()
+
+    @pytest.mark.parametrize("candidates", ["continuum", "cube"])
+    def test_paired_rows_equal_the_per_repetition_loop(self, candidates):
+        from qest.harness import _sample_truth
+        from qest.states import cube_povms
+        from tests.oracles import adaptive_protocol_loop, static_cube_mse_loop
+
+        schedule = AdaptiveSchedule(total=2000, stage1=1000, per_step=500, steps=2)
+        result = run_paired_tomography(2, schedule, trials=2, seed=9, candidates=candidates,
+                                       repetitions=3)
+        oracle_candidates = "continuum" if candidates == "continuum" else cube_povms(2)
+        for t, row in enumerate(result.rows):
+            truth = _sample_truth(2, trial_rng(9, t, 0), "pure")
+            adaptive = [adaptive_protocol_loop(truth, schedule, oracle_candidates,
+                                               trial_rng(9, t, 1, rep), "invvar")[1][-1]["mse"]
+                        for rep in range(3)]
+            static = [static_cube_mse_loop(truth, 2000, trial_rng(9, t, 2, rep), "invvar")
+                      for rep in range(3)]
+            assert row == (t, float(np.mean(adaptive)), float(np.mean(static)))
 
 
 class TestPairedSlc:

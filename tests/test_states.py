@@ -23,7 +23,6 @@ from qest.states import (
     resolve_povm_label,
     rho_from_paulis,
     rho_from_theta,
-    simulate_measurements,
     split_evenly,
 )
 from tests.oracles import (
@@ -34,6 +33,7 @@ from tests.oracles import (
     pauli_strings,
     records_to_csv,
     same_bits,
+    simulate_measurements,
     theta_from_rho,
     validate_povm,
 )

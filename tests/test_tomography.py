@@ -14,7 +14,6 @@ from qest.states import (
     random_density_matrix,
     random_pure_state,
     rho_from_theta,
-    simulate_measurements,
 )
 from qest.tomography import (
     RegressionProblem,
@@ -25,7 +24,13 @@ from qest.tomography import (
     solve_weighted_ls,
     tomography_pipeline,
 )
-from tests.oracles import expected_records, pauli_strings, project_physical_loop, theta_from_rho
+from tests.oracles import (
+    expected_records,
+    pauli_strings,
+    project_physical_loop,
+    simulate_measurements,
+    theta_from_rho,
+)
 
 
 def haar_basis_povm(d, rng, label="haar"):
@@ -187,6 +192,34 @@ class TestSolveWeightedLs:
             solve_weighted_ls(stacked)
         assert batch.value.null_dim == single.value.null_dim == 2
         assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    @pytest.mark.parametrize("shared_design", [True, False])
+    def test_stacked_members_equal_one_at_a_time_bit_for_bit(self, weighting, shared_design):
+        # each member has its own weights (and rows), as the stacked adaptive protocol's do
+        rng = np.random.default_rng(13)
+        problems = [build_regression(Records.concat(
+            simulate_measurements(random_density_matrix(2, rng), povm, int(rng.integers(50, 500)),
+                                  rng) for povm in cube_povms(2)), 2, weighting)
+            for _ in range(6)]
+        x = problems[0].x if shared_design else np.stack([p.x for p in problems])
+        # a transposed layout, as member columns of a records table give
+        y = np.stack([p.y for p in problems], axis=1).T
+        theta, cond, q = solve_weighted_ls(
+            RegressionProblem(y, x, np.stack([p.w for p in problems])))
+        assert theta.shape == (6, 3) and cond.shape == (6,) and q.shape == (6, 3, 3)
+        for k, p in enumerate(problems):
+            theta_k, cond_k, q_k = solve_weighted_ls(
+                RegressionProblem(p.y, problems[0].x if shared_design else p.x, p.w))
+            assert np.array_equal(theta[k], theta_k)
+            assert cond[k] == cond_k
+            assert np.array_equal(q[k], q_k)
+
+    def test_stacked_members_name_the_worst_null_space(self):
+        x = np.stack([np.eye(3), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])])
+        with pytest.raises(SingularDesignError) as err:
+            solve_weighted_ls(RegressionProblem(np.ones((2, 3)), x, np.ones((2, 3))))
+        assert err.value.null_dim == 1
 
     def test_condition_limit(self):
         x = np.array([[1.0, 0.0], [1.0, 1e-14]])
