@@ -18,6 +18,7 @@ import numpy as np
 
 from .states import (
     Povm,
+    Records,
     as_rng,
     bloch_basis_povm,
     born_probabilities,
@@ -29,6 +30,7 @@ from .states import (
 )
 from .tomography import (
     RegressionProblem,
+    build_regression,
     project_physical,
     record_weight,
     solve_weighted_ls,
@@ -74,8 +76,8 @@ class AdaptiveSchedule:
 def rls_update(state: RecursiveState, problem: RegressionProblem) -> RecursiveState:
     """Fold every row of ``problem`` into the running estimate, in row order.
 
-    For a stack of members the problem's rows are (R, n, p), with responses
-    and weights (R, n): member m folds its own rows.
+    For a stack of members (see :class:`RegressionProblem`) member m folds
+    its own responses, with its own or the shared rows and weights.
     """
     if np.any(problem.w <= 0):
         raise ValueError("weights must be positive")
@@ -145,9 +147,9 @@ def select_next_povm(state: RecursiveState, candidates, planned_shots: int,
     return Povm(labels, np.stack([c.elements for c in candidates])[best])
 
 
-def _fibonacci_sphere(count: int = 128) -> np.ndarray:
-    i = np.arange(count) + 0.5
-    polar = np.arccos(1.0 - 2.0 * i / count)
+def _fibonacci_sphere() -> np.ndarray:
+    i = np.arange(128) + 0.5
+    polar = np.arccos(1.0 - 2.0 * i / 128)
     azimuth = np.pi * (1.0 + np.sqrt(5.0)) * i
     return np.column_stack([
         np.sin(polar) * np.cos(azimuth),
@@ -213,19 +215,11 @@ def cube_estimate(truth, total: int, rng, weighting: str):
 
     ``rng`` is one generator, or a list of them, one per member (see
     :func:`qest.states.cube_draws`); each member's estimate equals
-    :func:`qest.tomography.tomography_pipeline`'s over its own records.
+    :func:`qest.tomography.tomography_pipeline`'s over its own records.  Under
+    shot weights the members share one design, so cond and q are shared too.
     """
     records = cube_records(truth, total, rng)
-    problem = _problem(records.shots, records.successes.T, records.gamma0, records.gamma,
-                       np.shape(truth)[-1], weighting)
-    return solve_weighted_ls(problem)
-
-
-def _problem(shots, successes, gamma0, gamma, d, weighting):
-    # build_regression's rows, member by member: successes and p_hat are (..., n)
-    p_hat = successes / shots
-    w = record_weight(shots, p_hat, weighting)
-    return RegressionProblem(y=p_hat - gamma0 / d, x=gamma, w=np.broadcast_to(w, p_hat.shape))
+    return solve_weighted_ls(build_regression(records, np.shape(truth)[-1], weighting))
 
 
 def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
@@ -263,7 +257,8 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
         raise ValueError("candidate set must be non-empty")
 
     theta, _, q = cube_estimate(truth, schedule.stage1, rng, weighting)
-    state = RecursiveState(q=q, theta=theta)
+    # shot weights give the members one shared Q0
+    state = RecursiveState(q=np.broadcast_to(q, theta.shape + theta.shape[-1:]), theta=theta)
 
     diagnostics = []
 
@@ -285,7 +280,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
             povm = select_next_povm(state, candidates, schedule.per_step, weighting)
         p = born_probabilities(truth, povm)
         counts = multinomial(rng, schedule.per_step, p / p.sum(-1, keepdims=True))
-        state = rls_update(state, _problem(schedule.per_step, counts, povm.gamma0, povm.gamma,
-                                           d, weighting))
+        records = Records.of_povm(povm, schedule.per_step, counts)
+        state = rls_update(state, build_regression(records, d, weighting))
         rho_hat = snapshot(k)
     return rho_hat, diagnostics

@@ -297,11 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qest", description="quantum estimation and robust-control experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help="output path"):
+    def common(p, out_help):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--out", required=True, help=out_help)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("tomo", help="batch tomography from a records CSV")
     p.add_argument("--records", required=True)
@@ -355,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", choices=("pure", "mixed"), default="pure")
     p.add_argument("--weights", choices=("shots", "invvar"), default="shots")
     common(p, "output directory")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="paired strategy comparison")
@@ -371,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=10,
                    help="measurement repetitions per truth for the MSE estimate")
     common(p, "output directory")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_compare)
 
     return parser
@@ -383,10 +384,8 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         print(_error("contract", exc), file=sys.stderr)
         return 3
-    except (ConfigError, FileNotFoundError) as exc:
-        print(_error("config", exc), file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
+    # ConfigError and json.JSONDecodeError are ValueErrors, FileNotFoundError an OSError
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(_error("config", exc), file=sys.stderr)
         return 2
 

@@ -296,31 +296,23 @@ def periodic_measurement_demo(h_delta: np.ndarray, config: SlidingConfig,
     its survival probability |<0|psi>|^2 is logged, and a projective sigma_z
     measurement collapses it.  A collapse out of the domain is counted and the
     state is reset to |0> (standing in for the corrective control the full
-    sliding-mode scheme would apply), so periods are independent trials.
+    sliding-mode scheme would apply), so periods are independent trials: the
+    evolved state is the same in every period, and one draw per period
+    decides its outcome.
     """
     h_delta = np.asarray(h_delta, dtype=complex)
     if h_delta.shape != (2, 2):
         raise ValueError("the demo is two-level only")
     if not is_hermitian(h_delta, 1e-10):
         raise ContractViolationError("uncertainty Hamiltonian must be Hermitian")
-    u = herm_expm(h_delta, config.period)
-    rng = as_rng(seed)
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    rows = []
-    out_count = 0
-    psi = ket0
-    for k in range(periods):
-        psi = u @ psi
-        prob0 = float(min(max(abs(psi[0]) ** 2, 0.0), 1.0))
-        outcome = 0 if rng.random() < prob0 else 1
-        if outcome == 1:
-            out_count += 1
-        rows.append({"period": k, "prob0": prob0, "outcome": outcome,
-                     "in_domain": in_sliding_domain(psi, config)})
-        # outcome 0 collapses onto |0>; an escape to |1> is reset to |0>
-        psi = ket0
+    psi = herm_expm(h_delta, config.period) @ np.array([1.0, 0.0], dtype=complex)
+    prob0 = float(min(max(abs(psi[0]) ** 2, 0.0), 1.0))
+    in_domain = in_sliding_domain(psi, config)
+    outcomes = np.where(as_rng(seed).random(periods) < prob0, 0, 1)
+    rows = [{"period": k, "prob0": prob0, "outcome": int(outcome), "in_domain": in_domain}
+            for k, outcome in enumerate(outcomes)]
     return {
         "rows": rows,
-        "out_of_domain_frequency": out_count / periods,
+        "out_of_domain_frequency": int(outcomes.sum()) / periods,
         "periods": periods,
     }

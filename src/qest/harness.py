@@ -70,7 +70,8 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
 
     Emits one (N, trial, mse) row per reconstruction; aggregates carry the
     per-N mean MSE and the fitted log-log slope.  The grid's values must be
-    distinct.
+    distinct.  Each N runs its trials as one stack, every trial on its own
+    generator.
     """
     shot_grid = [int(n) for n in shot_grid]
     if not shot_grid or trials < 1:
@@ -81,12 +82,11 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
     rows = []
     means = []
     for ni, n in enumerate(shot_grid):
-        errs = []
-        for t in range(trials):
-            rng = trial_rng(seed, ni, t)
-            truth = _sample_truth(dim, rng, ensemble)
-            errs.append(_static_cube_mse(truth, n, rng, weighting))
-            rows.append((n, t, errs[-1]))
+        # each trial draws its truth and then its records on its own generator
+        rngs = [trial_rng(seed, ni, t) for t in range(trials)]
+        truths = np.stack([_sample_truth(dim, rng, ensemble) for rng in rngs])
+        errs = _static_cube_mse(truths, n, rngs, weighting)
+        rows.extend((n, t, err) for t, err in enumerate(errs))
         means.append(float(np.mean(errs)))
     aggregates = {
         "shot_grid": shot_grid,
@@ -97,9 +97,9 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
 
 
 def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, seed: int,
-                          candidates="continuum", ensemble: str = "pure",
-                          weighting: str = "invvar", repetitions: int = 1) -> SweepResult:
-    """Adaptive versus static cube tomography on shared per-trial truths.
+                          candidates="continuum", weighting: str = "invvar",
+                          repetitions: int = 1) -> SweepResult:
+    """Adaptive versus static cube tomography on shared per-trial pure truths.
 
     The reported MSE is an expectation over measurement outcomes, so each
     truth is measured ``repetitions`` times per strategy and the per-truth
@@ -110,7 +110,7 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
         raise ConfigError("trials and repetitions must be >= 1")
     rows = []
     for t in range(trials):
-        truth = _sample_truth(dim, trial_rng(seed, t, 0), ensemble)
+        truth = _sample_truth(dim, trial_rng(seed, t, 0), "pure")
         rho_adaptive, _ = run_adaptive_protocol(
             truth, schedule, candidates,
             [trial_rng(seed, t, 1, rep) for rep in range(repetitions)], weighting)
@@ -140,16 +140,15 @@ def default_qubit_transfer(omega_halfwidth: float, theta_halfwidth: float) -> di
 
 
 def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
-                   theta_halfwidth: float = 0.2, horizon: float = 2.0,
-                   intervals: int = 20, test_n: int = 200,
-                   step_size: float = 10.0, iterations: int = 200,
-                   tolerance: float = 1e-9) -> SweepResult:
+                   theta_halfwidth: float = 0.2, test_n: int = 200, step_size: float = 10.0,
+                   iterations: int = 200, tolerance: float = 1e-9) -> SweepResult:
     """Uncertainty-trained versus nominal-trained pulses on shared test samples.
 
-    Both arms start from the same random initial pulse; the robust arm trains
-    on the five-point corner-plus-center sample set, the nominal arm on the
-    center alone.  Each trial evaluates both pulses on the same fresh random
-    test set and records means and worst cases.
+    Both arms start from the same random initial pulse, 20 intervals over a
+    horizon of 2; the robust arm trains on the five-point corner-plus-center
+    sample set, the nominal arm on the center alone.  Each trial evaluates
+    both pulses on the same fresh random test set and records means and worst
+    cases.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -161,7 +160,7 @@ def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
     ratios = []
     for t in range(trials):
         rng = trial_rng(seed, t, 0)
-        field0 = ControlField(horizon, rng.uniform(-0.5, 0.5, size=(intervals, 1)))
+        field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
         robust, log = slc_train(system, train_robust, field0, psi0, psi_target,
                                 step_size=step_size, iterations=iterations, tolerance=tolerance)
         nominal, _ = slc_train(system, train_nominal, field0, psi0, psi_target,

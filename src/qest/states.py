@@ -121,46 +121,51 @@ class Records:
     expected counts.  ``gamma0`` and ``gamma`` are the rows' regression
     coordinates (see :class:`Povm`).  Slicing selects rows.
 
-    ``successes`` may also hold k columns, one per state of a stack measured
-    by the same runs (see :func:`cube_records`); every column must pass the
-    row checks, and ``p_hat`` has the same columns.
+    A stack of R members has successes (R, n), the member axis first.
+    Members measured by shared runs (see :func:`cube_records`) share the
+    other columns; members measured by a stack of POVMs (see :meth:`of_povm`)
+    have their own label and gamma0 (R, n) and gamma (R, n, d^2 - 1).  Every
+    member must pass the row checks, and ``p_hat`` has the successes' shape.
     """
 
-    label: np.ndarray      # (n,) str
+    label: np.ndarray      # (n,) or (R, n) str
     element: np.ndarray    # (n,) int
     shots: np.ndarray      # (n,) int
-    successes: np.ndarray  # (n,) or (n, k) float
-    gamma0: np.ndarray     # (n,)
-    gamma: np.ndarray      # (n, d^2 - 1)
+    successes: np.ndarray  # (n,) or (R, n) float
+    gamma0: np.ndarray     # (n,) or (R, n)
+    gamma: np.ndarray      # (n, d^2 - 1) or (R, n, d^2 - 1)
 
     def __post_init__(self):
         if (self.shots < 1).any():
             raise ValueError("every record needs shots >= 1")
-        successes = self.successes.T
-        if not ((successes >= 0) & (successes <= self.shots)).all():
+        if not ((self.successes >= 0) & (self.successes <= self.shots)).all():
             raise ValueError("every record needs finite successes within [0, shots]")
 
     @classmethod
     def of_povm(cls, povm: Povm, shots: int, successes) -> Records:
-        """One row per element of ``povm`` measured ``shots`` times."""
+        """One row per element of ``povm``, one POVM or a stack, measured ``shots`` times."""
         n = len(povm)
-        return cls(np.full(n, povm.label), np.arange(n), np.full(n, int(shots)),
-                   np.asarray(successes, dtype=float), povm.gamma0, povm.gamma)
+        return cls(np.asarray(povm.label)[..., None].repeat(n, -1), np.arange(n),
+                   np.full(n, int(shots)), np.asarray(successes, dtype=float),
+                   povm.gamma0, povm.gamma)
 
     @classmethod
     def concat(cls, parts) -> Records:
         parts = list(parts)
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+        # rows are the last axis of every column but gamma, whose coordinates follow them
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts],
+                                    axis=-2 if f.name == "gamma" else -1) for f in fields(cls)))
 
     def __len__(self) -> int:
         return self.shots.size
 
     def __getitem__(self, rows) -> Records:
-        return Records(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return Records(self.label[..., rows], self.element[rows], self.shots[rows],
+                       self.successes[..., rows], self.gamma0[..., rows], self.gamma[..., rows, :])
 
     @property
     def p_hat(self) -> np.ndarray:
-        return (self.successes.T / self.shots).T
+        return self.successes / self.shots
 
 
 def born_probabilities(rho: np.ndarray, povm: Povm) -> np.ndarray:
@@ -237,8 +242,8 @@ def cube_draws(rho, total: int, rng):
 def cube_records(rho, total: int, rng) -> Records:
     """The draws of :func:`cube_draws` as records, one run per basis that gets copies.
 
-    A stack's ``successes`` has one column per state, or per member when
-    ``rng`` is a list of generators.  The label, element
+    A stack's ``successes`` are (R, n), one row per state, or per member when
+    ``rng`` is a list of generators; the runs are shared.  The label, element
     and gamma columns are the cached cube table's own read-only arrays
     whenever every basis gets a copy.
     """
@@ -247,7 +252,7 @@ def cube_records(rho, total: int, rng) -> Records:
     shots = np.repeat(copies, d)
     measured = shots > 0
     rows = _cube_table(d) if measured.all() else _cube_table(d)[measured]
-    successes = draws.reshape(draws.shape[:-2] + (-1,)).T[measured]
+    successes = draws.reshape(draws.shape[:-2] + (-1,))[..., measured]
     return replace(rows, shots=shots[measured], successes=successes.astype(float))
 
 
@@ -383,10 +388,7 @@ def resolve_povm_label(label: str, d: int) -> Povm:
         axes = label[len("cube:"):]
         if not axes or any(a not in "xyz" for a in axes) or 2 ** len(axes) != d:
             raise ConfigError(f"bad cube POVM label {label!r} for dimension {d}")
-        for povm in cube_povms(d):
-            if povm.label == label:
-                return povm
-        raise ConfigError(f"unresolvable cube POVM label {label!r}")
+        return cube_povms(d)[_cube_labels(d).index(label)]
     if label.startswith("bloch:"):
         if d != 2:
             raise ConfigError("bloch POVM labels are qubit-only")

@@ -25,8 +25,9 @@ _COND_LIMIT = 1e12
 class RegressionProblem:
     """Weighted linear model y = x @ theta + e with positive per-row weights.
 
-    ``y`` is one response column (n,) or k columns (n, k) that share the
-    design ``x`` (n, p) and the weights ``w`` (n,).
+    One problem has responses ``y`` and weights ``w`` (n,) and rows ``x``
+    (n, p).  A stack of R members has responses (R, n); its weights and rows
+    are the members' own, (R, n) and (R, n, p), or shared, (n,) and (n, p).
     """
 
     y: np.ndarray
@@ -53,15 +54,13 @@ def record_weight(shots, p_hat, weighting: str):
 def build_regression(records: Records, d: int, weighting: str = "shots") -> RegressionProblem:
     """Assemble the regression rows y_j = p_hat_j - gamma0_j / d from records.
 
-    Records with k success columns give k response columns; they share the
-    weights only under ``shots`` weighting, the one allowed for them.
+    A stack of records gives a stack of problems, member by member: each
+    member's responses, and under ``invvar`` its weights, are its own.
     """
     if len(records) == 0:
         raise ValueError("cannot build a regression from an empty record table")
     p_hat = records.p_hat
-    if p_hat.ndim > 1 and weighting != "shots":
-        raise ValueError("records with several success columns need shots weighting")
-    return RegressionProblem(y=(p_hat.T - records.gamma0 / d).T, x=records.gamma,
+    return RegressionProblem(y=p_hat - records.gamma0 / d, x=records.gamma,
                              w=record_weight(records.shots, p_hat, weighting))
 
 
@@ -71,23 +70,22 @@ def solve_weighted_ls(problem: RegressionProblem):
     The general solve, for any records and either weighting.  Shot-weighted
     cube draws have the closed form :func:`solve_cube_paulis`.
 
-    theta is (p,) for one response column or (p, k) for k columns sharing the
-    design; cond is the condition number of sqrt(W) X; q = (X^T W X)^-1 is
-    the Q0 that seeds recursive updates.  Raises :class:`SingularDesignError`
+    theta is (p,); cond is the condition number of sqrt(W) X; q = (X^T W X)^-1
+    is the Q0 that seeds recursive updates.  Raises :class:`SingularDesignError`
     when the design is rank deficient or conditioned worse than 1e12, naming
     the null-space dimension.
 
-    A stack of problems has weights (R, n), rows (R, n, p) or one shared
-    (n, p), and responses (R, n): one batched SVD solves them all, each
-    exactly as it would be solved alone, and theta, cond and q gain the
-    leading member axis.  The errors name the worst member.
+    A stack of problems (see :class:`RegressionProblem`) is solved by one
+    SVD of the shared design, or one batched SVD of the members' own, each
+    member exactly as it would be solved alone.  theta is (R, p); cond and q
+    gain the member axis when the weights or rows have it.  The errors name
+    the worst member.
     """
     sw = np.sqrt(problem.w)
-    columns = problem.y.ndim > sw.ndim
     a = problem.x * sw[..., None]
-    # responses as (..., n, k) columns, contiguous so that BLAS reads each member's as it
+    # responses as (..., n, 1) columns, contiguous so that BLAS reads each member's as it
     # reads one problem's
-    b = np.ascontiguousarray((problem.y if columns else problem.y[..., None]) * sw[..., None])
+    b = np.ascontiguousarray((problem.y * sw)[..., None])
     n_par = problem.x.shape[-1]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     rank = np.count_nonzero(s > s[..., :1] * 1e-12, axis=-1)
@@ -99,7 +97,7 @@ def solve_weighted_ls(problem: RegressionProblem):
             0, f"design condition number {cond.max():.2e} exceeds {_COND_LIMIT:.0e}")
     theta = vt.mT @ ((u.mT @ b) / s[..., None])
     q = (vt.mT / s[..., None, :]**2) @ vt
-    return theta if columns else theta[..., 0], cond, (q + q.mT) / 2
+    return theta[..., 0], cond, (q + q.mT) / 2
 
 
 def solve_cube_paulis(copies: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -140,22 +138,22 @@ def solve_cube_paulis(copies: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return e.reshape(draws.shape[:-2] + (n,))
 
 
-def project_physical(rho_tilde: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def project_physical(rho_tilde: np.ndarray) -> np.ndarray:
     """Closest density matrix sharing rho_tilde's eigenvectors, for one matrix or a stack.
 
-    Every member must be Hermitian and of unit trace; all are eigendecomposed
-    by one batched ``eigh``.  A member with no negative eigenvalue is returned
-    as it is.  The others have their eigenvalue vectors projected onto the
-    probability simplex, all at once: negative eigenvalues are zeroed in
-    ascending order while the running deficit, spread uniformly over the
-    remaining ones, leaves the next one negative.  The result equals that
-    one-matrix accumulator loop (kept in the tests) up to rounding-level ties
-    between candidate shifts.
+    Every member must be Hermitian and of unit trace within 1e-8; all are
+    eigendecomposed by one batched ``eigh``.  A member with no negative
+    eigenvalue is returned as it is.  The others have their eigenvalue vectors
+    projected onto the probability simplex, all at once: negative eigenvalues
+    are zeroed in ascending order while the running deficit, spread uniformly
+    over the remaining ones, leaves the next one negative.  The result equals
+    that one-matrix accumulator loop (kept in the tests) up to rounding-level
+    ties between candidate shifts.
     """
     rho_tilde = np.asarray(rho_tilde, dtype=complex)
-    if not is_hermitian(rho_tilde, tol):
+    if not is_hermitian(rho_tilde, 1e-8):
         raise ContractViolationError("project_physical requires a Hermitian input")
-    if (abs(rho_tilde.trace(axis1=-2, axis2=-1).real - 1.0) > tol).any():
+    if (abs(rho_tilde.trace(axis1=-2, axis2=-1).real - 1.0) > 1e-8).any():
         raise ContractViolationError("project_physical requires unit trace")
     w, v = np.linalg.eigh(rho_tilde)
     if w.min() >= 0:

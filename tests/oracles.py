@@ -13,11 +13,12 @@ reconstruction.  The nested ``np.kron`` loop, the all-bases ``einsum`` and
 the per-unit loop are the bit-for-bit references for the cube elements, the
 cube regression table and the matrix units that `qest` builds in one step.
 The per-run loop of records, one step and one state at a time, with plain
-matrix products, is the reference for `qest.run_adaptive_protocol` and
-`qest.harness.run_paired_tomography`, which run every repetition or trial as
-one stack.  The Gell-Mann coordinates of a state, exact expected counts, the
-one-POVM measurement simulation, the records CSV writer and the dense B are
-library-style helpers that only tests call.
+matrix products, is the reference for `qest.run_adaptive_protocol`,
+`qest.harness.run_paired_tomography` and `qest.harness.run_mse_sweep`, which
+run every repetition or trial as one stack.  The Gell-Mann coordinates of a
+state, exact expected counts, the one-POVM measurement simulation, the
+records CSV writer and the dense B are library-style helpers that only tests
+call.
 """
 
 import csv
@@ -32,6 +33,7 @@ from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
 from qest.linalg import gell_mann_basis, is_hermitian, vec, vec_inv
 from qest.adaptive import _SPHERE_GRID, RecursiveState
+from qest.harness import _sample_truth, trial_rng
 from qest.states import (
     Povm,
     _check_copies,
@@ -161,7 +163,7 @@ def regression_lambda(kraus, d: int, shots: int, seed) -> np.ndarray:
     probes = natural_probes(d)
     records = cube_records(apply_channel(kraus, probes), shots, seed)
     theta, _, _ = solve_weighted_ls(build_regression(records, d))
-    rho = project_physical(rho_from_theta(theta.T))
+    rho = project_physical(rho_from_theta(theta))
     return np.linalg.solve(probes.reshape(d * d, d * d), rho.reshape(d * d, d * d))
 
 
@@ -363,3 +365,20 @@ def static_cube_mse_loop(truth, total, rng, weighting):
     """Reference static arm of one repetition: the cube records' pipeline estimate's MSE."""
     rho, _, _ = tomography_pipeline(cube_records(truth, total, rng), truth.shape[0], weighting)
     return float(np.linalg.norm(rho - truth) ** 2)
+
+
+def mse_sweep_loop(dim, shot_grid, trials, seed, ensemble, weighting):
+    """Reference sweep, one (N, trial) at a time: (rows, per-N mean MSE).
+
+    Each trial draws its truth and then its cube records on its own
+    generator, as ``qest.harness.run_mse_sweep`` does for a stack of trials.
+    """
+    rows, means = [], []
+    for ni, n in enumerate(shot_grid):
+        errs = []
+        for t in range(trials):
+            rng = trial_rng(seed, ni, t)
+            errs.append(static_cube_mse_loop(_sample_truth(dim, rng, ensemble), n, rng, weighting))
+            rows.append((n, t, errs[-1]))
+        means.append(float(np.mean(errs)))
+    return rows, means

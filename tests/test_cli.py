@@ -625,6 +625,7 @@ def test_missing_required_option_is_one_config_error(command, data):
        extra=st.text("abcdefghijklmnopqrstuvwxyzKN0123456789-_", min_size=1, max_size=8),
        dashes=st.sampled_from(["--", ""]))
 @example(command="hamid", extra="bogus", dashes="--")
+@example(command="adapt", extra="format", dashes="--")
 def test_unknown_option_is_one_config_error(command, extra, dashes):
     token = dashes + extra
     # argparse accepts any unambiguous prefix of a known option, --help included

@@ -23,6 +23,7 @@ from qest.control import (
     slc_train,
 )
 from qest.errors import ContractViolationError
+from qest.linalg import herm_expm
 from qest.states import PAULI_X, PAULI_Y, PAULI_Z
 from tests.control_reference import (
     central_difference_gradient,
@@ -431,6 +432,20 @@ class TestMeasurementDemo:
         a = periodic_measurement_demo(0.2 * PAULI_Y, SlidingConfig(0.2, 1.5), 200, 9)
         b = periodic_measurement_demo(0.2 * PAULI_Y, SlidingConfig(0.2, 1.5), 200, 9)
         assert [r["outcome"] for r in a["rows"]] == [r["outcome"] for r in b["rows"]]
+
+    def test_one_draw_per_period_in_stream_order(self):
+        # the per-period loop: one rng.random() call per period, outcome 0 below prob0
+        config = SlidingConfig(0.2, 1.5)
+        result = periodic_measurement_demo(0.4 * PAULI_Y, config, 300, 9)
+        rng = np.random.default_rng(9)
+        prob0 = result["rows"][0]["prob0"]
+        outcomes = [0 if rng.random() < prob0 else 1 for _ in range(300)]
+        assert [r["outcome"] for r in result["rows"]] == outcomes
+        assert [r["period"] for r in result["rows"]] == list(range(300))
+        assert result["out_of_domain_frequency"] == sum(outcomes) / 300
+        psi = herm_expm(0.4 * PAULI_Y, 1.5) @ np.array([1.0, 0.0])
+        assert prob0 == abs(psi[0]) ** 2
+        assert all(r["in_domain"] == in_sliding_domain(psi, config) for r in result["rows"])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):

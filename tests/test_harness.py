@@ -51,6 +51,18 @@ class TestMseSweep:
         result = run_mse_sweep(2, [500], trials=2, seed=1, ensemble="mixed")
         assert all(r[2] > 0 for r in result.rows)
 
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    @pytest.mark.parametrize("ensemble", ["pure", "mixed"])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stack_equals_the_per_trial_loop_bit_for_bit(self, dim, ensemble, weighting):
+        from tests.oracles import mse_sweep_loop
+
+        grid = [90 * dim, 900 * dim]
+        result = run_mse_sweep(dim, grid, trials=6, seed=7, ensemble=ensemble, weighting=weighting)
+        rows, means = mse_sweep_loop(dim, grid, 6, 7, ensemble, weighting)
+        assert result.rows == rows
+        assert result.aggregates["mean_mse"] == means
+
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             run_mse_sweep(2, [], trials=1, seed=0)

@@ -174,11 +174,35 @@ class TestRecords:
 
     @pytest.mark.parametrize("successes", [np.nan, -5.0, 100.5])
     def test_rejects_one_column_outside_shots(self, successes):
-        columns = np.array([[10.0, 20.0, 30.0], [90.0, 80.0, successes]])
-        with pytest.raises(ValueError):
-            Records.of_povm(z_basis(), 100, columns)
-        assert np.array_equal(Records.of_povm(z_basis(), 100, columns[:, :2]).p_hat,
-                              columns[:, :2] / 100)
+        # three members of two rows each; the last member's second count is out of range
+        members = np.array([[10.0, 90.0], [20.0, 80.0], [30.0, successes]])
+        with pytest.raises(ValueError, match="within"):
+            Records.of_povm(z_basis(), 100, members)
+        assert np.array_equal(Records.of_povm(z_basis(), 100, members[:2]).p_hat,
+                              members[:2] / 100)
+
+    def test_stacked_povm_gives_each_member_its_own_rows(self):
+        directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
+        counts = np.array([[30.0, 70.0], [55.0, 45.0], [100.0, 0.0]])
+        stacked = Records.of_povm(bloch_basis_povm(directions), 100, counts)
+        assert stacked.label.shape == stacked.successes.shape == (3, 2)
+        assert stacked.gamma.shape == (3, 2, 3) and len(stacked) == 2
+        for m, n in enumerate(directions):
+            own = Records.of_povm(bloch_basis_povm(n), 100, counts[m])
+            for name in ("label", "successes", "p_hat", "gamma0", "gamma"):
+                assert np.array_equal(getattr(stacked, name)[m], getattr(own, name))
+            assert np.array_equal(stacked.shots, own.shots)
+            assert np.array_equal(stacked.element, own.element)
+
+    def test_stacked_slicing_and_concatenation_select_rows(self):
+        counts = [[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]]
+        stacked = Records.of_povm(bloch_basis_povm(np.eye(3)), 10, counts)
+        first, second = stacked[:1], stacked[1:]
+        assert first.successes.shape == (3, 1) and first.gamma.shape == (3, 1, 3)
+        assert np.array_equal(second.successes, [[9.0], [8.0], [7.0]])
+        rejoined = Records.concat([first, second])
+        for field in fields(Records):
+            assert np.array_equal(getattr(rejoined, field.name), getattr(stacked, field.name))
 
     def test_povm_gammas_are_computed_once(self):
         povm = z_basis()
@@ -283,10 +307,10 @@ class TestCubeRecords:
         got_rng, ref_rng = np.random.default_rng(total), np.random.default_rng(total)
         got = cube_records(stack, total, got_rng)
         refs = [cube_records(rho, total, ref_rng) for rho in stack]
-        assert got.successes.shape == (len(refs[0]), len(stack))
+        assert got.successes.shape == (len(stack), len(refs[0]))
         for k, ref in enumerate(refs):
-            assert np.array_equal(got.successes[:, k], ref.successes)
-            assert np.array_equal(got.p_hat[:, k], ref.p_hat)
+            assert np.array_equal(got.successes[k], ref.successes)
+            assert np.array_equal(got.p_hat[k], ref.p_hat)
             for name in ("label", "element", "shots", "gamma0", "gamma"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
         assert got_rng.random() == ref_rng.random()
@@ -357,7 +381,7 @@ class TestCubeDraws:
         assert np.array_equal(copies, split_evenly(total, len(cube_povms(d))))
         measured = np.repeat(copies, d) > 0
         assert np.array_equal(records.shots, np.repeat(copies, d)[measured])
-        assert np.array_equal(records.successes, draws.reshape(len(stack), -1).T[measured])
+        assert np.array_equal(records.successes, draws.reshape(len(stack), -1)[:, measured])
         assert not draws[:, copies == 0].any()
         assert draws_rng.random() == records_rng.random()
 

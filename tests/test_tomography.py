@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tests.oracles import (
     expected_records,
     pauli_strings,
     project_physical_loop,
+    same_bits,
     simulate_measurements,
     theta_from_rho,
 )
@@ -112,18 +114,31 @@ class TestBuildRegression:
         with pytest.raises(ValueError):
             build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 10)[:0], 2)
 
-    def test_success_columns_give_response_columns(self):
+    def test_stacked_successes_give_stacked_responses(self):
         rng = np.random.default_rng(12)
         parts = [exact_records(random_density_matrix(2, rng), cube_povms(2), 10) for _ in range(3)]
-        stacked = Records(*(getattr(parts[0], name) for name in ("label", "element", "shots")),
-                          np.stack([p.successes for p in parts], axis=1),
-                          parts[0].gamma0, parts[0].gamma)
+        stacked = replace(parts[0], successes=np.stack([p.successes for p in parts]))
         problem = build_regression(stacked, 2)
-        assert problem.y.shape == (6, 3)
+        assert problem.y.shape == (3, 6) and problem.w.shape == (6,)
         for k, part in enumerate(parts):
-            assert np.array_equal(problem.y[:, k], build_regression(part, 2).y)
-        with pytest.raises(ValueError, match="shots weighting"):
-            build_regression(stacked, 2, "invvar")
+            own = build_regression(part, 2)
+            assert np.array_equal(problem.y[k], own.y)
+            assert np.array_equal(problem.w, own.w)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_invvar_members_equal_their_own_builds_bit_for_bit(self, d):
+        # each member weights its rows by its own frequencies
+        rng = np.random.default_rng(d)
+        stack = np.stack([random_density_matrix(d, rng) for _ in range(4)])
+        stacked = build_regression(cube_records(stack, 40 * d, np.random.default_rng(3)), d,
+                                   "invvar")
+        assert stacked.y.shape == stacked.w.shape == (4, len(stacked.x))
+        ref_rng = np.random.default_rng(3)
+        for k, rho in enumerate(stack):
+            own = build_regression(cube_records(rho, 40 * d, ref_rng), d, "invvar")
+            assert same_bits(stacked.y[k], own.y)
+            assert same_bits(stacked.w[k], own.w)
+            assert same_bits(stacked.x, own.x)
 
 
 class TestSolveWeightedLs:
@@ -166,18 +181,19 @@ class TestSolveWeightedLs:
         assert err.value.null_dim == 2
 
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
-    def test_stacked_columns_equal_one_at_a_time(self, weighting):
+    def test_shared_design_members_equal_one_at_a_time(self, weighting):
+        # members share the rows and the weights: one SVD solves them all
         rng = np.random.default_rng(12)
         problems = [build_regression(exact_records(random_density_matrix(4, rng), cube_povms(4), 300), 4)
                     for _ in range(5)]
         x = problems[0].x
         w = record_weight(np.full(len(x), 300), rng.uniform(0.01, 0.99, len(x)), weighting)
-        y = np.stack([p.y for p in problems], axis=1) + rng.normal(scale=1e-2, size=(len(x), 5))
+        y = np.stack([p.y for p in problems]) + rng.normal(scale=1e-2, size=(5, len(x)))
         theta, cond, q = solve_weighted_ls(RegressionProblem(y, x, w))
-        assert theta.shape == (15, 5)
+        assert theta.shape == (5, 15) and q.shape == (15, 15)
         for k in range(5):
-            theta_k, cond_k, q_k = solve_weighted_ls(RegressionProblem(y[:, k], x, w))
-            assert np.abs(theta[:, k] - theta_k).max() <= 1e-12
+            theta_k, cond_k, q_k = solve_weighted_ls(RegressionProblem(y[k], x, w))
+            assert np.abs(theta[k] - theta_k).max() <= 1e-12
             assert cond == cond_k
             assert np.array_equal(q, q_k)
 
@@ -185,7 +201,7 @@ class TestSolveWeightedLs:
         rng = np.random.default_rng(5)
         problem = build_regression(
             simulate_measurements(random_density_matrix(2, rng), cube_povms(2)[2], 100, rng), 2)
-        stacked = RegressionProblem(np.stack([problem.y] * 3, axis=1), problem.x, problem.w)
+        stacked = RegressionProblem(np.stack([problem.y] * 3), problem.x, problem.w)
         with pytest.raises(SingularDesignError) as single:
             solve_weighted_ls(problem)
         with pytest.raises(SingularDesignError) as batch:
@@ -203,7 +219,7 @@ class TestSolveWeightedLs:
                                   rng) for povm in cube_povms(2)), 2, weighting)
             for _ in range(6)]
         x = problems[0].x if shared_design else np.stack([p.x for p in problems])
-        # a transposed layout, as member columns of a records table give
+        # responses in a non-contiguous layout solve as contiguous ones do
         y = np.stack([p.y for p in problems], axis=1).T
         theta, cond, q = solve_weighted_ls(
             RegressionProblem(y, x, np.stack([p.w for p in problems])))
@@ -342,7 +358,7 @@ class TestSolveCubePaulis:
         e = solve_cube_paulis(*cube_draws(stack, total, np.random.default_rng(1)))
         problem = build_regression(cube_records(stack, total, np.random.default_rng(1)), d)
         theta, cond, _ = solve_weighted_ls(problem)
-        rho = rho_from_theta(theta.T)
+        rho = rho_from_theta(theta)
         assert e.shape == (3, 4**q)
         assert np.abs(e - np.einsum("kij,pji->kp", rho, pauli_strings(q)).real).max() <= 1e-12
         # the bound that lets the closed form skip the condition-number check
