@@ -227,8 +227,6 @@ def _samples_from_config(scheme, system):
 
 
 def _cmd_smc_demo(args) -> int:
-    if args.periods < 1:
-        raise ConfigError("--periods must be at least 1")
     if not np.all(np.isfinite([args.eps, args.tau, args.eps * args.tau])):
         raise ConfigError("--eps, --tau and their product must be finite")
     config = SlidingConfig(p0=args.p0, period=args.tau)

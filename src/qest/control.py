@@ -58,6 +58,8 @@ class ControlField:
         object.__setattr__(self, "amplitudes", amps)
         if not (np.isfinite(self.horizon) and self.horizon > 0) or amps.shape[0] < 1:
             raise ValueError("need a positive finite horizon and at least one interval")
+        if not np.isfinite(amps).all():
+            raise ValueError("pulse amplitudes must be finite")
 
     @property
     def intervals(self) -> int:
@@ -83,6 +85,8 @@ class SampleSet:
         object.__setattr__(self, "pairs", pairs)
         if pairs.shape[0] < 1 or pairs.shape[1] != 2:
             raise ValueError("need an (N, 2) array of sample pairs")
+        if not np.isfinite(pairs).all():
+            raise ValueError("sample pairs must be finite")
 
     @property
     def n(self) -> int:
@@ -120,12 +124,13 @@ def corner_center_samples(omega_halfwidth: float, theta_halfwidth: float) -> Sam
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One pulse on every sample: propagators and states of all (sample, interval) pairs."""
+    """One pulse on every sample: propagators, states and costates of every (sample, interval)."""
 
     props: np.ndarray  # (N, K, d, d) interval propagators
     eigvals: np.ndarray  # (N, K, d) and
     eigvecs: np.ndarray  # (N, K, d, d): the eigenpairs of the interval generators
     fwd: np.ndarray  # (N, K + 1, d); fwd[:, k] is the state before interval k
+    bwd: np.ndarray  # (N, K + 1, d); bwd[:, k] is the target carried back to the same point
     target: np.ndarray  # (d,)
     overlap: np.ndarray  # (N,) <psi_target|psi_n(T)>
 
@@ -151,9 +156,11 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
 
     The generators omega*H0 + theta*sum_m u_km H_m of all samples and
     intervals form one (N, K, d, d) stack, exponentiated by one batched
-    eigendecomposition; the states then advance one interval at a time for all
-    samples together.  A call on the same input values as the previous one
-    returns its (read-only) evaluation.
+    eigendecomposition.  One sweep of K steps then carries the states forward
+    and the target backward for all samples together: step k applies U_k to
+    the N states and U_{K-1-k}^dag to the N costates in one stacked product.
+    A call on the same input values as the previous one returns its
+    (read-only) evaluation.
     """
     global _last_evaluation
     pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
@@ -171,12 +178,15 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
                 np.zeros((field.intervals, 1, 1)))
     omega, theta = pairs[:, 0, None, None, None], pairs[:, 1, None, None, None]
     props, eigvals, eigvecs = herm_expm_eigh(omega * system.h0 + theta * drive, field.dt)
-    fwd = np.empty((pairs.shape[0], field.intervals + 1, system.dim), dtype=complex)
-    fwd[:, 0] = psi
+    n = pairs.shape[0]
+    sweep = np.concatenate((props.swapaxes(0, 1), props[:, ::-1].conj().mT.swapaxes(0, 1)), 1)
+    out = np.empty((field.intervals + 1, 2 * n, system.dim), dtype=complex)
+    out[0, :n], out[0, n:] = psi, target
     for k in range(field.intervals):
-        fwd[:, k + 1] = (props[:, k] @ fwd[:, k, :, None])[..., 0]
-    ev = _Evaluation(props, eigvals, eigvecs, fwd, target, np.vecdot(target, fwd[:, -1]))
-    for a in (props, eigvals, eigvecs, fwd, target, ev.overlap):
+        np.matvec(sweep[k], out[k], out=out[k + 1])
+    fwd, bwd = out[:, :n].swapaxes(0, 1), out[::-1, n:].swapaxes(0, 1)
+    ev = _Evaluation(props, eigvals, eigvecs, fwd, bwd, target, np.vecdot(target, fwd[:, -1]))
+    for a in (props, eigvals, eigvecs, fwd, bwd, target, ev.overlap):
         a.flags.writeable = False
     _last_evaluation = (key, ev)
     return ev
@@ -194,22 +204,18 @@ def gradient_j(system, samples: SampleSet, field, psi0, psi_target) -> np.ndarra
     V (Gamma o V^dag theta H_m V) V^dag with the divided differences
     Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), which tend to
     -i dt e^{-i dt l_a} as l_b -> l_a (de Fouquieres, Schirmer, Glaser and
-    Kuprov, JMR 212, 2011).  It is taken between the backward costates and
-    the forward states, with the eigenpairs of the propagators themselves.
+    Kuprov, JMR 212, 2011).  It is taken between the costates and the states
+    that one evaluation carries from its single fused sweep, with the
+    eigenpairs of the propagators themselves; no propagation happens here.
     """
     ev = _evaluate(system, samples.pairs, field, psi0, psi_target)
-    bwd = np.empty_like(ev.fwd)  # bwd[:, k]: the target carried back to the end of interval k - 1
-    bwd[:, -1] = ev.target
-    props_h = np.swapaxes(ev.props.conj(), -1, -2)
-    for k in range(field.intervals, 0, -1):
-        bwd[:, k - 1] = (props_h[:, k - 1] @ bwd[:, k, :, None])[..., 0]
     # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b) with x = dt (l_a - l_b), in sinc form
     dt, w, v = field.dt, ev.eigvals, ev.eigvecs
     x = dt * (w[..., :, None] - w[..., None, :])
     gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
              * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
     vh = np.swapaxes(v.conj(), -1, -2)
-    a = (vh @ bwd[:, 1:, :, None])[..., 0]
+    a = (vh @ ev.bwd[:, 1:, :, None])[..., 0]
     b = (vh @ ev.fwd[:, :-1, :, None])[..., 0]
     # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
     t = gamma * a.conj()[..., :, None] * b[..., None, :]
@@ -300,6 +306,8 @@ def periodic_measurement_demo(h_delta: np.ndarray, config: SlidingConfig,
     evolved state is the same in every period, and one draw per period
     decides its outcome.
     """
+    if periods < 1:
+        raise ValueError("periods must be at least 1")
     h_delta = np.asarray(h_delta, dtype=complex)
     if h_delta.shape != (2, 2):
         raise ValueError("the demo is two-level only")

@@ -107,8 +107,7 @@ def herm_expm_eigh(h: np.ndarray, s: float = 1.0):
     ``eigh``.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or not np.all(
-            np.linalg.norm(h - np.swapaxes(h.conj(), -1, -2), axis=(-2, -1)) <= 1e-10):
+    if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * s * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2), w, v

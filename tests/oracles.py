@@ -15,7 +15,10 @@ cube regression table and the matrix units that `qest` builds in one step.
 The per-run loop of records, one step and one state at a time, with plain
 matrix products, is the reference for `qest.run_adaptive_protocol`,
 `qest.harness.run_paired_tomography` and `qest.harness.run_mse_sweep`, which
-run every repetition or trial as one stack.  The Gell-Mann coordinates of a
+run every repetition or trial as one stack.  The two per-interval loops of
+stacked products, the states forward and then the target backward, with the
+gradient taken between them, are the reference for `qest.control`'s single
+fused state/costate sweep.  The Gell-Mann coordinates of a
 state, exact expected counts, the one-POVM measurement simulation, the
 records CSV writer and the dense B are library-style helpers that only tests
 call.
@@ -31,7 +34,7 @@ import scipy.linalg
 from qest import linalg
 from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
-from qest.linalg import gell_mann_basis, is_hermitian, vec, vec_inv
+from qest.linalg import gell_mann_basis, herm_expm_eigh, is_hermitian, vec, vec_inv
 from qest.adaptive import _SPHERE_GRID, RecursiveState
 from qest.harness import _sample_truth, trial_rng
 from qest.states import (
@@ -382,3 +385,53 @@ def mse_sweep_loop(dim, shot_grid, trials, seed, ensemble, weighting):
             rows.append((n, t, errs[-1]))
         means.append(float(np.mean(errs)))
     return rows, means
+
+
+def slc_evaluate_loop(system, pairs, field, psi0, psi_target):
+    """Reference SLC evaluation: (props, eigvals, eigvecs, fwd, bwd, overlap).
+
+    One batched exponential of the (N, K, d, d) generator stack, then two
+    per-interval loops: the states forward, one stacked product per
+    interval, and the target backward under the adjoint propagators.
+    fwd[:, k] is the state before interval k and bwd[:, k] the target carried
+    back to the same point.
+    """
+    pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
+    drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
+                np.zeros((field.intervals, 1, 1)))
+    omega, theta = pairs[:, 0, None, None, None], pairs[:, 1, None, None, None]
+    props, eigvals, eigvecs = herm_expm_eigh(omega * system.h0 + theta * drive, field.dt)
+    target = np.array(psi_target, complex).ravel()
+    fwd = np.empty((pairs.shape[0], field.intervals + 1, system.dim), dtype=complex)
+    fwd[:, 0] = np.asarray(psi0, dtype=complex).ravel()
+    for k in range(field.intervals):
+        fwd[:, k + 1] = (props[:, k] @ fwd[:, k, :, None])[..., 0]
+    bwd = np.empty_like(fwd)
+    bwd[:, -1] = target
+    props_h = np.swapaxes(props.conj(), -1, -2)
+    for k in range(field.intervals, 0, -1):
+        bwd[:, k - 1] = (props_h[:, k - 1] @ bwd[:, k, :, None])[..., 0]
+    return props, eigvals, eigvecs, fwd, bwd, np.vecdot(target, fwd[:, -1])
+
+
+def augmented_j_loop(system, samples, field, psi0, psi_target) -> float:
+    """Reference mean fidelity, from :func:`slc_evaluate_loop`."""
+    z = slc_evaluate_loop(system, samples.pairs, field, psi0, psi_target)[-1]
+    return float(np.mean(np.float_power(np.hypot(z.real, z.imag), 2)))
+
+
+def gradient_j_loop(system, samples, field, psi0, psi_target) -> np.ndarray:
+    """Reference exact gradient of the mean fidelity, between the loops' costates and states."""
+    _, w, v, fwd, bwd, overlap = slc_evaluate_loop(system, samples.pairs, field, psi0, psi_target)
+    dt = field.dt
+    x = dt * (w[..., :, None] - w[..., None, :])
+    gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
+             * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
+    vh = np.swapaxes(v.conj(), -1, -2)
+    a = (vh @ bwd[:, 1:, :, None])[..., 0]
+    b = (vh @ fwd[:, :-1, :, None])[..., 0]
+    t = gamma * a.conj()[..., :, None] * b[..., None, :]
+    s = v.conj() @ t @ np.swapaxes(v, -1, -2)
+    controls = np.reshape(system.controls, (-1, system.dim, system.dim))
+    dz = samples.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
+    return np.mean(2.0 * (np.conj(overlap)[:, None, None] * dz).real, axis=0)

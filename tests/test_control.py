@@ -1,10 +1,15 @@
 import re
 import sys
+import tempfile
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import qest.control
 from qest.control import (
@@ -30,6 +35,10 @@ from tests.control_reference import (
     reference_fidelities,
     reference_final_state,
 )
+from tests.oracles import augmented_j_loop, gradient_j_loop, slc_evaluate_loop
+
+# keep Hypothesis' on-disk cache in the system temp directory, not in the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "qest-hypothesis")
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -65,6 +74,21 @@ class TestTypes:
         for horizon in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 ControlField(horizon, np.ones((4, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        amplitudes = np.full((4, 2), 0.1)
+        amplitudes[2, 1] = bad
+        with pytest.raises(ValueError, match="pulse amplitudes must be finite"):
+            ControlField(2.0, amplitudes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_sample_pairs_rejected(self, bad, column):
+        pairs = np.ones((3, 2))
+        pairs[1, column] = bad
+        with pytest.raises(ValueError, match="sample pairs must be finite"):
+            SampleSet(pairs)
 
     def test_sample_grid(self):
         samples = grid_samples(0.2, 0.2, 3, 2)
@@ -228,6 +252,64 @@ class TestGradient:
         assert np.abs(total - np.mean(parts, axis=0)).max() <= 1e-12
 
 
+def random_task(d, channels, intervals, n, seed):
+    """A random d-level system, pulse, sample set and unit initial and target states."""
+    rng = np.random.default_rng(seed)
+    system = UncertainSystem(random_hermitian(d, rng),
+                             tuple(random_hermitian(d, rng) for _ in range(channels)), 0.2, 0.2)
+    field = ControlField(1.5, rng.uniform(-1, 1, size=(intervals, channels)))
+    samples = random_samples(0.2, 0.2, n, rng)
+    psi0, target = (v / np.linalg.norm(v) for v in
+                    rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d)))
+    return system, samples, field, psi0, target
+
+
+class TestFusedSweep:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(d=st.integers(2, 3), channels=st.integers(0, 2), intervals=st.integers(1, 6),
+           n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_per_interval_loops_bit_for_bit(self, d, channels, intervals, n, seed):
+        system, samples, field, psi0, target = random_task(d, channels, intervals, n, seed)
+        ev = qest.control._evaluate(system, samples.pairs, field, psi0, target)
+        props, _, _, fwd, bwd, overlap = slc_evaluate_loop(system, samples.pairs, field,
+                                                           psi0, target)
+        assert ev.props.tobytes() == props.tobytes()
+        assert ev.fwd.shape == ev.bwd.shape == fwd.shape
+        assert ev.fwd.tobytes() == fwd.tobytes()
+        assert ev.bwd.tobytes() == bwd.tobytes()
+        assert ev.overlap.tobytes() == overlap.tobytes()
+        grad = gradient_j(system, samples, field, psi0, target)
+        assert grad.tobytes() == gradient_j_loop(system, samples, field, psi0, target).tobytes()
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_costates_agree_with_the_loops_to_rounding_from_d4(self, d):
+        # the loops' adjoint product reads a transposed view, the sweep a contiguous copy; from
+        # d = 4 the BLAS sums those in different orders, so only the states keep every bit
+        system, samples, field, psi0, target = random_task(d, 2, 6, 5, d)
+        ev = qest.control._evaluate(system, samples.pairs, field, psi0, target)
+        _, _, _, fwd, bwd, overlap = slc_evaluate_loop(system, samples.pairs, field, psi0, target)
+        assert ev.fwd.tobytes() == fwd.tobytes()
+        assert ev.overlap.tobytes() == overlap.tobytes()
+        tol = 64 * np.finfo(float).eps
+        assert np.abs(ev.bwd - bwd).max() <= tol
+        expected = gradient_j_loop(system, samples, field, psi0, target)
+        grad = gradient_j(system, samples, field, psi0, target)
+        assert np.abs(grad - expected).max() <= tol * np.abs(expected).max()
+
+    def test_training_equals_the_loop_driven_training_bit_for_bit(self, monkeypatch):
+        # the README transfer task: sigma_z drift, sigma_x control, T = 2, L = 20, 2 x 2 grid
+        system, psi0, target = transfer_task(0.2, 0.2)
+        field0 = ControlField(2.0, np.random.default_rng(11).uniform(-0.5, 0.5, size=(20, 1)))
+        samples = grid_samples(0.2, 0.2, 2, 2)
+        field, log = slc_train(system, samples, field0, psi0, target, iterations=30)
+        monkeypatch.setattr(qest.control, "augmented_j", augmented_j_loop)
+        monkeypatch.setattr(qest.control, "gradient_j", gradient_j_loop)
+        oracle_field, oracle_log = slc_train(system, samples, field0, psi0, target, iterations=30)
+        assert len(log) == len(oracle_log) == 31
+        assert np.array(log).tobytes() == np.array(oracle_log).tobytes()
+        assert field.amplitudes.tobytes() == oracle_field.amplitudes.tobytes()
+
+
 class TestTraining:
     def test_nominal_transfer_baseline(self):
         system, psi0, target = transfer_task()
@@ -319,10 +401,11 @@ class TestEvaluationMemo:
         system, samples, field, psi0, target = memo_task()
         ev = qest.control._evaluate(system, samples.pairs, field, psi0, target)
         assert qest.control._evaluate(system, samples.pairs, field, psi0, target) is ev
-        for name in ("props", "eigvals", "eigvecs", "fwd", "target", "overlap"):
+        for name in ("props", "eigvals", "eigvecs", "fwd", "bwd", "target", "overlap"):
             assert not getattr(ev, name).flags.writeable, name
-        with pytest.raises(ValueError):
-            ev.props[0, 0, 0, 0] = 0.0
+        for a in (ev.props, ev.fwd, ev.bwd):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
 
     def test_concurrent_callers_get_their_own_evaluation(self):
         system, samples, field, psi0, target = memo_task()
@@ -451,3 +534,8 @@ class TestMeasurementDemo:
         with pytest.raises(ContractViolationError):
             periodic_measurement_demo(np.array([[0, 1], [0, 0]], complex),
                                       SlidingConfig(0.1, 1.0), 10, 0)
+
+    @pytest.mark.parametrize("periods", [0, -1])
+    def test_rejects_fewer_than_one_period(self, periods):
+        with pytest.raises(ValueError, match="periods must be at least 1"):
+            periodic_measurement_demo(0.1 * PAULI_X, SlidingConfig(0.1, 1.0), periods, 0)

@@ -5,6 +5,7 @@ from qest.errors import BranchAmbiguityWarning, ContractViolationError
 from qest.linalg import (
     gell_mann_basis,
     herm_expm,
+    herm_expm_eigh,
     is_hermitian,
     is_unitary,
     matrix_from_json,
@@ -140,6 +141,14 @@ class TestHermExpm:
         stack[1, 0] = bad
         with pytest.raises(ContractViolationError):
             herm_expm(stack, 1.0)
+
+    @pytest.mark.parametrize("h", [np.ones(2), np.ones((2, 3)), np.ones((2, 2, 3)),
+                                   np.array([[SX, SZ], [SY, np.triu(SX)]])],
+                             ids=["1-D", "non-square", "stacked-non-square",
+                                  "stacked-non-hermitian"])
+    def test_eigh_rejects_what_is_not_a_hermitian_stack(self, h):
+        with pytest.raises(ContractViolationError):
+            herm_expm_eigh(h, 1.0)
 
 
 class TestNearestUnitary:
