@@ -19,6 +19,7 @@ import numpy as np
 from .states import (
     Povm,
     Records,
+    _cube_elements,
     as_rng,
     bloch_basis_povm,
     born_probabilities,
@@ -164,6 +165,33 @@ _SPHERE_GRID = _fibonacci_sphere()
 _BLOCH = 6
 
 
+def _continuum_gains(state, planned_shots, weighting):
+    # candidate directions u (..., 135, 3) and _basis_gains of their bases' rows +-u/sqrt(2),
+    # from one row each: negation is exact, (-g).theta = -(g.theta) and (-g)(-Qg) = g Qg
+    members = state.theta.shape[:-1]
+    _, v = np.linalg.eigh(state.q)
+    bloch = state.theta * np.sqrt(2.0)
+    norm = np.sqrt(np.vecdot(bloch, bloch))[..., None]  # np.linalg.norm's bits
+    has_bloch = norm > 1e-9
+    # one C-contiguous array: strided rows send the products below off BLAS, moving bits
+    u = np.empty(members + (_BLOCH + 1 + len(_SPHERE_GRID), 3))
+    u[..., :3, :] = np.eye(3)
+    u[..., 3:_BLOCH, :] = v.mT
+    u[..., _BLOCH, :] = bloch / np.where(has_bloch, norm, 1.0)
+    u[..., _BLOCH + 1:, :] = _SPHERE_GRID
+    g = u / np.sqrt(2.0)
+    x = _rows_at(g, state.theta[..., None])[..., 0]
+    p_pred = np.clip(np.stack([x, -x], axis=-1) + 0.5, 0.0, 1.0)
+    # shot weights are one scalar; both outcomes must count it
+    weight = np.broadcast_to(record_weight(planned_shots, p_pred, weighting), p_pred.shape)
+    qg = _rows_at(g, state.q)  # Q is symmetric
+    drop = (g * qg).sum(-1)[..., None]
+    qg *= qg
+    gains = (qg.sum(-1)[..., None] / (1.0 / weight + drop)).sum(-1)
+    gains[..., _BLOCH] = np.where(has_bloch[..., 0], gains[..., _BLOCH], -np.inf)
+    return u, gains
+
+
 def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
                           weighting: str = "shots") -> Povm:
     """Approximate trace-gain optimum over all Bloch directions.
@@ -175,38 +203,24 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
     axes win ties.  Under constant (shot) weights the basis along u gains
     ||Q u||^2 / (1/w + u^T Q u / 2), maximized by the top eigendirection of
     Q; under inverse-variance weights aligned measurements become cheap and
-    the search leaves the cube frame.  For a stack of members, one batched
+    the search leaves the cube frame.  Each direction is scored as one row,
+    shared by the basis's two outcomes.  For a stack of members, one batched
     ``eigh`` and one scoring pass give the stack of each member's choice.
     """
     if state.dim != 2:
         raise ValueError("continuum basis search is qubit-only")
-    members = state.theta.shape[:-1]
-    _, v = np.linalg.eigh(state.q)
-    bloch = state.theta * np.sqrt(2.0)
-    norm = np.sqrt(np.vecdot(bloch, bloch))[..., None]  # np.linalg.norm's bits
-    has_bloch = norm > 1e-9
-    u = np.concatenate([
-        np.broadcast_to(np.eye(3), members + (3, 3)),
-        v.mT,
-        (bloch / np.where(has_bloch, norm, 1.0))[..., None, :],
-        np.broadcast_to(_SPHERE_GRID, members + _SPHERE_GRID.shape),
-    ], axis=-2)
-    gamma = np.stack([u, -u], axis=-2)
-    gamma /= np.sqrt(2.0)
-    gains = _basis_gains(state, 1.0, gamma, planned_shots, weighting)
-    gains[..., _BLOCH] = np.where(has_bloch[..., 0], gains[..., _BLOCH], -np.inf)
+    u, gains = _continuum_gains(state, planned_shots, weighting)
     # grid and eigen directions are unit vectors only to rounding, so gains
     # within 1e-12 (relative) of the best tie, and the lowest index wins
     best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
     cube = cube_povms(2)
-    if not members:
+    if u.ndim == 2:  # one state
         return cube[best] if best < 3 else bloch_basis_povm(u[best])
     chosen = bloch_basis_povm(np.take_along_axis(u, best[..., None, None], axis=-2)[..., 0, :])
     labels = tuple(cube[b].label if b < 3 else label
                    for b, label in zip(best.ravel(), chosen.label))
     elements = np.where((best < 3)[..., None, None, None],
-                        np.stack([p.elements for p in cube])[np.minimum(best, 2)],
-                        chosen.elements)
+                        _cube_elements(2)[np.minimum(best, 2)], chosen.elements)
     return Povm(labels, elements)
 
 
@@ -241,7 +255,8 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
 
     Returns the projected final state, (d, d) or (R, d, d), and a per-step
     diagnostics list with keys step, copies_used, trace_q and mse; the last
-    two are (R,) arrays for a stack.
+    two are (R,) arrays for a stack.  The steps' estimates are projected
+    together after the last step, by one batched ``project_physical``.
     """
     truth = np.asarray(truth, dtype=complex)
     d = truth.shape[-1]
@@ -260,20 +275,8 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     # shot weights give the members one shared Q0
     state = RecursiveState(q=np.broadcast_to(q, theta.shape + theta.shape[-1:]), theta=theta)
 
-    diagnostics = []
-
-    def snapshot(step):
-        rho_step = project_physical(rho_from_theta(state.theta))
-        diagnostics.append({
-            "step": step,
-            "copies_used": schedule.stage1 + step * schedule.per_step,
-            "trace_q": np.trace(state.q, axis1=-2, axis2=-1),
-            "mse": mse(rho_step, truth),
-        })
-        return rho_step
-
-    rho_hat = snapshot(0)
-    for k in range(1, schedule.steps + 1):
+    thetas, trace_q = [state.theta], [np.trace(state.q, axis1=-2, axis2=-1)]
+    for _ in range(schedule.steps):
         if candidates == "continuum":
             povm = continuum_qubit_basis(state, schedule.per_step, weighting)
         else:
@@ -282,5 +285,10 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
         counts = multinomial(rng, schedule.per_step, p / p.sum(-1, keepdims=True))
         records = Records.of_povm(povm, schedule.per_step, counts)
         state = rls_update(state, build_regression(records, d, weighting))
-        rho_hat = snapshot(k)
-    return rho_hat, diagnostics
+        thetas.append(state.theta)
+        trace_q.append(np.trace(state.q, axis1=-2, axis2=-1))
+    rho_steps = project_physical(rho_from_theta(np.stack(thetas)))
+    diagnostics = [{"step": k, "copies_used": schedule.stage1 + k * schedule.per_step,
+                    "trace_q": tq, "mse": err}
+                   for k, (tq, err) in enumerate(zip(trace_q, mse(rho_steps, truth)))]
+    return rho_steps[-1], diagnostics

@@ -56,7 +56,14 @@ def _cmd_tomo(args) -> int:
     return 0
 
 
+def _dim(args) -> int:
+    if args.dim < 2:
+        raise ConfigError("--dim must be at least 2")
+    return args.dim
+
+
 def _cmd_adapt(args) -> int:
+    _dim(args)
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
     if args.N2 is None:
@@ -91,8 +98,7 @@ def _load_hamiltonian(args):
 
 
 def _cmd_hamid(args) -> int:
-    if args.dim < 2:
-        raise ConfigError("--dim must be at least 2")
+    _dim(args)
     if not (np.isfinite(args.time) and args.time > 0):
         raise ConfigError("--time must be positive and finite")
     h_true = _load_hamiltonian(args)
@@ -247,7 +253,7 @@ def _cmd_smc_demo(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = [int(v) for v in args.shots.split(",")]
-    result = harness.run_mse_sweep(args.dim, grid, args.trials, args.seed,
+    result = harness.run_mse_sweep(_dim(args), grid, args.trials, args.seed,
                                    ensemble=args.ensemble, weighting=args.weights)
     config = {"command": "sweep", "dim": args.dim, "shots": grid, "trials": args.trials,
               "ensemble": args.ensemble, "weights": args.weights}
@@ -260,7 +266,7 @@ def _cmd_compare(args) -> int:
     if args.kind == "tomography":
         schedule = AdaptiveSchedule(total=args.N, stage1=args.N1, per_step=args.N2, steps=args.K)
         result = harness.run_paired_tomography(
-            args.dim, schedule, args.trials, args.seed,
+            _dim(args), schedule, args.trials, args.seed,
             candidates=args.candidates, weighting=args.weights,
             repetitions=args.repetitions,
         )

@@ -103,23 +103,23 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
 
     The reported MSE is an expectation over measurement outcomes, so each
     truth is measured ``repetitions`` times per strategy and the per-truth
-    means are compared.  Each strategy runs its repetitions as one stack,
-    every repetition on its own generator.
+    means are compared.  Each strategy runs all trials' repetitions as one
+    stack, every repetition on its own generator.
     """
     if trials < 1 or repetitions < 1:
         raise ConfigError("trials and repetitions must be >= 1")
-    rows = []
-    for t in range(trials):
-        truth = _sample_truth(dim, trial_rng(seed, t, 0), "pure")
-        rho_adaptive, _ = run_adaptive_protocol(
-            truth, schedule, candidates,
-            [trial_rng(seed, t, 1, rep) for rep in range(repetitions)], weighting)
-        errs_s = _static_cube_mse(truth, schedule.total,
-                                  [trial_rng(seed, t, 2, rep) for rep in range(repetitions)],
-                                  weighting)
-        rows.append((t, float(np.mean(mse(rho_adaptive, truth))), float(np.mean(errs_s))))
-    adaptive = np.array([r[1] for r in rows])
-    static = np.array([r[2] for r in rows])
+    truths = np.repeat([_sample_truth(dim, trial_rng(seed, t, 0), "pure") for t in range(trials)],
+                       repetitions, axis=0)
+
+    def rngs(arm):
+        return [trial_rng(seed, t, arm, rep) for t in range(trials) for rep in range(repetitions)]
+
+    rho_adaptive, _ = run_adaptive_protocol(truths, schedule, candidates, rngs(1), weighting)
+    errs = np.stack([mse(rho_adaptive, truths),
+                     _static_cube_mse(truths, schedule.total, rngs(2), weighting)])
+    # each trial's mean over its own repetitions
+    adaptive, static = errs.reshape(2, trials, repetitions).mean(-1)
+    rows = [(t, float(a), float(s)) for t, (a, s) in enumerate(zip(adaptive, static))]
     aggregates = {
         "mean_adaptive": float(adaptive.mean()),
         "mean_static": float(static.mean()),

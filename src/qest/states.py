@@ -257,10 +257,9 @@ def cube_records(rho, total: int, rng) -> Records:
 
 
 def _qubits(d: int) -> int:
-    q = int(round(np.log2(d)))
-    if d < 2 or 2**q != d:
+    if d < 2 or d & (d - 1):
         raise ValueError(f"cube bases need a power-of-two dimension, got d={d}")
-    return q
+    return int(d).bit_length() - 1
 
 
 def _cube_labels(d: int) -> list:

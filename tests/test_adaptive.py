@@ -5,6 +5,8 @@ from qest.adaptive import (
     _SPHERE_GRID,
     AdaptiveSchedule,
     RecursiveState,
+    _basis_gains,
+    _continuum_gains,
     continuum_qubit_basis,
     rls_update,
     run_adaptive_protocol,
@@ -488,6 +490,83 @@ class TestStackedSelection:
                                         weighting)
             assert stacked.label[m] == ref.label
             assert np.array_equal(stacked.gamma[m], ref.gamma)
+
+
+class TestDirectionScoring:
+    """The continuum scores one row per direction; _basis_gains scores both outcome rows."""
+
+    @staticmethod
+    def directions(state):
+        # the candidate list as continuum_qubit_basis_loop builds it, one C-contiguous stack
+        members = state.theta.shape[:-1]
+        _, v = np.linalg.eigh(state.q)
+        bloch = state.theta * np.sqrt(2.0)
+        norm = np.sqrt(np.vecdot(bloch, bloch))[..., None]
+        u = np.ascontiguousarray(np.concatenate([
+            np.broadcast_to(np.eye(3), members + (3, 3)), v.mT,
+            (bloch / np.where(norm > 1e-9, norm, 1.0))[..., None, :],
+            np.broadcast_to(_SPHERE_GRID, members + _SPHERE_GRID.shape),
+        ], axis=-2))
+        return u, norm[..., 0] > 1e-9
+
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    @pytest.mark.parametrize("members", [None, 1, 20], ids=["one-state", "R1", "R20"])
+    @pytest.mark.parametrize("centre", [False, True], ids=["off-centre", "member-at-centre"])
+    def test_gains_equal_the_two_row_scores_bit_for_bit(self, weighting, members, centre):
+        q, theta = TestStackedSelection().stacked_state(members or 1, [24, members or 0],
+                                                        weighting)
+        if centre:
+            theta[0] = 0.0
+        state = (RecursiveState(q=q[0], theta=theta[0]) if members is None
+                 else RecursiveState(q=q, theta=theta))
+        u, has_bloch = self.directions(state)
+        want = _basis_gains(state, 1.0, np.stack([u, -u], axis=-2) / np.sqrt(2.0), 500,
+                            weighting)
+        want[..., 6] = np.where(has_bloch, want[..., 6], -np.inf)
+        got_u, got = _continuum_gains(state, 500, weighting)
+        assert got_u.shape == u.shape and got_u.tobytes() == u.tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.isneginf(got[..., 6]).sum() == centre
+
+
+class TestBatchedDiagnostics:
+    """Every step's estimate is projected after the last step, in one batch."""
+
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    @pytest.mark.parametrize("candidates", ["continuum", "cube"])
+    @pytest.mark.parametrize("members", [None, 6], ids=["one-run", "stacked"])
+    @pytest.mark.parametrize("steps", [0, 1, 8])
+    def test_every_step_equals_the_loop_bit_for_bit(self, weighting, candidates, members, steps):
+        schedule = AdaptiveSchedule(total=800 + steps * 250, stage1=800, per_step=250,
+                                    steps=steps)
+        truths = member_truths(2, members or 1, seed=[9, steps])
+        seeds = [[43, steps, m] for m in range(members or 1)]
+        # a list of seeds is a stack; one generator is one unstacked run
+        rho, diag = run_adaptive_protocol(truths if members else truths[0], schedule, candidates,
+                                          seeds if members else np.random.default_rng(seeds[0]),
+                                          weighting)
+        assert len(diag) == steps + 1
+        for m in range(members or 1):
+            ref_rho, ref_diag = adaptive_protocol_loop(
+                truths[m], schedule, "continuum" if candidates == "continuum" else cube_povms(2),
+                np.random.default_rng(seeds[m]), weighting)
+            assert rho.reshape(-1, 2, 2)[m].tobytes() == ref_rho.tobytes()
+            for entry, ref in zip(diag, ref_diag, strict=True):
+                assert (entry["step"], entry["copies_used"]) == (ref["step"], ref["copies_used"])
+                for key in ("trace_q", "mse"):
+                    got = np.atleast_1d(entry[key])[m]
+                    assert got.tobytes() == np.float64(ref[key]).tobytes()
+
+    def test_diagnostics_keep_their_types(self):
+        schedule = AdaptiveSchedule(total=1300, stage1=800, per_step=250, steps=2)
+        truth = member_truths(2, 1, seed=10)[0]
+        _, diag = run_adaptive_protocol(truth, schedule, "continuum", 3)
+        for entry in diag:
+            assert type(entry["step"]) is int and type(entry["copies_used"]) is int
+            assert type(entry["trace_q"]) is np.float64 and type(entry["mse"]) is np.float64
+        _, diag = run_adaptive_protocol([truth] * 3, schedule, "continuum", [3, 4, 5])
+        for entry in diag:
+            assert entry["trace_q"].shape == entry["mse"].shape == (3,)
 
 
 class TestStackedRlsUpdate:

@@ -239,14 +239,30 @@ class TestSmcDemoCommand:
     ["adapt", "--dim", "2", "--N", str(10**23), "--N1", str(10**23), "--K", "0"],
     ["sweep", "--dim", "2", "--shots", "100,100", "--trials", "1"],
     ["sweep", "--dim", "4", "--shots", "100,1000,100", "--trials", "1"],
+    *([command, "--dim", dim, *rest] for dim in ("0", "-3") for command, *rest in (
+        ["sweep", "--shots", "100,1000"], ["adapt", "--N", "2000", "--N1", "1000", "--K", "2"],
+        ["compare", "--kind", "tomography", "--candidates", "cube"])),
 ], ids=["hamid-time-0", "hamid-dim-0", "hamid-dim-1", "smc-periods-0", "smc-periods-neg",
         "smc-tau-inf", "smc-eps-nan", "smc-eps-tau-overflow", "adapt-trials-0",
         "hamid-shots-beyond-int64", "sweep-shots-beyond-int64", "adapt-N1-beyond-int64",
-        "sweep-shots-repeated", "sweep-shots-repeated-apart"])
+        "sweep-shots-repeated", "sweep-shots-repeated-apart",
+        *(f"{command}-dim-{dim}" for dim in ("0", "neg")
+          for command in ("sweep", "adapt", "compare"))])
 def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
-    if argv[0] in ("hamid", "adapt", "sweep"):
+    if argv[0] in ("hamid", "adapt", "sweep", "compare"):
         argv = argv + ["--out", str(tmp_path / "o.out")]
     assert_one_config_error(argv, capsys)
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--shots", "100"],
+    ["adapt", "--N", "10", "--N1", "10", "--K", "0"],
+    ["compare", "--kind", "tomography"],
+], ids=["sweep", "adapt", "compare"])
+def test_dim_below_two_is_named(argv, dim, tmp_path, capsys):
+    assert main(argv + ["--dim", dim, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "qest: error: config: --dim must be at least 2\n"
 
 
 _ZERO_STATE = [[0.0, 0.0], [0.0, 0.0]]
@@ -482,13 +498,15 @@ def test_adapt_contract_property(n1, k, n2, budget_gap, pass_n2, trials, candida
 
 
 @_PROPERTY
-@given(dim=st.sampled_from([2, 3, 4]), n1=st.integers(-1, 60), k=st.integers(-1, 3),
+@given(dim=st.sampled_from([-1, 0, 2, 3, 4]), n1=st.integers(-1, 60), k=st.integers(-1, 3),
        n2=st.integers(-1, 40), budget_gap=st.one_of(st.just(0), st.integers(-3, 3)),
        trials=st.integers(0, 2), repetitions=st.integers(0, 3),
        candidates=st.sampled_from(["cube", "continuum"]),
        weights=st.sampled_from(["shots", "invvar"]))
 @example(dim=2, n1=30, k=2, n2=10, budget_gap=0, trials=1, repetitions=2, candidates="cube",
          weights="invvar")
+@example(dim=0, n1=30, k=2, n2=10, budget_gap=0, trials=1, repetitions=2, candidates="cube",
+         weights="shots")
 @example(dim=4, n1=60, k=1, n2=40, budget_gap=0, trials=1, repetitions=2, candidates="cube",
          weights="shots")
 def test_compare_tomography_contract_property(dim, n1, k, n2, budget_gap, trials, repetitions,

@@ -87,6 +87,25 @@ class TestPairedTomography:
         b = _static_cube_mse(truth, 2000, trial_rng(3, 0, 2), "shots")
         assert a == b
 
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    def test_one_stack_equals_one_stack_per_truth(self, weighting):
+        # all trials' repetitions run as one stack; each truth's own stack gives the same bits
+        from qest.adaptive import run_adaptive_protocol
+        from qest.harness import _sample_truth, _static_cube_mse
+        from qest.states import mse
+
+        schedule = AdaptiveSchedule(total=2500, stage1=1000, per_step=500, steps=3)
+        result = run_paired_tomography(2, schedule, trials=5, seed=12, weighting=weighting,
+                                       repetitions=4)
+        for t, row in enumerate(result.rows):
+            truth = _sample_truth(2, trial_rng(12, t, 0), "pure")
+            rho, _ = run_adaptive_protocol(truth, schedule, "continuum",
+                                           [trial_rng(12, t, 1, rep) for rep in range(4)],
+                                           weighting)
+            static = _static_cube_mse(truth, 2500, [trial_rng(12, t, 2, rep) for rep in range(4)],
+                                      weighting)
+            assert row == (t, float(np.mean(mse(rho, truth))), float(np.mean(static)))
+
 
 class TestStackedStaticArm:
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])

@@ -238,6 +238,15 @@ class TestCubePovms:
         with pytest.raises(ValueError):
             cube_povms(3)
 
+    @pytest.mark.parametrize("d", [6, 1, 0, -3, -4])
+    def test_rejects_other_dimensions_without_warning(self, d):
+        # an integer check: no log2 of zero or of a negative number
+        with pytest.raises(ValueError, match="power-of-two"):
+            cube_povms(d)
+
+    def test_counts_qubits(self):
+        assert [states._qubits(2**q) for q in range(1, 12)] == list(range(1, 12))
+
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_elements_equal_nested_kron_bit_for_bit(self, d):
         elements = states._cube_elements(d)
