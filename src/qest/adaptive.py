@@ -144,8 +144,7 @@ def select_next_povm(state: RecursiveState, candidates, planned_shots: int,
     best = np.argmax(gains, axis=-1)
     if not members:
         return candidates[best]
-    labels = tuple(candidates[i].label for i in best.ravel())
-    return Povm(labels, np.stack([c.elements for c in candidates])[best])
+    return Povm(np.stack([c.elements for c in candidates])[best])
 
 
 def _fibonacci_sphere() -> np.ndarray:
@@ -181,13 +180,15 @@ def _continuum_gains(state, planned_shots, weighting):
     u[..., _BLOCH + 1:, :] = _SPHERE_GRID
     g = u / np.sqrt(2.0)
     x = _rows_at(g, state.theta[..., None])[..., 0]
-    p_pred = np.clip(np.stack([x, -x], axis=-1) + 0.5, 0.0, 1.0)
+    p_pred = np.clip(np.stack([x, -x]) + 0.5, 0.0, 1.0)  # the outcome axis first
     # shot weights are one scalar; both outcomes must count it
     weight = np.broadcast_to(record_weight(planned_shots, p_pred, weighting), p_pred.shape)
     qg = _rows_at(g, state.q)  # Q is symmetric
-    drop = (g * qg).sum(-1)[..., None]
-    qg *= qg
-    gains = (qg.sum(-1)[..., None] / (1.0 / weight + drop)).sum(-1)
+    # explicit adds give .sum(-1)'s bits (it adds 3 or 2 terms left to right) without its row loop
+    gqg, qg = g * qg, qg * qg
+    drop = gqg[..., 0] + gqg[..., 1] + gqg[..., 2]
+    gains = (qg[..., 0] + qg[..., 1] + qg[..., 2]) / (1.0 / weight + drop)
+    gains = gains[0] + gains[1]
     gains[..., _BLOCH] = np.where(has_bloch[..., 0], gains[..., _BLOCH], -np.inf)
     return u, gains
 
@@ -205,7 +206,8 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
     Q; under inverse-variance weights aligned measurements become cheap and
     the search leaves the cube frame.  Each direction is scored as one row,
     shared by the basis's two outcomes.  For a stack of members, one batched
-    ``eigh`` and one scoring pass give the stack of each member's choice.
+    ``eigh`` and one scoring pass give one stacked :class:`Povm` of each
+    member's choice, with the elements that member's own call returns.
     """
     if state.dim != 2:
         raise ValueError("continuum basis search is qubit-only")
@@ -213,15 +215,11 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
     # grid and eigen directions are unit vectors only to rounding, so gains
     # within 1e-12 (relative) of the best tie, and the lowest index wins
     best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
-    cube = cube_povms(2)
     if u.ndim == 2:  # one state
-        return cube[best] if best < 3 else bloch_basis_povm(u[best])
+        return cube_povms(2)[best] if best < 3 else bloch_basis_povm(u[best])
     chosen = bloch_basis_povm(np.take_along_axis(u, best[..., None, None], axis=-2)[..., 0, :])
-    labels = tuple(cube[b].label if b < 3 else label
-                   for b, label in zip(best.ravel(), chosen.label))
-    elements = np.where((best < 3)[..., None, None, None],
-                        _cube_elements(2)[np.minimum(best, 2)], chosen.elements)
-    return Povm(labels, elements)
+    return Povm(np.where((best < 3)[..., None, None, None],
+                         _cube_elements(2)[np.minimum(best, 2)], chosen.elements))
 
 
 def cube_estimate(truth, total: int, rng, weighting: str):

@@ -81,11 +81,9 @@ class Povm:
     moves the recursive updates' last bits at d >= 4.
 
     A stack of measurements, one per member of a stack of states, has
-    elements (..., n_outcomes, d, d), a tuple of labels, and gammas with the
-    same leading axes.
+    elements (..., n_outcomes, d, d) and gammas with the same leading axes.
     """
 
-    label: str | tuple
     elements: np.ndarray  # (n_outcomes, d, d), or (..., n_outcomes, d, d) for a stack
 
     @property
@@ -115,21 +113,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class Records:
     """Columnar table of POVM-element counts, one row per element of a measurement run.
 
-    ``successes[r]`` counts how often element ``element[r]`` of POVM
-    ``label[r]`` fired among ``shots[r]`` draws of the full POVM; it is
-    integer-valued for sampled data and may be fractional for exact
-    expected counts.  ``gamma0`` and ``gamma`` are the rows' regression
-    coordinates (see :class:`Povm`).  Slicing selects rows.
+    ``successes[r]`` counts how often row r's element fired among
+    ``shots[r]`` draws of its full POVM; it is integer-valued for sampled
+    data and may be fractional for exact expected counts.  The element
+    itself enters only through ``gamma0`` and ``gamma``, the row's
+    regression coordinates (see :class:`Povm`).  Slicing selects rows.
 
     A stack of R members has successes (R, n), the member axis first.
     Members measured by shared runs (see :func:`cube_records`) share the
     other columns; members measured by a stack of POVMs (see :meth:`of_povm`)
-    have their own label and gamma0 (R, n) and gamma (R, n, d^2 - 1).  Every
-    member must pass the row checks, and ``p_hat`` has the successes' shape.
+    have their own gamma0 (R, n) and gamma (R, n, d^2 - 1).  Every member
+    must pass the row checks, and ``p_hat`` has the successes' shape.
     """
 
-    label: np.ndarray      # (n,) or (R, n) str
-    element: np.ndarray    # (n,) int
     shots: np.ndarray      # (n,) int
     successes: np.ndarray  # (n,) or (R, n) float
     gamma0: np.ndarray     # (n,) or (R, n)
@@ -144,9 +140,7 @@ class Records:
     @classmethod
     def of_povm(cls, povm: Povm, shots: int, successes) -> Records:
         """One row per element of ``povm``, one POVM or a stack, measured ``shots`` times."""
-        n = len(povm)
-        return cls(np.asarray(povm.label)[..., None].repeat(n, -1), np.arange(n),
-                   np.full(n, int(shots)), np.asarray(successes, dtype=float),
+        return cls(np.full(len(povm), int(shots)), np.asarray(successes, dtype=float),
                    povm.gamma0, povm.gamma)
 
     @classmethod
@@ -160,8 +154,8 @@ class Records:
         return self.shots.size
 
     def __getitem__(self, rows) -> Records:
-        return Records(self.label[..., rows], self.element[rows], self.shots[rows],
-                       self.successes[..., rows], self.gamma0[..., rows], self.gamma[..., rows, :])
+        return Records(self.shots[rows], self.successes[..., rows], self.gamma0[..., rows],
+                       self.gamma[..., rows, :])
 
     @property
     def p_hat(self) -> np.ndarray:
@@ -243,9 +237,9 @@ def cube_records(rho, total: int, rng) -> Records:
     """The draws of :func:`cube_draws` as records, one run per basis that gets copies.
 
     A stack's ``successes`` are (R, n), one row per state, or per member when
-    ``rng`` is a list of generators; the runs are shared.  The label, element
-    and gamma columns are the cached cube table's own read-only arrays
-    whenever every basis gets a copy.
+    ``rng`` is a list of generators; the runs are shared.  The gamma columns
+    are the cached cube table's own read-only arrays whenever every basis
+    gets a copy.
     """
     copies, draws = cube_draws(rho, total, rng)
     d = draws.shape[-1]  # a cube basis has d outcomes
@@ -262,18 +256,14 @@ def _qubits(d: int) -> int:
     return int(d).bit_length() - 1
 
 
-def _cube_labels(d: int) -> list:
-    return ["cube:" + "".join(axes) for axes in itertools.product("xyz", repeat=_qubits(d))]
-
-
 @lru_cache(maxsize=None)
 def cube_povms(d: int) -> tuple:
     """The 3^q Pauli-eigenbasis product measurements for q qubits (d = 2^q).
 
     Cached, so every caller shares the same POVMs and their gamma rows.  Their
-    elements are read-only views of the cached cube elements.
+    elements are read-only views of the cached cube elements, in their order.
     """
-    return tuple(Povm(label, e) for label, e in zip(_cube_labels(d), _cube_elements(d)))
+    return tuple(map(Povm, _cube_elements(d)))
 
 
 @lru_cache(maxsize=None)
@@ -300,13 +290,10 @@ def _cube_elements(d: int) -> np.ndarray:
 def _cube_table(d: int) -> Records:
     """The cube POVMs' regression rows, one shot and no successes per element.
 
-    Their read-only label, element and gamma columns serve every
-    :func:`cube_records` call.
+    Their read-only gamma columns serve every :func:`cube_records` call.
     """
     rows = Records.concat(Records.of_povm(povm, 1, np.zeros(len(povm))) for povm in cube_povms(d))
-    for column in (rows.label, rows.element, rows.gamma0, rows.gamma):
-        _read_only(column)
-    return rows
+    return replace(rows, gamma0=_read_only(rows.gamma0), gamma=_read_only(rows.gamma))
 
 
 @lru_cache(maxsize=None)
@@ -373,21 +360,17 @@ def bloch_basis_povm(n: np.ndarray) -> Povm:
     ns = (n[..., 0, None, None] * PAULI_X + n[..., 1, None, None] * PAULI_Y
           + n[..., 2, None, None] * PAULI_Z)
     eye = np.eye(2)
-    label = _bloch_label(n) if n.ndim == 1 else tuple(map(_bloch_label, n.reshape(-1, 3)))
-    return Povm(label, np.stack([(eye + ns) / 2, (eye - ns) / 2], axis=-3))
-
-
-def _bloch_label(n) -> str:
-    return "bloch:{:.12f},{:.12f},{:.12f}".format(*n.tolist())
+    return Povm(np.stack([(eye + ns) / 2, (eye - ns) / 2], axis=-3))
 
 
 def resolve_povm_label(label: str, d: int) -> Povm:
-    """Rebuild a POVM from its label (``cube:...`` or ``bloch:...``)."""
+    """Rebuild a POVM from its label: ``cube:`` and an axis per qubit, or ``bloch:nx,ny,nz``."""
     if label.startswith("cube:"):
         axes = label[len("cube:"):]
         if not axes or any(a not in "xyz" for a in axes) or 2 ** len(axes) != d:
             raise ConfigError(f"bad cube POVM label {label!r} for dimension {d}")
-        return cube_povms(d)[_cube_labels(d).index(label)]
+        # the axes are the base-3 digits (x, y, z = 0, 1, 2) of the basis's index
+        return cube_povms(d)[int(axes.translate(str.maketrans("xyz", "012")), 3)]
     if label.startswith("bloch:"):
         if d != 2:
             raise ConfigError("bloch POVM labels are qubit-only")
@@ -395,7 +378,11 @@ def resolve_povm_label(label: str, d: int) -> Povm:
             n = np.array([float(c) for c in label[len("bloch:"):].split(",")])
         except ValueError as exc:
             raise ConfigError(f"bad bloch POVM label {label!r}") from exc
-        return bloch_basis_povm(n)
+        if not np.isfinite(n).all():
+            raise ConfigError(f"bloch POVM label {label!r} has a non-finite component")
+        # rescale where the squared norm would overflow or underflow; others keep their bits
+        scale = np.abs(n).max()
+        return bloch_basis_povm(n / scale if scale and not 2.0**-500 < scale < 2.0**500 else n)
     raise ConfigError(f"unknown POVM label {label!r}")
 
 
@@ -418,32 +405,38 @@ def mse(est: np.ndarray, truth: np.ndarray):
     return np.float_power(norm, 2)
 
 
+def _field(row, name, kind, where):
+    try:
+        return kind(row[name])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: {name} must be {what}, not {row[name]!r}") from None
+
+
 def records_from_csv(path, d: int) -> Records:
-    """Read a records CSV, rebuilding each POVM (and its gammas) from its label."""
-    povms = {}
-    labels, elements, shots, successes = [], [], [], []
+    """Read a records CSV, resolving each POVM label once; a bad row's error names its line."""
+    povms, rows, shots, successes = {}, [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"povm", "element", "shots", "successes"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ConfigError(f"records file {path} must have columns {sorted(required)}")
         for row in reader:
+            where = f"records file {path} line {reader.line_num}"
             # DictReader files extra fields under the key None and fills missing ones with None
             if None in row or None in row.values():
-                raise ConfigError(f"records file {path} line {reader.line_num}: "
-                                  f"expected {len(reader.fieldnames)} fields")
+                raise ConfigError(f"{where}: expected {len(reader.fieldnames)} fields")
             label = row["povm"]
             if label not in povms:
                 povms[label] = resolve_povm_label(label, d)
-            j = int(row["element"])
-            if not 0 <= j < len(povms[label]):
-                raise ConfigError(f"element index {j} out of range for POVM {label!r}")
-            labels.append(label)
-            elements.append(j)
-            shots.append(int(row["shots"]))
-            successes.append(float(row["successes"]))
-    rows = [(povms[label], j) for label, j in zip(labels, elements)]
-    return Records(np.array(labels, dtype=str), np.array(elements, dtype=int),
-                   np.array(shots, dtype=int), np.array(successes, dtype=float),
-                   np.array([povm.gamma0[j] for povm, j in rows]),
+            povm = povms[label]
+            j = _field(row, "element", int, where)
+            if not 0 <= j < len(povm):
+                raise ConfigError(f"{where}: element index {j} out of range for POVM {label!r}")
+            shots.append(_field(row, "shots", int, where))
+            _check_copies(shots[-1], f"{where}: shots")
+            successes.append(_field(row, "successes", float, where))
+            rows.append((povm, j))
+    return Records(np.array(shots, dtype=int), np.array(successes, dtype=float),
+                   np.array([povm.gamma0[j] for povm, j in rows], dtype=float),
                    np.array([povm.gamma[j] for povm, j in rows]).reshape(len(rows), d * d - 1))

@@ -20,8 +20,8 @@ stacked products, the states forward and then the target backward, with the
 gradient taken between them, are the reference for `qest.control`'s single
 fused state/costate sweep.  The Gell-Mann coordinates of a
 state, exact expected counts, the one-POVM measurement simulation, the
-records CSV writer and the dense B are library-style helpers that only tests
-call.
+cube bases' labels, the records CSV writer and the dense B are library-style
+helpers that only tests call.
 """
 
 import csv
@@ -40,6 +40,7 @@ from qest.harness import _sample_truth, trial_rng
 from qest.states import (
     Povm,
     _check_copies,
+    _qubits,
     Records,
     as_rng,
     bloch_basis_povm,
@@ -73,11 +74,11 @@ def validate_povm(povm: Povm, tol: float = 1e-9) -> None:
     d = povm.dim
     for p in povm.elements:
         if not is_hermitian(p, 1e-10):
-            raise ContractViolationError(f"POVM {povm.label}: non-Hermitian element")
+            raise ContractViolationError("POVM: non-Hermitian element")
         if float(np.linalg.eigvalsh(p).min()) < -1e-10:
-            raise ContractViolationError(f"POVM {povm.label}: element not PSD")
+            raise ContractViolationError("POVM: element not PSD")
     if np.linalg.norm(povm.elements.sum(axis=0) - np.eye(d)) > tol:
-        raise ContractViolationError(f"POVM {povm.label}: elements do not sum to identity")
+        raise ContractViolationError("POVM: elements do not sum to identity")
 
 
 def is_trace_preserving(kraus, tol: float = 1e-9) -> bool:
@@ -200,13 +201,23 @@ def expected_records(rho, povm: Povm, shots: int) -> Records:
     return Records.of_povm(povm, shots, born_probabilities(rho, povm) * shots)
 
 
-def records_to_csv(records: Records, path) -> None:
-    """Write records as CSV with columns povm,element,shots,successes."""
+def cube_labels(d: int) -> list:
+    """The labels of ``cube_povms(d)``, in order: ``cube:`` and one axis letter per qubit."""
+    return ["cube:" + "".join(axes) for axes in itertools.product("xyz", repeat=_qubits(d))]
+
+
+def records_to_csv(runs, path) -> None:
+    """Write (label, records) runs as CSV with columns povm,element,shots,successes.
+
+    Each run holds one POVM's records, one row per element in element order,
+    as ``Records.of_povm`` builds them; ``label`` names that POVM.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["povm", "element", "shots", "successes"])
-        writer.writerows(zip(records.label, records.element, records.shots,
-                             (f"{s:.17g}" for s in records.successes)))
+        for label, records in runs:
+            writer.writerows((label, j, shots, f"{s:.17g}") for j, (shots, s)
+                             in enumerate(zip(records.shots, records.successes)))
 
 
 def build_b_matrix(d: int) -> np.ndarray:

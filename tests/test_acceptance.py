@@ -61,8 +61,8 @@ def mixed_povm_dataset(d, rng, n_basis_extra):
     if d == 2:
         povms += cube_povms(2)
     else:
-        povms += [haar_basis_povm(d, rng, f"init{k}") for k in range(d + 1)]
-    povms += [haar_basis_povm(d, rng, f"extra{k}") for k in range(n_basis_extra)]
+        povms += [haar_basis_povm(d, rng) for _ in range(d + 1)]
+    povms += [haar_basis_povm(d, rng) for _ in range(n_basis_extra)]
     return Records.concat(
         simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng) for povm in povms
     )
@@ -101,7 +101,7 @@ def test_criterion_02_noiseless_exactness():
         for i in range(20):
             rng = np.random.default_rng([102, d, i])
             rho = random_density_matrix(d, rng)
-            use = povms or [haar_basis_povm(d, rng, f"b{k}") for k in range(d + 2)]
+            use = povms or [haar_basis_povm(d, rng) for _ in range(d + 2)]
             records = Records.concat(expected_records(rho, povm, 1000) for povm in use)
             rho_hat, _, _ = tomography_pipeline(records, d)
             worst_mse = max(worst_mse, mse(rho_hat, rho))

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import io
 import json
 import os
@@ -26,15 +27,16 @@ from qest.states import (
     random_pure_state,
 )
 from qest.tomography import tomography_pipeline
-from tests.oracles import records_to_csv, simulate_measurements
+from tests.oracles import cube_labels, records_to_csv, simulate_measurements
 
 
 def make_records_csv(path, seed=0, shots=4000):
     rng = np.random.default_rng(seed)
     truth = pure_to_density(random_pure_state(2, rng))
-    records = Records.concat(simulate_measurements(truth, povm, shots, rng) for povm in cube_povms(2))
-    records_to_csv(records, path)
-    return truth, records
+    runs = [(label, simulate_measurements(truth, povm, shots, rng))
+            for label, povm in zip(cube_labels(2), cube_povms(2))]
+    records_to_csv(runs, path)
+    return truth, Records.concat(records for _, records in runs)
 
 
 class TestTomoCommand:
@@ -54,7 +56,17 @@ class TestTomoCommand:
         ("cube:x,0,100,nan", "successes"), ("cube:x,0,100,inf", "successes"),
         ("cube:x,0,100,-5", "successes"), ("cube:x,0,100,500", "successes"),
         ("cube:x,0", "line 2"), ("cube:x,0,100,50,7", "line 2"),
-    ], ids=["nan", "inf", "-5", "500", "missing-fields", "extra-field"])
+        ("cube:x,0,abc,50", "line 2: shots must be an integer, not 'abc'"),
+        ("cube:x,0,99999999999999999999999,50", "line 2: shots must be between"),
+        ("cube:x,0,0,0", "line 2: shots must be between"),
+        ("cube:x,one,100,50", "line 2: element must be an integer, not 'one'"),
+        ("cube:x,-1,100,50", "line 2: element index -1 out of range"),
+        ("cube:x,0,100,abc", "line 2: successes must be a number, not 'abc'"),
+        ('"bloch:inf,0,0",0,100,50', "non-finite"), ('"bloch:nan,1,0",0,100,50', "non-finite"),
+        ('"bloch:1,,0",0,100,50', "bad bloch"), ('"bloch:0,0,0",0,100,50', "nonzero"),
+    ], ids=["nan", "inf", "-5", "500", "missing-fields", "extra-field", "shots-abc", "shots-huge",
+            "shots-0", "element-one", "element--1", "successes-abc", "bloch-inf", "bloch-nan",
+            "bloch-empty-part", "bloch-zero"])
     def test_bad_counts_are_one_config_error(self, row, message, tmp_path, capsys):
         rows = [f"cube:{axis},{j},100,50" for axis in "xyz" for j in (0, 1)]
         rows[0] = row
@@ -67,6 +79,23 @@ class TestTomoCommand:
         assert err.startswith("qest: error: config:") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("label, same_as", [
+        ("bloch:1e308,1e308,0", "bloch:1,1,0"), ("bloch:1e-320,0,0", "bloch:1,0,0"),
+    ])
+    def test_extreme_bloch_labels_measure_the_rescaled_basis(self, label, same_as, tmp_path,
+                                                             capsys):
+        outputs = []
+        for name in (label, same_as):
+            rows = [f"cube:{axis},{j},100,{50 + 10 * j}" for axis in "yz" for j in (0, 1)]
+            rows += [f'"{name}",0,100,70', f'"{name}",1,100,30']
+            csv_path = tmp_path / "records.csv"
+            csv_path.write_text("\n".join(["povm,element,shots,successes"] + rows) + "\n")
+            out = tmp_path / "o.json"
+            assert main(["tomo", "--records", str(csv_path), "--dim", "2", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert capsys.readouterr().err == ""
+
     def test_missing_file_is_config_error(self, tmp_path):
         code = main(["tomo", "--records", str(tmp_path / "nope.csv"), "--dim", "2",
                      "--out", str(tmp_path / "o.json")])
@@ -77,7 +106,7 @@ class TestTomoCommand:
         truth = pure_to_density(random_pure_state(2, rng))
         records = simulate_measurements(truth, cube_povms(2)[2], 100, rng)
         csv_path = tmp_path / "records.csv"
-        records_to_csv(records, csv_path)
+        records_to_csv([("cube:z", records)], csv_path)
         code = main(["tomo", "--records", str(csv_path), "--dim", "2",
                      "--out", str(tmp_path / "o.json")])
         assert code == 3
@@ -516,6 +545,39 @@ def test_compare_tomography_contract_property(dim, n1, k, n2, budget_gap, trials
                      f"--N1={n1}", f"--N2={n2}", f"--K={k}", f"--trials={trials}",
                      f"--repetitions={repetitions}", f"--candidates={candidates}",
                      f"--weights={weights}"])
+
+
+_GOOD_LABELS = ["cube:x", "cube:y", "cube:z", "bloch:0.6,0,0.8", "bloch:1e308,1e308,0",
+                "bloch:1e-320,0,0"]
+# a row of values that each parse, and a row of any values, most of them bad
+_GOOD_ROW = st.tuples(st.sampled_from(_GOOD_LABELS), st.sampled_from(["0", "1"]),
+                      st.sampled_from(["1", "100"]), st.sampled_from(["0", "1", "0.5"]))
+_ANY_ROW = st.tuples(
+    st.sampled_from(_GOOD_LABELS + ["cube:xz", "cube:xq", "cube:", "mystery:x", "bloch:inf,0,0",
+                                    "bloch:nan,1,0", "bloch:", "bloch:1,,0", "bloch:1,0,0,",
+                                    "bloch:1,0", "bloch:0,0,0"]),
+    st.sampled_from(["0", "1", "2", "-1", "1.5", "x", str(10**23)]),
+    st.sampled_from(["0", "-3", "1", "100", "2.5", "abc", str(2**63), str(10**23)]),
+    st.sampled_from(["0", "1", "50", "0.5", "nan", "inf", "-1", "101", "1e400", "abc"]),
+)
+# the six rows of a valid qubit cube table, so that the other rows can reach every exit
+_CUBE_ROWS = [(f"cube:{axis}", str(j), "100", "50") for axis in "xyz" for j in (0, 1)]
+
+
+# 50 examples reach all three exit codes and keep this property near 0.3 s
+@settings(_PROPERTY, max_examples=50)
+@given(cube_rows=st.booleans(), rows=st.lists(_GOOD_ROW, max_size=4),
+       bad=st.lists(_ANY_ROW, max_size=1), dim=st.sampled_from([2, 2, 4]),
+       weights=st.sampled_from(["shots", "invvar"]))
+@example(cube_rows=False, rows=[], bad=[], dim=2, weights="shots")
+def test_tomo_contract_property(cube_rows, rows, bad, dim, weights):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["povm", "element", "shots", "successes"])
+            writer.writerows((_CUBE_ROWS if cube_rows else []) + rows + bad)
+        _contract_holds(["tomo", f"--records={path}", f"--dim={dim}", f"--weights={weights}"])
 
 
 _GRID_VALUE = st.sampled_from(["0", "-5", "1", "9", "100", "1000", str(10**23), "abc", "1e3",

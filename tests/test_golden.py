@@ -13,12 +13,8 @@ import pytest
 
 from qest.cli import main
 from qest.linalg import matrix_to_json
-from qest.states import (
-    Records,
-    cube_povms,
-    random_density_matrix,
-)
-from tests.oracles import records_to_csv, simulate_measurements
+from qest.states import cube_povms, random_density_matrix
+from tests.oracles import cube_labels, records_to_csv, simulate_measurements
 
 
 def write_inputs(tmp_path) -> dict:
@@ -38,10 +34,8 @@ def write_inputs(tmp_path) -> dict:
     records_csv = tmp_path / "records.csv"
     rng = np.random.default_rng(11)
     truth = random_density_matrix(2, rng)
-    records_to_csv(
-        Records.concat(simulate_measurements(truth, povm, 2000, rng) for povm in cube_povms(2)),
-        records_csv,
-    )
+    records_to_csv([(label, simulate_measurements(truth, povm, 2000, rng))
+                    for label, povm in zip(cube_labels(2), cube_povms(2))], records_csv)
     return {
         "tomo": ["tomo", "--records", str(records_csv), "--dim", "2"],
         "sweep": ["sweep", "--dim", "2", "--shots", "100,1000", "--trials", "3",

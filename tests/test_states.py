@@ -7,6 +7,9 @@ from qest import states
 from qest.errors import ConfigError
 from qest.linalg import gell_mann_basis
 from qest.states import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     Povm,
     Records,
     bloch_basis_povm,
@@ -27,6 +30,7 @@ from qest.states import (
 )
 from tests.oracles import (
     check_density_matrix,
+    cube_labels,
     einsum_cube_table,
     expected_records,
     kron_cube_elements,
@@ -44,7 +48,7 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 
 
 def z_basis():
-    return Povm("cube:z", np.stack([pure_to_density(KET0), pure_to_density(KET1)]))
+    return Povm(np.stack([pure_to_density(KET0), pure_to_density(KET1)]))
 
 
 class TestThetaParameterization:
@@ -150,7 +154,7 @@ class TestSimulateMeasurements:
 
     def test_record_gammas(self):
         recs = simulate_measurements(np.eye(2) / 2, z_basis(), 100, 5)
-        for j, g0, gamma in zip(recs.element, recs.gamma0, recs.gamma):
+        for j, (g0, gamma) in enumerate(zip(recs.gamma0, recs.gamma)):
             elem = z_basis().elements[j]
             assert g0 == pytest.approx(np.trace(elem).real, abs=1e-12)
             expected = [np.trace(elem @ om).real for om in gell_mann_basis(2)]
@@ -163,7 +167,7 @@ class TestRecords:
         b = expected_records(np.eye(2) / 2, cube_povms(2)[0], 50)
         both = Records.concat([a, b])
         assert len(both) == 4 and both.gamma.shape == (4, 3)
-        assert list(both[2:].label) == ["cube:x", "cube:x"]
+        assert both[2:].gamma.tobytes() == cube_povms(2)[0].gamma.tobytes()
         assert np.array_equal(both[:2].successes, a.successes)
         assert np.array_equal(both[2:].p_hat, b.p_hat)
 
@@ -185,14 +189,13 @@ class TestRecords:
         directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
         counts = np.array([[30.0, 70.0], [55.0, 45.0], [100.0, 0.0]])
         stacked = Records.of_povm(bloch_basis_povm(directions), 100, counts)
-        assert stacked.label.shape == stacked.successes.shape == (3, 2)
+        assert stacked.gamma0.shape == stacked.successes.shape == (3, 2)
         assert stacked.gamma.shape == (3, 2, 3) and len(stacked) == 2
         for m, n in enumerate(directions):
             own = Records.of_povm(bloch_basis_povm(n), 100, counts[m])
-            for name in ("label", "successes", "p_hat", "gamma0", "gamma"):
+            for name in ("successes", "p_hat", "gamma0", "gamma"):
                 assert np.array_equal(getattr(stacked, name)[m], getattr(own, name))
             assert np.array_equal(stacked.shots, own.shots)
-            assert np.array_equal(stacked.element, own.element)
 
     def test_stacked_slicing_and_concatenation_select_rows(self):
         counts = [[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]]
@@ -220,8 +223,9 @@ class TestExpectedRecords:
 class TestCubePovms:
     def test_qubit_cube(self):
         povms = cube_povms(2)
-        assert [p.label for p in povms] == ["cube:x", "cube:y", "cube:z"]
-        for povm in povms:
+        # x, y, z in order, the plus eigenprojector first
+        for povm, pauli in zip(povms, (PAULI_X, PAULI_Y, PAULI_Z), strict=True):
+            assert np.allclose(povm.elements[0] - povm.elements[1], pauli, atol=1e-15)
             validate_povm(povm)
             for elem in povm.elements:
                 evals = np.linalg.eigvalsh(elem)
@@ -260,9 +264,7 @@ class TestCubePovms:
         gamma0, gamma = einsum_cube_table(d)
         assert same_bits(table.gamma0, gamma0)
         assert same_bits(table.gamma, gamma)
-        labels = [p.label for p in cube_povms(d)]
-        assert np.array_equal(table.label, np.repeat(labels, d))
-        assert np.array_equal(table.element, np.tile(np.arange(d), len(labels)))
+        assert np.array_equal(table.shots, np.ones(len(cube_povms(d)) * d))
 
 
 def per_basis_cube_records(rho, total, rng):
@@ -292,7 +294,7 @@ class TestCubeRecords:
     def test_columns_are_the_cached_table_when_every_basis_is_measured(self):
         a = cube_records(np.eye(4) / 4, 90, 1)
         b = cube_records(random_density_matrix(4, np.random.default_rng(2)), 9, 2)
-        for name in ("label", "element", "gamma0", "gamma"):
+        for name in ("gamma0", "gamma"):
             assert getattr(a, name) is getattr(b, name)
             assert not getattr(a, name).flags.writeable
 
@@ -320,7 +322,7 @@ class TestCubeRecords:
         for k, ref in enumerate(refs):
             assert np.array_equal(got.successes[k], ref.successes)
             assert np.array_equal(got.p_hat[k], ref.p_hat)
-            for name in ("label", "element", "shots", "gamma0", "gamma"):
+            for name in ("shots", "gamma0", "gamma"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
         assert got_rng.random() == ref_rng.random()
 
@@ -355,17 +357,32 @@ class TestRecordsCsv:
         rng = np.random.default_rng(5)
         rho = random_density_matrix(2, rng)
         povms = list(cube_povms(2)) + [bloch_basis_povm([1.0, 1.0, 0.0])]
-        recs = Records.concat(simulate_measurements(rho, povm, 500, rng) for povm in povms)
+        runs = [(label, simulate_measurements(rho, povm, 500, rng))
+                for label, povm in zip(cube_labels(2) + ["bloch:1,1,0"], povms)]
         path = tmp_path / "records.csv"
-        records_to_csv(recs, path)
+        records_to_csv(runs, path)
         loaded = records_from_csv(path, 2)
-        assert len(loaded) == len(recs)
-        assert list(loaded.label) == list(recs.label)
-        assert np.array_equal(loaded.element, recs.element)
-        assert np.array_equal(loaded.shots, recs.shots)
-        assert np.array_equal(loaded.successes, recs.successes)
-        assert np.allclose(loaded.gamma0, recs.gamma0, atol=1e-9)
-        assert np.allclose(loaded.gamma, recs.gamma, atol=1e-9)
+        recs = Records.concat(records for _, records in runs)
+        for field in fields(Records):
+            assert np.array_equal(getattr(loaded, field.name), getattr(recs, field.name))
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_cube_labels_name_the_cube_povms(self, d):
+        povms = [resolve_povm_label(label, d) for label in cube_labels(d)]
+        assert povms == list(cube_povms(d))
+
+    @pytest.mark.parametrize("label, same_as", [
+        ("bloch:1e308,1e308,0", "bloch:1,1,0"), ("bloch:-1e308,0,1e308", "bloch:-1,0,1"),
+        ("bloch:1e-320,0,0", "bloch:1,0,0"), ("bloch:0,3e-200,-3e-200", "bloch:0,1,-1"),
+    ])
+    def test_extreme_bloch_components_are_rescaled(self, label, same_as):
+        got, want = resolve_povm_label(label, 2), resolve_povm_label(same_as, 2)
+        assert got.elements.tobytes() == want.elements.tobytes()
+
+    @pytest.mark.parametrize("label", ["bloch:inf,0,0", "bloch:nan,1,0", "bloch:0,-inf,1"])
+    def test_non_finite_bloch_components_rejected(self, label):
+        with pytest.raises(ConfigError, match="non-finite"):
+            resolve_povm_label(label, 2)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ConfigError):

@@ -35,13 +35,13 @@ from tests.oracles import (
 )
 
 
-def haar_basis_povm(d, rng, label="haar"):
+def haar_basis_povm(d, rng):
     from qest.states import Povm
 
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return Povm(label, np.stack([np.outer(q[:, k], q[:, k].conj()) for k in range(d)]))
+    return Povm(np.stack([np.outer(q[:, k], q[:, k].conj()) for k in range(d)]))
 
 
 def exact_records(rho, povms, shots):
@@ -98,7 +98,7 @@ class TestBuildRegression:
         rng = np.random.default_rng(1)
         rho = random_density_matrix(3, rng)
         theta = theta_from_rho(rho)
-        povms = [haar_basis_povm(3, rng, f"haar{k}") for k in range(4)]
+        povms = [haar_basis_povm(3, rng) for _ in range(4)]
         problem = build_regression(exact_records(rho, povms, 100), 3)
         assert np.abs(problem.y - problem.x @ theta).max() <= 1e-12
 
