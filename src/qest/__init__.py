@@ -20,8 +20,7 @@ from .control import (
     SampleSet,
     SlidingConfig,
     UncertainSystem,
-    augmented_j,
-    gradient_j,
+    evaluate_pulse,
     in_sliding_domain,
     periodic_measurement_demo,
     slc_test,

@@ -122,57 +122,69 @@ def corner_center_samples(omega_halfwidth: float, theta_halfwidth: float) -> Sam
     ]))
 
 
-@dataclass(frozen=True)
-class _Evaluation:
-    """One pulse on every sample: propagators, states and costates of every (sample, interval)."""
+@dataclass(frozen=True, eq=False)
+class PulseEvaluation:
+    """One pulse on every sample: propagators, states and costates of every (sample, interval).
+
+    It also keeps what its gradient needs besides those arrays (the step, the
+    theta of each sample and the control stack), so the gradient reads no
+    input that a caller may have changed since.
+    """
 
     props: np.ndarray  # (N, K, d, d) interval propagators
     eigvals: np.ndarray  # (N, K, d) and
     eigvecs: np.ndarray  # (N, K, d, d): the eigenpairs of the interval generators
     fwd: np.ndarray  # (N, K + 1, d); fwd[:, k] is the state before interval k
     bwd: np.ndarray  # (N, K + 1, d); bwd[:, k] is the target carried back to the same point
-    target: np.ndarray  # (d,)
     overlap: np.ndarray  # (N,) <psi_target|psi_n(T)>
+    fidelities: np.ndarray  # (N,) |<psi_target|psi_n(T)>|^2
+    j: float  # the augmented fidelity J_N, the mean of the fidelities
+    dt: float
+    theta: np.ndarray  # (N, 1, 1) control scale of each sample
+    controls: np.ndarray  # (M, d, d)
 
-    @property
-    def fidelities(self) -> np.ndarray:
-        z = self.overlap  # hypot and pow keep the bits of the scalar abs(z) ** 2
-        return np.float_power(np.hypot(z.real, z.imag), 2)
+    def gradient(self) -> np.ndarray:
+        """Exact gradient of J_N with respect to every pulse amplitude, shape (K, M).
+
+        The derivative of U_k = V exp(-i dt Lambda) V^dag in u_km is
+        V (Gamma o V^dag theta H_m V) V^dag with the divided differences
+        Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), which tend to
+        -i dt e^{-i dt l_a} as l_b -> l_a (de Fouquieres, Schirmer, Glaser and
+        Kuprov, JMR 212, 2011).  It is taken between the costates and the states
+        of this evaluation's single fused sweep, with the eigenpairs of the
+        propagators themselves; no propagation happens here.
+        """
+        # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b), x = dt (l_a - l_b), in sinc form
+        dt, w, v = self.dt, self.eigvals, self.eigvecs
+        x = dt * (w[..., :, None] - w[..., None, :])
+        gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
+                 * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
+        vh = np.swapaxes(v.conj(), -1, -2)
+        a = (vh @ self.bwd[:, 1:, :, None])[..., 0]
+        b = (vh @ self.fwd[:, :-1, :, None])[..., 0]
+        # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
+        t = gamma * a.conj()[..., :, None] * b[..., None, :]
+        s = v.conj() @ t @ np.swapaxes(v, -1, -2)
+        dz = self.theta * np.einsum("nkcd,mcd->nkm", s, self.controls)
+        grad = 2.0 * (np.conj(self.overlap)[:, None, None] * dz).real
+        return np.mean(grad, axis=0)
 
 
-def _fingerprint(*arrays) -> tuple:
-    """The dtype, shape and bytes of each array: equal fingerprints mean equal inputs."""
-    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays))
-
-
-# The last evaluation, as one (fingerprint, _Evaluation) pair: slc_train's gradient
-# evaluates the pulse its line search has just accepted.  One assignment replaces both
-# halves, so a concurrent caller never sees a key paired with another evaluation.
-_last_evaluation = None
-
-
-def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
-    """Propagate psi0 under the pulse for every (omega, theta) row of pairs at once.
+def evaluate_pulse(system, samples: SampleSet, field, psi0, psi_target) -> PulseEvaluation:
+    """Propagate psi0 under the pulse for every (omega, theta) sample at once.
 
     The generators omega*H0 + theta*sum_m u_km H_m of all samples and
     intervals form one (N, K, d, d) stack, exponentiated by one batched
     eigendecomposition.  One sweep of K steps then carries the states forward
     and the target backward for all samples together: step k applies U_k to
     the N states and U_{K-1-k}^dag to the N costates in one stacked product.
-    A call on the same input values as the previous one returns its
-    (read-only) evaluation.
+    The result holds J_N and, through its ``gradient()``, the exact gradient.
     """
-    global _last_evaluation
-    pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
+    pairs = samples.pairs
     psi = np.asarray(psi0, dtype=complex).ravel()
-    target = np.array(psi_target, complex).ravel()
+    target = np.asarray(psi_target, dtype=complex).ravel()
     if psi.size != system.dim or field.channels != len(system.controls):
         raise ValueError("initial state or pulse channels do not match the system")
-    key = _fingerprint(system.h0, pairs, field.horizon, field.amplitudes, psi, target,
-                       *system.controls)
-    memo = _last_evaluation
-    if memo is not None and memo[0] == key:
-        return memo[1]
     # the zero start keeps one generator per interval for a system without controls
     drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
                 np.zeros((field.intervals, 1, 1)))
@@ -185,85 +197,51 @@ def _evaluate(system, pairs, field, psi0, psi_target) -> _Evaluation:
     for k in range(field.intervals):
         np.matvec(sweep[k], out[k], out=out[k + 1])
     fwd, bwd = out[:, :n].swapaxes(0, 1), out[::-1, n:].swapaxes(0, 1)
-    ev = _Evaluation(props, eigvals, eigvecs, fwd, bwd, target, np.vecdot(target, fwd[:, -1]))
-    for a in (props, eigvals, eigvecs, fwd, bwd, target, ev.overlap):
-        a.flags.writeable = False
-    _last_evaluation = (key, ev)
-    return ev
-
-
-def augmented_j(system, samples: SampleSet, field, psi0, psi_target) -> float:
-    """Mean fidelity over the uncertainty samples."""
-    return float(np.mean(_evaluate(system, samples.pairs, field, psi0, psi_target).fidelities))
-
-
-def gradient_j(system, samples: SampleSet, field, psi0, psi_target) -> np.ndarray:
-    """Exact gradient of the mean fidelity with respect to every pulse amplitude.
-
-    The derivative of U_k = V exp(-i dt Lambda) V^dag in u_km is
-    V (Gamma o V^dag theta H_m V) V^dag with the divided differences
-    Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), which tend to
-    -i dt e^{-i dt l_a} as l_b -> l_a (de Fouquieres, Schirmer, Glaser and
-    Kuprov, JMR 212, 2011).  It is taken between the costates and the states
-    that one evaluation carries from its single fused sweep, with the
-    eigenpairs of the propagators themselves; no propagation happens here.
-    """
-    ev = _evaluate(system, samples.pairs, field, psi0, psi_target)
-    # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b) with x = dt (l_a - l_b), in sinc form
-    dt, w, v = field.dt, ev.eigvals, ev.eigvecs
-    x = dt * (w[..., :, None] - w[..., None, :])
-    gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
-             * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
-    vh = np.swapaxes(v.conj(), -1, -2)
-    a = (vh @ ev.bwd[:, 1:, :, None])[..., 0]
-    b = (vh @ ev.fwd[:, :-1, :, None])[..., 0]
-    # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
-    t = gamma * a.conj()[..., :, None] * b[..., None, :]
-    s = v.conj() @ t @ np.swapaxes(v, -1, -2)
-    controls = np.reshape(system.controls, (-1, system.dim, system.dim))
-    dz = samples.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
-    grad = 2.0 * (np.conj(ev.overlap)[:, None, None] * dz).real
-    return np.mean(grad, axis=0)
+    overlap = np.vecdot(target, fwd[:, -1])
+    # hypot and pow keep the bits of the scalar abs(z) ** 2
+    fidelities = np.float_power(np.hypot(overlap.real, overlap.imag), 2)
+    return PulseEvaluation(props, eigvals, eigvecs, fwd, bwd, overlap, fidelities,
+                           float(np.mean(fidelities)), field.dt, pairs[:, 1, None, None].copy(),
+                           np.reshape(system.controls, (-1, system.dim, system.dim)))
 
 
 def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target,
               step_size: float = 10.0, iterations: int = 200, tolerance: float = 1e-9):
     """Gradient ascent on the augmented fidelity with backtracking halving.
 
-    Returns the trained field and the per-iteration log of J_N values, which
-    is monotone non-decreasing by construction.  Non-convergence within the
-    iteration cap is an outcome, not an error.
+    Each line-search candidate is evaluated once; the evaluation that accepts
+    a candidate gives the next gradient.  Returns the trained field and the
+    per-iteration log of J_N values, which is monotone non-decreasing by
+    construction.  Non-convergence within the iteration cap is an outcome,
+    not an error.
     """
     if not (np.isfinite(step_size) and step_size > 0 and iterations >= 0 and tolerance >= 0):
         raise ValueError("need a positive finite step, iterations >= 0 and tolerance >= 0")
     field = field0
-    j_cur = augmented_j(system, samples, field, psi0, psi_target)
-    log = [j_cur]
+    ev = evaluate_pulse(system, samples, field, psi0, psi_target)
+    log = [ev.j]
     for _ in range(iterations):
-        grad = gradient_j(system, samples, field, psi0, psi_target)
+        grad = ev.gradient()
         step = step_size
-        improved = None
         while step > step_size * 2.0**-30:
             cand = replace(field, amplitudes=field.amplitudes + step * grad)
-            j_cand = augmented_j(system, samples, cand, psi0, psi_target)
-            if j_cand >= j_cur:
-                improved = (cand, j_cand)
+            cand_ev = evaluate_pulse(system, samples, cand, psi0, psi_target)
+            if cand_ev.j >= ev.j:
                 break
             step /= 2.0
-        if improved is None:
+        else:  # no step down to the floor kept J_N
             break
-        field, j_new = improved
-        log.append(j_new)
-        if abs(j_new - j_cur) < tolerance:
-            j_cur = j_new
+        j_prev = ev.j
+        field, ev = cand, cand_ev
+        log.append(ev.j)
+        if abs(ev.j - j_prev) < tolerance:
             break
-        j_cur = j_new
     return field, log
 
 
 def slc_test(system, field: ControlField, samples: SampleSet, psi0, psi_target) -> dict:
     """Evaluate a fixed pulse on fresh samples; no adaptation."""
-    fids = _evaluate(system, samples.pairs, field, psi0, psi_target).fidelities
+    fids = evaluate_pulse(system, samples, field, psi0, psi_target).fidelities
     return {
         "mean": float(fids.mean()),
         "min": float(fids.min()),

@@ -378,6 +378,8 @@ def resolve_povm_label(label: str, d: int) -> Povm:
             n = np.array([float(c) for c in label[len("bloch:"):].split(",")])
         except ValueError as exc:
             raise ConfigError(f"bad bloch POVM label {label!r}") from exc
+        if n.size != 3:
+            raise ConfigError(f"bloch POVM label {label!r} has {n.size} components, need 3")
         if not np.isfinite(n).all():
             raise ConfigError(f"bloch POVM label {label!r} has a non-finite component")
         # rescale where the squared norm would overflow or underflow; others keep their bits
@@ -428,7 +430,10 @@ def records_from_csv(path, d: int) -> Records:
                 raise ConfigError(f"{where}: expected {len(reader.fieldnames)} fields")
             label = row["povm"]
             if label not in povms:
-                povms[label] = resolve_povm_label(label, d)
+                try:
+                    povms[label] = resolve_povm_label(label, d)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
             povm = povms[label]
             j = _field(row, "element", int, where)
             if not 0 <= j < len(povm):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from qest.control import augmented_j
+from qest.control import evaluate_pulse
 from qest.linalg import herm_expm
 
 
@@ -36,6 +36,7 @@ def central_difference_gradient(system, samples, field, psi0, psi_target,
             for sign in (+1.0, -1.0):
                 amps = field.amplitudes.copy()
                 amps[k, m] += sign * step
-                val = augmented_j(system, samples, replace(field, amplitudes=amps), psi0, psi_target)
+                val = evaluate_pulse(system, samples, replace(field, amplitudes=amps), psi0,
+                                     psi_target).j
                 grad[k, m] += sign * val
     return grad / (2.0 * step)

@@ -18,7 +18,8 @@ matrix products, is the reference for `qest.run_adaptive_protocol`,
 run every repetition or trial as one stack.  The two per-interval loops of
 stacked products, the states forward and then the target backward, with the
 gradient taken between them, are the reference for `qest.control`'s single
-fused state/costate sweep.  The Gell-Mann coordinates of a
+fused state/costate sweep, and the training that calls them once per
+quantity is the reference for `qest.control.slc_train`.  The Gell-Mann coordinates of a
 state, exact expected counts, the one-POVM measurement simulation, the
 cube bases' labels, the records CSV writer and the dense B are library-style
 helpers that only tests call.
@@ -27,6 +28,7 @@ helpers that only tests call.
 import csv
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -446,3 +448,35 @@ def gradient_j_loop(system, samples, field, psi0, psi_target) -> np.ndarray:
     controls = np.reshape(system.controls, (-1, system.dim, system.dim))
     dz = samples.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
     return np.mean(2.0 * (np.conj(overlap)[:, None, None] * dz).real, axis=0)
+
+
+def slc_train_loop(system, samples, field0, psi0, psi_target, step_size=10.0, iterations=200,
+                   tolerance=1e-9):
+    """Reference SLC training: backtracking halving on the loop oracles, one call per quantity.
+
+    Each iteration takes the gradient of the current pulse with
+    :func:`gradient_j_loop`, then halves the step from ``step_size`` until
+    :func:`augmented_j_loop` of the candidate is at least the current J.
+    """
+    field = field0
+    j_cur = augmented_j_loop(system, samples, field, psi0, psi_target)
+    log = [j_cur]
+    for _ in range(iterations):
+        grad = gradient_j_loop(system, samples, field, psi0, psi_target)
+        step = step_size
+        improved = None
+        while step > step_size * 2.0**-30:
+            cand = replace(field, amplitudes=field.amplitudes + step * grad)
+            j_cand = augmented_j_loop(system, samples, cand, psi0, psi_target)
+            if j_cand >= j_cur:
+                improved = (cand, j_cand)
+                break
+            step /= 2.0
+        if improved is None:
+            break
+        field, j_new = improved
+        log.append(j_new)
+        if abs(j_new - j_cur) < tolerance:
+            break
+        j_cur = j_new
+    return field, log

@@ -15,7 +15,7 @@ from qest.control import (
     SampleSet,
     SlidingConfig,
     UncertainSystem,
-    gradient_j,
+    evaluate_pulse,
     periodic_measurement_demo,
 )
 from qest.harness import (
@@ -216,7 +216,7 @@ def test_criterion_08_gradient_agreement():
         psi0 /= np.linalg.norm(psi0)
         target = rng.normal(size=d) + 1j * rng.normal(size=d)
         target /= np.linalg.norm(target)
-        g_an = gradient_j(system, samples, field, psi0, target)
+        g_an = evaluate_pulse(system, samples, field, psi0, target).gradient()
         g_fd = central_difference_gradient(system, samples, field, psi0, target, step=1e-6)
         err = float(np.abs(g_an - g_fd).max())
         worst = max(worst, err)

@@ -62,11 +62,19 @@ class TestTomoCommand:
         ("cube:x,one,100,50", "line 2: element must be an integer, not 'one'"),
         ("cube:x,-1,100,50", "line 2: element index -1 out of range"),
         ("cube:x,0,100,abc", "line 2: successes must be a number, not 'abc'"),
-        ('"bloch:inf,0,0",0,100,50', "non-finite"), ('"bloch:nan,1,0",0,100,50', "non-finite"),
-        ('"bloch:1,,0",0,100,50', "bad bloch"), ('"bloch:0,0,0",0,100,50', "nonzero"),
+        ('"bloch:inf,0,0",0,100,50', "line 2: bloch POVM label 'bloch:inf,0,0' has a non-finite"),
+        ('"bloch:nan,1,0",0,100,50', "line 2: bloch POVM label 'bloch:nan,1,0' has a non-finite"),
+        ('"bloch:1,,0",0,100,50', "line 2: bad bloch POVM label 'bloch:1,,0'"),
+        ('"bloch:0,0,0",0,100,50', "line 2: need nonzero"),
+        ('"bloch:1,0",0,100,50', "line 2: bloch POVM label 'bloch:1,0' has 2 components, need 3"),
+        ('"bloch:1,0,0,0",0,100,50',
+         "line 2: bloch POVM label 'bloch:1,0,0,0' has 4 components, need 3"),
+        ("cube:xq,0,100,50", "line 2: bad cube POVM label 'cube:xq' for dimension 2"),
+        ("mystery:x,0,100,50", "line 2: unknown POVM label 'mystery:x'"),
     ], ids=["nan", "inf", "-5", "500", "missing-fields", "extra-field", "shots-abc", "shots-huge",
             "shots-0", "element-one", "element--1", "successes-abc", "bloch-inf", "bloch-nan",
-            "bloch-empty-part", "bloch-zero"])
+            "bloch-empty-part", "bloch-zero", "bloch-2-components", "bloch-4-components",
+            "cube-bad-axis", "unknown-prefix"])
     def test_bad_counts_are_one_config_error(self, row, message, tmp_path, capsys):
         rows = [f"cube:{axis},{j},100,50" for axis in "xyz" for j in (0, 1)]
         rows[0] = row
@@ -591,6 +599,21 @@ _GRID_VALUE = st.sampled_from(["0", "-5", "1", "9", "100", "1000", str(10**23), 
 def test_sweep_contract_property(dim, grid, trials, weights):
     _contract_holds(["sweep", f"--dim={dim}", f"--shots={','.join(grid)}",
                      f"--trials={trials}", f"--weights={weights}"])
+
+
+# half-widths at and beyond the edges of [0, 1), and any float near them
+_HALFWIDTH = st.one_of(_EDGES, st.sampled_from([0.2, 1 - 1e-9, 1.0, -0.2, -0.0]),
+                       st.floats(-1.0, 2.0))
+
+
+# each trial trains two pulses (about 0.2 s); 20 examples keep this property under 3 s
+@settings(_PROPERTY, max_examples=20)
+@given(omega=_HALFWIDTH, theta=_HALFWIDTH, trials=st.sampled_from([-1, 0, 1, 2]),
+       seed=st.integers(0, 3))
+@example(omega=1 - 1e-9, theta=0.0, trials=1, seed=0)
+def test_compare_slc_contract_property(omega, theta, trials, seed):
+    _contract_holds(["compare", "--kind=slc", f"--omega={omega!r}", f"--theta={theta!r}",
+                     f"--trials={trials}", f"--seed={seed}"])
 
 
 _AMPLITUDE = _floats(-2.0, 2.0)

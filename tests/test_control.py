@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import qest.control
+import tests.oracles
 from qest.control import (
     ControlField,
     SampleSet,
     SlidingConfig,
     UncertainSystem,
-    augmented_j,
     corner_center_samples,
-    gradient_j,
+    evaluate_pulse,
     grid_samples,
     in_sliding_domain,
     periodic_measurement_demo,
@@ -35,7 +35,7 @@ from tests.control_reference import (
     reference_fidelities,
     reference_final_state,
 )
-from tests.oracles import augmented_j_loop, gradient_j_loop, slc_evaluate_loop
+from tests.oracles import gradient_j_loop, slc_evaluate_loop, slc_train_loop
 
 # keep Hypothesis' on-disk cache in the system temp directory, not in the checkout
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "qest-hypothesis")
@@ -112,13 +112,13 @@ class TestPropagate:
     def test_stationary_eigenstate(self):
         system, psi0, _ = transfer_task()
         field = ControlField(3.0, np.zeros((10, 1)))
-        assert abs(augmented_j(system, NOMINAL, field, psi0, psi0) - 1.0) <= 1e-12
+        assert abs(evaluate_pulse(system, NOMINAL, field, psi0, psi0).j - 1.0) <= 1e-12
 
     def test_resonance_free_pi_pulse(self):
         # closed-form Rabi rotation with no drift: u*T = pi/2 flips the qubit
         system = UncertainSystem(ZERO2, (PAULI_X,))
         field = ControlField(2.0, np.full((20, 1), np.pi / 4))  # u*T = pi/2
-        assert abs(augmented_j(system, NOMINAL, field, KET0, KET1) - 1.0) <= 1e-9
+        assert abs(evaluate_pulse(system, NOMINAL, field, KET0, KET1).j - 1.0) <= 1e-9
 
     def test_norm_preserved_for_random_fields(self):
         # the fidelities against an orthonormal basis of targets sum to ||psi(T)||^2
@@ -129,7 +129,7 @@ class TestPropagate:
             psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
             psi0 /= np.linalg.norm(psi0)
             sample = SampleSet(rng.uniform(0.8, 1.2, size=(1, 2)))
-            norm2 = sum(augmented_j(system, sample, field, psi0, e) for e in np.eye(3))
+            norm2 = sum(evaluate_pulse(system, sample, field, psi0, e).j for e in np.eye(3))
             assert abs(norm2 - 1.0) <= 1e-9
 
 
@@ -138,20 +138,20 @@ class TestFidelity:
         system, psi0, _ = transfer_task()
         field = ControlField(1.0, np.full((5, 1), 0.3))
         target = reference_final_state(system, (1.0, 1.0), field, psi0)
-        assert augmented_j(system, NOMINAL, field, psi0, target) == pytest.approx(1.0)
+        assert evaluate_pulse(system, NOMINAL, field, psi0, target).j == pytest.approx(1.0)
 
     def test_orthogonal_target_is_zero(self):
         system, psi0, _ = transfer_task()
         field = ControlField(1.0, np.full((5, 1), 0.3))
         out = reference_final_state(system, (1.0, 1.0), field, psi0)
         orth = np.array([-out[1].conjugate(), out[0].conjugate()])
-        assert augmented_j(system, NOMINAL, field, psi0, orth) <= 1e-12
+        assert evaluate_pulse(system, NOMINAL, field, psi0, orth).j <= 1e-12
 
     def test_global_phase_invariance(self):
         system, psi0, target = transfer_task()
         field = ControlField(1.0, np.full((5, 1), 0.7))
-        a = augmented_j(system, NOMINAL, field, psi0, target)
-        b = augmented_j(system, NOMINAL, field, psi0, np.exp(0.9j) * target)
+        a = evaluate_pulse(system, NOMINAL, field, psi0, target).j
+        b = evaluate_pulse(system, NOMINAL, field, psi0, np.exp(0.9j) * target).j
         assert a == pytest.approx(b, abs=1e-14)
 
 
@@ -160,7 +160,7 @@ class TestAugmented:
         system, psi0, target = transfer_task(0.2, 0.2)
         field = ControlField(1.0, np.full((5, 1), 0.4))
         samples = SampleSet(np.array([[1.1, 0.9]]))
-        assert augmented_j(system, samples, field, psi0, target) == pytest.approx(
+        assert evaluate_pulse(system, samples, field, psi0, target).j == pytest.approx(
             reference_fidelities(system, samples.pairs, field, psi0, target)[0]
         )
 
@@ -169,16 +169,16 @@ class TestAugmented:
         field = ControlField(1.0, np.full((5, 1), 0.4))
         base = SampleSet(np.array([[1.1, 0.9], [0.9, 1.1]]))
         doubled = SampleSet(np.vstack([base.pairs, base.pairs]))
-        assert augmented_j(system, base, field, psi0, target) == pytest.approx(
-            augmented_j(system, doubled, field, psi0, target), abs=1e-14
+        assert evaluate_pulse(system, base, field, psi0, target).j == pytest.approx(
+            evaluate_pulse(system, doubled, field, psi0, target).j, abs=1e-14
         )
 
     def test_degenerate_uncertainty_equals_nominal(self):
         system, psi0, target = transfer_task()
         field = ControlField(1.0, np.full((5, 1), 0.4))
         samples = grid_samples(0.0, 0.0, 2, 2)
-        assert augmented_j(system, samples, field, psi0, target) == pytest.approx(
-            augmented_j(system, NOMINAL, field, psi0, target), abs=1e-14
+        assert evaluate_pulse(system, samples, field, psi0, target).j == pytest.approx(
+            evaluate_pulse(system, NOMINAL, field, psi0, target).j, abs=1e-14
         )
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -193,7 +193,7 @@ class TestAugmented:
         expected = reference_fidelities(system, samples.pairs, field, psi0, target)
         stats = slc_test(system, field, samples, psi0, target)
         assert stats["fidelities"].tobytes() == expected.tobytes()
-        assert augmented_j(system, samples, field, psi0, target) == float(np.mean(expected))
+        assert evaluate_pulse(system, samples, field, psi0, target).j == float(np.mean(expected))
 
 
 class TestGradient:
@@ -210,7 +210,7 @@ class TestGradient:
         psi0 /= np.linalg.norm(psi0)
         target = rng.normal(size=d) + 1j * rng.normal(size=d)
         target /= np.linalg.norm(target)
-        g_an = gradient_j(system, samples, field, psi0, target)
+        g_an = evaluate_pulse(system, samples, field, psi0, target).gradient()
         g_fd = central_difference_gradient(system, samples, field, psi0, target, step=1e-6)
         assert np.abs(g_an - g_fd).max() <= 1e-4
 
@@ -222,7 +222,7 @@ class TestGradient:
         field = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
         samples = corner_center_samples(0.2, 0.2)
         psi0, target = np.eye(d, dtype=complex)[0], np.eye(d, dtype=complex)[d - 1]
-        g_an = gradient_j(system, samples, field, psi0, target)
+        g_an = evaluate_pulse(system, samples, field, psi0, target).gradient()
         g_fd = central_difference_gradient(system, samples, field, psi0, target, step=1e-6)
         assert np.abs(g_an - g_fd).max() <= 1e-6 * np.abs(g_fd).max()
 
@@ -230,23 +230,24 @@ class TestGradient:
         system = UncertainSystem(PAULI_Z, ())
         field = ControlField(1.0, np.zeros((5, 0)))
         samples = grid_samples(0.0, 0.0, 1, 1)
-        assert augmented_j(system, samples, field, KET0, KET0) == pytest.approx(1.0, abs=1e-14)
-        assert gradient_j(system, samples, field, KET0, KET0).shape == (5, 0)
+        ev = evaluate_pulse(system, samples, field, KET0, KET0)
+        assert ev.j == pytest.approx(1.0, abs=1e-14)
+        assert ev.gradient().shape == (5, 0)
 
     def test_gradient_vanishes_at_exact_optimum(self):
         system = UncertainSystem(ZERO2, (PAULI_X,))
         field = ControlField(2.0, np.full((20, 1), np.pi / 4))
         target = reference_final_state(system, (1.0, 1.0), field, KET0)
-        grad = gradient_j(system, NOMINAL, field, KET0, target)
+        grad = evaluate_pulse(system, NOMINAL, field, KET0, target).gradient()
         assert np.linalg.norm(grad) <= 1e-4
 
     def test_linearity_over_samples(self):
         system, psi0, target = transfer_task(0.2, 0.2)
         field = ControlField(1.0, np.full((8, 1), 0.5))
         samples = SampleSet(np.array([[0.9, 1.1], [1.1, 0.9], [1.0, 1.0]]))
-        total = gradient_j(system, samples, field, psi0, target)
+        total = evaluate_pulse(system, samples, field, psi0, target).gradient()
         parts = [
-            gradient_j(system, SampleSet(p[None, :]), field, psi0, target)
+            evaluate_pulse(system, SampleSet(p[None, :]), field, psi0, target).gradient()
             for p in samples.pairs
         ]
         assert np.abs(total - np.mean(parts, axis=0)).max() <= 1e-12
@@ -270,7 +271,7 @@ class TestFusedSweep:
            n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
     def test_equals_the_per_interval_loops_bit_for_bit(self, d, channels, intervals, n, seed):
         system, samples, field, psi0, target = random_task(d, channels, intervals, n, seed)
-        ev = qest.control._evaluate(system, samples.pairs, field, psi0, target)
+        ev = evaluate_pulse(system, samples, field, psi0, target)
         props, _, _, fwd, bwd, overlap = slc_evaluate_loop(system, samples.pairs, field,
                                                            psi0, target)
         assert ev.props.tobytes() == props.tobytes()
@@ -278,7 +279,7 @@ class TestFusedSweep:
         assert ev.fwd.tobytes() == fwd.tobytes()
         assert ev.bwd.tobytes() == bwd.tobytes()
         assert ev.overlap.tobytes() == overlap.tobytes()
-        grad = gradient_j(system, samples, field, psi0, target)
+        grad = evaluate_pulse(system, samples, field, psi0, target).gradient()
         assert grad.tobytes() == gradient_j_loop(system, samples, field, psi0, target).tobytes()
 
     @pytest.mark.parametrize("d", [4, 8])
@@ -286,26 +287,31 @@ class TestFusedSweep:
         # the loops' adjoint product reads a transposed view, the sweep a contiguous copy; from
         # d = 4 the BLAS sums those in different orders, so only the states keep every bit
         system, samples, field, psi0, target = random_task(d, 2, 6, 5, d)
-        ev = qest.control._evaluate(system, samples.pairs, field, psi0, target)
+        ev = evaluate_pulse(system, samples, field, psi0, target)
         _, _, _, fwd, bwd, overlap = slc_evaluate_loop(system, samples.pairs, field, psi0, target)
         assert ev.fwd.tobytes() == fwd.tobytes()
         assert ev.overlap.tobytes() == overlap.tobytes()
         tol = 64 * np.finfo(float).eps
         assert np.abs(ev.bwd - bwd).max() <= tol
         expected = gradient_j_loop(system, samples, field, psi0, target)
-        grad = gradient_j(system, samples, field, psi0, target)
+        grad = evaluate_pulse(system, samples, field, psi0, target).gradient()
         assert np.abs(grad - expected).max() <= tol * np.abs(expected).max()
 
-    def test_training_equals_the_loop_driven_training_bit_for_bit(self, monkeypatch):
+    @pytest.mark.parametrize("iterations, tolerance, entries", [
+        (30, 1e-9, 31),  # stops at the iteration cap
+        (200, 1e-4, 58),  # stops on the tolerance
+    ])
+    def test_training_equals_the_loop_driven_training_bit_for_bit(self, iterations, tolerance,
+                                                                  entries):
         # the README transfer task: sigma_z drift, sigma_x control, T = 2, L = 20, 2 x 2 grid
         system, psi0, target = transfer_task(0.2, 0.2)
         field0 = ControlField(2.0, np.random.default_rng(11).uniform(-0.5, 0.5, size=(20, 1)))
         samples = grid_samples(0.2, 0.2, 2, 2)
-        field, log = slc_train(system, samples, field0, psi0, target, iterations=30)
-        monkeypatch.setattr(qest.control, "augmented_j", augmented_j_loop)
-        monkeypatch.setattr(qest.control, "gradient_j", gradient_j_loop)
-        oracle_field, oracle_log = slc_train(system, samples, field0, psi0, target, iterations=30)
-        assert len(log) == len(oracle_log) == 31
+        field, log = slc_train(system, samples, field0, psi0, target, iterations=iterations,
+                               tolerance=tolerance)
+        oracle_field, oracle_log = slc_train_loop(system, samples, field0, psi0, target,
+                                                  iterations=iterations, tolerance=tolerance)
+        assert len(log) == len(oracle_log) == entries
         assert np.array(log).tobytes() == np.array(oracle_log).tobytes()
         assert field.amplitudes.tobytes() == oracle_field.amplitudes.tobytes()
 
@@ -347,12 +353,40 @@ class TestTraining:
         field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
         samples = corner_center_samples(0.2, 0.2)
         trained, _ = slc_train(system, samples, field0, psi0, target, iterations=80)
-        assert augmented_j(system, samples, trained, psi0, target) >= augmented_j(
-            system, samples, field0, psi0, target
-        )
+        assert (evaluate_pulse(system, samples, trained, psi0, target).j
+                >= evaluate_pulse(system, samples, field0, psi0, target).j)
+
+    def test_training_decomposes_each_candidate_once(self, monkeypatch):
+        # 1 initial evaluation plus one per line-search candidate, one stack each; the
+        # gradient of an accepted candidate comes from the evaluation that accepted it.
+        # The loop oracle's J calls count the candidates independently.
+        counts = {"eigh": 0, "evaluate_pulse": 0, "oracle_j": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(qest.control, "herm_expm_eigh",
+                            counted("eigh", qest.control.herm_expm_eigh))
+        monkeypatch.setattr(qest.control, "evaluate_pulse",
+                            counted("evaluate_pulse", qest.control.evaluate_pulse))
+        system, psi0, target = transfer_task(0.2, 0.2)
+        rng = np.random.default_rng(4)
+        field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
+        _, log = slc_train(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target,
+                           iterations=30)
+        candidates, accepted = counts["evaluate_pulse"] - 1, len(log) - 1
+        assert accepted == 30 and candidates >= accepted
+        assert counts["eigh"] == 1 + candidates
+        monkeypatch.setattr(tests.oracles, "augmented_j_loop",
+                            counted("oracle_j", tests.oracles.augmented_j_loop))
+        slc_train_loop(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target, iterations=30)
+        assert counts["oracle_j"] == 1 + candidates
 
 
-def memo_task():
+def stateless_task():
     """Fresh, writeable inputs of a two-sample, two-channel qubit task."""
     system = UncertainSystem(PAULI_Z.copy(), (PAULI_X, PAULI_Y), 0.2, 0.2)
     field = ControlField(2.0, np.linspace(-0.5, 0.5, 16).reshape(8, 2))
@@ -368,58 +402,54 @@ def mutate_drift(system, samples, field, psi0):
 
 
 def mutate_pairs(system, samples, field, psi0):
-    samples.pairs[1, 0] = 0.95
+    samples.pairs[1, :] = [0.95, 1.05]
 
 
 def mutate_psi0(system, samples, field, psi0):
     psi0[:] = [0.6, 0.8]
 
 
-class TestEvaluationMemo:
+class TestStatelessEvaluation:
     @pytest.mark.parametrize("mutate", [mutate_amplitudes, mutate_drift, mutate_pairs,
                                         mutate_psi0])
-    def test_in_place_mutation_misses(self, mutate):
-        fresh = memo_task()  # changed before its first evaluation
+    def test_in_place_mutation_reaches_later_evaluations_only(self, mutate):
+        fresh = stateless_task()  # changed before its first evaluation
         mutate(*fresh[:4])
-        expected = augmented_j(*fresh), gradient_j(*fresh)
-        task = memo_task()
-        augmented_j(*task)
+        expected = evaluate_pulse(*fresh)
+        task = stateless_task()
+        before = evaluate_pulse(*task)
+        j_before, grad_before = before.j, before.gradient().tobytes()
         mutate(*task[:4])
-        assert augmented_j(*task) == expected[0]
-        assert gradient_j(*task).tobytes() == expected[1].tobytes()
+        after = evaluate_pulse(*task)
+        assert after.j == expected.j
+        assert after.gradient().tobytes() == expected.gradient().tobytes()
+        # the evaluation taken before the change keeps what its gradient reads
+        assert (before.j, before.gradient().tobytes()) == (j_before, grad_before)
+        assert grad_before != expected.gradient().tobytes()
 
     def test_gradient_does_not_depend_on_the_previous_evaluation(self):
-        system, samples, field, psi0, target = memo_task()
+        system, samples, field, psi0, target = stateless_task()
         other = replace(field, amplitudes=field.amplitudes + 0.1)
-        augmented_j(system, samples, field, psi0, target)
-        after_same = gradient_j(system, samples, field, psi0, target)
-        augmented_j(system, samples, other, psi0, target)
-        after_other = gradient_j(system, samples, field, psi0, target)
-        assert after_same.tobytes() == after_other.tobytes()
-
-    def test_cached_evaluation_is_read_only(self):
-        system, samples, field, psi0, target = memo_task()
-        ev = qest.control._evaluate(system, samples.pairs, field, psi0, target)
-        assert qest.control._evaluate(system, samples.pairs, field, psi0, target) is ev
-        for name in ("props", "eigvals", "eigvecs", "fwd", "bwd", "target", "overlap"):
-            assert not getattr(ev, name).flags.writeable, name
-        for a in (ev.props, ev.fwd, ev.bwd):
-            with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 0.0
+        ev = evaluate_pulse(system, samples, field, psi0, target)
+        after_same = ev.gradient()
+        evaluate_pulse(system, samples, other, psi0, target).gradient()
+        after_other = evaluate_pulse(system, samples, field, psi0, target).gradient()
+        assert after_same.tobytes() == after_other.tobytes() == ev.gradient().tobytes()
 
     def test_concurrent_callers_get_their_own_evaluation(self):
-        system, samples, field, psi0, target = memo_task()
+        system, samples, field, psi0, target = stateless_task()
         fields = [replace(field, amplitudes=field.amplitudes + 0.05 * i) for i in range(4)]
-        expected = [(augmented_j(system, samples, f, psi0, target),
-                     gradient_j(system, samples, f, psi0, target).tobytes()) for f in fields]
+
+        def evaluate(f):
+            ev = evaluate_pulse(system, samples, f, psi0, target)
+            return ev.j, ev.gradient().tobytes()
+
+        expected = [evaluate(f) for f in fields]
         wrong = []
 
         def work(start):
             for i in range(start, start + 200):
-                f = fields[i % 4]
-                got = (augmented_j(system, samples, f, psi0, target),
-                       gradient_j(system, samples, f, psi0, target).tobytes())
-                if got != expected[i % 4]:
+                if evaluate(fields[i % 4]) != expected[i % 4]:
                     wrong.append(i)
 
         threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
@@ -435,30 +465,6 @@ class TestEvaluationMemo:
         assert not any(t.is_alive() for t in threads)
         assert not wrong
 
-    def test_training_decomposes_each_candidate_once(self, monkeypatch):
-        # 1 initial J plus one stack per line-search candidate; the gradient of an
-        # accepted candidate reuses the evaluation that accepted it
-        counts = {"eigh": 0, "augmented_j": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(qest.control, "herm_expm_eigh",
-                            counted("eigh", qest.control.herm_expm_eigh))
-        monkeypatch.setattr(qest.control, "augmented_j",
-                            counted("augmented_j", qest.control.augmented_j))
-        system, psi0, target = transfer_task(0.2, 0.2)
-        rng = np.random.default_rng(4)
-        field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
-        _, log = slc_train(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target,
-                           iterations=30)
-        candidates, accepted = counts["augmented_j"] - 1, len(log) - 1
-        assert accepted == 30 and candidates >= accepted
-        assert counts["eigh"] == 1 + candidates
-
 
 class TestSlcTest:
     def test_on_training_set_equals_jn(self):
@@ -467,7 +473,7 @@ class TestSlcTest:
         samples = corner_center_samples(0.2, 0.2)
         stats = slc_test(system, field, samples, psi0, target)
         assert stats["mean"] == pytest.approx(
-            augmented_j(system, samples, field, psi0, target), abs=1e-12
+            evaluate_pulse(system, samples, field, psi0, target).j, abs=1e-12
         )
         assert stats["min"] <= stats["mean"]
 

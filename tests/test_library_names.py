@@ -5,6 +5,10 @@ the tests (see tests/oracles.py), not in the package.  The scan reads the
 modules' syntax trees: a name counts as called when some module other than
 ``__init__.py`` references it as a ``Name`` or an ``Attribute`` outside its
 own definition.  Imports, docstrings and comments do not count.
+
+No module keeps state between calls through a ``global`` or ``nonlocal``
+statement either: a result that a later call needs is passed to it
+explicitly.
 """
 
 import ast
@@ -56,3 +60,25 @@ def test_scan_flags_a_name_only_its_own_body_uses():
                        "def caller():\n    return used() + Thing()\n"),
     }
     assert uncalled_names(modules) == ["a.lonely", "b.caller"]
+
+
+def state_statements(modules):
+    """Every ``global`` and ``nonlocal`` statement, as ``<module>:<line>``."""
+    return sorted(f"{stem}:{node.lineno}" for stem, tree in modules.items()
+                  for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal)))
+
+
+def test_no_module_has_a_global_or_nonlocal_statement():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "__init__" in modules and "control" in modules
+    assert state_statements(modules) == []
+
+
+def test_scan_flags_global_and_nonlocal_statements():
+    modules = {
+        "a": ast.parse("_memo = None\n\ndef f(x):\n    global _memo\n    _memo = x\n"),
+        "b": ast.parse("def g():\n    n = 0\n\n    def h():\n        nonlocal n\n"
+                       "        n += 1\n    return h\n"),
+        "c": ast.parse('# global x\nx = 1\n\ndef f():\n    """global x"""\n    return x\n'),
+    }
+    assert state_statements(modules) == ["a:4", "b:5"]

@@ -384,6 +384,12 @@ class TestRecordsCsv:
         with pytest.raises(ConfigError, match="non-finite"):
             resolve_povm_label(label, 2)
 
+    @pytest.mark.parametrize("label, count", [("bloch:1", 1), ("bloch:1,0", 2),
+                                              ("bloch:1,0,0,0", 4), ("bloch:inf,0,0,0", 4)])
+    def test_bloch_component_count_named(self, label, count):
+        with pytest.raises(ConfigError, match=f"has {count} components, need 3$"):
+            resolve_povm_label(label, 2)
+
     def test_unknown_label_rejected(self):
         with pytest.raises(ConfigError):
             resolve_povm_label("mystery:abc", 2)
