@@ -53,7 +53,7 @@ from .states import (
     Povm,
     Records,
     born_probabilities,
-    cube_povms,
+    cube_povm,
     cube_records,
     mse,
     rho_from_theta,

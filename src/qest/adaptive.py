@@ -19,11 +19,10 @@ import numpy as np
 from .states import (
     Povm,
     Records,
-    _cube_elements,
     as_rng,
     bloch_basis_povm,
     born_probabilities,
-    cube_povms,
+    cube_povm,
     cube_records,
     mse,
     multinomial,
@@ -126,25 +125,20 @@ def _basis_gains(state, gamma0, gamma, planned_shots, weighting):
     return trace_gain(state, gamma, record_weight(planned_shots, p_pred, weighting)).sum(-1)
 
 
-def select_next_povm(state: RecursiveState, candidates, planned_shots: int,
+def select_next_povm(state: RecursiveState, candidates: Povm, planned_shots: int,
                      weighting: str = "shots") -> Povm:
-    """Candidate with the largest summed trace gain; ties break to the lowest index.
+    """Candidate basis with the largest summed trace gain; ties break to the lowest index.
 
-    For a stack of members, the stack of each member's choice.  The
-    candidates must then share their number of outcomes.
+    ``candidates`` stacks the bases along its elements' first axis:
+    (bases, outcomes, d, d), as :func:`qest.states.cube_povm` does.  All are
+    scored in one pass, for one state or a stack of members, and the result
+    holds each member's chosen elements.
     """
-    if not candidates:
-        raise ValueError("candidate set must be non-empty")
     members = state.theta.shape[:-1]
-    gains = np.stack([
-        _basis_gains(state, c.gamma0, c.gamma.reshape((1,) * len(members) + c.gamma.shape),
-                     planned_shots, weighting)
-        for c in candidates
-    ], axis=-1)
-    best = np.argmax(gains, axis=-1)
-    if not members:
-        return candidates[best]
-    return Povm(np.stack([c.elements for c in candidates])[best])
+    gains = _basis_gains(state, candidates.gamma0,
+                         candidates.gamma.reshape((1,) * len(members) + candidates.gamma.shape),
+                         planned_shots, weighting)
+    return Povm(candidates.elements[np.argmax(gains, axis=-1)])
 
 
 def _fibonacci_sphere() -> np.ndarray:
@@ -215,11 +209,9 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
     # grid and eigen directions are unit vectors only to rounding, so gains
     # within 1e-12 (relative) of the best tie, and the lowest index wins
     best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
-    if u.ndim == 2:  # one state
-        return cube_povms(2)[best] if best < 3 else bloch_basis_povm(u[best])
     chosen = bloch_basis_povm(np.take_along_axis(u, best[..., None, None], axis=-2)[..., 0, :])
     return Povm(np.where((best < 3)[..., None, None, None],
-                         _cube_elements(2)[np.minimum(best, 2)], chosen.elements))
+                         cube_povm(2).elements[np.minimum(best, 2)], chosen.elements))
 
 
 def cube_estimate(truth, total: int, rng, weighting: str):
@@ -231,7 +223,7 @@ def cube_estimate(truth, total: int, rng, weighting: str):
     shot weights the members share one design, so cond and q are shared too.
     """
     records = cube_records(truth, total, rng)
-    return solve_weighted_ls(build_regression(records, np.shape(truth)[-1], weighting))
+    return solve_weighted_ls(build_regression(records, weighting))
 
 
 def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
@@ -241,8 +233,9 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     Stage 1 spends ``schedule.stage1`` copies on the cube bases and solves the
     batch problem, whose theta and Q0 = (X^T W X)^-1 seed the recursion;
     stage 2 runs ``schedule.steps`` rounds in which the next basis is chosen
-    by trace gain (``candidates`` is a POVM list, the string ``"cube"`` for
-    the cube bases, or ``"continuum"`` for the analytic qubit optimum),
+    by trace gain (``candidates`` is a stacked :class:`Povm` of bases, the
+    string ``"cube"`` for the cube bases, or ``"continuum"`` for the analytic
+    qubit optimum),
     ``per_step`` copies are measured and folded in recursively.  Inverse-variance weights
     are the default because the covariance reading of Q assumes them.
 
@@ -261,13 +254,11 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     rng = [as_rng(s) for s in seed] if isinstance(seed, (list, tuple)) else as_rng(seed)
     if isinstance(candidates, str):
         if candidates == "cube":
-            candidates = cube_povms(d)
+            candidates = cube_povm(d)
         elif candidates != "continuum":
             raise ValueError(f"unknown candidate mode {candidates!r}")
         elif d != 2:
             raise ValueError("continuum candidates are qubit-only")
-    elif not candidates:
-        raise ValueError("candidate set must be non-empty")
 
     theta, _, q = cube_estimate(truth, schedule.stage1, rng, weighting)
     # shot weights give the members one shared Q0
@@ -282,7 +273,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
         p = born_probabilities(truth, povm)
         counts = multinomial(rng, schedule.per_step, p / p.sum(-1, keepdims=True))
         records = Records.of_povm(povm, schedule.per_step, counts)
-        state = rls_update(state, build_regression(records, d, weighting))
+        state = rls_update(state, build_regression(records, weighting))
         thetas.append(state.theta)
         trace_q.append(np.trace(state.q, axis1=-2, axis2=-1))
     rho_steps = project_physical(rho_from_theta(np.stack(thetas)))

@@ -45,7 +45,7 @@ def _write_json(path, payload) -> None:
 
 def _cmd_tomo(args) -> int:
     records = records_from_csv(args.records, args.dim)
-    rho, theta, diagnostics = tomography_pipeline(records, args.dim, weighting=args.weights)
+    rho, theta, diagnostics = tomography_pipeline(records, weighting=args.weights)
     _write_json(args.out, {
         "dim": args.dim,
         "state": matrix_to_json(rho),

@@ -88,10 +88,6 @@ class SampleSet:
         if not np.isfinite(pairs).all():
             raise ValueError("sample pairs must be finite")
 
-    @property
-    def n(self) -> int:
-        return self.pairs.shape[0]
-
 
 def _axis(halfwidth: float, count: int) -> np.ndarray:
     if count == 1:
@@ -124,14 +120,13 @@ def corner_center_samples(omega_halfwidth: float, theta_halfwidth: float) -> Sam
 
 @dataclass(frozen=True, eq=False)
 class PulseEvaluation:
-    """One pulse on every sample: propagators, states and costates of every (sample, interval).
+    """One pulse on every sample: eigenpairs, states and costates of every (sample, interval).
 
     It also keeps what its gradient needs besides those arrays (the step, the
     theta of each sample and the control stack), so the gradient reads no
     input that a caller may have changed since.
     """
 
-    props: np.ndarray  # (N, K, d, d) interval propagators
     eigvals: np.ndarray  # (N, K, d) and
     eigvecs: np.ndarray  # (N, K, d, d): the eigenpairs of the interval generators
     fwd: np.ndarray  # (N, K + 1, d); fwd[:, k] is the state before interval k
@@ -200,7 +195,7 @@ def evaluate_pulse(system, samples: SampleSet, field, psi0, psi_target) -> Pulse
     overlap = np.vecdot(target, fwd[:, -1])
     # hypot and pow keep the bits of the scalar abs(z) ** 2
     fidelities = np.float_power(np.hypot(overlap.real, overlap.imag), 2)
-    return PulseEvaluation(props, eigvals, eigvecs, fwd, bwd, overlap, fidelities,
+    return PulseEvaluation(eigvals, eigvecs, fwd, bwd, overlap, fidelities,
                            float(np.mean(fidelities)), field.dt, pairs[:, 1, None, None].copy(),
                            np.reshape(system.controls, (-1, system.dim, system.dim)))
 

@@ -130,15 +130,6 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
                        rows=rows, aggregates=aggregates)
 
 
-def default_qubit_transfer(omega_halfwidth: float, theta_halfwidth: float) -> dict:
-    """Canonical |0> -> |1> transfer task: sigma_z drift, sigma_x control."""
-    return {
-        "system": UncertainSystem(PAULI_Z, (PAULI_X,), omega_halfwidth, theta_halfwidth),
-        "psi0": np.array([1.0, 0.0], dtype=complex),
-        "psi_target": np.array([0.0, 1.0], dtype=complex),
-    }
-
-
 def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
                    theta_halfwidth: float = 0.2, test_n: int = 200, step_size: float = 10.0,
                    iterations: int = 200, tolerance: float = 1e-9) -> SweepResult:
@@ -152,8 +143,10 @@ def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    task = default_qubit_transfer(omega_halfwidth, theta_halfwidth)
-    system, psi0, psi_target = task["system"], task["psi0"], task["psi_target"]
+    # the |0> -> |1> transfer task: sigma_z drift, sigma_x control
+    system = UncertainSystem(PAULI_Z, (PAULI_X,), omega_halfwidth, theta_halfwidth)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    psi_target = np.array([0.0, 1.0], dtype=complex)
     train_robust = corner_center_samples(omega_halfwidth, theta_halfwidth)
     train_nominal = corner_center_samples(0.0, 0.0)
     rows = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -80,8 +80,9 @@ class Povm:
     complex contraction: BLAS sums contiguous rows in another order, which
     moves the recursive updates' last bits at d >= 4.
 
-    A stack of measurements, one per member of a stack of states, has
-    elements (..., n_outcomes, d, d) and gammas with the same leading axes.
+    A stack of measurements, one per member of a stack of states or one per
+    candidate basis (see :func:`cube_povm`), has elements (..., n_outcomes,
+    d, d) and gammas with the same leading axes; ``len()`` counts outcomes.
     """
 
     elements: np.ndarray  # (n_outcomes, d, d), or (..., n_outcomes, d, d) for a stack
@@ -117,7 +118,7 @@ class Records:
     ``shots[r]`` draws of its full POVM; it is integer-valued for sampled
     data and may be fractional for exact expected counts.  The element
     itself enters only through ``gamma0`` and ``gamma``, the row's
-    regression coordinates (see :class:`Povm`).  Slicing selects rows.
+    regression coordinates (see :class:`Povm`).
 
     A stack of R members has successes (R, n), the member axis first.
     Members measured by shared runs (see :func:`cube_records`) share the
@@ -143,19 +144,8 @@ class Records:
         return cls(np.full(len(povm), int(shots)), np.asarray(successes, dtype=float),
                    povm.gamma0, povm.gamma)
 
-    @classmethod
-    def concat(cls, parts) -> Records:
-        parts = list(parts)
-        # rows are the last axis of every column but gamma, whose coordinates follow them
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts],
-                                    axis=-2 if f.name == "gamma" else -1) for f in fields(cls)))
-
     def __len__(self) -> int:
         return self.shots.size
-
-    def __getitem__(self, rows) -> Records:
-        return Records(self.shots[rows], self.successes[..., rows], self.gamma0[..., rows],
-                       self.gamma[..., rows, :])
 
     @property
     def p_hat(self) -> np.ndarray:
@@ -223,7 +213,7 @@ def cube_draws(rho, total: int, rng):
     _check_copies(total, "total copies")
     rho = np.ascontiguousarray(rho, dtype=complex)
     d = rho.shape[-1]
-    elements = _cube_elements(d)
+    elements = cube_povm(d).elements
     copies = np.array(split_evenly(total, len(elements)))
     # Tr(rho E) = sum_ij Re(rho_ij) Re(E_ij) + Im(rho_ij) Im(E_ij) for Hermitian E: one real
     # product of the float views scores every (state, basis, outcome)
@@ -238,16 +228,20 @@ def cube_records(rho, total: int, rng) -> Records:
 
     A stack's ``successes`` are (R, n), one row per state, or per member when
     ``rng`` is a list of generators; the runs are shared.  The gamma columns
-    are the cached cube table's own read-only arrays whenever every basis
+    are read-only views of :func:`cube_povm`'s own rows whenever every basis
     gets a copy.
     """
     copies, draws = cube_draws(rho, total, rng)
     d = draws.shape[-1]  # a cube basis has d outcomes
     shots = np.repeat(copies, d)
     measured = shots > 0
-    rows = _cube_table(d) if measured.all() else _cube_table(d)[measured]
+    povm = cube_povm(d)
+    # merging the (basis, outcome) axes keeps the strided rows views
+    gamma0, gamma = povm.gamma0.reshape(-1), povm.gamma.reshape(-1, d * d - 1)
+    if not measured.all():
+        gamma0, gamma = gamma0[measured], gamma[measured]
     successes = draws.reshape(draws.shape[:-2] + (-1,))[..., measured]
-    return replace(rows, shots=shots[measured], successes=successes.astype(float))
+    return Records(shots[measured], successes.astype(float), gamma0, gamma)
 
 
 def _qubits(d: int) -> int:
@@ -257,24 +251,17 @@ def _qubits(d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cube_povms(d: int) -> tuple:
-    """The 3^q Pauli-eigenbasis product measurements for q qubits (d = 2^q).
+def cube_povm(d: int) -> Povm:
+    """The 3^q Pauli-eigenbasis product measurements for q qubits (d = 2^q), as one stack.
 
-    Cached, so every caller shares the same POVMs and their gamma rows.  Their
-    elements are read-only views of the cached cube elements, in their order.
-    """
-    return tuple(map(Povm, _cube_elements(d)))
-
-
-@lru_cache(maxsize=None)
-def _cube_elements(d: int) -> np.ndarray:
-    """The cube bases' elements as one read-only (bases, outcomes, d, d) array.
-
-    Bases run over the qubits' axes in ``itertools.product("xyz")`` order,
-    outcomes over their signs, qubit 0 most significant and the plus
-    eigenvector first.  Each qubit adds its factor by one broadcast outer
-    product on the right, in the left-to-right order of nested ``np.kron``
-    calls, so every entry is multiplied exactly as ``np.kron`` multiplies it.
+    The read-only elements are (bases, outcomes, d, d).  Bases run over the
+    qubits' axes in ``itertools.product("xyz")`` order, outcomes over their
+    signs, qubit 0 most significant and the plus eigenvector first.  Each
+    qubit adds its factor by one broadcast outer product on the right, in the
+    left-to-right order of nested ``np.kron`` calls, so every entry is
+    multiplied exactly as ``np.kron`` multiplies it.  Cached, so every caller
+    shares the same gamma rows, computed on first use by one contraction over
+    all bases.
     """
     single = np.array([[pure_to_density(k) for k in _AXIS_KETS[a]] for a in "xyz"])
     elements = single
@@ -283,17 +270,7 @@ def _cube_elements(d: int) -> np.ndarray:
         # axes (basis, new axis, outcome, new sign, row, new row, column, new column)
         elements = (elements[:, None, :, None, :, None, :, None]
                     * single[None, :, None, :, None, :, None, :]).reshape(3 * b, 2 * o, 2 * n, 2 * n)
-    return _read_only(elements)
-
-
-@lru_cache(maxsize=None)
-def _cube_table(d: int) -> Records:
-    """The cube POVMs' regression rows, one shot and no successes per element.
-
-    Their read-only gamma columns serve every :func:`cube_records` call.
-    """
-    rows = Records.concat(Records.of_povm(povm, 1, np.zeros(len(povm))) for povm in cube_povms(d))
-    return replace(rows, gamma0=_read_only(rows.gamma0), gamma=_read_only(rows.gamma))
+    return Povm(_read_only(elements))
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +347,7 @@ def resolve_povm_label(label: str, d: int) -> Povm:
         if not axes or any(a not in "xyz" for a in axes) or 2 ** len(axes) != d:
             raise ConfigError(f"bad cube POVM label {label!r} for dimension {d}")
         # the axes are the base-3 digits (x, y, z = 0, 1, 2) of the basis's index
-        return cube_povms(d)[int(axes.translate(str.maketrans("xyz", "012")), 3)]
+        return Povm(cube_povm(d).elements[int(axes.translate(str.maketrans("xyz", "012")), 3)])
     if label.startswith("bloch:"):
         if d != 2:
             raise ConfigError("bloch POVM labels are qubit-only")

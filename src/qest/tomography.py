@@ -8,6 +8,7 @@ minimum has a closed form in Pauli coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +52,17 @@ def record_weight(shots, p_hat, weighting: str):
     raise ValueError(f"unknown weighting {weighting!r}; choose from {WEIGHTINGS}")
 
 
-def build_regression(records: Records, d: int, weighting: str = "shots") -> RegressionProblem:
+def build_regression(records: Records, weighting: str = "shots") -> RegressionProblem:
     """Assemble the regression rows y_j = p_hat_j - gamma0_j / d from records.
 
-    A stack of records gives a stack of problems, member by member: each
-    member's responses, and under ``invvar`` its weights, are its own.
+    d comes from the records' d^2 - 1 Gell-Mann coordinates.  A stack of
+    records gives a stack of problems, member by member: each member's
+    responses, and under ``invvar`` its weights, are its own.
     """
     if len(records) == 0:
         raise ValueError("cannot build a regression from an empty record table")
     p_hat = records.p_hat
+    d = math.isqrt(records.gamma.shape[-1] + 1)
     return RegressionProblem(y=p_hat - records.gamma0 / d, x=records.gamma,
                              w=record_weight(records.shots, p_hat, weighting))
 
@@ -171,13 +174,13 @@ def project_physical(rho_tilde: np.ndarray) -> np.ndarray:
     return np.where(w[..., :1, None] < 0, out, rho_tilde)
 
 
-def tomography_pipeline(records: Records, d: int, weighting: str = "shots"):
+def tomography_pipeline(records: Records, weighting: str = "shots"):
     """records -> (physical state, theta, diagnostics).
 
     Diagnostics report the weighted residual norm, the design condition
     number, and whether the physical projection changed the estimate.
     """
-    problem = build_regression(records, d, weighting)
+    problem = build_regression(records, weighting)
     theta, cond, _ = solve_weighted_ls(problem)
     rho_tilde = rho_from_theta(theta)
     rho = project_physical(rho_tilde)

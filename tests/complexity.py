@@ -10,9 +10,9 @@ from qest.identification import (
     random_traceless_hermitian,
 )
 from qest.linalg import herm_expm
-from qest.states import Records, cube_povms, random_density_matrix
+from qest.states import random_density_matrix
 from qest.tomography import build_regression, solve_weighted_ls
-from tests.oracles import expected_records
+from tests.oracles import concat_records, cube_povms, expected_records
 
 
 def complexity_probe(task: str, d_values, repetitions: int = 3, seed: int = 0):
@@ -27,8 +27,8 @@ def complexity_probe(task: str, d_values, repetitions: int = 3, seed: int = 0):
     for d in d_values:
         if task == "lre_solve":
             truth = random_density_matrix(d, rng)
-            records = Records.concat(expected_records(truth, povm, 1000) for povm in cube_povms(d))
-            problem = build_regression(records, d)
+            records = concat_records(expected_records(truth, povm, 1000) for povm in cube_povms(d))
+            problem = build_regression(records)
             best = min(_timed(solve_weighted_ls, problem) for _ in range(repetitions))
         elif task == "identify":
             t_evolve = 0.5

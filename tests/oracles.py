@@ -11,7 +11,7 @@ rotation.  The Gell-Mann regression over cube records is the reference for
 dense Kronecker-product Pauli strings for its Pauli tables and butterfly
 reconstruction.  The nested ``np.kron`` loop, the all-bases ``einsum`` and
 the per-unit loop are the bit-for-bit references for the cube elements, the
-cube regression table and the matrix units that `qest` builds in one step.
+cube bases' gamma rows and the matrix units that `qest` builds in one step.
 The per-run loop of records, one step and one state at a time, with plain
 matrix products, is the reference for `qest.run_adaptive_protocol`,
 `qest.harness.run_paired_tomography` and `qest.harness.run_mse_sweep`, which
@@ -21,14 +21,15 @@ gradient taken between them, are the reference for `qest.control`'s single
 fused state/costate sweep, and the training that calls them once per
 quantity is the reference for `qest.control.slc_train`.  The Gell-Mann coordinates of a
 state, exact expected counts, the one-POVM measurement simulation, the
-cube bases' labels, the records CSV writer and the dense B are library-style
-helpers that only tests call.
+cube bases' labels and their list of one-basis POVMs, the concatenation and
+row selection of records, the records CSV writer and the dense B are
+library-style helpers that only tests call.
 """
 
 import csv
 import itertools
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -47,7 +48,7 @@ from qest.states import (
     as_rng,
     bloch_basis_povm,
     born_probabilities,
-    cube_povms,
+    cube_povm,
     cube_records,
     rho_from_theta,
 )
@@ -168,7 +169,7 @@ def regression_lambda(kraus, d: int, shots: int, seed) -> np.ndarray:
     """
     probes = natural_probes(d)
     records = cube_records(apply_channel(kraus, probes), shots, seed)
-    theta, _, _ = solve_weighted_ls(build_regression(records, d))
+    theta, _, _ = solve_weighted_ls(build_regression(records))
     rho = project_physical(rho_from_theta(theta))
     return np.linalg.solve(probes.reshape(d * d, d * d), rho.reshape(d * d, d * d))
 
@@ -201,6 +202,28 @@ def theta_from_rho(rho: np.ndarray) -> np.ndarray:
 def expected_records(rho, povm: Povm, shots: int) -> Records:
     """Noiseless records with successes equal to the exact expected counts."""
     return Records.of_povm(povm, shots, born_probabilities(rho, povm) * shots)
+
+
+def cube_povms(d: int) -> list:
+    """The bases of ``qest.cube_povm(d)`` as a list of one-basis POVMs, in order.
+
+    Each computes its own gamma rows, by its own contraction.
+    """
+    return [Povm(elements) for elements in cube_povm(d).elements]
+
+
+def concat_records(parts) -> Records:
+    """The rows of several record tables, in order, as one table."""
+    parts = list(parts)
+    # rows are the last axis of every column but gamma, whose coordinates follow them
+    return Records(*(np.concatenate([getattr(p, f.name) for p in parts],
+                                    axis=-2 if f.name == "gamma" else -1) for f in fields(Records)))
+
+
+def record_rows(records: Records, rows) -> Records:
+    """The rows ``rows`` (a slice, index list or mask) of a record table, of every member."""
+    return Records(records.shots[rows], records.successes[..., rows], records.gamma0[..., rows],
+                   records.gamma[..., rows, :])
 
 
 def cube_labels(d: int) -> list:
@@ -257,7 +280,7 @@ def kron_cube_elements(d: int) -> np.ndarray:
     """The cube bases' elements by nested ``np.kron`` loops: (bases, outcomes, d, d).
 
     Bases in ``itertools.product("xyz")`` order and outcomes in sign order,
-    qubit 0 most significant, as in ``qest.cube_povms``.
+    qubit 0 most significant, as in ``qest.cube_povm``.
     """
     q = d.bit_length() - 1
     bases = []
@@ -320,10 +343,15 @@ def _basis_gains_loop(state, gamma0, gamma, planned_shots, weighting):
 
 
 def select_next_povm_loop(state, candidates, planned_shots, weighting):
-    """Reference finite selection for one state: one score per candidate."""
-    gains = [_basis_gains_loop(state, c.gamma0, c.gamma, planned_shots, weighting)
-             for c in candidates]
-    return candidates[int(np.argmax(gains))]
+    """Reference finite selection for one state: (chosen POVM, gains), one score per candidate.
+
+    ``candidates`` is a stacked POVM, as ``qest.select_next_povm`` takes it;
+    each basis is split off as its own POVM, with its own gamma rows.
+    """
+    bases = [Povm(elements) for elements in candidates.elements]
+    gains = np.array([_basis_gains_loop(state, c.gamma0, c.gamma, planned_shots, weighting)
+                      for c in bases])
+    return bases[int(np.argmax(gains))], gains
 
 
 def continuum_qubit_basis_loop(state, planned_shots, weighting):
@@ -346,11 +374,10 @@ def continuum_qubit_basis_loop(state, planned_shots, weighting):
 def adaptive_protocol_loop(truth, schedule, candidates, rng, weighting):
     """Reference two-stage protocol of one run: records, one step and one state at a time.
 
-    ``candidates`` is a POVM list or ``"continuum"``; ``rng`` is the run's
+    ``candidates`` is a stacked POVM or ``"continuum"``; ``rng`` is the run's
     generator.  Returns what ``qest.run_adaptive_protocol`` returns for one run.
     """
-    d = truth.shape[0]
-    problem = build_regression(cube_records(truth, schedule.stage1, rng), d, weighting)
+    problem = build_regression(cube_records(truth, schedule.stage1, rng), weighting)
     theta, _, q = solve_weighted_ls(problem)
     state = RecursiveState(q=q, theta=theta)
     diagnostics = []
@@ -370,16 +397,16 @@ def adaptive_protocol_loop(truth, schedule, candidates, rng, weighting):
         if isinstance(candidates, str):
             povm = continuum_qubit_basis_loop(state, schedule.per_step, weighting)
         else:
-            povm = select_next_povm_loop(state, candidates, schedule.per_step, weighting)
+            povm, _ = select_next_povm_loop(state, candidates, schedule.per_step, weighting)
         records = simulate_measurements(truth, povm, schedule.per_step, rng)
-        state = rls_update_loop(state, build_regression(records, d, weighting))
+        state = rls_update_loop(state, build_regression(records, weighting))
         rho_hat = snapshot(k)
     return rho_hat, diagnostics
 
 
 def static_cube_mse_loop(truth, total, rng, weighting):
     """Reference static arm of one repetition: the cube records' pipeline estimate's MSE."""
-    rho, _, _ = tomography_pipeline(cube_records(truth, total, rng), truth.shape[0], weighting)
+    rho, _, _ = tomography_pipeline(cube_records(truth, total, rng), weighting)
     return float(np.linalg.norm(rho - truth) ** 2)
 
 

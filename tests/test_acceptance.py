@@ -32,8 +32,6 @@ from qest.identification import (
 from qest.linalg import herm_expm
 from qest.states import (
     PAULI_X,
-    Records,
-    cube_povms,
     mse,
     random_density_matrix,
 )
@@ -45,7 +43,14 @@ from qest.tomography import (
 )
 from tests.complexity import complexity_probe
 from tests.control_reference import central_difference_gradient
-from tests.oracles import build_b_matrix, expected_records, simulate_measurements
+from tests.oracles import (
+    build_b_matrix,
+    concat_records,
+    cube_povms,
+    expected_records,
+    record_rows,
+    simulate_measurements,
+)
 from tests.test_golden import run_command, write_inputs
 from tests.test_identification import is_identifiable, random_unitary
 from tests.test_tomography import haar_basis_povm, simplex_projection_oracle
@@ -63,7 +68,7 @@ def mixed_povm_dataset(d, rng, n_basis_extra):
     else:
         povms += [haar_basis_povm(d, rng) for _ in range(d + 1)]
     povms += [haar_basis_povm(d, rng) for _ in range(n_basis_extra)]
-    return Records.concat(
+    return concat_records(
         simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng) for povm in povms
     )
 
@@ -79,12 +84,13 @@ def test_criterion_01_recursive_equals_batch():
             weighting = "shots" if i % 2 == 0 else "invvar"
             records = mixed_povm_dataset(d, rng, n_basis_extra=6)
 
-            problem = build_regression(records[:init_rows], d, weighting)
+            problem = build_regression(record_rows(records, slice(init_rows)), weighting)
             theta, _, q = solve_weighted_ls(problem)
             state = RecursiveState(q=q, theta=theta)
-            state = rls_update(state, build_regression(records[init_rows:], d, weighting))
+            state = rls_update(state, build_regression(record_rows(records, slice(init_rows, None)),
+                                                       weighting))
 
-            theta_batch, _, _ = solve_weighted_ls(build_regression(records, d, weighting))
+            theta_batch, _, _ = solve_weighted_ls(build_regression(records, weighting))
             rel = np.linalg.norm(state.theta - theta_batch) / np.linalg.norm(theta_batch)
             worst = max(worst, rel)
             assert rel <= 1e-10
@@ -102,8 +108,8 @@ def test_criterion_02_noiseless_exactness():
             rng = np.random.default_rng([102, d, i])
             rho = random_density_matrix(d, rng)
             use = povms or [haar_basis_povm(d, rng) for _ in range(d + 2)]
-            records = Records.concat(expected_records(rho, povm, 1000) for povm in use)
-            rho_hat, _, _ = tomography_pipeline(records, d)
+            records = concat_records(expected_records(rho, povm, 1000) for povm in use)
+            rho_hat, _, _ = tomography_pipeline(records)
             worst_mse = max(worst_mse, mse(rho_hat, rho))
             assert mse(rho_hat, rho) <= 1e-9
 

@@ -18,9 +18,9 @@ from qest.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Records,
+    Povm,
     bloch_basis_povm,
-    cube_povms,
+    cube_povm,
     cube_records,
     pure_to_density,
     random_density_matrix,
@@ -35,9 +35,14 @@ from qest.tomography import (
     tomography_pipeline,
 )
 from tests.oracles import (
+    _basis_gains_loop,
     adaptive_protocol_loop,
+    concat_records,
     continuum_qubit_basis_loop,
+    cube_povms,
     expected_records,
+    record_rows,
+    same_bits,
     select_next_povm_loop,
     simulate_measurements,
 )
@@ -53,7 +58,7 @@ def qubit_dataset(rng, n_extra=12, weighting="shots"):
     for _ in range(n_extra):
         povm = haar_basis_povm(2, rng)
         records.append(simulate_measurements(rho, povm, int(rng.integers(10, 10001)), rng))
-    return build_regression(Records.concat(records), 2, weighting)
+    return build_regression(concat_records(records), weighting)
 
 
 def same_basis(povm, want):
@@ -99,8 +104,8 @@ class TestSchedule:
 class TestRlsInit:
     def test_cube_information_matrix_is_diagonal(self):
         rho = np.eye(2) / 2
-        records = Records.concat(expected_records(rho, povm, 100) for povm in cube_povms(2))
-        problem = build_regression(records, 2)
+        records = concat_records(expected_records(rho, povm, 100) for povm in cube_povms(2))
+        problem = build_regression(records)
         state = batch_state(problem)
         # direct 3x3 inversion oracle
         info = sum(w * np.outer(g, g) for w, g in zip(problem.w, problem.x))
@@ -119,8 +124,9 @@ class TestRlsInit:
 
     def test_single_row_is_singular(self):
         rng = np.random.default_rng(2)
-        records = simulate_measurements(np.eye(2) / 2, cube_povms(2)[0], 50, rng)[:1]
-        problem = build_regression(records, 2)
+        records = record_rows(simulate_measurements(np.eye(2) / 2, cube_povms(2)[0], 50, rng),
+                              slice(1))
+        problem = build_regression(records)
         with pytest.raises(SingularDesignError):
             solve_weighted_ls(problem)
 
@@ -128,8 +134,8 @@ class TestRlsInit:
         # cube rows weighted 1, 1e8 and 1e16 per Bloch axis: cond(sqrt(W) X) = 1e8,
         # while X^T W X has condition number 1e16, past what inverting it can resolve
         rho = np.eye(2) / 2
-        records = Records.concat(expected_records(rho, povm, 100) for povm in cube_povms(2))
-        x = build_regression(records, 2).x
+        records = concat_records(expected_records(rho, povm, 100) for povm in cube_povms(2))
+        x = build_regression(records).x
         w = np.array([1.0, 1e8, 1e16])[np.argmax(np.abs(x), axis=1)]
         theta, cond, q = solve_weighted_ls(RegressionProblem(y=np.zeros(len(x)), x=x, w=w))
         assert cond == pytest.approx(1e8, rel=1e-12)
@@ -213,33 +219,34 @@ class TestSelectNextPovm:
     def test_single_candidate(self):
         state = RecursiveState(q=np.eye(3), theta=np.zeros(3))
         povm = cube_povms(2)[1]
-        assert select_next_povm(state, [povm], 100) is povm
+        assert same_basis(select_next_povm(state, Povm(povm.elements[None]), 100), povm)
 
     def test_starved_axis_is_selected(self):
         # after many sigma_z measurements the x basis carries more gain
         rng = np.random.default_rng(7)
         rho = random_density_matrix(2, rng)
         x_basis, y_basis, z_basis = cube_povms(2)
-        records = Records.concat([
+        records = concat_records([
             simulate_measurements(rho, z_basis, 1000, rng),
             simulate_measurements(rho, x_basis, 10, rng),
             simulate_measurements(rho, y_basis, 10, rng),
         ])
-        problem = build_regression(records, 2)
+        problem = build_regression(records)
         state = batch_state(problem)
-        assert same_basis(select_next_povm(state, [x_basis, z_basis], 100), x_basis)
+        candidates = Povm(np.stack([x_basis.elements, z_basis.elements]))
+        assert same_basis(select_next_povm(state, candidates, 100), x_basis)
 
     def test_unique_argmax_is_permutation_invariant(self):
         state = RecursiveState(q=np.diag([1.0, 0.5, 0.2]), theta=np.zeros(3))
-        candidates = cube_povms(2)
+        candidates = cube_povm(2)
         chosen = select_next_povm(state, candidates, 100)
-        reversed_choice = select_next_povm(state, candidates[::-1], 100)
+        reversed_choice = select_next_povm(state, Povm(candidates.elements[::-1]), 100)
         assert same_basis(chosen, X_BASIS) and same_basis(reversed_choice, X_BASIS)
 
     def test_empty_candidates(self):
         state = RecursiveState(q=np.eye(3), theta=np.zeros(3))
         with pytest.raises(ValueError):
-            select_next_povm(state, [], 100)
+            select_next_povm(state, Povm(np.empty((0, 2, 2, 2), complex)), 100)
 
 
 class TestOptimalQubitBasis:
@@ -324,29 +331,29 @@ class TestContinuumBasis:
         for t in range(20):
             rng = np.random.default_rng([15, t])
             truth = pure_to_density(random_pure_state(2, rng))
-            problem = build_regression(cube_records(truth, 2000, rng), 2, weighting)
+            problem = build_regression(cube_records(truth, 2000, rng), weighting)
             state = batch_state(problem)
             for _ in range(4):
                 povm = continuum_qubit_basis(state, 1000, weighting)
                 assert same_basis(povm, reference_basis(state, 1000))
                 recs = simulate_measurements(truth, povm, 1000, rng)
-                state = rls_update(state, build_regression(recs, 2, weighting))
+                state = rls_update(state, build_regression(recs, weighting))
 
     def test_invvar_leaves_cube_frame_for_oblique_states(self):
         rng = np.random.default_rng(11)
         truth = pure_to_density(
             (np.array([1.0, 0.0]) + np.array([0.6, 0.8])) / np.linalg.norm([1.6, 0.8])
         )
-        records = Records.concat(simulate_measurements(truth, povm, 2000, rng)
+        records = concat_records(simulate_measurements(truth, povm, 2000, rng)
                                  for povm in cube_povms(2))
-        problem = build_regression(records, 2, "invvar")
+        problem = build_regression(records, "invvar")
         state = batch_state(problem)
         chosen = []
         for _ in range(4):
             povm = continuum_qubit_basis(state, 1000, "invvar")
             chosen.append(povm)
             recs = simulate_measurements(truth, povm, 1000, rng)
-            state = rls_update(state, build_regression(recs, 2, "invvar"))
+            state = rls_update(state, build_regression(recs, "invvar"))
         assert any(not any(same_basis(p, c) for c in cube_povms(2)) for p in chosen)
 
 
@@ -361,19 +368,19 @@ class TestProtocol:
     def test_degenerate_schedule_equals_batch_pipeline(self):
         truth = pure_to_density(random_pure_state(2, np.random.default_rng(12)))
         schedule = AdaptiveSchedule(total=3000, stage1=3000, per_step=1, steps=0)
-        rho_hat, diag = run_adaptive_protocol(truth, schedule, cube_povms(2), 99)
+        rho_hat, diag = run_adaptive_protocol(truth, schedule, cube_povm(2), 99)
         rng = np.random.default_rng(99)
-        records = Records.concat(simulate_measurements(truth, povm, n, rng)
+        records = concat_records(simulate_measurements(truth, povm, n, rng)
                                  for povm, n in zip(cube_povms(2), split_evenly(3000, 3)))
-        rho_ref, _, _ = tomography_pipeline(records, 2, "invvar")
+        rho_ref, _, _ = tomography_pipeline(records, "invvar")
         assert np.linalg.norm(rho_hat - rho_ref) <= 1e-12
         assert len(diag) == 1
 
-    @pytest.mark.parametrize("candidates", ["cube-list", "continuum"])
+    @pytest.mark.parametrize("candidates", ["cube-stack", "continuum"])
     def test_trace_q_non_increasing_and_copies_counted(self, candidates):
         truth = random_density_matrix(2, np.random.default_rng(13))
         schedule = AdaptiveSchedule(total=4000, stage1=2000, per_step=500, steps=4)
-        cands = cube_povms(2) if candidates == "cube-list" else "continuum"
+        cands = cube_povm(2) if candidates == "cube-stack" else "continuum"
         _, diag = run_adaptive_protocol(truth, schedule, cands, 5)
         traces = [entry["trace_q"] for entry in diag]
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
@@ -384,7 +391,7 @@ class TestProtocol:
         truth = np.eye(2) / 2
         schedule = AdaptiveSchedule(total=2000, stage1=1000, per_step=500, steps=2)
         with pytest.raises(ValueError):
-            run_adaptive_protocol(truth, schedule, [], 1)
+            run_adaptive_protocol(truth, schedule, Povm(np.empty((0, 2, 2, 2), complex)), 1)
 
 
 def member_truths(d, count, seed):
@@ -417,7 +424,7 @@ class TestStackedProtocol:
         rngs = [np.random.default_rng(s) for s in seeds]
         rho, diag = run_adaptive_protocol(truth, schedule, candidates, rngs, weighting)
         assert rho.shape == (members, d, d)
-        oracle_candidates = "continuum" if candidates == "continuum" else cube_povms(d)
+        oracle_candidates = "continuum" if candidates == "continuum" else cube_povm(d)
         for m in range(members):
             ref_rng = np.random.default_rng(seeds[m])
             ref_rho, ref_diag = adaptive_protocol_loop(
@@ -442,11 +449,11 @@ class TestStackedProtocol:
             assert np.ndim(entry["mse"]) == 0 and entry["mse"] == ref["mse"][0]
             assert np.ndim(entry["trace_q"]) == 0 and entry["trace_q"] == ref["trace_q"][0]
 
-    def test_cube_mode_equals_the_cube_list(self):
+    def test_cube_mode_equals_the_cube_stack(self):
         truth = member_truths(2, 1, seed=4)[0]
         schedule = self.SCHEDULES[2]
         a, _ = run_adaptive_protocol(truth, schedule, "cube", 5)
-        b, _ = run_adaptive_protocol(truth, schedule, cube_povms(2), 5)
+        b, _ = run_adaptive_protocol(truth, schedule, Povm(cube_povm(2).elements.copy()), 5)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("candidates", ["grid", "continuum"])
@@ -459,31 +466,38 @@ class TestStackedProtocol:
 class TestStackedSelection:
     """Each member of a stacked state chooses what the one-state reference chooses."""
 
-    def stacked_state(self, members, seed, weighting):
+    def stacked_state(self, members, seed, weighting, d=2):
         rng = np.random.default_rng(seed)
         qs, thetas = [], []
         for _ in range(members):
-            problem = build_regression(cube_records(member_truths(2, 1, rng)[0], 600, rng),
-                                       2, weighting)
+            problem = build_regression(cube_records(member_truths(d, 1, rng)[0], 300 * d, rng),
+                                       weighting)
             theta, _, q = solve_weighted_ls(problem)
             qs.append(q)
             thetas.append(theta)
         return np.stack(qs), np.stack(thetas)
 
+    @staticmethod
+    def state(q, theta, members):
+        # members=None: member 0 as one unstacked state
+        return (RecursiveState(q=q[0], theta=theta[0]) if members is None
+                else RecursiveState(q=q, theta=theta))
+
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
-    def test_continuum_with_a_member_at_the_centre(self, weighting):
+    @pytest.mark.parametrize("members", [None, 7], ids=["one-state", "R7"])
+    def test_continuum_with_a_member_at_the_centre(self, weighting, members):
         # member 0 sits at theta = 0, so its Bloch candidate is masked out of the
         # stacked scores; the reference drops that candidate from its list
-        q, theta = self.stacked_state(6, 21, weighting)
+        q, theta = self.stacked_state(members or 1, 21, weighting)
         theta[0] = 0.0
-        stacked = continuum_qubit_basis(RecursiveState(q=q, theta=theta), 500, weighting)
-        assert stacked.elements.shape == (6, 2, 2, 2)
-        for m in range(6):
+        chosen = continuum_qubit_basis(self.state(q, theta, members), 500, weighting)
+        assert chosen.elements.shape == (members,) * bool(members) + (2, 2, 2)
+        for m in range(members or 1):
             ref = continuum_qubit_basis_loop(RecursiveState(q=q[m], theta=theta[m]), 500,
                                              weighting)
-            assert stacked.elements[m].tobytes() == ref.elements.tobytes()
-            assert np.array_equal(stacked.gamma[m], ref.gamma)
-            assert np.array_equal(stacked.gamma0[m], ref.gamma0)
+            assert same_bits(chosen.elements.reshape(-1, 2, 2, 2)[m], ref.elements)
+            assert same_bits(chosen.gamma.reshape(-1, 2, 3)[m], ref.gamma)
+            assert same_bits(chosen.gamma0.reshape(-1, 2)[m], ref.gamma0)
 
     def test_centre_member_never_measures_along_a_bloch_direction_of_zero(self):
         q, theta = self.stacked_state(3, 22, "invvar")
@@ -492,15 +506,25 @@ class TestStackedSelection:
         assert np.isfinite(stacked.gamma).all()
 
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
-    def test_finite_candidates(self, weighting):
-        q, theta = self.stacked_state(8, 23, weighting)
-        candidates = cube_povms(2)
-        stacked = select_next_povm(RecursiveState(q=q, theta=theta), candidates, 500, weighting)
-        for m in range(8):
-            ref = select_next_povm_loop(RecursiveState(q=q[m], theta=theta[m]), candidates, 500,
-                                        weighting)
-            assert stacked.elements[m].tobytes() == ref.elements.tobytes()
-            assert np.array_equal(stacked.gamma[m], ref.gamma)
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("members", [None, 7], ids=["one-state", "R7"])
+    def test_cube_candidates_equal_the_per_candidate_loop(self, weighting, d, members):
+        # one scoring pass over the stacked bases against one score per one-basis POVM: the
+        # gains, the chosen elements and their gamma rows, bit for bit
+        q, theta = self.stacked_state(members or 1, [23, d], weighting, d)
+        state = self.state(q, theta, members)
+        candidates = cube_povm(d)
+        gamma = candidates.gamma.reshape((1,) * bool(members) + candidates.gamma.shape)
+        gains = _basis_gains(state, candidates.gamma0, gamma, 500, weighting)
+        chosen = select_next_povm(state, candidates, 500, weighting)
+        assert chosen.elements.shape == (members,) * bool(members) + (d, d, d)
+        for m in range(members or 1):
+            ref, ref_gains = select_next_povm_loop(RecursiveState(q=q[m], theta=theta[m]),
+                                                   candidates, 500, weighting)
+            assert same_bits(gains.reshape(-1, 3 ** (d.bit_length() - 1))[m], ref_gains)
+            assert same_bits(chosen.elements.reshape(-1, d, d, d)[m], ref.elements)
+            assert same_bits(chosen.gamma.reshape(-1, d, d * d - 1)[m], ref.gamma)
+            assert same_bits(chosen.gamma0.reshape(-1, d)[m], ref.gamma0)
 
 
 class TestDirectionScoring:
@@ -568,7 +592,7 @@ class TestBatchedDiagnostics:
         assert len(diag) == steps + 1
         for m in range(members or 1):
             ref_rho, ref_diag = adaptive_protocol_loop(
-                truths[m], schedule, "continuum" if candidates == "continuum" else cube_povms(2),
+                truths[m], schedule, "continuum" if candidates == "continuum" else cube_povm(2),
                 np.random.default_rng(seeds[m]), weighting)
             assert rho.reshape(-1, 2, 2)[m].tobytes() == ref_rho.tobytes()
             for entry, ref in zip(diag, ref_diag, strict=True):

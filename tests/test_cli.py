@@ -20,14 +20,18 @@ import qest
 from qest.cli import build_parser, main
 from qest.linalg import matrix_from_json, matrix_to_json
 from qest.states import (
-    Records,
-    cube_povms,
     mse,
     pure_to_density,
     random_pure_state,
 )
 from qest.tomography import tomography_pipeline
-from tests.oracles import cube_labels, records_to_csv, simulate_measurements
+from tests.oracles import (
+    concat_records,
+    cube_labels,
+    cube_povms,
+    records_to_csv,
+    simulate_measurements,
+)
 
 
 def make_records_csv(path, seed=0, shots=4000):
@@ -36,7 +40,7 @@ def make_records_csv(path, seed=0, shots=4000):
     runs = [(label, simulate_measurements(truth, povm, shots, rng))
             for label, povm in zip(cube_labels(2), cube_povms(2))]
     records_to_csv(runs, path)
-    return truth, Records.concat(records for _, records in runs)
+    return truth, concat_records(records for _, records in runs)
 
 
 class TestTomoCommand:
@@ -48,7 +52,7 @@ class TestTomoCommand:
                      "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         rho_cli = matrix_from_json(payload["state"])
-        rho_lib, _, _ = tomography_pipeline(records, 2)
+        rho_lib, _, _ = tomography_pipeline(records)
         assert np.linalg.norm(rho_cli - rho_lib) <= 1e-12
         assert mse(rho_cli, truth) < 0.05
 

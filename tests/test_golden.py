@@ -13,8 +13,8 @@ import pytest
 
 from qest.cli import main
 from qest.linalg import matrix_to_json
-from qest.states import cube_povms, random_density_matrix
-from tests.oracles import cube_labels, records_to_csv, simulate_measurements
+from qest.states import random_density_matrix
+from tests.oracles import cube_labels, cube_povms, records_to_csv, simulate_measurements
 
 
 def write_inputs(tmp_path) -> dict:
@@ -83,7 +83,8 @@ GOLDEN = {
     "compare/compare_tomography.csv": "8332007d4b97c69c2769f20598f93ee59a66049887051c7959a7075ceb94de80",
     "compare/compare_tomography.manifest.json": "e9f9ea336d0cd2a23f3c2bbbb64855b84314bf14a3a45e53e3e7117d823ed5f6",
     # recorded once `compare` accepted --candidates cube; its rows equal
-    # run_paired_tomography with candidates=cube_povms(4) before the stacked protocol
+    # run_paired_tomography with the d = 4 cube POVMs as a candidate list, before the
+    # stacked protocol
     "compare-cube/compare_tomography.csv": "1db3ddad09535bc410b5d4620dcfefef536e5d78c553940fb075da71b90bccce",
     "compare-cube/compare_tomography.manifest.json": "e800d3516e6d365f7faa019e36e5c6f7e85e7979752396902222b5d0261d698b",
 }

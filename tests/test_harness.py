@@ -125,13 +125,13 @@ class TestStackedStaticArm:
     @pytest.mark.parametrize("candidates", ["continuum", "cube"])
     def test_paired_rows_equal_the_per_repetition_loop(self, candidates):
         from qest.harness import _sample_truth
-        from qest.states import cube_povms
+        from qest.states import cube_povm
         from tests.oracles import adaptive_protocol_loop, static_cube_mse_loop
 
         schedule = AdaptiveSchedule(total=2000, stage1=1000, per_step=500, steps=2)
         result = run_paired_tomography(2, schedule, trials=2, seed=9, candidates=candidates,
                                        repetitions=3)
-        oracle_candidates = "continuum" if candidates == "continuum" else cube_povms(2)
+        oracle_candidates = "continuum" if candidates == "continuum" else cube_povm(2)
         for t, row in enumerate(result.rows):
             truth = _sample_truth(2, trial_rng(9, t, 0), "pure")
             adaptive = [adaptive_protocol_loop(truth, schedule, oracle_candidates,

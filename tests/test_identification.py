@@ -39,7 +39,7 @@ def per_probe_lambda(kraus, d, shots, seed):
     probes = natural_probes(d)
     rng = np.random.default_rng(seed)
     lam_probe = np.stack([
-        tomography_pipeline(cube_records(apply_channel(kraus, probe), shots, rng), d)[0].ravel()
+        tomography_pipeline(cube_records(apply_channel(kraus, probe), shots, rng))[0].ravel()
         for probe in probes
     ])
     return np.linalg.solve(probes.reshape(d * d, d * d), lam_probe)
@@ -245,7 +245,7 @@ class TestEstimateLambda:
         assert str(ours.value) == str(oracle.value)
 
     def test_sampled_draws_and_decomposes_all_probes_at_once(self, monkeypatch):
-        calls = {"multinomial": 0, "eigh": 0, "svd": 0, "cube_table": 0}
+        calls = {"multinomial": 0, "eigh": 0, "svd": 0}
 
         class CountingGenerator(np.random.Generator):
             def multinomial(self, *args, **kwargs):
@@ -264,19 +264,16 @@ class TestEstimateLambda:
             calls["svd"] += 1
             return svd(a, *args, **kwargs)
 
-        def counting_cube_table(d):
-            # the Gell-Mann gamma rows of the cube elements
-            calls["cube_table"] += 1
-            return cube_table(d)
-
-        cube_table = states._cube_table
+        # an uncached cube POVM, to see whether its Gell-Mann gamma rows get computed
+        cube = states.cube_povm.__wrapped__(4)
         kraus = [herm_expm(random_traceless_hermitian(4, np.random.default_rng(4), 1.0), 0.5)]
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(states, "_cube_table", counting_cube_table)
+        monkeypatch.setattr(states, "cube_povm", lambda d: cube)
         lam = estimate_lambda(kraus, 4, mode="sampled", shots_per_output=500,
                               seed=CountingGenerator(np.random.PCG64(4)))
-        assert calls == {"multinomial": 1, "eigh": 1, "svd": 0, "cube_table": 0}
+        assert calls == {"multinomial": 1, "eigh": 1, "svd": 0}
+        assert "gamma" not in vars(cube) and "gamma0" not in vars(cube)
         assert np.array_equal(lam, estimate_lambda(kraus, 4, mode="sampled", shots_per_output=500,
                                                    seed=np.random.default_rng(4)))
 

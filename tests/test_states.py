@@ -16,7 +16,7 @@ from qest.states import (
     born_probabilities,
     cube_draws,
     cube_pauli_tables,
-    cube_povms,
+    cube_povm,
     cube_records,
     mse,
     pure_to_density,
@@ -30,11 +30,14 @@ from qest.states import (
 )
 from tests.oracles import (
     check_density_matrix,
+    concat_records,
     cube_labels,
+    cube_povms,
     einsum_cube_table,
     expected_records,
     kron_cube_elements,
     pauli_strings,
+    record_rows,
     records_to_csv,
     same_bits,
     simulate_measurements,
@@ -165,11 +168,11 @@ class TestRecords:
     def test_slicing_and_concatenation_keep_rows(self):
         a = simulate_measurements(np.eye(2) / 2, z_basis(), 100, 1)
         b = expected_records(np.eye(2) / 2, cube_povms(2)[0], 50)
-        both = Records.concat([a, b])
+        both = concat_records([a, b])
         assert len(both) == 4 and both.gamma.shape == (4, 3)
-        assert both[2:].gamma.tobytes() == cube_povms(2)[0].gamma.tobytes()
-        assert np.array_equal(both[:2].successes, a.successes)
-        assert np.array_equal(both[2:].p_hat, b.p_hat)
+        assert record_rows(both, slice(2, None)).gamma.tobytes() == b.gamma.tobytes()
+        assert np.array_equal(record_rows(both, slice(2)).successes, a.successes)
+        assert np.array_equal(record_rows(both, slice(2, None)).p_hat, b.p_hat)
 
     @pytest.mark.parametrize("successes", [np.nan, np.inf, -5.0, 100.5])
     def test_rejects_counts_outside_shots(self, successes):
@@ -200,10 +203,10 @@ class TestRecords:
     def test_stacked_slicing_and_concatenation_select_rows(self):
         counts = [[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]]
         stacked = Records.of_povm(bloch_basis_povm(np.eye(3)), 10, counts)
-        first, second = stacked[:1], stacked[1:]
+        first, second = record_rows(stacked, slice(1)), record_rows(stacked, slice(1, None))
         assert first.successes.shape == (3, 1) and first.gamma.shape == (3, 1, 3)
         assert np.array_equal(second.successes, [[9.0], [8.0], [7.0]])
-        rejoined = Records.concat([first, second])
+        rejoined = concat_records([first, second])
         for field in fields(Records):
             assert np.array_equal(getattr(rejoined, field.name), getattr(stacked, field.name))
 
@@ -232,45 +235,48 @@ class TestCubePovms:
                 assert np.allclose(sorted(evals), [0.0, 1.0], atol=1e-12)
 
     def test_two_qubit_cube(self):
-        povms = cube_povms(4)
-        assert len(povms) == 9
-        for povm in povms:
+        stacked = cube_povm(4)
+        assert stacked.elements.shape == (9, 4, 4, 4) and len(stacked) == 4
+        for povm in cube_povms(4):
             assert len(povm) == 4
             validate_povm(povm)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            cube_povms(3)
+            cube_povm(3)
 
     @pytest.mark.parametrize("d", [6, 1, 0, -3, -4])
     def test_rejects_other_dimensions_without_warning(self, d):
         # an integer check: no log2 of zero or of a negative number
         with pytest.raises(ValueError, match="power-of-two"):
-            cube_povms(d)
+            cube_povm(d)
 
     def test_counts_qubits(self):
         assert [states._qubits(2**q) for q in range(1, 12)] == list(range(1, 12))
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_elements_equal_nested_kron_bit_for_bit(self, d):
-        elements = states._cube_elements(d)
+        elements = cube_povm(d).elements
         assert same_bits(elements.view(float), kron_cube_elements(d).view(float))
         assert not elements.flags.writeable
-        assert all(np.shares_memory(povm.elements, elements) for povm in cube_povms(d))
+        assert cube_povm(d) is cube_povm(d)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_table_equals_all_bases_einsum_bit_for_bit(self, d):
-        table = states._cube_table(d)
+        povm = cube_povm(d)
         gamma0, gamma = einsum_cube_table(d)
-        assert same_bits(table.gamma0, gamma0)
-        assert same_bits(table.gamma, gamma)
-        assert np.array_equal(table.shots, np.ones(len(cube_povms(d)) * d))
+        assert same_bits(povm.gamma0.reshape(-1), gamma0)
+        assert same_bits(povm.gamma.reshape(-1, d * d - 1), gamma)
+        # read-only strided views of the complex contraction, one row per (basis, outcome)
+        assert povm.gamma.shape == (3 ** (d.bit_length() - 1), d, d * d - 1)
+        assert povm.gamma.strides[-1] == np.dtype(complex).itemsize
+        assert not povm.gamma.flags.writeable and not povm.gamma0.flags.writeable
 
 
 def per_basis_cube_records(rho, total, rng):
     """Reference: one simulate_measurements run per cube basis that gets copies."""
     povms = cube_povms(rho.shape[0])
-    return Records.concat(simulate_measurements(rho, povm, n, rng)
+    return concat_records(simulate_measurements(rho, povm, n, rng)
                           for povm, n in zip(povms, split_evenly(total, len(povms))) if n > 0)
 
 
@@ -291,12 +297,13 @@ class TestCubeRecords:
         got, ref = cube_records(rho, 900, 3), per_basis_cube_records(rho, 900, np.random.default_rng(3))
         assert np.array_equal(got.successes, ref.successes)
 
-    def test_columns_are_the_cached_table_when_every_basis_is_measured(self):
-        a = cube_records(np.eye(4) / 4, 90, 1)
-        b = cube_records(random_density_matrix(4, np.random.default_rng(2)), 9, 2)
-        for name in ("gamma0", "gamma"):
-            assert getattr(a, name) is getattr(b, name)
-            assert not getattr(a, name).flags.writeable
+    def test_columns_share_the_cube_povm_rows_when_every_basis_is_measured(self):
+        povm = cube_povm(4)
+        for records in (cube_records(np.eye(4) / 4, 90, 1),
+                        cube_records(random_density_matrix(4, np.random.default_rng(2)), 9, 2)):
+            for name in ("gamma0", "gamma"):
+                assert np.shares_memory(getattr(records, name), getattr(povm, name))
+                assert not getattr(records, name).flags.writeable
 
     def test_rejects_no_copies(self):
         with pytest.raises(ValueError):
@@ -362,14 +369,14 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         records_to_csv(runs, path)
         loaded = records_from_csv(path, 2)
-        recs = Records.concat(records for _, records in runs)
+        recs = concat_records(records for _, records in runs)
         for field in fields(Records):
             assert np.array_equal(getattr(loaded, field.name), getattr(recs, field.name))
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_cube_labels_name_the_cube_povms(self, d):
         povms = [resolve_povm_label(label, d) for label in cube_labels(d)]
-        assert povms == list(cube_povms(d))
+        assert same_bits(np.stack([povm.elements for povm in povms]), cube_povm(d).elements)
 
     @pytest.mark.parametrize("label, same_as", [
         ("bloch:1e308,1e308,0", "bloch:1,1,0"), ("bloch:-1e308,0,1e308", "bloch:-1,0,1"),
@@ -409,8 +416,9 @@ class TestCubeDraws:
         draws_rng, records_rng = np.random.default_rng(total), np.random.default_rng(total)
         copies, draws = cube_draws(stack, total, draws_rng)
         records = cube_records(stack, total, records_rng)
-        assert draws.shape == (len(stack), len(cube_povms(d)), d)
-        assert np.array_equal(copies, split_evenly(total, len(cube_povms(d))))
+        bases = len(cube_povm(d).elements)
+        assert draws.shape == (len(stack), bases, d)
+        assert np.array_equal(copies, split_evenly(total, bases))
         measured = np.repeat(copies, d) > 0
         assert np.array_equal(records.shots, np.repeat(copies, d)[measured])
         assert np.array_equal(records.successes, draws.reshape(len(stack), -1)[:, measured])

@@ -6,9 +6,7 @@ import pytest
 
 from qest.errors import ContractViolationError, SingularDesignError
 from qest.states import (
-    Records,
     cube_draws,
-    cube_povms,
     cube_records,
     mse,
     pure_to_density,
@@ -26,9 +24,12 @@ from qest.tomography import (
     tomography_pipeline,
 )
 from tests.oracles import (
+    concat_records,
+    cube_povms,
     expected_records,
     pauli_strings,
     project_physical_loop,
+    record_rows,
     same_bits,
     simulate_measurements,
     theta_from_rho,
@@ -45,7 +46,7 @@ def haar_basis_povm(d, rng):
 
 
 def exact_records(rho, povms, shots):
-    return Records.concat(expected_records(rho, povm, shots) for povm in povms)
+    return concat_records(expected_records(rho, povm, shots) for povm in povms)
 
 
 def simplex_projection_oracle(eigvals):
@@ -91,7 +92,7 @@ class TestBuildRegression:
         rng = np.random.default_rng(0)
         rho = random_density_matrix(2, rng)
         theta = theta_from_rho(rho)
-        problem = build_regression(exact_records(rho, cube_povms(2), 1000), 2)
+        problem = build_regression(exact_records(rho, cube_povms(2), 1000))
         assert np.abs(problem.y - problem.x @ theta).max() <= 1e-12
 
     def test_noiseless_residual_random_basis_qutrit(self):
@@ -99,29 +100,29 @@ class TestBuildRegression:
         rho = random_density_matrix(3, rng)
         theta = theta_from_rho(rho)
         povms = [haar_basis_povm(3, rng) for _ in range(4)]
-        problem = build_regression(exact_records(rho, povms, 100), 3)
+        problem = build_regression(exact_records(rho, povms, 100))
         assert np.abs(problem.y - problem.x @ theta).max() <= 1e-12
 
     def test_maximally_mixed_rows_vanish(self):
-        problem = build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 100), 2)
+        problem = build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 100))
         assert np.abs(problem.y).max() <= 1e-12
 
     def test_row_count(self):
-        problem = build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 10), 2)
+        problem = build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 10))
         assert problem.x.shape == (6, 3)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            build_regression(exact_records(np.eye(2) / 2, cube_povms(2), 10)[:0], 2)
+            build_regression(record_rows(exact_records(np.eye(2) / 2, cube_povms(2), 10), slice(0)))
 
     def test_stacked_successes_give_stacked_responses(self):
         rng = np.random.default_rng(12)
         parts = [exact_records(random_density_matrix(2, rng), cube_povms(2), 10) for _ in range(3)]
         stacked = replace(parts[0], successes=np.stack([p.successes for p in parts]))
-        problem = build_regression(stacked, 2)
+        problem = build_regression(stacked)
         assert problem.y.shape == (3, 6) and problem.w.shape == (6,)
         for k, part in enumerate(parts):
-            own = build_regression(part, 2)
+            own = build_regression(part)
             assert np.array_equal(problem.y[k], own.y)
             assert np.array_equal(problem.w, own.w)
 
@@ -130,12 +131,12 @@ class TestBuildRegression:
         # each member weights its rows by its own frequencies
         rng = np.random.default_rng(d)
         stack = np.stack([random_density_matrix(d, rng) for _ in range(4)])
-        stacked = build_regression(cube_records(stack, 40 * d, np.random.default_rng(3)), d,
+        stacked = build_regression(cube_records(stack, 40 * d, np.random.default_rng(3)),
                                    "invvar")
         assert stacked.y.shape == stacked.w.shape == (4, len(stacked.x))
         ref_rng = np.random.default_rng(3)
         for k, rho in enumerate(stack):
-            own = build_regression(cube_records(rho, 40 * d, ref_rng), d, "invvar")
+            own = build_regression(cube_records(rho, 40 * d, ref_rng), "invvar")
             assert same_bits(stacked.y[k], own.y)
             assert same_bits(stacked.w[k], own.w)
             assert same_bits(stacked.x, own.x)
@@ -145,16 +146,16 @@ class TestSolveWeightedLs:
     def test_noiseless_cube_is_exact(self):
         rng = np.random.default_rng(2)
         rho = random_density_matrix(2, rng)
-        problem = build_regression(exact_records(rho, cube_povms(2), 1000), 2)
+        problem = build_regression(exact_records(rho, cube_povms(2), 1000))
         theta, _, _ = solve_weighted_ls(problem)
         assert np.abs(theta - theta_from_rho(rho)).max() <= 1e-10
 
     def test_row_duplication_invariance(self):
         rng = np.random.default_rng(3)
         rho = random_density_matrix(2, rng)
-        records = Records.concat(simulate_measurements(rho, povm, 300, rng) for povm in cube_povms(2))
-        problem = build_regression(records, 2)
-        doubled = build_regression(Records.concat([records, records]), 2)
+        records = concat_records(simulate_measurements(rho, povm, 300, rng) for povm in cube_povms(2))
+        problem = build_regression(records)
+        doubled = build_regression(concat_records([records, records]))
         assert np.allclose(solve_weighted_ls(problem)[0], solve_weighted_ls(doubled)[0], atol=1e-12)
 
     def test_matches_normal_equations_oracle(self):
@@ -174,8 +175,8 @@ class TestSolveWeightedLs:
     def test_singular_design_reports_null_dimension(self):
         rng = np.random.default_rng(5)
         rho = random_density_matrix(2, rng)
-        records = simulate_measurements(rho, cube_povms(2)[2], 100, rng)[:1]
-        problem = build_regression(records, 2)
+        records = record_rows(simulate_measurements(rho, cube_povms(2)[2], 100, rng), slice(1))
+        problem = build_regression(records)
         with pytest.raises(SingularDesignError) as err:
             solve_weighted_ls(problem)
         assert err.value.null_dim == 2
@@ -184,7 +185,7 @@ class TestSolveWeightedLs:
     def test_shared_design_members_equal_one_at_a_time(self, weighting):
         # members share the rows and the weights: one SVD solves them all
         rng = np.random.default_rng(12)
-        problems = [build_regression(exact_records(random_density_matrix(4, rng), cube_povms(4), 300), 4)
+        problems = [build_regression(exact_records(random_density_matrix(4, rng), cube_povms(4), 300))
                     for _ in range(5)]
         x = problems[0].x
         w = record_weight(np.full(len(x), 300), rng.uniform(0.01, 0.99, len(x)), weighting)
@@ -200,7 +201,7 @@ class TestSolveWeightedLs:
     def test_stacked_singular_design_raises_the_same_error(self):
         rng = np.random.default_rng(5)
         problem = build_regression(
-            simulate_measurements(random_density_matrix(2, rng), cube_povms(2)[2], 100, rng), 2)
+            simulate_measurements(random_density_matrix(2, rng), cube_povms(2)[2], 100, rng))
         stacked = RegressionProblem(np.stack([problem.y] * 3), problem.x, problem.w)
         with pytest.raises(SingularDesignError) as single:
             solve_weighted_ls(problem)
@@ -214,9 +215,9 @@ class TestSolveWeightedLs:
     def test_stacked_members_equal_one_at_a_time_bit_for_bit(self, weighting, shared_design):
         # each member has its own weights (and rows), as the stacked adaptive protocol's do
         rng = np.random.default_rng(13)
-        problems = [build_regression(Records.concat(
+        problems = [build_regression(concat_records(
             simulate_measurements(random_density_matrix(2, rng), povm, int(rng.integers(50, 500)),
-                                  rng) for povm in cube_povms(2)), 2, weighting)
+                                  rng) for povm in cube_povms(2)), weighting)
             for _ in range(6)]
         x = problems[0].x if shared_design else np.stack([p.x for p in problems])
         # responses in a non-contiguous layout solve as contiguous ones do
@@ -316,7 +317,7 @@ class TestPipeline:
         rng = np.random.default_rng(20)
         rho = random_density_matrix(2, rng)
         records = exact_records(rho, cube_povms(2), 500)
-        rho_hat, theta, diag = tomography_pipeline(records, 2)
+        rho_hat, theta, diag = tomography_pipeline(records)
         assert mse(rho_hat, rho) <= 1e-9
         assert diag["residual_norm"] <= 1e-9
         assert not diag["projection_changed"]
@@ -327,9 +328,9 @@ class TestPipeline:
         trials = 100
         for _ in range(trials):
             rho = pure_to_density(random_pure_state(2, rng))
-            records = Records.concat(simulate_measurements(rho, povm, 1000, rng)
+            records = concat_records(simulate_measurements(rho, povm, 1000, rng)
                                      for povm in cube_povms(2))
-            _, _, diag = tomography_pipeline(records, 2)
+            _, _, diag = tomography_pipeline(records)
             engaged += diag["projection_changed"]
         assert engaged > trials * 0.5
 
@@ -340,9 +341,9 @@ class TestPipeline:
             errs = []
             for t in range(20):
                 rho = random_density_matrix(2, np.random.default_rng([22, t]))
-                records = Records.concat(simulate_measurements(rho, povm, shots // 3 + 1, rng)
+                records = concat_records(simulate_measurements(rho, povm, shots // 3 + 1, rng)
                                          for povm in cube_povms(2))
-                rho_hat, _, _ = tomography_pipeline(records, 2)
+                rho_hat, _, _ = tomography_pipeline(records)
                 errs.append(mse(rho_hat, rho))
             means.append(np.mean(errs))
         assert means[1] < means[0]
@@ -356,7 +357,7 @@ class TestSolveCubePaulis:
         rng = np.random.default_rng(d + total)
         stack = np.stack([random_density_matrix(d, rng) for _ in range(3)])
         e = solve_cube_paulis(*cube_draws(stack, total, np.random.default_rng(1)))
-        problem = build_regression(cube_records(stack, total, np.random.default_rng(1)), d)
+        problem = build_regression(cube_records(stack, total, np.random.default_rng(1)))
         theta, cond, _ = solve_weighted_ls(problem)
         rho = rho_from_theta(theta)
         assert e.shape == (3, 4**q)
