@@ -18,10 +18,8 @@ from .adaptive import (
 from .control import (
     ControlField,
     SampleSet,
-    SlidingConfig,
     UncertainSystem,
     evaluate_pulse,
-    in_sliding_domain,
     periodic_measurement_demo,
     slc_test,
     slc_train,

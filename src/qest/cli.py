@@ -20,7 +20,6 @@ from . import harness
 from .adaptive import AdaptiveSchedule, run_adaptive_protocol
 from .control import (
     ControlField,
-    SlidingConfig,
     grid_samples,
     periodic_measurement_demo,
     random_samples,
@@ -39,14 +38,10 @@ from .states import PAULI_X, records_from_csv
 from .tomography import tomography_pipeline
 
 
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _cmd_tomo(args) -> int:
     records = records_from_csv(args.records, args.dim)
     rho, theta, diagnostics = tomography_pipeline(records, weighting=args.weights)
-    _write_json(args.out, {
+    harness.write_json(args.out, {
         "dim": args.dim,
         "state": matrix_to_json(rho),
         "theta": [float(v) for v in theta],
@@ -104,13 +99,11 @@ def _cmd_hamid(args) -> int:
     h_true = _load_hamiltonian(args)
     kraus = [herm_expm(h_true, args.time)]
     if args.shots == "noiseless":
-        lam = estimate_lambda(kraus, args.dim, mode="noiseless")
+        lam = estimate_lambda(kraus, args.dim, None)
     else:
-        lam = estimate_lambda(kraus, args.dim, mode="sampled",
-                              shots_per_output=int(args.shots),
-                              seed=harness.trial_rng(args.seed, 1))
+        lam = estimate_lambda(kraus, args.dim, int(args.shots), harness.trial_rng(args.seed, 1))
     h_hat, diagnostics = identify_hamiltonian(lam, args.time)
-    _write_json(args.out, {
+    harness.write_json(args.out, {
         "dim": args.dim,
         "time": args.time,
         "hamiltonian": matrix_to_json(h_hat),
@@ -204,15 +197,15 @@ def _cmd_slc(args) -> int:
     test_set = _samples_from_config(test_cfg, system)
     stats = slc_test(system, field, test_set, psi0, psi_target)
     harness.write_csv(out / "test.csv", ("omega", "theta", "fidelity"),
-                      [(p[0], p[1], f) for p, f in zip(stats["pairs"], stats["fidelities"])])
-    _write_json(out / "pulse.json", {
+                      [(p[0], p[1], f) for p, f in zip(test_set.pairs, stats["fidelities"])])
+    harness.write_json(out / "pulse.json", {
         "horizon": field.horizon,
         "amplitudes": [[float(a) for a in row] for row in field.amplitudes],
         "J_train": log[-1],
         "test_mean": stats["mean"],
         "test_min": stats["min"],
     })
-    _write_json(out / "manifest.json", {
+    harness.write_json(out / "manifest.json", {
         "config": cfg, "config_hash": harness.config_hash(cfg), "seed": args.seed,
     })
     return 0
@@ -235,8 +228,8 @@ def _samples_from_config(scheme, system):
 def _cmd_smc_demo(args) -> int:
     if not np.all(np.isfinite([args.eps, args.tau, args.eps * args.tau])):
         raise ConfigError("--eps, --tau and their product must be finite")
-    config = SlidingConfig(p0=args.p0, period=args.tau)
-    result = periodic_measurement_demo(args.eps * PAULI_X, config, args.periods, args.seed)
+    result = periodic_measurement_demo(args.eps * PAULI_X, args.p0, args.tau, args.periods,
+                                       args.seed)
     leak = float(np.sin(args.eps * args.tau) ** 2)
     summary = {
         "p0": args.p0, "eps": args.eps, "tau": args.tau, "periods": args.periods,
@@ -244,9 +237,11 @@ def _cmd_smc_demo(args) -> int:
         "out_of_domain_frequency": result["out_of_domain_frequency"],
     }
     if args.out:
+        # every period shares prob0 and in_domain, so their text is formatted once
+        prob0, in_domain = (harness.format_number(result[key]) for key in ("prob0", "in_domain"))
         harness.write_csv(args.out, ("period", "prob0", "outcome", "in_domain"),
-                          [(r["period"], r["prob0"], r["outcome"], int(r["in_domain"]))
-                           for r in result["rows"]])
+                          ((k, prob0, outcome, in_domain)
+                           for k, outcome in enumerate(result["outcomes"].tolist())))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

@@ -241,34 +241,11 @@ def slc_test(system, field: ControlField, samples: SampleSet, psi0, psi_target) 
         "mean": float(fids.mean()),
         "min": float(fids.min()),
         "fidelities": fids,
-        "pairs": samples.pairs,
     }
 
 
-@dataclass(frozen=True)
-class SlidingConfig:
-    """Sliding-mode domain parameter p0 and the measurement period."""
-
-    p0: float
-    period: float
-
-    def __post_init__(self):
-        if not 0 < self.p0 < 1:
-            raise ValueError("p0 must lie in (0, 1)")
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ValueError("measurement period must be positive and finite")
-
-
-def in_sliding_domain(psi: np.ndarray, config: SlidingConfig) -> bool:
-    """|<0|psi>|^2 >= 1 - p0, for two-level states."""
-    psi = np.asarray(psi, complex).ravel()
-    if psi.size != 2:
-        raise ValueError("the sliding-mode domain is defined for two-level systems")
-    return float(abs(psi[0]) ** 2) >= 1.0 - config.p0
-
-
-def periodic_measurement_demo(h_delta: np.ndarray, config: SlidingConfig,
-                              periods: int, seed) -> dict:
+def periodic_measurement_demo(h_delta: np.ndarray, p0: float, period: float, periods: int,
+                              seed) -> dict:
     """Repeated evolve-then-measure cycles of a perturbed two-level system.
 
     Starting from |0>, the state evolves under h_delta for one period,
@@ -278,7 +255,16 @@ def periodic_measurement_demo(h_delta: np.ndarray, config: SlidingConfig,
     sliding-mode scheme would apply), so periods are independent trials: the
     evolved state is the same in every period, and one draw per period
     decides its outcome.
+
+    The sliding domain of p0 in (0, 1) is |<0|psi>|^2 >= 1 - p0.  Returns the
+    evolved state's ``prob0`` (clamped to [0, 1]), whether it lies in the
+    domain (``in_domain``, from the unclamped |<0|psi>|^2), the per-period
+    ``outcomes`` (0 below prob0, else 1) and their ``out_of_domain_frequency``.
     """
+    if not 0 < p0 < 1:
+        raise ValueError("p0 must lie in (0, 1)")
+    if not (np.isfinite(period) and period > 0):
+        raise ValueError("measurement period must be positive and finite")
     if periods < 1:
         raise ValueError("periods must be at least 1")
     h_delta = np.asarray(h_delta, dtype=complex)
@@ -286,14 +272,9 @@ def periodic_measurement_demo(h_delta: np.ndarray, config: SlidingConfig,
         raise ValueError("the demo is two-level only")
     if not is_hermitian(h_delta, 1e-10):
         raise ContractViolationError("uncertainty Hamiltonian must be Hermitian")
-    psi = herm_expm(h_delta, config.period) @ np.array([1.0, 0.0], dtype=complex)
-    prob0 = float(min(max(abs(psi[0]) ** 2, 0.0), 1.0))
-    in_domain = in_sliding_domain(psi, config)
+    psi = herm_expm(h_delta, period) @ np.array([1.0, 0.0], dtype=complex)
+    survival = float(abs(psi[0]) ** 2)
+    prob0 = min(max(survival, 0.0), 1.0)
     outcomes = np.where(as_rng(seed).random(periods) < prob0, 0, 1)
-    rows = [{"period": k, "prob0": prob0, "outcome": int(outcome), "in_domain": in_domain}
-            for k, outcome in enumerate(outcomes)]
-    return {
-        "rows": rows,
-        "out_of_domain_frequency": int(outcomes.sum()) / periods,
-        "periods": periods,
-    }
+    return {"prob0": prob0, "in_domain": survival >= 1.0 - p0, "outcomes": outcomes,
+            "out_of_domain_frequency": int(outcomes.sum()) / periods}

@@ -204,6 +204,11 @@ def write_csv(path, columns, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_json(path, payload) -> None:
+    """Key-sorted JSON with two-space indents and a final newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def emit(result: SweepResult, out_dir, name: str = "result", fmt: str = "csv",
          config: dict | None = None, seed=None) -> dict:
     """Write a result table plus a manifest naming the config hash and seed.
@@ -224,7 +229,7 @@ def emit(result: SweepResult, out_dir, name: str = "result", fmt: str = "csv",
             "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in result.rows],
             "aggregates": result.aggregates,
         }
-        paths["data"].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_json(paths["data"], payload)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     manifest = {
@@ -235,5 +240,5 @@ def emit(result: SweepResult, out_dir, name: str = "result", fmt: str = "csv",
         "aggregates": result.aggregates,
     }
     paths["manifest"] = out_dir / f"{name}.manifest.json"
-    paths["manifest"].write_text(json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
+    write_json(paths["manifest"], manifest)
     return paths

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import nearest_unitary, unitary_log, vec_inv
-from .states import cube_draws, rho_from_paulis
+from .states import as_rng, cube_draws, rho_from_paulis
 from .tomography import project_physical, solve_cube_paulis
 
 
@@ -79,28 +79,25 @@ def apply_channel(kraus, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_lambda(kraus, d: int, mode: str = "noiseless", shots_per_output=None,
-                    seed=None) -> np.ndarray:
+def estimate_lambda(kraus, d: int, shots_per_output=None, seed=None) -> np.ndarray:
     """Transfer matrix Lambda with eps(unit_m) = sum_n Lambda[m, n] unit_n.
 
     The units are the matrix units |a><b|, m = (a, b) row-major, as rows of
-    ``np.eye(d^2)``.  ``noiseless`` applies the channel to them directly.  ``sampled``
-    runs all d^2 physical probes as one stack: one channel application, one
-    :func:`cube_draws` call that scores every (probe, basis, outcome) by one
-    Born-rule matrix product and draws all of them by one multinomial call (in
-    probe order, each output measured on the cube bases with
-    ``shots_per_output`` copies), the closed-form shot-weighted solve in Pauli
-    coordinates (:func:`solve_cube_paulis`), one reconstruction by butterfly
-    stages and one batched physical projection.  The probe expansion goes
-    back to the units through the exact linear map.
+    ``np.eye(d^2)``.  With ``shots_per_output`` None (noiseless) the channel
+    acts on them directly.  Otherwise all d^2 physical probes run as one
+    stack: one channel application, one :func:`cube_draws` call that scores
+    every (probe, basis, outcome) by one Born-rule matrix product and draws
+    all of them by one multinomial call (in probe order, each output measured
+    on the cube bases with ``shots_per_output`` copies), the closed-form
+    shot-weighted solve in Pauli coordinates (:func:`solve_cube_paulis`), one
+    reconstruction by butterfly stages and one batched physical projection.
+    The probe expansion goes back to the units through the exact linear map.
     """
     d2 = d * d
-    if mode == "noiseless":
+    if shots_per_output is None:
         return apply_channel(kraus, np.eye(d2, dtype=complex).reshape(d2, d, d)).reshape(d2, d2)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if not shots_per_output or shots_per_output < 1:
-        raise ValueError("sampled mode needs shots_per_output >= 1")
+    if shots_per_output < 1:
+        raise ValueError("shots_per_output must be None (noiseless) or at least 1")
     probes = natural_probes(d)
     copies, draws = cube_draws(apply_channel(kraus, probes), int(shots_per_output), seed)
     rho = project_physical(rho_from_paulis(solve_cube_paulis(copies, draws)))
@@ -161,6 +158,7 @@ def identify_hamiltonian(lam: np.ndarray, t: float):
 
 def random_traceless_hermitian(d: int, rng, spectral_norm: float = 1.0) -> np.ndarray:
     """Random traceless Hermitian matrix scaled to the requested spectral norm."""
+    rng = as_rng(rng)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (g + g.conj().T) / 2
     h -= (np.trace(h) / d) * np.eye(d)

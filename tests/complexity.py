@@ -34,7 +34,7 @@ def complexity_probe(task: str, d_values, repetitions: int = 3, seed: int = 0):
             t_evolve = 0.5
             h = random_traceless_hermitian(d, rng, spectral_norm=0.3 * np.pi / t_evolve)
             kraus = [herm_expm(h, t_evolve)]
-            lam = estimate_lambda(kraus, d, mode="noiseless")
+            lam = estimate_lambda(kraus, d)
             best = min(_timed(identify_hamiltonian, lam, t_evolve) for _ in range(repetitions))
         else:
             raise ValueError(f"unknown task {task!r}")

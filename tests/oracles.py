@@ -162,7 +162,7 @@ def project_physical_loop(rho_tilde: np.ndarray) -> np.ndarray:
 def regression_lambda(kraus, d: int, shots: int, seed) -> np.ndarray:
     """Reference sampled transfer matrix by the general regression over the Gell-Mann design.
 
-    The same probes and draws as ``qest.estimate_lambda(mode="sampled")``,
+    The same probes and draws as sampled ``qest.estimate_lambda``,
     taken as records and solved by the thin-SVD weighted least squares:
     records -> build_regression -> solve_weighted_ls -> rho_from_theta ->
     project_physical -> the probe expansion back to the units.

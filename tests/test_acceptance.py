@@ -13,7 +13,6 @@ from qest.adaptive import AdaptiveSchedule, RecursiveState, rls_update
 from qest.control import (
     ControlField,
     SampleSet,
-    SlidingConfig,
     UncertainSystem,
     evaluate_pulse,
     periodic_measurement_demo,
@@ -248,8 +247,7 @@ def test_criterion_10_smc_demo_statistics():
     p0, eps, tau, periods = 0.1, 0.1, 3.0, 10000
     predicted = float(np.sin(eps * tau) ** 2)
     assert predicted <= p0  # scenario chosen so the domain bound applies
-    result = periodic_measurement_demo(eps * PAULI_X, SlidingConfig(p0, tau),
-                                       periods, seed=110)
+    result = periodic_measurement_demo(eps * PAULI_X, p0, tau, periods, seed=110)
     freq = result["out_of_domain_frequency"]
     sigma = np.sqrt(predicted * (1 - predicted) / periods)
     assert abs(freq - predicted) <= 3 * sigma

@@ -274,6 +274,10 @@ class TestSmcDemoCommand:
     ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "inf", "--periods", "3"],
     ["smc-demo", "--p0", "0.1", "--eps", "nan", "--tau", "3.0", "--periods", "3"],
     ["smc-demo", "--p0", "0.1", "--eps", "1e200", "--tau", "1e200", "--periods", "3"],
+    ["smc-demo", "--p0", "0", "--eps", "0.1", "--tau", "3.0", "--periods", "3"],
+    ["smc-demo", "--p0", "1", "--eps", "0.1", "--tau", "3.0", "--periods", "3"],
+    ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "0", "--periods", "3"],
+    ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "-1", "--periods", "3"],
     ["adapt", "--N", "2000", "--N1", "1000", "--K", "2", "--trials", "0"],
     ["hamid", "--dim", "2", "--time", "0.5", "--shots", str(10**22)],
     ["sweep", "--dim", "2", "--shots", str(10**23), "--trials", "1"],
@@ -284,7 +288,8 @@ class TestSmcDemoCommand:
         ["sweep", "--shots", "100,1000"], ["adapt", "--N", "2000", "--N1", "1000", "--K", "2"],
         ["compare", "--kind", "tomography", "--candidates", "cube"])),
 ], ids=["hamid-time-0", "hamid-dim-0", "hamid-dim-1", "smc-periods-0", "smc-periods-neg",
-        "smc-tau-inf", "smc-eps-nan", "smc-eps-tau-overflow", "adapt-trials-0",
+        "smc-tau-inf", "smc-eps-nan", "smc-eps-tau-overflow", "smc-p0-0",
+        "smc-p0-1", "smc-tau-0", "smc-tau-neg", "adapt-trials-0",
         "hamid-shots-beyond-int64", "sweep-shots-beyond-int64", "adapt-N1-beyond-int64",
         "sweep-shots-repeated", "sweep-shots-repeated-apart",
         *(f"{command}-dim-{dim}" for dim in ("0", "neg")

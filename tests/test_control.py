@@ -2,6 +2,7 @@ import re
 import sys
 import tempfile
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,12 +17,10 @@ import tests.oracles
 from qest.control import (
     ControlField,
     SampleSet,
-    SlidingConfig,
     UncertainSystem,
     corner_center_samples,
     evaluate_pulse,
     grid_samples,
-    in_sliding_domain,
     periodic_measurement_demo,
     random_samples,
     slc_test,
@@ -484,63 +483,80 @@ class TestSlcTest:
 
 
 class TestSlidingDomain:
+    """The domain |<0|psi>|^2 >= 1 - p0 of the state evolved from |0> for one period."""
+
     def test_examples(self):
-        config = SlidingConfig(p0=0.1, period=1.0)
-        assert in_sliding_domain(KET0, config)
-        assert not in_sliding_domain(KET1, config)
-        psi = np.array([np.sqrt(0.95), np.sqrt(0.05)], dtype=complex)
-        assert in_sliding_domain(psi, config)
+        # |0> stays put, pi/2 of sigma_x carries it to |1>, and a small rotation keeps 0.95
+        assert periodic_measurement_demo(ZERO2, 0.1, 1.0, 1, 0)["in_domain"] is True
+        assert periodic_measurement_demo(np.pi / 2 * PAULI_X, 0.1, 1.0, 1, 0)["in_domain"] is False
+        angle = np.arccos(np.sqrt(0.95))
+        result = periodic_measurement_demo(angle * PAULI_X, 0.1, 1.0, 1, 0)
+        assert result["prob0"] == pytest.approx(0.95, abs=1e-12)
+        assert result["in_domain"] is True
 
     def test_non_qubit_rejected(self):
-        with pytest.raises(ValueError):
-            in_sliding_domain(np.ones(3) / np.sqrt(3), SlidingConfig(0.1, 1.0))
+        with pytest.raises(ValueError, match="two-level only"):
+            periodic_measurement_demo(np.zeros((3, 3)), 0.1, 1.0, 10, 0)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SlidingConfig(p0=0.0, period=1.0)
-        with pytest.raises(ValueError):
-            SlidingConfig(p0=0.5, period=0.0)
+    @pytest.mark.parametrize("p0", [0.0, 1.0, -0.5, float("nan")])
+    def test_p0_outside_the_open_unit_interval_rejected(self, p0):
+        with pytest.raises(ValueError, match=re.escape("p0 must lie in (0, 1)")):
+            periodic_measurement_demo(ZERO2, p0, 1.0, 10, 0)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("inf"), float("nan")])
+    def test_period_not_positive_and_finite_rejected(self, period):
+        with pytest.raises(ValueError, match="measurement period must be positive and finite"):
+            periodic_measurement_demo(ZERO2, 0.5, period, 10, 0)
 
 
 class TestMeasurementDemo:
     def test_no_uncertainty_never_leaks(self):
-        result = periodic_measurement_demo(ZERO2, SlidingConfig(0.1, 1.0), 500, 1)
+        result = periodic_measurement_demo(ZERO2, 0.1, 1.0, 500, 1)
         assert result["out_of_domain_frequency"] == 0.0
-        assert all(row["prob0"] == 1.0 for row in result["rows"])
+        assert result["prob0"] == 1.0
+        assert not result["outcomes"].any()
 
     def test_rabi_leak_statistics(self):
         eps, tau, periods = 0.1, 3.0, 10000
-        result = periodic_measurement_demo(eps * PAULI_X, SlidingConfig(0.1, tau), periods, 2)
+        result = periodic_measurement_demo(eps * PAULI_X, 0.1, tau, periods, 2)
         predicted = np.sin(eps * tau) ** 2
         sigma = np.sqrt(predicted * (1 - predicted) / periods)
         assert abs(result["out_of_domain_frequency"] - predicted) <= 3 * sigma
-        assert all(abs(r["prob0"] - (1 - predicted)) <= 1e-9 for r in result["rows"])
+        assert abs(result["prob0"] - (1 - predicted)) <= 1e-9
 
     def test_seed_determinism(self):
-        a = periodic_measurement_demo(0.2 * PAULI_Y, SlidingConfig(0.2, 1.5), 200, 9)
-        b = periodic_measurement_demo(0.2 * PAULI_Y, SlidingConfig(0.2, 1.5), 200, 9)
-        assert [r["outcome"] for r in a["rows"]] == [r["outcome"] for r in b["rows"]]
+        a = periodic_measurement_demo(0.2 * PAULI_Y, 0.2, 1.5, 200, 9)
+        b = periodic_measurement_demo(0.2 * PAULI_Y, 0.2, 1.5, 200, 9)
+        assert np.array_equal(a["outcomes"], b["outcomes"])
 
     def test_one_draw_per_period_in_stream_order(self):
         # the per-period loop: one rng.random() call per period, outcome 0 below prob0
-        config = SlidingConfig(0.2, 1.5)
-        result = periodic_measurement_demo(0.4 * PAULI_Y, config, 300, 9)
+        result = periodic_measurement_demo(0.4 * PAULI_Y, 0.2, 1.5, 300, 9)
         rng = np.random.default_rng(9)
-        prob0 = result["rows"][0]["prob0"]
+        prob0 = result["prob0"]
         outcomes = [0 if rng.random() < prob0 else 1 for _ in range(300)]
-        assert [r["outcome"] for r in result["rows"]] == outcomes
-        assert [r["period"] for r in result["rows"]] == list(range(300))
+        assert result["outcomes"].dtype.kind == "i"
+        assert result["outcomes"].tolist() == outcomes
         assert result["out_of_domain_frequency"] == sum(outcomes) / 300
         psi = herm_expm(0.4 * PAULI_Y, 1.5) @ np.array([1.0, 0.0])
-        assert prob0 == abs(psi[0]) ** 2
-        assert all(r["in_domain"] == in_sliding_domain(psi, config) for r in result["rows"])
+        assert type(prob0) is float and prob0 == abs(psi[0]) ** 2
+        assert result["in_domain"] is (float(abs(psi[0]) ** 2) >= 1.0 - 0.2)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):
-            periodic_measurement_demo(np.array([[0, 1], [0, 0]], complex),
-                                      SlidingConfig(0.1, 1.0), 10, 0)
+            periodic_measurement_demo(np.array([[0, 1], [0, 0]], complex), 0.1, 1.0, 10, 0)
 
     @pytest.mark.parametrize("periods", [0, -1])
     def test_rejects_fewer_than_one_period(self, periods):
         with pytest.raises(ValueError, match="periods must be at least 1"):
-            periodic_measurement_demo(0.1 * PAULI_X, SlidingConfig(0.1, 1.0), periods, 0)
+            periodic_measurement_demo(0.1 * PAULI_X, 0.1, 1.0, periods, 0)
+
+    def test_a_million_periods_allocate_arrays_not_rows(self):
+        tracemalloc.start()
+        try:
+            result = periodic_measurement_demo(0.1 * PAULI_X, 0.1, 3.0, 10**6, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result["outcomes"].shape == (10**6,)
+        assert peak < 32e6

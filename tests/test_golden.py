@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the nine commands below, at their fixed seeds, must keep
+Every output file of the ten commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
 """
@@ -45,6 +45,7 @@ def write_inputs(tmp_path) -> dict:
         "hamid": ["hamid", "--dim", "2", "--time", "0.3", "--true-h", str(h_path),
                   "--shots", "5000", "--seed", "11"],
         "hamid4": ["hamid", "--dim", "4", "--time", "0.5", "--shots", "2000", "--seed", "11"],
+        "hamid-noiseless": ["hamid", "--dim", "4", "--time", "0.5", "--seed", "11"],
         "smc": ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0",
                 "--periods", "500", "--seed", "11"],
         "slc": ["slc", "--config", str(slc_cfg), "--seed", "11"],
@@ -75,6 +76,8 @@ GOLDEN = {
     "adapt/adapt.csv": "6cfa9d70351122a7d6741014a6dae985f74c7f904d5ba810e116f03040201f7a",
     "hamid/hamid.json": "e07dd2d2c94500c9306ef7892d3f418c4b192a553328f4ecff3f244bf0e339a9",
     "hamid4/hamid4.json": "5a6309b7dd1576c482846d5a1056691330583bc3f6a3616511a088f8c9db09d1",
+    "hamid-noiseless/hamid-noiseless.json":
+        "bd98fcf00391bb59b0dcaeaf3ef5fdd40ce442dea556e9ffb5d7d76a6455081b",
     "smc/smc.csv": "585f9bf55181e7b5ab262c4c4f2b7aaeecdd9b5c25d1ac58d3c029186ec2f033",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
     "slc/pulse.json": "10b6dc25e9b232726adbf482ebf3109cdcad28ea4dc9e9c628cfcaa5ce4698e8",
@@ -96,8 +99,8 @@ def test_records_csv_digest(tmp_path):
     assert digest == GOLDEN["records.csv"]
 
 
-@pytest.mark.parametrize("name", ["tomo", "sweep", "adapt", "hamid", "hamid4", "smc", "slc",
-                                  "compare", "compare-cube"])
+@pytest.mark.parametrize("name", ["tomo", "sweep", "adapt", "hamid", "hamid4", "hamid-noiseless",
+                                  "smc", "slc", "compare", "compare-cube"])
 def test_cli_output_digests(name, tmp_path):
     args = write_inputs(tmp_path)[name]
     digests = {

@@ -206,14 +206,14 @@ class TestEstimateLambda:
         h = random_traceless_hermitian(2, np.random.default_rng(5), 0.8)
         kraus = [herm_expm(h, 0.5)]
         exact = estimate_lambda(kraus, 2)
-        sampled = estimate_lambda(kraus, 2, mode="sampled", shots_per_output=10**6, seed=8)
+        sampled = estimate_lambda(kraus, 2, shots_per_output=10**6, seed=8)
         assert np.abs(sampled - exact).max() <= 0.01
 
     @pytest.mark.parametrize("d, shots", [(2, 3), (2, 5000), (4, 9), (4, 20), (4, 20000),
                                           (8, 20000)])
     def test_sampled_equals_per_probe_tomographies(self, d, shots):
         kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
-        lam = estimate_lambda(kraus, d, mode="sampled", shots_per_output=shots, seed=4)
+        lam = estimate_lambda(kraus, d, shots_per_output=shots, seed=4)
         assert np.abs(lam - per_probe_lambda(kraus, d, shots, 4)).max() <= 1e-12
 
     def test_noiseless_equals_per_unit_loop_bit_for_bit(self):
@@ -231,14 +231,14 @@ class TestEstimateLambda:
                                           (8, 28), (8, 20000), (16, 20000)])
     def test_sampled_equals_regression_oracle(self, d, shots):
         kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
-        lam = estimate_lambda(kraus, d, mode="sampled", shots_per_output=shots, seed=7)
+        lam = estimate_lambda(kraus, d, shots_per_output=shots, seed=7)
         assert np.abs(lam - regression_lambda(kraus, d, shots, 7)).max() <= 1e-12
 
     @pytest.mark.parametrize("d, shots", [(2, 1), (2, 2), (4, 5), (4, 8), (8, 26)])
     def test_singular_null_dimension_equals_the_regression_oracle(self, d, shots):
         kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
         with pytest.raises(SingularDesignError) as ours:
-            estimate_lambda(kraus, d, mode="sampled", shots_per_output=shots, seed=1)
+            estimate_lambda(kraus, d, shots_per_output=shots, seed=1)
         with pytest.raises(SingularDesignError) as oracle:
             regression_lambda(kraus, d, shots, 1)
         assert ours.value.null_dim == oracle.value.null_dim > 0
@@ -270,20 +270,33 @@ class TestEstimateLambda:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(states, "cube_povm", lambda d: cube)
-        lam = estimate_lambda(kraus, 4, mode="sampled", shots_per_output=500,
+        lam = estimate_lambda(kraus, 4, shots_per_output=500,
                               seed=CountingGenerator(np.random.PCG64(4)))
         assert calls == {"multinomial": 1, "eigh": 1, "svd": 0}
         assert "gamma" not in vars(cube) and "gamma0" not in vars(cube)
-        assert np.array_equal(lam, estimate_lambda(kraus, 4, mode="sampled", shots_per_output=500,
+        assert np.array_equal(lam, estimate_lambda(kraus, 4, shots_per_output=500,
                                                    seed=np.random.default_rng(4)))
 
     def test_sampled_with_too_few_copies_is_singular(self):
         with pytest.raises(SingularDesignError):
-            estimate_lambda([np.eye(2, dtype=complex)], 2, mode="sampled", shots_per_output=2, seed=1)
+            estimate_lambda([np.eye(2, dtype=complex)], 2, shots_per_output=2, seed=1)
 
-    def test_sampled_needs_shots(self):
-        with pytest.raises(ValueError):
-            estimate_lambda([np.eye(2, dtype=complex)], 2, mode="sampled")
+    def test_zero_shots_rejected_and_none_is_noiseless(self):
+        kraus = [herm_expm(random_traceless_hermitian(4, np.random.default_rng(4), 1.0), 0.5)]
+        with pytest.raises(ValueError, match="at least 1"):
+            estimate_lambda(kraus, 4, shots_per_output=0, seed=1)
+        # noiseless Lambda: the matrix units as one (16, 4, 4) stack through the channel
+        units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+        assert same_bits(estimate_lambda(kraus, 4, None),
+                         apply_channel(kraus, units).reshape(16, 16))
+
+
+class TestRandomTracelessHermitian:
+    def test_seed_equals_its_generator(self):
+        h = random_traceless_hermitian(4, 3, 0.7)
+        assert same_bits(h, random_traceless_hermitian(4, np.random.default_rng(3), 0.7))
+        assert np.allclose(h, h.conj().T) and abs(np.trace(h)) <= 1e-12
+        assert np.linalg.norm(h, 2) == pytest.approx(0.7, rel=1e-12)
 
 
 class TestProcessMatrix:
@@ -370,8 +383,7 @@ class TestIdentifyHamiltonian:
         for shots in (10**3, 10**4, 10**5):
             errs = []
             for seed in range(20):
-                lam = estimate_lambda(kraus, 2, mode="sampled",
-                                      shots_per_output=shots, seed=seed)
+                lam = estimate_lambda(kraus, 2, shots_per_output=shots, seed=seed)
                 h_hat, _ = identify_hamiltonian(lam, 0.5)
                 errs.append(np.linalg.norm(h_hat - h))
             medians.append(np.median(errs))
@@ -410,8 +422,7 @@ class TestIdentifyMatchesPerRotationLoop:
         for i in range(8):
             t = rng.uniform(0.2, 2.0)
             h = random_traceless_hermitian(d, rng, rng.uniform(0.05, 3.0) * np.pi / t)
-            lam = estimate_lambda([herm_expm(h, t)], d, mode=mode,
-                                  shots_per_output=300 if mode == "sampled" else None, seed=i)
+            lam = estimate_lambda([herm_expm(h, t)], d, 300 if mode == "sampled" else None, i)
             h_ref, caught_ref, _ = identify_by_rotations(lam, t)
             log_calls.clear()
             h_hat, caught = identify_with_warnings(lam, t)
