@@ -19,7 +19,6 @@ import numpy as np
 from .states import (
     Povm,
     Records,
-    as_rng,
     bloch_basis_povm,
     born_probabilities,
     cube_povm,
@@ -251,7 +250,8 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     """
     truth = np.asarray(truth, dtype=complex)
     d = truth.shape[-1]
-    rng = [as_rng(s) for s in seed] if isinstance(seed, (list, tuple)) else as_rng(seed)
+    rng = ([np.random.default_rng(s) for s in seed] if isinstance(seed, (list, tuple))
+           else np.random.default_rng(seed))
     if isinstance(candidates, str):
         if candidates == "cube":
             candidates = cube_povm(d)

@@ -39,7 +39,7 @@ from .tomography import tomography_pipeline
 
 
 def _cmd_tomo(args) -> int:
-    records = records_from_csv(args.records, args.dim)
+    records = records_from_csv(args.records, _dim(args))
     rho, theta, diagnostics = tomography_pipeline(records, weighting=args.weights)
     harness.write_json(args.out, {
         "dim": args.dim,

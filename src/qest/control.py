@@ -15,24 +15,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import herm_expm, herm_expm_eigh, is_hermitian
-from .states import as_rng
+from .linalg import herm_expm, is_hermitian
 
 
 @dataclass(frozen=True, eq=False)
 class UncertainSystem:
-    """Drift H0, control Hamiltonians, and uncertainty half-widths."""
+    """Drift H0 (d, d) and controls (M, d, d) as read-only Hermitian copies, and half-widths."""
 
     h0: np.ndarray
-    controls: tuple
+    controls: np.ndarray
     omega_halfwidth: float = 0.0
     theta_halfwidth: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(np.asarray(c, complex) for c in self.controls))
+        controls = tuple(np.asarray(c, complex) for c in self.controls)
         if np.ndim(self.h0) != 2 or not is_hermitian(self.h0, 1e-10):
             raise ContractViolationError("drift Hamiltonian must be a Hermitian matrix")
-        for m, c in enumerate(self.controls):
+        for m, c in enumerate(controls):
             if c.shape != np.shape(self.h0):
                 raise ValueError(f"control {m} has shape {c.shape}, but H0 has shape "
                                  f"{np.shape(self.h0)}")
@@ -40,10 +39,24 @@ class UncertainSystem:
                 raise ContractViolationError("control Hamiltonians must be Hermitian")
         if not (0 <= self.omega_halfwidth < 1 and 0 <= self.theta_halfwidth < 1):
             raise ValueError("uncertainty half-widths must lie in [0, 1)")
+        object.__setattr__(self, "h0", _hermitian_copy(self.h0))
+        object.__setattr__(self, "controls",
+                           _hermitian_copy(np.reshape(controls, (-1,) + self.h0.shape)))
 
     @property
     def dim(self) -> int:
         return self.h0.shape[0]
+
+
+def _hermitian_copy(a) -> np.ndarray:
+    """Read-only copy of a (..., d, d) stack, exactly Hermitian: it keeps what ``eigh`` reads,
+    the strict lower triangle and the real diagonal, and mirrors the triangle into the upper."""
+    h = np.array(a, dtype=complex)
+    i, j = np.tril_indices(h.shape[-1], -1)
+    h[..., j, i] = h[..., i, j].conj()
+    h.imag[..., range(h.shape[-1]), range(h.shape[-1])] = 0.0
+    h.setflags(write=False)
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +117,7 @@ def grid_samples(omega_halfwidth: float, theta_halfwidth: float,
 
 
 def random_samples(omega_halfwidth: float, theta_halfwidth: float, n: int, rng) -> SampleSet:
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     om = rng.uniform(1.0 - omega_halfwidth, 1.0 + omega_halfwidth, size=n)
     th = rng.uniform(1.0 - theta_halfwidth, 1.0 + theta_halfwidth, size=n)
     return SampleSet(np.column_stack([om, th]))
@@ -184,7 +197,8 @@ def evaluate_pulse(system, samples: SampleSet, field, psi0, psi_target) -> Pulse
     drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
                 np.zeros((field.intervals, 1, 1)))
     omega, theta = pairs[:, 0, None, None, None], pairs[:, 1, None, None, None]
-    props, eigvals, eigvecs = herm_expm_eigh(omega * system.h0 + theta * drive, field.dt)
+    eigvals, eigvecs = np.linalg.eigh(omega * system.h0 + theta * drive)
+    props = (eigvecs * np.exp(-1j * field.dt * eigvals)[..., None, :]) @ eigvecs.conj().mT
     n = pairs.shape[0]
     sweep = np.concatenate((props.swapaxes(0, 1), props[:, ::-1].conj().mT.swapaxes(0, 1)), 1)
     out = np.empty((field.intervals + 1, 2 * n, system.dim), dtype=complex)
@@ -197,7 +211,7 @@ def evaluate_pulse(system, samples: SampleSet, field, psi0, psi_target) -> Pulse
     fidelities = np.float_power(np.hypot(overlap.real, overlap.imag), 2)
     return PulseEvaluation(eigvals, eigvecs, fwd, bwd, overlap, fidelities,
                            float(np.mean(fidelities)), field.dt, pairs[:, 1, None, None].copy(),
-                           np.reshape(system.controls, (-1, system.dim, system.dim)))
+                           system.controls)
 
 
 def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target,
@@ -275,6 +289,6 @@ def periodic_measurement_demo(h_delta: np.ndarray, p0: float, period: float, per
     psi = herm_expm(h_delta, period) @ np.array([1.0, 0.0], dtype=complex)
     survival = float(abs(psi[0]) ** 2)
     prob0 = min(max(survival, 0.0), 1.0)
-    outcomes = np.where(as_rng(seed).random(periods) < prob0, 0, 1)
+    outcomes = np.where(np.random.default_rng(seed).random(periods) < prob0, 0, 1)
     return {"prob0": prob0, "in_domain": survival >= 1.0 - p0, "outcomes": outcomes,
             "out_of_domain_frequency": int(outcomes.sum()) / periods}

@@ -188,20 +188,16 @@ def config_hash(config: dict) -> str:
 
 def format_number(value) -> str:
     """17-significant-digit decimal text; round-trips float64 exactly."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(value))
     return f"{float(value):.17g}"
 
 
 def write_csv(path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else format_number(v) for v in row
-        ))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        f.writelines(",".join(v if isinstance(v, str) else format_number(v) for v in row) + "\n"
+                     for row in rows)
 
 
 def write_json(path, payload) -> None:
@@ -226,7 +222,7 @@ def emit(result: SweepResult, out_dir, name: str = "result", fmt: str = "csv",
         paths["data"] = out_dir / f"{name}.json"
         payload = {
             "columns": list(result.columns),
-            "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in result.rows],
+            "rows": [[float(v) for v in row] for row in result.rows],
             "aggregates": result.aggregates,
         }
         write_json(paths["data"], payload)

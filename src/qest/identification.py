@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import nearest_unitary, unitary_log, vec_inv
-from .states import as_rng, cube_draws, rho_from_paulis
+from .states import cube_draws, rho_from_paulis
 from .tomography import project_physical, solve_cube_paulis
 
 
@@ -158,7 +158,7 @@ def identify_hamiltonian(lam: np.ndarray, t: float):
 
 def random_traceless_hermitian(d: int, rng, spectral_norm: float = 1.0) -> np.ndarray:
     """Random traceless Hermitian matrix scaled to the requested spectral norm."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (g + g.conj().T) / 2
     h -= (np.trace(h) / d) * np.eye(d)

@@ -27,13 +27,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def pure_to_density(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).ravel()
     return np.outer(psi, psi.conj())
@@ -41,14 +34,14 @@ def pure_to_density(psi: np.ndarray) -> np.ndarray:
 
 def random_pure_state(d: int, rng) -> np.ndarray:
     """Haar-random pure state as a unit complex vector."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
 
 
 def random_density_matrix(d: int, rng) -> np.ndarray:
     """Hilbert-Schmidt-random mixed state from a normalized Wishart draw."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -175,8 +168,8 @@ def multinomial(rng, n, p):
     """
     if isinstance(rng, (list, tuple)):
         p = np.broadcast_to(p, (len(rng),) + p.shape[p.ndim - np.ndim(n) - 1:])
-        return np.stack([as_rng(g).multinomial(n, pm) for g, pm in zip(rng, p)])
-    return as_rng(rng).multinomial(n, p)
+        return np.stack([np.random.default_rng(g).multinomial(n, pm) for g, pm in zip(rng, p)])
+    return np.random.default_rng(rng).multinomial(n, p)
 
 
 def split_evenly(total: int, parts: int):

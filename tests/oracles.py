@@ -37,7 +37,7 @@ import scipy.linalg
 from qest import linalg
 from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
-from qest.linalg import gell_mann_basis, herm_expm_eigh, is_hermitian, vec, vec_inv
+from qest.linalg import gell_mann_basis, is_hermitian, vec, vec_inv
 from qest.adaptive import _SPHERE_GRID, RecursiveState
 from qest.harness import _sample_truth, trial_rng
 from qest.states import (
@@ -45,7 +45,6 @@ from qest.states import (
     _check_copies,
     _qubits,
     Records,
-    as_rng,
     bloch_basis_povm,
     born_probabilities,
     cube_povm,
@@ -320,7 +319,7 @@ def simulate_measurements(rho, povm: Povm, shots: int, rng) -> Records:
     """One multinomial sample of ``shots`` copies over one POVM's Born probabilities, as records."""
     _check_copies(shots, "shots")
     p = born_probabilities(rho, povm)
-    return Records.of_povm(povm, shots, as_rng(rng).multinomial(shots, p / p.sum()))
+    return Records.of_povm(povm, shots, np.random.default_rng(rng).multinomial(shots, p / p.sum()))
 
 
 def rls_update_loop(state: RecursiveState, problem) -> RecursiveState:
@@ -427,6 +426,20 @@ def mse_sweep_loop(dim, shot_grid, trials, seed, ensemble, weighting):
     return rows, means
 
 
+def herm_expm_eigh(h: np.ndarray, s: float = 1.0):
+    """exp(-i s H) together with the eigenpairs (w, v) of H it is built from.
+
+    H is one Hermitian matrix or a stack (..., d, d) of them; every member
+    must pass the Hermitian check, and all are decomposed by one batched
+    ``eigh``.
+    """
+    h = np.asarray(h, dtype=complex)
+    if not is_hermitian(h, 1e-10):
+        raise ContractViolationError("herm_expm requires a Hermitian generator")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * s * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2), w, v
+
+
 def slc_evaluate_loop(system, pairs, field, psi0, psi_target):
     """Reference SLC evaluation: (props, eigvals, eigvecs, fwd, bwd, overlap).
 
@@ -472,8 +485,7 @@ def gradient_j_loop(system, samples, field, psi0, psi_target) -> np.ndarray:
     b = (vh @ fwd[:, :-1, :, None])[..., 0]
     t = gamma * a.conj()[..., :, None] * b[..., None, :]
     s = v.conj() @ t @ np.swapaxes(v, -1, -2)
-    controls = np.reshape(system.controls, (-1, system.dim, system.dim))
-    dz = samples.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
+    dz = samples.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, system.controls)
     return np.mean(2.0 * (np.conj(overlap)[:, None, None] * dz).real, axis=0)
 
 

@@ -237,6 +237,22 @@ class TestSlcCommand:
         cfg_path.write_text(json.dumps(self.config(optimizer="adam")))
         assert main(["slc", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_control_hermitian_within_the_check_trains(self, tmp_path):
+        # ||H - H^dag||_F = 9e-11 passes the system's 1e-10 check; the system keeps the
+        # Hermitian matrix eigh reads, so theta * u scaling the asymmetry raises nothing later
+        sx = np.array([[0.0, 1.0 + 9e-11 / np.sqrt(2)], [1.0, 0.0]])
+        assert 8.9e-11 < np.linalg.norm(sx - sx.T) < 9.1e-11
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.config(Hm=[matrix_to_json(sx)])))
+        exact_path = tmp_path / "exact.json"
+        exact_path.write_text(json.dumps(self.config()))
+        out, exact = tmp_path / "o", tmp_path / "e"
+        for path, target in ((cfg_path, out), (exact_path, exact)):
+            assert main(["slc", "--config", str(path), "--seed", "11", "--out", str(target)]) == 0
+        # the mirrored control is sigma_x itself
+        for name in ("training_log.csv", "test.csv", "pulse.json"):
+            assert (out / name).read_bytes() == (exact / name).read_bytes()
+
     def test_missing_key_rejected(self, tmp_path):
         cfg = self.config()
         del cfg["H0"]
@@ -287,15 +303,20 @@ class TestSmcDemoCommand:
     *([command, "--dim", dim, *rest] for dim in ("0", "-3") for command, *rest in (
         ["sweep", "--shots", "100,1000"], ["adapt", "--N", "2000", "--N1", "1000", "--K", "2"],
         ["compare", "--kind", "tomography", "--candidates", "cube"])),
+    *(["tomo", "--dim", dim] for dim in ("0", "1", "-3")),
 ], ids=["hamid-time-0", "hamid-dim-0", "hamid-dim-1", "smc-periods-0", "smc-periods-neg",
         "smc-tau-inf", "smc-eps-nan", "smc-eps-tau-overflow", "smc-p0-0",
         "smc-p0-1", "smc-tau-0", "smc-tau-neg", "adapt-trials-0",
         "hamid-shots-beyond-int64", "sweep-shots-beyond-int64", "adapt-N1-beyond-int64",
         "sweep-shots-repeated", "sweep-shots-repeated-apart",
         *(f"{command}-dim-{dim}" for dim in ("0", "neg")
-          for command in ("sweep", "adapt", "compare"))])
+          for command in ("sweep", "adapt", "compare")),
+        "tomo-dim-0", "tomo-dim-1", "tomo-dim-neg"])
 def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
-    if argv[0] in ("hamid", "adapt", "sweep", "compare"):
+    if argv[0] == "tomo":
+        make_records_csv(tmp_path / "r.csv")
+        argv = argv + ["--records", str(tmp_path / "r.csv")]
+    if argv[0] in ("hamid", "adapt", "sweep", "compare", "tomo"):
         argv = argv + ["--out", str(tmp_path / "o.out")]
     assert_one_config_error(argv, capsys)
 
@@ -305,8 +326,13 @@ def test_out_of_range_argument_is_one_config_error(argv, tmp_path, capsys):
     ["sweep", "--shots", "100"],
     ["adapt", "--N", "10", "--N1", "10", "--K", "0"],
     ["compare", "--kind", "tomography"],
-], ids=["sweep", "adapt", "compare"])
+    ["tomo", "--records", "r.csv"],
+], ids=["sweep", "adapt", "compare", "tomo"])
 def test_dim_below_two_is_named(argv, dim, tmp_path, capsys):
+    if argv[0] == "tomo":
+        # a header-only table: its reshape to d^2 - 1 columns fails for --dim 0
+        (tmp_path / "r.csv").write_text("povm,element,shots,successes\n")
+        argv = ["tomo", "--records", str(tmp_path / "r.csv")]
     assert main(argv + ["--dim", dim, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "qest: error: config: --dim must be at least 2\n"
 

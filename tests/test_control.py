@@ -69,6 +69,31 @@ class TestTypes:
             with pytest.raises(ValueError, match=re.escape(message)):
                 UncertainSystem(PAULI_Z, (PAULI_X, control))
 
+    def test_system_keeps_read_only_exactly_hermitian_copies(self):
+        # Hermitian within the 1e-10 check but not exactly: an imaginary diagonal of 3e-11
+        # and an upper triangle off by 6e-11; the last control is a real array
+        h0 = PAULI_Z + 3e-11j * np.diag([1.0, -1.0])
+        sx = PAULI_X.copy()
+        sx[0, 1] += 6e-11
+        inputs = (h0, sx, PAULI_Y, PAULI_Z.real)
+        system = UncertainSystem(h0, inputs[1:])
+        assert system.h0.shape == (2, 2) and system.controls.shape == (3, 2, 2)
+        for a in (system.h0, system.controls):
+            assert a.dtype == complex and not a.flags.writeable
+            assert np.array_equal(a, a.conj().mT)
+            assert not any(np.shares_memory(a, b) for b in inputs)
+        # the copies keep what eigh reads: the strict lower triangle and the real diagonal
+        assert np.array_equal(system.h0, PAULI_Z)
+        assert np.array_equal(system.controls, np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
+
+    def test_system_of_exactly_hermitian_inputs_keeps_their_values(self):
+        rng = np.random.default_rng(7)
+        h0, *controls = (random_hermitian(3, rng) for _ in range(3))
+        system = UncertainSystem(h0, controls)
+        assert system.h0.tobytes() == h0.tobytes()
+        assert system.controls.tobytes() == np.stack(controls).tobytes()
+        assert UncertainSystem(PAULI_Z, ()).controls.shape == (0, 2, 2)
+
     def test_field_validation(self):
         for horizon in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
@@ -355,7 +380,7 @@ class TestTraining:
                 >= evaluate_pulse(system, samples, field0, psi0, target).j)
 
     def test_training_decomposes_each_candidate_once(self, monkeypatch):
-        # 1 initial evaluation plus one per line-search candidate, one stack each; the
+        # 1 initial evaluation plus one per line-search candidate, one eigh each; the
         # gradient of an accepted candidate comes from the evaluation that accepted it.
         # The loop oracle's J calls count the candidates independently.
         counts = {"eigh": 0, "evaluate_pulse": 0, "oracle_j": 0}
@@ -366,8 +391,7 @@ class TestTraining:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(qest.control, "herm_expm_eigh",
-                            counted("eigh", qest.control.herm_expm_eigh))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(qest.control, "evaluate_pulse",
                             counted("evaluate_pulse", qest.control.evaluate_pulse))
         system, psi0, target = transfer_task(0.2, 0.2)
@@ -385,8 +409,8 @@ class TestTraining:
 
 
 def stateless_task():
-    """Fresh, writeable inputs of a two-sample, two-channel qubit task."""
-    system = UncertainSystem(PAULI_Z.copy(), (PAULI_X, PAULI_Y), 0.2, 0.2)
+    """Fresh inputs of a two-sample, two-channel qubit task, writeable but for the system."""
+    system = UncertainSystem(PAULI_Z, (PAULI_X, PAULI_Y), 0.2, 0.2)
     field = ControlField(2.0, np.linspace(-0.5, 0.5, 16).reshape(8, 2))
     return system, SampleSet(np.array([[0.9, 1.1], [1.1, 0.9]])), field, KET0.copy(), KET1
 
@@ -408,8 +432,7 @@ def mutate_psi0(system, samples, field, psi0):
 
 
 class TestStatelessEvaluation:
-    @pytest.mark.parametrize("mutate", [mutate_amplitudes, mutate_drift, mutate_pairs,
-                                        mutate_psi0])
+    @pytest.mark.parametrize("mutate", [mutate_amplitudes, mutate_pairs, mutate_psi0])
     def test_in_place_mutation_reaches_later_evaluations_only(self, mutate):
         fresh = stateless_task()  # changed before its first evaluation
         mutate(*fresh[:4])
@@ -424,6 +447,13 @@ class TestStatelessEvaluation:
         # the evaluation taken before the change keeps what its gradient reads
         assert (before.j, before.gradient().tobytes()) == (j_before, grad_before)
         assert grad_before != expected.gradient().tobytes()
+
+    def test_drift_cannot_be_changed_in_place(self):
+        task = stateless_task()
+        before = evaluate_pulse(*task)
+        with pytest.raises(ValueError):
+            mutate_drift(*task[:4])
+        assert evaluate_pulse(*task).j == before.j
 
     def test_gradient_does_not_depend_on_the_previous_evaluation(self):
         system, samples, field, psi0, target = stateless_task()

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the ten commands below, at their fixed seeds, must keep
+Every output file of the eleven commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
 """
@@ -21,8 +21,7 @@ def write_inputs(tmp_path) -> dict:
     """Write the commands' input files under tmp_path; return name -> argv without --out."""
     h_path = tmp_path / "h.json"
     h_path.write_text(json.dumps(matrix_to_json(np.diag([1.0, -1.0]))))
-    slc_cfg = tmp_path / "slc.json"
-    slc_cfg.write_text(json.dumps({
+    slc = {
         "dim": 2,
         "H0": matrix_to_json(np.diag([1.0, -1.0])),
         "Hm": [matrix_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))],
@@ -30,7 +29,13 @@ def write_inputs(tmp_path) -> dict:
         "omega_halfwidth": 0.2, "theta_halfwidth": 0.2,
         "samples": {"grid": [2, 2]}, "iterations": 30,
         "test": {"random": [20, 5]},
-    }))
+    }
+    slc_cfg = tmp_path / "slc.json"
+    slc_cfg.write_text(json.dumps(slc))
+    # the same task driven by sigma_x and sigma_y, two channels of one control stack
+    slc_controls_cfg = tmp_path / "slc-controls.json"
+    slc_controls_cfg.write_text(json.dumps(
+        slc | {"Hm": slc["Hm"] + [matrix_to_json(np.array([[0.0, -1.0j], [1.0j, 0.0]]))]}))
     records_csv = tmp_path / "records.csv"
     rng = np.random.default_rng(11)
     truth = random_density_matrix(2, rng)
@@ -49,6 +54,7 @@ def write_inputs(tmp_path) -> dict:
         "smc": ["smc-demo", "--p0", "0.1", "--eps", "0.1", "--tau", "3.0",
                 "--periods", "500", "--seed", "11"],
         "slc": ["slc", "--config", str(slc_cfg), "--seed", "11"],
+        "slc-controls": ["slc", "--config", str(slc_controls_cfg), "--seed", "11"],
         "compare": ["compare", "--kind", "tomography", "--N", "2000", "--N1", "1000",
                     "--N2", "500", "--K", "2", "--trials", "2", "--repetitions", "2",
                     "--seed", "11"],
@@ -60,7 +66,7 @@ def write_inputs(tmp_path) -> dict:
 
 def run_command(name, args, target) -> list:
     """Run one command with its output at target; return its output files, sorted."""
-    if name in ("sweep", "compare", "compare-cube", "slc"):
+    if name in ("sweep", "compare", "compare-cube", "slc", "slc-controls"):
         assert main(args + ["--out", str(target)]) == 0
         return sorted(target.iterdir())
     out = target.with_suffix(".csv" if name in ("adapt", "smc") else ".json")
@@ -83,6 +89,11 @@ GOLDEN = {
     "slc/pulse.json": "10b6dc25e9b232726adbf482ebf3109cdcad28ea4dc9e9c628cfcaa5ce4698e8",
     "slc/test.csv": "88f634c8fe14eeada5096e6757ab6f13687221d440317f1d1a8ebdc2c0099ec1",
     "slc/training_log.csv": "00a1a323e237f1361a5534c5bf53d141d758ef13ac6186628b1a894c34a3dd4d",
+    # recorded before UncertainSystem kept its controls as one (M, d, d) stack
+    "slc-controls/manifest.json": "03e7db4dee9b245abc3a4a396678465e503144a2a7e6ad0111e084aeacdde71e",
+    "slc-controls/pulse.json": "84cb34dd9faae4a3f8734e678a46ebdf50ccae6ec5e9cf4cb7d63a70598da83f",
+    "slc-controls/test.csv": "6121e4979fc97790790b8e72783b914f2eb17021765b583141d01812481c9228",
+    "slc-controls/training_log.csv": "887ae14bb431fd87b500e99841ced35a38c2117ef16999dee73b2f3759914627",
     "compare/compare_tomography.csv": "8332007d4b97c69c2769f20598f93ee59a66049887051c7959a7075ceb94de80",
     "compare/compare_tomography.manifest.json": "e9f9ea336d0cd2a23f3c2bbbb64855b84314bf14a3a45e53e3e7117d823ed5f6",
     # recorded once `compare` accepted --candidates cube; its rows equal
@@ -100,7 +111,7 @@ def test_records_csv_digest(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["tomo", "sweep", "adapt", "hamid", "hamid4", "hamid-noiseless",
-                                  "smc", "slc", "compare", "compare-cube"])
+                                  "smc", "slc", "slc-controls", "compare", "compare-cube"])
 def test_cli_output_digests(name, tmp_path):
     args = write_inputs(tmp_path)[name]
     digests = {

@@ -5,7 +5,6 @@ from qest.errors import BranchAmbiguityWarning, ContractViolationError
 from qest.linalg import (
     gell_mann_basis,
     herm_expm,
-    herm_expm_eigh,
     is_hermitian,
     is_unitary,
     matrix_from_json,
@@ -148,7 +147,7 @@ class TestHermExpm:
                                   "stacked-non-hermitian"])
     def test_eigh_rejects_what_is_not_a_hermitian_stack(self, h):
         with pytest.raises(ContractViolationError):
-            herm_expm_eigh(h, 1.0)
+            herm_expm(h, 1.0)
 
 
 class TestNearestUnitary:
