@@ -243,10 +243,12 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     then shared, or an (R, d, d) stack.  Every member draws on its own
     generator, as its own run would, and its results equal that run's.
 
-    Returns the projected final state, (d, d) or (R, d, d), and a per-step
-    diagnostics list with keys step, copies_used, trace_q and mse; the last
-    two are (R,) arrays for a stack.  The steps' estimates are projected
-    together after the last step, by one batched ``project_physical``.
+    Returns the projected final state, (d, d) or (R, d, d), and the
+    diagnostics as columns over the K + 1 steps (stage 1 is step 0): int
+    arrays ``step`` and ``copies_used`` of shape (K+1,), and float arrays
+    ``trace_q`` and ``mse`` of shape (K+1,), or (K+1, R) for a stack.  The
+    steps' estimates are projected together after the last step, by one
+    batched ``project_physical``.
     """
     truth = np.asarray(truth, dtype=complex)
     d = truth.shape[-1]
@@ -277,7 +279,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
         thetas.append(state.theta)
         trace_q.append(np.trace(state.q, axis1=-2, axis2=-1))
     rho_steps = project_physical(rho_from_theta(np.stack(thetas)))
-    diagnostics = [{"step": k, "copies_used": schedule.stage1 + k * schedule.per_step,
-                    "trace_q": tq, "mse": err}
-                   for k, (tq, err) in enumerate(zip(trace_q, mse(rho_steps, truth)))]
+    step = np.arange(schedule.steps + 1)
+    diagnostics = {"step": step, "copies_used": schedule.stage1 + step * schedule.per_step,
+                   "trace_q": np.stack(trace_q), "mse": mse(rho_steps, truth)}
     return rho_steps[-1], diagnostics

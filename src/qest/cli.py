@@ -44,7 +44,7 @@ def _cmd_tomo(args) -> int:
     harness.write_json(args.out, {
         "dim": args.dim,
         "state": matrix_to_json(rho),
-        "theta": [float(v) for v in theta],
+        "theta": theta.tolist(),
         "diagnostics": diagnostics,
         "weights": args.weights,
     })
@@ -73,9 +73,12 @@ def _cmd_adapt(args) -> int:
     _, diag = run_adaptive_protocol(truths, schedule, args.candidates,
                                     [harness.trial_rng(args.seed, t, 1) for t in trials],
                                     args.weights)
-    rows = [(t, entry["step"], entry["copies_used"], entry["trace_q"][t], entry["mse"][t])
-            for t in trials for entry in diag]
-    harness.write_csv(args.out, ("trial", "step", "copies_used", "trace_Q", "mse"), rows)
+    # trial-major rows: each trial's K + 1 steps in turn
+    harness.write_csv(args.out, {"trial": np.repeat(trials, schedule.steps + 1),
+                                 "step": np.tile(diag["step"], args.trials),
+                                 "copies_used": np.tile(diag["copies_used"], args.trials),
+                                 "trace_Q": diag["trace_q"].T.ravel(),
+                                 "mse": diag["mse"].T.ravel()})
     return 0
 
 
@@ -98,10 +101,8 @@ def _cmd_hamid(args) -> int:
         raise ConfigError("--time must be positive and finite")
     h_true = _load_hamiltonian(args)
     kraus = [herm_expm(h_true, args.time)]
-    if args.shots == "noiseless":
-        lam = estimate_lambda(kraus, args.dim, None)
-    else:
-        lam = estimate_lambda(kraus, args.dim, int(args.shots), harness.trial_rng(args.seed, 1))
+    shots = None if args.shots == "noiseless" else int(args.shots)
+    lam = estimate_lambda(kraus, args.dim, shots, harness.trial_rng(args.seed, 1))
     h_hat, diagnostics = identify_hamiltonian(lam, args.time)
     harness.write_json(args.out, {
         "dim": args.dim,
@@ -191,16 +192,17 @@ def _cmd_slc(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    harness.write_csv(out / "training_log.csv", ("iter", "JN"),
-                      [(i, j) for i, j in enumerate(log)])
+    harness.write_csv(out / "training_log.csv", {"iter": np.arange(len(log)),
+                                                 "JN": np.array(log)})
     test_cfg = cfg.get("test", {"random": [200, 0]})
     test_set = _samples_from_config(test_cfg, system)
     stats = slc_test(system, field, test_set, psi0, psi_target)
-    harness.write_csv(out / "test.csv", ("omega", "theta", "fidelity"),
-                      [(p[0], p[1], f) for p, f in zip(test_set.pairs, stats["fidelities"])])
+    harness.write_csv(out / "test.csv", {"omega": test_set.pairs[:, 0],
+                                         "theta": test_set.pairs[:, 1],
+                                         "fidelity": stats["fidelities"]})
     harness.write_json(out / "pulse.json", {
         "horizon": field.horizon,
-        "amplitudes": [[float(a) for a in row] for row in field.amplitudes],
+        "amplitudes": field.amplitudes.tolist(),
         "J_train": log[-1],
         "test_mean": stats["mean"],
         "test_min": stats["min"],
@@ -237,11 +239,11 @@ def _cmd_smc_demo(args) -> int:
         "out_of_domain_frequency": result["out_of_domain_frequency"],
     }
     if args.out:
-        # every period shares prob0 and in_domain, so their text is formatted once
-        prob0, in_domain = (harness.format_number(result[key]) for key in ("prob0", "in_domain"))
-        harness.write_csv(args.out, ("period", "prob0", "outcome", "in_domain"),
-                          ((k, prob0, outcome, in_domain)
-                           for k, outcome in enumerate(result["outcomes"].tolist())))
+        # prob0 and in_domain are one value, shared by every period
+        columns = {"period": np.arange(args.periods), "prob0": result["prob0"],
+                   "outcome": result["outcomes"], "in_domain": result["in_domain"]}
+        harness.write_csv(args.out,
+                          {k: np.broadcast_to(v, args.periods) for k, v in columns.items()})
     print(json.dumps(summary, sort_keys=True))
     return 0
 

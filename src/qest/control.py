@@ -113,7 +113,7 @@ def grid_samples(omega_halfwidth: float, theta_halfwidth: float,
     """Uniform grid over the uncertainty rectangle."""
     om = _axis(omega_halfwidth, n_omega)
     th = _axis(theta_halfwidth, n_theta)
-    return SampleSet(np.array([(o, t) for o in om for t in th]))
+    return SampleSet(np.column_stack([np.repeat(om, len(th)), np.tile(th, len(om))]))
 
 
 def random_samples(omega_halfwidth: float, theta_halfwidth: float, n: int, rng) -> SampleSet:
@@ -251,11 +251,7 @@ def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target
 def slc_test(system, field: ControlField, samples: SampleSet, psi0, psi_target) -> dict:
     """Evaluate a fixed pulse on fresh samples; no adaptation."""
     fids = evaluate_pulse(system, samples, field, psi0, psi_target).fidelities
-    return {
-        "mean": float(fids.mean()),
-        "min": float(fids.min()),
-        "fidelities": fids,
-    }
+    return {"mean": float(fids.mean()), "min": float(fids.min()), "fidelities": fids}
 
 
 def periodic_measurement_demo(h_delta: np.ndarray, p0: float, period: float, periods: int,

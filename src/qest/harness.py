@@ -43,10 +43,9 @@ def fit_loglog_slope(x, y) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Tabular experiment output plus aggregate statistics."""
+    """Named equal-length 1-D columns, in output order, plus aggregate statistics."""
 
-    columns: tuple
-    rows: list
+    columns: dict
     aggregates: dict
 
 
@@ -68,10 +67,10 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
                   ensemble: str = "pure", weighting: str = "shots") -> SweepResult:
     """Reconstruction error versus total copy number, over seeded random truths.
 
-    Emits one (N, trial, mse) row per reconstruction; aggregates carry the
-    per-N mean MSE and the fitted log-log slope.  The grid's values must be
-    distinct.  Each N runs its trials as one stack, every trial on its own
-    generator.
+    Columns N, trial and mse hold one row per reconstruction, N-major;
+    aggregates carry the per-N mean MSE and the fitted log-log slope.  The
+    grid's values must be distinct.  Each N runs its trials as one stack,
+    every trial on its own generator.
     """
     shot_grid = [int(n) for n in shot_grid]
     if not shot_grid or trials < 1:
@@ -79,21 +78,23 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
     if len(set(shot_grid)) < len(shot_grid):
         # a repeated N adds no point to the log-log fit, and a grid of one value leaves none
         raise ConfigError(f"the shot grid {shot_grid} repeats a value")
-    rows = []
+    errs = []
     means = []
     for ni, n in enumerate(shot_grid):
         # each trial draws its truth and then its records on its own generator
         rngs = [trial_rng(seed, ni, t) for t in range(trials)]
         truths = np.stack([_sample_truth(dim, rng, ensemble) for rng in rngs])
-        errs = _static_cube_mse(truths, n, rngs, weighting)
-        rows.extend((n, t, err) for t, err in enumerate(errs))
-        means.append(float(np.mean(errs)))
+        errs.append(_static_cube_mse(truths, n, rngs, weighting))
+        means.append(float(np.mean(errs[-1])))
     aggregates = {
         "shot_grid": shot_grid,
         "mean_mse": means,
         "slope": fit_loglog_slope(shot_grid, means) if len(shot_grid) > 1 else float("nan"),
     }
-    return SweepResult(columns=("N", "trial", "mse"), rows=rows, aggregates=aggregates)
+    columns = {"N": np.repeat(shot_grid, trials),
+               "trial": np.tile(np.arange(trials), len(shot_grid)),
+               "mse": np.concatenate(errs)}
+    return SweepResult(columns=columns, aggregates=aggregates)
 
 
 def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, seed: int,
@@ -119,15 +120,14 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
                      _static_cube_mse(truths, schedule.total, rngs(2), weighting)])
     # each trial's mean over its own repetitions
     adaptive, static = errs.reshape(2, trials, repetitions).mean(-1)
-    rows = [(t, float(a), float(s)) for t, (a, s) in enumerate(zip(adaptive, static))]
     aggregates = {
         "mean_adaptive": float(adaptive.mean()),
         "mean_static": float(static.mean()),
         "mse_ratio": float(adaptive.mean() / static.mean()),
         "win_rate": float(np.mean(adaptive < static)),
     }
-    return SweepResult(columns=("trial", "mse_adaptive", "mse_static"),
-                       rows=rows, aggregates=aggregates)
+    columns = {"trial": np.arange(trials), "mse_adaptive": adaptive, "mse_static": static}
+    return SweepResult(columns=columns, aggregates=aggregates)
 
 
 def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
@@ -145,12 +145,10 @@ def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
         raise ConfigError("trials must be >= 1")
     # the |0> -> |1> transfer task: sigma_z drift, sigma_x control
     system = UncertainSystem(PAULI_Z, (PAULI_X,), omega_halfwidth, theta_halfwidth)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    psi_target = np.array([0.0, 1.0], dtype=complex)
+    psi0, psi_target = np.eye(2, dtype=complex)
     train_robust = corner_center_samples(omega_halfwidth, theta_halfwidth)
     train_nominal = corner_center_samples(0.0, 0.0)
-    rows = []
-    ratios = []
+    table = np.empty((5, trials))
     for t in range(trials):
         rng = trial_rng(seed, t, 0)
         field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
@@ -158,15 +156,12 @@ def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
                                 step_size=step_size, iterations=iterations, tolerance=tolerance)
         nominal, _ = slc_train(system, train_nominal, field0, psi0, psi_target,
                                step_size=step_size, iterations=iterations, tolerance=tolerance)
-        j_train = log[-1]
         test_set = random_samples(omega_halfwidth, theta_halfwidth, test_n, trial_rng(seed, t, 1))
         stats_r = slc_test(system, robust, test_set, psi0, psi_target)
         stats_n = slc_test(system, nominal, test_set, psi0, psi_target)
-        rows.append((t, j_train, stats_r["mean"], stats_r["min"],
-                     stats_n["mean"], stats_n["min"]))
-        ratios.append(stats_r["mean"] / j_train)
-    worst_r = np.array([r[3] for r in rows])
-    worst_n = np.array([r[5] for r in rows])
+        table[:, t] = log[-1], stats_r["mean"], stats_r["min"], stats_n["mean"], stats_n["min"]
+    j_train, mean_r, worst_r, mean_n, worst_n = table
+    ratios = mean_r / j_train
     aggregates = {
         "mean_test_over_train": float(np.mean(ratios)),
         "min_test_over_train": float(np.min(ratios)),
@@ -174,30 +169,38 @@ def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
         "mean_worst_robust": float(worst_r.mean()),
         "mean_worst_nominal": float(worst_n.mean()),
     }
-    return SweepResult(
-        columns=("trial", "J_train", "mean_robust", "worst_robust",
-                 "mean_nominal", "worst_nominal"),
-        rows=rows, aggregates=aggregates)
+    columns = {"trial": np.arange(trials), "J_train": j_train, "mean_robust": mean_r,
+               "worst_robust": worst_r, "mean_nominal": mean_n, "worst_nominal": worst_n}
+    return SweepResult(columns=columns, aggregates=aggregates)
 
 
 def config_hash(config: dict) -> str:
     """SHA-256 of the canonical JSON encoding of a configuration mapping."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def format_number(value) -> str:
-    """17-significant-digit decimal text; round-trips float64 exactly."""
-    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
-        return str(int(value))
-    return f"{float(value):.17g}"
+# rows per formatting pass; 1024 would raise the peak RSS of smc-demo's 10^6 rows by 0.5 MB
+_CSV_CHUNK_ROWS = 256
 
 
-def write_csv(path, columns, rows) -> None:
+def write_csv(path, columns: dict) -> None:
+    """Write named 1-D columns of one length as CSV, streamed in chunks of rows.
+
+    Int and bool columns are written as integers, float columns with 17
+    significant digits, which round-trip float64 exactly.
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    shapes = {a.shape for a in arrays}
+    if len(shapes) != 1 or arrays[0].ndim != 1:
+        raise ValueError(f"CSV columns must be 1-D and of one length, not of shapes {shapes}")
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
-        f.writelines(",".join(v if isinstance(v, str) else format_number(v) for v in row) + "\n"
-                     for row in rows)
+        for start in range(0, len(arrays[0]), _CSV_CHUNK_ROWS):
+            chunks = [a[start:start + _CSV_CHUNK_ROWS] for a in arrays]
+            texts = [list(map(str, c.astype(np.int64).tolist())) if c.dtype.kind in "biu"
+                     else [f"{v:.17g}" for v in c.tolist()] for c in chunks]
+            f.write("\n".join(map(",".join, zip(*texts, strict=True))) + "\n")
 
 
 def write_json(path, payload) -> None:
@@ -209,20 +212,21 @@ def emit(result: SweepResult, out_dir, name: str = "result", fmt: str = "csv",
          config: dict | None = None, seed=None) -> dict:
     """Write a result table plus a manifest naming the config hash and seed.
 
-    Output bytes are a pure function of the result and config, so a fixed
-    seed reproduces files exactly.
+    JSON holds the column names, the rows as lists of floats (ints too) and
+    the aggregates.  Output bytes are a pure function of the result and
+    config, so a fixed seed reproduces files exactly.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     if fmt == "csv":
         paths["data"] = out_dir / f"{name}.csv"
-        write_csv(paths["data"], result.columns, result.rows)
+        write_csv(paths["data"], result.columns)
     elif fmt == "json":
         paths["data"] = out_dir / f"{name}.json"
         payload = {
             "columns": list(result.columns),
-            "rows": [[float(v) for v in row] for row in result.rows],
+            "rows": np.column_stack(list(result.columns.values())).astype(float).tolist(),
             "aggregates": result.aggregates,
         }
         write_json(paths["data"], payload)
@@ -232,7 +236,7 @@ def emit(result: SweepResult, out_dir, name: str = "result", fmt: str = "csv",
         "config": config or {},
         "config_hash": config_hash(config or {}),
         "seed": seed,
-        "rows": len(result.rows),
+        "rows": len(next(iter(result.columns.values()))),
         "aggregates": result.aggregates,
     }
     paths["manifest"] = out_dir / f"{name}.manifest.json"

@@ -35,19 +35,11 @@ def natural_probes(d: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    probes = []
     eye = np.eye(d, dtype=complex)
-    for k in range(d):
-        probes.append(np.outer(eye[k], eye[k]))
-    for j in range(d):
-        for k in range(j + 1, d):
-            plus = (eye[j] + eye[k]) / np.sqrt(2)
-            probes.append(np.outer(plus, plus.conj()))
-    for j in range(d):
-        for k in range(j + 1, d):
-            plusi = (eye[j] + 1j * eye[k]) / np.sqrt(2)
-            probes.append(np.outer(plusi, plusi.conj()))
-    probes = np.stack(probes)
+    j, k = np.triu_indices(d, 1)  # the pairs j < k, in row-major order
+    plus, plus_i = (eye[j] + eye[k]) / np.sqrt(2), (eye[j] + 1j * eye[k]) / np.sqrt(2)
+    kets = np.concatenate([eye, plus, plus_i])
+    probes = kets[:, :, None] * kets[:, None, :].conj()
     probes.flags.writeable = False
     return probes
 

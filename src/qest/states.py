@@ -387,7 +387,7 @@ def _field(row, name, kind, where):
 
 def records_from_csv(path, d: int) -> Records:
     """Read a records CSV, resolving each POVM label once; a bad row's error names its line."""
-    povms, rows, shots, successes = {}, [], [], []
+    povms, shots, successes, gamma0, gamma = {}, [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"povm", "element", "shots", "successes"}
@@ -411,7 +411,8 @@ def records_from_csv(path, d: int) -> Records:
             shots.append(_field(row, "shots", int, where))
             _check_copies(shots[-1], f"{where}: shots")
             successes.append(_field(row, "successes", float, where))
-            rows.append((povm, j))
+            gamma0.append(povm.gamma0[j])
+            gamma.append(povm.gamma[j])
     return Records(np.array(shots, dtype=int), np.array(successes, dtype=float),
-                   np.array([povm.gamma0[j] for povm, j in rows], dtype=float),
-                   np.array([povm.gamma[j] for povm, j in rows]).reshape(len(rows), d * d - 1))
+                   np.array(gamma0, dtype=float),
+                   np.array(gamma).reshape(len(gamma), d * d - 1))

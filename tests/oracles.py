@@ -10,8 +10,9 @@ rotation.  The Gell-Mann regression over cube records is the reference for
 `qest.estimate_lambda`'s closed-form solve in Pauli coordinates, and the
 dense Kronecker-product Pauli strings for its Pauli tables and butterfly
 reconstruction.  The nested ``np.kron`` loop, the all-bases ``einsum`` and
-the per-unit loop are the bit-for-bit references for the cube elements, the
-cube bases' gamma rows and the matrix units that `qest` builds in one step.
+the per-unit and per-probe loops are the bit-for-bit references for the cube
+elements, the cube bases' gamma rows, the matrix units and the probe
+projectors that `qest` builds in one step.
 The per-run loop of records, one step and one state at a time, with plain
 matrix products, is the reference for `qest.run_adaptive_protocol`,
 `qest.harness.run_paired_tomography` and `qest.harness.run_mse_sweep`, which
@@ -19,7 +20,9 @@ run every repetition or trial as one stack.  The two per-interval loops of
 stacked products, the states forward and then the target backward, with the
 gradient taken between them, are the reference for `qest.control`'s single
 fused state/costate sweep, and the training that calls them once per
-quantity is the reference for `qest.control.slc_train`.  The Gell-Mann coordinates of a
+quantity is the reference for `qest.control.slc_train`.  The per-value
+number formatter is the reference for `qest.harness.write_csv`'s per-column
+text.  The Gell-Mann coordinates of a
 state, exact expected counts, the one-POVM measurement simulation, the
 cube bases' labels and their list of one-basis POVMs, the concatenation and
 row selection of records, the records CSV writer and the dense B are
@@ -267,6 +270,18 @@ def natural_units(d: int) -> np.ndarray:
     return units
 
 
+def natural_probes_loop(d: int) -> np.ndarray:
+    """The d^2 probe projectors of ``qest.natural_probes``, one ``np.outer`` at a time."""
+    eye = np.eye(d, dtype=complex)
+    probes = [np.outer(eye[k], eye[k]) for k in range(d)]
+    for phase in (1.0, 1j):
+        for j in range(d):
+            for k in range(j + 1, d):
+                ket = (eye[j] + phase * eye[k]) / np.sqrt(2)
+                probes.append(np.outer(ket, ket.conj()))
+    return np.stack(probes)
+
+
 # Single-qubit eigenvectors of sigma_x, sigma_y, sigma_z, plus outcome first.
 _AXIS_KETS = {
     "x": (np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)),
@@ -424,6 +439,14 @@ def mse_sweep_loop(dim, shot_grid, trials, seed, ensemble, weighting):
             rows.append((n, t, errs[-1]))
         means.append(float(np.mean(errs)))
     return rows, means
+
+
+def format_number(value) -> str:
+    """Reference CSV text of one value: an integer or bool as an integer, any
+    other value as 17 significant digits, which round-trip float64 exactly."""
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
+        return str(int(value))
+    return f"{float(value):.17g}"
 
 
 def herm_expm_eigh(h: np.ndarray, s: float = 1.0):

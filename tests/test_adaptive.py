@@ -374,7 +374,8 @@ class TestProtocol:
                                  for povm, n in zip(cube_povms(2), split_evenly(3000, 3)))
         rho_ref, _, _ = tomography_pipeline(records, "invvar")
         assert np.linalg.norm(rho_hat - rho_ref) <= 1e-12
-        assert len(diag) == 1
+        assert {key: column.shape for key, column in diag.items()} == {
+            "step": (1,), "copies_used": (1,), "trace_q": (1,), "mse": (1,)}
 
     @pytest.mark.parametrize("candidates", ["cube-stack", "continuum"])
     def test_trace_q_non_increasing_and_copies_counted(self, candidates):
@@ -382,10 +383,10 @@ class TestProtocol:
         schedule = AdaptiveSchedule(total=4000, stage1=2000, per_step=500, steps=4)
         cands = cube_povm(2) if candidates == "cube-stack" else "continuum"
         _, diag = run_adaptive_protocol(truth, schedule, cands, 5)
-        traces = [entry["trace_q"] for entry in diag]
+        traces = diag["trace_q"].tolist()
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
-        assert diag[-1]["copies_used"] == 4000
-        assert [entry["step"] for entry in diag] == list(range(5))
+        assert diag["copies_used"][-1] == 4000
+        assert diag["step"].tolist() == list(range(5))
 
     def test_rejects_empty_candidates(self):
         truth = np.eye(2) / 2
@@ -431,10 +432,12 @@ class TestStackedProtocol:
                 truths[0] if shared_truth else truths[m], schedule, oracle_candidates,
                 ref_rng, weighting)
             assert_equal_to_rounding(rho[m], ref_rho)
-            for entry, ref in zip(diag, ref_diag, strict=True):
-                assert (entry["step"], entry["copies_used"]) == (ref["step"], ref["copies_used"])
-                assert_equal_to_rounding(entry["trace_q"][m], ref["trace_q"])
-                assert_equal_to_rounding(entry["mse"][m], ref["mse"])
+            assert all(len(column) == len(ref_diag) for column in diag.values())
+            for k, ref in enumerate(ref_diag):
+                assert (diag["step"][k], diag["copies_used"][k]) == (ref["step"],
+                                                                     ref["copies_used"])
+                assert_equal_to_rounding(diag["trace_q"][k][m], ref["trace_q"])
+                assert_equal_to_rounding(diag["mse"][k][m], ref["mse"])
             # every member's stream advanced exactly as its own run's did
             assert rngs[m].random() == ref_rng.random()
 
@@ -445,9 +448,11 @@ class TestStackedProtocol:
         rho, diag = run_adaptive_protocol(truth, schedule, candidates, 17, "invvar")
         stacked, stacked_diag = run_adaptive_protocol(truth, schedule, candidates, [17], "invvar")
         assert rho.shape == (2, 2) and np.array_equal(rho, stacked[0])
-        for entry, ref in zip(diag, stacked_diag, strict=True):
-            assert np.ndim(entry["mse"]) == 0 and entry["mse"] == ref["mse"][0]
-            assert np.ndim(entry["trace_q"]) == 0 and entry["trace_q"] == ref["trace_q"][0]
+        for key in ("step", "copies_used"):
+            assert np.array_equal(diag[key], stacked_diag[key])
+        for key in ("trace_q", "mse"):
+            assert diag[key].shape == (schedule.steps + 1,)
+            assert np.array_equal(diag[key], stacked_diag[key][:, 0])
 
     def test_cube_mode_equals_the_cube_stack(self):
         truth = member_truths(2, 1, seed=4)[0]
@@ -589,28 +594,31 @@ class TestBatchedDiagnostics:
         rho, diag = run_adaptive_protocol(truths if members else truths[0], schedule, candidates,
                                           seeds if members else np.random.default_rng(seeds[0]),
                                           weighting)
-        assert len(diag) == steps + 1
+        assert all(len(column) == steps + 1 for column in diag.values())
         for m in range(members or 1):
             ref_rho, ref_diag = adaptive_protocol_loop(
                 truths[m], schedule, "continuum" if candidates == "continuum" else cube_povm(2),
                 np.random.default_rng(seeds[m]), weighting)
             assert rho.reshape(-1, 2, 2)[m].tobytes() == ref_rho.tobytes()
-            for entry, ref in zip(diag, ref_diag, strict=True):
-                assert (entry["step"], entry["copies_used"]) == (ref["step"], ref["copies_used"])
+            assert len(ref_diag) == steps + 1
+            for k, ref in enumerate(ref_diag):
+                assert (diag["step"][k], diag["copies_used"][k]) == (ref["step"],
+                                                                     ref["copies_used"])
                 for key in ("trace_q", "mse"):
-                    got = np.atleast_1d(entry[key])[m]
+                    got = np.atleast_1d(diag[key][k])[m]
                     assert got.tobytes() == np.float64(ref[key]).tobytes()
 
     def test_diagnostics_keep_their_types(self):
         schedule = AdaptiveSchedule(total=1300, stage1=800, per_step=250, steps=2)
         truth = member_truths(2, 1, seed=10)[0]
         _, diag = run_adaptive_protocol(truth, schedule, "continuum", 3)
-        for entry in diag:
-            assert type(entry["step"]) is int and type(entry["copies_used"]) is int
-            assert type(entry["trace_q"]) is np.float64 and type(entry["mse"]) is np.float64
-        _, diag = run_adaptive_protocol([truth] * 3, schedule, "continuum", [3, 4, 5])
-        for entry in diag:
-            assert entry["trace_q"].shape == entry["mse"].shape == (3,)
+        assert {key: (c.dtype, c.shape) for key, c in diag.items()} == {
+            "step": (np.int64, (3,)), "copies_used": (np.int64, (3,)),
+            "trace_q": (np.float64, (3,)), "mse": (np.float64, (3,))}
+        _, diag = run_adaptive_protocol([truth] * 4, schedule, "continuum", [3, 4, 5, 6])
+        assert {key: (c.dtype, c.shape) for key, c in diag.items()} == {
+            "step": (np.int64, (3,)), "copies_used": (np.int64, (3,)),
+            "trace_q": (np.float64, (3, 4)), "mse": (np.float64, (3, 4))}
 
 
 class TestStackedRlsUpdate:

@@ -117,6 +117,9 @@ class TestTypes:
     def test_sample_grid(self):
         samples = grid_samples(0.2, 0.2, 3, 2)
         assert len(samples.pairs) == 6
+        # omega-major, as the nested loop over both axes
+        assert samples.pairs.tolist() == [[o, t] for o in np.linspace(0.8, 1.2, 3)
+                                          for t in np.linspace(0.8, 1.2, 2)]
         assert samples.pairs[:, 0].min() == pytest.approx(0.8)
         degenerate = grid_samples(0.0, 0.0, 1, 1)
         assert np.allclose(degenerate.pairs, [[1.0, 1.0]])

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the eleven commands below, at their fixed seeds, must keep
+Every output file of the thirteen commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
 """
@@ -45,6 +45,8 @@ def write_inputs(tmp_path) -> dict:
         "tomo": ["tomo", "--records", str(records_csv), "--dim", "2"],
         "sweep": ["sweep", "--dim", "2", "--shots", "100,1000", "--trials", "3",
                   "--seed", "11"],
+        "sweep-json": ["sweep", "--dim", "2", "--shots", "100,1000", "--trials", "3",
+                       "--seed", "11", "--format", "json"],
         "adapt": ["adapt", "--dim", "2", "--N", "2000", "--N1", "1000", "--K", "2",
                   "--candidates", "continuum", "--trials", "2", "--seed", "11"],
         "hamid": ["hamid", "--dim", "2", "--time", "0.3", "--true-h", str(h_path),
@@ -61,12 +63,14 @@ def write_inputs(tmp_path) -> dict:
         "compare-cube": ["compare", "--kind", "tomography", "--dim", "4", "--candidates", "cube",
                          "--N", "2100", "--N1", "900", "--N2", "600", "--K", "2", "--trials", "2",
                          "--repetitions", "2", "--seed", "11"],
+        "compare-slc": ["compare", "--kind", "slc", "--trials", "2", "--seed", "11"],
     }
 
 
 def run_command(name, args, target) -> list:
     """Run one command with its output at target; return its output files, sorted."""
-    if name in ("sweep", "compare", "compare-cube", "slc", "slc-controls"):
+    if name in ("sweep", "sweep-json", "compare", "compare-cube", "compare-slc", "slc",
+                "slc-controls"):
         assert main(args + ["--out", str(target)]) == 0
         return sorted(target.iterdir())
     out = target.with_suffix(".csv" if name in ("adapt", "smc") else ".json")
@@ -79,6 +83,10 @@ GOLDEN = {
     "tomo/tomo.json": "53c6dfeebdbf4ebc0cc1e2613677568db98fc0b21146ae1496d11033c3c24b5d",
     "sweep/mse_sweep.csv": "3825a6b0767101c30b70bb19c6993a928ce5b526800d55fcd8ec53aa3236f3ba",
     "sweep/mse_sweep.manifest.json": "009147c01eab58c65f59957a3c57182b48aea25156d912c1473e3a8819ea7905",
+    # recorded while SweepResult still held row tuples and write_csv formatted value by value
+    "sweep-json/mse_sweep.json": "4e14c147499427ca8073f7eafc6f08936d53a59b79e63a819c09cd0c61ca8bf3",
+    "sweep-json/mse_sweep.manifest.json":
+        "009147c01eab58c65f59957a3c57182b48aea25156d912c1473e3a8819ea7905",
     "adapt/adapt.csv": "6cfa9d70351122a7d6741014a6dae985f74c7f904d5ba810e116f03040201f7a",
     "hamid/hamid.json": "e07dd2d2c94500c9306ef7892d3f418c4b192a553328f4ecff3f244bf0e339a9",
     "hamid4/hamid4.json": "5a6309b7dd1576c482846d5a1056691330583bc3f6a3616511a088f8c9db09d1",
@@ -101,6 +109,10 @@ GOLDEN = {
     # stacked protocol
     "compare-cube/compare_tomography.csv": "1db3ddad09535bc410b5d4620dcfefef536e5d78c553940fb075da71b90bccce",
     "compare-cube/compare_tomography.manifest.json": "e800d3516e6d365f7faa019e36e5c6f7e85e7979752396902222b5d0261d698b",
+    # recorded while SweepResult still held row tuples and write_csv formatted value by value
+    "compare-slc/compare_slc.csv": "bac4074b657649fdd9efedd974d720b8d4ed4bebf1121f16e8d650cbe530a91e",
+    "compare-slc/compare_slc.manifest.json":
+        "c8d5d4a7f1a55b0cadae9802d235482aab517a42ef1c22f73a54e4cbff47b5bc",
 }
 
 
@@ -110,8 +122,9 @@ def test_records_csv_digest(tmp_path):
     assert digest == GOLDEN["records.csv"]
 
 
-@pytest.mark.parametrize("name", ["tomo", "sweep", "adapt", "hamid", "hamid4", "hamid-noiseless",
-                                  "smc", "slc", "slc-controls", "compare", "compare-cube"])
+@pytest.mark.parametrize("name", ["tomo", "sweep", "sweep-json", "adapt", "hamid", "hamid4",
+                                  "hamid-noiseless", "smc", "slc", "slc-controls", "compare",
+                                  "compare-cube", "compare-slc"])
 def test_cli_output_digests(name, tmp_path):
     args = write_inputs(tmp_path)[name]
     digests = {

@@ -11,13 +11,25 @@ from qest.harness import (
     config_hash,
     emit,
     fit_loglog_slope,
-    format_number,
     run_mse_sweep,
     run_paired_slc,
     run_paired_tomography,
     trial_rng,
     write_csv,
 )
+
+
+def rows_of(result):
+    """The result table's rows as tuples of Python numbers."""
+    return list(zip(*(column.tolist() for column in result.columns.values()), strict=True))
+
+
+def assert_same_columns(a, b):
+    """Equal names, dtypes and bits, column by column."""
+    assert list(a.columns) == list(b.columns)
+    for key in a.columns:
+        assert a.columns[key].dtype == b.columns[key].dtype
+        assert a.columns[key].tobytes() == b.columns[key].tobytes()
 
 
 class TestTrialRng:
@@ -39,18 +51,18 @@ class TestFitSlope:
 class TestMseSweep:
     def test_single_point_single_trial(self):
         result = run_mse_sweep(2, [500], trials=1, seed=0)
-        assert len(result.rows) == 1
-        assert result.columns == ("N", "trial", "mse")
+        assert {key: (c.dtype, c.shape) for key, c in result.columns.items()} == {
+            "N": (np.int64, (1,)), "trial": (np.int64, (1,)), "mse": (np.float64, (1,))}
 
     def test_row_count_and_determinism(self):
         a = run_mse_sweep(2, [100, 1000], trials=3, seed=4)
         b = run_mse_sweep(2, [100, 1000], trials=3, seed=4)
-        assert len(a.rows) == 6
-        assert a.rows == b.rows
+        assert len(rows_of(a)) == 6
+        assert_same_columns(a, b)
 
     def test_mixed_ensemble(self):
         result = run_mse_sweep(2, [500], trials=2, seed=1, ensemble="mixed")
-        assert all(r[2] > 0 for r in result.rows)
+        assert np.all(result.columns["mse"] > 0)
 
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
     @pytest.mark.parametrize("ensemble", ["pure", "mixed"])
@@ -61,7 +73,7 @@ class TestMseSweep:
         grid = [90 * dim, 900 * dim]
         result = run_mse_sweep(dim, grid, trials=6, seed=7, ensemble=ensemble, weighting=weighting)
         rows, means = mse_sweep_loop(dim, grid, 6, 7, ensemble, weighting)
-        assert result.rows == rows
+        assert rows_of(result) == rows
         assert result.aggregates["mean_mse"] == means
 
     def test_bad_config(self):
@@ -76,7 +88,7 @@ class TestPairedTomography:
         schedule = AdaptiveSchedule(total=3000, stage1=1500, per_step=500, steps=3)
         a = run_paired_tomography(2, schedule, trials=4, seed=2, repetitions=2)
         b = run_paired_tomography(2, schedule, trials=4, seed=2, repetitions=2)
-        assert a.rows == b.rows
+        assert_same_columns(a, b)
         assert set(a.aggregates) == {"mean_adaptive", "mean_static", "mse_ratio", "win_rate"}
 
     def test_identical_strategy_ties(self):
@@ -98,7 +110,8 @@ class TestPairedTomography:
         schedule = AdaptiveSchedule(total=2500, stage1=1000, per_step=500, steps=3)
         result = run_paired_tomography(2, schedule, trials=5, seed=12, weighting=weighting,
                                        repetitions=4)
-        for t, row in enumerate(result.rows):
+        assert list(result.columns) == ["trial", "mse_adaptive", "mse_static"]
+        for t, row in enumerate(rows_of(result)):
             truth = _sample_truth(2, trial_rng(12, t, 0), "pure")
             rho, _ = run_adaptive_protocol(truth, schedule, "continuum",
                                            [trial_rng(12, t, 1, rep) for rep in range(4)],
@@ -133,7 +146,7 @@ class TestStackedStaticArm:
         result = run_paired_tomography(2, schedule, trials=2, seed=9, candidates=candidates,
                                        repetitions=3)
         oracle_candidates = "continuum" if candidates == "continuum" else cube_povm(2)
-        for t, row in enumerate(result.rows):
+        for t, row in enumerate(rows_of(result)):
             truth = _sample_truth(2, trial_rng(9, t, 0), "pure")
             adaptive = [adaptive_protocol_loop(truth, schedule, oracle_candidates,
                                                trial_rng(9, t, 1, rep), "invvar")[1][-1]["mse"]
@@ -146,34 +159,43 @@ class TestStackedStaticArm:
 class TestPairedSlc:
     def test_small_run_shapes(self):
         result = run_paired_slc(trials=2, seed=1, iterations=40, test_n=30)
-        assert len(result.rows) == 2
+        assert list(result.columns) == ["trial", "J_train", "mean_robust", "worst_robust",
+                                        "mean_nominal", "worst_nominal"]
+        assert len(rows_of(result)) == 2
+        worst_r, worst_n = result.columns["worst_robust"], result.columns["worst_nominal"]
+        assert result.aggregates["mean_worst_robust"] == worst_r.mean()
+        assert result.aggregates["worst_case_win_rate"] == np.mean(worst_r > worst_n)
         assert 0 <= result.aggregates["worst_case_win_rate"] <= 1
         assert result.aggregates["mean_test_over_train"] > 0.8
 
 
 class TestEmit:
     def test_csv_and_manifest(self, tmp_path):
-        result = SweepResult(columns=("a", "b"), rows=[(1, 2.5), (2, 3.0 / 7.0)],
+        result = SweepResult(columns={"a": np.array([1, 2]), "b": np.array([2.5, 3.0 / 7.0])},
                              aggregates={"mean": 0.5})
         paths = emit(result, tmp_path, name="t", config={"x": 1}, seed=9)
         text = paths["data"].read_text()
-        assert text.splitlines()[0] == "a,b"
+        assert text.splitlines() == ["a,b", "1,2.5", "2,0.42857142857142855"]
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["seed"] == 9
+        assert manifest["rows"] == 2
         assert manifest["config_hash"] == config_hash({"x": 1})
 
     def test_empty_result_gives_header_only(self, tmp_path):
-        result = SweepResult(columns=("a", "b"), rows=[], aggregates={})
+        result = SweepResult(columns={"a": np.array([], int), "b": np.array([])}, aggregates={})
         paths = emit(result, tmp_path, name="empty")
         assert paths["data"].read_text() == "a,b\n"
         assert paths["manifest"].exists()
 
     def test_json_round_trip(self, tmp_path):
-        rows = [(1, 0.1), (2, 0.2)]
-        result = SweepResult(columns=("n", "v"), rows=rows, aggregates={"m": 0.15})
+        result = SweepResult(columns={"n": np.array([1, 2]), "v": np.array([0.1, 0.2])},
+                             aggregates={"m": 0.15})
         paths = emit(result, tmp_path, name="j", fmt="json")
         payload = json.loads(paths["data"].read_text())
+        assert payload["columns"] == ["n", "v"]
         assert payload["rows"] == [[1, 0.1], [2, 0.2]]
+        # ints are written as floats
+        assert '"rows": [\n    [\n      1.0,' in paths["data"].read_text()
         assert payload["aggregates"]["m"] == 0.15
 
     def test_hash_changes_iff_config_changes(self):
@@ -181,31 +203,64 @@ class TestEmit:
         assert base == config_hash({"b": [1, 2], "a": 1})
         assert base != config_hash({"a": 2, "b": [1, 2]})
 
-    def test_number_formatting_round_trips(self):
-        vals = [1 / 3, 1e-17, 123456.789, float(np.float64(0.1))]
-        for v in vals:
-            assert float(format_number(v)) == v
-        assert format_number(7) == "7"
-        assert [format_number(v) for v in (True, np.False_, np.int64(-3))] == ["1", "0", "-3"]
-
     def test_unknown_format(self, tmp_path):
-        result = SweepResult(columns=("a",), rows=[], aggregates={})
+        result = SweepResult(columns={"a": np.array([])}, aggregates={})
         with pytest.raises(ConfigError):
             emit(result, tmp_path, fmt="parquet")
 
     def test_write_csv_deterministic_bytes(self, tmp_path):
-        rows = [(1, 0.1234567890123456789), (2, 2e-300)]
-        write_csv(tmp_path / "a.csv", ("x", "y"), rows)
-        write_csv(tmp_path / "b.csv", ("x", "y"), rows)
+        columns = {"x": np.array([1, 2]), "y": np.array([0.1234567890123456789, 2e-300])}
+        write_csv(tmp_path / "a.csv", columns)
+        write_csv(tmp_path / "b.csv", columns)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_write_csv_floats_give_the_reference_text_and_round_trip(self, tmp_path):
+        from tests.oracles import format_number
+
+        rng = np.random.default_rng(21)
+        spread = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-300, 300, 100_000)
+        values = np.concatenate([spread, [-0.0, np.inf, -np.inf, np.nan, 5e-324]])
+        write_csv(tmp_path / "f.csv", {"x": values})
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        assert lines[0] == "x"
+        assert lines[1:] == [format_number(v) for v in values]
+        assert np.array([float(v) for v in lines[1:]]).tobytes() == values.tobytes()
+
+    def test_write_csv_ints_and_bools_give_integers(self, tmp_path):
+        from tests.oracles import format_number
+
+        ints = np.array([7, 1, 0, -3, 9223372036854775807])
+        write_csv(tmp_path / "i.csv", {"i": ints, "b": ints > 0})
+        lines = (tmp_path / "i.csv").read_text().splitlines()
+        assert lines == ["i,b", "7,1", "1,1", "0,0", "-3,0", "9223372036854775807,1"]
+        assert lines[1:] == [f"{format_number(i)},{format_number(b)}"
+                             for i, b in zip(ints, ints > 0)]
+
+    @pytest.mark.parametrize("columns", [
+        {"a": np.arange(3), "b": np.arange(2)},
+        {"a": np.arange(300), "b": np.arange(301)},
+        {"a": np.zeros((2, 2))},
+        {},
+    ], ids=["unequal", "unequal-past-a-chunk", "2-d", "none"])
+    def test_write_csv_rejects_unequal_or_non_1d_columns(self, tmp_path, columns):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "u.csv", columns)
+        assert not (tmp_path / "u.csv").exists()
+
     def test_write_csv_streams_its_rows(self, tmp_path):
-        # 10^5 rows from a generator, as smc-demo writes them; a writer that joins every
-        # line before writing peaks near 14.6e6 bytes here, a streaming one near 4e4
-        rows = ((k, "0.99000000000000021", k % 2, "1") for k in range(100_000))
+        # 10^5 rows, as smc-demo writes them; a writer that joins every line before
+        # writing peaks near 14.6e6 bytes here, one that writes a chunk of rows at a time
+        # near 1.5e5
+        periods = np.arange(100_000)
+        columns = {
+            "period": periods,
+            "prob0": np.broadcast_to(0.99000000000000021, periods.shape),
+            "outcome": periods % 2,
+            "in_domain": np.broadcast_to(True, periods.shape),
+        }
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "s.csv", ("period", "prob0", "outcome", "in_domain"), rows)
+            write_csv(tmp_path / "s.csv", columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -105,6 +105,12 @@ class TestNaturalStateBasis:
         rebuilt = np.tensordot(probes.reshape(9, 9), natural_units(3), axes=1)
         assert np.allclose(rebuilt, probes, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_probes_equal_the_per_probe_loop_bit_for_bit(self, d):
+        from tests.oracles import natural_probes_loop
+
+        assert natural_probes(d).tobytes() == natural_probes_loop(d).tobytes()
+
     def test_cached_and_read_only(self):
         for d in (2, 3, 4, 8):
             probes = natural_probes(d)
