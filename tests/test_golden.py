@@ -1,16 +1,26 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the thirteen commands below, at their fixed seeds, must keep
+Every output file of the eighteen commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
+
+The five d >= 8 commands guard the sizes at which OpenBLAS changes its summation
+order.  Their digests pin the BLAS they were recorded with, scipy-openblas 0.3.31
+(as ``compare-cube``'s do).  ``sweep16``'s bytes also depend on the BLAS thread
+count, so its digests are checked in a subprocess with one BLAS thread.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qest
 from qest.cli import main
 from qest.linalg import matrix_to_json
 from qest.states import random_density_matrix
@@ -36,6 +46,14 @@ def write_inputs(tmp_path) -> dict:
     slc_controls_cfg = tmp_path / "slc-controls.json"
     slc_controls_cfg.write_text(json.dumps(
         slc | {"Hm": slc["Hm"] + [matrix_to_json(np.array([[0.0, -1.0j], [1.0j, 0.0]]))]}))
+    # d = 8: a linear drift, one nearest-neighbour hopping control, |0> -> |1>; the default
+    # target |7> has a zero gradient at the start, and training would stop at once
+    slc8_cfg = tmp_path / "slc8.json"
+    slc8_cfg.write_text(json.dumps(slc | {
+        "dim": 8, "H0": matrix_to_json(np.diag(np.linspace(-1.0, 1.0, 8))),
+        "Hm": [matrix_to_json(np.eye(8, k=1) + np.eye(8, k=-1))],
+        "psi_target": [[float(i == 1), 0.0] for i in range(8)],
+    }))
     records_csv = tmp_path / "records.csv"
     rng = np.random.default_rng(11)
     truth = random_density_matrix(2, rng)
@@ -64,16 +82,25 @@ def write_inputs(tmp_path) -> dict:
                          "--N", "2100", "--N1", "900", "--N2", "600", "--K", "2", "--trials", "2",
                          "--repetitions", "2", "--seed", "11"],
         "compare-slc": ["compare", "--kind", "slc", "--trials", "2", "--seed", "11"],
+        "sweep16": ["sweep", "--dim", "16", "--shots", "1000,10000", "--trials", "3",
+                    "--seed", "11"],
+        "adapt8": ["adapt", "--dim", "8", "--N", "5400", "--N1", "2700", "--K", "3",
+                   "--candidates", "cube", "--trials", "2", "--seed", "11"],
+        "compare8": ["compare", "--kind", "tomography", "--dim", "8", "--candidates", "cube",
+                     "--N", "5400", "--N1", "2700", "--N2", "900", "--K", "3", "--trials", "2",
+                     "--repetitions", "2", "--seed", "11"],
+        "hamid8": ["hamid", "--dim", "8", "--time", "0.5", "--shots", "20000", "--seed", "11"],
+        "slc8": ["slc", "--config", str(slc8_cfg), "--seed", "11"],
     }
 
 
 def run_command(name, args, target) -> list:
     """Run one command with its output at target; return its output files, sorted."""
-    if name in ("sweep", "sweep-json", "compare", "compare-cube", "compare-slc", "slc",
-                "slc-controls"):
+    if name in ("sweep", "sweep-json", "sweep16", "compare", "compare-cube", "compare-slc",
+                "compare8", "slc", "slc-controls", "slc8"):
         assert main(args + ["--out", str(target)]) == 0
         return sorted(target.iterdir())
-    out = target.with_suffix(".csv" if name in ("adapt", "smc") else ".json")
+    out = target.with_suffix(".csv" if name in ("adapt", "adapt8", "smc") else ".json")
     assert main(args + ["--out", str(out)]) == 0
     return [out]
 
@@ -113,7 +140,30 @@ GOLDEN = {
     "compare-slc/compare_slc.csv": "bac4074b657649fdd9efedd974d720b8d4ed4bebf1121f16e8d650cbe530a91e",
     "compare-slc/compare_slc.manifest.json":
         "c8d5d4a7f1a55b0cadae9802d235482aab517a42ef1c22f73a54e4cbff47b5bc",
+    # the d >= 8 digests were recorded before rls_update and project_physical lost their
+    # no-op steps; at two BLAS threads sweep16 gives b8d62c06a1b7cecf... and a86a42fb6eb514f4...
+    "sweep16/mse_sweep.csv": "284cb8207040c2741054808b963b8076a6b9906894a9e5b2a5b55d94a9321a99",
+    "sweep16/mse_sweep.manifest.json":
+        "48eb247b54645fe6603af3cb0bf7e7cb141d6ce50f8b825554de514ec17946c9",
+    "adapt8/adapt8.csv": "073e3043328b97dc66474395eb9b13dfbf29d6e28ba081d4d5d2f609a4cccb75",
+    "compare8/compare_tomography.csv":
+        "e1d457eac0c40df8b84999b68b5ab10f48f958437dac0cd3f848b1f4d361741e",
+    "compare8/compare_tomography.manifest.json":
+        "96914fcee4166f860b9b5b87ae54da4be9b889b53d15850377e8dc09133e3af6",
+    "hamid8/hamid8.json": "6729799fc684de69826e6826bb08090b549e1391983e2eefb4214371736dddc2",
+    "slc8/manifest.json": "c6898b3ec54eae067874d18be2d596b752cb869adc2b9fc626ae0efdb6c1b00c",
+    "slc8/pulse.json": "6feb5a785816290055e1b6f1988aada9296c561b7732519cd2d40aa789584bce",
+    "slc8/test.csv": "458024c052d8473ce76d2ff127de2134b7a453a2d5b3748bd167d67ceaa2d754",
+    "slc8/training_log.csv": "c622ff2bea28027e7bfa3bac66f8257d8775382a5352e088b0598ffb2014adec",
 }
+
+
+def digests_of(name, paths) -> dict:
+    return {f"{name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def golden_of(name) -> dict:
+    return {k: v for k, v in GOLDEN.items() if k.startswith(f"{name}/")}
 
 
 def test_records_csv_digest(tmp_path):
@@ -124,11 +174,18 @@ def test_records_csv_digest(tmp_path):
 
 @pytest.mark.parametrize("name", ["tomo", "sweep", "sweep-json", "adapt", "hamid", "hamid4",
                                   "hamid-noiseless", "smc", "slc", "slc-controls", "compare",
-                                  "compare-cube", "compare-slc"])
+                                  "compare-cube", "compare-slc", "adapt8", "compare8", "hamid8",
+                                  "slc8"])
 def test_cli_output_digests(name, tmp_path):
     args = write_inputs(tmp_path)[name]
-    digests = {
-        f"{name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in run_command(name, args, tmp_path / name)
-    }
-    assert digests == {k: v for k, v in GOLDEN.items() if k.startswith(f"{name}/")}
+    assert digests_of(name, run_command(name, args, tmp_path / name)) == golden_of(name)
+
+
+def test_sweep16_digests_at_one_blas_thread(tmp_path):
+    args = write_inputs(tmp_path)["sweep16"] + ["--out", str(tmp_path / "sweep16")]
+    src = str(Path(qest.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = os.environ | {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": pythonpath}
+    subprocess.run([sys.executable, "-m", "qest.cli", *args], env=env, check=True)
+    outputs = sorted((tmp_path / "sweep16").iterdir())
+    assert digests_of("sweep16", outputs) == golden_of("sweep16")
