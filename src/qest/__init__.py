@@ -21,7 +21,6 @@ from .control import (
     UncertainSystem,
     evaluate_pulse,
     periodic_measurement_demo,
-    slc_test,
     slc_train,
 )
 from .errors import (

@@ -43,6 +43,11 @@ class RecursiveState:
     One state has q (p, p) and theta (p,); a stack of members has q (R, p, p)
     and theta (R, p), and every function of this module treats each member
     exactly as it treats one state.
+
+    q must be exactly symmetric, as :func:`qest.tomography.solve_weighted_ls`
+    returns it; nothing here symmetrizes it.  :func:`rls_update` then keeps it
+    so, since each fold subtracts a (Q gamma)_i (Q gamma)_j, whose products
+    commute, and :func:`trace_gain` reads Q gamma as gamma^T Q.
     """
 
     q: np.ndarray
@@ -87,7 +92,6 @@ def rls_update(state: RecursiveState, problem: RegressionProblem) -> RecursiveSt
         qg = np.matvec(q, gamma)
         a = 1.0 / (1.0 / w + np.vecdot(gamma, qg))
         q = q - a[..., None, None] * (qg[..., :, None] * qg[..., None, :])
-        q = (q + q.mT) / 2
         theta = theta + a[..., None] * qg * (y - np.vecdot(gamma, theta))[..., None]
     return RecursiveState(q=q, theta=theta)
 
@@ -125,7 +129,7 @@ def _basis_gains(state, gamma0, gamma, planned_shots, weighting):
 
 
 def select_next_povm(state: RecursiveState, candidates: Povm, planned_shots: int,
-                     weighting: str = "shots") -> Povm:
+                     weighting: str) -> Povm:
     """Candidate basis with the largest summed trace gain; ties break to the lowest index.
 
     ``candidates`` stacks the bases along its elements' first axis:
@@ -186,8 +190,7 @@ def _continuum_gains(state, planned_shots, weighting):
     return u, gains
 
 
-def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
-                          weighting: str = "shots") -> Povm:
+def continuum_qubit_basis(state: RecursiveState, planned_shots: int, weighting: str) -> Povm:
     """Approximate trace-gain optimum over all Bloch directions.
 
     Scores the cube axes, the eigendirections of Q, the current Bloch
@@ -225,18 +228,17 @@ def cube_estimate(truth, total: int, rng, weighting: str):
     return solve_weighted_ls(build_regression(records, weighting))
 
 
-def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
+def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates: str, seed,
                           weighting: str = "invvar"):
     """Two-stage adaptive tomography of ``truth``.
 
     Stage 1 spends ``schedule.stage1`` copies on the cube bases and solves the
     batch problem, whose theta and Q0 = (X^T W X)^-1 seed the recursion;
     stage 2 runs ``schedule.steps`` rounds in which the next basis is chosen
-    by trace gain (``candidates`` is a stacked :class:`Povm` of bases, the
-    string ``"cube"`` for the cube bases, or ``"continuum"`` for the analytic
-    qubit optimum),
-    ``per_step`` copies are measured and folded in recursively.  Inverse-variance weights
-    are the default because the covariance reading of Q assumes them.
+    by trace gain (``candidates`` is ``"cube"`` for the cube bases or
+    ``"continuum"`` for the analytic qubit optimum), ``per_step`` copies are
+    measured and folded in recursively.  Inverse-variance weights are the
+    default because the covariance reading of Q assumes them.
 
     ``seed`` is one seed or generator for one run, or a list or tuple of
     them, one per member, for a stack of R runs made at once; ``truth`` is
@@ -254,13 +256,10 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
     d = truth.shape[-1]
     rng = ([np.random.default_rng(s) for s in seed] if isinstance(seed, (list, tuple))
            else np.random.default_rng(seed))
-    if isinstance(candidates, str):
-        if candidates == "cube":
-            candidates = cube_povm(d)
-        elif candidates != "continuum":
-            raise ValueError(f"unknown candidate mode {candidates!r}")
-        elif d != 2:
-            raise ValueError("continuum candidates are qubit-only")
+    if candidates not in ("cube", "continuum"):
+        raise ValueError(f"unknown candidate mode {candidates!r}")
+    if candidates == "continuum" and d != 2:
+        raise ValueError("continuum candidates are qubit-only")
 
     theta, _, q = cube_estimate(truth, schedule.stage1, rng, weighting)
     # shot weights give the members one shared Q0
@@ -271,7 +270,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates, seed,
         if candidates == "continuum":
             povm = continuum_qubit_basis(state, schedule.per_step, weighting)
         else:
-            povm = select_next_povm(state, candidates, schedule.per_step, weighting)
+            povm = select_next_povm(state, cube_povm(d), schedule.per_step, weighting)
         p = born_probabilities(truth, povm)
         counts = multinomial(rng, schedule.per_step, p / p.sum(-1, keepdims=True))
         records = Records.of_povm(povm, schedule.per_step, counts)

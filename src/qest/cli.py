@@ -20,10 +20,10 @@ from . import harness
 from .adaptive import AdaptiveSchedule, run_adaptive_protocol
 from .control import (
     ControlField,
+    evaluate_pulse,
     grid_samples,
     periodic_measurement_demo,
     random_samples,
-    slc_test,
     slc_train,
     UncertainSystem,
 )
@@ -196,16 +196,16 @@ def _cmd_slc(args) -> int:
                                                  "JN": np.array(log)})
     test_cfg = cfg.get("test", {"random": [200, 0]})
     test_set = _samples_from_config(test_cfg, system)
-    stats = slc_test(system, field, test_set, psi0, psi_target)
+    fidelities = evaluate_pulse(system, test_set, field, psi0, psi_target).fidelities
     harness.write_csv(out / "test.csv", {"omega": test_set.pairs[:, 0],
                                          "theta": test_set.pairs[:, 1],
-                                         "fidelity": stats["fidelities"]})
+                                         "fidelity": fidelities})
     harness.write_json(out / "pulse.json", {
         "horizon": field.horizon,
         "amplitudes": field.amplitudes.tolist(),
         "J_train": log[-1],
-        "test_mean": stats["mean"],
-        "test_min": stats["min"],
+        "test_mean": float(fidelities.mean()),
+        "test_min": float(fidelities.min()),
     })
     harness.write_json(out / "manifest.json", {
         "config": cfg, "config_hash": harness.config_hash(cfg), "seed": args.seed,

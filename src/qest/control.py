@@ -248,12 +248,6 @@ def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target
     return field, log
 
 
-def slc_test(system, field: ControlField, samples: SampleSet, psi0, psi_target) -> dict:
-    """Evaluate a fixed pulse on fresh samples; no adaptation."""
-    fids = evaluate_pulse(system, samples, field, psi0, psi_target).fidelities
-    return {"mean": float(fids.mean()), "min": float(fids.min()), "fidelities": fids}
-
-
 def periodic_measurement_demo(h_delta: np.ndarray, p0: float, period: float, periods: int,
                               seed) -> dict:
     """Repeated evolve-then-measure cycles of a perturbed two-level system.

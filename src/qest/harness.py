@@ -14,8 +14,8 @@ from .control import (
     ControlField,
     UncertainSystem,
     corner_center_samples,
+    evaluate_pulse,
     random_samples,
-    slc_test,
     slc_train,
 )
 from .errors import ConfigError
@@ -63,8 +63,8 @@ def _static_cube_mse(truth, total_shots, rng, weighting):
     return mse(project_physical(rho_from_theta(theta)), truth)
 
 
-def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
-                  ensemble: str = "pure", weighting: str = "shots") -> SweepResult:
+def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int, ensemble: str,
+                  weighting: str) -> SweepResult:
     """Reconstruction error versus total copy number, over seeded random truths.
 
     Columns N, trial and mse hold one row per reconstruction, N-major;
@@ -98,8 +98,7 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int,
 
 
 def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, seed: int,
-                          candidates="continuum", weighting: str = "invvar",
-                          repetitions: int = 1) -> SweepResult:
+                          candidates: str, weighting: str, repetitions: int) -> SweepResult:
     """Adaptive versus static cube tomography on shared per-trial pure truths.
 
     The reported MSE is an expectation over measurement outcomes, so each
@@ -130,16 +129,15 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
     return SweepResult(columns=columns, aggregates=aggregates)
 
 
-def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
-                   theta_halfwidth: float = 0.2, test_n: int = 200, step_size: float = 10.0,
-                   iterations: int = 200, tolerance: float = 1e-9) -> SweepResult:
+def run_paired_slc(trials: int, seed: int, omega_halfwidth: float,
+                   theta_halfwidth: float) -> SweepResult:
     """Uncertainty-trained versus nominal-trained pulses on shared test samples.
 
     Both arms start from the same random initial pulse, 20 intervals over a
-    horizon of 2; the robust arm trains on the five-point corner-plus-center
-    sample set, the nominal arm on the center alone.  Each trial evaluates
-    both pulses on the same fresh random test set and records means and worst
-    cases.
+    horizon of 2, and train with :func:`qest.control.slc_train`'s defaults;
+    the robust arm trains on the five-point corner-plus-center sample set,
+    the nominal arm on the center alone.  Each trial evaluates both pulses on
+    the same 200 fresh random test samples and records means and worst cases.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -152,14 +150,12 @@ def run_paired_slc(trials: int, seed: int, omega_halfwidth: float = 0.2,
     for t in range(trials):
         rng = trial_rng(seed, t, 0)
         field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
-        robust, log = slc_train(system, train_robust, field0, psi0, psi_target,
-                                step_size=step_size, iterations=iterations, tolerance=tolerance)
-        nominal, _ = slc_train(system, train_nominal, field0, psi0, psi_target,
-                               step_size=step_size, iterations=iterations, tolerance=tolerance)
-        test_set = random_samples(omega_halfwidth, theta_halfwidth, test_n, trial_rng(seed, t, 1))
-        stats_r = slc_test(system, robust, test_set, psi0, psi_target)
-        stats_n = slc_test(system, nominal, test_set, psi0, psi_target)
-        table[:, t] = log[-1], stats_r["mean"], stats_r["min"], stats_n["mean"], stats_n["min"]
+        robust, log = slc_train(system, train_robust, field0, psi0, psi_target)
+        nominal, _ = slc_train(system, train_nominal, field0, psi0, psi_target)
+        test_set = random_samples(omega_halfwidth, theta_halfwidth, 200, trial_rng(seed, t, 1))
+        f_r, f_n = (evaluate_pulse(system, test_set, field, psi0, psi_target).fidelities
+                    for field in (robust, nominal))
+        table[:, t] = log[-1], f_r.mean(), f_r.min(), f_n.mean(), f_n.min()
     j_train, mean_r, worst_r, mean_n, worst_n = table
     ratios = mean_r / j_train
     aggregates = {
@@ -188,7 +184,8 @@ def write_csv(path, columns: dict) -> None:
     """Write named 1-D columns of one length as CSV, streamed in chunks of rows.
 
     Int and bool columns are written as integers, float columns with 17
-    significant digits, which round-trip float64 exactly.
+    significant digits, which round-trip float64 exactly.  A broadcast column
+    (``np.broadcast_to`` of one value) is formatted once per chunk.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     shapes = {a.shape for a in arrays}
@@ -197,10 +194,17 @@ def write_csv(path, columns: dict) -> None:
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
         for start in range(0, len(arrays[0]), _CSV_CHUNK_ROWS):
-            chunks = [a[start:start + _CSV_CHUNK_ROWS] for a in arrays]
-            texts = [list(map(str, c.astype(np.int64).tolist())) if c.dtype.kind in "biu"
-                     else [f"{v:.17g}" for v in c.tolist()] for c in chunks]
+            texts = [_csv_text(a[start:start + _CSV_CHUNK_ROWS]) for a in arrays]
             f.write("\n".join(map(",".join, zip(*texts, strict=True))) + "\n")
+
+
+def _csv_text(chunk) -> list:
+    # a broadcast (stride 0) column holds one value: format it once and repeat the text
+    repeat = len(chunk) if chunk.strides == (0,) else 1
+    values = chunk[:len(chunk) // repeat]
+    text = (list(map(str, values.astype(np.int64).tolist())) if values.dtype.kind in "biu"
+            else [f"{v:.17g}" for v in values.tolist()])
+    return text * repeat
 
 
 def write_json(path, payload) -> None:

@@ -146,7 +146,7 @@ def project_physical(rho_tilde: np.ndarray) -> np.ndarray:
 
     Every member must be Hermitian and of unit trace within 1e-8; all are
     eigendecomposed by one batched ``eigh``.  A member with no negative
-    eigenvalue is returned as it is.  The others have their eigenvalue vectors
+    eigenvalue keeps its values.  The others have their eigenvalue vectors
     projected onto the probability simplex, all at once: negative eigenvalues
     are zeroed in ascending order while the running deficit, spread uniformly
     over the remaining ones, leaves the next one negative.  The result equals
@@ -159,13 +159,14 @@ def project_physical(rho_tilde: np.ndarray) -> np.ndarray:
     if (abs(rho_tilde.trace(axis1=-2, axis2=-1).real - 1.0) > 1e-8).any():
         raise ContractViolationError("project_physical requires unit trace")
     w, v = np.linalg.eigh(rho_tilde)
-    if w.min() >= 0:
-        return rho_tilde
     d = w.shape[-1]
     # Zeroing the m smallest eigenvalues spreads their sum as a shift over the other d - m.
     # The accumulator loop zeroes exactly while that shift keeps falling, so it stops at
-    # the smallest shift and zeroes just the eigenvalues the shift leaves negative.
-    shift = (w.cumsum(-1)[..., :-1] / np.arange(d - 1.0, 0.0, -1.0)).min(-1, keepdims=True)
+    # the smallest shift and zeroes just the eigenvalues the shift leaves negative.  That
+    # shift is negative for every member with a negative eigenvalue, so initial=0 changes
+    # no projected member and gives d = 1, which has no candidate shift, one.
+    shift = (w.cumsum(-1)[..., :-1] / np.arange(d - 1.0, 0.0, -1.0)).min(
+        -1, keepdims=True, initial=0.0)
     lam = np.maximum(w + shift, 0.0)[..., None, ::-1]
     v = v[..., ::-1]  # descending, as the loop sums
     out = (v * lam) @ v.conj().mT

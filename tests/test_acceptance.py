@@ -156,7 +156,7 @@ def test_criterion_03_projection_oracle():
 def test_criterion_04_mse_scaling():
     start = time.perf_counter()
     grid = [100, 1000, 10000, 100000, 1000000]
-    result = run_mse_sweep(2, grid, trials=50, seed=104)
+    result = run_mse_sweep(2, grid, trials=50, seed=104, ensemble="pure", weighting="shots")
     means = result.aggregates["mean_mse"]
     slope = result.aggregates["slope"]
     assert all(b < a for a, b in zip(means, means[1:]))
@@ -231,9 +231,7 @@ def test_criterion_08_gradient_agreement():
 
 def test_criterion_09_slc_robustness():
     start = time.perf_counter()
-    result = run_paired_slc(trials=50, seed=109, omega_halfwidth=0.2,
-                            theta_halfwidth=0.2, test_n=200,
-                            step_size=10.0, iterations=200, tolerance=1e-10)
+    result = run_paired_slc(trials=50, seed=109, omega_halfwidth=0.2, theta_halfwidth=0.2)
     agg = result.aggregates
     assert agg["mean_test_over_train"] >= 0.95
     assert agg["worst_case_win_rate"] >= 0.90

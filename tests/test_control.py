@@ -23,7 +23,6 @@ from qest.control import (
     grid_samples,
     periodic_measurement_demo,
     random_samples,
-    slc_test,
     slc_train,
 )
 from qest.errors import ContractViolationError
@@ -218,9 +217,9 @@ class TestAugmented:
         samples = random_samples(0.2, 0.2, 7, rng)
         psi0, target = np.eye(d, dtype=complex)[0], np.eye(d, dtype=complex)[d - 1]
         expected = reference_fidelities(system, samples.pairs, field, psi0, target)
-        stats = slc_test(system, field, samples, psi0, target)
-        assert stats["fidelities"].tobytes() == expected.tobytes()
-        assert evaluate_pulse(system, samples, field, psi0, target).j == float(np.mean(expected))
+        ev = evaluate_pulse(system, samples, field, psi0, target)
+        assert ev.fidelities.tobytes() == expected.tobytes()
+        assert ev.j == float(np.mean(expected))
 
 
 class TestGradient:
@@ -497,22 +496,21 @@ class TestStatelessEvaluation:
         assert not wrong
 
 
-class TestSlcTest:
+class TestFreshSampleEvaluation:
+    """The test statistics of a trained pulse: the mean and worst of its fidelities."""
+
     def test_on_training_set_equals_jn(self):
         system, psi0, target = transfer_task(0.2, 0.2)
         field = ControlField(2.0, np.full((20, 1), 0.6))
-        samples = corner_center_samples(0.2, 0.2)
-        stats = slc_test(system, field, samples, psi0, target)
-        assert stats["mean"] == pytest.approx(
-            evaluate_pulse(system, samples, field, psi0, target).j, abs=1e-12
-        )
-        assert stats["min"] <= stats["mean"]
+        ev = evaluate_pulse(system, corner_center_samples(0.2, 0.2), field, psi0, target)
+        assert float(ev.fidelities.mean()) == ev.j
+        assert ev.fidelities.min() <= ev.j
 
     def test_empty_set_rejected(self):
         system, psi0, target = transfer_task()
         field = ControlField(2.0, np.full((20, 1), 0.6))
         with pytest.raises(ValueError):
-            slc_test(system, field, SampleSet(np.empty((0, 2))), psi0, target)
+            evaluate_pulse(system, SampleSet(np.empty((0, 2))), field, psi0, target)
 
 
 class TestSlidingDomain:

@@ -50,18 +50,18 @@ class TestFitSlope:
 
 class TestMseSweep:
     def test_single_point_single_trial(self):
-        result = run_mse_sweep(2, [500], trials=1, seed=0)
+        result = run_mse_sweep(2, [500], trials=1, seed=0, ensemble="pure", weighting="shots")
         assert {key: (c.dtype, c.shape) for key, c in result.columns.items()} == {
             "N": (np.int64, (1,)), "trial": (np.int64, (1,)), "mse": (np.float64, (1,))}
 
     def test_row_count_and_determinism(self):
-        a = run_mse_sweep(2, [100, 1000], trials=3, seed=4)
-        b = run_mse_sweep(2, [100, 1000], trials=3, seed=4)
+        a, b = (run_mse_sweep(2, [100, 1000], trials=3, seed=4, ensemble="pure",
+                              weighting="shots") for _ in range(2))
         assert len(rows_of(a)) == 6
         assert_same_columns(a, b)
 
     def test_mixed_ensemble(self):
-        result = run_mse_sweep(2, [500], trials=2, seed=1, ensemble="mixed")
+        result = run_mse_sweep(2, [500], trials=2, seed=1, ensemble="mixed", weighting="shots")
         assert np.all(result.columns["mse"] > 0)
 
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
@@ -78,16 +78,16 @@ class TestMseSweep:
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
-            run_mse_sweep(2, [], trials=1, seed=0)
+            run_mse_sweep(2, [], trials=1, seed=0, ensemble="pure", weighting="shots")
         with pytest.raises(ConfigError):
-            run_mse_sweep(2, [100], trials=1, seed=0, ensemble="ghz")
+            run_mse_sweep(2, [100], trials=1, seed=0, ensemble="ghz", weighting="shots")
 
 
 class TestPairedTomography:
     def test_aggregates_and_determinism(self):
         schedule = AdaptiveSchedule(total=3000, stage1=1500, per_step=500, steps=3)
-        a = run_paired_tomography(2, schedule, trials=4, seed=2, repetitions=2)
-        b = run_paired_tomography(2, schedule, trials=4, seed=2, repetitions=2)
+        a, b = (run_paired_tomography(2, schedule, trials=4, seed=2, candidates="continuum",
+                                      weighting="invvar", repetitions=2) for _ in range(2))
         assert_same_columns(a, b)
         assert set(a.aggregates) == {"mean_adaptive", "mean_static", "mse_ratio", "win_rate"}
 
@@ -108,8 +108,8 @@ class TestPairedTomography:
         from qest.states import mse
 
         schedule = AdaptiveSchedule(total=2500, stage1=1000, per_step=500, steps=3)
-        result = run_paired_tomography(2, schedule, trials=5, seed=12, weighting=weighting,
-                                       repetitions=4)
+        result = run_paired_tomography(2, schedule, trials=5, seed=12, candidates="continuum",
+                                       weighting=weighting, repetitions=4)
         assert list(result.columns) == ["trial", "mse_adaptive", "mse_static"]
         for t, row in enumerate(rows_of(result)):
             truth = _sample_truth(2, trial_rng(12, t, 0), "pure")
@@ -144,7 +144,7 @@ class TestStackedStaticArm:
 
         schedule = AdaptiveSchedule(total=2000, stage1=1000, per_step=500, steps=2)
         result = run_paired_tomography(2, schedule, trials=2, seed=9, candidates=candidates,
-                                       repetitions=3)
+                                       weighting="invvar", repetitions=3)
         oracle_candidates = "continuum" if candidates == "continuum" else cube_povm(2)
         for t, row in enumerate(rows_of(result)):
             truth = _sample_truth(2, trial_rng(9, t, 0), "pure")
@@ -158,7 +158,7 @@ class TestStackedStaticArm:
 
 class TestPairedSlc:
     def test_small_run_shapes(self):
-        result = run_paired_slc(trials=2, seed=1, iterations=40, test_n=30)
+        result = run_paired_slc(trials=2, seed=1, omega_halfwidth=0.2, theta_halfwidth=0.2)
         assert list(result.columns) == ["trial", "J_train", "mean_robust", "worst_robust",
                                         "mean_nominal", "worst_nominal"]
         assert len(rows_of(result)) == 2
@@ -246,6 +246,18 @@ class TestEmit:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "u.csv", columns)
         assert not (tmp_path / "u.csv").exists()
+
+    def test_write_csv_broadcast_columns_write_their_materialized_bytes(self, tmp_path):
+        n = 1000  # three full chunks and a part of one
+        columns = {"i": np.arange(n), "f": np.broadcast_to(0.99000000000000021, n),
+                   "third": np.broadcast_to(1.0 / 3.0, n), "b": np.broadcast_to(True, n),
+                   "k": np.broadcast_to(np.int64(-3), n), "zero": np.broadcast_to(-0.0, n)}
+        assert all(c.strides == (0,) for key, c in columns.items() if key != "i")
+        write_csv(tmp_path / "broadcast.csv", columns)
+        write_csv(tmp_path / "materialized.csv", {k: np.array(c) for k, c in columns.items()})
+        text = (tmp_path / "broadcast.csv").read_text()
+        assert text == (tmp_path / "materialized.csv").read_text()
+        assert text.splitlines()[-1] == "999,0.99000000000000021,0.33333333333333331,1,-3,-0"
 
     def test_write_csv_streams_its_rows(self, tmp_path):
         # 10^5 rows, as smc-demo writes them; a writer that joins every line before

@@ -11,6 +11,14 @@ methods and properties, and the fields of a dataclass.  A member counts as
 used when such a module reads it as an attribute, outside the member's own
 definition.
 
+Every parameter with a default is set by some caller in the library: a
+defaulted parameter of a public function, of a public method or of a
+public class's ``__init__``, and a dataclass field with a default, count as
+set when such a module calls that name with an argument in its position or
+with its keyword, outside the callee's own definition.  A call of a class
+counts for its ``__init__`` or its fields.  ``cli.main``, the console entry
+point, is exempt.
+
 No module keeps state between calls through a ``global`` or ``nonlocal``
 statement either: a result that a later call needs is passed to it
 explicitly.
@@ -124,6 +132,109 @@ def test_scan_flags_members_no_module_reads():
         "b": ast.parse("def caller(p, q):\n    q.read()\n    p.spare = 1\n    return p.norm\n"),
     }
     assert unread_members(modules) == ["a.Point.scaled", "a.Point.spare"]
+
+
+def _defaulted(params, skip):
+    """(position, name) of each parameter with a default; keyword-only ones have no position."""
+    positional = params.posonlyargs + params.args
+    first = len(positional) - len(params.defaults)
+    for i, arg in enumerate(positional[skip:], start=skip):
+        if i >= first:
+            yield i - skip, arg.arg
+    for arg, default in zip(params.kwonlyargs, params.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _defaulted_parameters(modules):
+    """(label, callee name, position, keyword) of every defaulted parameter the rule covers."""
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if f"{stem}.{node.name}" != "cli.main":
+                    for pos, name in _defaulted(node.args, 0):
+                        yield f"{stem}.{node.name}.{name}", node.name, pos, name
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from _class_parameters(stem, node)
+
+
+def _class_parameters(stem, cls):
+    fields = [part for part in cls.body
+              if isinstance(part, ast.AnnAssign) and _is_dataclass(cls)]
+    for pos, field in enumerate(fields):
+        if field.value is not None:
+            yield f"{stem}.{cls.name}.{field.target.id}", cls.name, pos, field.target.id
+    for part in cls.body:
+        if not isinstance(part, ast.FunctionDef):
+            continue
+        if part.name == "__init__":
+            callee = cls.name
+        elif not part.name.startswith("_"):
+            callee = part.name
+        else:
+            continue
+        # a call passes no argument for self or cls
+        for pos, name in _defaulted(part.args, 1):
+            yield f"{stem}.{cls.name}.{part.name}.{name}", callee, pos, name
+
+
+def _calls(tree):
+    """Every call as (callee name, positional count, keywords), outside the callee's own
+    definition; a ``*`` argument sets every position and a ``**`` argument every keyword."""
+    found = []
+    for stmt in tree.body:
+        parts = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for part in parts:
+            own = part.name if isinstance(part, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(part):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name is None or name == own:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                found.append((name, float("inf") if starred else len(node.args), keywords))
+    return found
+
+
+def unset_parameters(modules):
+    calls = [call for tree in modules.values() for call in _calls(tree)]
+    return sorted(label for label, callee, pos, name in _defaulted_parameters(modules)
+                  if not any(called == callee and (
+                      (pos is not None and count > pos) or name in keywords or None in keywords)
+                      for called, count, keywords in calls))
+
+
+def test_every_defaulted_parameter_has_a_library_caller_that_sets_it():
+    assert unset_parameters(_modules()) == []
+
+
+def test_scan_flags_defaulted_parameters_no_caller_sets():
+    modules = {
+        "a": ast.parse(
+            "from dataclasses import dataclass\n\n"
+            "def run(n, step=1.0, *, cap=10, tol=1e-9, spare=0):\n"
+            "    return run(n, 2.0, spare=1)\n\n"
+            "def spread(x, y=0, z=0):\n    return x\n\n"
+            "def packed(x, y=0):\n    return x\n\n"
+            "def main(argv=None):\n    return 0\n\n"
+            "def _private(x, y=0):\n    return x\n\n"
+            "@dataclass(frozen=True)\nclass Config:\n    n: int\n    scale: float = 1.0\n"
+            "    shift: float = 0.0\n    label: str = ''\n\n"
+            "    def scaled(self, k=2.0, offset=0.0):\n        return self.scaled(k, 1.0)\n\n"
+            "class Counter:\n    def __init__(self, start=0, stop=None):\n        self.n = start\n"),
+        "b": ast.parse(
+            "from .a import Config, Counter, run\n\n"
+            "def caller(c, args, opts):\n"
+            "    run(3, tol=1e-6)\n    spread(*args)\n    packed(1, **opts)\n"
+            "    c.scaled(3.0)\n    Counter(stop=4)\n"
+            "    return Config(1, 2.0, label='x')\n"),
+        "cli": ast.parse("def main(argv=None):\n    return 0\n"),
+    }
+    assert unset_parameters(modules) == [
+        "a.Config.scaled.offset", "a.Config.shift", "a.Counter.__init__.start", "a.main.argv",
+        "a.run.cap", "a.run.spare", "a.run.step"]
 
 
 def state_statements(modules):

@@ -292,6 +292,18 @@ class TestProjectPhysical:
         assert np.array_equal(got, np.stack([project_physical_loop(rho) for rho in stack]))
         assert np.array_equal(got[~engaged], stack[~engaged])
 
+    def test_one_by_one_states_keep_their_values(self):
+        ones = np.ones((3, 1, 1), complex)
+        assert project_physical(ones).tobytes() == ones.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_physical_stack_keeps_its_values_bit_for_bit(self, d):
+        stack = np.stack([random_density_matrix(d, np.random.default_rng([d, m]))
+                          for m in range(10)]).astype(complex)
+        assert np.linalg.eigvalsh(stack).min() >= 0
+        assert project_physical(stack).tobytes() == stack.tobytes()
+        assert project_physical(stack[0]).tobytes() == stack[0].tobytes()
+
     @pytest.mark.parametrize("bad", ["non-hermitian", "trace"])
     def test_stack_with_one_bad_member_is_rejected(self, bad):
         stack = unit_trace_hermitians(3, 5, np.random.default_rng(31))
