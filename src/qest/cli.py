@@ -174,6 +174,7 @@ def _cmd_slc(args) -> int:
     psi0 = _state_from_config(cfg, "psi0", d, np.eye(d, dtype=complex)[0])
     psi_target = _state_from_config(cfg, "psi_target", d, np.eye(d, dtype=complex)[d - 1])
     samples = _samples_from_config(cfg["samples"], system)
+    test_set = _samples_from_config(cfg.get("test", {"random": [200, 0]}), system)
     intervals = _number(cfg["L"], int, "L")
     rng = harness.trial_rng(args.seed, 0)
     field0 = ControlField(_number(cfg["T"], float, "T"),
@@ -194,8 +195,6 @@ def _cmd_slc(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     harness.write_csv(out / "training_log.csv", {"iter": np.arange(len(log)),
                                                  "JN": np.array(log)})
-    test_cfg = cfg.get("test", {"random": [200, 0]})
-    test_set = _samples_from_config(test_cfg, system)
     fidelities = evaluate_pulse(system, test_set, field, psi0, psi_target).fidelities
     harness.write_csv(out / "test.csv", {"omega": test_set.pairs[:, 0],
                                          "theta": test_set.pairs[:, 1],

@@ -10,7 +10,7 @@ projective measurements is included as a demo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,11 @@ def _hermitian_copy(a) -> np.ndarray:
     return h
 
 
+def _require_finite(amplitudes: np.ndarray) -> None:
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("pulse amplitudes must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class ControlField:
     """Piecewise-constant pulse: amplitudes[k, m] on interval k, channel m."""
@@ -71,8 +76,7 @@ class ControlField:
         object.__setattr__(self, "amplitudes", amps)
         if not (np.isfinite(self.horizon) and self.horizon > 0) or amps.shape[0] < 1:
             raise ValueError("need a positive finite horizon and at least one interval")
-        if not np.isfinite(amps).all():
-            raise ValueError("pulse amplitudes must be finite")
+        _require_finite(amps)
 
     @property
     def intervals(self) -> int:
@@ -142,13 +146,14 @@ class PulseEvaluation:
 
     eigvals: np.ndarray  # (N, K, d) and
     eigvecs: np.ndarray  # (N, K, d, d): the eigenpairs of the interval generators
+    phases: np.ndarray  # (N, K, d) exp(-i dt eigvals), the spectra of the propagators
     fwd: np.ndarray  # (N, K + 1, d); fwd[:, k] is the state before interval k
     bwd: np.ndarray  # (N, K + 1, d); bwd[:, k] is the target carried back to the same point
     overlap: np.ndarray  # (N,) <psi_target|psi_n(T)>
     fidelities: np.ndarray  # (N,) |<psi_target|psi_n(T)>|^2
     j: float  # the augmented fidelity J_N, the mean of the fidelities
     dt: float
-    theta: np.ndarray  # (N, 1, 1) control scale of each sample
+    theta: np.ndarray  # (N, 1, 1) control scale of each sample, read-only
     controls: np.ndarray  # (M, d, d)
 
     def gradient(self) -> np.ndarray:
@@ -165,87 +170,127 @@ class PulseEvaluation:
         # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b), x = dt (l_a - l_b), in sinc form
         dt, w, v = self.dt, self.eigvals, self.eigvecs
         x = dt * (w[..., :, None] - w[..., None, :])
-        gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
-                 * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
-        vh = np.swapaxes(v.conj(), -1, -2)
-        a = (vh @ self.bwd[:, 1:, :, None])[..., 0]
-        b = (vh @ self.fwd[:, :-1, :, None])[..., 0]
+        gamma = (dt * self.phases[..., None, :]
+                 * (-np.sin(x / 2) * _sinc(x / (2 * np.pi)) - 1j * _sinc(x / np.pi)))
+        vc = v.conj()
+        a = (vc.mT @ self.bwd[:, 1:, :, None])[..., 0]
+        b = (vc.mT @ self.fwd[:, :-1, :, None])[..., 0]
         # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
         t = gamma * a.conj()[..., :, None] * b[..., None, :]
-        s = v.conj() @ t @ np.swapaxes(v, -1, -2)
+        s = vc @ t @ v.mT
         dz = self.theta * np.einsum("nkcd,mcd->nkm", s, self.controls)
-        grad = 2.0 * (np.conj(self.overlap)[:, None, None] * dz).real
-        return np.mean(grad, axis=0)
+        grad = 2.0 * (self.overlap.conj()[:, None, None] * dz).real
+        return grad.mean(axis=0)
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """np.sinc(x) by its own steps, without its wrapper; any tiny nonzero y gives 1 at 0."""
+    y = np.pi * x
+    y = np.where(y, y, 1e-20)
+    return np.sin(y) / y
+
+
+class _Propagation:
+    """Everything of one task's propagation but the pulse amplitudes, taken once.
+
+    The task is a system, a sample set, the states and the interval grid of a
+    field; ``evaluate`` then propagates any amplitudes of that grid.  Only
+    read-only or private copies are kept, so evaluations share no writable
+    state with the caller or with each other.
+    """
+
+    def __init__(self, system, samples: SampleSet, field, psi0, psi_target):
+        psi = np.array(psi0, dtype=complex).ravel()
+        target = np.array(psi_target, dtype=complex).ravel()
+        if not psi.size == target.size == system.dim or field.channels != len(system.controls):
+            raise ValueError("initial or target state or pulse channels do not match the system")
+        pairs = samples.pairs
+        self.theta = pairs[:, 1, None, None].copy()
+        self.theta.setflags(write=False)
+        self.theta_col = self.theta[:, None]
+        self.omega_h0 = pairs[:, 0, None, None, None] * system.h0
+        self.controls = system.controls
+        # the zero start keeps one generator per interval for a system without controls
+        self.zero_drive = np.zeros((field.intervals, 1, 1))
+        self.start = np.repeat(np.stack((psi, target)), len(pairs), axis=0)  # (2N, d)
+        self.target = target
+        self.intervals, self.dt, self.n = field.intervals, field.dt, len(pairs)
+
+    def evaluate(self, amplitudes: np.ndarray) -> PulseEvaluation:
+        """Propagate psi0 under the (K, M) amplitudes for every (omega, theta) sample at once.
+
+        The generators omega*H0 + theta*sum_m u_km H_m of all samples and
+        intervals form one (N, K, d, d) stack, exponentiated by one batched
+        eigendecomposition.  One sweep of K steps then carries the states
+        forward and the target backward for all samples together: step k
+        applies U_k to the N states and U_{K-1-k}^dag to the N costates in one
+        stacked product.
+        """
+        drive = sum((amplitudes[:, m, None, None] * c for m, c in enumerate(self.controls)),
+                    self.zero_drive)
+        eigvals, eigvecs = np.linalg.eigh(self.omega_h0 + self.theta_col * drive)
+        phases = np.exp(-1j * self.dt * eigvals)
+        props = (eigvecs * phases[..., None, :]) @ eigvecs.conj().mT
+        n = self.n
+        sweep = np.concatenate((props.swapaxes(0, 1), props[:, ::-1].conj().mT.swapaxes(0, 1)), 1)
+        out = np.empty((self.intervals + 1,) + self.start.shape, dtype=complex)
+        out[0] = self.start
+        for k in range(self.intervals):
+            np.matvec(sweep[k], out[k], out=out[k + 1])
+        fwd, bwd = out[:, :n].swapaxes(0, 1), out[::-1, n:].swapaxes(0, 1)
+        overlap = np.vecdot(self.target, fwd[:, -1])
+        # hypot and pow keep the bits of the scalar abs(z) ** 2
+        fidelities = np.float_power(np.hypot(overlap.real, overlap.imag), 2)
+        return PulseEvaluation(eigvals, eigvecs, phases, fwd, bwd, overlap, fidelities,
+                               float(fidelities.mean()), self.dt, self.theta, self.controls)
 
 
 def evaluate_pulse(system, samples: SampleSet, field, psi0, psi_target) -> PulseEvaluation:
     """Propagate psi0 under the pulse for every (omega, theta) sample at once.
 
-    The generators omega*H0 + theta*sum_m u_km H_m of all samples and
-    intervals form one (N, K, d, d) stack, exponentiated by one batched
-    eigendecomposition.  One sweep of K steps then carries the states forward
-    and the target backward for all samples together: step k applies U_k to
-    the N states and U_{K-1-k}^dag to the N costates in one stacked product.
-    The result holds J_N and, through its ``gradient()``, the exact gradient.
+    The result holds J_N and, through its ``gradient()``, the exact gradient;
+    see ``_Propagation.evaluate`` for the batched eigendecomposition and the
+    fused forward and backward sweep.
     """
-    pairs = samples.pairs
-    psi = np.asarray(psi0, dtype=complex).ravel()
-    target = np.asarray(psi_target, dtype=complex).ravel()
-    if psi.size != system.dim or field.channels != len(system.controls):
-        raise ValueError("initial state or pulse channels do not match the system")
-    # the zero start keeps one generator per interval for a system without controls
-    drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
-                np.zeros((field.intervals, 1, 1)))
-    omega, theta = pairs[:, 0, None, None, None], pairs[:, 1, None, None, None]
-    eigvals, eigvecs = np.linalg.eigh(omega * system.h0 + theta * drive)
-    props = (eigvecs * np.exp(-1j * field.dt * eigvals)[..., None, :]) @ eigvecs.conj().mT
-    n = pairs.shape[0]
-    sweep = np.concatenate((props.swapaxes(0, 1), props[:, ::-1].conj().mT.swapaxes(0, 1)), 1)
-    out = np.empty((field.intervals + 1, 2 * n, system.dim), dtype=complex)
-    out[0, :n], out[0, n:] = psi, target
-    for k in range(field.intervals):
-        np.matvec(sweep[k], out[k], out=out[k + 1])
-    fwd, bwd = out[:, :n].swapaxes(0, 1), out[::-1, n:].swapaxes(0, 1)
-    overlap = np.vecdot(target, fwd[:, -1])
-    # hypot and pow keep the bits of the scalar abs(z) ** 2
-    fidelities = np.float_power(np.hypot(overlap.real, overlap.imag), 2)
-    return PulseEvaluation(eigvals, eigvecs, fwd, bwd, overlap, fidelities,
-                           float(np.mean(fidelities)), field.dt, pairs[:, 1, None, None].copy(),
-                           system.controls)
+    return _Propagation(system, samples, field, psi0, psi_target).evaluate(field.amplitudes)
 
 
 def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target,
               step_size: float = 10.0, iterations: int = 200, tolerance: float = 1e-9):
     """Gradient ascent on the augmented fidelity with backtracking halving.
 
-    Each line-search candidate is evaluated once; the evaluation that accepts
-    a candidate gives the next gradient.  Returns the trained field and the
+    The propagation of the task is prepared once, and each line-search
+    candidate is evaluated through it once; the evaluation that accepts a
+    candidate gives the next gradient.  Returns the trained field and the
     per-iteration log of J_N values, which is monotone non-decreasing by
     construction.  Non-convergence within the iteration cap is an outcome,
     not an error.
     """
     if not (np.isfinite(step_size) and step_size > 0 and iterations >= 0 and tolerance >= 0):
         raise ValueError("need a positive finite step, iterations >= 0 and tolerance >= 0")
-    field = field0
-    ev = evaluate_pulse(system, samples, field, psi0, psi_target)
+    propagation = _Propagation(system, samples, field0, psi0, psi_target)
+    amps = field0.amplitudes.copy()
+    ev = propagation.evaluate(amps)
     log = [ev.j]
+    floor = step_size * 2.0**-30
     for _ in range(iterations):
         grad = ev.gradient()
         step = step_size
-        while step > step_size * 2.0**-30:
-            cand = replace(field, amplitudes=field.amplitudes + step * grad)
-            cand_ev = evaluate_pulse(system, samples, cand, psi0, psi_target)
+        while step > floor:
+            cand = amps + step * grad
+            _require_finite(cand)
+            cand_ev = propagation.evaluate(cand)
             if cand_ev.j >= ev.j:
                 break
             step /= 2.0
         else:  # no step down to the floor kept J_N
             break
         j_prev = ev.j
-        field, ev = cand, cand_ev
+        amps, ev = cand, cand_ev
         log.append(ev.j)
         if abs(ev.j - j_prev) < tolerance:
             break
-    return field, log
+    return ControlField(field0.horizon, amps), log
 
 
 def periodic_measurement_demo(h_delta: np.ndarray, p0: float, period: float, periods: int,

@@ -253,6 +253,14 @@ class TestSlcCommand:
         for name in ("training_log.csv", "test.csv", "pulse.json"):
             assert (out / name).read_bytes() == (exact / name).read_bytes()
 
+    @pytest.mark.parametrize("test", [{"random": [0, 5]}, {"bogus": 1}, {"random": [20, None]}])
+    def test_bad_test_set_rejected_before_training(self, test, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.config(test=test)))
+        assert_one_config_error(["slc", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                                capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_missing_key_rejected(self, tmp_path):
         cfg = self.config()
         del cfg["H0"]

@@ -384,8 +384,8 @@ class TestTraining:
     def test_training_decomposes_each_candidate_once(self, monkeypatch):
         # 1 initial evaluation plus one per line-search candidate, one eigh each; the
         # gradient of an accepted candidate comes from the evaluation that accepted it.
-        # The loop oracle's J calls count the candidates independently.
-        counts = {"eigh": 0, "evaluate_pulse": 0, "oracle_j": 0}
+        # The loop oracle's J calls count the initial J and the candidates independently.
+        counts = {"eigh": 0, "oracle_j": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -393,21 +393,63 @@ class TestTraining:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-        monkeypatch.setattr(qest.control, "evaluate_pulse",
-                            counted("evaluate_pulse", qest.control.evaluate_pulse))
         system, psi0, target = transfer_task(0.2, 0.2)
         rng = np.random.default_rng(4)
         field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
-        _, log = slc_train(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target,
-                           iterations=30)
-        candidates, accepted = counts["evaluate_pulse"] - 1, len(log) - 1
-        assert accepted == 30 and candidates >= accepted
-        assert counts["eigh"] == 1 + candidates
         monkeypatch.setattr(tests.oracles, "augmented_j_loop",
                             counted("oracle_j", tests.oracles.augmented_j_loop))
         slc_train_loop(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target, iterations=30)
-        assert counts["oracle_j"] == 1 + candidates
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        _, log = slc_train(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target,
+                           iterations=30)
+        assert len(log) - 1 == 30 and counts["oracle_j"] - 1 >= 30
+        assert counts["eigh"] == counts["oracle_j"]
+
+    @pytest.mark.parametrize("seed, accepted", [(0, 48), (2, 64)])
+    def test_stops_on_the_step_floor_as_the_loop_driven_training(self, seed, accepted):
+        # the nominal transfer task from a short random pulse: with no tolerance stop, the
+        # line search ends the training once no step down to 2^-30 of the first keeps J_N
+        system, psi0, target = transfer_task()
+        field0 = ControlField(2.0, np.random.default_rng(seed).uniform(-0.5, 0.5, (6, 1)))
+        samples = grid_samples(0.0, 0.0, 1, 1)
+        field, log = slc_train(system, samples, field0, psi0, target, iterations=3000,
+                               tolerance=0.0)
+        oracle_field, oracle_log = slc_train_loop(system, samples, field0, psi0, target,
+                                                  iterations=3000, tolerance=0.0)
+        assert len(log) - 1 == len(oracle_log) - 1 == accepted
+        assert np.array(log).tobytes() == np.array(oracle_log).tobytes()
+        assert field.amplitudes.tobytes() == oracle_field.amplitudes.tobytes()
+
+    def test_zero_iterations_keep_the_initial_pulse(self):
+        system, psi0, target = transfer_task(0.2, 0.2)
+        field0 = ControlField(2.0, np.random.default_rng(11).uniform(-0.5, 0.5, size=(20, 1)))
+        samples = grid_samples(0.2, 0.2, 2, 2)
+        field, log = slc_train(system, samples, field0, psi0, target, iterations=0)
+        oracle_field, oracle_log = slc_train_loop(system, samples, field0, psi0, target,
+                                                  iterations=0)
+        assert len(log) == len(oracle_log) == 1
+        assert np.array(log).tobytes() == np.array(oracle_log).tobytes()
+        assert field.amplitudes.tobytes() == field0.amplitudes.tobytes()
+        assert (field.horizon, field.dt) == (field0.horizon, field0.dt)
+
+    @pytest.mark.parametrize("iterations", [0, 30])
+    def test_trainings_share_no_state(self, iterations):
+        system, psi0, target = transfer_task(0.2, 0.2)
+        field0 = ControlField(2.0, np.random.default_rng(11).uniform(-0.5, 0.5, size=(20, 1)))
+        initial = field0.amplitudes.tobytes()
+        samples = grid_samples(0.2, 0.2, 2, 2)
+        held = evaluate_pulse(system, samples, field0, psi0, target)
+        held_bytes = (held.fwd.tobytes(), held.bwd.tobytes(), held.gradient().tobytes())
+        first, first_log = slc_train(system, samples, field0, psi0, target,
+                                     iterations=iterations)
+        second, second_log = slc_train(system, samples, field0, psi0, target,
+                                       iterations=iterations)
+        assert field0.amplitudes.tobytes() == initial
+        assert not np.shares_memory(first.amplitudes, field0.amplitudes)
+        assert not np.shares_memory(first.amplitudes, second.amplitudes)
+        assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
+        assert np.array(first_log).tobytes() == np.array(second_log).tobytes()
+        assert (held.fwd.tobytes(), held.bwd.tobytes(), held.gradient().tobytes()) == held_bytes
 
 
 def stateless_task():

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the eighteen commands below, at their fixed seeds, must keep
+Every output file of the nineteen commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
 
@@ -54,6 +54,12 @@ def write_inputs(tmp_path) -> dict:
         "Hm": [matrix_to_json(np.eye(8, k=1) + np.eye(8, k=-1))],
         "psi_target": [[float(i == 1), 0.0] for i in range(8)],
     }))
+    # the README qubit transfer task at the settings the slc_qubit benchmark times
+    slc20_cfg = tmp_path / "slc20.json"
+    slc20_cfg.write_text(json.dumps(slc | {
+        "L": 20, "iterations": 200, "step": 10.0, "tolerance": 1e-9,
+        "test": {"random": [200, 0]},
+    }))
     records_csv = tmp_path / "records.csv"
     rng = np.random.default_rng(11)
     truth = random_density_matrix(2, rng)
@@ -75,6 +81,7 @@ def write_inputs(tmp_path) -> dict:
                 "--periods", "500", "--seed", "11"],
         "slc": ["slc", "--config", str(slc_cfg), "--seed", "11"],
         "slc-controls": ["slc", "--config", str(slc_controls_cfg), "--seed", "11"],
+        "slc20": ["slc", "--config", str(slc20_cfg), "--seed", "11"],
         "compare": ["compare", "--kind", "tomography", "--N", "2000", "--N1", "1000",
                     "--N2", "500", "--K", "2", "--trials", "2", "--repetitions", "2",
                     "--seed", "11"],
@@ -97,7 +104,7 @@ def write_inputs(tmp_path) -> dict:
 def run_command(name, args, target) -> list:
     """Run one command with its output at target; return its output files, sorted."""
     if name in ("sweep", "sweep-json", "sweep16", "compare", "compare-cube", "compare-slc",
-                "compare8", "slc", "slc-controls", "slc8"):
+                "compare8", "slc", "slc-controls", "slc20", "slc8"):
         assert main(args + ["--out", str(target)]) == 0
         return sorted(target.iterdir())
     out = target.with_suffix(".csv" if name in ("adapt", "adapt8", "smc") else ".json")
@@ -129,6 +136,11 @@ GOLDEN = {
     "slc-controls/pulse.json": "84cb34dd9faae4a3f8734e678a46ebdf50ccae6ec5e9cf4cb7d63a70598da83f",
     "slc-controls/test.csv": "6121e4979fc97790790b8e72783b914f2eb17021765b583141d01812481c9228",
     "slc-controls/training_log.csv": "887ae14bb431fd87b500e99841ced35a38c2117ef16999dee73b2f3759914627",
+    # recorded before slc_train evaluated its candidates through one prepared propagation
+    "slc20/manifest.json": "60c438fff26351e24dbdf823242095e31d9b26e284b2d47498c759e85b7469e1",
+    "slc20/pulse.json": "adb4f49c53836bf46da4ae3b89487f84428af259dc6dd9db64557f2ca2265847",
+    "slc20/test.csv": "e90ce0951696943cf73711cbd909134ab4c83723cc657aa3fabf99934ea91017",
+    "slc20/training_log.csv": "b942e01faf12c10e10faf5fb2bfe1f82f4143390d231ea0aff4a5aa1fd0c902a",
     "compare/compare_tomography.csv": "8332007d4b97c69c2769f20598f93ee59a66049887051c7959a7075ceb94de80",
     "compare/compare_tomography.manifest.json": "e9f9ea336d0cd2a23f3c2bbbb64855b84314bf14a3a45e53e3e7117d823ed5f6",
     # recorded once `compare` accepted --candidates cube; its rows equal
@@ -173,9 +185,9 @@ def test_records_csv_digest(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["tomo", "sweep", "sweep-json", "adapt", "hamid", "hamid4",
-                                  "hamid-noiseless", "smc", "slc", "slc-controls", "compare",
-                                  "compare-cube", "compare-slc", "adapt8", "compare8", "hamid8",
-                                  "slc8"])
+                                  "hamid-noiseless", "smc", "slc", "slc-controls", "slc20",
+                                  "compare", "compare-cube", "compare-slc", "adapt8", "compare8",
+                                  "hamid8", "slc8"])
 def test_cli_output_digests(name, tmp_path):
     args = write_inputs(tmp_path)[name]
     assert digests_of(name, run_command(name, args, tmp_path / name)) == golden_of(name)
