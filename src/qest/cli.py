@@ -82,15 +82,36 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
+# Near 1e15 rad the spacing of doubles is already 0.125 rad: larger phases, of an SLC
+# interval or of a `hamid` propagator, carry no usable digits, and near 1e308 they overflow.
+_PHASE_LIMIT = 1e15
+
+
+def _unit_scaled(a):
+    """(m, a / m), m the largest real or imaginary part of the finite array a (a itself
+    when m = 0): a nonzero a / m has a norm between 1 and sqrt(2 a.size), which neither
+    overflows nor vanishes.  The parts are divided as reals, since complex division by a
+    subnormal m overflows."""
+    m = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+    return m, (a.real / m + 1j * (a.imag / m) if m else a)
+
+
 def _load_hamiltonian(args):
     if args.true_h:
         obj = json.loads(Path(args.true_h).read_text())
         h = matrix_from_json(obj)
         if h.shape != (args.dim, args.dim):
             raise ConfigError("--true-h dimension does not match --dim")
+        if not np.isfinite(h).all():
+            raise ConfigError("--true-h entries must be finite")
+        # ||H||_F t bounds every eigenphase of exp(-i H t); m ||H / m||_F is a Python
+        # float, which overflows to inf without a warning
+        m, unit = _unit_scaled(h)
+        phase = m * float(np.linalg.norm(unit)) * args.time
+        if not phase <= _PHASE_LIMIT:
+            raise ConfigError(f"the --true-h Frobenius norm times --time is {phase:.3g} rad, "
+                              f"above {_PHASE_LIMIT:.0e}")
         return h
-    if args.time < 1e-100:
-        raise ConfigError("--time below 1e-100 overflows the random Hamiltonian's norm 0.4*pi/time")
     rng = harness.trial_rng(args.seed, 0)
     return random_traceless_hermitian(args.dim, rng, spectral_norm=0.4 * np.pi / args.time)
 
@@ -99,6 +120,10 @@ def _cmd_hamid(args) -> int:
     _dim(args)
     if not (np.isfinite(args.time) and args.time > 0):
         raise ConfigError("--time must be positive and finite")
+    if args.time < 1e-100:
+        # the random Hamiltonian's norm 0.4*pi/time and the largest generator that
+        # identification can return, pi/time, stay far inside the double range
+        raise ConfigError("--time below 1e-100 puts the generator scale pi/time above 1e100")
     h_true = _load_hamiltonian(args)
     kraus = [herm_expm(h_true, args.time)]
     shots = None if args.shots == "noiseless" else int(args.shots)
@@ -121,11 +146,6 @@ _SLC_KEYS = {
 }
 
 
-# Near 1e15 rad the spacing of doubles is already 0.125 rad: larger interval phases
-# carry no usable digits, and near 1e308 they overflow.
-_PHASE_LIMIT = 1e15
-
-
 def _number(value, kind, name):
     """kind(value) for a JSON number; any other value, or a fraction for an int, is a config error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -144,10 +164,10 @@ def _state_from_config(cfg, key, d, default):
         raise ConfigError(f"{key} must be a list of [re, im] pairs") from exc
     if v.size != d:
         raise ConfigError(f"{key} must have {d} amplitudes")
-    norm = np.linalg.norm(v)
-    if not (np.isfinite(norm) and norm > 0):
+    if not (np.isfinite(v).all() and v.any()):
         raise ConfigError(f"{key} must be a finite, nonzero state")
-    return v / norm
+    unit = _unit_scaled(v)[1]
+    return unit / np.linalg.norm(unit)
 
 
 def _cmd_slc(args) -> int:

@@ -6,7 +6,10 @@ scipy, which only the tests and the benchmark use.  The one-matrix
 accumulator loop is the reference for `qest.tomography.project_physical`'s
 batched simplex step.  The per-rotation identification loop is the
 reference for `qest.identify_hamiltonian`'s closed-form choice of phase
-rotation.  The Gell-Mann regression over cube records is the reference for
+rotation, and identification by one full ``eigh`` the dense reference for
+its ``eigvalsh`` and power iteration.  The LU solve over the natural probes
+is the dense reference for `qest.estimate_lambda`'s index-built probe map.
+The Gell-Mann regression over cube records is the reference for
 `qest.estimate_lambda`'s closed-form solve in Pauli coordinates, and the
 dense Kronecker-product Pauli strings for its Pauli tables and butterfly
 reconstruction.  The nested ``np.kron`` loop, the all-bases ``einsum`` and
@@ -37,7 +40,7 @@ from dataclasses import fields, replace
 import numpy as np
 import scipy.linalg
 
-from qest import linalg
+from qest import identification, linalg
 from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
 from qest.linalg import gell_mann_basis, is_hermitian, vec, vec_inv
@@ -51,13 +54,16 @@ from qest.states import (
     bloch_basis_povm,
     born_probabilities,
     cube_povm,
+    cube_draws,
     cube_records,
+    rho_from_paulis,
     rho_from_theta,
 )
 from qest.tomography import (
     build_regression,
     project_physical,
     record_weight,
+    solve_cube_paulis,
     solve_weighted_ls,
     tomography_pipeline,
 )
@@ -111,32 +117,74 @@ def unitary_log(u: np.ndarray, t: float) -> np.ndarray:
     return (h + h.conj().T) / 2
 
 
-def identify_by_rotations(lam: np.ndarray, t: float):
-    """Reference identification: one matrix log per phase rotation.
+def eigh_top_eigenpair(dmat: np.ndarray):
+    """Reference top eigenpair: the ascending spectrum and top eigenvector of one full eigh."""
+    w, v = np.linalg.eigh(dmat)
+    return w, v[:, -1]
 
-    Follows ``qest.identify_hamiltonian`` up to the rotation choice, then takes
-    ``qest.linalg.unitary_log`` of every candidate base * e^{2 pi i r/d},
-    capturing each call's warnings, and keeps the smallest spectral norm;
-    norms within 1e-9 tie, and a tied candidate clear of the cut beats one on
-    it.  Returns (H, the chosen candidate's warnings, [(norm, warned)] per r).
+
+def unitary_fit(lam: np.ndarray, top_eigenpair):
+    """The first steps of ``qest.identify_hamiltonian`` with a given top-eigenpair step.
+
+    Hermitizes the reshuffled Lambda, takes its top eigenpair by
+    ``top_eigenpair``, projects the rank-one factor to the nearest unitary G
+    and returns (G^T with its determinant phase removed, the diagnostics).
     """
     lam = np.asarray(lam, dtype=complex)
     d = int(round(np.sqrt(lam.shape[0])))
     dmat = raw_process_matrix(lam)
-    w, v = np.linalg.eigh((dmat + dmat.conj().T) / 2)
-    g_hat = linalg.nearest_unitary(linalg.vec_inv(np.sqrt(float(w[-1])) * v[:, -1], d, d))
-    base = g_hat.T * np.exp(-1j * np.angle(np.linalg.det(g_hat.T)) / d)
+    w, top = top_eigenpair((dmat + dmat.conj().T) / 2)
+    lam1 = float(w[-1])
+    s_hat = linalg.vec_inv(np.sqrt(lam1) * top, d, d)
+    g_hat = linalg.nearest_unitary(s_hat)
+    diagnostics = {
+        "rank1_dominance": lam1 / float(np.sum(np.abs(w))),
+        "unitary_fit_distance": float(np.linalg.norm(g_hat - s_hat)),
+        "top_eigenvalue": lam1,
+    }
+    return g_hat.T * np.exp(-1j * np.angle(np.linalg.det(g_hat.T)) / d), diagnostics
+
+
+def logs_by_rotations(base: np.ndarray, t: float):
+    """Reference rotation choice: one matrix log per phase rotation of base.
+
+    Takes ``qest.linalg.unitary_log`` of every candidate base * e^{2 pi i r/d},
+    capturing each call's warnings, and keeps the smallest spectral norm;
+    norms within 1e-9 / t tie (1e-9 rad of eigenphase spread), and a tied
+    candidate clear of the cut beats one on it.  Returns (H, the chosen
+    candidate's warnings, [(norm times t, warned)] per r).
+    """
+    d = base.shape[0]
     best, candidates = None, []
     for r in range(d):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             h_r = linalg.unitary_log(base * np.exp(2j * np.pi * r / d), t)
-        norm = float(np.linalg.norm(h_r, 2))
+        norm = float(np.linalg.norm(h_r, 2)) * t
         candidates.append((norm, bool(caught)))
         if (best is None or norm < best[0] - 1e-9
                 or (abs(norm - best[0]) <= 1e-9 and best[2] and not caught)):
             best = (norm, h_r, list(caught))
     return best[1], best[2], candidates
+
+
+def identify_by_rotations(lam: np.ndarray, t: float):
+    """Reference identification: one matrix log per phase rotation.
+
+    Follows ``qest.identify_hamiltonian`` up to the rotation choice, its top
+    eigenpair step included, then chooses by :func:`logs_by_rotations`.
+    """
+    return logs_by_rotations(unitary_fit(lam, identification._top_eigenpair)[0], t)
+
+
+def identify_by_eigh(lam: np.ndarray, t: float):
+    """Reference identification with one full eigh of the Hermitized process matrix.
+
+    The dense path ``qest.identify_hamiltonian`` replaced by one ``eigvalsh``
+    and power iteration, and the result of its fallback: (H, diagnostics).
+    """
+    base, diagnostics = unitary_fit(lam, eigh_top_eigenpair)
+    return logs_by_rotations(base, t)[0], diagnostics
 
 
 def project_physical_loop(rho_tilde: np.ndarray) -> np.ndarray:
@@ -161,6 +209,21 @@ def project_physical_loop(rho_tilde: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def units_by_solve(outputs: np.ndarray) -> np.ndarray:
+    """Reference probe map: Lambda from the natural probes' (d^2, d, d) channel outputs
+    by one LU solve of the probes' expansion over the matrix units."""
+    d = outputs.shape[-1]
+    return np.linalg.solve(natural_probes(d).reshape(d * d, d * d),
+                           outputs.reshape(d * d, d * d))
+
+
+def lambda_by_solve(kraus, d: int, shots: int, seed) -> np.ndarray:
+    """Reference sampled transfer matrix: the draws and closed-form solve of sampled
+    ``qest.estimate_lambda``, mapped back to the units by :func:`units_by_solve`."""
+    copies, draws = cube_draws(apply_channel(kraus, natural_probes(d)), shots, seed)
+    return units_by_solve(project_physical(rho_from_paulis(solve_cube_paulis(copies, draws))))
+
+
 def regression_lambda(kraus, d: int, shots: int, seed) -> np.ndarray:
     """Reference sampled transfer matrix by the general regression over the Gell-Mann design.
 
@@ -169,11 +232,9 @@ def regression_lambda(kraus, d: int, shots: int, seed) -> np.ndarray:
     records -> build_regression -> solve_weighted_ls -> rho_from_theta ->
     project_physical -> the probe expansion back to the units.
     """
-    probes = natural_probes(d)
-    records = cube_records(apply_channel(kraus, probes), shots, seed)
+    records = cube_records(apply_channel(kraus, natural_probes(d)), shots, seed)
     theta, _, _ = solve_weighted_ls(build_regression(records))
-    rho = project_physical(rho_from_theta(theta))
-    return np.linalg.solve(probes.reshape(d * d, d * d), rho.reshape(d * d, d * d))
+    return units_by_solve(project_physical(rho_from_theta(theta)))
 
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])

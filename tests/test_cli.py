@@ -18,6 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import qest
 from qest.cli import build_parser, main
+from qest.identification import random_traceless_hermitian
 from qest.linalg import matrix_from_json, matrix_to_json
 from qest.states import (
     mse,
@@ -548,10 +549,24 @@ def test_smc_demo_contract_property(p0, eps, tau, periods):
 
 
 @_PROPERTY
-@given(dim=st.integers(2, 3), time=_floats(-10.0, 10.0), seed=st.integers(0, 3))
-@example(dim=2, time=2.225073858507203e-309, seed=0)
-def test_hamid_contract_property(dim, time, seed):
-    _contract_holds(["hamid", f"--dim={dim}", f"--time={time!r}", f"--seed={seed}"])
+@given(dim=st.integers(2, 3), time=_floats(-10.0, 10.0), seed=st.integers(0, 3),
+       scale=st.one_of(st.none(), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)),
+       shots=st.sampled_from(["noiseless", "100"]))
+@example(dim=2, time=2.225073858507203e-309, seed=0, scale=None, shots="noiseless")
+@example(dim=2, time=0.5, seed=0, scale=1e200, shots="noiseless")
+@example(dim=2, time=0.5, seed=0, scale=1e200, shots="100")
+def test_hamid_contract_property(dim, time, seed, scale, shots):
+    # scale None draws the random Hamiltonian; otherwise --true-h is scale times a
+    # norm-one traceless Hermitian matrix
+    argv = ["hamid", f"--dim={dim}", f"--time={time!r}", f"--seed={seed}", f"--shots={shots}"]
+    if scale is None:
+        _contract_holds(argv)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        h_path = Path(tmp) / "h.json"
+        h = scale * random_traceless_hermitian(dim, seed)
+        h_path.write_text(json.dumps(matrix_to_json(h)))
+        _contract_holds(argv + [f"--true-h={h_path}"])
 
 
 @_PROPERTY
@@ -670,6 +685,8 @@ _AMPLITUDE = _floats(-2.0, 2.0)
          halfwidth=0.2, grid=2, test_n=3, psi0=1.0, target=1.0)
 @example(horizon=2.0, intervals=2, iterations=1, step=10.0, tolerance=1e-9,
          halfwidth=0.2, grid=2, test_n=3, psi0=0.0, target=1.0)
+@example(horizon=2.0, intervals=2, iterations=1, step=10.0, tolerance=1e-9,
+         halfwidth=0.2, grid=2, test_n=3, psi0=1e300, target=5e-324)
 def test_slc_contract_property(horizon, intervals, iterations, step, tolerance, halfwidth,
                                grid, test_n, psi0, target):
     cfg = TestSlcCommand().config(

@@ -21,12 +21,15 @@ from tests.complexity import complexity_probe
 from tests.oracles import (
     build_b_matrix,
     check_density_matrix,
+    identify_by_eigh,
     identify_by_rotations,
     is_trace_preserving,
+    lambda_by_solve,
     natural_units,
     regression_lambda,
     same_bits,
     schur_eigenphases,
+    units_by_solve,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,13 +39,11 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 
 def per_probe_lambda(kraus, d, shots, seed):
     """Reference: one full tomography pipeline per probe output, solved one at a time."""
-    probes = natural_probes(d)
     rng = np.random.default_rng(seed)
-    lam_probe = np.stack([
-        tomography_pipeline(cube_records(apply_channel(kraus, probe), shots, rng))[0].ravel()
-        for probe in probes
-    ])
-    return np.linalg.solve(probes.reshape(d * d, d * d), lam_probe)
+    return units_by_solve(np.stack([
+        tomography_pipeline(cube_records(apply_channel(kraus, probe), shots, rng))[0]
+        for probe in natural_probes(d)
+    ]))
 
 
 def random_unitary(d, rng):
@@ -297,6 +298,171 @@ class TestEstimateLambda:
                          apply_channel(kraus, units).reshape(16, 16))
 
 
+class TestProbeMapByIndex:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_equals_the_solve_on_any_outputs(self, d):
+        # the map is linear: it must agree with the LU solve on arbitrary complex outputs
+        rng = np.random.default_rng(d)
+        outputs = rng.normal(size=(d * d, d, d)) + 1j * rng.normal(size=(d * d, d, d))
+        ref = units_by_solve(outputs)
+        assert np.abs(identification._units_from_probe_outputs(outputs) - ref).max() \
+            <= 1e-12 * np.abs(ref).max()
+
+    def test_probe_outputs_of_the_identity_channel_give_the_units(self):
+        for d in (2, 3, 4):
+            units = identification._units_from_probe_outputs(natural_probes(d))
+            assert np.abs(units - np.eye(d * d)).max() <= 1e-15
+
+    @pytest.mark.parametrize("d, shots", [(2, 5000), (4, 2000), (8, 20000), (16, 20000)])
+    def test_sampled_lambda_equals_the_solve_oracle(self, d, shots, monkeypatch):
+        kraus = [herm_expm(random_traceless_hermitian(d, np.random.default_rng(d), 1.0), 0.5)]
+        ref = lambda_by_solve(kraus, d, shots, 9)
+        solve = np.linalg.solve
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        lam = estimate_lambda(kraus, d, shots_per_output=shots, seed=9)
+        assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert calls == []
+
+
+@pytest.fixture
+def dense_eigh_calls(monkeypatch):
+    """Record the shape of every np.linalg.eigh input; the d^2 x d^2 ones are the fallback."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return lambda d: sum(shape[-1] == d * d for shape in shapes)
+
+
+@pytest.fixture
+def power_products(monkeypatch):
+    """Run fn(*args) and return (its result, its power-iteration products), counted by the
+    iteration's vdot calls: one at the start, two per product."""
+    calls = []
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
+
+    def run(fn, *args):
+        calls.clear()
+        return fn(*args), max(len(calls) - 1, 0) / 2
+
+    return run
+
+
+def lambda_of_process_matrix(x):
+    """The Lambda whose raw_process_matrix is x (the inverse index reshuffle)."""
+    d2 = x.shape[0]
+    d = int(round(np.sqrt(d2)))
+    lam = x.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d2, d2)
+    assert np.array_equal(raw_process_matrix(lam), x)
+    return lam
+
+
+def spectrum_ratio(lam):
+    x = raw_process_matrix(lam)
+    w = np.linalg.eigvalsh((x + x.conj().T) / 2)
+    return max(abs(w[-2]), abs(w[0])) / w[-1]
+
+
+class TestTopEigenpair:
+    @pytest.mark.parametrize("d, shots", [(2, None), (2, 5000), (4, None), (4, 2000),
+                                          (8, None), (8, 20000), (16, None), (16, 20000)])
+    def test_equals_the_eigh_oracle_without_a_dense_eigh(self, d, shots, dense_eigh_calls,
+                                                         power_products):
+        h = random_traceless_hermitian(d, np.random.default_rng([70, d]), 0.4 * np.pi / 0.5)
+        lam = estimate_lambda([herm_expm(h, 0.5)], d, shots, 3)
+        h_ref, diag_ref = identify_by_eigh(lam, 0.5)
+        before = dense_eigh_calls(d)
+        (h_hat, diag), products = power_products(identify_hamiltonian, lam, 0.5)
+        assert dense_eigh_calls(d) == before
+        assert 1 <= products <= 16
+        assert np.linalg.norm(h_hat - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+        assert diag.keys() == diag_ref.keys()
+        for key, value in diag.items():
+            assert value == pytest.approx(diag_ref[key], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_scale_free(self, factor, dense_eigh_calls, power_products):
+        # factor * D scales the spectrum by factor; the iteration runs on D / w_1, so it
+        # takes the same products to the same eigenvector, with no overflow or underflow
+        h = random_traceless_hermitian(4, np.random.default_rng(71), 1.0)
+        x = raw_process_matrix(estimate_lambda([herm_expm(h, 0.5)], 4, 2000, 3))
+        x = (x + x.conj().T) / 2
+        (w_ref, v_ref), products_ref = power_products(identification._top_eigenpair, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (w, v), products = power_products(identification._top_eigenpair, factor * x)
+        assert dense_eigh_calls(4) == 0
+        assert 1 <= products == products_ref
+        assert np.abs(w - factor * w_ref).max() <= 1e-12 * factor * w_ref[-1]
+        assert np.abs(v - v_ref).max() <= 1e-12
+
+    def test_huge_lambda_gives_the_same_generator(self):
+        # a Lambda scaled by 1e200 is no channel's, but D's top eigenvector and so H are
+        # those of the unscaled one (at 1e-200 nearest_unitary's absolute rank test rejects
+        # the fit instead)
+        h = random_traceless_hermitian(4, np.random.default_rng(71), 1.0)
+        lam = estimate_lambda([herm_expm(h, 0.5)], 4, 2000, 3)
+        h_ref, diag_ref = identify_hamiltonian(lam, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h_hat, diag = identify_hamiltonian(1e200 * lam, 0.5)
+        assert np.linalg.norm(h_hat - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+        assert diag["top_eigenvalue"] == pytest.approx(1e200 * diag_ref["top_eigenvalue"],
+                                                       rel=1e-12)
+        assert diag["rank1_dominance"] == pytest.approx(diag_ref["rank1_dominance"], rel=1e-12)
+
+    @pytest.fixture
+    def assert_falls_back_to_eigh(self, dense_eigh_calls, power_products):
+        def check(lam, t, products):
+            d = int(round(np.sqrt(lam.shape[0])))
+            h_ref, diag_ref = identify_by_eigh(lam, t)
+            before = dense_eigh_calls(d)
+            (h_hat, diag), taken = power_products(identify_hamiltonian, lam, t)
+            assert dense_eigh_calls(d) == before + 1
+            assert taken == products
+            assert same_bits(h_hat, h_ref)
+            assert diag == diag_ref
+        return check
+
+    def test_near_degenerate_top_pair_falls_back(self, assert_falls_back_to_eigh):
+        # two Hilbert-Schmidt orthogonal unitaries with weights 0.5005 and 0.4995: the
+        # process matrix's top pair is 2.002 and 1.998, so the spectrum rules out iterating
+        zx = np.kron(SZ, SX)
+        lam = estimate_lambda([np.sqrt(0.5005) * np.eye(4), np.sqrt(0.4995) * zx], 4)
+        assert spectrum_ratio(lam) > 0.99
+        assert_falls_back_to_eigh(lam, 0.5, products=0)
+
+    def test_dominant_negative_eigenvalue_falls_back(self, assert_falls_back_to_eigh):
+        # X = 2 g g^dag - 3 u u^dag: a unitary channel's factor g and an orthogonal
+        # direction u whose eigenvalue outweighs the top one, so the spectrum rules out
+        # iterating
+        g = vec(herm_expm(SZ, 0.3).T) / np.sqrt(2)
+        u = vec(SX) / np.sqrt(2)
+        lam = lambda_of_process_matrix(2 * np.outer(g, g.conj()) - 3 * np.outer(u, u.conj()))
+        assert spectrum_ratio(lam) == pytest.approx(1.5)
+        assert_falls_back_to_eigh(lam, 0.3, products=0)
+        assert np.linalg.norm(identify_hamiltonian(lam, 0.3)[0] - SZ) <= 1e-12
+
+    def test_start_without_overlap_falls_back_at_the_cap(self, assert_falls_back_to_eigh):
+        # X = v v^dag + 0.45 e_0 e_0^dag with v_0 = 0 and |v_j| = 1/sqrt(15): column 0 is
+        # the largest, the spectrum ratio 0.45 passes, but iterating from e_0 never
+        # reaches v
+        rng = np.random.default_rng(5)
+        v = np.exp(2j * np.pi * rng.uniform(size=16)) / np.sqrt(15)
+        v[0] = 0
+        x = np.outer(v, v.conj())
+        x[0, 0] = 0.45
+        lam = lambda_of_process_matrix(x)
+        assert spectrum_ratio(lam) == pytest.approx(0.45)
+        assert_falls_back_to_eigh(lam, 0.5, products=identification._MAX_PRODUCTS)
+
+
 class TestRandomTracelessHermitian:
     def test_seed_equals_its_generator(self):
         h = random_traceless_hermitian(4, 3, 0.7)
@@ -435,6 +601,36 @@ class TestIdentifyMatchesPerRotationLoop:
             assert np.array_equal(h_hat, h_ref)
             assert caught == [(w.category, str(w.message)) for w in caught_ref]
             assert len(log_calls) == 1
+
+    @pytest.mark.parametrize("t", [1e-30, 1e-50])
+    def test_tiny_time_ties_in_radians(self, t, log_calls):
+        # H t is below rounding, so the channel is the identity and base is +-I: the two
+        # candidates' eigenphase spreads tie at the rounding level, and the tie goes to
+        # the one clear of the cut.  Spreads divided by t would differ by far more than
+        # the 1e-9 tie width and could pick the candidate on the cut, with a warning
+        lam = estimate_lambda([herm_expm(random_traceless_hermitian(2, 0), t)], 2)
+        h_ref, caught_ref, _ = identify_by_rotations(lam, t)
+        h_hat, caught = identify_with_warnings(lam, t)
+        assert caught == caught_ref == []
+        assert np.array_equal(h_hat, h_ref)
+        assert len(log_calls) == 1
+        # H itself is unrecoverable; the result is a rounding-level phase, not pi / t
+        assert np.linalg.norm(h_hat, 2) * t <= 1e-14
+
+    @pytest.mark.parametrize("d, shots", [(2, None), (4, None), (4, 2000)])
+    def test_large_time(self, d, shots, log_calls):
+        # t = 1e6 with ||H||_2 t = 1 rad < pi/2, so H is recoverable: the choice and its
+        # tie width are in radians
+        t = 1e6
+        h = random_traceless_hermitian(d, np.random.default_rng([61, d]), 1.0 / t)
+        lam = estimate_lambda([herm_expm(h, t)], d, shots, 4)
+        h_ref, caught_ref, _ = identify_by_rotations(lam, t)
+        h_hat, caught = identify_with_warnings(lam, t)
+        assert caught == caught_ref == []
+        assert np.array_equal(h_hat, h_ref)
+        assert len(log_calls) == 1
+        tol = 1e-12 if shots is None else 0.1
+        assert np.linalg.norm(h_hat - h, 2) <= tol * np.linalg.norm(h, 2)
 
     def test_tie_with_a_candidate_on_the_cut(self, log_calls):
         # U has eigenphases pi - delta (twice) and delta (twice): its four phase
