@@ -157,8 +157,10 @@ def _fibonacci_sphere() -> np.ndarray:
 
 _SPHERE_GRID = _fibonacci_sphere()
 
-# candidate directions: the cube axes, the eigendirections of Q, the Bloch direction, the grid
+# candidate directions: the cube axes, the eigendirections of Q, the Bloch direction, the
+# grid; the fixed ones are laid out once here, with zeros where each state's own go
 _BLOCH = 6
+_DIRECTIONS = np.concatenate([np.eye(3), np.zeros((_BLOCH + 1 - 3, 3)), _SPHERE_GRID])
 
 
 def _continuum_gains(state, planned_shots, weighting):
@@ -170,24 +172,34 @@ def _continuum_gains(state, planned_shots, weighting):
     norm = np.sqrt(np.vecdot(bloch, bloch))[..., None]  # np.linalg.norm's bits
     has_bloch = norm > 1e-9
     # one C-contiguous array: strided rows send the products below off BLAS, moving bits
-    u = np.empty(members + (_BLOCH + 1 + len(_SPHERE_GRID), 3))
-    u[..., :3, :] = np.eye(3)
+    u = np.empty(members + _DIRECTIONS.shape)
+    u[...] = _DIRECTIONS
     u[..., 3:_BLOCH, :] = v.mT
     u[..., _BLOCH, :] = bloch / np.where(has_bloch, norm, 1.0)
-    u[..., _BLOCH + 1:, :] = _SPHERE_GRID
     g = u / np.sqrt(2.0)
-    x = _rows_at(g, state.theta[..., None])[..., 0]
-    p_pred = np.clip(np.stack([x, -x]) + 0.5, 0.0, 1.0)  # the outcome axis first
-    # shot weights are one scalar; both outcomes must count it
-    weight = np.broadcast_to(record_weight(planned_shots, p_pred, weighting), p_pred.shape)
     qg = _rows_at(g, state.q)  # Q is symmetric
     # explicit adds give .sum(-1)'s bits (it adds 3 or 2 terms left to right) without its row loop
-    gqg, qg = g * qg, qg * qg
+    gqg = g * qg
+    qg *= qg
     drop = gqg[..., 0] + gqg[..., 1] + gqg[..., 2]
-    gains = (qg[..., 0] + qg[..., 1] + qg[..., 2]) / (1.0 / weight + drop)
-    gains = gains[0] + gains[1]
-    gains[..., _BLOCH] = np.where(has_bloch[..., 0], gains[..., _BLOCH], -np.inf)
-    return u, gains
+    gain = qg[..., 0] + qg[..., 1] + qg[..., 2]
+    if weighting == "shots":
+        # one weight for both outcomes, so their gains are equal halves
+        gain /= 1.0 / record_weight(planned_shots, None, weighting) + drop
+        gain += gain
+    else:
+        # the outcome rows +-g predict 1/2 +- x, the outcome axis first ((-x) + 1/2 has the
+        # bits of 1/2 - x); record_weight clips them to [lo, 1 - lo], inside [0, 1]
+        x = _rows_at(g, state.theta[..., None])[..., 0]
+        p = np.empty((2,) + x.shape)
+        np.add(x, 0.5, out=p[0])
+        np.subtract(0.5, x, out=p[1])
+        inv = 1.0 / record_weight(planned_shots, p, weighting)
+        inv += drop
+        np.divide(gain, inv, out=inv)
+        gain = np.add(inv[0], inv[1], out=gain)
+    gain[..., _BLOCH][~has_bloch[..., 0]] = -np.inf
+    return u, gain
 
 
 def continuum_qubit_basis(state: RecursiveState, planned_shots: int, weighting: str) -> Povm:
@@ -201,9 +213,12 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int, weighting: 
     ||Q u||^2 / (1/w + u^T Q u / 2), maximized by the top eigendirection of
     Q; under inverse-variance weights aligned measurements become cheap and
     the search leaves the cube frame.  Each direction is scored as one row,
-    shared by the basis's two outcomes.  For a stack of members, one batched
-    ``eigh`` and one scoring pass give one stacked :class:`Povm` of each
-    member's choice, with the elements that member's own call returns.
+    shared by the basis's two outcomes: under shot weights both outcomes
+    gain the same, and under inverse-variance weights the predicted outcome
+    probabilities are 1/2 +- u.theta/sqrt(2), which ``record_weight`` clips.
+    For a stack of members, one batched ``eigh`` and one scoring pass give
+    one stacked :class:`Povm` of each member's choice, with the elements
+    that member's own call returns.
     """
     if state.dim != 2:
         raise ValueError("continuum basis search is qubit-only")
@@ -211,9 +226,11 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int, weighting: 
     # grid and eigen directions are unit vectors only to rounding, so gains
     # within 1e-12 (relative) of the best tie, and the lowest index wins
     best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
-    chosen = bloch_basis_povm(np.take_along_axis(u, best[..., None, None], axis=-2)[..., 0, :])
-    return Povm(np.where((best < 3)[..., None, None, None],
-                         cube_povm(2).elements[np.minimum(best, 2)], chosen.elements))
+    # each member's chosen row of u; a chosen cube axis takes the cube basis's own elements
+    elements = bloch_basis_povm(u[(*np.indices(best.shape, sparse=True), best)]).elements
+    cube = best < 3
+    elements[cube] = cube_povm(2).elements[best[cube]]
+    return Povm(elements)
 
 
 def cube_estimate(truth, total: int, rng, weighting: str):
@@ -250,9 +267,21 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates: str, se
     arrays ``step`` and ``copies_used`` of shape (K+1,), and float arrays
     ``trace_q`` and ``mse`` of shape (K+1,), or (K+1, R) for a stack.  The
     steps' estimates are projected together after the last step, by one
-    batched ``project_physical``.
+    batched ``project_physical``, which projects each member on its own:
+    projecting the last step alone gives the same final state.
     """
     truth = np.asarray(truth, dtype=complex)
+    thetas, trace_q = _adaptive_steps(truth, schedule, candidates, seed, weighting)
+    rho_steps = project_physical(rho_from_theta(np.stack(thetas)))
+    step = np.arange(schedule.steps + 1)
+    diagnostics = {"step": step, "copies_used": schedule.stage1 + step * schedule.per_step,
+                   "trace_q": np.stack(trace_q), "mse": mse(rho_steps, truth)}
+    return rho_steps[-1], diagnostics
+
+
+def _adaptive_steps(truth, schedule, candidates, seed, weighting):
+    # run_adaptive_protocol's steps for a complex truth array, unprojected: each step's theta
+    # and Tr(Q), in two lists
     d = truth.shape[-1]
     rng = ([np.random.default_rng(s) for s in seed] if isinstance(seed, (list, tuple))
            else np.random.default_rng(seed))
@@ -277,8 +306,4 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates: str, se
         state = rls_update(state, build_regression(records, weighting))
         thetas.append(state.theta)
         trace_q.append(np.trace(state.q, axis1=-2, axis2=-1))
-    rho_steps = project_physical(rho_from_theta(np.stack(thetas)))
-    step = np.arange(schedule.steps + 1)
-    diagnostics = {"step": step, "copies_used": schedule.stage1 + step * schedule.per_step,
-                   "trace_q": np.stack(trace_q), "mse": mse(rho_steps, truth)}
-    return rho_steps[-1], diagnostics
+    return thetas, trace_q

@@ -85,6 +85,7 @@ def _cmd_adapt(args) -> int:
 # Near 1e15 rad the spacing of doubles is already 0.125 rad: larger phases, of an SLC
 # interval or of a `hamid` propagator, carry no usable digits, and near 1e308 they overflow.
 _PHASE_LIMIT = 1e15
+_HALF_MAX = float(np.finfo(float).max) / 2
 
 
 def _unit_scaled(a):
@@ -96,6 +97,13 @@ def _unit_scaled(a):
     return m, (a.real / m + 1j * (a.imag / m) if m else a)
 
 
+def _frobenius_norm(a) -> float:
+    """||a||_F of the finite array a as m ||a / m||_F (see :func:`_unit_scaled`): a Python
+    float, which overflows to inf without a warning."""
+    m, unit = _unit_scaled(a)
+    return m * float(np.linalg.norm(unit))
+
+
 def _load_hamiltonian(args):
     if args.true_h:
         obj = json.loads(Path(args.true_h).read_text())
@@ -104,10 +112,8 @@ def _load_hamiltonian(args):
             raise ConfigError("--true-h dimension does not match --dim")
         if not np.isfinite(h).all():
             raise ConfigError("--true-h entries must be finite")
-        # ||H||_F t bounds every eigenphase of exp(-i H t); m ||H / m||_F is a Python
-        # float, which overflows to inf without a warning
-        m, unit = _unit_scaled(h)
-        phase = m * float(np.linalg.norm(unit)) * args.time
+        # ||H||_F t bounds every eigenphase of exp(-i H t)
+        phase = _frobenius_norm(h) * args.time
         if not phase <= _PHASE_LIMIT:
             raise ConfigError(f"the --true-h Frobenius norm times --time is {phase:.3g} rad, "
                               f"above {_PHASE_LIMIT:.0e}")
@@ -183,9 +189,11 @@ def _cmd_slc(args) -> int:
     if not isinstance(cfg["Hm"], list):
         raise ConfigError("Hm must be a list of matrices")
     d = _number(cfg["dim"], int, "dim")
+    h0, controls = matrix_from_json(cfg["H0"]), tuple(matrix_from_json(m) for m in cfg["Hm"])
+    if not all(np.isfinite(h).all() for h in (h0, *controls)):
+        raise ConfigError("H0 and Hm entries must be finite")
     system = UncertainSystem(
-        matrix_from_json(cfg["H0"]),
-        tuple(matrix_from_json(m) for m in cfg["Hm"]),
+        h0, controls,
         _number(cfg.get("omega_halfwidth", 0.0), float, "omega_halfwidth"),
         _number(cfg.get("theta_halfwidth", 0.0), float, "theta_halfwidth"),
     )
@@ -200,8 +208,11 @@ def _cmd_slc(args) -> int:
     field0 = ControlField(_number(cfg["T"], float, "T"),
                           rng.uniform(-0.5, 0.5, size=(intervals, len(system.controls))))
     # omega and theta stay below 2 and the initial amplitudes below 1, so this bounds the
-    # eigenvalues of every interval generator in Frobenius norm
-    scale = 2.0 * float(np.linalg.norm(system.h0) + sum(np.linalg.norm(c) for c in system.controls))
+    # eigenvalues of every interval generator in Frobenius norm; training forms their
+    # differences, so twice the bound must stay finite
+    scale = 2.0 * sum(_frobenius_norm(h) for h in (system.h0, *system.controls))
+    if not scale <= _HALF_MAX:
+        raise ConfigError(f"H0 and Hm give the generator bound {scale:.3g}, above {_HALF_MAX:.3g}")
     if not field0.dt * scale <= _PHASE_LIMIT:
         raise ConfigError(f"T / L = {field0.dt:.3g} times the generator bound {scale:.3g} "
                           f"exceeds {_PHASE_LIMIT:.0e} rad per interval")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveSchedule, cube_estimate, run_adaptive_protocol
+from .adaptive import AdaptiveSchedule, _adaptive_steps, cube_estimate
 from .control import (
     ControlField,
     UncertainSystem,
@@ -114,7 +114,10 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
     def rngs(arm):
         return [trial_rng(seed, t, arm, rep) for t in range(trials) for rep in range(repetitions)]
 
-    rho_adaptive, _ = run_adaptive_protocol(truths, schedule, candidates, rngs(1), weighting)
+    # only the final estimate is read, and each member is projected on its own, so projecting
+    # it alone gives run_adaptive_protocol's final state
+    thetas, _ = _adaptive_steps(truths, schedule, candidates, rngs(1), weighting)
+    rho_adaptive = project_physical(rho_from_theta(thetas[-1]))
     errs = np.stack([mse(rho_adaptive, truths),
                      _static_cube_mse(truths, schedule.total, rngs(2), weighting)])
     # each trial's mean over its own repetitions

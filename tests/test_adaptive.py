@@ -604,6 +604,29 @@ class TestDirectionScoring:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert np.isneginf(got[..., 6]).sum() == centre
 
+    def test_predictions_at_and_past_the_clip_bounds(self):
+        # the continuum passes the predicted probabilities 1/2 +- x to record_weight's clip to
+        # [lo, 1 - lo] alone; _basis_gains clips them to [0, 1] first.  Along the x axis, the
+        # members put x at exactly +-1/2 (probabilities 0 and 1), within lo / 2 of 1/2 and
+        # past 1/2, and the other directions cross every bound
+        lo = 1.0 / (2 * 500)
+        g = 1.0 / np.sqrt(2.0)  # the x axis's row
+        edge = 0.5 / g
+        assert g * edge == 0.5
+        q, theta = TestStackedSelection().stacked_state(5, [25, 5], "invvar")
+        theta[:] = 0.0
+        theta[:, 0] = [edge, -edge, (0.5 - lo / 2) / g, 1.2, -2.0]
+        theta[4, 1:] = [0.3, -0.9]
+        state = RecursiveState(q=q, theta=theta)
+        u, has_bloch = self.directions(state)
+        x = np.abs((u / np.sqrt(2.0)) @ theta[..., None])[..., 0]
+        assert (x[:2, 0] == 0.5).all() and 0.5 - lo < x[2, 0] < 0.5 and (x > 0.5).sum() > 100
+        assert ((0.5 - lo < x) & (x < 0.5)).sum() > 1
+        want = _basis_gains(state, 1.0, np.stack([u, -u], axis=-2) / np.sqrt(2.0), 500, "invvar")
+        want[..., 6] = np.where(has_bloch, want[..., 6], -np.inf)
+        got_u, got = _continuum_gains(state, 500, "invvar")
+        assert got_u.tobytes() == u.tobytes() and got.tobytes() == want.tobytes()
+
 
 class TestBatchedDiagnostics:
     """Every step's estimate is projected after the last step, in one batch."""

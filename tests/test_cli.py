@@ -262,6 +262,17 @@ class TestSlcCommand:
                                 capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("entry, horizon", [(1e200, 1e-250), (3e307, 1e-300)])
+    def test_huge_drift_within_the_bound_trains(self, entry, horizon, tmp_path):
+        # ||H0||_F overflows as a sum of squares; the generator bound is 2.8e200 or 8.5e307,
+        # below half the largest double, and times T / L it gives 1.4e-50 or 4.2e7 rad
+        cfg = self.config(H0=matrix_to_json(np.diag([entry, -entry])), T=horizon, L=2,
+                          iterations=3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["slc", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert np.isfinite(json.loads((tmp_path / "o" / "pulse.json").read_text())["test_min"])
+
     def test_missing_key_rejected(self, tmp_path):
         cfg = self.config()
         del cfg["H0"]
@@ -365,6 +376,10 @@ _NUMBER_KEYS = ("T", "L", "dim", "step", "iterations", "tolerance", "omega_halfw
     {"H0": {"rows": True, "cols": 4, "data": [[1, 0], [0, 0], [0, 0], [-1, 0]]}},
     {"Hm": [{"rows": 2, "cols": 2.0001, "data": [[0, 0], [1, 0], [1, 0], [0, 0]]}]},
     {"T": 1e308, "L": 1},
+    {"H0": matrix_to_json(np.diag([np.inf, -1.0]))},
+    {"Hm": [matrix_to_json(np.array([[0.0, np.nan], [np.nan, 0.0]]))]},
+    {"H0": matrix_to_json(np.diag([1e200, -1e200])), "T": 1e-180, "L": 2},
+    {"H0": matrix_to_json(np.diag([1e308, -1e308])), "T": 1e-300, "L": 2},
     *({key: value} for key in _NUMBER_KEYS for value in (None, [1], True, "2")),
     {"samples": {"grid": [None, 2]}}, {"samples": {"grid": [[2], 2]}}, {"samples": {"grid": None}},
     {"test": {"random": [20, None]}}, {"test": {"random": [[20], 7]}},
@@ -376,6 +391,7 @@ _NUMBER_KEYS = ("T", "L", "dim", "step", "iterations", "tolerance", "omega_halfw
         "step-nan", "step-inf", "iterations-neg", "tolerance-nan", "iterations-inf", "L-inf",
         "grid-inf", "psi0-string", "H0-string", "psi0-bool", "target-bool", "H0-bool",
         "Hm-bool", "H0-rows-fraction", "H0-rows-bool", "Hm-cols-fraction", "T-huge",
+        "H0-inf", "Hm-nan", "H0-1e200-phase", "H0-1e308-bound",
         *(f"{key}-{kind}" for key in _NUMBER_KEYS for kind in ("null", "list", "bool", "str")),
         "grid-entry-null", "grid-entry-list", "grid-null", "random-entry-null",
         "random-entry-list", "dim-0", "Hm-null", "config-number", "config-null",

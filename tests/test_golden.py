@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the nineteen commands below, at their fixed seeds, must keep
+Every output file of the twenty-one commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
 
@@ -85,6 +85,12 @@ def write_inputs(tmp_path) -> dict:
         "compare": ["compare", "--kind", "tomography", "--N", "2000", "--N1", "1000",
                     "--N2", "500", "--K", "2", "--trials", "2", "--repetitions", "2",
                     "--seed", "11"],
+        # the adaptive_qubit benchmark's shape, and the continuum search under shot weights
+        "compare20": ["compare", "--kind", "tomography", "--trials", "1", "--repetitions", "20",
+                      "--seed", "11"],
+        "compare-shots": ["compare", "--kind", "tomography", "--weights", "shots", "--N", "2000",
+                          "--N1", "1000", "--N2", "500", "--K", "2", "--trials", "2",
+                          "--repetitions", "2", "--seed", "11"],
         "compare-cube": ["compare", "--kind", "tomography", "--dim", "4", "--candidates", "cube",
                          "--N", "2100", "--N1", "900", "--N2", "600", "--K", "2", "--trials", "2",
                          "--repetitions", "2", "--seed", "11"],
@@ -103,8 +109,8 @@ def write_inputs(tmp_path) -> dict:
 
 def run_command(name, args, target) -> list:
     """Run one command with its output at target; return its output files, sorted."""
-    if name in ("sweep", "sweep-json", "sweep16", "compare", "compare-cube", "compare-slc",
-                "compare8", "slc", "slc-controls", "slc20", "slc8"):
+    if name in ("sweep", "sweep-json", "sweep16", "compare", "compare20", "compare-shots",
+                "compare-cube", "compare-slc", "compare8", "slc", "slc-controls", "slc20", "slc8"):
         assert main(args + ["--out", str(target)]) == 0
         return sorted(target.iterdir())
     out = target.with_suffix(".csv" if name in ("adapt", "adapt8", "smc") else ".json")
@@ -146,6 +152,14 @@ GOLDEN = {
     "slc20/training_log.csv": "b942e01faf12c10e10faf5fb2bfe1f82f4143390d231ea0aff4a5aa1fd0c902a",
     "compare/compare_tomography.csv": "8332007d4b97c69c2769f20598f93ee59a66049887051c7959a7075ceb94de80",
     "compare/compare_tomography.manifest.json": "e9f9ea336d0cd2a23f3c2bbbb64855b84314bf14a3a45e53e3e7117d823ed5f6",
+    # recorded before the adaptive arm of `compare` projected only its final estimate
+    "compare20/compare_tomography.csv": "0f53bd60b8af244536ea85dc0318831a5d30aad87f81bdcea32df9c97b363f41",
+    "compare20/compare_tomography.manifest.json":
+        "0553672803cd80ffab58d5d212eaabb7355b1ecce2b0d2a581f32726484ddd2b",
+    "compare-shots/compare_tomography.csv":
+        "5b31be5e87244b599f0bcbb0a6bed06030b56ce7419713f8811f79abc89e2882",
+    "compare-shots/compare_tomography.manifest.json":
+        "6dbe548bbdb910acf45aed822cab95dac8be835795791cd4362b1450ecc7262f",
     # recorded once `compare` accepted --candidates cube; its rows equal
     # run_paired_tomography with the d = 4 cube POVMs as a candidate list, before the
     # stacked protocol
@@ -189,8 +203,8 @@ def test_records_csv_digest(tmp_path):
 
 @pytest.mark.parametrize("name", ["tomo", "sweep", "sweep-json", "adapt", "hamid", "hamid4",
                                   "hamid-noiseless", "smc", "slc", "slc-controls", "slc20",
-                                  "compare", "compare-cube", "compare-slc", "adapt8", "compare8",
-                                  "hamid8", "slc8"])
+                                  "compare", "compare20", "compare-shots", "compare-cube",
+                                  "compare-slc", "adapt8", "compare8", "hamid8", "slc8"])
 def test_cli_output_digests(name, tmp_path):
     args = write_inputs(tmp_path)[name]
     assert digests_of(name, run_command(name, args, tmp_path / name)) == golden_of(name)

@@ -120,6 +120,31 @@ class TestPairedTomography:
                                       weighting)
             assert row == (t, float(np.mean(mse(rho, truth))), float(np.mean(static)))
 
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    @pytest.mark.parametrize("dim, candidates", [(2, "continuum"), (4, "cube")])
+    def test_adaptive_arm_is_the_protocols_final_state(self, monkeypatch, weighting, dim,
+                                                       candidates):
+        # the arm projects only the last step's estimate, which the protocol projects with
+        # every other step's: the states scored must have the same bits
+        import qest.harness
+        from qest.adaptive import run_adaptive_protocol
+        from qest.harness import _sample_truth
+        from qest.states import mse
+
+        scored = []
+        monkeypatch.setattr(qest.harness, "mse",
+                            lambda rho, truth: scored.append(rho) or mse(rho, truth))
+        schedule = AdaptiveSchedule(total=900 * dim + 3 * 500, stage1=900 * dim, per_step=500,
+                                    steps=3)
+        run_paired_tomography(dim, schedule, trials=1, seed=21, candidates=candidates,
+                              weighting=weighting, repetitions=20)
+        truths = np.repeat([_sample_truth(dim, trial_rng(21, 0, 0), "pure")], 20, axis=0)
+        want, _ = run_adaptive_protocol(truths, schedule, candidates,
+                                        [trial_rng(21, 0, 1, rep) for rep in range(20)],
+                                        weighting)
+        assert len(scored) == 2  # the adaptive arm's, then the static arm's
+        assert scored[0].shape == want.shape and scored[0].tobytes() == want.tobytes()
+
 
 class TestStackedStaticArm:
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
