@@ -4,7 +4,7 @@ The running pair (Q_n, theta_n) is updated per record as
 
     a_n = (1/W_n + Gamma_n^T Q_{n-1} Gamma_n)^-1
     Q_n = Q_{n-1} - a_n Q_{n-1} Gamma_n Gamma_n^T Q_{n-1}
-    theta_n = theta_{n-1} + a_n Q_{n-1} Gamma_n (p_hat_n - gamma0_n/d - Gamma_n^T theta_{n-1})
+    theta_n = theta_{n-1} + a_n Q_{n-1} Gamma_n (p_hat_n - 1/d - Gamma_n^T theta_{n-1})
 
 and candidate measurements are scored by the closed-form decrease of Tr(Q).
 """
@@ -118,12 +118,12 @@ def trace_gain(state: RecursiveState, gamma: np.ndarray, weight) -> np.ndarray:
     return qg.sum(-1) / (1.0 / weight + drop)
 
 
-def _basis_gains(state, gamma0, gamma, planned_shots, weighting):
+def _basis_gains(state, gamma, planned_shots, weighting):
     # Summed trace gain of measuring planned_shots copies with each basis
     # (element rows along axis -2); planned weights use outcome probabilities
-    # predicted by the current estimate.
+    # 1/d + gamma . theta predicted by the current estimate.
     p_pred = _rows_at(gamma, state.theta[..., None])[..., 0]
-    p_pred += gamma0 / state.dim
+    p_pred += 1.0 / state.dim
     np.clip(p_pred, 0.0, 1.0, out=p_pred)
     return trace_gain(state, gamma, record_weight(planned_shots, p_pred, weighting)).sum(-1)
 
@@ -138,7 +138,7 @@ def select_next_povm(state: RecursiveState, candidates: Povm, planned_shots: int
     holds each member's chosen elements.
     """
     members = state.theta.shape[:-1]
-    gains = _basis_gains(state, candidates.gamma0,
+    gains = _basis_gains(state,
                          candidates.gamma.reshape((1,) * len(members) + candidates.gamma.shape),
                          planned_shots, weighting)
     return Povm(candidates.elements[np.argmax(gains, axis=-1)])
@@ -226,11 +226,8 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int, weighting: 
     # grid and eigen directions are unit vectors only to rounding, so gains
     # within 1e-12 (relative) of the best tie, and the lowest index wins
     best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
-    # each member's chosen row of u; a chosen cube axis takes the cube basis's own elements
-    elements = bloch_basis_povm(u[(*np.indices(best.shape, sparse=True), best)]).elements
-    cube = best < 3
-    elements[cube] = cube_povm(2).elements[best[cube]]
-    return Povm(elements)
+    # each member's chosen row of u; a cube axis row gives the cube basis's own elements
+    return bloch_basis_povm(u[(*np.indices(best.shape, sparse=True), best)])
 
 
 def cube_estimate(truth, total: int, rng, weighting: str):

@@ -219,9 +219,10 @@ def emit(result: SweepResult, out_dir, name: str = "result", fmt: str = "csv",
          config: dict | None = None, seed=None) -> dict:
     """Write a result table plus a manifest naming the config hash and seed.
 
-    JSON holds the column names, the rows as lists of floats (ints too) and
-    the aggregates.  Output bytes are a pure function of the result and
-    config, so a fixed seed reproduces files exactly.
+    JSON holds the column names, the rows as lists, each value of its
+    column's own type (int columns as JSON ints), and the aggregates.
+    Output bytes are a pure function of the result and config, so a fixed
+    seed reproduces files exactly.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,7 +234,7 @@ def emit(result: SweepResult, out_dir, name: str = "result", fmt: str = "csv",
         paths["data"] = out_dir / f"{name}.json"
         payload = {
             "columns": list(result.columns),
-            "rows": np.column_stack(list(result.columns.values())).astype(float).tolist(),
+            "rows": list(zip(*(column.tolist() for column in result.columns.values()))),
             "aggregates": result.aggregates,
         }
         write_json(paths["data"], payload)

@@ -13,15 +13,6 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import gell_mann_basis
 
-_SQ2 = np.sqrt(2.0)
-
-# Single-qubit eigenprojector pairs of sigma_x, sigma_y, sigma_z (plus outcome first).
-_AXIS_KETS = {
-    "x": (np.array([1.0, 1.0]) / _SQ2, np.array([1.0, -1.0]) / _SQ2),
-    "y": (np.array([1.0, 1.0j]) / _SQ2, np.array([1.0, -1.0j]) / _SQ2),
-    "z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-}
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -67,11 +58,13 @@ def rho_from_theta(theta: np.ndarray) -> np.ndarray:
 class Povm:
     """Positive operator-valued measurement: elements sum to the identity.
 
-    ``gamma0[j] = Tr(E_j)`` and ``gamma[j, i] = Tr(E_j O_i)`` over
-    ``gell_mann_basis(d)`` are element j's regression coordinates, computed
-    once per object on first use.  Both are strided ``.real`` views of the
-    complex contraction: BLAS sums contiguous rows in another order, which
-    moves the recursive updates' last bits at d >= 4.
+    The regression takes every element to have unit trace, as every POVM
+    qest builds does, so Tr(E_j rho) = 1/d + gamma[j] . theta:
+    ``gamma[j, i] = Tr(E_j O_i)`` over ``gell_mann_basis(d)`` are element j's
+    regression coordinates, computed once per object on first use.  They are
+    a strided ``.real`` view of the complex contraction: BLAS sums contiguous
+    rows in another order, which moves the recursive updates' last bits at
+    d >= 4.
 
     A stack of measurements, one per member of a stack of states or one per
     candidate basis (see :func:`cube_povm`), has elements (..., n_outcomes,
@@ -86,10 +79,6 @@ class Povm:
 
     def __len__(self) -> int:
         return self.elements.shape[-3]
-
-    @cached_property
-    def gamma0(self) -> np.ndarray:
-        return _read_only(np.einsum("...eii->...e", self.elements).real)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -109,20 +98,19 @@ class Records:
 
     ``successes[r]`` counts how often row r's element fired among
     ``shots[r]`` draws of its full POVM; it is integer-valued for sampled
-    data and may be fractional for exact expected counts.  The element
-    itself enters only through ``gamma0`` and ``gamma``, the row's
-    regression coordinates (see :class:`Povm`).
+    data and may be fractional for exact expected counts.  The element,
+    of unit trace, enters only through ``gamma``, the row's regression
+    coordinates (see :class:`Povm`).
 
     A stack of R members has successes (R, n), the member axis first.
     Members measured by shared runs (see :func:`cube_records`) share the
     other columns; members measured by a stack of POVMs (see :meth:`of_povm`)
-    have their own gamma0 (R, n) and gamma (R, n, d^2 - 1).  Every member
+    have their own gamma (R, n, d^2 - 1).  Every member
     must pass the row checks, and ``p_hat`` has the successes' shape.
     """
 
     shots: np.ndarray      # (n,) int
     successes: np.ndarray  # (n,) or (R, n) float
-    gamma0: np.ndarray     # (n,) or (R, n)
     gamma: np.ndarray      # (n, d^2 - 1) or (R, n, d^2 - 1)
 
     def __post_init__(self):
@@ -134,8 +122,7 @@ class Records:
     @classmethod
     def of_povm(cls, povm: Povm, shots: int, successes) -> Records:
         """One row per element of ``povm``, one POVM or a stack, measured ``shots`` times."""
-        return cls(np.full(len(povm), int(shots)), np.asarray(successes, dtype=float),
-                   povm.gamma0, povm.gamma)
+        return cls(np.full(len(povm), int(shots)), np.asarray(successes, dtype=float), povm.gamma)
 
     def __len__(self) -> int:
         return self.shots.size
@@ -220,21 +207,20 @@ def cube_records(rho, total: int, rng) -> Records:
     """The draws of :func:`cube_draws` as records, one run per basis that gets copies.
 
     A stack's ``successes`` are (R, n), one row per state, or per member when
-    ``rng`` is a list of generators; the runs are shared.  The gamma columns
-    are read-only views of :func:`cube_povm`'s own rows whenever every basis
+    ``rng`` is a list of generators; the runs are shared.  The gamma column
+    is a read-only view of :func:`cube_povm`'s own rows whenever every basis
     gets a copy.
     """
     copies, draws = cube_draws(rho, total, rng)
     d = draws.shape[-1]  # a cube basis has d outcomes
     shots = np.repeat(copies, d)
     measured = shots > 0
-    povm = cube_povm(d)
-    # merging the (basis, outcome) axes keeps the strided rows views
-    gamma0, gamma = povm.gamma0.reshape(-1), povm.gamma.reshape(-1, d * d - 1)
+    # merging the (basis, outcome) axes keeps the strided rows a view
+    gamma = cube_povm(d).gamma.reshape(-1, d * d - 1)
     if not measured.all():
-        gamma0, gamma = gamma0[measured], gamma[measured]
+        gamma = gamma[measured]
     successes = draws.reshape(draws.shape[:-2] + (-1,))[..., measured]
-    return Records(shots[measured], successes.astype(float), gamma0, gamma)
+    return Records(shots[measured], successes.astype(float), gamma)
 
 
 def _qubits(d: int) -> int:
@@ -249,14 +235,17 @@ def cube_povm(d: int) -> Povm:
 
     The read-only elements are (bases, outcomes, d, d).  Bases run over the
     qubits' axes in ``itertools.product("xyz")`` order, outcomes over their
-    signs, qubit 0 most significant and the plus eigenvector first.  Each
-    qubit adds its factor by one broadcast outer product on the right, in the
-    left-to-right order of nested ``np.kron`` calls, so every entry is
+    signs, qubit 0 most significant and the plus outcome first.  A qubit's
+    factors are the exact projectors (I +- sigma_a) / 2, whose entries are
+    dyadic, so every basis sums to I and every element has trace 1, exactly.
+    Each qubit adds its factor by one broadcast outer product on the right,
+    in the left-to-right order of nested ``np.kron`` calls, so every entry is
     multiplied exactly as ``np.kron`` multiplies it.  Cached, so every caller
     shares the same gamma rows, computed on first use by one contraction over
     all bases.
     """
-    single = np.array([[pure_to_density(k) for k in _AXIS_KETS[a]] for a in "xyz"])
+    paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+    single = np.stack([(np.eye(2) + paulis) / 2, (np.eye(2) - paulis) / 2], axis=1)
     elements = single
     for _ in range(_qubits(d) - 1):
         b, o, n, _ = elements.shape
@@ -387,7 +376,7 @@ def _field(row, name, kind, where):
 
 def records_from_csv(path, d: int) -> Records:
     """Read a records CSV, resolving each POVM label once; a bad row's error names its line."""
-    povms, shots, successes, gamma0, gamma = {}, [], [], [], []
+    povms, shots, successes, gamma = {}, [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"povm", "element", "shots", "successes"}
@@ -411,8 +400,6 @@ def records_from_csv(path, d: int) -> Records:
             shots.append(_field(row, "shots", int, where))
             _check_copies(shots[-1], f"{where}: shots")
             successes.append(_field(row, "successes", float, where))
-            gamma0.append(povm.gamma0[j])
             gamma.append(povm.gamma[j])
     return Records(np.array(shots, dtype=int), np.array(successes, dtype=float),
-                   np.array(gamma0, dtype=float),
                    np.array(gamma).reshape(len(gamma), d * d - 1))

@@ -1,6 +1,6 @@
 """Batch state tomography by weighted linear regression.
 
-The estimator solves Theta_hat = argmin sum_j W_j (p_hat_j - gamma0_j/d -
+The estimator solves Theta_hat = argmin sum_j W_j (p_hat_j - 1/d -
 Gamma_j . Theta)^2 and projects the reconstructed Hermitian matrix onto the
 physical (PSD, unit-trace) set.  For shot-weighted cube draws the same
 minimum has a closed form in Pauli coordinates.
@@ -53,7 +53,7 @@ def record_weight(shots, p_hat, weighting: str):
 
 
 def build_regression(records: Records, weighting: str = "shots") -> RegressionProblem:
-    """Assemble the regression rows y_j = p_hat_j - gamma0_j / d from records.
+    """Assemble the regression rows y_j = p_hat_j - 1/d from records.
 
     d comes from the records' d^2 - 1 Gell-Mann coordinates.  A stack of
     records gives a stack of problems, member by member: each member's
@@ -63,7 +63,7 @@ def build_regression(records: Records, weighting: str = "shots") -> RegressionPr
         raise ValueError("cannot build a regression from an empty record table")
     p_hat = records.p_hat
     d = math.isqrt(records.gamma.shape[-1] + 1)
-    return RegressionProblem(y=p_hat - records.gamma0 / d, x=records.gamma,
+    return RegressionProblem(y=p_hat - 1.0 / d, x=records.gamma,
                              w=record_weight(records.shots, p_hat, weighting))
 
 

@@ -285,8 +285,7 @@ def concat_records(parts) -> Records:
 
 def record_rows(records: Records, rows) -> Records:
     """The rows ``rows`` (a slice, index list or mask) of a record table, of every member."""
-    return Records(records.shots[rows], records.successes[..., rows], records.gamma0[..., rows],
-                   records.gamma[..., rows, :])
+    return Records(records.shots[rows], records.successes[..., rows], records.gamma[..., rows, :])
 
 
 def cube_labels(d: int) -> list:
@@ -343,25 +342,17 @@ def natural_probes_loop(d: int) -> np.ndarray:
     return np.stack(probes)
 
 
-# Single-qubit eigenvectors of sigma_x, sigma_y, sigma_z, plus outcome first.
-_AXIS_KETS = {
-    "x": (np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)),
-    "y": (np.array([1.0, 1.0j]) / np.sqrt(2.0), np.array([1.0, -1.0j]) / np.sqrt(2.0)),
-    "z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-}
-
-
 def kron_cube_elements(d: int) -> np.ndarray:
     """The cube bases' elements by nested ``np.kron`` loops: (bases, outcomes, d, d).
 
-    Bases in ``itertools.product("xyz")`` order and outcomes in sign order,
-    qubit 0 most significant, as in ``qest.cube_povm``.
+    Each qubit's factor is the exact projector (I + s sigma_a) / 2.  Bases in
+    ``itertools.product("xyz")`` order and outcomes in sign order, plus
+    first, qubit 0 most significant, as in ``qest.cube_povm``.
     """
     q = d.bit_length() - 1
     bases = []
-    for axes in itertools.product("xyz", repeat=q):
-        single = [[np.outer(k, k.conj()) for k in np.asarray(_AXIS_KETS[a], dtype=complex)]
-                  for a in axes]
+    for axes in itertools.product((1, 2, 3), repeat=q):
+        single = [[(_PAULIS[0] + s * _PAULIS[a]) / 2 for s in (1, -1)] for a in axes]
         elements = []
         for outcomes in itertools.product(range(2), repeat=q):
             m = single[0][outcomes[0]]
@@ -373,15 +364,13 @@ def kron_cube_elements(d: int) -> np.ndarray:
 
 
 def einsum_cube_table(d: int):
-    """The cube elements' regression coordinates (gamma0, gamma) over all bases at once.
+    """The cube elements' regression coordinates gamma over all bases at once.
 
-    One ``einsum`` per column over the (bases, outcomes, d, d) elements, one
-    row per (basis, outcome) in C order.
+    One ``einsum`` over the (bases, outcomes, d, d) elements, one row per
+    (basis, outcome) in C order.
     """
-    elements = kron_cube_elements(d)
-    gamma = np.einsum("beij,kji->bek", elements, gell_mann_basis(d)).real
-    return (np.einsum("beii->be", elements).real.ravel(),
-            np.ascontiguousarray(gamma).reshape(-1, d * d - 1))
+    gamma = np.einsum("beij,kji->bek", kron_cube_elements(d), gell_mann_basis(d)).real
+    return np.ascontiguousarray(gamma).reshape(-1, d * d - 1)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -410,8 +399,8 @@ def rls_update_loop(state: RecursiveState, problem) -> RecursiveState:
     return RecursiveState(q=q, theta=theta)
 
 
-def _basis_gains_loop(state, gamma0, gamma, planned_shots, weighting):
-    p_pred = np.clip(gamma0 / state.dim + gamma @ state.theta, 0.0, 1.0)
+def _basis_gains_loop(state, gamma, planned_shots, weighting):
+    p_pred = np.clip(1.0 / state.dim + gamma @ state.theta, 0.0, 1.0)
     weight = record_weight(planned_shots, p_pred, weighting)
     qg = gamma @ state.q
     return ((qg * qg).sum(-1) / (1.0 / weight + (gamma * qg).sum(-1))).sum(-1)
@@ -424,7 +413,7 @@ def select_next_povm_loop(state, candidates, planned_shots, weighting):
     each basis is split off as its own POVM, with its own gamma rows.
     """
     bases = [Povm(elements) for elements in candidates.elements]
-    gains = np.array([_basis_gains_loop(state, c.gamma0, c.gamma, planned_shots, weighting)
+    gains = np.array([_basis_gains_loop(state, c.gamma, planned_shots, weighting)
                       for c in bases])
     return bases[int(np.argmax(gains))], gains
 
@@ -441,7 +430,7 @@ def continuum_qubit_basis_loop(state, planned_shots, weighting):
     candidates.append(_SPHERE_GRID)
     u = np.concatenate(candidates)
     gamma = np.stack([u, -u], axis=1) / np.sqrt(2.0)
-    gains = _basis_gains_loop(state, np.ones(gamma.shape[:2]), gamma, planned_shots, weighting)
+    gains = _basis_gains_loop(state, gamma, planned_shots, weighting)
     best = int(np.argmax(gains >= gains.max() * (1.0 - 1e-12)))
     return cube_povms(2)[best] if best < 3 else bloch_basis_povm(u[best])
 

@@ -529,7 +529,6 @@ class TestStackedSelection:
                                              weighting)
             assert same_bits(chosen.elements.reshape(-1, 2, 2, 2)[m], ref.elements)
             assert same_bits(chosen.gamma.reshape(-1, 2, 3)[m], ref.gamma)
-            assert same_bits(chosen.gamma0.reshape(-1, 2)[m], ref.gamma0)
 
     def test_centre_member_never_measures_along_a_bloch_direction_of_zero(self):
         q, theta = self.stacked_state(3, 22, "invvar")
@@ -547,7 +546,7 @@ class TestStackedSelection:
         state = self.state(q, theta, members)
         candidates = cube_povm(d)
         gamma = candidates.gamma.reshape((1,) * bool(members) + candidates.gamma.shape)
-        gains = _basis_gains(state, candidates.gamma0, gamma, 500, weighting)
+        gains = _basis_gains(state, gamma, 500, weighting)
         chosen = select_next_povm(state, candidates, 500, weighting)
         assert chosen.elements.shape == (members,) * bool(members) + (d, d, d)
         for m in range(members or 1):
@@ -556,7 +555,6 @@ class TestStackedSelection:
             assert same_bits(gains.reshape(-1, 3 ** (d.bit_length() - 1))[m], ref_gains)
             assert same_bits(chosen.elements.reshape(-1, d, d, d)[m], ref.elements)
             assert same_bits(chosen.gamma.reshape(-1, d, d * d - 1)[m], ref.gamma)
-            assert same_bits(chosen.gamma0.reshape(-1, d)[m], ref.gamma0)
 
 
 class TestDirectionScoring:
@@ -596,8 +594,7 @@ class TestDirectionScoring:
         state = (RecursiveState(q=q[0], theta=theta[0]) if members is None
                  else RecursiveState(q=q, theta=theta))
         u, has_bloch = self.directions(state)
-        want = _basis_gains(state, 1.0, np.stack([u, -u], axis=-2) / np.sqrt(2.0), 500,
-                            weighting)
+        want = _basis_gains(state, np.stack([u, -u], axis=-2) / np.sqrt(2.0), 500, weighting)
         want[..., 6] = np.where(has_bloch, want[..., 6], -np.inf)
         got_u, got = _continuum_gains(state, 500, weighting)
         assert got_u.shape == u.shape and got_u.tobytes() == u.tobytes()
@@ -622,7 +619,7 @@ class TestDirectionScoring:
         x = np.abs((u / np.sqrt(2.0)) @ theta[..., None])[..., 0]
         assert (x[:2, 0] == 0.5).all() and 0.5 - lo < x[2, 0] < 0.5 and (x > 0.5).sum() > 100
         assert ((0.5 - lo < x) & (x < 0.5)).sum() > 1
-        want = _basis_gains(state, 1.0, np.stack([u, -u], axis=-2) / np.sqrt(2.0), 500, "invvar")
+        want = _basis_gains(state, np.stack([u, -u], axis=-2) / np.sqrt(2.0), 500, "invvar")
         want[..., 6] = np.where(has_bloch, want[..., 6], -np.inf)
         got_u, got = _continuum_gains(state, 500, "invvar")
         assert got_u.tobytes() == u.tobytes() and got.tobytes() == want.tobytes()

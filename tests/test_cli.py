@@ -427,6 +427,16 @@ class TestSweepAndCompare:
         manifest = json.loads((out / "mse_sweep.manifest.json").read_text())
         assert manifest["config"]["shots"] == [100, 1000]
 
+    def test_sweep_json_rows_keep_int_columns(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--dim", "2", "--shots", "100,1000", "--trials", "2",
+                     "--seed", "1", "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads((out / "mse_sweep.json").read_text())
+        assert payload["columns"] == ["N", "trial", "mse"]
+        assert [row[:2] for row in payload["rows"]] == [[100, 0], [100, 1], [1000, 0], [1000, 1]]
+        for n, trial, mse in payload["rows"]:
+            assert type(n) is int and type(trial) is int and type(mse) is float
+
     def test_compare_tomography(self, tmp_path):
         out = tmp_path / "cmp"
         assert main(["compare", "--kind", "tomography", "--N", "2000", "--N1", "1000",

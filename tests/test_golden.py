@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the CLI outputs of acceptance criterion 11.
 
-Every output file of the twenty-one commands below, at their fixed seeds, must keep
+Every output file of the twenty-two commands below, at their fixed seeds, must keep
 its bytes through refactors.  A deliberate output change updates the digest it
 moves and names the change in CHANGES.md.
 
@@ -23,7 +23,7 @@ import pytest
 import qest
 from qest.cli import main
 from qest.linalg import matrix_to_json
-from qest.states import random_density_matrix
+from qest.states import random_density_matrix, resolve_povm_label
 from tests.oracles import cube_labels, cube_povms, records_to_csv, simulate_measurements
 
 
@@ -65,8 +65,17 @@ def write_inputs(tmp_path) -> dict:
     truth = random_density_matrix(2, rng)
     records_to_csv([(label, simulate_measurements(truth, povm, 2000, rng))
                     for label, povm in zip(cube_labels(2), cube_povms(2))], records_csv)
+    # bloch: labels only, random, rescaled and near-axis directions
+    bloch_csv = tmp_path / "records-bloch.csv"
+    rng = np.random.default_rng(12)
+    truth = random_density_matrix(2, rng)
+    labels = ["bloch:" + ",".join(f"{c:.17g}" for c in n) for n in rng.normal(size=(6, 3))]
+    labels += ["bloch:0,0,3", "bloch:1,1e-9,0", "bloch:1e-300,0,-1e-300"]
+    records_to_csv([(label, simulate_measurements(truth, resolve_povm_label(label, 2), 2000, rng))
+                    for label in labels], bloch_csv)
     return {
         "tomo": ["tomo", "--records", str(records_csv), "--dim", "2"],
+        "tomo-bloch": ["tomo", "--records", str(bloch_csv), "--dim", "2"],
         "sweep": ["sweep", "--dim", "2", "--shots", "100,1000", "--trials", "3",
                   "--seed", "11"],
         "sweep-json": ["sweep", "--dim", "2", "--shots", "100,1000", "--trials", "3",
@@ -120,14 +129,18 @@ def run_command(name, args, target) -> list:
 
 GOLDEN = {
     "records.csv": "9bb7aa22d73745c66824c46e7a21dc58acf9ec23d4521bbcd134dffb16a165b1",
-    "tomo/tomo.json": "53c6dfeebdbf4ebc0cc1e2613677568db98fc0b21146ae1496d11033c3c24b5d",
-    "sweep/mse_sweep.csv": "3825a6b0767101c30b70bb19c6993a928ce5b526800d55fcd8ec53aa3236f3ba",
-    "sweep/mse_sweep.manifest.json": "009147c01eab58c65f59957a3c57182b48aea25156d912c1473e3a8819ea7905",
-    # recorded while SweepResult still held row tuples and write_csv formatted value by value
-    "sweep-json/mse_sweep.json": "4e14c147499427ca8073f7eafc6f08936d53a59b79e63a819c09cd0c61ca8bf3",
+    # tomo, sweep, adapt, compare and the d >= 8 tomography digests were recorded once
+    # the cube elements were the exact products of (I +- sigma_a) / 2
+    "tomo/tomo.json": "1ea6361916a9a38af943549df0d365921d19da76a7b2f6d6a7d1ba62edcff202",
+    # recorded while records still carried a Tr(E) column; bloch elements have unit trace
+    "tomo-bloch/tomo-bloch.json": "464a0a5ac2d3a4769361dda79d79c52a54f928f2e61fd28240ca6052f08bf816",
+    "sweep/mse_sweep.csv": "b92182214f8b9fca0e91c43ed2433fd4fb46f44bbd1c118a6d7bb702699b0350",
+    "sweep/mse_sweep.manifest.json": "ab32d19f267544c6c8bfbb1e5321c9e64461741761a7c291abdaffecde93daf6",
+    # recorded once JSON rows kept each column's type, so N and trial are JSON ints
+    "sweep-json/mse_sweep.json": "40d7ef3f24bb0d1ad18e379fb0a15786a633c180485f459be3e23f2c4ed683aa",
     "sweep-json/mse_sweep.manifest.json":
-        "009147c01eab58c65f59957a3c57182b48aea25156d912c1473e3a8819ea7905",
-    "adapt/adapt.csv": "6cfa9d70351122a7d6741014a6dae985f74c7f904d5ba810e116f03040201f7a",
+        "ab32d19f267544c6c8bfbb1e5321c9e64461741761a7c291abdaffecde93daf6",
+    "adapt/adapt.csv": "f110a6c8b7fe8a12850f288ffb67e8bb3efcf5faa4b3d9b9794c6e24d9502160",
     # the four hamid digests were recorded once identify_hamiltonian took its top
     # eigenvector by power iteration and estimate_lambda mapped probe outputs to the
     # units by index; hamid8's bytes are the same at one and two BLAS threads
@@ -150,35 +163,30 @@ GOLDEN = {
     "slc20/pulse.json": "adb4f49c53836bf46da4ae3b89487f84428af259dc6dd9db64557f2ca2265847",
     "slc20/test.csv": "e90ce0951696943cf73711cbd909134ab4c83723cc657aa3fabf99934ea91017",
     "slc20/training_log.csv": "b942e01faf12c10e10faf5fb2bfe1f82f4143390d231ea0aff4a5aa1fd0c902a",
-    "compare/compare_tomography.csv": "8332007d4b97c69c2769f20598f93ee59a66049887051c7959a7075ceb94de80",
-    "compare/compare_tomography.manifest.json": "e9f9ea336d0cd2a23f3c2bbbb64855b84314bf14a3a45e53e3e7117d823ed5f6",
-    # recorded before the adaptive arm of `compare` projected only its final estimate
-    "compare20/compare_tomography.csv": "0f53bd60b8af244536ea85dc0318831a5d30aad87f81bdcea32df9c97b363f41",
+    "compare/compare_tomography.csv": "b5f982dae4c96140b3081ef943e811568796da4d722ae104c99eaa268cd04e1a",
+    "compare/compare_tomography.manifest.json": "164621b6126a718ea5a2615f7a37f6805055d701193475c5311c937f54091308",
+    "compare20/compare_tomography.csv": "956bbbc84010c60b9a51a0406bccfcc6b1bdab044555c223292df57e39cfbf6b",
     "compare20/compare_tomography.manifest.json":
-        "0553672803cd80ffab58d5d212eaabb7355b1ecce2b0d2a581f32726484ddd2b",
+        "bf81108510f8f05a79f576c8aadeb7923cb0c07211761db04e4fe746648ab930",
     "compare-shots/compare_tomography.csv":
-        "5b31be5e87244b599f0bcbb0a6bed06030b56ce7419713f8811f79abc89e2882",
+        "0d00af1400e59ec98519191295fdb82498ebc3bbf909f53a282084df905c68e6",
     "compare-shots/compare_tomography.manifest.json":
-        "6dbe548bbdb910acf45aed822cab95dac8be835795791cd4362b1450ecc7262f",
-    # recorded once `compare` accepted --candidates cube; its rows equal
-    # run_paired_tomography with the d = 4 cube POVMs as a candidate list, before the
-    # stacked protocol
-    "compare-cube/compare_tomography.csv": "1db3ddad09535bc410b5d4620dcfefef536e5d78c553940fb075da71b90bccce",
-    "compare-cube/compare_tomography.manifest.json": "e800d3516e6d365f7faa019e36e5c6f7e85e7979752396902222b5d0261d698b",
+        "1f3689e33876c4de95e1b360a24c8dade6011a56376f428d088989b88a1cb185",
+    "compare-cube/compare_tomography.csv": "1b78c3020faaf54224791882e1a7852554d81296e05b7243b742c8961a98160f",
+    "compare-cube/compare_tomography.manifest.json": "39e7a307229c0ea9a183faf8cff982d222132bc4004ebf534aac9c88f9e89041",
     # recorded while SweepResult still held row tuples and write_csv formatted value by value
     "compare-slc/compare_slc.csv": "bac4074b657649fdd9efedd974d720b8d4ed4bebf1121f16e8d650cbe530a91e",
     "compare-slc/compare_slc.manifest.json":
         "c8d5d4a7f1a55b0cadae9802d235482aab517a42ef1c22f73a54e4cbff47b5bc",
-    # the d >= 8 digests were recorded before rls_update and project_physical lost their
-    # no-op steps; at two BLAS threads sweep16 gives b8d62c06a1b7cecf... and a86a42fb6eb514f4...
-    "sweep16/mse_sweep.csv": "284cb8207040c2741054808b963b8076a6b9906894a9e5b2a5b55d94a9321a99",
+    # at two BLAS threads sweep16 gives 2b1f85ec35fe09d4... and 290dc4173a641e67...
+    "sweep16/mse_sweep.csv": "f97b29cf48f0dad0870a424f04b02332d5a270e25684d71f71371941451300fe",
     "sweep16/mse_sweep.manifest.json":
-        "48eb247b54645fe6603af3cb0bf7e7cb141d6ce50f8b825554de514ec17946c9",
-    "adapt8/adapt8.csv": "073e3043328b97dc66474395eb9b13dfbf29d6e28ba081d4d5d2f609a4cccb75",
+        "3dc3ff0e8e863718fc090aa426a62b907ce8b235d3c7d15e12f94888a89d6623",
+    "adapt8/adapt8.csv": "8ac4271ee0be85936690c17aa8b41bbac8d79fb5bbf95101d05738a278f7bdbf",
     "compare8/compare_tomography.csv":
-        "e1d457eac0c40df8b84999b68b5ab10f48f958437dac0cd3f848b1f4d361741e",
+        "0e67de71e4be7952ca6d23ea6237f7e2590ebde540ede0e5d5b19eda09889d52",
     "compare8/compare_tomography.manifest.json":
-        "96914fcee4166f860b9b5b87ae54da4be9b889b53d15850377e8dc09133e3af6",
+        "5530835f90c23f0c25f54b0b76ce2f563217235014b5ba1ff507f92761e8d8ac",
     "hamid8/hamid8.json": "13bee13770f17da030371ad2bf20c4685c7814f817b3513f0389f957e120fd48",
     "slc8/manifest.json": "c6898b3ec54eae067874d18be2d596b752cb869adc2b9fc626ae0efdb6c1b00c",
     "slc8/pulse.json": "6feb5a785816290055e1b6f1988aada9296c561b7732519cd2d40aa789584bce",
@@ -201,8 +209,8 @@ def test_records_csv_digest(tmp_path):
     assert digest == GOLDEN["records.csv"]
 
 
-@pytest.mark.parametrize("name", ["tomo", "sweep", "sweep-json", "adapt", "hamid", "hamid4",
-                                  "hamid-noiseless", "smc", "slc", "slc-controls", "slc20",
+@pytest.mark.parametrize("name", ["tomo", "tomo-bloch", "sweep", "sweep-json", "adapt", "hamid",
+                                  "hamid4", "hamid-noiseless", "smc", "slc", "slc-controls", "slc20",
                                   "compare", "compare20", "compare-shots", "compare-cube",
                                   "compare-slc", "adapt8", "compare8", "hamid8", "slc8"])
 def test_cli_output_digests(name, tmp_path):

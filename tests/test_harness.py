@@ -219,8 +219,9 @@ class TestEmit:
         payload = json.loads(paths["data"].read_text())
         assert payload["columns"] == ["n", "v"]
         assert payload["rows"] == [[1, 0.1], [2, 0.2]]
-        # ints are written as floats
-        assert '"rows": [\n    [\n      1.0,' in paths["data"].read_text()
+        # each column keeps its own type: ints are written as ints
+        assert '"rows": [\n    [\n      1,\n' in paths["data"].read_text()
+        assert [type(v) for v in payload["rows"][1]] == [int, float]
         assert payload["aggregates"]["m"] == 0.15
 
     def test_hash_changes_iff_config_changes(self):

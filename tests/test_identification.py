@@ -280,7 +280,7 @@ class TestEstimateLambda:
         lam = estimate_lambda(kraus, 4, shots_per_output=500,
                               seed=CountingGenerator(np.random.PCG64(4)))
         assert calls == {"multinomial": 1, "eigh": 1, "svd": 0}
-        assert "gamma" not in vars(cube) and "gamma0" not in vars(cube)
+        assert "gamma" not in vars(cube)
         assert np.array_equal(lam, estimate_lambda(kraus, 4, shots_per_output=500,
                                                    seed=np.random.default_rng(4)))
 

@@ -157,9 +157,8 @@ class TestSimulateMeasurements:
 
     def test_record_gammas(self):
         recs = simulate_measurements(np.eye(2) / 2, z_basis(), 100, 5)
-        for j, (g0, gamma) in enumerate(zip(recs.gamma0, recs.gamma)):
+        for j, gamma in enumerate(recs.gamma):
             elem = z_basis().elements[j]
-            assert g0 == pytest.approx(np.trace(elem).real, abs=1e-12)
             expected = [np.trace(elem @ om).real for om in gell_mann_basis(2)]
             assert np.allclose(gamma, expected, atol=1e-12)
 
@@ -192,11 +191,11 @@ class TestRecords:
         directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
         counts = np.array([[30.0, 70.0], [55.0, 45.0], [100.0, 0.0]])
         stacked = Records.of_povm(bloch_basis_povm(directions), 100, counts)
-        assert stacked.gamma0.shape == stacked.successes.shape == (3, 2)
+        assert stacked.successes.shape == (3, 2)
         assert stacked.gamma.shape == (3, 2, 3) and len(stacked) == 2
         for m, n in enumerate(directions):
             own = Records.of_povm(bloch_basis_povm(n), 100, counts[m])
-            for name in ("successes", "p_hat", "gamma0", "gamma"):
+            for name in ("successes", "p_hat", "gamma"):
                 assert np.array_equal(getattr(stacked, name)[m], getattr(own, name))
             assert np.array_equal(stacked.shots, own.shots)
 
@@ -212,7 +211,7 @@ class TestRecords:
 
     def test_povm_gammas_are_computed_once(self):
         povm = z_basis()
-        assert povm.gamma is povm.gamma and povm.gamma0 is povm.gamma0
+        assert povm.gamma is povm.gamma
 
 
 class TestExpectedRecords:
@@ -264,13 +263,39 @@ class TestCubePovms:
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_table_equals_all_bases_einsum_bit_for_bit(self, d):
         povm = cube_povm(d)
-        gamma0, gamma = einsum_cube_table(d)
-        assert same_bits(povm.gamma0.reshape(-1), gamma0)
-        assert same_bits(povm.gamma.reshape(-1, d * d - 1), gamma)
+        assert same_bits(povm.gamma.reshape(-1, d * d - 1), einsum_cube_table(d))
         # read-only strided views of the complex contraction, one row per (basis, outcome)
         assert povm.gamma.shape == (3 ** (d.bit_length() - 1), d, d * d - 1)
         assert povm.gamma.strides[-1] == np.dtype(complex).itemsize
-        assert not povm.gamma.flags.writeable and not povm.gamma0.flags.writeable
+        assert not povm.gamma.flags.writeable
+
+
+class TestUnitTraces:
+    """Every element qest builds has trace exactly 1: regression takes p = 1/d + gamma . theta."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_every_cube_basis_sums_to_the_identity_exactly(self, d):
+        elements = cube_povm(d).elements
+        for basis in elements:
+            assert np.array_equal(basis.sum(axis=0), np.eye(d))
+        assert (np.trace(elements, axis1=-2, axis2=-1) == 1.0).all()
+
+    def test_bloch_element_traces_are_exactly_one(self):
+        rng = np.random.default_rng(26)
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        # each signed axis tilted by 1000 offsets of magnitudes from 1e-17 to 1e-3
+        offsets = rng.normal(size=(1000, 3)) * 10.0 ** rng.uniform(-17, -3, size=(1000, 1))
+        near_axis = (axes[:, None, :] + offsets).reshape(-1, 3)
+        directions = np.concatenate([rng.normal(size=(100_000, 3)), axes, near_axis])
+        traces = np.trace(bloch_basis_povm(directions).elements, axis1=-2, axis2=-1)
+        assert traces.shape == (len(directions), 2) and (traces == 1.0).all()
+
+    @pytest.mark.parametrize("label", ["bloch:1e308,1e308,0", "bloch:-1e308,0,1e308",
+                                       "bloch:1e-320,0,0", "bloch:0,3e-200,-3e-200",
+                                       "bloch:0.3,-2.5e-9,0.9"])
+    def test_bloch_label_traces_are_exactly_one(self, label):
+        elements = resolve_povm_label(label, 2).elements
+        assert (np.trace(elements, axis1=-2, axis2=-1) == 1.0).all()
 
 
 def per_basis_cube_records(rho, total, rng):
@@ -301,9 +326,8 @@ class TestCubeRecords:
         povm = cube_povm(4)
         for records in (cube_records(np.eye(4) / 4, 90, 1),
                         cube_records(random_density_matrix(4, np.random.default_rng(2)), 9, 2)):
-            for name in ("gamma0", "gamma"):
-                assert np.shares_memory(getattr(records, name), getattr(povm, name))
-                assert not getattr(records, name).flags.writeable
+            assert np.shares_memory(records.gamma, povm.gamma)
+            assert not records.gamma.flags.writeable
 
     def test_rejects_no_copies(self):
         with pytest.raises(ValueError):
@@ -329,7 +353,7 @@ class TestCubeRecords:
         for k, ref in enumerate(refs):
             assert np.array_equal(got.successes[k], ref.successes)
             assert np.array_equal(got.p_hat[k], ref.p_hat)
-            for name in ("shots", "gamma0", "gamma"):
+            for name in ("shots", "gamma"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
         assert got_rng.random() == ref_rng.random()
 
