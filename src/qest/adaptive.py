@@ -135,7 +135,8 @@ def select_next_povm(state: RecursiveState, candidates: Povm, planned_shots: int
     ``candidates`` stacks the bases along its elements' first axis:
     (bases, outcomes, d, d), as :func:`qest.states.cube_povm` does.  All are
     scored in one pass, for one state or a stack of members, and the result
-    holds each member's chosen elements.
+    holds each member's chosen elements.  Every element must have unit trace
+    (see :class:`qest.states.Povm`).
     """
     members = state.theta.shape[:-1]
     gains = _basis_gains(state,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import herm_expm, is_hermitian
+from .linalg import herm_eigh, herm_expm, is_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +49,9 @@ class UncertainSystem:
 
 
 def _hermitian_copy(a) -> np.ndarray:
-    """Read-only copy of a (..., d, d) stack, exactly Hermitian: it keeps what ``eigh`` reads,
-    the strict lower triangle and the real diagonal, and mirrors the triangle into the upper."""
+    """Read-only copy of a (..., d, d) stack, exactly Hermitian: it keeps what ``herm_eigh``
+    reads, the strict lower triangle and the real diagonal, and mirrors the triangle into the
+    upper."""
     h = np.array(a, dtype=complex)
     i, j = np.tril_indices(h.shape[-1], -1)
     h[..., j, i] = h[..., i, j].conj()
@@ -221,14 +222,14 @@ class _Propagation:
 
         The generators omega*H0 + theta*sum_m u_km H_m of all samples and
         intervals form one (N, K, d, d) stack, exponentiated by one batched
-        eigendecomposition.  One sweep of K steps then carries the states
-        forward and the target backward for all samples together: step k
-        applies U_k to the N states and U_{K-1-k}^dag to the N costates in one
-        stacked product.
+        eigendecomposition, :func:`qest.linalg.herm_eigh` (a closed form at
+        d = 2).  One sweep of K steps then carries the states forward and the
+        target backward for all samples together: step k applies U_k to the N
+        states and U_{K-1-k}^dag to the N costates in one stacked product.
         """
         drive = sum((amplitudes[:, m, None, None] * c for m, c in enumerate(self.controls)),
                     self.zero_drive)
-        eigvals, eigvecs = np.linalg.eigh(self.omega_h0 + self.theta_col * drive)
+        eigvals, eigvecs = herm_eigh(self.omega_h0 + self.theta_col * drive)
         phases = np.exp(-1j * self.dt * eigvals)
         props = (eigvecs * phases[..., None, :]) @ eigvecs.conj().mT
         n = self.n

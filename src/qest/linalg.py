@@ -3,8 +3,13 @@
 Conventions used throughout the package:
 
 * ``vec`` stacks columns: vec(A) = [A_11, A_21, ..., A_m1, A_12, ...]^T.
-* Matrix exponentials of Hermitian generators are computed spectrally,
-  ``herm_expm(H, s) = exp(-i s H)``.
+* Eigenpairs of Hermitian generators come from ``herm_eigh``: a closed
+  form at d = 2, ``np.linalg.eigh`` at every other d.  Both read only the
+  lower triangle and the real diagonal.  Density matrices, Q, process
+  matrices and ``unitary_log``'s Cayley transform go to numpy's LAPACK
+  solvers directly.
+* Matrix exponentials of Hermitian generators are computed spectrally from
+  those eigenpairs, ``herm_expm(H, s) = exp(-i s H)``.
 * Matrix logarithms of unitaries use eigenphases on the principal branch
   (-pi, pi] and return the traceless Hermitian generator.
 
@@ -94,12 +99,65 @@ def vec_inv(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
+
+def herm_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (..., d) and eigenvectors (..., d, d) of a Hermitian matrix or stack.
+
+    Like ``np.linalg.eigh`` it reads only the lower triangle and the real
+    diagonal.  At d = 2 the pairs have a closed form, member by member, with
+    no LAPACK call: for H = [[a, conj(z)], [z, c]] the eigenvalues are m -+ r
+    with m = (a + c)/2 and r = hypot((a - c)/2, |z|).  The eigenvector of m + r
+    is built from the larger of r +- (a - c)/2, so no cancellation occurs,
+    branching on the sign of a - c as LAPACK's xLAEV2 rotation does.  The
+    eigenvectors divide only by r and by numbers in [1, 2], so no entry is
+    squared and no finite spectrum overflows; an r below the normal range is
+    first scaled up exactly, so the eigenvectors stay orthonormal, while the
+    eigenvalues of such a member keep an absolute accuracy of a few 2^-1074.
+    A member with r = 0 gets the identity.  Other d go to ``np.linalg.eigh``.
+    """
+    h = np.asarray(h)
+    if h.shape[-2:] != (2, 2):
+        return np.linalg.eigh(h)
+    halves = np.diagonal(h, 0, -2, -1).real * 0.5
+    a, c = halves[..., 0], halves[..., 1]
+    z = h[..., 1, 0]
+    gap = a - c
+    r = np.hypot(gap, np.abs(z))
+    w = np.empty(r.shape + (2,), r.dtype)
+    mid = a + c
+    np.subtract(mid, r, out=w[..., 0])
+    np.add(mid, r, out=w[..., 1])
+    low = r < _NORMAL_MIN
+    if low.any():
+        # a subnormal r is rounded to few digits: scale (a - c)/2 and z by 2^600, exactly, and
+        # take r again.  r = 0 becomes (a - c)/2 = -1 and r = 1, whose eigenvectors are I
+        scale = np.where(low, 2.0**600, 1.0)
+        gap, z = gap * scale, z * scale
+        flat = r == 0
+        gap = np.where(flat, -1.0, gap)
+        r = np.where(flat, 1.0, np.hypot(gap, np.abs(z)))
+    kappa = np.sqrt(0.5 + 0.5 * (np.abs(gap) / r))  # in [sqrt(1/2), 1]
+    sigma = z / r / (2 * kappa)
+    # (p, q) is the eigenvector of m - r and (-conj(q), conj(p)) that of m + r
+    upper = gap > 0
+    p = np.where(upper, -sigma.conj(), kappa)
+    q = np.where(upper, kappa, -sigma)
+    v = np.empty(h.shape, p.dtype)
+    v[..., 0, 0], v[..., 1, 0] = p, q
+    np.negative(q.conj(), out=v[..., 0, 1])
+    np.conjugate(p, out=v[..., 1, 1])
+    return w, v
+
+
 def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """exp(-i s H) of a Hermitian H, or of each member of a stack (..., d, d), by one eigh."""
+    """exp(-i s H) of a Hermitian H, or of each member of a stack (..., d, d), by one
+    :func:`herm_eigh`."""
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
-    w, v = np.linalg.eigh(h)
+    w, v = herm_eigh(h)
     return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().mT
 
 

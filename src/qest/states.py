@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolationError
 from .linalg import gell_mann_basis
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -59,7 +59,9 @@ class Povm:
     """Positive operator-valued measurement: elements sum to the identity.
 
     The regression takes every element to have unit trace, as every POVM
-    qest builds does, so Tr(E_j rho) = 1/d + gamma[j] . theta:
+    qest builds does, so Tr(E_j rho) = 1/d + gamma[j] . theta; ``gamma``,
+    which every regression row and score reads, raises
+    :class:`ContractViolationError` for any trace more than 1e-10 from 1.
     ``gamma[j, i] = Tr(E_j O_i)`` over ``gell_mann_basis(d)`` are element j's
     regression coordinates, computed once per object on first use.  They are
     a strided ``.real`` view of the complex contraction: BLAS sums contiguous
@@ -82,6 +84,10 @@ class Povm:
 
     @cached_property
     def gamma(self) -> np.ndarray:
+        if not (abs(np.einsum("...ii->...", self.elements) - 1.0) <= 1e-10).all():
+            raise ContractViolationError(
+                "every POVM element must have unit trace: the regression reads Tr(E rho) as "
+                "1/d + gamma . theta")
         return _read_only(
             np.einsum("...eij,kji->...ek", self.elements, gell_mann_basis(self.dim)).real)
 

@@ -27,9 +27,9 @@ quantity is the reference for `qest.control.slc_train`.  The per-value
 number formatter is the reference for `qest.harness.write_csv`'s per-column
 text.  The Gell-Mann coordinates of a
 state, exact expected counts, the one-POVM measurement simulation, the
-cube bases' labels and their list of one-basis POVMs, the concatenation and
-row selection of records, the records CSV writer and the dense B are
-library-style helpers that only tests call.
+qubit trine, the cube bases' labels and their list of one-basis POVMs, the
+concatenation and row selection of records, the records CSV writer and the
+dense B are library-style helpers that only tests call.
 """
 
 import csv
@@ -43,7 +43,7 @@ import scipy.linalg
 from qest import identification, linalg
 from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
-from qest.linalg import gell_mann_basis, is_hermitian, vec, vec_inv
+from qest.linalg import gell_mann_basis, herm_eigh, is_hermitian, vec, vec_inv
 from qest.adaptive import _SPHERE_GRID, RecursiveState
 from qest.harness import _sample_truth, trial_rng
 from qest.states import (
@@ -265,6 +265,14 @@ def theta_from_rho(rho: np.ndarray) -> np.ndarray:
 def expected_records(rho, povm: Povm, shots: int) -> Records:
     """Noiseless records with successes equal to the exact expected counts."""
     return Records.of_povm(povm, shots, born_probabilities(rho, povm) * shots)
+
+
+def trine_povm() -> Povm:
+    """The qubit trine: (2/3)|psi_k><psi_k| at Bloch angles 0, 120 and 240 degrees in the
+    x-z plane.  Its elements sum to the identity, but each has trace 2/3."""
+    half_angles = np.pi / 3 * np.arange(3)
+    kets = np.stack([np.cos(half_angles), np.sin(half_angles)], -1).astype(complex)
+    return Povm(2 / 3 * kets[:, :, None] * kets[:, None, :].conj())
 
 
 def cube_povms(d: int) -> list:
@@ -503,13 +511,14 @@ def herm_expm_eigh(h: np.ndarray, s: float = 1.0):
     """exp(-i s H) together with the eigenpairs (w, v) of H it is built from.
 
     H is one Hermitian matrix or a stack (..., d, d) of them; every member
-    must pass the Hermitian check, and all are decomposed by one batched
-    ``eigh``.
+    must pass the Hermitian check, and all are decomposed by one
+    :func:`qest.linalg.herm_eigh`, the eigensolver the library propagates
+    with, so the loops built on this oracle test structure, not the solver.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
-    w, v = np.linalg.eigh(h)
+    w, v = herm_eigh(h)
     return (v * np.exp(-1j * s * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2), w, v
 
 

@@ -13,7 +13,7 @@ from qest.adaptive import (
     select_next_povm,
     trace_gain,
 )
-from qest.errors import SingularDesignError
+from qest.errors import ContractViolationError, SingularDesignError
 from qest.states import (
     PAULI_X,
     PAULI_Y,
@@ -45,6 +45,7 @@ from tests.oracles import (
     same_bits,
     select_next_povm_loop,
     simulate_measurements,
+    trine_povm,
 )
 
 
@@ -283,6 +284,11 @@ class TestSelectNextPovm:
         chosen = select_next_povm(state, candidates, 100, "shots")
         reversed_choice = select_next_povm(state, Povm(candidates.elements[::-1]), 100, "shots")
         assert same_basis(chosen, X_BASIS) and same_basis(reversed_choice, X_BASIS)
+
+    def test_candidates_without_unit_trace_raise(self):
+        state = RecursiveState(q=np.eye(3), theta=np.zeros(3))
+        with pytest.raises(ContractViolationError, match="unit trace"):
+            select_next_povm(state, Povm(trine_povm().elements[None]), 100, "shots")
 
     def test_empty_candidates(self):
         state = RecursiveState(q=np.eye(3), theta=np.zeros(3))

@@ -148,21 +148,21 @@ GOLDEN = {
     "hamid4/hamid4.json": "8b0c83878101eccf2469cf5e1793512b80ce3cfafccbb044ceeeaa4a5bd00aab",
     "hamid-noiseless/hamid-noiseless.json":
         "4f7f93903cfbab4e1207a71dc01d2fc26f8d7fbb9c58205c776aacd3aff26b2b",
-    "smc/smc.csv": "585f9bf55181e7b5ab262c4c4f2b7aaeecdd9b5c25d1ac58d3c029186ec2f033",
+    # smc and every d = 2 slc digest were recorded once 2 x 2 Hermitian eigenpairs came
+    # from the closed form of qest.linalg.herm_eigh, not from LAPACK
+    "smc/smc.csv": "dc2ff81786f6f013a7de858198e3b0663bcdd524a692e8408bdd69623c3591bc",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
-    "slc/pulse.json": "10b6dc25e9b232726adbf482ebf3109cdcad28ea4dc9e9c628cfcaa5ce4698e8",
-    "slc/test.csv": "88f634c8fe14eeada5096e6757ab6f13687221d440317f1d1a8ebdc2c0099ec1",
-    "slc/training_log.csv": "00a1a323e237f1361a5534c5bf53d141d758ef13ac6186628b1a894c34a3dd4d",
-    # recorded before UncertainSystem kept its controls as one (M, d, d) stack
+    "slc/pulse.json": "95843a436e16824f005efce496adfe7a87ae9674f0f22cba597db35c1cd245e7",
+    "slc/test.csv": "909694961ab5faf2eb1965a56b3a8ef4d4fede2a2a52da5ad6d0bfc1c0d830d8",
+    "slc/training_log.csv": "5bee0060aa98f546ca62e6262d3bf34ec8759c72b887eba27262b1ed31aa4387",
     "slc-controls/manifest.json": "03e7db4dee9b245abc3a4a396678465e503144a2a7e6ad0111e084aeacdde71e",
-    "slc-controls/pulse.json": "84cb34dd9faae4a3f8734e678a46ebdf50ccae6ec5e9cf4cb7d63a70598da83f",
-    "slc-controls/test.csv": "6121e4979fc97790790b8e72783b914f2eb17021765b583141d01812481c9228",
-    "slc-controls/training_log.csv": "887ae14bb431fd87b500e99841ced35a38c2117ef16999dee73b2f3759914627",
-    # recorded before slc_train evaluated its candidates through one prepared propagation
+    "slc-controls/pulse.json": "42c8576639112d770b0f0f1c55ae9e16e471b31e6249731c771842288c36a78e",
+    "slc-controls/test.csv": "580431de95ade2acdb8447fd5369ac4007dee2d47929de3213bf506460ce687d",
+    "slc-controls/training_log.csv": "e492b735053a8c0e8bd7e1c4a53b4de56d275f7499acdc25b83a9c5099ea61c0",
     "slc20/manifest.json": "60c438fff26351e24dbdf823242095e31d9b26e284b2d47498c759e85b7469e1",
-    "slc20/pulse.json": "adb4f49c53836bf46da4ae3b89487f84428af259dc6dd9db64557f2ca2265847",
-    "slc20/test.csv": "e90ce0951696943cf73711cbd909134ab4c83723cc657aa3fabf99934ea91017",
-    "slc20/training_log.csv": "b942e01faf12c10e10faf5fb2bfe1f82f4143390d231ea0aff4a5aa1fd0c902a",
+    "slc20/pulse.json": "f802f363cd0eacc6ffacd57fa5630949b9eee10eff6d321307424513aa0d2b56",
+    "slc20/test.csv": "1d1146066104bd0c3755941b909fb99e56f2005891d94439ee1ca3eedd44b42b",
+    "slc20/training_log.csv": "0e2511eec0671e94e57676c530ed0c364aa52eb41b6de2af7b383491ca4c86bf",
     "compare/compare_tomography.csv": "b5f982dae4c96140b3081ef943e811568796da4d722ae104c99eaa268cd04e1a",
     "compare/compare_tomography.manifest.json": "164621b6126a718ea5a2615f7a37f6805055d701193475c5311c937f54091308",
     "compare20/compare_tomography.csv": "956bbbc84010c60b9a51a0406bccfcc6b1bdab044555c223292df57e39cfbf6b",
@@ -174,10 +174,9 @@ GOLDEN = {
         "1f3689e33876c4de95e1b360a24c8dade6011a56376f428d088989b88a1cb185",
     "compare-cube/compare_tomography.csv": "1b78c3020faaf54224791882e1a7852554d81296e05b7243b742c8961a98160f",
     "compare-cube/compare_tomography.manifest.json": "39e7a307229c0ea9a183faf8cff982d222132bc4004ebf534aac9c88f9e89041",
-    # recorded while SweepResult still held row tuples and write_csv formatted value by value
-    "compare-slc/compare_slc.csv": "bac4074b657649fdd9efedd974d720b8d4ed4bebf1121f16e8d650cbe530a91e",
+    "compare-slc/compare_slc.csv": "695176d81c4f033252edbf6a80fd1acee4e6ec64784143b8ca9de90f83e89307",
     "compare-slc/compare_slc.manifest.json":
-        "c8d5d4a7f1a55b0cadae9802d235482aab517a42ef1c22f73a54e4cbff47b5bc",
+        "eab3dd3fd1be71d06084b42267785ee1c6a928d55ee15bce7d199c39d3f49873",
     # at two BLAS threads sweep16 gives 2b1f85ec35fe09d4... and 290dc4173a641e67...
     "sweep16/mse_sweep.csv": "f97b29cf48f0dad0870a424f04b02332d5a270e25684d71f71371941451300fe",
     "sweep16/mse_sweep.manifest.json":

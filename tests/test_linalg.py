@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qest.cli import _HALF_MAX
 from qest.errors import BranchAmbiguityWarning, ContractViolationError
 from qest.linalg import (
     gell_mann_basis,
+    herm_eigh,
     herm_expm,
     is_hermitian,
     is_unitary,
@@ -97,6 +99,151 @@ class TestVec:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             vec_inv(np.arange(5), 2, 3)
+
+
+def hermitian_pairs(h, a, c, z):
+    """h with its diagonal set to the reals a, c and its off-diagonal pair to z, conj(z)."""
+    h = np.array(h, dtype=complex)
+    h[..., 0, 0], h[..., 1, 1], h[..., 1, 0] = a, c, z
+    h[..., 0, 1] = np.conj(z)
+    return h
+
+
+def qubit_hermitian_set(n=100_000, seed=28):
+    """n seeded 2 x 2 Hermitian matrices in four families of n/4, each at scales 10^-150 to
+    10^150: Gaussian, near-multiples of I (a - c and z 1e-8 of the diagonal), nearly
+    diagonal (z 1e-12 of a - c), and equal diagonals (a = c)."""
+    rng = np.random.default_rng(seed)
+    a, c = rng.normal(size=(2, n))
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    family = np.arange(n) % 4
+    c = np.where(family == 1, a + 1e-8 * c, np.where(family == 3, a, c))
+    z = z * np.select([family == 1, family == 2], [1e-8 * np.abs(a), 1e-12 * np.abs(a - c)], 1.0)
+    scale = 10.0 ** rng.uniform(-150, 150, size=n)
+    return hermitian_pairs(np.zeros((n, 2, 2)), a * scale, c * scale, z * scale)
+
+
+def eigen_errors(h, w, v):
+    """Per member: ||H V - V diag(w)||_F / ||H||_F and ||V^dag V - I||_F, with H and w scaled
+    by the power of two that brings H's largest entry into [1/2, 1), so that no square
+    overflows or vanishes."""
+    e = -np.frexp(np.abs(h).max((-2, -1)))[1]
+    hs = np.ldexp(h.real, e[..., None, None]) + 1j * np.ldexp(h.imag, e[..., None, None])
+    ws = np.ldexp(w, e[..., None])
+    residual = (np.linalg.norm(hs @ v - v * ws[..., None, :], axis=(-2, -1))
+                / np.linalg.norm(hs, axis=(-2, -1)))
+    return residual, np.linalg.norm(v.conj().mT @ v - np.eye(v.shape[-1]), axis=(-2, -1))
+
+
+class TestHermEigh:
+    def test_as_accurate_as_lapack_on_a_seeded_set(self):
+        h = qubit_hermitian_set()
+        w, v = herm_eigh(h)
+        w_ref, v_ref = np.linalg.eigh(h)
+        residual, orthogonality = eigen_errors(h, w, v)
+        residual_ref, orthogonality_ref = eigen_errors(h, w_ref, v_ref)
+        assert residual.max() <= residual_ref.max()
+        assert orthogonality.max() <= orthogonality_ref.max()
+        assert residual.max() <= 1e-15 and orthogonality.max() <= 1e-15
+        # ascending, and within a few ulp of ||H||_F of LAPACK's
+        norm = np.linalg.norm(h, axis=(-2, -1))
+        assert (w[:, 0] <= w[:, 1]).all()
+        assert (np.abs(w - w_ref).max(-1) <= 8 * np.finfo(float).eps * norm).all()
+
+    @pytest.mark.parametrize("x", [0.0, 1.5, -1e200, 1e-300])
+    def test_multiple_of_the_identity_gets_the_identity(self, x):
+        w, v = herm_eigh(x * np.eye(2, dtype=complex))
+        assert w.tolist() == [x, x]
+        assert np.array_equal(v, np.eye(2))
+
+    def test_diagonal_members_are_exact(self):
+        # z = 0 with a > c and with a < c: the spectrum is the diagonal, the vectors unit axes
+        w, v = herm_eigh(np.array([np.diag([3.0, -1.0]), np.diag([-1.0, 3.0])], dtype=complex))
+        assert w.tolist() == [[-1.0, 3.0], [-1.0, 3.0]]
+        assert np.array_equal(np.abs(v), [[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
+
+    @pytest.mark.parametrize("a, c, z", [
+        (1.0, 0.5, 3e-320 - 2e-320j),
+        (0.5, 1.0, 5e-324j),
+        (1.0, 1.0, 3e-320 - 2e-320j),  # only z splits the spectrum
+    ])
+    def test_subnormal_off_diagonal(self, a, c, z):
+        h = hermitian_pairs(np.zeros((2, 2)), a, c, z)
+        w, v = herm_eigh(h)
+        assert w.tolist() == [min(a, c), max(a, c)]
+        residual, orthogonality = eigen_errors(h, w, v)
+        assert residual <= 1e-15 and orthogonality <= 1e-15
+
+    @pytest.mark.parametrize("a, c, z", [
+        (0.0, 0.0, 3e-320 - 2e-320j),
+        (1e-310, 0.0, 3e-320 - 2e-320j),
+        (1e-310, 1e-310, 0.0),
+        (3e-310, 1e-310, 1e-310j),
+    ])
+    def test_subnormal_matrix(self, a, c, z):
+        # the eigenvectors stay orthonormal; the eigenvalues, like every subnormal number,
+        # keep only an absolute accuracy, a few steps of 2^-1074 from LAPACK's
+        h = hermitian_pairs(np.zeros((2, 2)), a, c, z)
+        w, v = herm_eigh(h)
+        assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 4 * 2.0**-1074
+        assert eigen_errors(h, w, v)[1] <= 1e-15
+
+    @pytest.mark.parametrize("scale", np.logspace(-150, 150, 7))
+    def test_scale_invariant_from_1e_minus_150_to_1e150(self, scale):
+        h = qubit_hermitian_set(1000, seed=5)
+        h = h / np.abs(h).max((-2, -1), keepdims=True) * scale
+        w, v = herm_eigh(h)
+        residual, orthogonality = eigen_errors(h, w, v)
+        assert residual.max() <= 1e-15 and orthogonality.max() <= 1e-15
+
+    def test_entries_at_the_slc_generator_bound_do_not_overflow(self):
+        # every combination of diagonal and off-diagonal entries up to the bound qest slc
+        # puts on its generators; where LAPACK's pairs are finite, these are too
+        values = [_HALF_MAX, -_HALF_MAX, _HALF_MAX / 2, 0.0]
+        offdiag = [_HALF_MAX, _HALF_MAX * np.exp(0.7j), -_HALF_MAX / 2, 1e-300, 0.0]
+        a, c, z = (np.array(x).ravel() for x in np.meshgrid(values, values, offdiag))
+        h = hermitian_pairs(np.zeros((a.size, 2, 2)), a, c, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_ref, v_ref = np.linalg.eigh(h)
+        finite = np.isfinite(w_ref).all(-1) & np.isfinite(v_ref).all((-2, -1))
+        assert finite.sum() > a.size // 2
+        w, v = herm_eigh(h[finite])
+        assert np.isfinite(w).all() and np.isfinite(v).all()
+        nonzero = np.abs(h[finite]).max((-2, -1)) > 0
+        residual, orthogonality = eigen_errors(h[finite][nonzero], w[nonzero], v[nonzero])
+        assert residual.max() <= 1e-15 and orthogonality.max() <= 1e-15
+
+    def test_reads_only_the_lower_triangle_and_the_real_diagonal(self):
+        h = qubit_hermitian_set(1000)
+        garbage = h.copy()
+        rng = np.random.default_rng(1)
+        garbage[:, 0, 1] = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+        garbage[:, [0, 1], [0, 1]] += 1j * rng.normal(size=(1000, 2))
+        for got, expected in zip(herm_eigh(garbage), herm_eigh(h)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_stacks_equal_their_per_member_calls_bit_for_bit(self):
+        h = qubit_hermitian_set(240).reshape(12, 20, 2, 2)
+        # members with r = 0 and with a subnormal r, which take the scaled branch
+        h[0, :4] = hermitian_pairs(h[0, :4], [2.0, 2.0, 0.0, 1.0], [2.0, 1.0, 0.0, 1.0],
+                                   [0.0, 0.0, 0.0, 1e-320])
+        w, v = herm_eigh(h)
+        assert w.shape == (12, 20, 2) and v.shape == (12, 20, 2, 2)
+        for parts in ([herm_eigh(row) for row in h], [herm_eigh(x) for x in h.reshape(-1, 2, 2)]):
+            assert w.tobytes() == np.array([part[0] for part in parts]).tobytes()
+            assert v.tobytes() == np.array([part[1] for part in parts]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2), (4, 1, 2)])
+    def test_rejects_what_is_not_a_square_stack(self, shape):
+        with pytest.raises(ValueError):
+            herm_eigh(np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_other_dimensions_are_lapack_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        h = np.array([random_hermitian(d, rng) for _ in range(6)])
+        for got, expected in zip(herm_eigh(h), np.linalg.eigh(h)):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestHermExpm:

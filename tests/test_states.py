@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qest import states
-from qest.errors import ConfigError
+from qest.errors import ConfigError, ContractViolationError
 from qest.linalg import gell_mann_basis
 from qest.states import (
     PAULI_X,
@@ -41,6 +41,7 @@ from tests.oracles import (
     records_to_csv,
     same_bits,
     simulate_measurements,
+    trine_povm,
     theta_from_rho,
     validate_povm,
 )
@@ -296,6 +297,19 @@ class TestUnitTraces:
     def test_bloch_label_traces_are_exactly_one(self, label):
         elements = resolve_povm_label(label, 2).elements
         assert (np.trace(elements, axis1=-2, axis2=-1) == 1.0).all()
+
+
+    def test_records_of_elements_without_unit_trace_raise(self):
+        # a valid POVM whose rows the regression would misread as 1/d + gamma . theta
+        trine = trine_povm()
+        validate_povm(trine)
+        with pytest.raises(ContractViolationError, match="unit trace"):
+            Records.of_povm(trine, 300, [100.0, 100.0, 100.0])
+        # rounding-level traces, as kets with 1/sqrt(2) entries give, are unit traces
+        kets = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+        x_basis = Povm(kets[:, :, None] * kets[:, None, :].conj())
+        assert np.trace(x_basis.elements, axis1=-2, axis2=-1).real.tolist() != [1.0, 1.0]
+        assert len(Records.of_povm(x_basis, 10, [4.0, 6.0])) == 2
 
 
 def per_basis_cube_records(rho, total, rng):
