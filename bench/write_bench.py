@@ -8,9 +8,10 @@ It composes existing tools and defines no metric of its own.  The file holds:
   --seconds 15 --trace 0`` prints (record and result lines), stored as printed;
 * ``tier1``: the wall time and the outcome counts of the Tier-1 suite, and the call time
   of each acceptance criterion, from ``pytest --durations=0``;
-* ``scaling``: ``qest slc`` on the README qubit-transfer family at d = 2, 4 and 8, each in
-  a fresh interpreter with one BLAS thread: the wall time of ``main``, ``ru_maxrss`` and
-  the SHA-256 of the output files (names and bytes, in name order);
+* ``scaling``: ``qest slc`` on the README qubit-transfer family at d = 2, 4 and 8, and
+  ``qest compare --kind tomography --candidates cube`` at its defaults at d = 4, 8 and 16,
+  each in a fresh interpreter with one BLAS thread: the wall time of ``main``,
+  ``ru_maxrss`` and the SHA-256 of the output files (names and bytes, in name order);
 * ``machine``: the facts every perfbench record line carries (cores, memory, the Python,
   numpy and scipy versions, the BLAS build and its thread count in the run, the git
   commit), stored once;
@@ -113,14 +114,18 @@ def digest(directory: Path) -> str:
 
 
 def scaling() -> list:
-    rows = []
+    runs = []
     for d in (2, 4, 8):
         (BUILD / f"slc{d}.json").write_text(json.dumps(slc_config(d)))
-        argv = ["slc", "--config", f"slc{d}.json", "--seed", "11", "--out", f"slc{d}"]
+        runs.append((d, ["slc", "--config", f"slc{d}.json", "--seed", "11", "--out", f"slc{d}"]))
+    runs += [(d, ["compare", "--kind", "tomography", "--dim", str(d), "--candidates", "cube",
+                  "--seed", "11", "--out", f"compare{d}"]) for d in (4, 8, 16)]
+    rows = []
+    for d, argv in runs:
         proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv], cwd=BUILD, check=True,
                               env=env_with_src(ONE_BLAS_THREAD), capture_output=True, text=True)
         rows.append({"d": d, "argv": argv} | json.loads(proc.stdout.splitlines()[-1])
-                    | {"outputs_sha256": digest(BUILD / f"slc{d}")})
+                    | {"outputs_sha256": digest(BUILD / argv[-1])})
     return rows
 
 

@@ -12,7 +12,7 @@ from .adaptive import (
     continuum_qubit_basis,
     rls_update,
     run_adaptive_protocol,
-    select_next_povm,
+    select_next_basis,
     trace_gain,
 )
 from .control import (
@@ -49,7 +49,6 @@ from .linalg import (
 from .states import (
     Povm,
     Records,
-    born_probabilities,
     cube_povm,
     cube_records,
     mse,

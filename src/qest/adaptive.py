@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import gell_mann_basis
 from .states import (
-    Povm,
     Records,
-    bloch_basis_povm,
-    born_probabilities,
     cube_povm,
     cube_records,
     mse,
@@ -118,31 +116,34 @@ def trace_gain(state: RecursiveState, gamma: np.ndarray, weight) -> np.ndarray:
     return qg.sum(-1) / (1.0 / weight + drop)
 
 
+def _probabilities(gamma, theta):
+    # outcome probabilities 1/d + gamma . theta of unit-trace elements, clipped to [0, 1]
+    p = _rows_at(gamma, theta[..., None])[..., 0]
+    p += 1.0 / math.isqrt(theta.shape[-1] + 1)
+    return np.clip(p, 0.0, 1.0, out=p)
+
+
 def _basis_gains(state, gamma, planned_shots, weighting):
     # Summed trace gain of measuring planned_shots copies with each basis
-    # (element rows along axis -2); planned weights use outcome probabilities
-    # 1/d + gamma . theta predicted by the current estimate.
-    p_pred = _rows_at(gamma, state.theta[..., None])[..., 0]
-    p_pred += 1.0 / state.dim
-    np.clip(p_pred, 0.0, 1.0, out=p_pred)
+    # (element rows along axis -2); planned weights use the outcome
+    # probabilities predicted by the current estimate.
+    p_pred = _probabilities(gamma, state.theta)
     return trace_gain(state, gamma, record_weight(planned_shots, p_pred, weighting)).sum(-1)
 
 
-def select_next_povm(state: RecursiveState, candidates: Povm, planned_shots: int,
-                     weighting: str) -> Povm:
-    """Candidate basis with the largest summed trace gain; ties break to the lowest index.
+def select_next_basis(state: RecursiveState, candidate_rows: np.ndarray, planned_shots: int,
+                      weighting: str) -> np.ndarray:
+    """Rows of the basis with the largest summed trace gain; ties break to the lowest index.
 
-    ``candidates`` stacks the bases along its elements' first axis:
-    (bases, outcomes, d, d), as :func:`qest.states.cube_povm` does.  All are
-    scored in one pass, for one state or a stack of members, and the result
-    holds each member's chosen elements.  Every element must have unit trace
-    (see :class:`qest.states.Povm`).
+    ``candidate_rows`` stacks the bases' regression rows, (bases, outcomes,
+    d^2 - 1), as ``cube_povm(d).gamma`` holds them.  All are scored in one
+    pass, for one state or a stack of members, and the result holds each
+    member's chosen rows: (outcomes, d^2 - 1), or (R, outcomes, d^2 - 1).
     """
     members = state.theta.shape[:-1]
-    gains = _basis_gains(state,
-                         candidates.gamma.reshape((1,) * len(members) + candidates.gamma.shape),
+    gains = _basis_gains(state, candidate_rows.reshape((1,) * len(members) + candidate_rows.shape),
                          planned_shots, weighting)
-    return Povm(candidates.elements[np.argmax(gains, axis=-1)])
+    return candidate_rows[np.argmax(gains, axis=-1)]
 
 
 def _fibonacci_sphere() -> np.ndarray:
@@ -203,8 +204,9 @@ def _continuum_gains(state, planned_shots, weighting):
     return u, gain
 
 
-def continuum_qubit_basis(state: RecursiveState, planned_shots: int, weighting: str) -> Povm:
-    """Approximate trace-gain optimum over all Bloch directions.
+def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
+                          weighting: str) -> np.ndarray:
+    """Approximate trace-gain optimum over all Bloch directions, as the basis's rows.
 
     Scores the cube axes, the eigendirections of Q, the current Bloch
     direction (absent while the estimate is within 1e-9 of the maximally
@@ -217,9 +219,10 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int, weighting: 
     shared by the basis's two outcomes: under shot weights both outcomes
     gain the same, and under inverse-variance weights the predicted outcome
     probabilities are 1/2 +- u.theta/sqrt(2), which ``record_weight`` clips.
-    For a stack of members, one batched ``eigh`` and one scoring pass give
-    one stacked :class:`Povm` of each member's choice, with the elements
-    that member's own call returns.
+
+    The basis along n has the rows +-n / (||n|| sqrt(2)), plus outcome
+    first: (2, 3), or (R, 2, 3) for a stack of members, whose one batched
+    ``eigh`` and one scoring pass give each member the rows of its own call.
     """
     if state.dim != 2:
         raise ValueError("continuum basis search is qubit-only")
@@ -227,8 +230,9 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int, weighting: 
     # grid and eigen directions are unit vectors only to rounding, so gains
     # within 1e-12 (relative) of the best tie, and the lowest index wins
     best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
-    # each member's chosen row of u; a cube axis row gives the cube basis's own elements
-    return bloch_basis_povm(u[(*np.indices(best.shape, sparse=True), best)])
+    n = u[(*np.indices(best.shape, sparse=True), best)]
+    g = n / np.sqrt(np.vecdot(n, n))[..., None] / np.sqrt(2.0)
+    return np.stack([g, -g], axis=-2)
 
 
 def cube_estimate(truth, total: int, rng, weighting: str):
@@ -291,16 +295,19 @@ def _adaptive_steps(truth, schedule, candidates, seed, weighting):
     theta, _, q = cube_estimate(truth, schedule.stage1, rng, weighting)
     # shot weights give the members one shared Q0
     state = RecursiveState(q=np.broadcast_to(q, theta.shape + theta.shape[-1:]), theta=theta)
+    # the truth's coordinates, from which each step's outcome probabilities follow
+    truth_theta = np.einsum("...ij,kji->...k", truth, gell_mann_basis(d)).real
+    shots = np.full(d, schedule.per_step)
 
     thetas, trace_q = [state.theta], [np.trace(state.q, axis1=-2, axis2=-1)]
     for _ in range(schedule.steps):
         if candidates == "continuum":
-            povm = continuum_qubit_basis(state, schedule.per_step, weighting)
+            rows = continuum_qubit_basis(state, schedule.per_step, weighting)
         else:
-            povm = select_next_povm(state, cube_povm(d), schedule.per_step, weighting)
-        p = born_probabilities(truth, povm)
+            rows = select_next_basis(state, cube_povm(d).gamma, schedule.per_step, weighting)
+        p = _probabilities(rows, truth_theta)
         counts = multinomial(rng, schedule.per_step, p / p.sum(-1, keepdims=True))
-        records = Records.of_povm(povm, schedule.per_step, counts)
+        records = Records(shots, counts.astype(float), rows)
         state = rls_update(state, build_regression(records, weighting))
         thetas.append(state.theta)
         trace_q.append(np.trace(state.q, axis1=-2, axis2=-1))

@@ -262,7 +262,10 @@ def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target
 
     The propagation of the task is prepared once, and each line-search
     candidate is evaluated through it once; the evaluation that accepts a
-    candidate gives the next gradient.  Returns the trained field and the
+    candidate gives the next gradient.  Training stops once an accepted step
+    raises J_N by at most ``tolerance`` (so a tie stops it even at 0), when
+    no step down to ``step_size`` * 2^-30 keeps J_N, or after ``iterations``
+    steps.  Returns the trained field and the
     per-iteration log of J_N values, which is monotone non-decreasing by
     construction.  Non-convergence within the iteration cap is an outcome,
     not an error.
@@ -289,7 +292,7 @@ def slc_train(system, samples: SampleSet, field0: ControlField, psi0, psi_target
         j_prev = ev.j
         amps, ev = cand, cand_ev
         log.append(ev.j)
-        if abs(ev.j - j_prev) < tolerance:
+        if ev.j - j_prev <= tolerance:  # an accepted step never lowers J_N; a tie stops
             break
     return ControlField(field0.horizon, amps), log
 

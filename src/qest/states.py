@@ -63,10 +63,9 @@ class Povm:
     which every regression row and score reads, raises
     :class:`ContractViolationError` for any trace more than 1e-10 from 1.
     ``gamma[j, i] = Tr(E_j O_i)`` over ``gell_mann_basis(d)`` are element j's
-    regression coordinates, computed once per object on first use.  They are
-    a strided ``.real`` view of the complex contraction: BLAS sums contiguous
-    rows in another order, which moves the recursive updates' last bits at
-    d >= 4.
+    regression coordinates, computed once per object on first use and kept
+    as a C-contiguous float copy of the complex contraction's real part, so
+    rows cut from a stack have the layout and bits of each basis's own.
 
     A stack of measurements, one per member of a stack of states or one per
     candidate basis (see :func:`cube_povm`), has elements (..., n_outcomes,
@@ -89,7 +88,7 @@ class Povm:
                 "every POVM element must have unit trace: the regression reads Tr(E rho) as "
                 "1/d + gamma . theta")
         return _read_only(
-            np.einsum("...eij,kji->...ek", self.elements, gell_mann_basis(self.dim)).real)
+            np.einsum("...eij,kji->...ek", self.elements, gell_mann_basis(self.dim)).real.copy())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -110,9 +109,10 @@ class Records:
 
     A stack of R members has successes (R, n), the member axis first.
     Members measured by shared runs (see :func:`cube_records`) share the
-    other columns; members measured by a stack of POVMs (see :meth:`of_povm`)
-    have their own gamma (R, n, d^2 - 1).  Every member
-    must pass the row checks, and ``p_hat`` has the successes' shape.
+    other columns; members that each measured their own basis, as the steps
+    of :func:`qest.run_adaptive_protocol` do, have their own gamma
+    (R, n, d^2 - 1).  Every member must pass the row checks, and ``p_hat``
+    has the successes' shape.
     """
 
     shots: np.ndarray      # (n,) int
@@ -125,30 +125,12 @@ class Records:
         if not ((self.successes >= 0) & (self.successes <= self.shots)).all():
             raise ValueError("every record needs finite successes within [0, shots]")
 
-    @classmethod
-    def of_povm(cls, povm: Povm, shots: int, successes) -> Records:
-        """One row per element of ``povm``, one POVM or a stack, measured ``shots`` times."""
-        return cls(np.full(len(povm), int(shots)), np.asarray(successes, dtype=float), povm.gamma)
-
     def __len__(self) -> int:
         return self.shots.size
 
     @property
     def p_hat(self) -> np.ndarray:
         return self.successes / self.shots
-
-
-def born_probabilities(rho: np.ndarray, povm: Povm) -> np.ndarray:
-    """Outcome probabilities Tr(rho P_i), clamped to [0, 1].
-
-    rho may be one state or a stack, and povm one measurement or a stack;
-    their leading axes broadcast.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (povm.dim, povm.dim):
-        raise ValueError("state and POVM dimensions differ")
-    p = np.einsum("...ij,...eji->...e", rho, povm.elements).real
-    return np.clip(p, 0.0, 1.0)
 
 
 def multinomial(rng, n, p):
@@ -221,7 +203,7 @@ def cube_records(rho, total: int, rng) -> Records:
     d = draws.shape[-1]  # a cube basis has d outcomes
     shots = np.repeat(copies, d)
     measured = shots > 0
-    # merging the (basis, outcome) axes keeps the strided rows a view
+    # merging the (basis, outcome) axes of the contiguous rows is a view
     gamma = cube_povm(d).gamma.reshape(-1, d * d - 1)
     if not measured.all():
         gamma = gamma[measured]
@@ -311,21 +293,15 @@ def rho_from_paulis(e: np.ndarray) -> np.ndarray:
 
 
 def bloch_basis_povm(n: np.ndarray) -> Povm:
-    """Projective qubit basis along the Bloch direction n (normalized).
-
-    n is one direction (3,), or a stack (..., 3) that gives a stack of bases.
-    """
+    """Projective qubit basis along the Bloch direction n, one nonzero 3-vector (normalized)."""
     n = np.asarray(n, dtype=float)
-    if n.ndim == 0 or n.shape[-1] != 3:
-        raise ValueError("need nonzero 3-vector Bloch directions")
-    norm = np.sqrt(np.vecdot(n, n))[..., None]
-    if (norm == 0).any():
-        raise ValueError("need nonzero 3-vector Bloch directions")
+    norm = np.sqrt(np.vecdot(n, n)) if n.shape == (3,) else 0.0
+    if norm == 0:
+        raise ValueError("need nonzero 3-vector for the Bloch direction")
     n = n / norm
-    ns = (n[..., 0, None, None] * PAULI_X + n[..., 1, None, None] * PAULI_Y
-          + n[..., 2, None, None] * PAULI_Z)
+    ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
     eye = np.eye(2)
-    return Povm(np.stack([(eye + ns) / 2, (eye - ns) / 2], axis=-3))
+    return Povm(np.stack([(eye + ns) / 2, (eye - ns) / 2]))
 
 
 def resolve_povm_label(label: str, d: int) -> Povm:

@@ -25,7 +25,9 @@ gradient taken between them, are the reference for `qest.control`'s single
 fused state/costate sweep, and the training that calls them once per
 quantity is the reference for `qest.control.slc_train`.  The per-value
 number formatter is the reference for `qest.harness.write_csv`'s per-column
-text.  The Gell-Mann coordinates of a
+text.  The Born rule Tr(rho E), by one contraction of the state with the
+POVM's elements, is the reference for the adaptive steps' outcome
+probabilities 1/d + gamma . theta.  The Gell-Mann coordinates of a
 state, exact expected counts, the one-POVM measurement simulation, the
 qubit trine, the cube bases' labels and their list of one-basis POVMs, the
 concatenation and row selection of records, the records CSV writer and the
@@ -51,8 +53,6 @@ from qest.states import (
     _check_copies,
     _qubits,
     Records,
-    bloch_basis_povm,
-    born_probabilities,
     cube_povm,
     cube_draws,
     cube_records,
@@ -262,9 +262,27 @@ def theta_from_rho(rho: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kji->k", rho, gell_mann_basis(rho.shape[0])).real
 
 
+def born_probabilities(rho: np.ndarray, povm: Povm) -> np.ndarray:
+    """Outcome probabilities Tr(rho E_j), clamped to [0, 1].
+
+    rho may be one state or a stack, and povm one measurement or a stack;
+    their leading axes broadcast.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (povm.dim, povm.dim):
+        raise ValueError("state and POVM dimensions differ")
+    p = np.einsum("...ij,...eji->...e", rho, povm.elements).real
+    return np.clip(p, 0.0, 1.0)
+
+
+def povm_records(povm: Povm, shots: int, successes) -> Records:
+    """One row per element of one POVM, measured ``shots`` times, with its own gamma rows."""
+    return Records(np.full(len(povm), int(shots)), np.asarray(successes, dtype=float), povm.gamma)
+
+
 def expected_records(rho, povm: Povm, shots: int) -> Records:
     """Noiseless records with successes equal to the exact expected counts."""
-    return Records.of_povm(povm, shots, born_probabilities(rho, povm) * shots)
+    return povm_records(povm, shots, born_probabilities(rho, povm) * shots)
 
 
 def trine_povm() -> Povm:
@@ -305,7 +323,7 @@ def records_to_csv(runs, path) -> None:
     """Write (label, records) runs as CSV with columns povm,element,shots,successes.
 
     Each run holds one POVM's records, one row per element in element order,
-    as ``Records.of_povm`` builds them; ``label`` names that POVM.
+    as :func:`povm_records` builds them; ``label`` names that POVM.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -392,7 +410,16 @@ def simulate_measurements(rho, povm: Povm, shots: int, rng) -> Records:
     """One multinomial sample of ``shots`` copies over one POVM's Born probabilities, as records."""
     _check_copies(shots, "shots")
     p = born_probabilities(rho, povm)
-    return Records.of_povm(povm, shots, np.random.default_rng(rng).multinomial(shots, p / p.sum()))
+    return povm_records(povm, shots, np.random.default_rng(rng).multinomial(shots, p / p.sum()))
+
+
+def simulate_rows(rho, rows: np.ndarray, shots: int, rng) -> Records:
+    """One multinomial sample of ``shots`` copies of the basis with regression rows ``rows``,
+    as records: outcome j fires with probability 1/d + rows[j] . theta, clipped to [0, 1],
+    for the Gell-Mann coordinates theta of rho."""
+    p = np.clip(1.0 / len(rho) + rows @ theta_from_rho(rho), 0.0, 1.0)
+    counts = np.random.default_rng(rng).multinomial(shots, p / p.sum())
+    return Records(np.full(len(rows), shots), counts.astype(float), rows)
 
 
 def rls_update_loop(state: RecursiveState, problem) -> RecursiveState:
@@ -414,21 +441,22 @@ def _basis_gains_loop(state, gamma, planned_shots, weighting):
     return ((qg * qg).sum(-1) / (1.0 / weight + (gamma * qg).sum(-1))).sum(-1)
 
 
-def select_next_povm_loop(state, candidates, planned_shots, weighting):
-    """Reference finite selection for one state: (chosen POVM, gains), one score per candidate.
+def select_next_basis_loop(state, candidates, planned_shots, weighting):
+    """Reference finite selection for one state: (chosen rows, gains), one score per candidate.
 
-    ``candidates`` is a stacked POVM, as ``qest.select_next_povm`` takes it;
-    each basis is split off as its own POVM, with its own gamma rows.
+    ``candidates`` is a stacked POVM, such as ``qest.cube_povm(d)``; each
+    basis is split off as its own POVM and scored, and chosen, with its own
+    gamma rows, not with rows cut from the stack's table.
     """
-    bases = [Povm(elements) for elements in candidates.elements]
-    gains = np.array([_basis_gains_loop(state, c.gamma, planned_shots, weighting)
-                      for c in bases])
-    return bases[int(np.argmax(gains))], gains
+    rows = [Povm(elements).gamma for elements in candidates.elements]
+    gains = np.array([_basis_gains_loop(state, g, planned_shots, weighting) for g in rows])
+    return rows[int(np.argmax(gains))], gains
 
 
 def continuum_qubit_basis_loop(state, planned_shots, weighting):
     """Reference continuum search for one state, whose candidate list has no
-    Bloch direction while the estimate is within 1e-9 of the maximally mixed state."""
+    Bloch direction while the estimate is within 1e-9 of the maximally mixed state.
+    Returns the chosen basis's rows +-n / (||n|| sqrt(2)), plus outcome first."""
     _, v = np.linalg.eigh(state.q)
     candidates = [np.eye(3), v.T]
     bloch = state.theta * np.sqrt(2.0)
@@ -439,15 +467,18 @@ def continuum_qubit_basis_loop(state, planned_shots, weighting):
     u = np.concatenate(candidates)
     gamma = np.stack([u, -u], axis=1) / np.sqrt(2.0)
     gains = _basis_gains_loop(state, gamma, planned_shots, weighting)
-    best = int(np.argmax(gains >= gains.max() * (1.0 - 1e-12)))
-    return cube_povms(2)[best] if best < 3 else bloch_basis_povm(u[best])
+    n = u[int(np.argmax(gains >= gains.max() * (1.0 - 1e-12)))]
+    g = n / np.linalg.norm(n) / np.sqrt(2.0)
+    return np.stack([g, -g])
 
 
 def adaptive_protocol_loop(truth, schedule, candidates, rng, weighting):
     """Reference two-stage protocol of one run: records, one step and one state at a time.
 
     ``candidates`` is a stacked POVM or ``"continuum"``; ``rng`` is the run's
-    generator.  Returns what ``qest.run_adaptive_protocol`` returns for one run.
+    generator.  Each step draws the chosen rows' outcomes by
+    :func:`simulate_rows`.  Returns what ``qest.run_adaptive_protocol``
+    returns for one run.
     """
     problem = build_regression(cube_records(truth, schedule.stage1, rng), weighting)
     theta, _, q = solve_weighted_ls(problem)
@@ -467,10 +498,10 @@ def adaptive_protocol_loop(truth, schedule, candidates, rng, weighting):
     rho_hat = snapshot(0)
     for k in range(1, schedule.steps + 1):
         if isinstance(candidates, str):
-            povm = continuum_qubit_basis_loop(state, schedule.per_step, weighting)
+            rows = continuum_qubit_basis_loop(state, schedule.per_step, weighting)
         else:
-            povm, _ = select_next_povm_loop(state, candidates, schedule.per_step, weighting)
-        records = simulate_measurements(truth, povm, schedule.per_step, rng)
+            rows, _ = select_next_basis_loop(state, candidates, schedule.per_step, weighting)
+        records = simulate_rows(truth, rows, schedule.per_step, rng)
         state = rls_update_loop(state, build_regression(records, weighting))
         rho_hat = snapshot(k)
     return rho_hat, diagnostics
@@ -597,7 +628,7 @@ def slc_train_loop(system, samples, field0, psi0, psi_target, step_size=10.0, it
             break
         field, j_new = improved
         log.append(j_new)
-        if abs(j_new - j_cur) < tolerance:
+        if j_new - j_cur <= tolerance:
             break
         j_cur = j_new
     return field, log

@@ -1,6 +1,9 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+import qest.adaptive
 from qest.adaptive import (
     _SPHERE_GRID,
     AdaptiveSchedule,
@@ -10,18 +13,16 @@ from qest.adaptive import (
     continuum_qubit_basis,
     rls_update,
     run_adaptive_protocol,
-    select_next_povm,
+    select_next_basis,
     trace_gain,
 )
 from qest.errors import ContractViolationError, SingularDesignError
 from qest.states import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     Povm,
     bloch_basis_povm,
     cube_povm,
     cube_records,
+    multinomial,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
@@ -37,14 +38,16 @@ from qest.tomography import (
 from tests.oracles import (
     _basis_gains_loop,
     adaptive_protocol_loop,
+    born_probabilities,
     concat_records,
     continuum_qubit_basis_loop,
     cube_povms,
     expected_records,
     record_rows,
     same_bits,
-    select_next_povm_loop,
+    select_next_basis_loop,
     simulate_measurements,
+    simulate_rows,
     trine_povm,
 )
 
@@ -62,9 +65,9 @@ def qubit_dataset(rng, n_extra=12, weighting="shots"):
     return build_regression(concat_records(records), weighting)
 
 
-def same_basis(povm, want):
-    """The chosen measurement is ``want``, element for element and bit for bit."""
-    return povm.elements.tobytes() == want.elements.tobytes()
+def same_basis(rows, want):
+    """The chosen rows are the POVM ``want``'s own, row for row and value for value."""
+    return rows.shape == want.gamma.shape and np.array_equal(rows, want.gamma)
 
 
 X_BASIS = cube_povms(2)[0]
@@ -257,11 +260,11 @@ class TestTraceGain:
         assert np.allclose(trace_gain(state, problem.x, problem.w), single, rtol=1e-14, atol=0)
 
 
-class TestSelectNextPovm:
+class TestSelectNextBasis:
     def test_single_candidate(self):
         state = RecursiveState(q=np.eye(3), theta=np.zeros(3))
         povm = cube_povms(2)[1]
-        assert same_basis(select_next_povm(state, Povm(povm.elements[None]), 100, "shots"), povm)
+        assert same_basis(select_next_basis(state, povm.gamma[None], 100, "shots"), povm)
 
     def test_starved_axis_is_selected(self):
         # after many sigma_z measurements the x basis carries more gain
@@ -275,25 +278,26 @@ class TestSelectNextPovm:
         ])
         problem = build_regression(records)
         state = batch_state(problem)
-        candidates = Povm(np.stack([x_basis.elements, z_basis.elements]))
-        assert same_basis(select_next_povm(state, candidates, 100, "shots"), x_basis)
+        candidates = np.stack([x_basis.gamma, z_basis.gamma])
+        assert same_basis(select_next_basis(state, candidates, 100, "shots"), x_basis)
 
     def test_unique_argmax_is_permutation_invariant(self):
         state = RecursiveState(q=np.diag([1.0, 0.5, 0.2]), theta=np.zeros(3))
-        candidates = cube_povm(2)
-        chosen = select_next_povm(state, candidates, 100, "shots")
-        reversed_choice = select_next_povm(state, Povm(candidates.elements[::-1]), 100, "shots")
+        candidates = cube_povm(2).gamma
+        chosen = select_next_basis(state, candidates, 100, "shots")
+        reversed_choice = select_next_basis(state, candidates[::-1], 100, "shots")
         assert same_basis(chosen, X_BASIS) and same_basis(reversed_choice, X_BASIS)
 
     def test_candidates_without_unit_trace_raise(self):
+        # a trine's elements have trace 2/3: its rows would be misread, so none are made
         state = RecursiveState(q=np.eye(3), theta=np.zeros(3))
         with pytest.raises(ContractViolationError, match="unit trace"):
-            select_next_povm(state, Povm(trine_povm().elements[None]), 100, "shots")
+            select_next_basis(state, Povm(trine_povm().elements[None]).gamma, 100, "shots")
 
     def test_empty_candidates(self):
         state = RecursiveState(q=np.eye(3), theta=np.zeros(3))
         with pytest.raises(ValueError):
-            select_next_povm(state, Povm(np.empty((0, 2, 2, 2), complex)), 100, "shots")
+            select_next_basis(state, np.empty((0, 2, 3)), 100, "shots")
 
 
 class TestOptimalQubitBasis:
@@ -305,7 +309,7 @@ class TestOptimalQubitBasis:
 
     def test_matches_dense_grid_oracle(self):
         state = RecursiveState(q=np.diag([1.0, 0.1, 0.01]), theta=np.zeros(3))
-        povm = continuum_qubit_basis(state, 1, "shots")
+        rows = continuum_qubit_basis(state, 1, "shots")
         # dense grid oracle over 10^4 Bloch directions
         rng = np.random.default_rng(9)
         dirs = rng.normal(size=(10000, 3))
@@ -317,7 +321,7 @@ class TestOptimalQubitBasis:
 
         best_grid = max(gain(u) for u in dirs)
         chosen_dir = np.array([1.0, 0.0, 0.0])
-        assert same_basis(povm, X_BASIS)
+        assert same_basis(rows, X_BASIS)
         assert gain(chosen_dir) >= best_grid - 1e-9
         angular = np.arccos(min(1.0, abs(chosen_dir @ np.array([1.0, 0.0, 0.0]))))
         assert angular <= 1e-6
@@ -329,10 +333,10 @@ class TestOptimalQubitBasis:
             state = RecursiveState(q=a @ a.T, theta=np.zeros(3))
             chosen = continuum_qubit_basis(state, 1, "shots")
 
-            def summed_gain(povm):
-                return trace_gain(state, povm.gamma, 1.0).sum()
+            def summed_gain(rows):
+                return trace_gain(state, rows, 1.0).sum()
 
-            best_cube = max(summed_gain(p) for p in cube_povms(2))
+            best_cube = max(summed_gain(p.gamma) for p in cube_povms(2))
             assert summed_gain(chosen) >= best_cube - 1e-12
 
     def test_rejects_non_qubit(self):
@@ -348,10 +352,9 @@ class TestContinuumBasis:
         assert same_basis(continuum_qubit_basis(state, 100, "shots"), X_BASIS)
         rot, _ = np.linalg.qr(np.random.default_rng(14).normal(size=(3, 3)))
         state = RecursiveState(q=rot @ np.diag([0.8, 0.3, 0.1]) @ rot.T, theta=np.zeros(3))
-        plus = continuum_qubit_basis(state, 100, "shots").elements[0]
-        # the plus element is (I + n.sigma) / 2, so Tr(E sigma_k) = n_k
-        direction = np.array([np.trace(plus @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)])
-        assert abs(direction @ rot[:, 0]) >= 1 - 1e-9
+        plus = continuum_qubit_basis(state, 100, "shots")[0]
+        # the plus row is n / sqrt(2), for the unit direction n
+        assert abs(plus * np.sqrt(2.0) @ rot[:, 0]) >= 1 - 1e-9
 
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
     def test_matches_row_by_row_reference(self, weighting):
@@ -372,8 +375,7 @@ class TestContinuumBasis:
                     qg = state.q @ gamma
                     total += (qg @ qg) / (1.0 / w + gamma @ qg)
                 gains.append(total)
-            best = int(np.argmax(gains))
-            return cube_povms(2)[best] if best < 3 else bloch_basis_povm(candidates[best])
+            return bloch_basis_povm(candidates[int(np.argmax(gains))])
 
         for t in range(20):
             rng = np.random.default_rng([15, t])
@@ -381,9 +383,10 @@ class TestContinuumBasis:
             problem = build_regression(cube_records(truth, 2000, rng), weighting)
             state = batch_state(problem)
             for _ in range(4):
-                povm = continuum_qubit_basis(state, 1000, weighting)
-                assert same_basis(povm, reference_basis(state, 1000))
-                recs = simulate_measurements(truth, povm, 1000, rng)
+                rows = continuum_qubit_basis(state, 1000, weighting)
+                # the reference's rows come from the basis's matrices, equal to rounding
+                assert np.abs(rows - reference_basis(state, 1000).gamma).max() <= 4.5e-16
+                recs = simulate_rows(truth, rows, 1000, rng)
                 state = rls_update(state, build_regression(recs, weighting))
 
     def test_invvar_leaves_cube_frame_for_oblique_states(self):
@@ -397,11 +400,11 @@ class TestContinuumBasis:
         state = batch_state(problem)
         chosen = []
         for _ in range(4):
-            povm = continuum_qubit_basis(state, 1000, "invvar")
-            chosen.append(povm)
-            recs = simulate_measurements(truth, povm, 1000, rng)
+            rows = continuum_qubit_basis(state, 1000, "invvar")
+            chosen.append(rows)
+            recs = simulate_rows(truth, rows, 1000, rng)
             state = rls_update(state, build_regression(recs, "invvar"))
-        assert any(not any(same_basis(p, c) for c in cube_povms(2)) for p in chosen)
+        assert any(not any(same_basis(r, c) for c in cube_povms(2)) for r in chosen)
 
 
 class TestSplitEvenly:
@@ -529,38 +532,111 @@ class TestStackedSelection:
         q, theta = self.stacked_state(members or 1, 21, weighting)
         theta[0] = 0.0
         chosen = continuum_qubit_basis(self.state(q, theta, members), 500, weighting)
-        assert chosen.elements.shape == (members,) * bool(members) + (2, 2, 2)
+        assert chosen.shape == (members,) * bool(members) + (2, 3)
         for m in range(members or 1):
             ref = continuum_qubit_basis_loop(RecursiveState(q=q[m], theta=theta[m]), 500,
                                              weighting)
-            assert same_bits(chosen.elements.reshape(-1, 2, 2, 2)[m], ref.elements)
-            assert same_bits(chosen.gamma.reshape(-1, 2, 3)[m], ref.gamma)
+            assert same_bits(chosen.reshape(-1, 2, 3)[m], ref)
 
     def test_centre_member_never_measures_along_a_bloch_direction_of_zero(self):
         q, theta = self.stacked_state(3, 22, "invvar")
         theta[:] = 0.0
         stacked = continuum_qubit_basis(RecursiveState(q=q, theta=theta), 500, "invvar")
-        assert np.isfinite(stacked.gamma).all()
+        assert np.isfinite(stacked).all()
 
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
     @pytest.mark.parametrize("d", [2, 4, 8])
     @pytest.mark.parametrize("members", [None, 7], ids=["one-state", "R7"])
     def test_cube_candidates_equal_the_per_candidate_loop(self, weighting, d, members):
-        # one scoring pass over the stacked bases against one score per one-basis POVM: the
-        # gains, the chosen elements and their gamma rows, bit for bit
+        # one scoring pass over the stacked bases' table against one score per one-basis POVM:
+        # the gains and the chosen rows, table rows against the basis's own, bit for bit
         q, theta = self.stacked_state(members or 1, [23, d], weighting, d)
         state = self.state(q, theta, members)
-        candidates = cube_povm(d)
-        gamma = candidates.gamma.reshape((1,) * bool(members) + candidates.gamma.shape)
-        gains = _basis_gains(state, gamma, 500, weighting)
-        chosen = select_next_povm(state, candidates, 500, weighting)
-        assert chosen.elements.shape == (members,) * bool(members) + (d, d, d)
+        table = cube_povm(d).gamma
+        gains = _basis_gains(state, table.reshape((1,) * bool(members) + table.shape), 500,
+                             weighting)
+        chosen = select_next_basis(state, table, 500, weighting)
+        assert chosen.shape == (members,) * bool(members) + (d, d * d - 1)
         for m in range(members or 1):
-            ref, ref_gains = select_next_povm_loop(RecursiveState(q=q[m], theta=theta[m]),
-                                                   candidates, 500, weighting)
+            ref, ref_gains = select_next_basis_loop(RecursiveState(q=q[m], theta=theta[m]),
+                                                    cube_povm(d), 500, weighting)
             assert same_bits(gains.reshape(-1, 3 ** (d.bit_length() - 1))[m], ref_gains)
-            assert same_bits(chosen.elements.reshape(-1, d, d, d)[m], ref.elements)
-            assert same_bits(chosen.gamma.reshape(-1, d, d * d - 1)[m], ref.gamma)
+            assert same_bits(chosen.reshape(-1, d, d * d - 1)[m], ref)
+
+
+class TestRowsRoute:
+    """An adaptive step measures in regression rows; independent checks of those rows."""
+
+    @pytest.mark.parametrize("weighting", ["shots", "invvar"])
+    def test_continuum_rows_equal_the_basis_matrices_rows_to_rounding(self, weighting):
+        # 300 members per weighting: each member's rows against the rows of the matrices
+        # (I +- n.sigma) / 2 that bloch_basis_povm builds for the same direction
+        q, theta = TestStackedSelection().stacked_state(300, [26, weighting == "shots"],
+                                                        weighting)
+        theta[:5] = 0.0  # members at the centre have no Bloch candidate
+        state = RecursiveState(q=q, theta=theta)
+        rows = continuum_qubit_basis(state, 500, weighting)
+        u, gains = _continuum_gains(state, 500, weighting)
+        best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
+        ref = np.stack([bloch_basis_povm(u[m, b]).gamma for m, b in enumerate(best)])
+        assert rows.shape == ref.shape == (300, 2, 3)
+        assert np.array_equal(rows[:, 1], -rows[:, 0])
+        assert np.abs(rows - ref).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_step_probabilities_equal_the_born_rule(self, d, monkeypatch):
+        # every step draws from 1/d + rows . theta of the truth; the Born rule Tr(rho E) of
+        # the chosen basis's elements gives the same probabilities to rounding
+        drawn, chosen = [], []
+
+        def draw(rng, n, p):
+            drawn.append(p)
+            return multinomial(rng, n, p)
+
+        def select(*args):
+            chosen.append(select_next_basis(*args))
+            return chosen[-1]
+
+        monkeypatch.setattr(qest.adaptive, "multinomial", draw)
+        monkeypatch.setattr(qest.adaptive, "select_next_basis", select)
+        rng = np.random.default_rng([27, d])
+        truths = np.stack([random_density_matrix(d, rng) for _ in range(3)]
+                          + [pure_to_density(random_pure_state(d, rng)) for _ in range(3)])
+        schedule = AdaptiveSchedule(total=300 * d + 3 * 400, stage1=300 * d, per_step=400,
+                                    steps=3)
+        run_adaptive_protocol(truths, schedule, "cube", [[27, d, m] for m in range(6)],
+                              "invvar")
+        table, elements = cube_povm(d).gamma, cube_povm(d).elements
+        assert len(chosen) == len(drawn) == schedule.steps
+        for rows, p in zip(chosen, drawn):
+            for m in range(len(truths)):
+                b = int(np.flatnonzero((table == rows[m]).all(axis=(-2, -1)))[0])
+                want = born_probabilities(truths[m], Povm(elements[b]))
+                assert np.abs(p[m] - want / want.sum()).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("candidates, d", [("cube", 4), ("continuum", 2)])
+    def test_a_run_computes_no_rows_beyond_the_warm_cube_table(self, candidates, d,
+                                                               monkeypatch):
+        # every gamma computation of a Povm is counted once the cube table is warm: no step
+        # builds a basis's matrices to contract them into rows
+        computed = []
+        contraction = Povm.__dict__["gamma"].func
+
+        def counted(povm):
+            computed.append(povm.elements.shape)
+            return contraction(povm)
+
+        cube_povm(d).gamma
+        gamma = cached_property(counted)
+        gamma.__set_name__(Povm, "gamma")
+        monkeypatch.setattr(Povm, "gamma", gamma)
+        schedule = AdaptiveSchedule(total=900 * d // 2 + 3 * 300, stage1=900 * d // 2,
+                                    per_step=300, steps=3)
+        run_adaptive_protocol(member_truths(d, 4, seed=28), schedule, candidates,
+                              [[28, m] for m in range(4)], "invvar")
+        assert computed == []
+        Povm(cube_povm(d).elements[0]).gamma  # the counter sees a basis's own contraction
+        assert computed == [(d, d, d)]
 
 
 class TestDirectionScoring:

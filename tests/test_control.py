@@ -432,10 +432,11 @@ class TestTraining:
         assert len(log) - 1 == 30 and counts["oracle_j"] - 1 >= 30
         assert counts["herm_eigh"] == counts["oracle_j"]
 
-    @pytest.mark.parametrize("seed, accepted", [(0, 58), (5, 49)])
+    @pytest.mark.parametrize("seed, accepted", [(17, 24), (105, 38)])
     def test_stops_on_the_step_floor_as_the_loop_driven_training(self, seed, accepted):
         # the nominal transfer task from a short random pulse: with no tolerance stop, the
-        # line search ends the training once no step down to 2^-30 of the first keeps J_N
+        # line search ends the training once no step down to 2^-30 of the first keeps J_N;
+        # the last accepted step still rose, so no tie ended it
         system, psi0, target = transfer_task()
         field0 = ControlField(2.0, np.random.default_rng(seed).uniform(-0.5, 0.5, (6, 1)))
         samples = grid_samples(0.0, 0.0, 1, 1)
@@ -444,21 +445,24 @@ class TestTraining:
         oracle_field, oracle_log = slc_train_loop(system, samples, field0, psi0, target,
                                                   iterations=3000, tolerance=0.0)
         assert len(log) - 1 == len(oracle_log) - 1 == accepted
+        assert log[-2] < log[-1]
         assert np.array(log).tobytes() == np.array(oracle_log).tobytes()
         assert field.amplitudes.tobytes() == oracle_field.amplitudes.tobytes()
 
-    def test_ties_at_the_optimum_run_to_the_cap_as_the_loop_driven_training(self):
-        # the same task from seed 2: J_N last rises at step 67, and from there some step
-        # keeps J_N exactly, so with no tolerance stop the training runs to the cap
+    @pytest.mark.parametrize("seed, accepted", [(0, 44), (2, 61), (5, 38)])
+    def test_stops_on_the_first_tie_as_the_loop_driven_training(self, seed, accepted):
+        # the same task: once J_N reaches its rounding plateau some step keeps it exactly,
+        # and an accepted step that raises J_N by no more than the tolerance 0 stops the
+        # training there, well before the cap
         system, psi0, target = transfer_task()
-        field0 = ControlField(2.0, np.random.default_rng(2).uniform(-0.5, 0.5, (6, 1)))
+        field0 = ControlField(2.0, np.random.default_rng(seed).uniform(-0.5, 0.5, (6, 1)))
         samples = grid_samples(0.0, 0.0, 1, 1)
         field, log = slc_train(system, samples, field0, psi0, target, iterations=100,
                                tolerance=0.0)
         oracle_field, oracle_log = slc_train_loop(system, samples, field0, psi0, target,
                                                   iterations=100, tolerance=0.0)
-        assert len(log) - 1 == len(oracle_log) - 1 == 100
-        assert log[66] < log[67] == log[-1]
+        assert len(log) - 1 == len(oracle_log) - 1 == accepted
+        assert log[-3] < log[-2] == log[-1]
         assert np.array(log).tobytes() == np.array(oracle_log).tobytes()
         assert field.amplitudes.tobytes() == oracle_field.amplitudes.tobytes()
 

@@ -165,15 +165,17 @@ GOLDEN = {
     "slc20/training_log.csv": "0e2511eec0671e94e57676c530ed0c364aa52eb41b6de2af7b383491ca4c86bf",
     "compare/compare_tomography.csv": "b5f982dae4c96140b3081ef943e811568796da4d722ae104c99eaa268cd04e1a",
     "compare/compare_tomography.manifest.json": "164621b6126a718ea5a2615f7a37f6805055d701193475c5311c937f54091308",
-    "compare20/compare_tomography.csv": "956bbbc84010c60b9a51a0406bccfcc6b1bdab044555c223292df57e39cfbf6b",
+    # compare20, compare-cube, adapt8 and compare8 were recorded once the adaptive steps
+    # measured in regression rows: continuum rows +-n / (|n| sqrt(2)), contiguous cube rows
+    "compare20/compare_tomography.csv": "c33fd6368233dce32f6523d943d27c236d92cfe02bd31fcba67982862cf938d4",
     "compare20/compare_tomography.manifest.json":
-        "bf81108510f8f05a79f576c8aadeb7923cb0c07211761db04e4fe746648ab930",
+        "f61c4a8da1a7a413a4c3f97f2425985aedac20c821a6e614693033ca560a1323",
     "compare-shots/compare_tomography.csv":
         "0d00af1400e59ec98519191295fdb82498ebc3bbf909f53a282084df905c68e6",
     "compare-shots/compare_tomography.manifest.json":
         "1f3689e33876c4de95e1b360a24c8dade6011a56376f428d088989b88a1cb185",
-    "compare-cube/compare_tomography.csv": "1b78c3020faaf54224791882e1a7852554d81296e05b7243b742c8961a98160f",
-    "compare-cube/compare_tomography.manifest.json": "39e7a307229c0ea9a183faf8cff982d222132bc4004ebf534aac9c88f9e89041",
+    "compare-cube/compare_tomography.csv": "d312373329dfdea045a34187616a8fc5064fc8c5d178ea048418ec614b06cf17",
+    "compare-cube/compare_tomography.manifest.json": "215eda1851d78a4a76464de53f6bed3a780644cfcd33a32fc979b754117d674b",
     "compare-slc/compare_slc.csv": "695176d81c4f033252edbf6a80fd1acee4e6ec64784143b8ca9de90f83e89307",
     "compare-slc/compare_slc.manifest.json":
         "eab3dd3fd1be71d06084b42267785ee1c6a928d55ee15bce7d199c39d3f49873",
@@ -181,11 +183,11 @@ GOLDEN = {
     "sweep16/mse_sweep.csv": "f97b29cf48f0dad0870a424f04b02332d5a270e25684d71f71371941451300fe",
     "sweep16/mse_sweep.manifest.json":
         "3dc3ff0e8e863718fc090aa426a62b907ce8b235d3c7d15e12f94888a89d6623",
-    "adapt8/adapt8.csv": "8ac4271ee0be85936690c17aa8b41bbac8d79fb5bbf95101d05738a278f7bdbf",
+    "adapt8/adapt8.csv": "96dcdebec32e7b22aca317d9fc702cac738cacd21e9817e6ea4f34ea2552162b",
     "compare8/compare_tomography.csv":
-        "0e67de71e4be7952ca6d23ea6237f7e2590ebde540ede0e5d5b19eda09889d52",
+        "291645376eff660962bd1244b916b5c820188eceefe39c41bb49f786f06f49ca",
     "compare8/compare_tomography.manifest.json":
-        "5530835f90c23f0c25f54b0b76ce2f563217235014b5ba1ff507f92761e8d8ac",
+        "0857e39bd3dfc904a2f869a48fcf1ed0c965c959654982c95fd1168d554506d8",
     "hamid8/hamid8.json": "13bee13770f17da030371ad2bf20c4685c7814f817b3513f0389f957e120fd48",
     "slc8/manifest.json": "c6898b3ec54eae067874d18be2d596b752cb869adc2b9fc626ae0efdb6c1b00c",
     "slc8/pulse.json": "6feb5a785816290055e1b6f1988aada9296c561b7732519cd2d40aa789584bce",

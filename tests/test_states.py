@@ -13,7 +13,6 @@ from qest.states import (
     Povm,
     Records,
     bloch_basis_povm,
-    born_probabilities,
     cube_draws,
     cube_pauli_tables,
     cube_povm,
@@ -29,6 +28,7 @@ from qest.states import (
     split_evenly,
 )
 from tests.oracles import (
+    born_probabilities,
     check_density_matrix,
     concat_records,
     cube_labels,
@@ -37,6 +37,7 @@ from tests.oracles import (
     expected_records,
     kron_cube_elements,
     pauli_strings,
+    povm_records,
     record_rows,
     records_to_csv,
     same_bits,
@@ -177,32 +178,35 @@ class TestRecords:
     @pytest.mark.parametrize("successes", [np.nan, np.inf, -5.0, 100.5])
     def test_rejects_counts_outside_shots(self, successes):
         with pytest.raises(ValueError):
-            Records.of_povm(z_basis(), 100, [successes, 0.0])
+            povm_records(z_basis(), 100, [successes, 0.0])
 
     @pytest.mark.parametrize("successes", [np.nan, -5.0, 100.5])
     def test_rejects_one_column_outside_shots(self, successes):
         # three members of two rows each; the last member's second count is out of range
         members = np.array([[10.0, 90.0], [20.0, 80.0], [30.0, successes]])
         with pytest.raises(ValueError, match="within"):
-            Records.of_povm(z_basis(), 100, members)
-        assert np.array_equal(Records.of_povm(z_basis(), 100, members[:2]).p_hat,
+            povm_records(z_basis(), 100, members)
+        assert np.array_equal(povm_records(z_basis(), 100, members[:2]).p_hat,
                               members[:2] / 100)
 
-    def test_stacked_povm_gives_each_member_its_own_rows(self):
+    def test_stacked_rows_give_each_member_its_own_rows(self):
+        # as an adaptive step builds them: each member measured its own basis
         directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
         counts = np.array([[30.0, 70.0], [55.0, 45.0], [100.0, 0.0]])
-        stacked = Records.of_povm(bloch_basis_povm(directions), 100, counts)
+        rows = np.stack([bloch_basis_povm(n).gamma for n in directions])
+        stacked = Records(np.full(2, 100), counts, rows)
         assert stacked.successes.shape == (3, 2)
         assert stacked.gamma.shape == (3, 2, 3) and len(stacked) == 2
         for m, n in enumerate(directions):
-            own = Records.of_povm(bloch_basis_povm(n), 100, counts[m])
+            own = povm_records(bloch_basis_povm(n), 100, counts[m])
             for name in ("successes", "p_hat", "gamma"):
                 assert np.array_equal(getattr(stacked, name)[m], getattr(own, name))
             assert np.array_equal(stacked.shots, own.shots)
 
     def test_stacked_slicing_and_concatenation_select_rows(self):
         counts = [[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]]
-        stacked = Records.of_povm(bloch_basis_povm(np.eye(3)), 10, counts)
+        rows = np.stack([bloch_basis_povm(n).gamma for n in np.eye(3)])
+        stacked = Records(np.full(2, 10), np.array(counts), rows)
         first, second = record_rows(stacked, slice(1)), record_rows(stacked, slice(1, None))
         assert first.successes.shape == (3, 1) and first.gamma.shape == (3, 1, 3)
         assert np.array_equal(second.successes, [[9.0], [8.0], [7.0]])
@@ -265,10 +269,27 @@ class TestCubePovms:
     def test_table_equals_all_bases_einsum_bit_for_bit(self, d):
         povm = cube_povm(d)
         assert same_bits(povm.gamma.reshape(-1, d * d - 1), einsum_cube_table(d))
-        # read-only strided views of the complex contraction, one row per (basis, outcome)
         assert povm.gamma.shape == (3 ** (d.bit_length() - 1), d, d * d - 1)
-        assert povm.gamma.strides[-1] == np.dtype(complex).itemsize
         assert not povm.gamma.flags.writeable
+
+    @pytest.mark.parametrize("povm", [cube_povm(2), cube_povm(8), Povm(cube_povm(4).elements[5]),
+                                      bloch_basis_povm([0.3, -1.0, 2.0])],
+                             ids=["cube2", "cube8", "one-basis", "bloch"])
+    def test_rows_are_contiguous_floats_that_own_their_data(self, povm):
+        # no view keeps the complex contraction alive, and table rows cut from a stack have
+        # the layout of a basis's own
+        gamma = povm.gamma
+        assert gamma.dtype == float and gamma.flags.c_contiguous and gamma.flags.owndata
+
+
+class TestBlochBasisPovm:
+    def test_takes_one_direction(self):
+        povm = bloch_basis_povm([0.0, 0.0, 2.0])
+        assert povm.elements.shape == (2, 2, 2)
+        assert np.array_equal(povm.elements, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        for bad in (np.eye(3), [[1.0, 0.0, 0.0]], [1.0, 0.0], [0.0, 0.0, 0.0], 1.0):
+            with pytest.raises(ValueError, match="nonzero 3-vector"):
+                bloch_basis_povm(bad)
 
 
 class TestUnitTraces:
@@ -288,7 +309,8 @@ class TestUnitTraces:
         offsets = rng.normal(size=(1000, 3)) * 10.0 ** rng.uniform(-17, -3, size=(1000, 1))
         near_axis = (axes[:, None, :] + offsets).reshape(-1, 3)
         directions = np.concatenate([rng.normal(size=(100_000, 3)), axes, near_axis])
-        traces = np.trace(bloch_basis_povm(directions).elements, axis1=-2, axis2=-1)
+        traces = np.array([np.trace(bloch_basis_povm(n).elements, axis1=-2, axis2=-1)
+                           for n in directions])
         assert traces.shape == (len(directions), 2) and (traces == 1.0).all()
 
     @pytest.mark.parametrize("label", ["bloch:1e308,1e308,0", "bloch:-1e308,0,1e308",
@@ -304,12 +326,12 @@ class TestUnitTraces:
         trine = trine_povm()
         validate_povm(trine)
         with pytest.raises(ContractViolationError, match="unit trace"):
-            Records.of_povm(trine, 300, [100.0, 100.0, 100.0])
+            povm_records(trine, 300, [100.0, 100.0, 100.0])
         # rounding-level traces, as kets with 1/sqrt(2) entries give, are unit traces
         kets = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
         x_basis = Povm(kets[:, :, None] * kets[:, None, :].conj())
         assert np.trace(x_basis.elements, axis1=-2, axis2=-1).real.tolist() != [1.0, 1.0]
-        assert len(Records.of_povm(x_basis, 10, [4.0, 6.0])) == 2
+        assert len(povm_records(x_basis, 10, [4.0, 6.0])) == 2
 
 
 def per_basis_cube_records(rho, total, rng):
