@@ -4,8 +4,9 @@
 
 It composes existing tools and defines no metric of its own.  The file holds:
 
-* ``perfbench``: every JSON line that ``perfbench/run.py --workload all --seed 5
-  --seconds 15 --trace 0`` prints (record and result lines), stored as printed;
+* ``perfbench`` and ``perfbench_traced``: every JSON line that ``perfbench/run.py
+  --workload all --seed 5 --seconds 15`` prints (record and result lines) with ``--trace 0``
+  (the end-to-end metrics) and with ``--trace 1`` (the per-layer metrics), stored as printed;
 * ``tier1``: the wall time and the outcome counts of the Tier-1 suite, and the call time
   of each acceptance criterion, from ``pytest --durations=0``;
 * ``scaling``: ``qest slc`` on the README qubit-transfer family at d = 2, 4 and 8, and
@@ -64,14 +65,13 @@ def env_with_src(extra=None) -> dict:
     return os.environ | {"PYTHONPATH": pythonpath} | (extra or {})
 
 
-PERFBENCH_ARGV = ["--workload", "all", "--seed", str(SEED), "--seconds", str(SECONDS),
-                  "--trace", "0"]
-
-
-def perfbench() -> list:
-    argv = [sys.executable, "perfbench/run.py", *PERFBENCH_ARGV]
-    out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
-    return [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+def perfbench(trace: int) -> dict:
+    argv = ["--workload", "all", "--seed", str(SEED), "--seconds", str(SECONDS),
+            "--trace", str(trace)]
+    out = subprocess.run([sys.executable, "perfbench/run.py", *argv], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    return {"argv": argv, "lines": [json.loads(line) for line in out.splitlines()
+                                    if line.startswith("{")]}
 
 
 def tier1() -> dict:
@@ -159,12 +159,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     BUILD.mkdir(parents=True, exist_ok=True)
     identity = tree()
-    lines = perfbench()
+    runs = perfbench(0), perfbench(1)
     bench = {
-        "perfbench": {"argv": PERFBENCH_ARGV, "lines": lines},
+        "perfbench": runs[0],
+        "perfbench_traced": runs[1],
         "tier1": tier1(),
         "scaling": scaling(),
-        "machine": machine(lines),
+        "machine": machine(runs[0]["lines"] + runs[1]["lines"]),
         "tree": identity,
     }
     if tree() != identity:

@@ -16,22 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gell_mann_basis
-from .states import (
-    Records,
-    cube_povm,
-    cube_records,
-    mse,
-    multinomial,
-    rho_from_theta,
-)
-from .tomography import (
-    RegressionProblem,
-    build_regression,
-    project_physical,
-    record_weight,
-    solve_weighted_ls,
-)
+from .errors import ContractViolationError
+from .linalg import gell_mann_basis, is_hermitian
+from .states import Records, bloch_rows, cube_povm, cube_records, multinomial
+from .tomography import RegressionProblem, build_regression, record_weight, solve_weighted_ls
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,9 +208,9 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
     gain the same, and under inverse-variance weights the predicted outcome
     probabilities are 1/2 +- u.theta/sqrt(2), which ``record_weight`` clips.
 
-    The basis along n has the rows +-n / (||n|| sqrt(2)), plus outcome
-    first: (2, 3), or (R, 2, 3) for a stack of members, whose one batched
-    ``eigh`` and one scoring pass give each member the rows of its own call.
+    Returns the chosen basis's :func:`qest.states.bloch_rows`: (2, 3), or
+    (R, 2, 3) for a stack of members, whose one batched ``eigh`` and one
+    scoring pass give each member the rows of its own call.
     """
     if state.dim != 2:
         raise ValueError("continuum basis search is qubit-only")
@@ -230,9 +218,7 @@ def continuum_qubit_basis(state: RecursiveState, planned_shots: int,
     # grid and eigen directions are unit vectors only to rounding, so gains
     # within 1e-12 (relative) of the best tie, and the lowest index wins
     best = np.argmax(gains >= gains.max(-1, keepdims=True) * (1.0 - 1e-12), axis=-1)
-    n = u[(*np.indices(best.shape, sparse=True), best)]
-    g = n / np.sqrt(np.vecdot(n, n))[..., None] / np.sqrt(2.0)
-    return np.stack([g, -g], axis=-2)
+    return bloch_rows(u[(*np.indices(best.shape, sparse=True), best)])
 
 
 def cube_estimate(truth, total: int, rng, weighting: str):
@@ -249,7 +235,7 @@ def cube_estimate(truth, total: int, rng, weighting: str):
 
 def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates: str, seed,
                           weighting: str = "invvar"):
-    """Two-stage adaptive tomography of ``truth``.
+    """Two-stage adaptive tomography of ``truth``: every step's estimate, unprojected.
 
     Stage 1 spends ``schedule.stage1`` copies on the cube bases and solves the
     batch problem, whose theta and Q0 = (X^T W X)^-1 seed the recursion;
@@ -259,31 +245,28 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates: str, se
     measured and folded in recursively.  Inverse-variance weights are the
     default because the covariance reading of Q assumes them.
 
-    ``seed`` is one seed or generator for one run, or a list or tuple of
-    them, one per member, for a stack of R runs made at once; ``truth`` is
-    then shared, or an (R, d, d) stack.  Every member draws on its own
-    generator, as its own run would, and its results equal that run's.
+    ``truth`` is one state (d, d) or a stack (R, d, d), every member finite,
+    Hermitian and of unit trace within 1e-8, the tolerances of
+    :func:`qest.tomography.project_physical`; anything else raises
+    :class:`ContractViolationError`.  ``seed`` is one seed or generator for
+    one run, or a list or tuple of them, one per member, for a stack of R runs
+    made at once; ``truth`` is then shared, or an (R, d, d) stack.  Every
+    member draws on its own generator, as its own run would, and its results
+    equal that run's.
 
-    Returns the projected final state, (d, d) or (R, d, d), and the
-    diagnostics as columns over the K + 1 steps (stage 1 is step 0): int
-    arrays ``step`` and ``copies_used`` of shape (K+1,), and float arrays
-    ``trace_q`` and ``mse`` of shape (K+1,), or (K+1, R) for a stack.  The
-    steps' estimates are projected together after the last step, by one
-    batched ``project_physical``, which projects each member on its own:
-    projecting the last step alone gives the same final state.
+    Returns ``(thetas, trace_q)`` over the K + 1 steps (stage 1 is step 0):
+    each step's estimate over ``gell_mann_basis(d)``, (K+1, d^2 - 1) or
+    (K+1, R, d^2 - 1) for a stack, and Tr(Q), (K+1,) or (K+1, R).  The
+    estimates are not projected: callers project the steps they read, and
+    ``project_physical`` projects each member of a stack on its own.
     """
     truth = np.asarray(truth, dtype=complex)
-    thetas, trace_q = _adaptive_steps(truth, schedule, candidates, seed, weighting)
-    rho_steps = project_physical(rho_from_theta(np.stack(thetas)))
-    step = np.arange(schedule.steps + 1)
-    diagnostics = {"step": step, "copies_used": schedule.stage1 + step * schedule.per_step,
-                   "trace_q": np.stack(trace_q), "mse": mse(rho_steps, truth)}
-    return rho_steps[-1], diagnostics
-
-
-def _adaptive_steps(truth, schedule, candidates, seed, weighting):
-    # run_adaptive_protocol's steps for a complex truth array, unprojected: each step's theta
-    # and Tr(Q), in two lists
+    if truth.ndim not in (2, 3) or truth.shape[-1] != truth.shape[-2]:
+        raise ContractViolationError(
+            f"truth must be a (d, d) state or an (R, d, d) stack, not of shape {truth.shape}")
+    if not (np.isfinite(truth).all() and is_hermitian(truth, 1e-8)
+            and (abs(truth.trace(axis1=-2, axis2=-1).real - 1.0) <= 1e-8).all()):
+        raise ContractViolationError("truth must be finite, Hermitian and of unit trace")
     d = truth.shape[-1]
     rng = ([np.random.default_rng(s) for s in seed] if isinstance(seed, (list, tuple))
            else np.random.default_rng(seed))
@@ -311,4 +294,4 @@ def _adaptive_steps(truth, schedule, candidates, seed, weighting):
         state = rls_update(state, build_regression(records, weighting))
         thetas.append(state.theta)
         trace_q.append(np.trace(state.q, axis1=-2, axis2=-1))
-    return thetas, trace_q
+    return np.stack(thetas), np.stack(trace_q)

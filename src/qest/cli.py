@@ -34,8 +34,8 @@ from .identification import (
     random_traceless_hermitian,
 )
 from .linalg import complex_from_json, herm_expm, matrix_from_json, matrix_to_json
-from .states import PAULI_X, records_from_csv
-from .tomography import tomography_pipeline
+from .states import PAULI_X, mse, records_from_csv, rho_from_theta
+from .tomography import project_physical, tomography_pipeline
 
 
 def _cmd_tomo(args) -> int:
@@ -68,17 +68,21 @@ def _cmd_adapt(args) -> int:
     schedule = AdaptiveSchedule(total=args.N, stage1=args.N1, per_step=args.N2, steps=args.K)
     trials = range(args.trials)
     # every trial has its own truth and generator; the protocol runs them as one stack
-    truths = np.stack([harness._sample_truth(args.dim, harness.trial_rng(args.seed, t, 0),
-                                             args.ensemble) for t in trials])
-    _, diag = run_adaptive_protocol(truths, schedule, args.candidates,
-                                    [harness.trial_rng(args.seed, t, 1) for t in trials],
-                                    args.weights)
+    truths = np.stack([harness.sample_truth(args.dim, harness.trial_rng(args.seed, t, 0),
+                                            args.ensemble) for t in trials])
+    thetas, trace_q = run_adaptive_protocol(truths, schedule, args.candidates,
+                                            [harness.trial_rng(args.seed, t, 1) for t in trials],
+                                            args.weights)
+    # every step's estimate is projected and scored, all steps and trials in one batch
+    errs = mse(project_physical(rho_from_theta(thetas)), truths)
+    step = np.arange(schedule.steps + 1)
+    copies_used = schedule.stage1 + step * schedule.per_step
     # trial-major rows: each trial's K + 1 steps in turn
     harness.write_csv(args.out, {"trial": np.repeat(trials, schedule.steps + 1),
-                                 "step": np.tile(diag["step"], args.trials),
-                                 "copies_used": np.tile(diag["copies_used"], args.trials),
-                                 "trace_Q": diag["trace_q"].T.ravel(),
-                                 "mse": diag["mse"].T.ravel()})
+                                 "step": np.tile(step, args.trials),
+                                 "copies_used": np.tile(copies_used, args.trials),
+                                 "trace_Q": trace_q.T.ravel(),
+                                 "mse": errs.T.ravel()})
     return 0
 
 

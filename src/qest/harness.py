@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveSchedule, _adaptive_steps, cube_estimate
+from .adaptive import AdaptiveSchedule, cube_estimate, run_adaptive_protocol
 from .control import (
     ControlField,
     UncertainSystem,
@@ -49,7 +49,8 @@ class SweepResult:
     aggregates: dict
 
 
-def _sample_truth(dim, rng, ensemble):
+def sample_truth(dim, rng, ensemble):
+    """A random state of the ``"pure"`` or the ``"mixed"`` ensemble, drawn on rng."""
     if ensemble == "pure":
         return pure_to_density(random_pure_state(dim, rng))
     if ensemble == "mixed":
@@ -83,7 +84,7 @@ def run_mse_sweep(dim: int, shot_grid, trials: int, seed: int, ensemble: str,
     for ni, n in enumerate(shot_grid):
         # each trial draws its truth and then its records on its own generator
         rngs = [trial_rng(seed, ni, t) for t in range(trials)]
-        truths = np.stack([_sample_truth(dim, rng, ensemble) for rng in rngs])
+        truths = np.stack([sample_truth(dim, rng, ensemble) for rng in rngs])
         errs.append(_static_cube_mse(truths, n, rngs, weighting))
         means.append(float(np.mean(errs[-1])))
     aggregates = {
@@ -108,15 +109,14 @@ def run_paired_tomography(dim: int, schedule: AdaptiveSchedule, trials: int, see
     """
     if trials < 1 or repetitions < 1:
         raise ConfigError("trials and repetitions must be >= 1")
-    truths = np.repeat([_sample_truth(dim, trial_rng(seed, t, 0), "pure") for t in range(trials)],
+    truths = np.repeat([sample_truth(dim, trial_rng(seed, t, 0), "pure") for t in range(trials)],
                        repetitions, axis=0)
 
     def rngs(arm):
         return [trial_rng(seed, t, arm, rep) for t in range(trials) for rep in range(repetitions)]
 
-    # only the final estimate is read, and each member is projected on its own, so projecting
-    # it alone gives run_adaptive_protocol's final state
-    thetas, _ = _adaptive_steps(truths, schedule, candidates, rngs(1), weighting)
+    # only the final estimate is read, so only it is projected
+    thetas, _ = run_adaptive_protocol(truths, schedule, candidates, rngs(1), weighting)
     rho_adaptive = project_physical(rho_from_theta(thetas[-1]))
     errs = np.stack([mse(rho_adaptive, truths),
                      _static_cube_mse(truths, schedule.total, rngs(2), weighting)])

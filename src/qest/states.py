@@ -292,26 +292,27 @@ def rho_from_paulis(e: np.ndarray) -> np.ndarray:
     return x.reshape(lead + (d, d)) / d
 
 
-def bloch_basis_povm(n: np.ndarray) -> Povm:
-    """Projective qubit basis along the Bloch direction n, one nonzero 3-vector (normalized)."""
-    n = np.asarray(n, dtype=float)
-    norm = np.sqrt(np.vecdot(n, n)) if n.shape == (3,) else 0.0
-    if norm == 0:
-        raise ValueError("need nonzero 3-vector for the Bloch direction")
-    n = n / norm
-    ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    eye = np.eye(2)
-    return Povm(np.stack([(eye + ns) / 2, (eye - ns) / 2]))
+def bloch_rows(n: np.ndarray) -> np.ndarray:
+    """Regression rows of the qubit basis along the Bloch direction n: +-n / (||n|| sqrt(2)).
+
+    n is one nonzero 3-vector, or a stack (..., 3) of them; the rows are
+    (2, 3), or (..., 2, 3), the plus outcome first.  They are
+    Tr((I +- n.sigma / ||n||) / 2 O_i) over ``gell_mann_basis(2)``, computed
+    from n itself, with no digits lost in the elements' 1 +- n_z / ||n||.
+    """
+    g = n / np.sqrt(np.vecdot(n, n))[..., None] / np.sqrt(2.0)
+    return np.stack([g, -g], axis=-2)
 
 
-def resolve_povm_label(label: str, d: int) -> Povm:
-    """Rebuild a POVM from its label: ``cube:`` and an axis per qubit, or ``bloch:nx,ny,nz``."""
+def resolve_povm_label(label: str, d: int) -> np.ndarray:
+    """Regression rows (outcomes, d^2 - 1) of a labelled basis: ``cube:`` and an axis per
+    qubit, its block of ``cube_povm(d).gamma``, or ``bloch:nx,ny,nz``, its :func:`bloch_rows`."""
     if label.startswith("cube:"):
         axes = label[len("cube:"):]
         if not axes or any(a not in "xyz" for a in axes) or 2 ** len(axes) != d:
             raise ConfigError(f"bad cube POVM label {label!r} for dimension {d}")
         # the axes are the base-3 digits (x, y, z = 0, 1, 2) of the basis's index
-        return Povm(cube_povm(d).elements[int(axes.translate(str.maketrans("xyz", "012")), 3)])
+        return cube_povm(d).gamma[int(axes.translate(str.maketrans("xyz", "012")), 3)]
     if label.startswith("bloch:"):
         if d != 2:
             raise ConfigError("bloch POVM labels are qubit-only")
@@ -323,9 +324,11 @@ def resolve_povm_label(label: str, d: int) -> Povm:
             raise ConfigError(f"bloch POVM label {label!r} has {n.size} components, need 3")
         if not np.isfinite(n).all():
             raise ConfigError(f"bloch POVM label {label!r} has a non-finite component")
-        # rescale where the squared norm would overflow or underflow; others keep their bits
         scale = np.abs(n).max()
-        return bloch_basis_povm(n / scale if scale and not 2.0**-500 < scale < 2.0**500 else n)
+        if not scale:
+            raise ConfigError("need nonzero 3-vector for the Bloch direction")
+        # rescale where the squared norm would overflow or underflow; others keep their bits
+        return bloch_rows(n if 2.0**-500 < scale < 2.0**500 else n / scale)
     raise ConfigError(f"unknown POVM label {label!r}")
 
 
@@ -358,7 +361,7 @@ def _field(row, name, kind, where):
 
 def records_from_csv(path, d: int) -> Records:
     """Read a records CSV, resolving each POVM label once; a bad row's error names its line."""
-    povms, shots, successes, gamma = {}, [], [], []
+    label_rows, shots, successes, gamma = {}, [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"povm", "element", "shots", "successes"}
@@ -370,18 +373,18 @@ def records_from_csv(path, d: int) -> Records:
             if None in row or None in row.values():
                 raise ConfigError(f"{where}: expected {len(reader.fieldnames)} fields")
             label = row["povm"]
-            if label not in povms:
+            if label not in label_rows:
                 try:
-                    povms[label] = resolve_povm_label(label, d)
+                    label_rows[label] = resolve_povm_label(label, d)
                 except ValueError as exc:
                     raise ConfigError(f"{where}: {exc}") from None
-            povm = povms[label]
+            rows = label_rows[label]
             j = _field(row, "element", int, where)
-            if not 0 <= j < len(povm):
+            if not 0 <= j < len(rows):
                 raise ConfigError(f"{where}: element index {j} out of range for POVM {label!r}")
             shots.append(_field(row, "shots", int, where))
             _check_copies(shots[-1], f"{where}: shots")
             successes.append(_field(row, "successes", float, where))
-            gamma.append(povm.gamma[j])
+            gamma.append(rows[j])
     return Records(np.array(shots, dtype=int), np.array(successes, dtype=float),
                    np.array(gamma).reshape(len(gamma), d * d - 1))

@@ -27,7 +27,9 @@ quantity is the reference for `qest.control.slc_train`.  The per-value
 number formatter is the reference for `qest.harness.write_csv`'s per-column
 text.  The Born rule Tr(rho E), by one contraction of the state with the
 POVM's elements, is the reference for the adaptive steps' outcome
-probabilities 1/d + gamma . theta.  The Gell-Mann coordinates of a
+probabilities 1/d + gamma . theta.  The qubit basis built as the matrices
+(I +- n.sigma) / 2 and contracted is the matrix-route reference for
+`qest.states.bloch_rows`.  The Gell-Mann coordinates of a
 state, exact expected counts, the one-POVM measurement simulation, the
 qubit trine, the cube bases' labels and their list of one-basis POVMs, the
 concatenation and row selection of records, the records CSV writer and the
@@ -47,8 +49,11 @@ from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
 from qest.linalg import gell_mann_basis, herm_eigh, is_hermitian, vec, vec_inv
 from qest.adaptive import _SPHERE_GRID, RecursiveState
-from qest.harness import _sample_truth, trial_rng
+from qest.harness import sample_truth, trial_rng
 from qest.states import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     Povm,
     _check_copies,
     _qubits,
@@ -285,6 +290,19 @@ def expected_records(rho, povm: Povm, shots: int) -> Records:
     return povm_records(povm, shots, born_probabilities(rho, povm) * shots)
 
 
+def bloch_basis_povm(n) -> Povm:
+    """Projective qubit basis along the Bloch direction n, one nonzero 3-vector (normalized):
+    the elements (I +- n.sigma) / 2 whose rows ``qest.states.bloch_rows`` gives directly."""
+    n = np.asarray(n, dtype=float)
+    norm = np.sqrt(np.vecdot(n, n)) if n.shape == (3,) else 0.0
+    if norm == 0:
+        raise ValueError("need nonzero 3-vector for the Bloch direction")
+    n = n / norm
+    ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+    eye = np.eye(2)
+    return Povm(np.stack([(eye + ns) / 2, (eye - ns) / 2]))
+
+
 def trine_povm() -> Povm:
     """The qubit trine: (2/3)|psi_k><psi_k| at Bloch angles 0, 120 and 240 degrees in the
     x-z plane.  Its elements sum to the identity, but each has trace 2/3."""
@@ -477,8 +495,10 @@ def adaptive_protocol_loop(truth, schedule, candidates, rng, weighting):
 
     ``candidates`` is a stacked POVM or ``"continuum"``; ``rng`` is the run's
     generator.  Each step draws the chosen rows' outcomes by
-    :func:`simulate_rows`.  Returns what ``qest.run_adaptive_protocol``
-    returns for one run.
+    :func:`simulate_rows`.  Returns the projected final state and, per step,
+    the diagnostics that ``qest adapt`` writes (step, copies used, Tr(Q),
+    MSE) with the step's unprojected ``theta``, which
+    ``qest.run_adaptive_protocol`` returns.
     """
     problem = build_regression(cube_records(truth, schedule.stage1, rng), weighting)
     theta, _, q = solve_weighted_ls(problem)
@@ -490,6 +510,7 @@ def adaptive_protocol_loop(truth, schedule, candidates, rng, weighting):
         diagnostics.append({
             "step": step,
             "copies_used": schedule.stage1 + step * schedule.per_step,
+            "theta": state.theta,
             "trace_q": float(np.trace(state.q)),
             "mse": float(np.linalg.norm(rho_step - truth) ** 2),
         })
@@ -524,7 +545,7 @@ def mse_sweep_loop(dim, shot_grid, trials, seed, ensemble, weighting):
         errs = []
         for t in range(trials):
             rng = trial_rng(seed, ni, t)
-            errs.append(static_cube_mse_loop(_sample_truth(dim, rng, ensemble), n, rng, weighting))
+            errs.append(static_cube_mse_loop(sample_truth(dim, rng, ensemble), n, rng, weighting))
             rows.append((n, t, errs[-1]))
         means.append(float(np.mean(errs)))
     return rows, means

@@ -18,19 +18,22 @@ from qest.adaptive import (
 )
 from qest.errors import ContractViolationError, SingularDesignError
 from qest.states import (
+    PAULI_X,
+    PAULI_Y,
     Povm,
-    bloch_basis_povm,
     cube_povm,
     cube_records,
     multinomial,
     pure_to_density,
     random_density_matrix,
     random_pure_state,
+    rho_from_theta,
     split_evenly,
 )
 from qest.tomography import (
     RegressionProblem,
     build_regression,
+    project_physical,
     record_weight,
     solve_weighted_ls,
     tomography_pipeline,
@@ -38,6 +41,7 @@ from qest.tomography import (
 from tests.oracles import (
     _basis_gains_loop,
     adaptive_protocol_loop,
+    bloch_basis_povm,
     born_probabilities,
     concat_records,
     continuum_qubit_basis_loop,
@@ -418,24 +422,60 @@ class TestProtocol:
     def test_degenerate_schedule_equals_batch_pipeline(self):
         truth = pure_to_density(random_pure_state(2, np.random.default_rng(12)))
         schedule = AdaptiveSchedule(total=3000, stage1=3000, per_step=1, steps=0)
-        rho_hat, diag = run_adaptive_protocol(truth, schedule, "cube", 99)
+        thetas, trace_q = run_adaptive_protocol(truth, schedule, "cube", 99)
         rng = np.random.default_rng(99)
         records = concat_records(simulate_measurements(truth, povm, n, rng)
                                  for povm, n in zip(cube_povms(2), split_evenly(3000, 3)))
         rho_ref, _, _ = tomography_pipeline(records, "invvar")
-        assert np.linalg.norm(rho_hat - rho_ref) <= 1e-12
-        assert {key: column.shape for key, column in diag.items()} == {
-            "step": (1,), "copies_used": (1,), "trace_q": (1,), "mse": (1,)}
+        assert thetas.shape == (1, 3) and trace_q.shape == (1,)
+        assert np.linalg.norm(project_physical(rho_from_theta(thetas[-1])) - rho_ref) <= 1e-12
 
     @pytest.mark.parametrize("candidates", ["cube", "continuum"])
-    def test_trace_q_non_increasing_and_copies_counted(self, candidates):
+    def test_trace_q_non_increasing_and_steps_counted(self, candidates):
         truth = random_density_matrix(2, np.random.default_rng(13))
         schedule = AdaptiveSchedule(total=4000, stage1=2000, per_step=500, steps=4)
-        _, diag = run_adaptive_protocol(truth, schedule, candidates, 5)
-        traces = diag["trace_q"].tolist()
+        thetas, trace_q = run_adaptive_protocol(truth, schedule, candidates, 5)
+        assert thetas.shape == (5, 3) and trace_q.shape == (5,)
+        traces = trace_q.tolist()
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
-        assert diag["copies_used"][-1] == 4000
-        assert diag["step"].tolist() == list(range(5))
+
+    @pytest.mark.parametrize("truth, message", [
+        (np.eye(2)[:, :1], "shape"), (np.ones(2) / 2, "shape"),
+        (np.ones((1, 1, 2, 2)) / 2, "shape"),
+        (np.diag([0.5, np.inf]), "finite, Hermitian and of unit trace"),
+        (np.diag([np.nan, 0.5]), "finite, Hermitian and of unit trace"),
+        (np.array([[0.5, 1e-7], [0.0, 0.5]]), "finite, Hermitian and of unit trace"),
+        (np.eye(2), "finite, Hermitian and of unit trace"),
+        (np.diag([0.5, 0.5 + 2e-8]), "finite, Hermitian and of unit trace"),
+    ], ids=["not-square", "vector", "4-d", "inf", "nan", "not-hermitian", "trace-2",
+            "trace-off-by-2e-8"])
+    def test_truth_contract(self, truth, message):
+        # a (d, d) state or an (R, d, d) stack, finite, Hermitian and of unit trace within 1e-8
+        schedule = AdaptiveSchedule(total=1000, stage1=1000, per_step=1, steps=0)
+        with pytest.raises(ContractViolationError, match=message):
+            run_adaptive_protocol(truth, schedule, "cube", 1)
+
+    def test_truth_within_the_tolerances_runs(self):
+        # anti-Hermitian part 3e-9 sqrt(8) and trace 1 + 5e-9: within 1e-8 of a state
+        schedule = AdaptiveSchedule(total=1500, stage1=1000, per_step=250, steps=2)
+        near = np.diag([0.5, 0.5 + 5e-9]) + 3e-9j * PAULI_Y
+        thetas, _ = run_adaptive_protocol(near, schedule, "continuum", 1)
+        stacked, _ = run_adaptive_protocol(np.stack([np.eye(2) / 2, near]), schedule, "cube",
+                                           [1, 2])
+        assert np.isfinite(thetas).all() and np.isfinite(stacked).all()
+
+    @pytest.mark.parametrize("candidates", ["cube", "continuum"])
+    @pytest.mark.parametrize("bad", ["3rho", "rho+0.4i.sigma_x"])
+    def test_rejects_a_truth_that_is_no_state(self, candidates, bad):
+        # both ran to completion and reported an MSE against the bad matrix; they are caught
+        # where the truth enters, for one state and for a member of a stack
+        rho = random_density_matrix(2, np.random.default_rng(14))
+        wrong = 3 * rho if bad == "3rho" else rho + 0.4j * PAULI_X
+        schedule = AdaptiveSchedule(total=2000, stage1=1000, per_step=250, steps=4)
+        with pytest.raises(ContractViolationError, match="Hermitian and of unit trace"):
+            run_adaptive_protocol(wrong, schedule, candidates, 5)
+        with pytest.raises(ContractViolationError, match="Hermitian and of unit trace"):
+            run_adaptive_protocol(np.stack([rho, wrong, rho]), schedule, candidates, [5, 6, 7])
 
 
 def member_truths(d, count, seed):
@@ -466,21 +506,20 @@ class TestStackedProtocol:
         truth = truths[0] if shared_truth else truths
         seeds = [[31, d, m] for m in range(members)]
         rngs = [np.random.default_rng(s) for s in seeds]
-        rho, diag = run_adaptive_protocol(truth, schedule, candidates, rngs, weighting)
-        assert rho.shape == (members, d, d)
+        thetas, trace_q = run_adaptive_protocol(truth, schedule, candidates, rngs, weighting)
+        assert thetas.shape == (schedule.steps + 1, members, d * d - 1)
+        assert trace_q.shape == (schedule.steps + 1, members)
+        assert (np.diff(trace_q, axis=0) <= 1e-12).all()
         oracle_candidates = "continuum" if candidates == "continuum" else cube_povm(d)
         for m in range(members):
             ref_rng = np.random.default_rng(seeds[m])
-            ref_rho, ref_diag = adaptive_protocol_loop(
+            _, ref_steps = adaptive_protocol_loop(
                 truths[0] if shared_truth else truths[m], schedule, oracle_candidates,
                 ref_rng, weighting)
-            assert_equal_to_rounding(rho[m], ref_rho)
-            assert all(len(column) == len(ref_diag) for column in diag.values())
-            for k, ref in enumerate(ref_diag):
-                assert (diag["step"][k], diag["copies_used"][k]) == (ref["step"],
-                                                                     ref["copies_used"])
-                assert_equal_to_rounding(diag["trace_q"][k][m], ref["trace_q"])
-                assert_equal_to_rounding(diag["mse"][k][m], ref["mse"])
+            assert len(ref_steps) == schedule.steps + 1
+            for k, ref in enumerate(ref_steps):
+                assert same_bits(thetas[k, m], ref["theta"])
+                assert_equal_to_rounding(trace_q[k, m], ref["trace_q"])
             # every member's stream advanced exactly as its own run's did
             assert rngs[m].random() == ref_rng.random()
 
@@ -488,14 +527,12 @@ class TestStackedProtocol:
     def test_one_seed_is_one_unstacked_run(self, candidates):
         truth = member_truths(2, 1, seed=3)[0]
         schedule = self.SCHEDULES[2]
-        rho, diag = run_adaptive_protocol(truth, schedule, candidates, 17, "invvar")
-        stacked, stacked_diag = run_adaptive_protocol(truth, schedule, candidates, [17], "invvar")
-        assert rho.shape == (2, 2) and np.array_equal(rho, stacked[0])
-        for key in ("step", "copies_used"):
-            assert np.array_equal(diag[key], stacked_diag[key])
-        for key in ("trace_q", "mse"):
-            assert diag[key].shape == (schedule.steps + 1,)
-            assert np.array_equal(diag[key], stacked_diag[key][:, 0])
+        thetas, trace_q = run_adaptive_protocol(truth, schedule, candidates, 17, "invvar")
+        stacked, stacked_trace_q = run_adaptive_protocol(truth, schedule, candidates, [17],
+                                                         "invvar")
+        assert thetas.shape == (schedule.steps + 1, 3) and same_bits(thetas, stacked[:, 0])
+        assert trace_q.shape == (schedule.steps + 1,)
+        assert same_bits(trace_q, stacked_trace_q[:, 0])
 
     @pytest.mark.parametrize("candidates", ["grid", "continuum"])
     def test_rejects_unknown_or_non_qubit_modes(self, candidates):
@@ -707,8 +744,8 @@ class TestDirectionScoring:
         assert got_u.tobytes() == u.tobytes() and got.tobytes() == want.tobytes()
 
 
-class TestBatchedDiagnostics:
-    """Every step's estimate is projected after the last step, in one batch."""
+class TestEveryStep:
+    """The protocol returns every step's unprojected theta and Tr(Q)."""
 
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
     @pytest.mark.parametrize("candidates", ["continuum", "cube"])
@@ -720,34 +757,30 @@ class TestBatchedDiagnostics:
         truths = member_truths(2, members or 1, seed=[9, steps])
         seeds = [[43, steps, m] for m in range(members or 1)]
         # a list of seeds is a stack; one generator is one unstacked run
-        rho, diag = run_adaptive_protocol(truths if members else truths[0], schedule, candidates,
-                                          seeds if members else np.random.default_rng(seeds[0]),
-                                          weighting)
-        assert all(len(column) == steps + 1 for column in diag.values())
+        thetas, trace_q = run_adaptive_protocol(
+            truths if members else truths[0], schedule, candidates,
+            seeds if members else np.random.default_rng(seeds[0]), weighting)
+        assert len(thetas) == len(trace_q) == steps + 1
+        assert (np.diff(trace_q, axis=0) <= 1e-12).all()
         for m in range(members or 1):
-            ref_rho, ref_diag = adaptive_protocol_loop(
+            _, ref_steps = adaptive_protocol_loop(
                 truths[m], schedule, "continuum" if candidates == "continuum" else cube_povm(2),
                 np.random.default_rng(seeds[m]), weighting)
-            assert rho.reshape(-1, 2, 2)[m].tobytes() == ref_rho.tobytes()
-            assert len(ref_diag) == steps + 1
-            for k, ref in enumerate(ref_diag):
-                assert (diag["step"][k], diag["copies_used"][k]) == (ref["step"],
-                                                                     ref["copies_used"])
-                for key in ("trace_q", "mse"):
-                    got = np.atleast_1d(diag[key][k])[m]
-                    assert got.tobytes() == np.float64(ref[key]).tobytes()
+            assert len(ref_steps) == steps + 1
+            for k, ref in enumerate(ref_steps):
+                assert same_bits(thetas[k].reshape(-1, 3)[m], ref["theta"])
+                got = np.atleast_1d(trace_q[k])[m]
+                assert got.tobytes() == np.float64(ref["trace_q"]).tobytes()
 
-    def test_diagnostics_keep_their_types(self):
+    def test_steps_keep_their_types(self):
         schedule = AdaptiveSchedule(total=1300, stage1=800, per_step=250, steps=2)
         truth = member_truths(2, 1, seed=10)[0]
-        _, diag = run_adaptive_protocol(truth, schedule, "continuum", 3)
-        assert {key: (c.dtype, c.shape) for key, c in diag.items()} == {
-            "step": (np.int64, (3,)), "copies_used": (np.int64, (3,)),
-            "trace_q": (np.float64, (3,)), "mse": (np.float64, (3,))}
-        _, diag = run_adaptive_protocol([truth] * 4, schedule, "continuum", [3, 4, 5, 6])
-        assert {key: (c.dtype, c.shape) for key, c in diag.items()} == {
-            "step": (np.int64, (3,)), "copies_used": (np.int64, (3,)),
-            "trace_q": (np.float64, (3, 4)), "mse": (np.float64, (3, 4))}
+        thetas, trace_q = run_adaptive_protocol(truth, schedule, "continuum", 3)
+        assert (thetas.dtype, thetas.shape, trace_q.dtype, trace_q.shape) == (
+            np.float64, (3, 3), np.float64, (3,))
+        thetas, trace_q = run_adaptive_protocol([truth] * 4, schedule, "continuum", [3, 4, 5, 6])
+        assert (thetas.dtype, thetas.shape, trace_q.dtype, trace_q.shape) == (
+            np.float64, (3, 4, 3), np.float64, (3, 4))
 
 
 class TestStackedRlsUpdate:

@@ -138,6 +138,40 @@ class TestAdaptCommand:
         header = a.read_text().splitlines()[0]
         assert header == "trial,step,copies_used,trace_Q,mse"
 
+    @pytest.mark.parametrize("weights", ["shots", "invvar"])
+    @pytest.mark.parametrize("candidates, dim, steps", [
+        ("continuum", 2, 0), ("continuum", 2, 4), ("cube", 2, 4), ("cube", 4, 3)])
+    def test_rows_equal_the_per_run_loop(self, weights, candidates, dim, steps, tmp_path):
+        # each trial's steps as the one-run loop takes them, bit for bit: its copies counted,
+        # its Tr(Q) and the MSE of its projected estimate, with the int columns written as ints
+        from qest.adaptive import AdaptiveSchedule
+        from qest.harness import sample_truth, trial_rng
+        from qest.states import cube_povm
+        from tests.oracles import adaptive_protocol_loop
+
+        n1, n2, trials = 900 * dim // 2, 400, 3
+        out = tmp_path / "a.csv"
+        assert main(["adapt", "--dim", str(dim), "--N", str(n1 + steps * n2), "--N1", str(n1),
+                     "--N2", str(n2), "--K", str(steps), "--candidates", candidates,
+                     "--weights", weights, "--trials", str(trials), "--seed", "6",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == trials * (steps + 1)
+        schedule = AdaptiveSchedule(total=n1 + steps * n2, stage1=n1, per_step=n2, steps=steps)
+        for t in range(trials):
+            _, ref_steps = adaptive_protocol_loop(
+                sample_truth(dim, trial_rng(6, t, 0), "pure"), schedule,
+                "continuum" if candidates == "continuum" else cube_povm(dim),
+                trial_rng(6, t, 1), weights)
+            for line, ref in zip(lines[t * (steps + 1):(t + 1) * (steps + 1)], ref_steps,
+                                 strict=True):
+                trial, step, copies, trace_q, err = line.split(",")
+                assert (trial, step, copies) == (str(t), str(ref["step"]),
+                                                 str(ref["copies_used"]))
+                assert ref["copies_used"] == n1 + ref["step"] * n2
+                assert (trace_q, err) == (f"{ref['trace_q']:.17g}", f"{ref['mse']:.17g}")
+        assert lines[-1].split(",")[2] == str(n1 + steps * n2)
+
     def test_indivisible_budget_rejected(self, tmp_path):
         code = main(["adapt", "--dim", "2", "--N", "2001", "--N1", "1000", "--K", "2",
                      "--trials", "1", "--out", str(tmp_path / "x.csv")])

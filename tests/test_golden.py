@@ -23,8 +23,22 @@ import pytest
 import qest
 from qest.cli import main
 from qest.linalg import matrix_to_json
-from qest.states import random_density_matrix, resolve_povm_label
-from tests.oracles import cube_labels, cube_povms, records_to_csv, simulate_measurements
+from qest.states import random_density_matrix
+from tests.oracles import (
+    bloch_basis_povm,
+    cube_labels,
+    cube_povms,
+    records_to_csv,
+    simulate_measurements,
+)
+
+
+def bloch_label_povm(label):
+    """The matrices (I +- n.sigma) / 2 of a ``bloch:`` label, its direction rescaled as
+    ``qest.states.resolve_povm_label`` rescales it."""
+    n = np.array([float(c) for c in label[len("bloch:"):].split(",")])
+    scale = np.abs(n).max()
+    return bloch_basis_povm(n if 2.0**-500 < scale < 2.0**500 else n / scale)
 
 
 def write_inputs(tmp_path) -> dict:
@@ -71,7 +85,7 @@ def write_inputs(tmp_path) -> dict:
     truth = random_density_matrix(2, rng)
     labels = ["bloch:" + ",".join(f"{c:.17g}" for c in n) for n in rng.normal(size=(6, 3))]
     labels += ["bloch:0,0,3", "bloch:1,1e-9,0", "bloch:1e-300,0,-1e-300"]
-    records_to_csv([(label, simulate_measurements(truth, resolve_povm_label(label, 2), 2000, rng))
+    records_to_csv([(label, simulate_measurements(truth, bloch_label_povm(label), 2000, rng))
                     for label in labels], bloch_csv)
     return {
         "tomo": ["tomo", "--records", str(records_csv), "--dim", "2"],
@@ -132,8 +146,9 @@ GOLDEN = {
     # tomo, sweep, adapt, compare and the d >= 8 tomography digests were recorded once
     # the cube elements were the exact products of (I +- sigma_a) / 2
     "tomo/tomo.json": "1ea6361916a9a38af943549df0d365921d19da76a7b2f6d6a7d1ba62edcff202",
-    # recorded while records still carried a Tr(E) column; bloch elements have unit trace
-    "tomo-bloch/tomo-bloch.json": "464a0a5ac2d3a4769361dda79d79c52a54f928f2e61fd28240ca6052f08bf816",
+    # recorded once bloch: labels gave the rows +-n / (|n| sqrt(2)) directly, not the rows
+    # of the matrices (I +- n.sigma) / 2; the records file is still drawn from the matrices
+    "tomo-bloch/tomo-bloch.json": "afc16b78255451d987be8eeefed18e6c88a39c36857d1317e37600e1cbe30117",
     "sweep/mse_sweep.csv": "b92182214f8b9fca0e91c43ed2433fd4fb46f44bbd1c118a6d7bb702699b0350",
     "sweep/mse_sweep.manifest.json": "ab32d19f267544c6c8bfbb1e5321c9e64461741761a7c291abdaffecde93daf6",
     # recorded once JSON rows kept each column's type, so N and trial are JSON ints

@@ -93,9 +93,9 @@ class TestPairedTomography:
 
     def test_identical_strategy_ties(self):
         # same stream + same strategy must reproduce the identical metric
-        from qest.harness import _sample_truth, _static_cube_mse
+        from qest.harness import sample_truth, _static_cube_mse
 
-        truth = _sample_truth(2, trial_rng(3, 0, 0), "pure")
+        truth = sample_truth(2, trial_rng(3, 0, 0), "pure")
         a = _static_cube_mse(truth, 2000, trial_rng(3, 0, 2), "shots")
         b = _static_cube_mse(truth, 2000, trial_rng(3, 0, 2), "shots")
         assert a == b
@@ -104,18 +104,20 @@ class TestPairedTomography:
     def test_one_stack_equals_one_stack_per_truth(self, weighting):
         # all trials' repetitions run as one stack; each truth's own stack gives the same bits
         from qest.adaptive import run_adaptive_protocol
-        from qest.harness import _sample_truth, _static_cube_mse
-        from qest.states import mse
+        from qest.harness import sample_truth, _static_cube_mse
+        from qest.states import mse, rho_from_theta
+        from qest.tomography import project_physical
 
         schedule = AdaptiveSchedule(total=2500, stage1=1000, per_step=500, steps=3)
         result = run_paired_tomography(2, schedule, trials=5, seed=12, candidates="continuum",
                                        weighting=weighting, repetitions=4)
         assert list(result.columns) == ["trial", "mse_adaptive", "mse_static"]
         for t, row in enumerate(rows_of(result)):
-            truth = _sample_truth(2, trial_rng(12, t, 0), "pure")
-            rho, _ = run_adaptive_protocol(truth, schedule, "continuum",
-                                           [trial_rng(12, t, 1, rep) for rep in range(4)],
-                                           weighting)
+            truth = sample_truth(2, trial_rng(12, t, 0), "pure")
+            thetas, _ = run_adaptive_protocol(truth, schedule, "continuum",
+                                              [trial_rng(12, t, 1, rep) for rep in range(4)],
+                                              weighting)
+            rho = project_physical(rho_from_theta(thetas[-1]))
             static = _static_cube_mse(truth, 2500, [trial_rng(12, t, 2, rep) for rep in range(4)],
                                       weighting)
             assert row == (t, float(np.mean(mse(rho, truth))), float(np.mean(static)))
@@ -124,12 +126,13 @@ class TestPairedTomography:
     @pytest.mark.parametrize("dim, candidates", [(2, "continuum"), (4, "cube")])
     def test_adaptive_arm_is_the_protocols_final_state(self, monkeypatch, weighting, dim,
                                                        candidates):
-        # the arm projects only the last step's estimate, which the protocol projects with
+        # the arm projects only the last step's estimate, which `qest adapt` projects with
         # every other step's: the states scored must have the same bits
         import qest.harness
         from qest.adaptive import run_adaptive_protocol
-        from qest.harness import _sample_truth
-        from qest.states import mse
+        from qest.harness import sample_truth
+        from qest.states import mse, rho_from_theta
+        from qest.tomography import project_physical
 
         scored = []
         monkeypatch.setattr(qest.harness, "mse",
@@ -138,10 +141,12 @@ class TestPairedTomography:
                                     steps=3)
         run_paired_tomography(dim, schedule, trials=1, seed=21, candidates=candidates,
                               weighting=weighting, repetitions=20)
-        truths = np.repeat([_sample_truth(dim, trial_rng(21, 0, 0), "pure")], 20, axis=0)
-        want, _ = run_adaptive_protocol(truths, schedule, candidates,
-                                        [trial_rng(21, 0, 1, rep) for rep in range(20)],
-                                        weighting)
+        truths = np.repeat([sample_truth(dim, trial_rng(21, 0, 0), "pure")], 20, axis=0)
+        thetas, _ = run_adaptive_protocol(truths, schedule, candidates,
+                                          [trial_rng(21, 0, 1, rep) for rep in range(20)],
+                                          weighting)
+        assert thetas.shape == (schedule.steps + 1, 20, dim * dim - 1)
+        want = project_physical(rho_from_theta(thetas))[-1]
         assert len(scored) == 2  # the adaptive arm's, then the static arm's
         assert scored[0].shape == want.shape and scored[0].tobytes() == want.tobytes()
 
@@ -150,10 +155,10 @@ class TestStackedStaticArm:
     @pytest.mark.parametrize("weighting", ["shots", "invvar"])
     @pytest.mark.parametrize("members", [1, 20])
     def test_equals_the_per_repetition_loop(self, weighting, members):
-        from qest.harness import _sample_truth, _static_cube_mse
+        from qest.harness import sample_truth, _static_cube_mse
         from tests.oracles import static_cube_mse_loop
 
-        truth = _sample_truth(2, trial_rng(4, 0, 0), "pure")
+        truth = sample_truth(2, trial_rng(4, 0, 0), "pure")
         rngs = [trial_rng(4, 0, 2, rep) for rep in range(members)]
         stacked = _static_cube_mse(truth, 3000, rngs, weighting)
         for rep in range(members):
@@ -163,7 +168,7 @@ class TestStackedStaticArm:
 
     @pytest.mark.parametrize("candidates", ["continuum", "cube"])
     def test_paired_rows_equal_the_per_repetition_loop(self, candidates):
-        from qest.harness import _sample_truth
+        from qest.harness import sample_truth
         from qest.states import cube_povm
         from tests.oracles import adaptive_protocol_loop, static_cube_mse_loop
 
@@ -172,7 +177,7 @@ class TestStackedStaticArm:
                                        weighting="invvar", repetitions=3)
         oracle_candidates = "continuum" if candidates == "continuum" else cube_povm(2)
         for t, row in enumerate(rows_of(result)):
-            truth = _sample_truth(2, trial_rng(9, t, 0), "pure")
+            truth = sample_truth(2, trial_rng(9, t, 0), "pure")
             adaptive = [adaptive_protocol_loop(truth, schedule, oracle_candidates,
                                                trial_rng(9, t, 1, rep), "invvar")[1][-1]["mse"]
                         for rep in range(3)]

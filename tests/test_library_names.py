@@ -22,6 +22,10 @@ point, is exempt.
 No module keeps state between calls through a ``global`` or ``nonlocal``
 statement either: a result that a later call needs is passed to it
 explicitly.
+
+No module reads another module's private (``_name``) names, by import or as
+an attribute of the imported module: what another module needs is public,
+and so held to the rules above.
 """
 
 import ast
@@ -257,3 +261,45 @@ def test_scan_flags_global_and_nonlocal_statements():
         "c": ast.parse('# global x\nx = 1\n\ndef f():\n    """global x"""\n    return x\n'),
     }
     assert state_statements(modules) == ["a:4", "b:5"]
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(modules):
+    """Every read of another ``qest`` module's private name, as ``<module>:<owner>.<name>``:
+    imported from that module, or read as an attribute of the module imported whole."""
+    found = set()
+    for stem, tree in modules.items():
+        imported = {}  # name bound -> qest module imported whole
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").split(".")[0] == "qest"):
+                continue
+            for alias in node.names:
+                if node.module in (None, "qest"):
+                    imported[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.add(f"{stem}:{node.module.split('.')[-1]}.{alias.name}")
+        found.update(f"{stem}:{imported[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in imported and _private(node.attr))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "__init__" in modules and "harness" in modules
+    assert private_reads(modules) == []
+
+
+def test_scan_flags_private_names_read_across_modules():
+    modules = {
+        "a": ast.parse("from .b import _helper, public\nfrom . import c\nfrom .d import __all__\n"
+                       "\ndef f(self):\n    return c._state + c.ok + self._own + _mine()\n"),
+        "b": ast.parse("from qest import c as other\nfrom qest.c import _table\n"
+                       "import numpy as np\n\ndef _helper():\n"
+                       "    return other._state, np._core, other.__name__\n"),
+    }
+    assert private_reads(modules) == ["a:b._helper", "a:c._state", "b:c._state", "b:c._table"]

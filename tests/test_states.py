@@ -12,7 +12,7 @@ from qest.states import (
     PAULI_Z,
     Povm,
     Records,
-    bloch_basis_povm,
+    bloch_rows,
     cube_draws,
     cube_pauli_tables,
     cube_povm,
@@ -28,6 +28,7 @@ from qest.states import (
     split_evenly,
 )
 from tests.oracles import (
+    bloch_basis_povm,
     born_probabilities,
     check_density_matrix,
     concat_records,
@@ -282,14 +283,46 @@ class TestCubePovms:
         assert gamma.dtype == float and gamma.flags.c_contiguous and gamma.flags.owndata
 
 
-class TestBlochBasisPovm:
-    def test_takes_one_direction(self):
-        povm = bloch_basis_povm([0.0, 0.0, 2.0])
-        assert povm.elements.shape == (2, 2, 2)
-        assert np.array_equal(povm.elements, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        for bad in (np.eye(3), [[1.0, 0.0, 0.0]], [1.0, 0.0], [0.0, 0.0, 0.0], 1.0):
-            with pytest.raises(ValueError, match="nonzero 3-vector"):
-                bloch_basis_povm(bad)
+class TestBlochRows:
+    def test_takes_one_direction_or_a_stack(self):
+        h = 1.0 / np.sqrt(2.0)
+        assert same_bits(bloch_rows(np.array([0.0, 0.0, 2.0])), np.array([[0.0, 0.0, h],
+                                                                          [-0.0, -0.0, -h]]))
+        directions = np.random.default_rng(29).normal(size=(4, 5, 3))
+        rows = bloch_rows(directions)
+        assert rows.shape == (4, 5, 2, 3)
+        for m, n in np.ndindex(4, 5):
+            assert same_bits(rows[m, n], bloch_rows(directions[m, n]))
+
+    def test_equals_the_matrix_route_to_rounding(self):
+        # the rows Tr(E O_i) of the matrices (I +- n.sigma) / 2, near the axes and off them
+        rng = np.random.default_rng(30)
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        near_axis = (axes[:, None, :] + rng.normal(size=(50, 3))
+                     * 10.0 ** rng.uniform(-17, -3, size=(50, 1))).reshape(-1, 3)
+        for n in np.concatenate([rng.normal(size=(300, 3)), axes, near_axis]):
+            assert np.abs(bloch_rows(n) - bloch_basis_povm(n).gamma).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("n", [[0.6, 0.8, 1e-6], [0.6, -1e-6, 0.8], [1.0, 1e-9, 0.3],
+                                   [-0.2, 0.7, -1e-12], [1.0, 1.0, 1.0], [3.0, -4.0, 12.0]])
+    def test_each_component_is_exact_to_a_decimal_oracle(self, n):
+        # +-n_i / (||n|| sqrt(2)) in 60 significant digits from the doubles' exact values.
+        # The matrix route cancels in 1 +- n_z / ||n|| and loses digits in a small
+        # component (up to about 1e-8 relative at n_z near 1e-6); the formula keeps them
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = [Decimal(c) for c in n]
+            scale = (sum(c * c for c in exact) * 2).sqrt()
+            want = [c / scale for c in exact]
+            rows = bloch_rows(np.array(n))
+            for i, w in enumerate(want):
+                assert rows[1, i] == -rows[0, i]
+                assert abs((Decimal(float(rows[0, i])) - w) / w) <= Decimal("4.5e-16")
+            if abs(n[2]) < 1e-5:  # the oracle tells the two routes apart
+                matrix_route = Decimal(float(bloch_basis_povm(n).gamma[0, 2]))
+                assert abs((matrix_route - want[2]) / want[2]) > Decimal("1e-13")
 
 
 class TestUnitTraces:
@@ -316,9 +349,11 @@ class TestUnitTraces:
     @pytest.mark.parametrize("label", ["bloch:1e308,1e308,0", "bloch:-1e308,0,1e308",
                                        "bloch:1e-320,0,0", "bloch:0,3e-200,-3e-200",
                                        "bloch:0.3,-2.5e-9,0.9"])
-    def test_bloch_label_traces_are_exactly_one(self, label):
-        elements = resolve_povm_label(label, 2).elements
-        assert (np.trace(elements, axis1=-2, axis2=-1) == 1.0).all()
+    def test_bloch_label_rows_are_a_unit_bases_rows(self, label):
+        # the rows +-n / sqrt(2) of a unit n: elements (I +- n.sigma) / 2, each of trace 1
+        rows = resolve_povm_label(label, 2)
+        assert rows.shape == (2, 3) and np.array_equal(rows[1], -rows[0])
+        assert abs(rows[0] @ rows[0] - 0.5) <= 2.3e-16
 
 
     def test_records_of_elements_without_unit_trace_raise(self):
@@ -430,21 +465,28 @@ class TestRecordsCsv:
         records_to_csv(runs, path)
         loaded = records_from_csv(path, 2)
         recs = concat_records(records for _, records in runs)
-        for field in fields(Records):
-            assert np.array_equal(getattr(loaded, field.name), getattr(recs, field.name))
+        for field in ("shots", "successes"):
+            assert np.array_equal(getattr(loaded, field), getattr(recs, field))
+        # the cube rows are the table's, the Bloch rows the formula's: the matrices' to rounding
+        assert same_bits(loaded.gamma[:6], recs.gamma[:6])
+        assert same_bits(loaded.gamma[6:], bloch_rows(np.array([1.0, 1.0, 0.0])))
+        assert np.abs(loaded.gamma[6:] - recs.gamma[6:]).max() <= 4.5e-16
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_cube_labels_name_the_cube_povms(self, d):
-        povms = [resolve_povm_label(label, d) for label in cube_labels(d)]
-        assert same_bits(np.stack([povm.elements for povm in povms]), cube_povm(d).elements)
+        # each label's rows are its basis's block of the table, with the bits of the basis's
+        # own contraction
+        rows = [resolve_povm_label(label, d) for label in cube_labels(d)]
+        assert same_bits(np.stack(rows), cube_povm(d).gamma)
+        for got, povm in zip(rows, cube_povms(d), strict=True):
+            assert same_bits(got, povm.gamma)
 
     @pytest.mark.parametrize("label, same_as", [
         ("bloch:1e308,1e308,0", "bloch:1,1,0"), ("bloch:-1e308,0,1e308", "bloch:-1,0,1"),
         ("bloch:1e-320,0,0", "bloch:1,0,0"), ("bloch:0,3e-200,-3e-200", "bloch:0,1,-1"),
     ])
     def test_extreme_bloch_components_are_rescaled(self, label, same_as):
-        got, want = resolve_povm_label(label, 2), resolve_povm_label(same_as, 2)
-        assert got.elements.tobytes() == want.elements.tobytes()
+        assert same_bits(resolve_povm_label(label, 2), resolve_povm_label(same_as, 2))
 
     @pytest.mark.parametrize("label", ["bloch:inf,0,0", "bloch:nan,1,0", "bloch:0,-inf,1"])
     def test_non_finite_bloch_components_rejected(self, label):
@@ -464,6 +506,8 @@ class TestRecordsCsv:
             resolve_povm_label("cube:xq", 4)
         with pytest.raises(ConfigError):
             resolve_povm_label("bloch:1,0,0", 4)
+        with pytest.raises(ConfigError, match="^need nonzero 3-vector"):
+            resolve_povm_label("bloch:0,-0,0", 2)
 
 
 class TestCubeDraws:
