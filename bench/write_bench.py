@@ -9,10 +9,12 @@ It composes existing tools and defines no metric of its own.  The file holds:
   (the end-to-end metrics) and with ``--trace 1`` (the per-layer metrics), stored as printed;
 * ``tier1``: the wall time and the outcome counts of the Tier-1 suite, and the call time
   of each acceptance criterion, from ``pytest --durations=0``;
-* ``scaling``: ``qest slc`` on the README qubit-transfer family at d = 2, 4 and 8, and
+* ``scaling``: ``qest slc`` on the README qubit-transfer family at d = 2, 4 and 8,
   ``qest compare --kind tomography --candidates cube`` at its defaults at d = 4, 8 and 16,
-  each in a fresh interpreter with one BLAS thread: the wall time of ``main``,
-  ``ru_maxrss`` and the SHA-256 of the output files (names and bytes, in name order);
+  and ``qest compare --kind slc --trials 50 --seed 109``, acceptance criterion 09's
+  configuration, each in a fresh interpreter with one BLAS thread: the wall time of
+  ``main``, ``ru_maxrss`` and the SHA-256 of the output files (names and bytes, in name
+  order);
 * ``machine``: the facts every perfbench record line carries (cores, memory, the Python,
   numpy and scipy versions, the BLAS build and its thread count in the run, the git
   commit), stored once;
@@ -21,7 +23,10 @@ It composes existing tools and defines no metric of its own.  The file holds:
   working tree holds it (names and bytes, in path order), except ``BENCH_*.json`` and
   the Markdown notes, which nothing measured reads (so the notes can cite this file).
   Stage the change with ``git add`` before measuring; :func:`tree_sha256` on a
-  checkout of the commit then tells whether it is the tree that was measured.
+  checkout of the commit then tells whether it is the tree that was measured;
+* ``parent``: the BENCH file with the next lower number at the root, cited by name and
+  ``tree_sha256``, not copied, and whether it measured the commit this tree starts from
+  (the before of a before-and-after pair).
 
 Nothing under ``perfbench/`` changes.  Scratch outputs go to ``.bench_build/bench/``.
 """
@@ -31,11 +36,13 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tarfile
 import time
 from pathlib import Path
 
@@ -120,6 +127,8 @@ def scaling() -> list:
         runs.append((d, ["slc", "--config", f"slc{d}.json", "--seed", "11", "--out", f"slc{d}"]))
     runs += [(d, ["compare", "--kind", "tomography", "--dim", str(d), "--candidates", "cube",
                   "--seed", "11", "--out", f"compare{d}"]) for d in (4, 8, 16)]
+    runs.append((2, ["compare", "--kind", "slc", "--trials", "50", "--seed", "109",
+                     "--out", "compare-slc50"]))
     rows = []
     for d, argv in runs:
         proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv], cwd=BUILD, check=True,
@@ -136,21 +145,41 @@ def machine(lines: list) -> dict:
     return facts[0]
 
 
-def tree_sha256() -> str:
-    listed = subprocess.run(["git", "ls-files", "-z", "--cached"], cwd=ROOT, capture_output=True,
-                            check=True).stdout
+def git(*args) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def tree_sha256(commit=None) -> str:
+    """The SHA-256 of the files in git's index as the working tree holds them, or of the files
+    of ``commit``, but the unmeasured ones."""
+    if commit is None:
+        listed = set(git("ls-files", "-z", "--cached").decode().split("\0")) - {""}
+        files = {name: (ROOT / name).read_bytes() for name in listed if (ROOT / name).is_file()}
+    else:
+        with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
+            files = {m.name: tar.extractfile(m).read() for m in tar if m.isfile()}
     h = hashlib.sha256()
-    for name in sorted(set(listed.decode().split("\0")) - {""}):
-        path = ROOT / name
-        if path.is_file() and not any(fnmatch.fnmatch(name, p) for p in UNMEASURED):
-            h.update(name.encode() + b"\0" + path.read_bytes() + b"\0")
+    for name in sorted(files):
+        if not any(fnmatch.fnmatch(name, p) for p in UNMEASURED):
+            h.update(name.encode() + b"\0" + files[name] + b"\0")
     return h.hexdigest()
 
 
 def tree() -> dict:
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                            text=True, check=True).stdout.strip()
+    commit = git("rev-parse", "HEAD").decode().strip()
     return {"base_commit": commit, "tree_sha256": tree_sha256()}
+
+
+def parent(number: int, base_commit: str) -> dict | None:
+    """The BENCH file with the next lower number, by name and tree, or None."""
+    below = [int(m.group(1)) for path in ROOT.glob("BENCH_*.json")
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name)) and int(m.group(1)) < number]
+    if not below:
+        return None
+    name = f"BENCH_{max(below)}.json"
+    measured = json.loads((ROOT / name).read_text())["tree"]["tree_sha256"]
+    return {"file": name, "tree_sha256": measured,
+            "measured_base_commit": measured == tree_sha256(base_commit)}
 
 
 def main(argv=None) -> int:
@@ -167,6 +196,7 @@ def main(argv=None) -> int:
         "scaling": scaling(),
         "machine": machine(runs[0]["lines"] + runs[1]["lines"]),
         "tree": identity,
+        "parent": parent(args.number, identity["base_commit"]),
     }
     if tree() != identity:
         raise RuntimeError("the tree changed while it was measured")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import herm_eigh, herm_expm, is_hermitian
+from .linalg import herm_eigh, herm_expm, is_hermitian, stack_matmul
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +178,7 @@ class PulseEvaluation:
         b = (vc.mT @ self.fwd[:, :-1, :, None])[..., 0]
         # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
         t = gamma * a.conj()[..., :, None] * b[..., None, :]
-        s = vc @ t @ v.mT
+        s = stack_matmul(stack_matmul(vc, t), v.mT)
         dz = self.theta * np.einsum("nkcd,mcd->nkm", s, self.controls)
         grad = 2.0 * (self.overlap.conj()[:, None, None] * dz).real
         return grad.mean(axis=0)
@@ -231,7 +231,7 @@ class _Propagation:
                     self.zero_drive)
         eigvals, eigvecs = herm_eigh(self.omega_h0 + self.theta_col * drive)
         phases = np.exp(-1j * self.dt * eigvals)
-        props = (eigvecs * phases[..., None, :]) @ eigvecs.conj().mT
+        props = stack_matmul(eigvecs * phases[..., None, :], eigvecs.conj().mT)
         n = self.n
         sweep = np.concatenate((props.swapaxes(0, 1), props[:, ::-1].conj().mT.swapaxes(0, 1)), 1)
         out = np.empty((self.intervals + 1,) + self.start.shape, dtype=complex)

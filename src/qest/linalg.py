@@ -10,6 +10,10 @@ Conventions used throughout the package:
   solvers directly.
 * Matrix exponentials of Hermitian generators are computed spectrally from
   those eigenpairs, ``herm_expm(H, s) = exp(-i s H)``.
+* Products of 2 x 2 matrices and stacks come from ``stack_matmul``: two
+  broadcast products and one sum at d = 2, ``@`` at every other d.  ``@``
+  makes one BLAS call per member of a stack, which costs more than the
+  product itself at d = 2.
 * Matrix logarithms of unitaries use eigenphases on the principal branch
   (-pi, pi] and return the traceless Hermitian generator.
 
@@ -151,6 +155,20 @@ def herm_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product a @ b of two matrices or broadcastable stacks (..., d, d).
+
+    At d = 2 it is a closed form with no BLAS call: column j of a times row j
+    of b, summed over j = 0, 1, with numpy's elementwise complex products, so
+    its last bits may differ from those of ``@``.  Any other shape goes to
+    ``a @ b``, bit for bit.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        return a @ b
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
 def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:
     """exp(-i s H) of a Hermitian H, or of each member of a stack (..., d, d), by one
     :func:`herm_eigh`."""
@@ -158,7 +176,7 @@ def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:
     if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
     w, v = herm_eigh(h)
-    return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().mT
+    return stack_matmul(v * np.exp(-1j * s * w)[..., None, :], v.conj().mT)
 
 
 def nearest_unitary(s: np.ndarray) -> np.ndarray:

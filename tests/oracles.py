@@ -47,7 +47,7 @@ import scipy.linalg
 from qest import identification, linalg
 from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
-from qest.linalg import gell_mann_basis, herm_eigh, is_hermitian, vec, vec_inv
+from qest.linalg import gell_mann_basis, herm_eigh, is_hermitian, stack_matmul, vec, vec_inv
 from qest.adaptive import _SPHERE_GRID, RecursiveState
 from qest.harness import sample_truth, trial_rng
 from qest.states import (
@@ -564,14 +564,16 @@ def herm_expm_eigh(h: np.ndarray, s: float = 1.0):
 
     H is one Hermitian matrix or a stack (..., d, d) of them; every member
     must pass the Hermitian check, and all are decomposed by one
-    :func:`qest.linalg.herm_eigh`, the eigensolver the library propagates
-    with, so the loops built on this oracle test structure, not the solver.
+    :func:`qest.linalg.herm_eigh` and multiplied back by
+    :func:`qest.linalg.stack_matmul`, the eigensolver and the product the
+    library propagates with, so the loops built on this oracle test
+    structure, not those kernels.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
     w, v = herm_eigh(h)
-    return (v * np.exp(-1j * s * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2), w, v
+    return stack_matmul(v * np.exp(-1j * s * w)[..., None, :], np.swapaxes(v.conj(), -1, -2)), w, v
 
 
 def slc_evaluate_loop(system, pairs, field, psi0, psi_target):
@@ -608,7 +610,10 @@ def augmented_j_loop(system, samples, field, psi0, psi_target) -> float:
 
 
 def gradient_j_loop(system, samples, field, psi0, psi_target) -> np.ndarray:
-    """Reference exact gradient of the mean fidelity, between the loops' costates and states."""
+    """Reference exact gradient of the mean fidelity, between the loops' costates and states.
+
+    Its matrix products come from :func:`qest.linalg.stack_matmul`, as the library's do.
+    """
     _, w, v, fwd, bwd, overlap = slc_evaluate_loop(system, samples.pairs, field, psi0, psi_target)
     dt = field.dt
     x = dt * (w[..., :, None] - w[..., None, :])
@@ -618,7 +623,7 @@ def gradient_j_loop(system, samples, field, psi0, psi_target) -> np.ndarray:
     a = (vh @ bwd[:, 1:, :, None])[..., 0]
     b = (vh @ fwd[:, :-1, :, None])[..., 0]
     t = gamma * a.conj()[..., :, None] * b[..., None, :]
-    s = v.conj() @ t @ np.swapaxes(v, -1, -2)
+    s = stack_matmul(stack_matmul(v.conj(), t), np.swapaxes(v, -1, -2))
     dz = samples.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, system.controls)
     return np.mean(2.0 * (np.conj(overlap)[:, None, None] * dz).real, axis=0)
 

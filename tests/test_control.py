@@ -432,11 +432,12 @@ class TestTraining:
         assert len(log) - 1 == 30 and counts["oracle_j"] - 1 >= 30
         assert counts["herm_eigh"] == counts["oracle_j"]
 
-    @pytest.mark.parametrize("seed, accepted", [(17, 24), (105, 38)])
+    @pytest.mark.parametrize("seed, accepted", [(2, 62), (128, 15)])
     def test_stops_on_the_step_floor_as_the_loop_driven_training(self, seed, accepted):
         # the nominal transfer task from a short random pulse: with no tolerance stop, the
         # line search ends the training once no step down to 2^-30 of the first keeps J_N;
-        # the last accepted step still rose, so no tie ended it
+        # the last accepted step still rose, so no tie ended it.  The seeds are the first two,
+        # counting up from 0, whose training ends this way
         system, psi0, target = transfer_task()
         field0 = ControlField(2.0, np.random.default_rng(seed).uniform(-0.5, 0.5, (6, 1)))
         samples = grid_samples(0.0, 0.0, 1, 1)
@@ -449,11 +450,12 @@ class TestTraining:
         assert np.array(log).tobytes() == np.array(oracle_log).tobytes()
         assert field.amplitudes.tobytes() == oracle_field.amplitudes.tobytes()
 
-    @pytest.mark.parametrize("seed, accepted", [(0, 44), (2, 61), (5, 38)])
+    @pytest.mark.parametrize("seed, accepted", [(0, 46), (1, 30), (3, 78)])
     def test_stops_on_the_first_tie_as_the_loop_driven_training(self, seed, accepted):
         # the same task: once J_N reaches its rounding plateau some step keeps it exactly,
         # and an accepted step that raises J_N by no more than the tolerance 0 stops the
-        # training there, well before the cap
+        # training there, well before the cap.  The seeds are the first three, counting up
+        # from 0, whose training ends this way
         system, psi0, target = transfer_task()
         field0 = ControlField(2.0, np.random.default_rng(seed).uniform(-0.5, 0.5, (6, 1)))
         samples = grid_samples(0.0, 0.0, 1, 1)

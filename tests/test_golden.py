@@ -164,20 +164,22 @@ GOLDEN = {
     "hamid-noiseless/hamid-noiseless.json":
         "4f7f93903cfbab4e1207a71dc01d2fc26f8d7fbb9c58205c776aacd3aff26b2b",
     # smc and every d = 2 slc digest were recorded once 2 x 2 Hermitian eigenpairs came
-    # from the closed form of qest.linalg.herm_eigh, not from LAPACK
+    # from the closed form of qest.linalg.herm_eigh, not from LAPACK; the d = 2 slc digests
+    # again once 2 x 2 products came from the closed form of qest.linalg.stack_matmul, not
+    # from BLAS (smc's bytes did not move)
     "smc/smc.csv": "dc2ff81786f6f013a7de858198e3b0663bcdd524a692e8408bdd69623c3591bc",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
-    "slc/pulse.json": "95843a436e16824f005efce496adfe7a87ae9674f0f22cba597db35c1cd245e7",
-    "slc/test.csv": "909694961ab5faf2eb1965a56b3a8ef4d4fede2a2a52da5ad6d0bfc1c0d830d8",
-    "slc/training_log.csv": "5bee0060aa98f546ca62e6262d3bf34ec8759c72b887eba27262b1ed31aa4387",
+    "slc/pulse.json": "3bfa19332e32c1c286618857e70a1b0b424af2367e02b491af77131d81edf0af",
+    "slc/test.csv": "336ac04854bf79481f41e456a22a16aeb11648d55ddf36e8be131585fbc34eef",
+    "slc/training_log.csv": "5358ef7ef9b1eb400ec894c5eacb4d5e1c5f24414f1b596589b6df6ec875cffc",
     "slc-controls/manifest.json": "03e7db4dee9b245abc3a4a396678465e503144a2a7e6ad0111e084aeacdde71e",
-    "slc-controls/pulse.json": "42c8576639112d770b0f0f1c55ae9e16e471b31e6249731c771842288c36a78e",
-    "slc-controls/test.csv": "580431de95ade2acdb8447fd5369ac4007dee2d47929de3213bf506460ce687d",
-    "slc-controls/training_log.csv": "e492b735053a8c0e8bd7e1c4a53b4de56d275f7499acdc25b83a9c5099ea61c0",
+    "slc-controls/pulse.json": "0f086d67a9d615280f980c4d117c7a14103077b3ff4d585758dfd8a37c2288db",
+    "slc-controls/test.csv": "f79aeb8d7f806b066ca1090736b9f184276ce6519254a85db5600402e56c10a8",
+    "slc-controls/training_log.csv": "91d981a35913377ecf14f669c7227e35b89f1e4be79a18206651b12547c795ed",
     "slc20/manifest.json": "60c438fff26351e24dbdf823242095e31d9b26e284b2d47498c759e85b7469e1",
-    "slc20/pulse.json": "f802f363cd0eacc6ffacd57fa5630949b9eee10eff6d321307424513aa0d2b56",
-    "slc20/test.csv": "1d1146066104bd0c3755941b909fb99e56f2005891d94439ee1ca3eedd44b42b",
-    "slc20/training_log.csv": "0e2511eec0671e94e57676c530ed0c364aa52eb41b6de2af7b383491ca4c86bf",
+    "slc20/pulse.json": "0523b0a47a8c97077b5b7911e3f164528316f6cee77093b048956e3cb087e78d",
+    "slc20/test.csv": "934a6bb9197a7d2c777a2f568707f236d09c11014c240d0ac4fe252c6496b6ac",
+    "slc20/training_log.csv": "3ebb75042fd27f8d631359beb268e5fd529525238cd31b344a9e3d95383b0da0",
     "compare/compare_tomography.csv": "b5f982dae4c96140b3081ef943e811568796da4d722ae104c99eaa268cd04e1a",
     "compare/compare_tomography.manifest.json": "164621b6126a718ea5a2615f7a37f6805055d701193475c5311c937f54091308",
     # compare20, compare-cube, adapt8 and compare8 were recorded once the adaptive steps
@@ -191,9 +193,9 @@ GOLDEN = {
         "1f3689e33876c4de95e1b360a24c8dade6011a56376f428d088989b88a1cb185",
     "compare-cube/compare_tomography.csv": "d312373329dfdea045a34187616a8fc5064fc8c5d178ea048418ec614b06cf17",
     "compare-cube/compare_tomography.manifest.json": "215eda1851d78a4a76464de53f6bed3a780644cfcd33a32fc979b754117d674b",
-    "compare-slc/compare_slc.csv": "695176d81c4f033252edbf6a80fd1acee4e6ec64784143b8ca9de90f83e89307",
+    "compare-slc/compare_slc.csv": "45463daf196e8a6c5b027e76caee2c45b2d3303206ea62828859b90e9f31d114",
     "compare-slc/compare_slc.manifest.json":
-        "eab3dd3fd1be71d06084b42267785ee1c6a928d55ee15bce7d199c39d3f49873",
+        "8d3b88edc48f4c999135d824373bdbd2f89ca49502115d327364a7e334cfcc3a",
     # at two BLAS threads sweep16 gives 2b1f85ec35fe09d4... and 290dc4173a641e67...
     "sweep16/mse_sweep.csv": "f97b29cf48f0dad0870a424f04b02332d5a270e25684d71f71371941451300fe",
     "sweep16/mse_sweep.manifest.json":

@@ -12,6 +12,7 @@ from qest.linalg import (
     matrix_from_json,
     matrix_to_json,
     nearest_unitary,
+    stack_matmul,
     unitary_log,
     vec,
     vec_inv,
@@ -244,6 +245,50 @@ class TestHermEigh:
         h = np.array([random_hermitian(d, rng) for _ in range(6)])
         for got, expected in zip(herm_eigh(h), np.linalg.eigh(h)):
             assert got.tobytes() == expected.tobytes()
+
+
+def complex_stack(shape, rng):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestStackMatmul:
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 2), (2, 2)), ((80, 2, 2), (80, 2, 2)), ((5, 7, 2, 2), (7, 2, 2)),
+        ((2, 2), (4, 3, 2, 2)), ((3, 1, 2, 2), (1, 4, 2, 2)),
+    ])
+    @pytest.mark.parametrize("view", ["plain", "mT", "conj", "conj-mT"])
+    def test_within_a_few_ulp_of_matmul(self, a_shape, b_shape, view):
+        rng = np.random.default_rng(31)
+        a, b = complex_stack(a_shape, rng), complex_stack(b_shape, rng)
+        a, b = {"plain": (a, b), "mT": (a, b.mT), "conj": (a.conj(), b),
+                "conj-mT": (a.conj(), b.conj().mT)}[view]
+        got, expected = stack_matmul(a, b), np.matmul(a, b)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        bound = (4 * np.finfo(float).eps * np.linalg.norm(a, axis=(-2, -1))[..., None, None]
+                 * np.linalg.norm(b, axis=(-2, -1))[..., None, None])
+        assert (np.abs(got - expected) <= bound).all()
+
+    def test_equals_matmul_where_both_are_exact(self):
+        # dyadic fractions times small integers: every product and sum is exact either way
+        rng = np.random.default_rng(32)
+        a = (8 * complex_stack((200, 2, 2), rng)).round() / 64
+        b = (8 * complex_stack((200, 2, 2), rng)).round()
+        assert np.array_equal(stack_matmul(a, b), np.matmul(a, b))
+        assert np.array_equal(stack_matmul(a, b.conj().mT), np.matmul(a, b.conj().mT))
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 8])
+    def test_other_dimensions_are_matmul_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        a, b = complex_stack((6, 5, d, d), rng), complex_stack((5, d, d), rng)
+        for x, y in ((a, b), (a.conj(), b.mT), (a[0, 0], b)):
+            assert stack_matmul(x, y).tobytes() == (x @ y).tobytes()
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 2), (2, 3)), ((3, 2), (2, 2)),
+                                                  ((4, 2, 2), (2,))])
+    def test_other_shapes_are_matmul_bit_for_bit(self, a_shape, b_shape):
+        rng = np.random.default_rng(33)
+        a, b = complex_stack(a_shape, rng), complex_stack(b_shape, rng)
+        assert stack_matmul(a, b).tobytes() == (a @ b).tobytes()
 
 
 class TestHermExpm:
