@@ -7,14 +7,17 @@ It composes existing tools and defines no metric of its own.  The file holds:
 * ``perfbench`` and ``perfbench_traced``: every JSON line that ``perfbench/run.py
   --workload all --seed 5 --seconds 15`` prints (record and result lines) with ``--trace 0``
   (the end-to-end metrics) and with ``--trace 1`` (the per-layer metrics), stored as printed;
-* ``tier1``: the wall time and the outcome counts of the Tier-1 suite, and the call time
-  of each acceptance criterion, from ``pytest --durations=0``;
+* ``tier1``: the wall time and the outcome counts of the Tier-1 suite;
+* ``criteria``: the call time of each acceptance criterion in three runs of
+  ``tests/test_acceptance.py`` (``pytest --durations=0 --durations-min=0``), all three
+  and their median, since one run alone can read 1.4x slow;
 * ``scaling``: ``qest slc`` on the README qubit-transfer family at d = 2, 4 and 8,
   ``qest compare --kind tomography --candidates cube`` at its defaults at d = 4, 8 and 16,
-  and ``qest compare --kind slc --trials 50 --seed 109``, acceptance criterion 09's
-  configuration, each in a fresh interpreter with one BLAS thread: the wall time of
-  ``main``, ``ru_maxrss`` and the SHA-256 of the output files (names and bytes, in name
-  order);
+  ``qest compare --kind slc --trials 50 --seed 109``, acceptance criterion 09's
+  configuration, and ``qest hamid --time 0.5 --seed 1`` at d = 16 (20000 shots) and
+  d = 32 (100000 shots), each in a fresh interpreter with one BLAS thread: the wall time
+  of ``main``, ``ru_maxrss`` and the SHA-256 of the output files (names and bytes, in
+  name order);
 * ``machine``: the facts every perfbench record line carries (cores, memory, the Python,
   numpy and scipy versions, the BLAS build and its thread count in the run, the git
   commit), stored once;
@@ -53,6 +56,7 @@ BUILD = ROOT / ".bench_build" / "bench"
 UNMEASURED = ("BENCH_*.json", "*.md")  # files tree_sha256 leaves out
 SEED = 5  # perfbench workload seed
 SECONDS = 15.0  # perfbench run length per workload
+CRITERIA_RUNS = 3  # acceptance-suite runs; each criterion records their median call time
 ONE_BLAS_THREAD = {name: "1" for name in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 # fresh interpreter: time qest.cli.main and report it with the peak resident set
@@ -82,7 +86,7 @@ def perfbench(trace: int) -> dict:
 
 
 def tier1() -> dict:
-    argv = [sys.executable, "-m", "pytest", "-q", "--durations=0", "-p", "no:cacheprovider"]
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     start = time.perf_counter()
     proc = subprocess.run(argv, cwd=ROOT, env=env_with_src(), capture_output=True, text=True)
     wall_s = time.perf_counter() - start
@@ -90,11 +94,22 @@ def tier1() -> dict:
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|skipped|errors?)",
                                                      summary)}
     reported = re.search(r" in ([\d.]+)s", summary)
-    criteria = {name: float(s) for s, name in re.findall(
-        r"^([\d.]+)s call\s+tests/test_acceptance\.py::(test_criterion_\w+)", proc.stdout, re.M)}
     return {"exit": proc.returncode, "counts": counts, "summary": summary, "wall_s": wall_s,
-            "pytest_s": float(reported.group(1)) if reported else None,
-            "criteria_call_s": dict(sorted(criteria.items()))}
+            "pytest_s": float(reported.group(1)) if reported else None}
+
+
+def criteria() -> dict:
+    argv = [sys.executable, "-m", "pytest", "-q", "--durations=0", "--durations-min=0",
+            "-p", "no:cacheprovider", "tests/test_acceptance.py"]
+    runs = []
+    for _ in range(CRITERIA_RUNS):
+        out = subprocess.run(argv, cwd=ROOT, env=env_with_src(), capture_output=True,
+                             text=True).stdout
+        runs.append(dict(sorted((name, float(s)) for s, name in re.findall(
+            r"^([\d.]+)s call\s+tests/test_acceptance\.py::(test_criterion_\w+)", out, re.M))))
+    return {"argv": argv[1:], "runs_call_s": runs,
+            "median_call_s": {name: float(np.median([run[name] for run in runs]))
+                              for name in runs[0]}}
 
 
 def slc_config(d: int) -> dict:
@@ -113,9 +128,10 @@ def slc_config(d: int) -> dict:
     }
 
 
-def digest(directory: Path) -> str:
+def digest(out: Path) -> str:
+    """The SHA-256 of an output file, or of a directory's files, by name and bytes."""
     h = hashlib.sha256()
-    for path in sorted(directory.iterdir()):
+    for path in sorted(out.iterdir()) if out.is_dir() else [out]:
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
@@ -129,6 +145,8 @@ def scaling() -> list:
                   "--seed", "11", "--out", f"compare{d}"]) for d in (4, 8, 16)]
     runs.append((2, ["compare", "--kind", "slc", "--trials", "50", "--seed", "109",
                      "--out", "compare-slc50"]))
+    runs += [(d, ["hamid", "--dim", str(d), "--time", "0.5", "--shots", str(shots), "--seed",
+                  "1", "--out", f"hamid{d}.json"]) for d, shots in ((16, 20000), (32, 100000))]
     rows = []
     for d, argv in runs:
         proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv], cwd=BUILD, check=True,
@@ -193,6 +211,7 @@ def main(argv=None) -> int:
         "perfbench": runs[0],
         "perfbench_traced": runs[1],
         "tier1": tier1(),
+        "criteria": criteria(),
         "scaling": scaling(),
         "machine": machine(runs[0]["lines"] + runs[1]["lines"]),
         "tree": identity,

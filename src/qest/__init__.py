@@ -47,10 +47,9 @@ from .linalg import (
     vec_inv,
 )
 from .states import (
-    Povm,
     Records,
-    cube_povm,
     cube_records,
+    cube_rows,
     mse,
     rho_from_theta,
 )

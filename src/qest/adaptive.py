@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import gell_mann_basis, is_hermitian
-from .states import Records, bloch_rows, cube_povm, cube_records, multinomial
+from .states import Records, bloch_rows, cube_records, cube_rows, multinomial
 from .tomography import RegressionProblem, build_regression, record_weight, solve_weighted_ls
 
 
@@ -124,7 +124,7 @@ def select_next_basis(state: RecursiveState, candidate_rows: np.ndarray, planned
     """Rows of the basis with the largest summed trace gain; ties break to the lowest index.
 
     ``candidate_rows`` stacks the bases' regression rows, (bases, outcomes,
-    d^2 - 1), as ``cube_povm(d).gamma`` holds them.  All are scored in one
+    d^2 - 1), as :func:`qest.states.cube_rows` holds them.  All are scored in one
     pass, for one state or a stack of members, and the result holds each
     member's chosen rows: (outcomes, d^2 - 1), or (R, outcomes, d^2 - 1).
     """
@@ -242,8 +242,9 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates: str, se
     stage 2 runs ``schedule.steps`` rounds in which the next basis is chosen
     by trace gain (``candidates`` is ``"cube"`` for the cube bases or
     ``"continuum"`` for the analytic qubit optimum), ``per_step`` copies are
-    measured and folded in recursively.  Inverse-variance weights are the
-    default because the covariance reading of Q assumes them.
+    measured and folded in recursively.  Q = (X^T W X)^-1.  Inverse-variance
+    weights, the default, weigh each outcome by shots/(p(1-p)); under them
+    Tr(Q) understates theta's mean squared error about 2x at d = 2.
 
     ``truth`` is one state (d, d) or a stack (R, d, d), every member finite,
     Hermitian and of unit trace within 1e-8, the tolerances of
@@ -287,7 +288,7 @@ def run_adaptive_protocol(truth, schedule: AdaptiveSchedule, candidates: str, se
         if candidates == "continuum":
             rows = continuum_qubit_basis(state, schedule.per_step, weighting)
         else:
-            rows = select_next_basis(state, cube_povm(d).gamma, schedule.per_step, weighting)
+            rows = select_next_basis(state, cube_rows(d), schedule.per_step, weighting)
         p = _probabilities(rows, truth_theta)
         counts = multinomial(rng, schedule.per_step, p / p.sum(-1, keepdims=True))
         records = Records(shots, counts.astype(float), rows)

@@ -1,4 +1,4 @@
-"""Quantum states, POVMs, Born-rule probabilities and measurement simulation."""
+"""Quantum states, the cube bases' regression rows and Pauli tables, and measurement simulation."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError
 from .linalg import gell_mann_basis
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -54,43 +54,6 @@ def rho_from_theta(theta: np.ndarray) -> np.ndarray:
         theta.shape[:-1] + (d, d))
 
 
-@dataclass(frozen=True, eq=False)
-class Povm:
-    """Positive operator-valued measurement: elements sum to the identity.
-
-    The regression takes every element to have unit trace, as every POVM
-    qest builds does, so Tr(E_j rho) = 1/d + gamma[j] . theta; ``gamma``,
-    which every regression row and score reads, raises
-    :class:`ContractViolationError` for any trace more than 1e-10 from 1.
-    ``gamma[j, i] = Tr(E_j O_i)`` over ``gell_mann_basis(d)`` are element j's
-    regression coordinates, computed once per object on first use and kept
-    as a C-contiguous float copy of the complex contraction's real part, so
-    rows cut from a stack have the layout and bits of each basis's own.
-
-    A stack of measurements, one per member of a stack of states or one per
-    candidate basis (see :func:`cube_povm`), has elements (..., n_outcomes,
-    d, d) and gammas with the same leading axes; ``len()`` counts outcomes.
-    """
-
-    elements: np.ndarray  # (n_outcomes, d, d), or (..., n_outcomes, d, d) for a stack
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[-1]
-
-    def __len__(self) -> int:
-        return self.elements.shape[-3]
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        if not (abs(np.einsum("...ii->...", self.elements) - 1.0) <= 1e-10).all():
-            raise ContractViolationError(
-                "every POVM element must have unit trace: the regression reads Tr(E rho) as "
-                "1/d + gamma . theta")
-        return _read_only(
-            np.einsum("...eij,kji->...ek", self.elements, gell_mann_basis(self.dim)).real.copy())
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     # cached arrays are shared by every caller and every record table built from them
     a.flags.writeable = False
@@ -103,9 +66,9 @@ class Records:
 
     ``successes[r]`` counts how often row r's element fired among
     ``shots[r]`` draws of its full POVM; it is integer-valued for sampled
-    data and may be fractional for exact expected counts.  The element,
-    of unit trace, enters only through ``gamma``, the row's regression
-    coordinates (see :class:`Povm`).
+    data and may be fractional for exact expected counts.  The element E, of
+    unit trace, enters only through ``gamma``, its regression coordinates
+    Tr(E O_i) over ``gell_mann_basis(d)`` (see :func:`cube_rows`).
 
     A stack of R members has successes (R, n), the member axis first.
     Members measured by shared runs (see :func:`cube_records`) share the
@@ -167,8 +130,10 @@ def cube_draws(rho, total: int, rng):
 
     rho is one state (d, d) or a stack (k, d, d).  ``copies[b]`` is the
     copies of basis b, from :func:`split_evenly`; ``draws`` has shape
-    ``rho.shape[:-2] + (bases, outcomes)``.  Every (state, basis, outcome) is
-    scored by one Born-rule matrix product against the cached cube elements,
+    ``rho.shape[:-2] + (bases, outcomes)``.  Every state's Pauli
+    expectations e come from :func:`paulis_from_rho`, each basis's outcome
+    probabilities from the Paulis it measures, ``(e[pauli_index] @ signs) /
+    d`` over :func:`cube_pauli_tables`, clipped to [0, 1] and normalized,
     and all are drawn by one multinomial call in C order: state by state,
     basis by basis.  So the draws equal a per-state loop of calls, each equal
     to a per-basis loop of one-basis multinomial calls over the bases that
@@ -179,14 +144,11 @@ def cube_draws(rho, total: int, rng):
     own state of an (R, d, d) stack, and ``draws`` is (R, bases, outcomes).
     """
     _check_copies(total, "total copies")
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    d = rho.shape[-1]
-    elements = cube_povm(d).elements
-    copies = np.array(split_evenly(total, len(elements)))
-    # Tr(rho E) = sum_ij Re(rho_ij) Re(E_ij) + Im(rho_ij) Im(E_ij) for Hermitian E: one real
-    # product of the float views scores every (state, basis, outcome)
-    p = rho.reshape(-1, d * d).view(float) @ elements.reshape(-1, d * d).view(float).T
-    p = np.clip(p, 0.0, 1.0, out=p).reshape(rho.shape[:-2] + elements.shape[:2])
+    d = np.shape(rho)[-1]
+    signs, pauli_index = cube_pauli_tables(d)
+    copies = np.array(split_evenly(total, len(pauli_index)))
+    p = (paulis_from_rho(rho)[..., pauli_index] @ signs) / d
+    p = np.clip(p, 0.0, 1.0, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     return copies, multinomial(rng, copies, p)
 
@@ -196,15 +158,15 @@ def cube_records(rho, total: int, rng) -> Records:
 
     A stack's ``successes`` are (R, n), one row per state, or per member when
     ``rng`` is a list of generators; the runs are shared.  The gamma column
-    is a read-only view of :func:`cube_povm`'s own rows whenever every basis
-    gets a copy.
+    is a read-only view of :func:`cube_rows` whenever every basis gets a
+    copy.
     """
     copies, draws = cube_draws(rho, total, rng)
     d = draws.shape[-1]  # a cube basis has d outcomes
     shots = np.repeat(copies, d)
     measured = shots > 0
     # merging the (basis, outcome) axes of the contiguous rows is a view
-    gamma = cube_povm(d).gamma.reshape(-1, d * d - 1)
+    gamma = cube_rows(d).reshape(-1, d * d - 1)
     if not measured.all():
         gamma = gamma[measured]
     successes = draws.reshape(draws.shape[:-2] + (-1,))[..., measured]
@@ -217,30 +179,46 @@ def _qubits(d: int) -> int:
     return int(d).bit_length() - 1
 
 
-@lru_cache(maxsize=None)
-def cube_povm(d: int) -> Povm:
-    """The 3^q Pauli-eigenbasis product measurements for q qubits (d = 2^q), as one stack.
+# (I +- sigma_a) / 2 as values v, (axis, sign, row, column): entry v, or i v off sigma_y's diagonal
+_FACTOR_VALUES = np.array([[[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]],
+                           [[[0.5, -0.5], [0.5, 0.5]], [[0.5, 0.5], [-0.5, 0.5]]],
+                           [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]])
 
-    The read-only elements are (bases, outcomes, d, d).  Bases run over the
-    qubits' axes in ``itertools.product("xyz")`` order, outcomes over their
-    signs, qubit 0 most significant and the plus outcome first.  A qubit's
-    factors are the exact projectors (I +- sigma_a) / 2, whose entries are
-    dyadic, so every basis sums to I and every element has trace 1, exactly.
-    Each qubit adds its factor by one broadcast outer product on the right,
-    in the left-to-right order of nested ``np.kron`` calls, so every entry is
-    multiplied exactly as ``np.kron`` multiplies it.  Cached, so every caller
-    shares the same gamma rows, computed on first use by one contraction over
-    all bases.
+
+@lru_cache(maxsize=None)
+def cube_rows(d: int) -> np.ndarray:
+    """Regression rows Tr(E O_i) of the 3^q cube bases (d = 2^q): (bases, outcomes, d^2 - 1).
+
+    Bases and outcomes are ordered as in :func:`cube_pauli_tables`, the plus
+    outcome first; E is the product of the exact projectors (I +- sigma_a) / 2.
+    Only E's upper-triangle and diagonal entries are built, one qubit factor
+    at a time: each is a real or an imaginary dyadic value, so every product
+    is exact.  The rows take the dense contraction's own operations, so they
+    have its bits.  Cached, read-only and C-contiguous.
     """
-    paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-    single = np.stack([(np.eye(2) + paulis) / 2, (np.eye(2) - paulis) / 2], axis=1)
-    elements = single
-    for _ in range(_qubits(d) - 1):
-        b, o, n, _ = elements.shape
-        # axes (basis, new axis, outcome, new sign, row, new row, column, new column)
-        elements = (elements[:, None, :, None, :, None, :, None]
-                    * single[None, :, None, :, None, :, None, :]).reshape(3 * b, 2 * o, 2 * n, 2 * n)
-    return Povm(_read_only(elements))
+    q = _qubits(d)
+    pairs = d * (d - 1) // 2
+    # the upper-triangle entries, lexicographic as the basis orders its pairs, then the diagonal
+    rows, cols = (np.concatenate([u, np.arange(d)]) for u in np.triu_indices(d, 1))
+    shift = np.arange(q - 1, -1, -1)
+    row_bits, col_bits, sign_bits = ((i[:, None] >> shift) & 1 for i in (rows, cols, np.arange(d)))
+    axes = np.array(list(itertools.product(range(3), repeat=q)))
+    values = np.ones((len(axes), d, len(rows)))
+    turns = np.zeros((len(axes), len(rows)), dtype=int)  # each entry is values * i^turns
+    for i in range(q):
+        values *= _FACTOR_VALUES[axes[:, i, None, None], sign_bits[:, i, None],
+                                 row_bits[:, i], col_bits[:, i]]
+        turns += (axes[:, i, None] == 1) & (row_bits[:, i] != col_bits[:, i])
+    values *= np.array([1.0, 1.0, -1.0, -1.0])[turns % 4][:, None, :]
+    real, imag = (values * (turns % 2 == odd)[:, None, :] for odd in (0, 1))
+    c = gell_mann_basis(d)[0, 0, 1].real
+    diagonal = gell_mann_basis(d)[2 * pairs:].real.diagonal(axis1=-2, axis2=-1)  # (d - 1, d)
+    running = 0.0  # a diagonal row sums its entries' terms in ascending order
+    for i in range(d):
+        running = running + real[..., pairs + i, None] * diagonal[:, i]
+    re, im = real[..., :pairs], imag[..., :pairs]
+    table = np.concatenate([(re + re) * c, (-im) * c + (-im) * c, running], axis=-1)
+    return _read_only(table + 0.0)  # + 0.0 turns -0.0 into the contraction's 0.0
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +249,15 @@ def cube_pauli_tables(d: int):
 _PAULI_BLOCK = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
 
 
+def _butterfly(x: np.ndarray, q: int, table: np.ndarray) -> np.ndarray:
+    # per qubit of x (k, 4^q), one product: the leading qubit's 4-axis, mapped by table (entries
+    # 0, +-1, +-i, so every term is exact), becomes the trailing one, back in place after q
+    k = len(x)
+    for _ in range(q):
+        x = x.reshape(k, 4, -1).transpose(0, 2, 1).reshape(-1, 4) @ table
+    return x.reshape(k, -1)
+
+
 def rho_from_paulis(e: np.ndarray) -> np.ndarray:
     """rho = sum_P e_P P / d from all 4^q Pauli expectations, for one (4^q,) or a stack.
 
@@ -282,14 +269,25 @@ def rho_from_paulis(e: np.ndarray) -> np.ndarray:
     q = (n.bit_length() - 1) // 2
     if q < 1 or 4**q != n:
         raise ValueError(f"need 4^q Pauli expectations for some q >= 1, got {n}")
-    x = e.reshape(-1, n)
-    for _ in range(q):
-        # the leading qubit's code becomes a trailing (row, column) pair
-        x = x.reshape(len(x), 4, -1).transpose(0, 2, 1) @ _PAULI_BLOCK.T
     d = 2**q
     rows_first = [0, *range(1, 2 * q, 2), *range(2, 2 * q + 1, 2)]
-    x = x.reshape((-1,) + (2,) * (2 * q)).transpose(rows_first)
-    return x.reshape(lead + (d, d)) / d
+    x = _butterfly(e.reshape(-1, n), q, _PAULI_BLOCK.T).reshape((-1,) + (2,) * (2 * q))
+    return x.transpose(rows_first).reshape(lead + (d, d)) / d
+
+
+def paulis_from_rho(rho: np.ndarray) -> np.ndarray:
+    """All 4^q Pauli expectations e_P = Tr(rho P) of one state (d, d) or a stack: (..., 4^q).
+
+    The inverse of :func:`rho_from_paulis`, by its butterfly stages with the
+    conjugate table; rho is taken as Hermitian, and e is the real part.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[-1]
+    q = _qubits(d)
+    # each qubit's (row, column) pair becomes one 4-axis, qubit 0 first
+    pairs = [0, *(a for i in range(1, q + 1) for a in (i, q + i))]
+    x = rho.reshape((-1,) + (2,) * (2 * q)).transpose(pairs).reshape(-1, d * d)
+    return _butterfly(x, q, _PAULI_BLOCK.conj()).real.reshape(rho.shape[:-2] + (d * d,))
 
 
 def bloch_rows(n: np.ndarray) -> np.ndarray:
@@ -306,13 +304,13 @@ def bloch_rows(n: np.ndarray) -> np.ndarray:
 
 def resolve_povm_label(label: str, d: int) -> np.ndarray:
     """Regression rows (outcomes, d^2 - 1) of a labelled basis: ``cube:`` and an axis per
-    qubit, its block of ``cube_povm(d).gamma``, or ``bloch:nx,ny,nz``, its :func:`bloch_rows`."""
+    qubit, its block of :func:`cube_rows`, or ``bloch:nx,ny,nz``, its :func:`bloch_rows`."""
     if label.startswith("cube:"):
         axes = label[len("cube:"):]
         if not axes or any(a not in "xyz" for a in axes) or 2 ** len(axes) != d:
             raise ConfigError(f"bad cube POVM label {label!r} for dimension {d}")
         # the axes are the base-3 digits (x, y, z = 0, 1, 2) of the basis's index
-        return cube_povm(d).gamma[int(axes.translate(str.maketrans("xyz", "012")), 3)]
+        return cube_rows(d)[int(axes.translate(str.maketrans("xyz", "012")), 3)]
     if label.startswith("bloch:"):
         if d != 2:
             raise ConfigError("bloch POVM labels are qubit-only")

@@ -12,10 +12,13 @@ is the dense reference for `qest.estimate_lambda`'s index-built probe map.
 The Gell-Mann regression over cube records is the reference for
 `qest.estimate_lambda`'s closed-form solve in Pauli coordinates, and the
 dense Kronecker-product Pauli strings for its Pauli tables and butterfly
-reconstruction.  The nested ``np.kron`` loop, the all-bases ``einsum`` and
-the per-unit and per-probe loops are the bit-for-bit references for the cube
-elements, the cube bases' gamma rows, the matrix units and the probe
-projectors that `qest` builds in one step.
+reconstruction.  The cube bases' element matrices, built by nested
+``np.kron`` loops as one stacked `Povm` whose ``einsum`` gives their rows,
+are the bit-for-bit reference for `qest.states.cube_rows`, and their dense
+Born product and an exact evaluation in rationals are the references for
+`qest.states.cube_draws`' probabilities from Pauli expectations.  The
+per-unit and per-probe loops are the bit-for-bit references for the matrix
+units and the probe projectors that `qest` builds in one step.
 The per-run loop of records, one step and one state at a time, with plain
 matrix products, is the reference for `qest.run_adaptive_protocol`,
 `qest.harness.run_paired_tomography` and `qest.harness.run_mse_sweep`, which
@@ -29,17 +32,20 @@ text.  The Born rule Tr(rho E), by one contraction of the state with the
 POVM's elements, is the reference for the adaptive steps' outcome
 probabilities 1/d + gamma . theta.  The qubit basis built as the matrices
 (I +- n.sigma) / 2 and contracted is the matrix-route reference for
-`qest.states.bloch_rows`.  The Gell-Mann coordinates of a
-state, exact expected counts, the one-POVM measurement simulation, the
-qubit trine, the cube bases' labels and their list of one-basis POVMs, the
-concatenation and row selection of records, the records CSV writer and the
-dense B are library-style helpers that only tests call.
+`qest.states.bloch_rows`.  The element-matrix `Povm`, with its unit-trace
+check, the Gell-Mann coordinates of a state, exact expected counts, the
+one-POVM measurement simulation, the qubit trine, the cube bases' labels and
+their list of one-basis POVMs, the concatenation and row selection of
+records, the records CSV writer and the dense B are library-style helpers
+that only tests call.
 """
 
 import csv
 import itertools
 import warnings
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -54,11 +60,9 @@ from qest.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Povm,
     _check_copies,
     _qubits,
     Records,
-    cube_povm,
     cube_draws,
     cube_records,
     rho_from_paulis,
@@ -72,6 +76,42 @@ from qest.tomography import (
     solve_weighted_ls,
     tomography_pipeline,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class Povm:
+    """Positive operator-valued measurement as element matrices: the matrix route to rows.
+
+    ``elements`` is (n_outcomes, d, d), or (..., n_outcomes, d, d) for a
+    stack of measurements, such as :func:`cube_povm`'s bases; ``len()``
+    counts outcomes.  ``gamma[..., j, i] = Tr(E_j O_i)`` over
+    ``gell_mann_basis(d)`` are the elements' regression rows, by one
+    ``einsum`` per object on first use, kept as a read-only C-contiguous
+    float copy of the contraction's real part.  The regression reads
+    Tr(E_j rho) as 1/d + gamma[j] . theta, so ``gamma`` raises
+    :class:`ContractViolationError` for any element whose trace is more than
+    1e-10 from 1.
+    """
+
+    elements: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[-1]
+
+    def __len__(self) -> int:
+        return self.elements.shape[-3]
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        if not (abs(np.einsum("...ii->...", self.elements) - 1.0) <= 1e-10).all():
+            raise ContractViolationError(
+                "every POVM element must have unit trace: the regression reads Tr(E rho) as "
+                "1/d + gamma . theta")
+        gamma = np.einsum("...eij,kji->...ek", self.elements, gell_mann_basis(self.dim))
+        gamma = gamma.real.copy()
+        gamma.flags.writeable = False
+        return gamma
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
@@ -386,14 +426,17 @@ def natural_probes_loop(d: int) -> np.ndarray:
     return np.stack(probes)
 
 
-def kron_cube_elements(d: int) -> np.ndarray:
-    """The cube bases' elements by nested ``np.kron`` loops: (bases, outcomes, d, d).
+@lru_cache(maxsize=None)
+def cube_povm(d: int) -> Povm:
+    """The cube bases as one stacked POVM, elements (bases, outcomes, d, d) by nested ``np.kron``.
 
     Each qubit's factor is the exact projector (I + s sigma_a) / 2.  Bases in
     ``itertools.product("xyz")`` order and outcomes in sign order, plus
-    first, qubit 0 most significant, as in ``qest.cube_povm``.
+    first, qubit 0 most significant, as in ``qest.states.cube_rows``.
+    Cached, with read-only elements; its ``gamma`` is the all-bases
+    ``einsum`` that ``cube_rows`` must equal bit for bit.
     """
-    q = d.bit_length() - 1
+    q = _qubits(d)
     bases = []
     for axes in itertools.product((1, 2, 3), repeat=q):
         single = [[(_PAULIS[0] + s * _PAULIS[a]) / 2 for s in (1, -1)] for a in axes]
@@ -404,17 +447,45 @@ def kron_cube_elements(d: int) -> np.ndarray:
                 m = np.kron(m, single[qi][outcomes[qi]])
             elements.append(m)
         bases.append(np.stack(elements))
-    return np.stack(bases)
+    elements = np.stack(bases)
+    elements.flags.writeable = False
+    return Povm(elements)
 
 
-def einsum_cube_table(d: int):
-    """The cube elements' regression coordinates gamma over all bases at once.
+def dense_cube_probabilities(rho) -> np.ndarray:
+    """Reference cube outcome probabilities by the dense Born product: (..., bases, outcomes).
 
-    One ``einsum`` over the (bases, outcomes, d, d) elements, one row per
-    (basis, outcome) in C order.
+    Tr(rho E) = sum_ij Re(rho_ij) Re(E_ij) + Im(rho_ij) Im(E_ij) for Hermitian E:
+    one real product of the float views of the states and of
+    :func:`cube_povm`'s elements, clipped to [0, 1] and normalized per basis:
+    the element-matrix route to what ``qest.states.cube_draws`` computes from
+    Pauli expectations.
     """
-    gamma = np.einsum("beij,kji->bek", kron_cube_elements(d), gell_mann_basis(d)).real
-    return np.ascontiguousarray(gamma).reshape(-1, d * d - 1)
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d = rho.shape[-1]
+    elements = cube_povm(d).elements
+    p = rho.reshape(-1, d * d).view(float) @ elements.reshape(-1, d * d).view(float).T
+    p = np.clip(p, 0.0, 1.0, out=p).reshape(rho.shape[:-2] + elements.shape[:2])
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def exact_cube_probabilities(rho) -> list:
+    """The cube outcome probabilities of one state (d, d), in exact rationals: [basis][outcome].
+
+    Each Tr(rho E) is summed in ``Fraction`` from the exact values of rho's
+    doubles and of the dyadic elements, clipped to [0, 1] and normalized per
+    basis, exactly.
+    """
+    rho = np.asarray(rho, dtype=complex).ravel()
+    terms = [(Fraction(z.real), Fraction(z.imag)) for z in rho]
+    d = int(np.sqrt(len(rho)))
+    out = []
+    for basis in cube_povm(d).elements.reshape(-1, d, d * d):
+        p = [min(max(sum(re * Fraction(e.real) + im * Fraction(e.imag)
+                         for (re, im), e in zip(terms, element) if e), Fraction(0)), Fraction(1))
+             for element in basis]
+        out.append([x / sum(p) for x in p])
+    return out
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -1,5 +1,3 @@
-from functools import cached_property
-
 import numpy as np
 import pytest
 
@@ -20,9 +18,8 @@ from qest.errors import ContractViolationError, SingularDesignError
 from qest.states import (
     PAULI_X,
     PAULI_Y,
-    Povm,
-    cube_povm,
     cube_records,
+    cube_rows,
     multinomial,
     pure_to_density,
     random_density_matrix,
@@ -39,12 +36,14 @@ from qest.tomography import (
     tomography_pipeline,
 )
 from tests.oracles import (
+    Povm,
     _basis_gains_loop,
     adaptive_protocol_loop,
     bloch_basis_povm,
     born_probabilities,
     concat_records,
     continuum_qubit_basis_loop,
+    cube_povm,
     cube_povms,
     expected_records,
     record_rows,
@@ -287,7 +286,7 @@ class TestSelectNextBasis:
 
     def test_unique_argmax_is_permutation_invariant(self):
         state = RecursiveState(q=np.diag([1.0, 0.5, 0.2]), theta=np.zeros(3))
-        candidates = cube_povm(2).gamma
+        candidates = cube_rows(2)
         chosen = select_next_basis(state, candidates, 100, "shots")
         reversed_choice = select_next_basis(state, candidates[::-1], 100, "shots")
         assert same_basis(chosen, X_BASIS) and same_basis(reversed_choice, X_BASIS)
@@ -589,7 +588,7 @@ class TestStackedSelection:
         # the gains and the chosen rows, table rows against the basis's own, bit for bit
         q, theta = self.stacked_state(members or 1, [23, d], weighting, d)
         state = self.state(q, theta, members)
-        table = cube_povm(d).gamma
+        table = cube_rows(d)
         gains = _basis_gains(state, table.reshape((1,) * bool(members) + table.shape), 500,
                              weighting)
         chosen = select_next_basis(state, table, 500, weighting)
@@ -643,7 +642,7 @@ class TestRowsRoute:
                                     steps=3)
         run_adaptive_protocol(truths, schedule, "cube", [[27, d, m] for m in range(6)],
                               "invvar")
-        table, elements = cube_povm(d).gamma, cube_povm(d).elements
+        table, elements = cube_rows(d), cube_povm(d).elements
         assert len(chosen) == len(drawn) == schedule.steps
         for rows, p in zip(chosen, drawn):
             for m in range(len(truths)):
@@ -652,28 +651,17 @@ class TestRowsRoute:
                 assert np.abs(p[m] - want / want.sum()).max() <= 4.5e-16
 
     @pytest.mark.parametrize("candidates, d", [("cube", 4), ("continuum", 2)])
-    def test_a_run_computes_no_rows_beyond_the_warm_cube_table(self, candidates, d,
-                                                               monkeypatch):
-        # every gamma computation of a Povm is counted once the cube table is warm: no step
-        # builds a basis's matrices to contract them into rows
-        computed = []
-        contraction = Povm.__dict__["gamma"].func
-
-        def counted(povm):
-            computed.append(povm.elements.shape)
-            return contraction(povm)
-
-        cube_povm(d).gamma
-        gamma = cached_property(counted)
-        gamma.__set_name__(Povm, "gamma")
-        monkeypatch.setattr(Povm, "gamma", gamma)
+    def test_a_run_computes_no_rows_beyond_the_warm_cube_table(self, candidates, d):
+        # once the cube table is warm, no step builds rows of its own: every cube step reads
+        # the cached table, and a continuum step's rows come from its directions
+        cube_rows(d)
+        before = cube_rows.cache_info()
         schedule = AdaptiveSchedule(total=900 * d // 2 + 3 * 300, stage1=900 * d // 2,
                                     per_step=300, steps=3)
         run_adaptive_protocol(member_truths(d, 4, seed=28), schedule, candidates,
                               [[28, m] for m in range(4)], "invvar")
-        assert computed == []
-        Povm(cube_povm(d).elements[0]).gamma  # the counter sees a basis's own contraction
-        assert computed == [(d, d, d)]
+        after = cube_rows.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
 
 class TestDirectionScoring:

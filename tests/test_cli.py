@@ -146,8 +146,7 @@ class TestAdaptCommand:
         # its Tr(Q) and the MSE of its projected estimate, with the int columns written as ints
         from qest.adaptive import AdaptiveSchedule
         from qest.harness import sample_truth, trial_rng
-        from qest.states import cube_povm
-        from tests.oracles import adaptive_protocol_loop
+        from tests.oracles import adaptive_protocol_loop, cube_povm
 
         n1, n2, trials = 900 * dim // 2, 400, 3
         out = tmp_path / "a.csv"

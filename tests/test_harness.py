@@ -169,8 +169,7 @@ class TestStackedStaticArm:
     @pytest.mark.parametrize("candidates", ["continuum", "cube"])
     def test_paired_rows_equal_the_per_repetition_loop(self, candidates):
         from qest.harness import sample_truth
-        from qest.states import cube_povm
-        from tests.oracles import adaptive_protocol_loop, static_cube_mse_loop
+        from tests.oracles import adaptive_protocol_loop, cube_povm, static_cube_mse_loop
 
         schedule = AdaptiveSchedule(total=2000, stage1=1000, per_step=500, steps=2)
         result = run_paired_tomography(2, schedule, trials=2, seed=9, candidates=candidates,

@@ -271,16 +271,15 @@ class TestEstimateLambda:
             calls["svd"] += 1
             return svd(a, *args, **kwargs)
 
-        # an uncached cube POVM, to see whether its Gell-Mann gamma rows get computed
-        cube = states.cube_povm.__wrapped__(4)
+        # an empty table cache, to see whether any Gell-Mann regression rows get computed
+        states.cube_rows.cache_clear()
         kraus = [herm_expm(random_traceless_hermitian(4, np.random.default_rng(4), 1.0), 0.5)]
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(states, "cube_povm", lambda d: cube)
         lam = estimate_lambda(kraus, 4, shots_per_output=500,
                               seed=CountingGenerator(np.random.PCG64(4)))
         assert calls == {"multinomial": 1, "eigh": 1, "svd": 0}
-        assert "gamma" not in vars(cube)
+        assert states.cube_rows.cache_info().currsize == 0
         assert np.array_equal(lam, estimate_lambda(kraus, 4, shots_per_output=500,
                                                    seed=np.random.default_rng(4)))
 

@@ -24,6 +24,7 @@ from qest.tomography import (
     tomography_pipeline,
 )
 from tests.oracles import (
+    Povm,
     concat_records,
     cube_povms,
     expected_records,
@@ -37,8 +38,6 @@ from tests.oracles import (
 
 
 def haar_basis_povm(d, rng):
-    from qest.states import Povm
-
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
