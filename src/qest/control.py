@@ -4,18 +4,32 @@ The controlled Hamiltonian is H(t) = omega*H0 + theta * sum_m u_m(t) H_m with
 piecewise-constant fields and multiplicative uncertainties omega, theta drawn
 from [1-Omega, 1+Omega] x [1-Theta, 1+Theta].  A single pulse is trained by
 gradient ascent on the mean fidelity over an uncertainty sample set, then
-evaluated on fresh samples.  A small sliding-mode scenario with periodic
-projective measurements is included as a demo.
+evaluated on fresh samples.  Every evaluation propagates all samples and
+intervals at once.  At d = 2 the interval propagators and their exact
+derivatives come in closed form from the Pauli coordinates of the generators
+(:class:`qest.linalg.QubitExpm`), with no eigenvectors; at every other d
+they come from the eigenpairs of ``herm_eigh`` and divided differences.  A
+small sliding-mode scenario with periodic projective measurements is
+included as a demo.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import herm_eigh, herm_expm, is_hermitian, stack_matmul
+from .linalg import (
+    QubitExpm,
+    herm_eigh,
+    herm_expm,
+    is_hermitian,
+    pauli_coordinates,
+    stack_matmul,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,50 +152,65 @@ def corner_center_samples(omega_halfwidth: float, theta_halfwidth: float) -> Sam
 
 @dataclass(frozen=True, eq=False)
 class PulseEvaluation:
-    """One pulse on every sample: eigenpairs, states and costates of every (sample, interval).
+    """One pulse on every sample: the states and costates of every (sample, interval).
 
-    It also keeps what its gradient needs besides those arrays (the step, the
-    theta of each sample and the control stack), so the gradient reads no
-    input that a caller may have changed since.
+    It also keeps, privately, what its gradient needs besides those arrays:
+    the derivative brackets of the propagators it was built from and the
+    theta of each sample, so the gradient reads no input that a caller may
+    have changed since.
     """
 
-    eigvals: np.ndarray  # (N, K, d) and
-    eigvecs: np.ndarray  # (N, K, d, d): the eigenpairs of the interval generators
-    phases: np.ndarray  # (N, K, d) exp(-i dt eigvals), the spectra of the propagators
     fwd: np.ndarray  # (N, K + 1, d); fwd[:, k] is the state before interval k
     bwd: np.ndarray  # (N, K + 1, d); bwd[:, k] is the target carried back to the same point
     overlap: np.ndarray  # (N,) <psi_target|psi_n(T)>
     fidelities: np.ndarray  # (N,) |<psi_target|psi_n(T)>|^2
     j: float  # the augmented fidelity J_N, the mean of the fidelities
-    dt: float
-    theta: np.ndarray  # (N, 1, 1) control scale of each sample, read-only
-    controls: np.ndarray  # (M, d, d)
+    _brackets: Callable  # (bra, ket) -> (N, K, M) <bra| dU_k / du_km |ket> / theta
+    _theta: np.ndarray  # (N, 1, 1) control scale of each sample, read-only
 
     def gradient(self) -> np.ndarray:
         """Exact gradient of J_N with respect to every pulse amplitude, shape (K, M).
 
-        The derivative of U_k = V exp(-i dt Lambda) V^dag in u_km is
-        V (Gamma o V^dag theta H_m V) V^dag with the divided differences
-        Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), which tend to
-        -i dt e^{-i dt l_a} as l_b -> l_a (de Fouquieres, Schirmer, Glaser and
-        Kuprov, JMR 212, 2011).  It is taken between the costates and the states
-        of this evaluation's single fused sweep, with the eigenpairs of the
-        propagators themselves; no propagation happens here.
+        The derivative of each propagator U_k in u_km is taken between the
+        costates and the states of this evaluation's single fused sweep, with
+        the pieces of the propagators themselves; no propagation happens here.
         """
-        # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b), x = dt (l_a - l_b), in sinc form
-        dt, w, v = self.dt, self.eigvals, self.eigvecs
-        x = dt * (w[..., :, None] - w[..., None, :])
-        gamma = (dt * self.phases[..., None, :]
-                 * (-np.sin(x / 2) * _sinc(x / (2 * np.pi)) - 1j * _sinc(x / np.pi)))
-        vc = v.conj()
-        a = (vc.mT @ self.bwd[:, 1:, :, None])[..., 0]
-        b = (vc.mT @ self.fwd[:, :-1, :, None])[..., 0]
-        # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
-        t = gamma * a.conj()[..., :, None] * b[..., None, :]
-        s = stack_matmul(stack_matmul(vc, t), v.mT)
-        dz = self.theta * np.einsum("nkcd,mcd->nkm", s, self.controls)
+        dz = self._theta * self._brackets(self.bwd[:, 1:], self.fwd[:, :-1])
         grad = 2.0 * (self.overlap.conj()[:, None, None] * dz).real
         return grad.mean(axis=0)
+
+
+def _qubit_brackets(expm: QubitExpm, controls: np.ndarray, bra, ket) -> np.ndarray:
+    """<bra| dU / du_m |ket> / theta from the derivative in the vector part of the generator.
+
+    ``controls`` holds the vector parts (M, 3) of the controls' Pauli
+    coordinates.  A control's identity part moves U by the phase
+    -i dt theta c0 U, whose bracket with the costate is -i dt theta c0 times
+    the overlap; it changes no fidelity, and is left out.
+    """
+    return np.einsum("nka,ma->nkm", expm.bracket_derivative(bra, ket), controls)
+
+
+def _eigen_brackets(dt: float, w, v, phases, controls: np.ndarray, bra, ket) -> np.ndarray:
+    """<bra| dU / du_m |ket> / theta from the eigenpairs (w, v) and spectra ``phases`` of U.
+
+    The derivative of U = V exp(-i dt Lambda) V^dag along H_m is
+    V (Gamma o V^dag H_m V) V^dag with the divided differences
+    Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), which tend to
+    -i dt e^{-i dt l_a} as l_b -> l_a (de Fouquieres, Schirmer, Glaser and
+    Kuprov, JMR 212, 2011).
+    """
+    # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b), x = dt (l_a - l_b), in sinc form
+    x = dt * (w[..., :, None] - w[..., None, :])
+    gamma = (dt * phases[..., None, :]
+             * (-np.sin(x / 2) * _sinc(x / (2 * np.pi)) - 1j * _sinc(x / np.pi)))
+    vc = v.conj()
+    a = (vc.mT @ bra[..., None])[..., 0]
+    b = (vc.mT @ ket[..., None])[..., 0]
+    # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
+    t = gamma * a.conj()[..., :, None] * b[..., None, :]
+    s = stack_matmul(stack_matmul(vc, t), v.mT)
+    return np.einsum("nkcd,mcd->nkm", s, controls)
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -197,7 +226,10 @@ class _Propagation:
     The task is a system, a sample set, the states and the interval grid of a
     field; ``evaluate`` then propagates any amplitudes of that grid.  Only
     read-only or private copies are kept, so evaluations share no writable
-    state with the caller or with each other.
+    state with the caller or with each other.  The generators are Pauli
+    coordinates (h0, hx, hy, hz) at d = 2, exponentiated in closed form by
+    :class:`qest.linalg.QubitExpm`, and matrices at every other d,
+    exponentiated from the eigenpairs of :func:`qest.linalg.herm_eigh`.
     """
 
     def __init__(self, system, samples: SampleSet, field, psi0, psi_target):
@@ -208,30 +240,47 @@ class _Propagation:
         pairs = samples.pairs
         self.theta = pairs[:, 1, None, None].copy()
         self.theta.setflags(write=False)
-        self.theta_col = self.theta[:, None]
-        self.omega_h0 = pairs[:, 0, None, None, None] * system.h0
-        self.controls = system.controls
+        if system.dim == 2:
+            h0, self.controls = pauli_coordinates(system.h0), pauli_coordinates(system.controls)
+            self.controls.setflags(write=False)
+            self.expm = self._qubit_expm
+        else:
+            h0, self.controls = system.h0, system.controls
+            self.expm = self._eigen_expm
+        # theta and omega as (N, 1) followed by one axis per axis of a generator, (4,) or (d, d)
+        self.theta_col = self.theta.reshape((-1, 1) + (1,) * h0.ndim)
+        self.omega_h0 = pairs[:, 0].reshape(self.theta_col.shape) * h0
         # the zero start keeps one generator per interval for a system without controls
-        self.zero_drive = np.zeros((field.intervals, 1, 1))
+        self.zero_drive = np.zeros((field.intervals,) + (1,) * h0.ndim)
         self.start = np.repeat(np.stack((psi, target)), len(pairs), axis=0)  # (2N, d)
         self.target = target
         self.intervals, self.dt, self.n = field.intervals, field.dt, len(pairs)
+
+    def _qubit_expm(self, generators):
+        expm = QubitExpm(generators, self.dt)
+        return expm.unitaries, partial(_qubit_brackets, expm, self.controls[:, 1:])
+
+    def _eigen_expm(self, generators):
+        eigvals, eigvecs = herm_eigh(generators)
+        phases = np.exp(-1j * self.dt * eigvals)
+        for a in (eigvals, eigvecs, phases):
+            a.flags.writeable = False
+        props = stack_matmul(eigvecs * phases[..., None, :], eigvecs.conj().mT)
+        return props, partial(_eigen_brackets, self.dt, eigvals, eigvecs, phases, self.controls)
 
     def evaluate(self, amplitudes: np.ndarray) -> PulseEvaluation:
         """Propagate psi0 under the (K, M) amplitudes for every (omega, theta) sample at once.
 
         The generators omega*H0 + theta*sum_m u_km H_m of all samples and
-        intervals form one (N, K, d, d) stack, exponentiated by one batched
-        eigendecomposition, :func:`qest.linalg.herm_eigh` (a closed form at
-        d = 2).  One sweep of K steps then carries the states forward and the
-        target backward for all samples together: step k applies U_k to the N
+        intervals form one (N, K, 4) stack of Pauli coordinates at d = 2, or
+        one (N, K, d, d) stack of matrices, exponentiated in one batch.  One
+        sweep of K steps then carries the states forward and the target
+        backward for all samples together: step k applies U_k to the N
         states and U_{K-1-k}^dag to the N costates in one stacked product.
         """
-        drive = sum((amplitudes[:, m, None, None] * c for m, c in enumerate(self.controls)),
+        drive = sum((np.multiply.outer(amplitudes[:, m], c) for m, c in enumerate(self.controls)),
                     self.zero_drive)
-        eigvals, eigvecs = herm_eigh(self.omega_h0 + self.theta_col * drive)
-        phases = np.exp(-1j * self.dt * eigvals)
-        props = stack_matmul(eigvecs * phases[..., None, :], eigvecs.conj().mT)
+        props, brackets = self.expm(self.omega_h0 + self.theta_col * drive)
         n = self.n
         sweep = np.concatenate((props.swapaxes(0, 1), props[:, ::-1].conj().mT.swapaxes(0, 1)), 1)
         out = np.empty((self.intervals + 1,) + self.start.shape, dtype=complex)
@@ -242,16 +291,16 @@ class _Propagation:
         overlap = np.vecdot(self.target, fwd[:, -1])
         # hypot and pow keep the bits of the scalar abs(z) ** 2
         fidelities = np.float_power(np.hypot(overlap.real, overlap.imag), 2)
-        return PulseEvaluation(eigvals, eigvecs, phases, fwd, bwd, overlap, fidelities,
-                               float(fidelities.mean()), self.dt, self.theta, self.controls)
+        return PulseEvaluation(fwd, bwd, overlap, fidelities, float(fidelities.mean()),
+                               brackets, self.theta)
 
 
 def evaluate_pulse(system, samples: SampleSet, field, psi0, psi_target) -> PulseEvaluation:
     """Propagate psi0 under the pulse for every (omega, theta) sample at once.
 
     The result holds J_N and, through its ``gradient()``, the exact gradient;
-    see ``_Propagation.evaluate`` for the batched eigendecomposition and the
-    fused forward and backward sweep.
+    see ``_Propagation.evaluate`` for the batched exponential and the fused
+    forward and backward sweep.
     """
     return _Propagation(system, samples, field, psi0, psi_target).evaluate(field.amplitudes)
 

@@ -9,7 +9,11 @@ Conventions used throughout the package:
   matrices and ``unitary_log``'s Cayley transform go to numpy's LAPACK
   solvers directly.
 * Matrix exponentials of Hermitian generators are computed spectrally from
-  those eigenpairs, ``herm_expm(H, s) = exp(-i s H)``.
+  those eigenpairs, ``herm_expm(H, s) = exp(-i s H)``.  The SLC propagators
+  of two-level systems are the exception: ``QubitExpm`` takes the Pauli
+  coordinates (h0, h) of ``pauli_coordinates`` and forms
+  e^{-i s h0} (cos(s|h|) I - i sin(s|h|) h.sigma / |h|) and its exact
+  derivative in h directly, with no eigenvectors.
 * Products of 2 x 2 matrices and stacks come from ``stack_matmul``: two
   broadcast products and one sum at d = 2, ``@`` at every other d.  ``@``
   makes one BLAS call per member of a stack, which costs more than the
@@ -167,6 +171,80 @@ def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
         return a @ b
     return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
+def pauli_coordinates(h: np.ndarray) -> np.ndarray:
+    """Real Pauli coordinates (h0, hx, hy, hz), shape (..., 4), of a 2 x 2 Hermitian matrix or
+    stack: H = h0 I + hx sigma_x + hy sigma_y + hz sigma_z.
+
+    Like ``herm_eigh`` it reads only the lower triangle, H_10 = hx + i hy, and
+    the real diagonal, h0 +- hz; the diagonal is halved before it is summed,
+    so no finite entry overflows.
+    """
+    h = np.asarray(h)
+    halves = np.diagonal(h, 0, -2, -1).real * 0.5
+    c = np.empty(h.shape[:-2] + (4,))
+    np.add(halves[..., 0], halves[..., 1], out=c[..., 0])
+    c[..., 1] = h[..., 1, 0].real
+    c[..., 2] = h[..., 1, 0].imag
+    np.subtract(halves[..., 0], halves[..., 1], out=c[..., 3])
+    return c
+
+
+# the real and imaginary parts of the entries 00, 01, 10, 11 of cos(phi) I - i sin(phi) n.sigma,
+# taken from (cos(phi), t, -t) with t = sin(phi) n
+_SU2_PARTS = np.array([0, 6, 5, 4, 2, 4, 0, 3])
+_PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+class QubitExpm:
+    """exp(-i s H) of 2 x 2 Hermitian generators, member by member, in closed form, and its
+    derivative in the generator's vector part.
+
+    The generators come as Pauli coordinates c = (h0, h), shape (..., 4), see
+    :func:`pauli_coordinates`, and s > 0.  With r = |h|, n = h / r (0 at
+    r = 0) and phi = s r, exp(-i s H) = e^{-i s h0} (cos(phi) I - i sin(phi) n.sigma).
+    There are no eigenvectors and no LAPACK or BLAS call; r is a ``hypot``
+    and n is h / r, so no entry is squared, and nothing overflows while |h|
+    is finite.  ``unitaries`` holds the (..., 2, 2) propagators; every array
+    is read-only.
+    """
+
+    def __init__(self, c: np.ndarray, s: float):
+        h0, h = c[..., 0], c[..., 1:]
+        r = np.hypot(np.hypot(h[..., 0], h[..., 1]), h[..., 2])
+        n = h / np.where(r, r, 1.0)[..., None]
+        # a phi of 0 (r = 0, or s r below the subnormals) becomes the least subnormal: its
+        # sin(phi) / phi is 1, as the limit, and its sin(phi) is below every other phi
+        phi = np.maximum(s * r, _TINY)
+        sin, cos = np.sin(phi), np.cos(phi)
+        phase = np.exp(-1j * s * h0)
+        t = sin[..., None] * n
+        parts = np.take(np.concatenate((cos[..., None], t, -t), -1), _SU2_PARTS, -1)
+        self.unitaries = phase[..., None, None] * parts.view(complex).reshape(h0.shape + (2, 2))
+        self._s, self._n, self._phi, self._sin, self._cos, self._phase = s, n, phi, sin, cos, phase
+        for a in (self.unitaries, n, phi, sin, cos, phase):
+            a.flags.writeable = False
+
+    def bracket_derivative(self, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+        """<bra| dU / dh_a |ket> for a = x, y, z, shape (..., 3), with bra and ket (..., 2).
+
+        With m0 = <bra|ket>, m = <bra|sigma|ket> and sin(phi) / r taken as
+        s sin(phi) / phi, which is s at r = 0, the derivative of U along a
+        direction delta of h is e^{-i s h0} [-s sin(phi) (n.delta) m0
+        - i ((sin(phi) / r) (delta.m) + (s cos(phi) - sin(phi) / r) (n.delta) (n.m))],
+        the exact derivative of the closed form (de Fouquieres, Schirmer,
+        Glaser and Kuprov, JMR 212, 2011, at d = 2).  The derivative in h0 is
+        -i s <bra|U|ket>; it is left to the caller.
+        """
+        o = bra.conj()[..., :, None] * ket[..., None, :]
+        m = np.einsum("...ij,aij->...a", o, _PAULI_MATRICES)
+        sin_r = self._s * (self._sin / self._phi)
+        q = -1j * self._phase
+        a = ((-self._s * self._sin) * self._phase * m[..., 0]
+             + (self._s * self._cos - sin_r) * q * np.vecdot(self._n, m[..., 1:]))
+        return self._n * a[..., None] + (sin_r * q)[..., None] * m[..., 1:]
 
 
 def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:

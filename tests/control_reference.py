@@ -5,18 +5,28 @@ from dataclasses import replace
 import numpy as np
 
 from qest.control import evaluate_pulse
-from qest.linalg import herm_expm
+from qest.linalg import QubitExpm, herm_expm, pauli_coordinates
 
 
 def reference_final_state(system, pair, field, psi0) -> np.ndarray:
-    """psi(T) for one (omega, theta) sample, one interval and 2-D exponential at a time."""
+    """psi(T) for one (omega, theta) sample, one interval and one exponential at a time.
+
+    At d = 2 each interval generator is a vector of Pauli coordinates,
+    exponentiated by one :class:`qest.linalg.QubitExpm` of its own, as
+    `qest.control` forms them for all intervals at once; at every other d it
+    is a matrix, exponentiated by one ``herm_expm``.
+    """
     omega, theta = pair
     psi = np.asarray(psi0, complex).ravel()
+    qubit = system.dim == 2
+    h0, controls = ((pauli_coordinates(system.h0), pauli_coordinates(system.controls)) if qubit
+                    else (system.h0, system.controls))
     for k in range(field.intervals):
-        h = omega * system.h0 + theta * sum(
-            field.amplitudes[k, m] * system.controls[m] for m in range(field.channels)
+        h = omega * h0 + theta * sum(
+            field.amplitudes[k, m] * controls[m] for m in range(field.channels)
         )
-        psi = herm_expm(h, field.dt) @ psi
+        u = QubitExpm(np.asarray(h)[None], field.dt).unitaries[0] if qubit else herm_expm(h, field.dt)
+        psi = u @ psi
     return psi
 
 

@@ -26,7 +26,10 @@ run every repetition or trial as one stack.  The two per-interval loops of
 stacked products, the states forward and then the target backward, with the
 gradient taken between them, are the reference for `qest.control`'s single
 fused state/costate sweep, and the training that calls them once per
-quantity is the reference for `qest.control.slc_train`.  The per-value
+quantity is the reference for `qest.control.slc_train`; they exponentiate
+through the library's own kernels.  The gradient by eigenpairs and divided
+differences of the full generator matrices, at every d, is the reference
+for the closed-form qubit gradient of `qest.linalg.QubitExpm`.  The per-value
 number formatter is the reference for `qest.harness.write_csv`'s per-column
 text.  The Born rule Tr(rho E), by one contraction of the state with the
 POVM's elements, is the reference for the adaptive steps' outcome
@@ -53,7 +56,16 @@ import scipy.linalg
 from qest import identification, linalg
 from qest.errors import ContractViolationError
 from qest.identification import apply_channel, natural_probes, raw_process_matrix
-from qest.linalg import gell_mann_basis, herm_eigh, is_hermitian, stack_matmul, vec, vec_inv
+from qest.linalg import (
+    QubitExpm,
+    gell_mann_basis,
+    herm_eigh,
+    is_hermitian,
+    pauli_coordinates,
+    stack_matmul,
+    vec,
+    vec_inv,
+)
 from qest.adaptive import _SPHERE_GRID, RecursiveState
 from qest.harness import sample_truth, trial_rng
 from qest.states import (
@@ -630,48 +642,105 @@ def format_number(value) -> str:
     return f"{float(value):.17g}"
 
 
-def herm_expm_eigh(h: np.ndarray, s: float = 1.0):
+def interval_generators(h0, controls, pairs, field) -> np.ndarray:
+    """omega H0 + theta sum_m u_km H_m of every (sample, interval), in the shape (N, K) + H0's.
+
+    H0 and the controls are matrices, or at d = 2 Pauli coordinates, as
+    `qest.control` forms its generators; the sum over channels starts from
+    zero, as there.
+    """
+    pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
+    trailing = (1,) * np.ndim(h0)
+    drive = sum((field.amplitudes[:, m].reshape((-1,) + trailing) * c
+                 for m, c in enumerate(controls)), np.zeros((field.intervals,) + trailing))
+    omega, theta = (pairs[:, i].reshape((-1, 1) + trailing) for i in (0, 1))
+    return omega * h0 + theta * drive
+
+
+def eigen_propagators(h: np.ndarray, s: float = 1.0):
     """exp(-i s H) together with the eigenpairs (w, v) of H it is built from.
 
     H is one Hermitian matrix or a stack (..., d, d) of them; every member
     must pass the Hermitian check, and all are decomposed by one
     :func:`qest.linalg.herm_eigh` and multiplied back by
     :func:`qest.linalg.stack_matmul`, the eigensolver and the product the
-    library propagates with, so the loops built on this oracle test
-    structure, not those kernels.
+    library propagates with from d = 3.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
     w, v = herm_eigh(h)
-    return stack_matmul(v * np.exp(-1j * s * w)[..., None, :], np.swapaxes(v.conj(), -1, -2)), w, v
+    return stack_matmul(v * np.exp(-1j * s * w)[..., None, :], np.swapaxes(v.conj(), -1, -2)), (w, v)
 
 
-def slc_evaluate_loop(system, pairs, field, psi0, psi_target):
-    """Reference SLC evaluation: (props, eigvals, eigvecs, fwd, bwd, overlap).
+def interval_propagators(system, pairs, field):
+    """The propagators of every (sample, interval) and what their derivative needs, by the
+    library's kernels: (props, pieces).
 
-    One batched exponential of the (N, K, d, d) generator stack, then two
-    per-interval loops: the states forward, one stacked product per
-    interval, and the target backward under the adjoint propagators.
-    fwd[:, k] is the state before interval k and bwd[:, k] the target carried
-    back to the same point.
+    At d = 2 the generators are Pauli coordinates, exponentiated by one
+    :class:`qest.linalg.QubitExpm`, which is ``pieces``; at every other d
+    they are matrices, and ``pieces`` is the eigenpairs (w, v) of
+    :func:`eigen_propagators`.  The loops built on this oracle test
+    structure, not those kernels.
     """
-    pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
-    drive = sum((field.amplitudes[:, m, None, None] * c for m, c in enumerate(system.controls)),
-                np.zeros((field.intervals, 1, 1)))
-    omega, theta = pairs[:, 0, None, None, None], pairs[:, 1, None, None, None]
-    props, eigvals, eigvecs = herm_expm_eigh(omega * system.h0 + theta * drive, field.dt)
+    if system.dim == 2:
+        expm = QubitExpm(interval_generators(pauli_coordinates(system.h0),
+                                             pauli_coordinates(system.controls), pairs, field),
+                         field.dt)
+        return expm.unitaries, expm
+    return eigen_propagators(interval_generators(system.h0, system.controls, pairs, field),
+                             field.dt)
+
+
+def propagate_loops(props, psi0, psi_target):
+    """The two per-interval loops over the (N, K, d, d) propagators: (fwd, bwd, overlap).
+
+    The states go forward, one stacked product per interval, and the target
+    backward under the adjoint propagators.  fwd[:, k] is the state before
+    interval k and bwd[:, k] the target carried back to the same point.
+    """
+    n, intervals, d = props.shape[:3]
     target = np.array(psi_target, complex).ravel()
-    fwd = np.empty((pairs.shape[0], field.intervals + 1, system.dim), dtype=complex)
+    fwd = np.empty((n, intervals + 1, d), dtype=complex)
     fwd[:, 0] = np.asarray(psi0, dtype=complex).ravel()
-    for k in range(field.intervals):
+    for k in range(intervals):
         fwd[:, k + 1] = (props[:, k] @ fwd[:, k, :, None])[..., 0]
     bwd = np.empty_like(fwd)
     bwd[:, -1] = target
     props_h = np.swapaxes(props.conj(), -1, -2)
-    for k in range(field.intervals, 0, -1):
+    for k in range(intervals, 0, -1):
         bwd[:, k - 1] = (props_h[:, k - 1] @ bwd[:, k, :, None])[..., 0]
-    return props, eigvals, eigvecs, fwd, bwd, np.vecdot(target, fwd[:, -1])
+    return fwd, bwd, np.vecdot(target, fwd[:, -1])
+
+
+def slc_evaluate_loop(system, pairs, field, psi0, psi_target):
+    """Reference SLC evaluation: (props, pieces, fwd, bwd, overlap).
+
+    One batched exponential of every (sample, interval) generator by
+    :func:`interval_propagators`, then the per-interval loops of
+    :func:`propagate_loops`.
+    """
+    props, pieces = interval_propagators(system, pairs, field)
+    return (props, pieces) + propagate_loops(props, psi0, psi_target)
+
+
+def eigen_gradient(w, v, dt, fwd, bwd, overlap, theta, controls) -> np.ndarray:
+    """The exact gradient of the mean fidelity from the eigenpairs (w, v) of the generators, by
+    divided differences, between the costates bwd and the states fwd.
+
+    theta is each sample's control scale and controls the (M, d, d) matrices.
+    Its matrix products come from :func:`qest.linalg.stack_matmul`, as the library's do.
+    """
+    x = dt * (w[..., :, None] - w[..., None, :])
+    gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
+             * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
+    vh = np.swapaxes(v.conj(), -1, -2)
+    a = (vh @ bwd[:, 1:, :, None])[..., 0]
+    b = (vh @ fwd[:, :-1, :, None])[..., 0]
+    t = gamma * a.conj()[..., :, None] * b[..., None, :]
+    s = stack_matmul(stack_matmul(v.conj(), t), np.swapaxes(v, -1, -2))
+    dz = theta[:, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
+    return np.mean(2.0 * (np.conj(overlap)[:, None, None] * dz).real, axis=0)
 
 
 def augmented_j_loop(system, samples, field, psi0, psi_target) -> float:
@@ -683,20 +752,30 @@ def augmented_j_loop(system, samples, field, psi0, psi_target) -> float:
 def gradient_j_loop(system, samples, field, psi0, psi_target) -> np.ndarray:
     """Reference exact gradient of the mean fidelity, between the loops' costates and states.
 
-    Its matrix products come from :func:`qest.linalg.stack_matmul`, as the library's do.
+    At d = 2 it takes the derivative brackets of the loops' own
+    :class:`qest.linalg.QubitExpm` against the controls' vector parts; at
+    every other d it is :func:`eigen_gradient`.
     """
-    _, w, v, fwd, bwd, overlap = slc_evaluate_loop(system, samples.pairs, field, psi0, psi_target)
-    dt = field.dt
-    x = dt * (w[..., :, None] - w[..., None, :])
-    gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
-             * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
-    vh = np.swapaxes(v.conj(), -1, -2)
-    a = (vh @ bwd[:, 1:, :, None])[..., 0]
-    b = (vh @ fwd[:, :-1, :, None])[..., 0]
-    t = gamma * a.conj()[..., :, None] * b[..., None, :]
-    s = stack_matmul(stack_matmul(v.conj(), t), np.swapaxes(v, -1, -2))
-    dz = samples.pairs[:, 1, None, None] * np.einsum("nkcd,mcd->nkm", s, system.controls)
+    _, pieces, fwd, bwd, overlap = slc_evaluate_loop(system, samples.pairs, field, psi0,
+                                                     psi_target)
+    theta = samples.pairs[:, 1]
+    if system.dim != 2:
+        return eigen_gradient(*pieces, field.dt, fwd, bwd, overlap, theta, system.controls)
+    brackets = pieces.bracket_derivative(bwd[:, 1:], fwd[:, :-1])
+    dz = theta[:, None, None] * np.einsum("nka,ma->nkm", brackets,
+                                          pauli_coordinates(system.controls)[:, 1:])
     return np.mean(2.0 * (np.conj(overlap)[:, None, None] * dz).real, axis=0)
+
+
+def gradient_j_eigen(system, samples, field, psi0, psi_target) -> np.ndarray:
+    """Reference exact gradient by the eigenpairs and divided differences at every d, d = 2
+    included: matrix generators, :func:`eigen_propagators`, :func:`propagate_loops` and
+    :func:`eigen_gradient`, independent of the closed form of ``QubitExpm``."""
+    props, (w, v) = eigen_propagators(
+        interval_generators(system.h0, system.controls, samples.pairs, field), field.dt)
+    fwd, bwd, overlap = propagate_loops(props, psi0, psi_target)
+    return eigen_gradient(w, v, field.dt, fwd, bwd, overlap, samples.pairs[:, 1],
+                          system.controls)
 
 
 def slc_train_loop(system, samples, field0, psi0, psi_target, step_size=10.0, iterations=200,

@@ -7,7 +7,8 @@ moves and names the change in CHANGES.md.
 The five d >= 8 commands guard the sizes at which OpenBLAS changes its summation
 order.  Their digests pin the BLAS they were recorded with, scipy-openblas 0.3.31
 (as ``compare-cube``'s do).  ``sweep16``'s bytes also depend on the BLAS thread
-count, so its digests are checked in a subprocess with one BLAS thread.
+count, so its digests are checked in a subprocess with one BLAS thread; ``slc20``'s are
+checked in subprocesses at one and at two.
 """
 
 import hashlib
@@ -163,23 +164,24 @@ GOLDEN = {
     "hamid4/hamid4.json": "8b0c83878101eccf2469cf5e1793512b80ce3cfafccbb044ceeeaa4a5bd00aab",
     "hamid-noiseless/hamid-noiseless.json":
         "4f7f93903cfbab4e1207a71dc01d2fc26f8d7fbb9c58205c776aacd3aff26b2b",
-    # smc and every d = 2 slc digest were recorded once 2 x 2 Hermitian eigenpairs came
-    # from the closed form of qest.linalg.herm_eigh, not from LAPACK; the d = 2 slc digests
-    # again once 2 x 2 products came from the closed form of qest.linalg.stack_matmul, not
-    # from BLAS (smc's bytes did not move)
+    # smc was recorded once 2 x 2 Hermitian eigenpairs came from the closed form of
+    # qest.linalg.herm_eigh, not from LAPACK.  The d = 2 slc digests, compare-slc's among them,
+    # were recorded once the SLC propagators and gradient at d = 2 came from the Pauli
+    # coordinates of the generators, by the closed form of qest.linalg.QubitExpm, not from
+    # eigenpairs; slc20's bytes are the same at one and two BLAS threads
     "smc/smc.csv": "dc2ff81786f6f013a7de858198e3b0663bcdd524a692e8408bdd69623c3591bc",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
-    "slc/pulse.json": "3bfa19332e32c1c286618857e70a1b0b424af2367e02b491af77131d81edf0af",
-    "slc/test.csv": "336ac04854bf79481f41e456a22a16aeb11648d55ddf36e8be131585fbc34eef",
-    "slc/training_log.csv": "5358ef7ef9b1eb400ec894c5eacb4d5e1c5f24414f1b596589b6df6ec875cffc",
+    "slc/pulse.json": "7de82de4eb252b91b39020f1707bdea5a02aa84e33860a897f8e1765f1a66473",
+    "slc/test.csv": "308022b1de4bb60d7ad3a2cf7ec7c2de0044cfb33134ab8d400f247c521f7ebd",
+    "slc/training_log.csv": "6bf376c3627299d4032acd15e4fa542b8f08eece5617090278f158b0c600a049",
     "slc-controls/manifest.json": "03e7db4dee9b245abc3a4a396678465e503144a2a7e6ad0111e084aeacdde71e",
-    "slc-controls/pulse.json": "0f086d67a9d615280f980c4d117c7a14103077b3ff4d585758dfd8a37c2288db",
-    "slc-controls/test.csv": "f79aeb8d7f806b066ca1090736b9f184276ce6519254a85db5600402e56c10a8",
-    "slc-controls/training_log.csv": "91d981a35913377ecf14f669c7227e35b89f1e4be79a18206651b12547c795ed",
+    "slc-controls/pulse.json": "f989f2993abe2a2059365b9fc64c71441a55bb42c4373b64c2a334dc65672d6f",
+    "slc-controls/test.csv": "59730d532db091a5fc8bc08dc0e9622e9dcaf2e19038dccf69ab9cd1442ad45d",
+    "slc-controls/training_log.csv": "5d3da954110b96ed3e040f07a1af4a02d8af6d9c4469fa73f14a4a7ec6edf542",
     "slc20/manifest.json": "60c438fff26351e24dbdf823242095e31d9b26e284b2d47498c759e85b7469e1",
-    "slc20/pulse.json": "0523b0a47a8c97077b5b7911e3f164528316f6cee77093b048956e3cb087e78d",
-    "slc20/test.csv": "934a6bb9197a7d2c777a2f568707f236d09c11014c240d0ac4fe252c6496b6ac",
-    "slc20/training_log.csv": "3ebb75042fd27f8d631359beb268e5fd529525238cd31b344a9e3d95383b0da0",
+    "slc20/pulse.json": "15b21cd0aceed791b1c3df407ffb7ae1dc09799ba943ffca3a104ea9aaf3592b",
+    "slc20/test.csv": "ef3f4a58f8bbe3a2865145335ec67b721afdd931aceb93544ab306f6a8f28450",
+    "slc20/training_log.csv": "5a27998dde2a7de3528e699cb13e464c649db881a91b0e4debaa909ee6ea3022",
     "compare/compare_tomography.csv": "b5f982dae4c96140b3081ef943e811568796da4d722ae104c99eaa268cd04e1a",
     "compare/compare_tomography.manifest.json": "164621b6126a718ea5a2615f7a37f6805055d701193475c5311c937f54091308",
     # compare20, compare-cube, adapt8 and compare8 were recorded once the adaptive steps
@@ -193,9 +195,9 @@ GOLDEN = {
         "1f3689e33876c4de95e1b360a24c8dade6011a56376f428d088989b88a1cb185",
     "compare-cube/compare_tomography.csv": "d312373329dfdea045a34187616a8fc5064fc8c5d178ea048418ec614b06cf17",
     "compare-cube/compare_tomography.manifest.json": "215eda1851d78a4a76464de53f6bed3a780644cfcd33a32fc979b754117d674b",
-    "compare-slc/compare_slc.csv": "45463daf196e8a6c5b027e76caee2c45b2d3303206ea62828859b90e9f31d114",
+    "compare-slc/compare_slc.csv": "8f54b6c47c74057f4a90e0a5a6436e66120c84eb5fb40d1fbb81973a7e57b6ee",
     "compare-slc/compare_slc.manifest.json":
-        "8d3b88edc48f4c999135d824373bdbd2f89ca49502115d327364a7e334cfcc3a",
+        "3ad9f5105ff93d482f21ea02147b88074d1bae1789b54b58cfadbdb8942588b0",
     # at two BLAS threads sweep16 gives 2b1f85ec35fe09d4... and 290dc4173a641e67...
     "sweep16/mse_sweep.csv": "f97b29cf48f0dad0870a424f04b02332d5a270e25684d71f71371941451300fe",
     "sweep16/mse_sweep.manifest.json":
@@ -236,11 +238,22 @@ def test_cli_output_digests(name, tmp_path):
     assert digests_of(name, run_command(name, args, tmp_path / name)) == golden_of(name)
 
 
-def test_sweep16_digests_at_one_blas_thread(tmp_path):
-    args = write_inputs(tmp_path)["sweep16"] + ["--out", str(tmp_path / "sweep16")]
+def digests_in_subprocess(name, tmp_path, blas_threads) -> dict:
+    """The digests of one command's outputs, run by the CLI in a new process with the
+    given OpenBLAS thread count."""
+    out = tmp_path / f"{name}-{blas_threads}"
+    args = write_inputs(tmp_path)[name] + ["--out", str(out)]
     src = str(Path(qest.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = os.environ | {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": pythonpath}
+    env = os.environ | {"OPENBLAS_NUM_THREADS": str(blas_threads), "PYTHONPATH": pythonpath}
     subprocess.run([sys.executable, "-m", "qest.cli", *args], env=env, check=True)
-    outputs = sorted((tmp_path / "sweep16").iterdir())
-    assert digests_of("sweep16", outputs) == golden_of("sweep16")
+    return digests_of(name, sorted(out.iterdir()))
+
+
+def test_sweep16_digests_at_one_blas_thread(tmp_path):
+    assert digests_in_subprocess("sweep16", tmp_path, 1) == golden_of("sweep16")
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_slc20_digests_at_one_and_two_blas_threads(tmp_path, blas_threads):
+    assert digests_in_subprocess("slc20", tmp_path, blas_threads) == golden_of("slc20")

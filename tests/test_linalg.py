@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qest.cli import _HALF_MAX
 from qest.errors import BranchAmbiguityWarning, ContractViolationError
 from qest.linalg import (
+    QubitExpm,
     gell_mann_basis,
     herm_eigh,
     herm_expm,
@@ -12,6 +16,7 @@ from qest.linalg import (
     matrix_from_json,
     matrix_to_json,
     nearest_unitary,
+    pauli_coordinates,
     stack_matmul,
     unitary_log,
     vec,
@@ -289,6 +294,163 @@ class TestStackMatmul:
         rng = np.random.default_rng(33)
         a, b = complex_stack(a_shape, rng), complex_stack(b_shape, rng)
         assert stack_matmul(a, b).tobytes() == (a @ b).tobytes()
+
+
+PAULIS = np.stack([np.eye(2, dtype=complex), SX, SY, SZ])
+
+
+def pauli_matrix(c):
+    """The matrices c0 I + c.sigma of Pauli coordinates c, (..., 4) -> (..., 2, 2)."""
+    return np.einsum("...a,aij->...ij", np.asarray(c, dtype=complex), PAULIS)
+
+
+def random_coordinates(n, rng, scale=1.0):
+    """n Pauli coordinate vectors with |h| spread over two decades below ``scale`` and
+    identity parts of either sign."""
+    c = rng.normal(size=(n, 4))
+    c[:, 1:] *= 10.0 ** rng.uniform(-2, 0, size=(n, 1)) / np.linalg.norm(c[:, 1:], axis=1)[:, None]
+    return c * scale
+
+
+def random_kets(shape, rng):
+    return rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+
+
+def eigen_brackets(c, s, bra, ket):
+    """<bra| dU / dh_a |ket> for a = x, y, z, by the eigenpairs of ``herm_eigh`` and the
+    divided differences of the spectrum: the eigen path, independent of the closed form."""
+    w, v = herm_eigh(pauli_matrix(c))
+    x = s * (w[..., :, None] - w[..., None, :])
+    gamma = (s * np.exp(-1j * s * w)[..., None, :]
+             * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
+    a = (v.conj().mT @ bra[..., None])[..., 0]
+    b = (v.conj().mT @ ket[..., None])[..., 0]
+    return np.stack([np.einsum("...a,...ab,...b->...", a.conj(), gamma * (v.conj().mT @ p @ v), b)
+                     for p in PAULIS[1:]], -1)
+
+
+def worst_relative(got, expected):
+    return float(np.abs(got - expected).max() / np.abs(expected).max())
+
+
+class TestPauliCoordinates:
+    def test_inverse_of_the_pauli_expansion(self):
+        rng = np.random.default_rng(40)
+        c = rng.normal(size=(50, 4))
+        assert np.abs(pauli_coordinates(pauli_matrix(c)) - c).max() <= 1e-15
+        assert pauli_coordinates(SY).tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert pauli_coordinates(np.diag([3.0, 1.0])).tolist() == [2.0, 0.0, 0.0, 1.0]
+
+    def test_reads_only_the_lower_triangle_and_the_real_diagonal(self):
+        h = qubit_hermitian_set(1000)
+        garbage = h.copy()
+        rng = np.random.default_rng(2)
+        garbage[:, 0, 1] = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+        garbage[:, [0, 1], [0, 1]] += 1j * rng.normal(size=(1000, 2))
+        assert pauli_coordinates(garbage).tobytes() == pauli_coordinates(h).tobytes()
+
+    def test_diagonal_at_the_slc_generator_bound_does_not_overflow(self):
+        c = pauli_coordinates(np.diag([_HALF_MAX, _HALF_MAX]) * (1 + 0j))
+        assert c.tolist() == [_HALF_MAX, 0.0, 0.0, 0.0]
+
+
+class TestQubitExpm:
+    def test_propagators_match_scipy_expm(self):
+        # an exponential independent of the closed form: scipy's Pade expm of each matrix,
+        # for phases s |h| from 1e-3 to 6 and identity parts of either sign
+        rng = np.random.default_rng(41)
+        c, s = random_coordinates(300, rng, 6.0), 1.0
+        expected = np.array([scipy.linalg.expm(-1j * s * h) for h in pauli_matrix(c)])
+        assert np.abs(QubitExpm(c, s).unitaries - expected).max() <= 1e-14
+
+    def test_bracket_derivative_matches_the_eigen_path(self):
+        rng = np.random.default_rng(42)
+        c, s = random_coordinates(300, rng, 6.0), 0.5
+        bra, ket = random_kets((300,), rng), random_kets((300,), rng)
+        got = QubitExpm(c, s).bracket_derivative(bra, ket)
+        assert worst_relative(got, eigen_brackets(c, s, bra, ket)) <= 1e-13
+
+    def test_bracket_derivative_matches_central_differences(self):
+        rng = np.random.default_rng(43)
+        c, s, step = random_coordinates(50, rng, 3.0), 0.3, 1e-6
+        bra, ket = random_kets((50,), rng), random_kets((50,), rng)
+        expected = []
+        for a in range(1, 4):
+            delta = np.zeros(4)
+            delta[a] = step
+            du = (QubitExpm(c + delta, s).unitaries - QubitExpm(c - delta, s).unitaries) / (2 * step)
+            expected.append(np.einsum("ni,nij,nj->n", bra.conj(), du, ket))
+        got = QubitExpm(c, s).bracket_derivative(bra, ket)
+        assert worst_relative(got, np.stack(expected, -1)) <= 1e-8
+
+    @pytest.mark.parametrize("r", [0.0, 1e-11, 1e-320])
+    def test_vanishing_vector_parts(self, r):
+        # r = 0 exactly, a phase s r of 1e-12 and a subnormal r: U = e^{-i s h0} I up to
+        # s r, and so is the derivative -i s e^{-i s h0} <bra|sigma|ket> of r = 0
+        rng = np.random.default_rng(44)
+        c = np.array([[0.7, 0.0, 0.0, 0.0], [-1.3, 0.0, 0.0, 0.0]])
+        c[:, 1:] = r * np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+        s = 0.1
+        bra, ket = random_kets((2,), rng), random_kets((2,), rng)
+        with np.errstate(all="raise", under="ignore"):
+            expm = QubitExpm(c, s)
+            got = expm.bracket_derivative(bra, ket)
+        expected = np.array([scipy.linalg.expm(-1j * s * h) for h in pauli_matrix(c)])
+        assert np.abs(expm.unitaries - expected).max() <= 1e-16
+        sigma_m = np.einsum("ni,aij,nj->na", bra.conj(), PAULIS[1:], ket)
+        at_zero = -1j * s * np.exp(-1j * s * c[:, :1]) * sigma_m
+        assert worst_relative(got, at_zero) <= max(2 * s * r, 2 * np.finfo(float).eps)
+        assert worst_relative(got, eigen_brackets(c, s, bra, ket)) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scale_invariant_at_phases_up_to_1e3(self, scale):
+        # generators at 1e150 (or 1e-150) with s scaled down so that s |h| stays below 1e3:
+        # the same propagators and derivatives, times 1 / scale, as the unit-scale members
+        rng = np.random.default_rng(45)
+        c, s = random_coordinates(200, rng, 1e3), 1.0
+        bra, ket = random_kets((200,), rng), random_kets((200,), rng)
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            scaled = QubitExpm(c * scale, s / scale)
+            got = scaled.bracket_derivative(bra, ket)
+        unit = QubitExpm(c, s)
+        assert np.isfinite(scaled.unitaries).all() and np.isfinite(got).all()
+        assert np.abs(scaled.unitaries - unit.unitaries).max() <= 1e-12
+        assert worst_relative(got * scale, unit.bracket_derivative(bra, ket)) <= 1e-12
+        assert worst_relative(got * scale, eigen_brackets(c, s, bra, ket)) <= 1e-12
+
+    def test_coordinates_at_the_slc_generator_bound_do_not_overflow(self):
+        # every combination of coordinates up to half the largest double, the bound qest slc
+        # puts on its generators, with s |h| up to about 1e8
+        values = [_HALF_MAX / 2, -_HALF_MAX / 2, 1e-300, 0.0]
+        c = np.array(np.meshgrid(values, values, values, values)).reshape(4, -1).T
+        rng = np.random.default_rng(46)
+        bra, ket = random_kets((len(c),), rng), random_kets((len(c),), rng)
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            expm = QubitExpm(c, 1e-300)
+            got = expm.bracket_derivative(bra, ket)
+        assert np.isfinite(expm.unitaries).all() and np.isfinite(got).all()
+        u = expm.unitaries
+        assert np.abs(u.conj().mT @ u - np.eye(2)).max() <= 1e-15
+
+    def test_stacks_equal_their_per_member_calls_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        c = random_coordinates(240, rng, 4.0).reshape(12, 20, 4)
+        c[0, :3, 1:] = [[0.0, 0.0, 0.0], [1e-320, 0.0, 0.0], [0.0, 1e-11, 0.0]]
+        bra, ket = random_kets((12, 20), rng), random_kets((12, 20), rng)
+        expm = QubitExpm(c, 0.1)
+        members = [QubitExpm(x[None], 0.1) for x in c.reshape(-1, 4)]
+        assert expm.unitaries.tobytes() == np.concatenate([m.unitaries for m in members]).tobytes()
+        brackets = [m.bracket_derivative(b[None], k[None]) for m, b, k in
+                    zip(members, bra.reshape(-1, 2), ket.reshape(-1, 2))]
+        assert (expm.bracket_derivative(bra, ket).tobytes()
+                == np.concatenate(brackets).tobytes())
+
+    def test_propagators_are_read_only(self):
+        expm = QubitExpm(np.ones((3, 4)), 0.1)
+        with pytest.raises(ValueError):
+            expm.unitaries[0, 0, 0] = 1.0
 
 
 class TestHermExpm:
