@@ -8,7 +8,7 @@ evaluated on fresh samples.  Every evaluation propagates all samples and
 intervals at once.  At d = 2 the interval propagators and their exact
 derivatives come in closed form from the Pauli coordinates of the generators
 (:class:`qest.linalg.QubitExpm`), with no eigenvectors; at every other d
-they come from the eigenpairs of ``herm_eigh`` and divided differences.  A
+they come from the eigenpairs of ``np.linalg.eigh`` and divided differences.  A
 small sliding-mode scenario with periodic projective measurements is
 included as a demo.
 """
@@ -22,14 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import (
-    QubitExpm,
-    herm_eigh,
-    herm_expm,
-    is_hermitian,
-    pauli_coordinates,
-    stack_matmul,
-)
+from .linalg import QubitExpm, herm_expm, is_hermitian, pauli_coordinates
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +56,9 @@ class UncertainSystem:
 
 
 def _hermitian_copy(a) -> np.ndarray:
-    """Read-only copy of a (..., d, d) stack, exactly Hermitian: it keeps what ``herm_eigh``
-    reads, the strict lower triangle and the real diagonal, and mirrors the triangle into the
-    upper."""
+    """Read-only copy of a (..., d, d) stack, exactly Hermitian: it keeps what ``np.linalg.eigh``
+    and ``pauli_coordinates`` read, the strict lower triangle and the real diagonal, and mirrors
+    the triangle into the upper."""
     h = np.array(a, dtype=complex)
     i, j = np.tril_indices(h.shape[-1], -1)
     h[..., j, i] = h[..., i, j].conj()
@@ -209,7 +202,7 @@ def _eigen_brackets(dt: float, w, v, phases, controls: np.ndarray, bra, ket) -> 
     b = (vc.mT @ ket[..., None])[..., 0]
     # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
     t = gamma * a.conj()[..., :, None] * b[..., None, :]
-    s = stack_matmul(stack_matmul(vc, t), v.mT)
+    s = (vc @ t) @ v.mT
     return np.einsum("nkcd,mcd->nkm", s, controls)
 
 
@@ -229,7 +222,7 @@ class _Propagation:
     state with the caller or with each other.  The generators are Pauli
     coordinates (h0, hx, hy, hz) at d = 2, exponentiated in closed form by
     :class:`qest.linalg.QubitExpm`, and matrices at every other d,
-    exponentiated from the eigenpairs of :func:`qest.linalg.herm_eigh`.
+    exponentiated from the eigenpairs of ``np.linalg.eigh``.
     """
 
     def __init__(self, system, samples: SampleSet, field, psi0, psi_target):
@@ -261,11 +254,11 @@ class _Propagation:
         return expm.unitaries, partial(_qubit_brackets, expm, self.controls[:, 1:])
 
     def _eigen_expm(self, generators):
-        eigvals, eigvecs = herm_eigh(generators)
+        eigvals, eigvecs = np.linalg.eigh(generators)
         phases = np.exp(-1j * self.dt * eigvals)
         for a in (eigvals, eigvecs, phases):
             a.flags.writeable = False
-        props = stack_matmul(eigvecs * phases[..., None, :], eigvecs.conj().mT)
+        props = (eigvecs * phases[..., None, :]) @ eigvecs.conj().mT
         return props, partial(_eigen_brackets, self.dt, eigvals, eigvecs, phases, self.controls)
 
     def evaluate(self, amplitudes: np.ndarray) -> PulseEvaluation:

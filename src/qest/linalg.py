@@ -3,21 +3,14 @@
 Conventions used throughout the package:
 
 * ``vec`` stacks columns: vec(A) = [A_11, A_21, ..., A_m1, A_12, ...]^T.
-* Eigenpairs of Hermitian generators come from ``herm_eigh``: a closed
-  form at d = 2, ``np.linalg.eigh`` at every other d.  Both read only the
-  lower triangle and the real diagonal.  Density matrices, Q, process
-  matrices and ``unitary_log``'s Cayley transform go to numpy's LAPACK
-  solvers directly.
-* Matrix exponentials of Hermitian generators are computed spectrally from
-  those eigenpairs, ``herm_expm(H, s) = exp(-i s H)``.  The SLC propagators
-  of two-level systems are the exception: ``QubitExpm`` takes the Pauli
-  coordinates (h0, h) of ``pauli_coordinates`` and forms
+* Hermitian eigenpairs, of generators, density matrices, Q and process
+  matrices alike, come from numpy's LAPACK solvers.  Matrix exponentials
+  ``herm_expm(H, s) = exp(-i s H)`` are computed spectrally from one
+  ``np.linalg.eigh``, except at d = 2 with s > 0: there ``QubitExpm`` takes
+  the Pauli coordinates (h0, h) of ``pauli_coordinates`` and forms
   e^{-i s h0} (cos(s|h|) I - i sin(s|h|) h.sigma / |h|) and its exact
-  derivative in h directly, with no eigenvectors.
-* Products of 2 x 2 matrices and stacks come from ``stack_matmul``: two
-  broadcast products and one sum at d = 2, ``@`` at every other d.  ``@``
-  makes one BLAS call per member of a stack, which costs more than the
-  product itself at d = 2.
+  derivative in h directly, with no eigenvectors.  It is the one qubit
+  exponential, of ``herm_expm`` and of the SLC propagators alike.
 * Matrix logarithms of unitaries use eigenphases on the principal branch
   (-pi, pi] and return the traceless Hermitian generator.
 
@@ -107,77 +100,11 @@ def vec_inv(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-_NORMAL_MIN = float(np.finfo(float).tiny)
-
-
-def herm_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues (..., d) and eigenvectors (..., d, d) of a Hermitian matrix or stack.
-
-    Like ``np.linalg.eigh`` it reads only the lower triangle and the real
-    diagonal.  At d = 2 the pairs have a closed form, member by member, with
-    no LAPACK call: for H = [[a, conj(z)], [z, c]] the eigenvalues are m -+ r
-    with m = (a + c)/2 and r = hypot((a - c)/2, |z|).  The eigenvector of m + r
-    is built from the larger of r +- (a - c)/2, so no cancellation occurs,
-    branching on the sign of a - c as LAPACK's xLAEV2 rotation does.  The
-    eigenvectors divide only by r and by numbers in [1, 2], so no entry is
-    squared and no finite spectrum overflows; an r below the normal range is
-    first scaled up exactly, so the eigenvectors stay orthonormal, while the
-    eigenvalues of such a member keep an absolute accuracy of a few 2^-1074.
-    A member with r = 0 gets the identity.  Other d go to ``np.linalg.eigh``.
-    """
-    h = np.asarray(h)
-    if h.shape[-2:] != (2, 2):
-        return np.linalg.eigh(h)
-    halves = np.diagonal(h, 0, -2, -1).real * 0.5
-    a, c = halves[..., 0], halves[..., 1]
-    z = h[..., 1, 0]
-    gap = a - c
-    r = np.hypot(gap, np.abs(z))
-    w = np.empty(r.shape + (2,), r.dtype)
-    mid = a + c
-    np.subtract(mid, r, out=w[..., 0])
-    np.add(mid, r, out=w[..., 1])
-    low = r < _NORMAL_MIN
-    if low.any():
-        # a subnormal r is rounded to few digits: scale (a - c)/2 and z by 2^600, exactly, and
-        # take r again.  r = 0 becomes (a - c)/2 = -1 and r = 1, whose eigenvectors are I
-        scale = np.where(low, 2.0**600, 1.0)
-        gap, z = gap * scale, z * scale
-        flat = r == 0
-        gap = np.where(flat, -1.0, gap)
-        r = np.where(flat, 1.0, np.hypot(gap, np.abs(z)))
-    kappa = np.sqrt(0.5 + 0.5 * (np.abs(gap) / r))  # in [sqrt(1/2), 1]
-    sigma = z / r / (2 * kappa)
-    # (p, q) is the eigenvector of m - r and (-conj(q), conj(p)) that of m + r
-    upper = gap > 0
-    p = np.where(upper, -sigma.conj(), kappa)
-    q = np.where(upper, kappa, -sigma)
-    v = np.empty(h.shape, p.dtype)
-    v[..., 0, 0], v[..., 1, 0] = p, q
-    np.negative(q.conj(), out=v[..., 0, 1])
-    np.conjugate(p, out=v[..., 1, 1])
-    return w, v
-
-
-def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrix product a @ b of two matrices or broadcastable stacks (..., d, d).
-
-    At d = 2 it is a closed form with no BLAS call: column j of a times row j
-    of b, summed over j = 0, 1, with numpy's elementwise complex products, so
-    its last bits may differ from those of ``@``.  Any other shape goes to
-    ``a @ b``, bit for bit.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
-        return a @ b
-    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
-
-
 def pauli_coordinates(h: np.ndarray) -> np.ndarray:
     """Real Pauli coordinates (h0, hx, hy, hz), shape (..., 4), of a 2 x 2 Hermitian matrix or
     stack: H = h0 I + hx sigma_x + hy sigma_y + hz sigma_z.
 
-    Like ``herm_eigh`` it reads only the lower triangle, H_10 = hx + i hy, and
+    Like ``np.linalg.eigh`` it reads only the lower triangle, H_10 = hx + i hy, and
     the real diagonal, h0 +- hz; the diagonal is halved before it is summed,
     so no finite entry overflows.
     """
@@ -203,7 +130,7 @@ class QubitExpm:
     derivative in the generator's vector part.
 
     The generators come as Pauli coordinates c = (h0, h), shape (..., 4), see
-    :func:`pauli_coordinates`, and s > 0.  With r = |h|, n = h / r (0 at
+    :func:`pauli_coordinates`, and a finite s > 0.  With r = |h|, n = h / r (0 at
     r = 0) and phi = s r, exp(-i s H) = e^{-i s h0} (cos(phi) I - i sin(phi) n.sigma).
     There are no eigenvectors and no LAPACK or BLAS call; r is a ``hypot``
     and n is h / r, so no entry is squared, and nothing overflows while |h|
@@ -212,6 +139,8 @@ class QubitExpm:
     """
 
     def __init__(self, c: np.ndarray, s: float):
+        if not 0 < s < np.inf:
+            raise ValueError("s must be positive and finite")
         h0, h = c[..., 0], c[..., 1:]
         r = np.hypot(np.hypot(h[..., 0], h[..., 1]), h[..., 2])
         n = h / np.where(r, r, 1.0)[..., None]
@@ -225,7 +154,8 @@ class QubitExpm:
         self.unitaries = phase[..., None, None] * parts.view(complex).reshape(h0.shape + (2, 2))
         self._s, self._n, self._phi, self._sin, self._cos, self._phase = s, n, phi, sin, cos, phase
         for a in (self.unitaries, n, phi, sin, cos, phase):
-            a.flags.writeable = False
+            if isinstance(a, np.ndarray):  # one generator, shape (4,), leaves immutable scalars
+                a.flags.writeable = False
 
     def bracket_derivative(self, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
         """<bra| dU / dh_a |ket> for a = x, y, z, shape (..., 3), with bra and ket (..., 2).
@@ -248,13 +178,19 @@ class QubitExpm:
 
 
 def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """exp(-i s H) of a Hermitian H, or of each member of a stack (..., d, d), by one
-    :func:`herm_eigh`."""
+    """exp(-i s H) of a Hermitian H, or of each member of a stack (..., d, d).
+
+    At d = 2 with a finite s > 0 it is the closed form of :class:`QubitExpm`
+    on the Pauli coordinates, read-only like every array of ``QubitExpm``;
+    at every other d and s it is built from one ``np.linalg.eigh``.
+    """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
-    w, v = herm_eigh(h)
-    return stack_matmul(v * np.exp(-1j * s * w)[..., None, :], v.conj().mT)
+    if h.shape[-2:] == (2, 2) and 0 < s < np.inf:
+        return QubitExpm(pauli_coordinates(h), s).unitaries
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().mT
 
 
 def nearest_unitary(s: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ def reference_final_state(system, pair, field, psi0) -> np.ndarray:
         h = omega * h0 + theta * sum(
             field.amplitudes[k, m] * controls[m] for m in range(field.channels)
         )
-        u = QubitExpm(np.asarray(h)[None], field.dt).unitaries[0] if qubit else herm_expm(h, field.dt)
+        u = QubitExpm(h, field.dt).unitaries if qubit else herm_expm(h, field.dt)
         psi = u @ psi
     return psi
 

@@ -59,10 +59,8 @@ from qest.identification import apply_channel, natural_probes, raw_process_matri
 from qest.linalg import (
     QubitExpm,
     gell_mann_basis,
-    herm_eigh,
     is_hermitian,
     pauli_coordinates,
-    stack_matmul,
     vec,
     vec_inv,
 )
@@ -662,15 +660,14 @@ def eigen_propagators(h: np.ndarray, s: float = 1.0):
 
     H is one Hermitian matrix or a stack (..., d, d) of them; every member
     must pass the Hermitian check, and all are decomposed by one
-    :func:`qest.linalg.herm_eigh` and multiplied back by
-    :func:`qest.linalg.stack_matmul`, the eigensolver and the product the
-    library propagates with from d = 3.
+    ``np.linalg.eigh`` and multiplied back by ``@``, the eigensolver and the
+    product the library propagates with from d = 3.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
-    w, v = herm_eigh(h)
-    return stack_matmul(v * np.exp(-1j * s * w)[..., None, :], np.swapaxes(v.conj(), -1, -2)), (w, v)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * s * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2), (w, v)
 
 
 def interval_propagators(system, pairs, field):
@@ -729,7 +726,7 @@ def eigen_gradient(w, v, dt, fwd, bwd, overlap, theta, controls) -> np.ndarray:
     divided differences, between the costates bwd and the states fwd.
 
     theta is each sample's control scale and controls the (M, d, d) matrices.
-    Its matrix products come from :func:`qest.linalg.stack_matmul`, as the library's do.
+    Its matrix products are ``@``, as the library's are.
     """
     x = dt * (w[..., :, None] - w[..., None, :])
     gamma = (dt * np.exp(-1j * dt * w)[..., None, :]
@@ -738,7 +735,7 @@ def eigen_gradient(w, v, dt, fwd, bwd, overlap, theta, controls) -> np.ndarray:
     a = (vh @ bwd[:, 1:, :, None])[..., 0]
     b = (vh @ fwd[:, :-1, :, None])[..., 0]
     t = gamma * a.conj()[..., :, None] * b[..., None, :]
-    s = stack_matmul(stack_matmul(v.conj(), t), np.swapaxes(v, -1, -2))
+    s = (v.conj() @ t) @ np.swapaxes(v, -1, -2)
     dz = theta[:, None, None] * np.einsum("nkcd,mcd->nkm", s, controls)
     return np.mean(2.0 * (np.conj(overlap)[:, None, None] * dz).real, axis=0)
 

@@ -164,11 +164,12 @@ GOLDEN = {
     "hamid4/hamid4.json": "8b0c83878101eccf2469cf5e1793512b80ce3cfafccbb044ceeeaa4a5bd00aab",
     "hamid-noiseless/hamid-noiseless.json":
         "4f7f93903cfbab4e1207a71dc01d2fc26f8d7fbb9c58205c776aacd3aff26b2b",
-    # smc was recorded once 2 x 2 Hermitian eigenpairs came from the closed form of
-    # qest.linalg.herm_eigh, not from LAPACK.  The d = 2 slc digests, compare-slc's among them,
-    # were recorded once the SLC propagators and gradient at d = 2 came from the Pauli
-    # coordinates of the generators, by the closed form of qest.linalg.QubitExpm, not from
-    # eigenpairs; slc20's bytes are the same at one and two BLAS threads
+    # smc was recorded once 2 x 2 Hermitian eigenpairs came from a closed form, not from
+    # LAPACK; its bytes held when herm_expm at d = 2 became the closed form of
+    # qest.linalg.QubitExpm, which produces them now.  The d = 2 slc digests, compare-slc's
+    # among them, were recorded once the SLC propagators and gradient at d = 2 came from the
+    # Pauli coordinates of the generators, by the closed form of qest.linalg.QubitExpm, not
+    # from eigenpairs; slc20's bytes are the same at one and two BLAS threads
     "smc/smc.csv": "dc2ff81786f6f013a7de858198e3b0663bcdd524a692e8408bdd69623c3591bc",
     "slc/manifest.json": "91cab94a82a4f2e1518ab3486330087b55266bbc5c2f1e51008c9b5711d0d894",
     "slc/pulse.json": "7de82de4eb252b91b39020f1707bdea5a02aa84e33860a897f8e1765f1a66473",

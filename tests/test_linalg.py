@@ -9,7 +9,6 @@ from qest.errors import BranchAmbiguityWarning, ContractViolationError
 from qest.linalg import (
     QubitExpm,
     gell_mann_basis,
-    herm_eigh,
     herm_expm,
     is_hermitian,
     is_unitary,
@@ -17,7 +16,6 @@ from qest.linalg import (
     matrix_to_json,
     nearest_unitary,
     pauli_coordinates,
-    stack_matmul,
     unitary_log,
     vec,
     vec_inv,
@@ -129,173 +127,6 @@ def qubit_hermitian_set(n=100_000, seed=28):
     return hermitian_pairs(np.zeros((n, 2, 2)), a * scale, c * scale, z * scale)
 
 
-def eigen_errors(h, w, v):
-    """Per member: ||H V - V diag(w)||_F / ||H||_F and ||V^dag V - I||_F, with H and w scaled
-    by the power of two that brings H's largest entry into [1/2, 1), so that no square
-    overflows or vanishes."""
-    e = -np.frexp(np.abs(h).max((-2, -1)))[1]
-    hs = np.ldexp(h.real, e[..., None, None]) + 1j * np.ldexp(h.imag, e[..., None, None])
-    ws = np.ldexp(w, e[..., None])
-    residual = (np.linalg.norm(hs @ v - v * ws[..., None, :], axis=(-2, -1))
-                / np.linalg.norm(hs, axis=(-2, -1)))
-    return residual, np.linalg.norm(v.conj().mT @ v - np.eye(v.shape[-1]), axis=(-2, -1))
-
-
-class TestHermEigh:
-    def test_as_accurate_as_lapack_on_a_seeded_set(self):
-        h = qubit_hermitian_set()
-        w, v = herm_eigh(h)
-        w_ref, v_ref = np.linalg.eigh(h)
-        residual, orthogonality = eigen_errors(h, w, v)
-        residual_ref, orthogonality_ref = eigen_errors(h, w_ref, v_ref)
-        assert residual.max() <= residual_ref.max()
-        assert orthogonality.max() <= orthogonality_ref.max()
-        assert residual.max() <= 1e-15 and orthogonality.max() <= 1e-15
-        # ascending, and within a few ulp of ||H||_F of LAPACK's
-        norm = np.linalg.norm(h, axis=(-2, -1))
-        assert (w[:, 0] <= w[:, 1]).all()
-        assert (np.abs(w - w_ref).max(-1) <= 8 * np.finfo(float).eps * norm).all()
-
-    @pytest.mark.parametrize("x", [0.0, 1.5, -1e200, 1e-300])
-    def test_multiple_of_the_identity_gets_the_identity(self, x):
-        w, v = herm_eigh(x * np.eye(2, dtype=complex))
-        assert w.tolist() == [x, x]
-        assert np.array_equal(v, np.eye(2))
-
-    def test_diagonal_members_are_exact(self):
-        # z = 0 with a > c and with a < c: the spectrum is the diagonal, the vectors unit axes
-        w, v = herm_eigh(np.array([np.diag([3.0, -1.0]), np.diag([-1.0, 3.0])], dtype=complex))
-        assert w.tolist() == [[-1.0, 3.0], [-1.0, 3.0]]
-        assert np.array_equal(np.abs(v), [[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
-
-    @pytest.mark.parametrize("a, c, z", [
-        (1.0, 0.5, 3e-320 - 2e-320j),
-        (0.5, 1.0, 5e-324j),
-        (1.0, 1.0, 3e-320 - 2e-320j),  # only z splits the spectrum
-    ])
-    def test_subnormal_off_diagonal(self, a, c, z):
-        h = hermitian_pairs(np.zeros((2, 2)), a, c, z)
-        w, v = herm_eigh(h)
-        assert w.tolist() == [min(a, c), max(a, c)]
-        residual, orthogonality = eigen_errors(h, w, v)
-        assert residual <= 1e-15 and orthogonality <= 1e-15
-
-    @pytest.mark.parametrize("a, c, z", [
-        (0.0, 0.0, 3e-320 - 2e-320j),
-        (1e-310, 0.0, 3e-320 - 2e-320j),
-        (1e-310, 1e-310, 0.0),
-        (3e-310, 1e-310, 1e-310j),
-    ])
-    def test_subnormal_matrix(self, a, c, z):
-        # the eigenvectors stay orthonormal; the eigenvalues, like every subnormal number,
-        # keep only an absolute accuracy, a few steps of 2^-1074 from LAPACK's
-        h = hermitian_pairs(np.zeros((2, 2)), a, c, z)
-        w, v = herm_eigh(h)
-        assert np.abs(w - np.linalg.eigh(h)[0]).max() <= 4 * 2.0**-1074
-        assert eigen_errors(h, w, v)[1] <= 1e-15
-
-    @pytest.mark.parametrize("scale", np.logspace(-150, 150, 7))
-    def test_scale_invariant_from_1e_minus_150_to_1e150(self, scale):
-        h = qubit_hermitian_set(1000, seed=5)
-        h = h / np.abs(h).max((-2, -1), keepdims=True) * scale
-        w, v = herm_eigh(h)
-        residual, orthogonality = eigen_errors(h, w, v)
-        assert residual.max() <= 1e-15 and orthogonality.max() <= 1e-15
-
-    def test_entries_at_the_slc_generator_bound_do_not_overflow(self):
-        # every combination of diagonal and off-diagonal entries up to the bound qest slc
-        # puts on its generators; where LAPACK's pairs are finite, these are too
-        values = [_HALF_MAX, -_HALF_MAX, _HALF_MAX / 2, 0.0]
-        offdiag = [_HALF_MAX, _HALF_MAX * np.exp(0.7j), -_HALF_MAX / 2, 1e-300, 0.0]
-        a, c, z = (np.array(x).ravel() for x in np.meshgrid(values, values, offdiag))
-        h = hermitian_pairs(np.zeros((a.size, 2, 2)), a, c, z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w_ref, v_ref = np.linalg.eigh(h)
-        finite = np.isfinite(w_ref).all(-1) & np.isfinite(v_ref).all((-2, -1))
-        assert finite.sum() > a.size // 2
-        w, v = herm_eigh(h[finite])
-        assert np.isfinite(w).all() and np.isfinite(v).all()
-        nonzero = np.abs(h[finite]).max((-2, -1)) > 0
-        residual, orthogonality = eigen_errors(h[finite][nonzero], w[nonzero], v[nonzero])
-        assert residual.max() <= 1e-15 and orthogonality.max() <= 1e-15
-
-    def test_reads_only_the_lower_triangle_and_the_real_diagonal(self):
-        h = qubit_hermitian_set(1000)
-        garbage = h.copy()
-        rng = np.random.default_rng(1)
-        garbage[:, 0, 1] = rng.normal(size=1000) + 1j * rng.normal(size=1000)
-        garbage[:, [0, 1], [0, 1]] += 1j * rng.normal(size=(1000, 2))
-        for got, expected in zip(herm_eigh(garbage), herm_eigh(h)):
-            assert got.tobytes() == expected.tobytes()
-
-    def test_stacks_equal_their_per_member_calls_bit_for_bit(self):
-        h = qubit_hermitian_set(240).reshape(12, 20, 2, 2)
-        # members with r = 0 and with a subnormal r, which take the scaled branch
-        h[0, :4] = hermitian_pairs(h[0, :4], [2.0, 2.0, 0.0, 1.0], [2.0, 1.0, 0.0, 1.0],
-                                   [0.0, 0.0, 0.0, 1e-320])
-        w, v = herm_eigh(h)
-        assert w.shape == (12, 20, 2) and v.shape == (12, 20, 2, 2)
-        for parts in ([herm_eigh(row) for row in h], [herm_eigh(x) for x in h.reshape(-1, 2, 2)]):
-            assert w.tobytes() == np.array([part[0] for part in parts]).tobytes()
-            assert v.tobytes() == np.array([part[1] for part in parts]).tobytes()
-
-    @pytest.mark.parametrize("shape", [(2,), (3, 2), (4, 1, 2)])
-    def test_rejects_what_is_not_a_square_stack(self, shape):
-        with pytest.raises(ValueError):
-            herm_eigh(np.ones(shape, dtype=complex))
-
-    @pytest.mark.parametrize("d", [3, 4, 8])
-    def test_other_dimensions_are_lapack_bit_for_bit(self, d):
-        rng = np.random.default_rng(d)
-        h = np.array([random_hermitian(d, rng) for _ in range(6)])
-        for got, expected in zip(herm_eigh(h), np.linalg.eigh(h)):
-            assert got.tobytes() == expected.tobytes()
-
-
-def complex_stack(shape, rng):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-class TestStackMatmul:
-    @pytest.mark.parametrize("a_shape, b_shape", [
-        ((2, 2), (2, 2)), ((80, 2, 2), (80, 2, 2)), ((5, 7, 2, 2), (7, 2, 2)),
-        ((2, 2), (4, 3, 2, 2)), ((3, 1, 2, 2), (1, 4, 2, 2)),
-    ])
-    @pytest.mark.parametrize("view", ["plain", "mT", "conj", "conj-mT"])
-    def test_within_a_few_ulp_of_matmul(self, a_shape, b_shape, view):
-        rng = np.random.default_rng(31)
-        a, b = complex_stack(a_shape, rng), complex_stack(b_shape, rng)
-        a, b = {"plain": (a, b), "mT": (a, b.mT), "conj": (a.conj(), b),
-                "conj-mT": (a.conj(), b.conj().mT)}[view]
-        got, expected = stack_matmul(a, b), np.matmul(a, b)
-        assert got.shape == expected.shape and got.dtype == expected.dtype
-        bound = (4 * np.finfo(float).eps * np.linalg.norm(a, axis=(-2, -1))[..., None, None]
-                 * np.linalg.norm(b, axis=(-2, -1))[..., None, None])
-        assert (np.abs(got - expected) <= bound).all()
-
-    def test_equals_matmul_where_both_are_exact(self):
-        # dyadic fractions times small integers: every product and sum is exact either way
-        rng = np.random.default_rng(32)
-        a = (8 * complex_stack((200, 2, 2), rng)).round() / 64
-        b = (8 * complex_stack((200, 2, 2), rng)).round()
-        assert np.array_equal(stack_matmul(a, b), np.matmul(a, b))
-        assert np.array_equal(stack_matmul(a, b.conj().mT), np.matmul(a, b.conj().mT))
-
-    @pytest.mark.parametrize("d", [1, 3, 4, 8])
-    def test_other_dimensions_are_matmul_bit_for_bit(self, d):
-        rng = np.random.default_rng(d)
-        a, b = complex_stack((6, 5, d, d), rng), complex_stack((5, d, d), rng)
-        for x, y in ((a, b), (a.conj(), b.mT), (a[0, 0], b)):
-            assert stack_matmul(x, y).tobytes() == (x @ y).tobytes()
-
-    @pytest.mark.parametrize("a_shape, b_shape", [((2, 2), (2, 3)), ((3, 2), (2, 2)),
-                                                  ((4, 2, 2), (2,))])
-    def test_other_shapes_are_matmul_bit_for_bit(self, a_shape, b_shape):
-        rng = np.random.default_rng(33)
-        a, b = complex_stack(a_shape, rng), complex_stack(b_shape, rng)
-        assert stack_matmul(a, b).tobytes() == (a @ b).tobytes()
-
-
 PAULIS = np.stack([np.eye(2, dtype=complex), SX, SY, SZ])
 
 
@@ -317,9 +148,9 @@ def random_kets(shape, rng):
 
 
 def eigen_brackets(c, s, bra, ket):
-    """<bra| dU / dh_a |ket> for a = x, y, z, by the eigenpairs of ``herm_eigh`` and the
+    """<bra| dU / dh_a |ket> for a = x, y, z, by the eigenpairs of ``np.linalg.eigh`` and the
     divided differences of the spectrum: the eigen path, independent of the closed form."""
-    w, v = herm_eigh(pauli_matrix(c))
+    w, v = np.linalg.eigh(pauli_matrix(c))
     x = s * (w[..., :, None] - w[..., None, :])
     gamma = (s * np.exp(-1j * s * w)[..., None, :]
              * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
@@ -452,6 +283,35 @@ class TestQubitExpm:
         with pytest.raises(ValueError):
             expm.unitaries[0, 0, 0] = 1.0
 
+    def test_one_generator_equals_member_0_of_a_stack_of_one_bit_for_bit(self):
+        rng = np.random.default_rng(48)
+        c, bra, ket = random_coordinates(1, rng, 4.0), random_kets((1,), rng), random_kets((1,), rng)
+        one, stack = QubitExpm(c[0], 0.3), QubitExpm(c, 0.3)
+        assert one.unitaries.shape == (2, 2)
+        assert one.unitaries.tobytes() == stack.unitaries[0].tobytes()
+        assert (one.bracket_derivative(bra[0], ket[0]).tobytes()
+                == stack.bracket_derivative(bra, ket)[0].tobytes())
+
+    @pytest.mark.parametrize("view", ["strided", "reversed", "fortran"])
+    def test_views_equal_contiguous_copies_bit_for_bit(self, view):
+        rng = np.random.default_rng(51)
+        c = random_coordinates(30, rng, 4.0)
+        bra, ket = random_kets((30,), rng), random_kets((30,), rng)
+        take ={"strided": lambda a: a[::3], "reversed": lambda a: a[::-1],
+                "fortran": np.asfortranarray}[view]
+        c, bra, ket = take(c), take(bra), take(ket)
+        expm = QubitExpm(c, 0.3)
+        copy = QubitExpm(np.ascontiguousarray(c), 0.3)
+        assert expm.unitaries.tobytes() == copy.unitaries.tobytes()
+        assert (expm.bracket_derivative(bra, ket).tobytes()
+                == copy.bracket_derivative(np.ascontiguousarray(bra),
+                                           np.ascontiguousarray(ket)).tobytes())
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_a_non_positive_or_non_finite_s(self, s):
+        with pytest.raises(ValueError):
+            QubitExpm(np.array([0.0, 1.0, 0.0, 0.0]), s)
+
 
 class TestHermExpm:
     def test_zero_time_is_identity(self):
@@ -479,14 +339,133 @@ class TestHermExpm:
         with pytest.raises(ContractViolationError):
             herm_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    @pytest.mark.parametrize("s", [0.1, 0.0, -0.3])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_stack_equals_per_matrix_bit_for_bit(self, d):
+    def test_stack_equals_per_matrix_bit_for_bit(self, d, s):
         rng = np.random.default_rng(d)
         stack = np.array([[random_hermitian(d, rng) for _ in range(5)] for _ in range(4)])
-        u = herm_expm(stack, 0.1)
+        u = herm_expm(stack, s)
         assert u.shape == (4, 5, d, d)
-        expected = np.array([[herm_expm(h, 0.1) for h in row] for row in stack])
+        expected = np.array([[herm_expm(h, s) for h in row] for row in stack])
         assert u.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scale", np.logspace(-150, 150, 7))
+    def test_qubits_match_scipy_expm_from_1e_minus_150_to_1e150(self, scale):
+        # the seeded families of qubit_hermitian_set, each member's largest entry at scale and
+        # s = 1 / scale, so that every s H, which scipy's Pade expm takes, is of order 1
+        h = qubit_hermitian_set(1000, seed=5)
+        h = h / np.abs(h).max((-2, -1), keepdims=True) * scale
+        s = 1.0 / scale
+        assert np.abs(herm_expm(h, s) - scipy.linalg.expm(-1j * (s * h))).max() <= 2e-15
+
+    @pytest.mark.parametrize("x, s", [(0.0, 1.0), (1.5, 1.0), (-1e200, 1e-200), (1e-300, 1e300)])
+    def test_qubit_multiple_of_the_identity_is_a_phase(self, x, s):
+        u = herm_expm(x * np.eye(2, dtype=complex), s)
+        assert u[0, 1] == u[1, 0] == 0
+        assert np.abs(u - scipy.linalg.expm(-1j * (s * x) * np.eye(2))).max() <= 1e-15
+
+    @pytest.mark.parametrize("a, c, z", [
+        (1.0, 0.5, 3e-320 - 2e-320j),
+        (0.5, 1.0, 5e-324j),
+        (1.0, 1.0, 3e-320 - 2e-320j),  # only z splits the spectrum
+    ])
+    def test_qubit_subnormal_off_diagonal(self, a, c, z):
+        h = hermitian_pairs(np.zeros((2, 2)), a, c, z)
+        u = herm_expm(h, 0.7)
+        assert np.abs(u - scipy.linalg.expm(-0.7j * h)).max() <= 1e-15
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-15
+
+    @pytest.mark.parametrize("s", [0.0, -0.7, -1e-300])
+    def test_qubits_at_zero_and_negative_s(self, s):
+        rng = np.random.default_rng(8)
+        h = np.array([random_hermitian(2, rng) for _ in range(20)])
+        assert np.abs(herm_expm(h, s) - scipy.linalg.expm(-1j * s * h)).max() <= 1e-14
+
+    def test_qubits_with_positive_s_take_no_eigh(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert herm_expm(SX, 0.3).shape == (2, 2)
+        assert herm_expm(np.stack([SX, SY, SZ]), 0.3).shape == (3, 2, 2)
+        with pytest.raises(AssertionError):
+            herm_expm(SX, -0.3)
+        with pytest.raises(AssertionError):
+            herm_expm(np.eye(3), 0.3)
+
+    @pytest.mark.parametrize("s", [0.7, 1e300])
+    @pytest.mark.parametrize("a, c, z", [
+        (0.0, 0.0, 3e-320 - 2e-320j),
+        (1e-310, 0.0, 3e-320 - 2e-320j),
+        (1e-310, 1e-310, 0.0),
+        (3e-310, 1e-310, 1e-310j),
+    ])
+    def test_qubit_subnormal_matrix(self, a, c, z, s):
+        # every entry subnormal: at s = 0.7 the propagator is I to the subnormals, at
+        # s = 1e300 the phases are of order 1e-10 and must still come out unitary
+        h = hermitian_pairs(np.zeros((2, 2)), a, c, z)
+        u = herm_expm(h, s)
+        assert np.abs(u - scipy.linalg.expm(-1j * s * h)).max() <= 1e-15
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-15
+
+    def test_qubit_entries_at_the_slc_generator_bound_do_not_overflow(self):
+        # every combination of diagonal and off-diagonal entries up to the bound qest slc puts
+        # on its generators, through the Hermitian check and the Pauli coordinates
+        values = [_HALF_MAX, -_HALF_MAX, _HALF_MAX / 2, 0.0]
+        offdiag = [_HALF_MAX, _HALF_MAX * np.exp(0.7j), -_HALF_MAX / 2, 1e-300, 0.0]
+        a, c, z = (np.array(x).ravel() for x in np.meshgrid(values, values, offdiag))
+        h = hermitian_pairs(np.zeros((a.size, 2, 2)), a, c, z)
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            u = herm_expm(h, 1e-300)
+        assert np.isfinite(u).all()
+        assert np.abs(u.conj().mT @ u - np.eye(2)).max() <= 1e-15
+
+    def test_qubits_as_unitary_as_the_eigh_route_on_a_seeded_set(self):
+        # the seeded families of qubit_hermitian_set, each member scaled to a largest entry
+        # of 1, against exp(-i H) built from LAPACK's eigenpairs
+        h = qubit_hermitian_set(20_000)
+        h = h / np.abs(h).max((-2, -1), keepdims=True)
+        u = herm_expm(h, 1.0)
+        w, v = np.linalg.eigh(h)
+        expected = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().mT
+        defect = np.abs(u.conj().mT @ u - np.eye(2)).max()
+        assert defect <= np.abs(expected.conj().mT @ expected - np.eye(2)).max()
+        assert defect <= 1e-15
+        assert np.abs(u - expected).max() <= 1e-14
+
+    def test_qubit_diagonal_members_stay_diagonal(self):
+        # z = 0 with a > c and with a < c: no off-diagonal part, and the phases of the diagonal
+        h = np.array([np.diag([3.0, -1.0]), np.diag([-1.0, 3.0])], dtype=complex)
+        u = herm_expm(h, 0.7)
+        assert (u[:, 0, 1] == 0).all() and (u[:, 1, 0] == 0).all()
+        diagonal = np.diagonal(h, 0, -2, -1).real
+        assert np.abs(np.diagonal(u, 0, -2, -1) - np.exp(-0.7j * diagonal)).max() <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(), (80,), (5, 7), (4, 3), (3, 1, 2)])
+    def test_qubits_are_the_closed_form_on_pauli_coordinates_bit_for_bit(self, shape):
+        rng = np.random.default_rng(49)
+        h = pauli_matrix(random_coordinates(int(np.prod(shape)), rng, 4.0)).reshape(shape + (2, 2))
+        u = herm_expm(h, 0.3)
+        assert u.shape == shape + (2, 2)
+        assert u.tobytes() == QubitExpm(pauli_coordinates(h), 0.3).unitaries.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 8])
+    def test_other_dimensions_are_the_eigh_formula_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        h = np.array([[random_hermitian(d, rng) for _ in range(5)] for _ in range(6)])
+        w, v = np.linalg.eigh(h)
+        expected = (v * np.exp(-0.4j * w)[..., None, :]) @ v.conj().mT
+        assert herm_expm(h, 0.4).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("view", ["mT", "strided", "reversed", "fortran"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_views_equal_contiguous_copies_bit_for_bit(self, d, view):
+        rng = np.random.default_rng(50 + d)
+        h = np.array([random_hermitian(d, rng) for _ in range(12)])
+        h = {"mT": h.mT, "strided": h[::3], "reversed": h[::-1],
+             "fortran": np.asfortranarray(h)}[view]
+        assert herm_expm(h, 0.3).tobytes() == herm_expm(np.ascontiguousarray(h), 0.3).tobytes()
 
     @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)])
     def test_stack_rejects_any_non_hermitian_member(self, bad):
@@ -496,9 +475,10 @@ class TestHermExpm:
             herm_expm(stack, 1.0)
 
     @pytest.mark.parametrize("h", [np.ones(2), np.ones((2, 3)), np.ones((2, 2, 3)),
-                                   np.array([[SX, SZ], [SY, np.triu(SX)]])],
+                                   np.array([[SX, SZ], [SY, np.triu(SX)]]), np.ones((3, 2)),
+                                   np.ones((4, 1, 2))],
                              ids=["1-D", "non-square", "stacked-non-square",
-                                  "stacked-non-hermitian"])
+                                  "stacked-non-hermitian", "tall", "stacked-row"])
     def test_eigh_rejects_what_is_not_a_hermitian_stack(self, h):
         with pytest.raises(ContractViolationError):
             herm_expm(h, 1.0)
