@@ -5,24 +5,23 @@ piecewise-constant fields and multiplicative uncertainties omega, theta drawn
 from [1-Omega, 1+Omega] x [1-Theta, 1+Theta].  A single pulse is trained by
 gradient ascent on the mean fidelity over an uncertainty sample set, then
 evaluated on fresh samples.  Every evaluation propagates all samples and
-intervals at once.  At d = 2 the interval propagators and their exact
-derivatives come in closed form from the Pauli coordinates of the generators
-(:class:`qest.linalg.QubitExpm`), with no eigenvectors; at every other d
-they come from the eigenpairs of ``np.linalg.eigh`` and divided differences.  A
-small sliding-mode scenario with periodic projective measurements is
-included as a demo.
+intervals at once.  The interval propagators and their exact derivatives come
+from one exponential kernel of :mod:`qest.linalg`, chosen by d alone: at
+d = 2 :class:`qest.linalg.QubitExpm`, in closed form from the Pauli
+coordinates of the generators, and at every other d
+:class:`qest.linalg.EigenExpm`, from the eigenpairs of the matrices.  A small
+sliding-mode scenario with periodic projective measurements is included as a
+demo.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import QubitExpm, herm_expm, is_hermitian, pauli_coordinates
+from .linalg import EigenExpm, QubitExpm, herm_expm, is_hermitian, pauli_coordinates
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +55,9 @@ class UncertainSystem:
 
 
 def _hermitian_copy(a) -> np.ndarray:
-    """Read-only copy of a (..., d, d) stack, exactly Hermitian: it keeps what ``np.linalg.eigh``
-    and ``pauli_coordinates`` read, the strict lower triangle and the real diagonal, and mirrors
-    the triangle into the upper."""
+    """Read-only copy of a (..., d, d) stack, exactly Hermitian: it keeps what the exponential
+    kernels read, the strict lower triangle and the real diagonal, and mirrors the triangle into
+    the upper."""
     h = np.array(a, dtype=complex)
     i, j = np.tril_indices(h.shape[-1], -1)
     h[..., j, i] = h[..., i, j].conj()
@@ -148,9 +147,10 @@ class PulseEvaluation:
     """One pulse on every sample: the states and costates of every (sample, interval).
 
     It also keeps, privately, what its gradient needs besides those arrays:
-    the derivative brackets of the propagators it was built from and the
-    theta of each sample, so the gradient reads no input that a caller may
-    have changed since.
+    the exponential kernel of the propagators it was built from, the controls
+    in the coordinates of the kernel's derivative and the theta of each
+    sample, so the gradient reads no input that a caller may have changed
+    since.
     """
 
     fwd: np.ndarray  # (N, K + 1, d); fwd[:, k] is the state before interval k
@@ -158,7 +158,8 @@ class PulseEvaluation:
     overlap: np.ndarray  # (N,) <psi_target|psi_n(T)>
     fidelities: np.ndarray  # (N,) |<psi_target|psi_n(T)>|^2
     j: float  # the augmented fidelity J_N, the mean of the fidelities
-    _brackets: Callable  # (bra, ket) -> (N, K, M) <bra| dU_k / du_km |ket> / theta
+    _expm: QubitExpm | EigenExpm  # the (N, K) propagators and their derivative
+    _controls: np.ndarray  # (M, coordinates of the derivative), read-only
     _theta: np.ndarray  # (N, 1, 1) control scale of each sample, read-only
 
     def gradient(self) -> np.ndarray:
@@ -168,49 +169,10 @@ class PulseEvaluation:
         costates and the states of this evaluation's single fused sweep, with
         the pieces of the propagators themselves; no propagation happens here.
         """
-        dz = self._theta * self._brackets(self.bwd[:, 1:], self.fwd[:, :-1])
+        derivative = self._expm.bracket_derivative(self.bwd[:, 1:], self.fwd[:, :-1])
+        dz = self._theta * np.einsum("nka,ma->nkm", derivative, self._controls)
         grad = 2.0 * (self.overlap.conj()[:, None, None] * dz).real
         return grad.mean(axis=0)
-
-
-def _qubit_brackets(expm: QubitExpm, controls: np.ndarray, bra, ket) -> np.ndarray:
-    """<bra| dU / du_m |ket> / theta from the derivative in the vector part of the generator.
-
-    ``controls`` holds the vector parts (M, 3) of the controls' Pauli
-    coordinates.  A control's identity part moves U by the phase
-    -i dt theta c0 U, whose bracket with the costate is -i dt theta c0 times
-    the overlap; it changes no fidelity, and is left out.
-    """
-    return np.einsum("nka,ma->nkm", expm.bracket_derivative(bra, ket), controls)
-
-
-def _eigen_brackets(dt: float, w, v, phases, controls: np.ndarray, bra, ket) -> np.ndarray:
-    """<bra| dU / du_m |ket> / theta from the eigenpairs (w, v) and spectra ``phases`` of U.
-
-    The derivative of U = V exp(-i dt Lambda) V^dag along H_m is
-    V (Gamma o V^dag H_m V) V^dag with the divided differences
-    Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), which tend to
-    -i dt e^{-i dt l_a} as l_b -> l_a (de Fouquieres, Schirmer, Glaser and
-    Kuprov, JMR 212, 2011).
-    """
-    # Gamma_ab = e^{-i dt l_b} (e^{-i x} - 1) / (l_a - l_b), x = dt (l_a - l_b), in sinc form
-    x = dt * (w[..., :, None] - w[..., None, :])
-    gamma = (dt * phases[..., None, :]
-             * (-np.sin(x / 2) * _sinc(x / (2 * np.pi)) - 1j * _sinc(x / np.pi)))
-    vc = v.conj()
-    a = (vc.mT @ bra[..., None])[..., 0]
-    b = (vc.mT @ ket[..., None])[..., 0]
-    # sum_ab conj(a_a) Gamma_ab (V^dag H V)_ab b_b = sum_cd H_cd (conj(V) T V^T)_cd
-    t = gamma * a.conj()[..., :, None] * b[..., None, :]
-    s = (vc @ t) @ v.mT
-    return np.einsum("nkcd,mcd->nkm", s, controls)
-
-
-def _sinc(x: np.ndarray) -> np.ndarray:
-    """np.sinc(x) by its own steps, without its wrapper; any tiny nonzero y gives 1 at 0."""
-    y = np.pi * x
-    y = np.where(y, y, 1e-20)
-    return np.sin(y) / y
 
 
 class _Propagation:
@@ -219,10 +181,12 @@ class _Propagation:
     The task is a system, a sample set, the states and the interval grid of a
     field; ``evaluate`` then propagates any amplitudes of that grid.  Only
     read-only or private copies are kept, so evaluations share no writable
-    state with the caller or with each other.  The generators are Pauli
-    coordinates (h0, hx, hy, hz) at d = 2, exponentiated in closed form by
-    :class:`qest.linalg.QubitExpm`, and matrices at every other d,
-    exponentiated from the eigenpairs of ``np.linalg.eigh``.
+    state with the caller or with each other.  The kernel is chosen by d
+    alone: at d = 2 :class:`qest.linalg.QubitExpm` on Pauli coordinates
+    (h0, hx, hy, hz), whose derivative is taken in the vector parts (a
+    control's identity part moves U by a phase, which changes no fidelity),
+    and at every other d :class:`qest.linalg.EigenExpm` on matrices, whose
+    derivative is taken in their d^2 entries.
     """
 
     def __init__(self, system, samples: SampleSet, field, psi0, psi_target):
@@ -236,10 +200,10 @@ class _Propagation:
         if system.dim == 2:
             h0, self.controls = pauli_coordinates(system.h0), pauli_coordinates(system.controls)
             self.controls.setflags(write=False)
-            self.expm = self._qubit_expm
+            self.kernel, self.derivative_controls = QubitExpm, self.controls[:, 1:]
         else:
             h0, self.controls = system.h0, system.controls
-            self.expm = self._eigen_expm
+            self.kernel, self.derivative_controls = EigenExpm, self.controls.reshape(-1, h0.size)
         # theta and omega as (N, 1) followed by one axis per axis of a generator, (4,) or (d, d)
         self.theta_col = self.theta.reshape((-1, 1) + (1,) * h0.ndim)
         self.omega_h0 = pairs[:, 0].reshape(self.theta_col.shape) * h0
@@ -248,18 +212,6 @@ class _Propagation:
         self.start = np.repeat(np.stack((psi, target)), len(pairs), axis=0)  # (2N, d)
         self.target = target
         self.intervals, self.dt, self.n = field.intervals, field.dt, len(pairs)
-
-    def _qubit_expm(self, generators):
-        expm = QubitExpm(generators, self.dt)
-        return expm.unitaries, partial(_qubit_brackets, expm, self.controls[:, 1:])
-
-    def _eigen_expm(self, generators):
-        eigvals, eigvecs = np.linalg.eigh(generators)
-        phases = np.exp(-1j * self.dt * eigvals)
-        for a in (eigvals, eigvecs, phases):
-            a.flags.writeable = False
-        props = (eigvecs * phases[..., None, :]) @ eigvecs.conj().mT
-        return props, partial(_eigen_brackets, self.dt, eigvals, eigvecs, phases, self.controls)
 
     def evaluate(self, amplitudes: np.ndarray) -> PulseEvaluation:
         """Propagate psi0 under the (K, M) amplitudes for every (omega, theta) sample at once.
@@ -273,7 +225,8 @@ class _Propagation:
         """
         drive = sum((np.multiply.outer(amplitudes[:, m], c) for m, c in enumerate(self.controls)),
                     self.zero_drive)
-        props, brackets = self.expm(self.omega_h0 + self.theta_col * drive)
+        expm = self.kernel(self.omega_h0 + self.theta_col * drive, self.dt)
+        props = expm.unitaries
         n = self.n
         sweep = np.concatenate((props.swapaxes(0, 1), props[:, ::-1].conj().mT.swapaxes(0, 1)), 1)
         out = np.empty((self.intervals + 1,) + self.start.shape, dtype=complex)
@@ -285,7 +238,7 @@ class _Propagation:
         # hypot and pow keep the bits of the scalar abs(z) ** 2
         fidelities = np.float_power(np.hypot(overlap.real, overlap.imag), 2)
         return PulseEvaluation(fwd, bwd, overlap, fidelities, float(fidelities.mean()),
-                               brackets, self.theta)
+                               expm, self.derivative_controls, self.theta)
 
 
 def evaluate_pulse(system, samples: SampleSet, field, psi0, psi_target) -> PulseEvaluation:

@@ -5,12 +5,13 @@ Conventions used throughout the package:
 * ``vec`` stacks columns: vec(A) = [A_11, A_21, ..., A_m1, A_12, ...]^T.
 * Hermitian eigenpairs, of generators, density matrices, Q and process
   matrices alike, come from numpy's LAPACK solvers.  Matrix exponentials
-  ``herm_expm(H, s) = exp(-i s H)`` are computed spectrally from one
-  ``np.linalg.eigh``, except at d = 2 with s > 0: there ``QubitExpm`` takes
-  the Pauli coordinates (h0, h) of ``pauli_coordinates`` and forms
-  e^{-i s h0} (cos(s|h|) I - i sin(s|h|) h.sigma / |h|) and its exact
-  derivative in h directly, with no eigenvectors.  It is the one qubit
-  exponential, of ``herm_expm`` and of the SLC propagators alike.
+  exp(-i s H), of ``herm_expm`` and of the SLC propagators alike, and their
+  exact derivatives come from two kernels with one interface, ``unitaries``
+  and ``bracket_derivative(bra, ket)``.  At d = 2 ``QubitExpm`` takes the
+  Pauli coordinates (h0, h) of ``pauli_coordinates`` and forms
+  e^{-i s h0} (cos(s|h|) I - i sin(s|h|) h.sigma / |h|) and its derivative
+  in h, with no eigenvectors; at every other d ``EigenExpm`` forms both
+  from one ``np.linalg.eigh`` of the matrices.
 * Matrix logarithms of unitaries use eigenphases on the principal branch
   (-pi, pi] and return the traceless Hermitian generator.
 
@@ -177,20 +178,57 @@ class QubitExpm:
         return self._n * a[..., None] + (sin_r * q)[..., None] * m[..., 1:]
 
 
+class EigenExpm:
+    """exp(-i s H) of a (..., d, d) Hermitian stack at any real s, and its derivative in the
+    generator's entries, from one ``np.linalg.eigh``, H = V Lambda V^dag.
+
+    ``unitaries`` holds the propagators V e^{-i s Lambda} V^dag; every array is read-only.
+    """
+
+    def __init__(self, h: np.ndarray, s: float):
+        w, v = np.linalg.eigh(h)
+        phases = np.exp(-1j * s * w)
+        self.unitaries = (v * phases[..., None, :]) @ v.conj().mT
+        self._s, self._w, self._v, self._phases = s, w, v, phases
+        for a in (self.unitaries, w, v, phases):
+            a.flags.writeable = False
+
+    def bracket_derivative(self, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+        """<bra| dU / dH_cd |ket> for every entry (c, d), row-major, shape (..., d^2), with bra
+        and ket (..., d).
+
+        Along a direction Delta of H, dU = V (Gamma o V^dag Delta V) V^dag with the divided
+        differences Gamma_ab = (e^{-i s l_a} - e^{-i s l_b}) / (l_a - l_b), -i s e^{-i s l_a}
+        as l_b -> l_a (de Fouquieres, Schirmer, Glaser and Kuprov, JMR 212, 2011); its bracket
+        is sum_cd Delta_cd (conj(V) T V^T)_cd, T_ab = conj(a_a) Gamma_ab b_b, a = V^dag bra,
+        b = V^dag ket.
+        """
+        s, w, v = self._s, self._w, self._v
+        # Gamma_ab = e^{-i s l_b} (e^{-i x} - 1) / (l_a - l_b), x = s (l_a - l_b), in sinc form
+        x = s * (w[..., :, None] - w[..., None, :])
+        gamma = (s * self._phases[..., None, :]
+                 * (-np.sin(x / 2) * np.sinc(x / (2 * np.pi)) - 1j * np.sinc(x / np.pi)))
+        vc = v.conj()
+        a = (vc.mT @ bra[..., None])[..., 0]
+        b = (vc.mT @ ket[..., None])[..., 0]
+        t = gamma * a.conj()[..., :, None] * b[..., None, :]
+        derivative = (vc @ t) @ v.mT
+        return derivative.reshape(derivative.shape[:-2] + (-1,))
+
+
 def herm_expm(h: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """exp(-i s H) of a Hermitian H, or of each member of a stack (..., d, d).
+    """exp(-i s H) of a Hermitian H, or of each member of a stack (..., d, d), read-only.
 
     At d = 2 with a finite s > 0 it is the closed form of :class:`QubitExpm`
-    on the Pauli coordinates, read-only like every array of ``QubitExpm``;
-    at every other d and s it is built from one ``np.linalg.eigh``.
+    on the Pauli coordinates; at every other d and s it is the propagator of
+    :class:`EigenExpm`, from one ``np.linalg.eigh``.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, 1e-10):
         raise ContractViolationError("herm_expm requires a Hermitian generator")
     if h.shape[-2:] == (2, 2) and 0 < s < np.inf:
         return QubitExpm(pauli_coordinates(h), s).unitaries
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * s * w)[..., None, :]) @ v.conj().mT
+    return EigenExpm(h, s).unitaries
 
 
 def nearest_unitary(s: np.ndarray) -> np.ndarray:

@@ -341,16 +341,18 @@ def expected_records(rho, povm: Povm, shots: int) -> Records:
 
 
 def bloch_basis_povm(n) -> Povm:
-    """Projective qubit basis along the Bloch direction n, one nonzero 3-vector (normalized):
-    the elements (I +- n.sigma) / 2 whose rows ``qest.states.bloch_rows`` gives directly."""
+    """Projective qubit basis along the Bloch direction n, one nonzero 3-vector (normalized), or
+    a stack (..., 3) of them, each by the same elementwise steps: the elements (I +- n.sigma) / 2
+    whose rows ``qest.states.bloch_rows`` gives directly."""
     n = np.asarray(n, dtype=float)
-    norm = np.sqrt(np.vecdot(n, n)) if n.shape == (3,) else 0.0
-    if norm == 0:
-        raise ValueError("need nonzero 3-vector for the Bloch direction")
-    n = n / norm
-    ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+    norm = np.sqrt(np.vecdot(n, n)) if n.ndim and n.shape[-1] == 3 else np.zeros(1)
+    if (norm == 0).any():
+        raise ValueError("need nonzero 3-vectors for the Bloch directions")
+    n = n / norm[..., None]
+    x, y, z = np.moveaxis(n, -1, 0)[..., None, None]
+    ns = x * PAULI_X + y * PAULI_Y + z * PAULI_Z
     eye = np.eye(2)
-    return Povm(np.stack([(eye + ns) / 2, (eye - ns) / 2]))
+    return Povm(np.stack([(eye + ns) / 2, (eye - ns) / 2], -3))
 
 
 def trine_povm() -> Povm:

@@ -459,12 +459,13 @@ class TestTraining:
         assert (evaluate_pulse(system, samples, trained, psi0, target).j
                 >= evaluate_pulse(system, samples, field0, psi0, target).j)
 
-    def test_training_decomposes_each_candidate_once(self, monkeypatch):
-        # 1 initial evaluation plus one per line-search candidate, one qubit exponential
-        # (QubitExpm) each; the gradient of an accepted candidate comes from the evaluation
-        # that accepted it.  The loop oracle's J calls count the initial J and the candidates
-        # independently.
-        counts = {"QubitExpm": 0, "oracle_j": 0}
+    @pytest.mark.parametrize("d, kernel", [(2, "QubitExpm"), (3, "EigenExpm")])
+    def test_training_decomposes_each_candidate_once(self, monkeypatch, d, kernel):
+        # 1 initial evaluation plus one per line-search candidate, one exponential kernel
+        # (QubitExpm at d = 2, EigenExpm at d = 3) each; the gradient of an accepted candidate
+        # comes from the evaluation that accepted it.  The loop oracle's J calls count the
+        # initial J and the candidates independently.
+        counts = {kernel: 0, "oracle_j": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -472,18 +473,20 @@ class TestTraining:
                 return fn(*args, **kwargs)
             return wrapper
 
-        system, psi0, target = transfer_task(0.2, 0.2)
-        rng = np.random.default_rng(4)
-        field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
+        if d == 2:
+            system, psi0, target = transfer_task(0.2, 0.2)
+            rng = np.random.default_rng(4)
+            field0 = ControlField(2.0, rng.uniform(-0.5, 0.5, size=(20, 1)))
+            samples = grid_samples(0.2, 0.2, 2, 2)
+        else:
+            system, samples, field0, psi0, target = random_task(3, 2, 20, 4, 4)
         monkeypatch.setattr(tests.oracles, "augmented_j_loop",
                             counted("oracle_j", tests.oracles.augmented_j_loop))
-        slc_train_loop(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target, iterations=30)
-        monkeypatch.setattr(qest.control, "QubitExpm",
-                            counted("QubitExpm", qest.control.QubitExpm))
-        _, log = slc_train(system, grid_samples(0.2, 0.2, 2, 2), field0, psi0, target,
-                           iterations=30)
+        slc_train_loop(system, samples, field0, psi0, target, iterations=30)
+        monkeypatch.setattr(qest.control, kernel, counted(kernel, getattr(qest.control, kernel)))
+        _, log = slc_train(system, samples, field0, psi0, target, iterations=30)
         assert len(log) - 1 == 30 and counts["oracle_j"] - 1 >= 30
-        assert counts["QubitExpm"] == counts["oracle_j"]
+        assert counts[kernel] == counts["oracle_j"]
 
     @pytest.mark.parametrize("seed, accepted", [(3, 78), (43, 414)])
     def test_stops_on_the_step_floor_as_the_loop_driven_training(self, seed, accepted):

@@ -7,8 +7,8 @@ moves and names the change in CHANGES.md.
 The five d >= 8 commands guard the sizes at which OpenBLAS changes its summation
 order.  Their digests pin the BLAS they were recorded with, scipy-openblas 0.3.31
 (as ``compare-cube``'s do).  ``sweep16``'s bytes also depend on the BLAS thread
-count, so its digests are checked in a subprocess with one BLAS thread; ``slc20``'s are
-checked in subprocesses at one and at two.
+count, so its digests are checked in a subprocess with one BLAS thread; ``slc20``'s (d = 2)
+and ``slc8``'s (d = 8) are checked in subprocesses at one and at two.
 """
 
 import hashlib
@@ -209,6 +209,7 @@ GOLDEN = {
     "compare8/compare_tomography.manifest.json":
         "0857e39bd3dfc904a2f869a48fcf1ed0c965c959654982c95fd1168d554506d8",
     "hamid8/hamid8.json": "13bee13770f17da030371ad2bf20c4685c7814f817b3513f0389f957e120fd48",
+    # slc8's bytes are the same at one and two BLAS threads
     "slc8/manifest.json": "c6898b3ec54eae067874d18be2d596b752cb869adc2b9fc626ae0efdb6c1b00c",
     "slc8/pulse.json": "6feb5a785816290055e1b6f1988aada9296c561b7732519cd2d40aa789584bce",
     "slc8/test.csv": "458024c052d8473ce76d2ff127de2134b7a453a2d5b3748bd167d67ceaa2d754",
@@ -256,5 +257,6 @@ def test_sweep16_digests_at_one_blas_thread(tmp_path):
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2])
-def test_slc20_digests_at_one_and_two_blas_threads(tmp_path, blas_threads):
-    assert digests_in_subprocess("slc20", tmp_path, blas_threads) == golden_of("slc20")
+@pytest.mark.parametrize("name", ["slc20", "slc8"])
+def test_slc_digests_at_one_and_two_blas_threads(tmp_path, name, blas_threads):
+    assert digests_in_subprocess(name, tmp_path, blas_threads) == golden_of(name)

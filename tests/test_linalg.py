@@ -7,6 +7,7 @@ import scipy.linalg
 from qest.cli import _HALF_MAX
 from qest.errors import BranchAmbiguityWarning, ContractViolationError
 from qest.linalg import (
+    EigenExpm,
     QubitExpm,
     gell_mann_basis,
     herm_expm,
@@ -311,6 +312,106 @@ class TestQubitExpm:
     def test_rejects_a_non_positive_or_non_finite_s(self, s):
         with pytest.raises(ValueError):
             QubitExpm(np.array([0.0, 1.0, 0.0, 0.0]), s)
+
+
+def random_states(shape, d, rng):
+    return rng.normal(size=shape + (d,)) + 1j * rng.normal(size=shape + (d,))
+
+
+def central_brackets(h, s, bra, ket, step=1e-6):
+    """<bra| dU / dH_cd |ket> of U = exp(-i s H), row-major over the entries (c, d), by central
+    differences of scipy's Pade expm: an oracle independent of the eigenpairs."""
+    d = h.shape[-1]
+    expected = []
+    for c, e in np.ndindex(d, d):
+        delta = np.zeros((d, d))
+        delta[c, e] = step
+        du = (scipy.linalg.expm(-1j * s * (h + delta))
+              - scipy.linalg.expm(-1j * s * (h - delta))) / (2 * step)
+        expected.append(bra.conj() @ du @ ket)
+    return np.array(expected)
+
+
+class TestEigenExpm:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_propagators_match_scipy_expm(self, d, scale):
+        # generators of spectral norm ``scale`` at s = 1: phases from 1e-3 to 100
+        rng = np.random.default_rng(60 + d)
+        h = np.array([random_hermitian(d, rng, norm=scale) for _ in range(20)])
+        expected = np.array([scipy.linalg.expm(-1j * x) for x in h])
+        assert np.abs(EigenExpm(h, 1.0).unitaries - expected).max() <= 1e-14 * max(1.0, scale)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_bracket_derivative_matches_central_differences(self, d):
+        rng = np.random.default_rng(61 + d)
+        for norm, s in [(0.5, 0.3), (2.0, 0.7), (4.0, 1.5)]:
+            h = random_hermitian(d, rng, norm=norm)
+            bra, ket = random_states((), d, rng), random_states((), d, rng)
+            got = EigenExpm(h, s).bracket_derivative(bra, ket)
+            assert got.shape == (d * d,)
+            assert worst_relative(got, central_brackets(h, s, bra, ket)) <= 1e-8
+
+    def test_zero_generator_gives_minus_i_s_times_the_entries(self):
+        # H = 0: every divided difference is its limit -i s, so dU = -i s Delta exactly
+        rng = np.random.default_rng(62)
+        bra, ket = random_states((), 3, rng), random_states((), 3, rng)
+        got = EigenExpm(np.zeros((3, 3), dtype=complex), 0.4).bracket_derivative(bra, ket)
+        expected = (-0.4j * np.outer(bra.conj(), ket)).ravel()
+        assert worst_relative(got, expected) <= 2 * np.finfo(float).eps
+        assert EigenExpm(np.zeros((3, 3)), 0.4).unitaries.tolist() == np.eye(3).tolist()
+
+    def test_degenerate_spectrum_takes_the_limit(self):
+        # diag(1, 1, -2): the divided differences of a diagonal H in closed form, with the
+        # limit -i s e^{-i s l} in the degenerate block, and central differences
+        rng = np.random.default_rng(63)
+        h, s = np.diag([1.0, 1.0, -2.0]).astype(complex), 0.6
+        bra, ket = random_states((), 3, rng), random_states((), 3, rng)
+        got = EigenExpm(h, s).bracket_derivative(bra, ket)
+        lam = np.diag(h).real
+        diff = lam[:, None] - lam[None, :]
+        phases = np.exp(-1j * s * lam)
+        same = diff == 0
+        gamma = np.where(same, -1j * s * phases[:, None],
+                         (phases[:, None] - phases[None, :]) / np.where(same, 1.0, diff))
+        expected = (bra.conj()[:, None] * gamma * ket[None, :]).ravel()
+        assert worst_relative(got, expected) <= 1e-15
+        assert worst_relative(got, central_brackets(h, s, bra, ket)) <= 1e-8
+
+    def test_qubits_agree_with_qubit_expm_through_the_pauli_map(self):
+        # dU / dh_a = sum_cd dU / dH_cd (sigma_a)_cd, and -i s <bra|U|ket> along the identity
+        rng = np.random.default_rng(64)
+        c, s = random_coordinates(300, rng, 6.0), 0.5
+        bra, ket = random_kets((300,), rng), random_kets((300,), rng)
+        eigen = EigenExpm(pauli_matrix(c), s)
+        along = eigen.bracket_derivative(bra, ket) @ PAULIS.reshape(4, 4).T
+        qubit = QubitExpm(c, s)
+        assert worst_relative(along[:, 1:], qubit.bracket_derivative(bra, ket)) <= 1e-13
+        overlap = np.einsum("ni,nij,nj->n", bra.conj(), qubit.unitaries, ket)
+        assert worst_relative(along[:, 0], -1j * s * overlap) <= 1e-13
+
+    def test_arrays_are_read_only(self):
+        expm = EigenExpm(random_hermitian(3, np.random.default_rng(65)), 0.1)
+        arrays = [a for a in vars(expm).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            expm.unitaries[0, 0] = 1.0
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_stacks_equal_their_per_member_calls_bit_for_bit(self, d):
+        rng = np.random.default_rng(66 + d)
+        h = np.array([[random_hermitian(d, rng) for _ in range(5)] for _ in range(4)])
+        h[0, 0] = 0.0
+        h[0, 1] = np.diag([1.0, 1.0] + [-2.0] * (d - 2))
+        bra, ket = random_states((4, 5), d, rng), random_states((4, 5), d, rng)
+        expm = EigenExpm(h, 0.3)
+        members = [EigenExpm(x[None], 0.3) for x in h.reshape(-1, d, d)]
+        assert (expm.unitaries.tobytes()
+                == np.concatenate([m.unitaries for m in members]).tobytes())
+        brackets = [m.bracket_derivative(b[None], k[None]) for m, b, k in
+                    zip(members, bra.reshape(-1, d), ket.reshape(-1, d))]
+        assert (expm.bracket_derivative(bra, ket).tobytes()
+                == np.concatenate(brackets).tobytes())
 
 
 class TestHermExpm:

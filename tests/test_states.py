@@ -352,9 +352,13 @@ class TestUnitTraces:
         offsets = rng.normal(size=(1000, 3)) * 10.0 ** rng.uniform(-17, -3, size=(1000, 1))
         near_axis = (axes[:, None, :] + offsets).reshape(-1, 3)
         directions = np.concatenate([rng.normal(size=(100_000, 3)), axes, near_axis])
-        traces = np.array([np.trace(bloch_basis_povm(n).elements, axis1=-2, axis2=-1)
-                           for n in directions])
+        elements = bloch_basis_povm(directions).elements
+        traces = np.trace(elements, axis1=-2, axis2=-1)
         assert traces.shape == (len(directions), 2) and (traces == 1.0).all()
+        # the stack is its members' single-direction calls, zero signs included: every
+        # hundredth Gaussian direction, the six axes and every sixth tilted axis
+        for i in np.r_[0:100_000:100, 100_000:100_006, 100_006:len(directions):6]:
+            assert elements[i].tobytes() == bloch_basis_povm(directions[i]).elements.tobytes()
 
     @pytest.mark.parametrize("label", ["bloch:1e308,1e308,0", "bloch:-1e308,0,1e308",
                                        "bloch:1e-320,0,0", "bloch:0,3e-200,-3e-200",
